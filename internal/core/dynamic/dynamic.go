@@ -13,6 +13,16 @@
 // (session, pair id) order. The chain satisfies chain-prefix (any two
 // correct chains are prefixes of one another) and chain-growth.
 //
+// A session is retired — machine and all — the moment it is harvested.
+// That is safe by the same clause of Theorem 6 that makes the harvest
+// safe: past the bound every correct node's machine for r' has
+// terminated, so no correct node sends session-r' traffic any more,
+// and whatever still arrives under that tag is Byzantine and was
+// already being discarded by the stopped machine. (A session harvested
+// with its machine unfinished — HarvestGap, impossible while n > 3f —
+// is retired all the same.) A node therefore holds at most 5·|S|/2 + 3
+// sessions at any time, however long it runs.
+//
 // Joining follows the present/ack protocol of the pseudocode: the
 // joiner broadcasts "present", members reply (ack, r), and the joiner
 // adopts the majority round plus one. Two clarifications the paper
@@ -29,7 +39,7 @@
 package dynamic
 
 import (
-	"sort"
+	"slices"
 
 	"idonly/internal/core/consensus"
 	"idonly/internal/core/parallel"
@@ -71,12 +81,13 @@ type Event struct {
 	M       string
 }
 
-// session is one in-flight (or finished) parallel-consensus session.
+// session is one parallel-consensus session that is not yet final.
 type session struct {
 	start    int // protocol round in which it started
 	snapshot int // |S| at the start (finality denominator)
 	machine  *parallel.Machine
-	stopped  bool // machine done, no longer stepped
+	stopped  bool          // machine done, no longer stepped
+	inbox    []sim.Message // this round's traffic for the machine, reused
 }
 
 // joining states
@@ -105,8 +116,14 @@ type Node struct {
 	schedule map[int][]string
 	pending  []string
 
-	leaveAt  int // protocol round at which to announce absent (0 = never)
-	sessions map[int]*session
+	leaveAt int // protocol round at which to announce absent (0 = never)
+
+	// sessions holds the sessions not yet final, in start order. A node
+	// starts one per round from activation until it leaves and harvests
+	// from the front, so starts are consecutive: session r' sits at index
+	// r' − sessions[0].start.
+	sessions  []*session
+	inboxFree [][]sim.Message // inbox buffers of stopped sessions, for the next ones
 
 	chain      []Event
 	finalUpTo  int        // R: all rounds <= R are final
@@ -135,7 +152,6 @@ func New(cfg Config) *Node {
 		members:  make(map[ids.ID]bool),
 		schedule: cfg.Witness,
 		leaveAt:  cfg.LeaveAt,
-		sessions: make(map[int]*session),
 	}
 	if cfg.Founders != nil {
 		n.state = stFounder
@@ -249,8 +265,7 @@ func (n *Node) Step(round int, inbox []sim.Message) []sim.Send {
 
 	out := n.sends[:0]
 	var ackTo []ids.ID
-	events := make(map[ids.ID]string) // I_r: first event per sender tagged r-1
-	sessInbox := make(map[int][]sim.Message)
+	var events map[ids.ID]string // I_r: first event per sender tagged r-1
 
 	for _, msg := range inbox {
 		switch p := msg.Payload.(type) {
@@ -264,11 +279,18 @@ func (n *Node) Step(round int, inbox []sim.Message) []sim.Send {
 		case EventMsg:
 			if n.state == stActive && p.R == n.r-1 {
 				if _, dup := events[msg.From]; !dup {
+					if events == nil {
+						events = make(map[ids.ID]string)
+					}
 					events[msg.From] = p.M
 				}
 			}
 		case SessMsg:
-			sessInbox[p.Sess] = append(sessInbox[p.Sess], sim.Message{From: msg.From, Payload: p.Inner})
+			// Traffic for a session this node never started, has stopped or
+			// has already retired is dropped here.
+			if s := n.session(p.Sess); s != nil && !s.stopped {
+				s.inbox = append(s.inbox, sim.Message{From: msg.From, Payload: p.Inner})
+			}
 		case Ack:
 			// stray ack (e.g. duplicate join traffic): ignore
 		}
@@ -297,33 +319,41 @@ func (n *Node) Step(round int, inbox []sim.Message) []sim.Send {
 	}
 
 	// Step all live session machines with this round's session traffic.
-	for _, start := range n.sessionOrder() {
-		s := n.sessions[start]
+	for _, s := range n.sessions {
 		if s.stopped {
 			continue
 		}
-		payloads := s.machine.Step(sessInbox[start])
+		payloads := s.machine.Step(s.inbox)
+		s.inbox = s.inbox[:0]
 		for _, p := range payloads {
-			out = append(out, sim.BroadcastPayload(SessMsg{Sess: start, Inner: p}))
+			out = append(out, sim.BroadcastPayload(SessMsg{Sess: s.start, Inner: p}))
 		}
 		// A machine may be stopped only once it has listened through the
 		// whole first phase (instances can be discovered until its round
 		// D) and every known instance has terminated.
 		if s.machine.Round() >= consensus.InitRounds+consensus.PhaseRounds && s.machine.Done() {
 			s.stopped = true
+			n.inboxFree = append(n.inboxFree, s.inbox)
+			s.inbox = nil
 		}
 	}
 
 	// Start session r (line 27) with the events received this round.
 	if n.state == stActive {
-		inputs := make(map[parallel.PairID]parallel.Val, len(events))
+		var inputs map[parallel.PairID]parallel.Val
+		if len(events) > 0 {
+			inputs = make(map[parallel.PairID]parallel.Val, len(events))
+		}
 		for u, m := range events { //lint:ordered independent per-event writes, order-free
 			inputs[parallel.PairID(u)] = parallel.V(m)
 		}
 		snapshot := n.Members()
 		mach := parallel.NewMachine(n.id, inputs, snapshot)
 		s := &session{start: n.r, snapshot: len(snapshot), machine: mach}
-		n.sessions[n.r] = s
+		if k := len(n.inboxFree); k > 0 {
+			s.inbox, n.inboxFree = n.inboxFree[k-1], n.inboxFree[:k-1]
+		}
+		n.sessions = append(n.sessions, s)
 		payloads := mach.Step(nil) // machine round 1: session-tagged rotor init
 		for _, p := range payloads {
 			out = append(out, sim.BroadcastPayload(SessMsg{Sess: n.r, Inner: p}))
@@ -336,7 +366,7 @@ func (n *Node) Step(round int, inbox []sim.Message) []sim.Send {
 	// A leaving node disappears once its outstanding sessions are done.
 	if n.state == stLeaving {
 		done := true
-		for _, s := range n.sessions { //lint:ordered all-quantifier, order-free
+		for _, s := range n.sessions {
 			if !s.stopped {
 				done = false
 				break
@@ -350,14 +380,25 @@ func (n *Node) Step(round int, inbox []sim.Message) []sim.Send {
 	return out
 }
 
+// session returns the live session started in the given round, or nil.
+func (n *Node) session(start int) *session {
+	if len(n.sessions) == 0 {
+		return nil
+	}
+	if i := start - n.sessions[0].start; i >= 0 && i < len(n.sessions) {
+		return n.sessions[i]
+	}
+	return nil
+}
+
 // advanceFinality extends R while the next round is final, appending
 // the freshly final sessions' outputs to the chain in deterministic
-// order.
+// order and retiring them.
 func (n *Node) advanceFinality() {
-	for {
+	for len(n.sessions) > 0 {
+		s := n.sessions[0]
 		next := n.finalUpTo + 1
-		s, ok := n.sessions[next]
-		if !ok {
+		if s.start != next {
 			return
 		}
 		// Exact integer check of r − r' > 5|S|/2 + 2.
@@ -372,21 +413,16 @@ func (n *Node) advanceFinality() {
 		for id := range outputs {
 			pairs = append(pairs, id)
 		}
-		sort.Slice(pairs, func(i, j int) bool { return pairs[i] < pairs[j] })
+		slices.Sort(pairs)
 		for _, id := range pairs {
 			n.chain = append(n.chain, Event{Session: next, Node: ids.ID(id), M: outputs[id].S})
 		}
 		n.finalUpTo = next
+		last := len(n.sessions) - 1
+		copy(n.sessions, n.sessions[1:])
+		n.sessions[last] = nil
+		n.sessions = n.sessions[:last]
 	}
-}
-
-func (n *Node) sessionOrder() []int {
-	out := make([]int, 0, len(n.sessions))
-	for s := range n.sessions {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // PrefixViolations counts node pairs whose chains are not prefixes of
@@ -398,33 +434,21 @@ func PrefixViolations(nodes []*Node) int {
 	violations := 0
 	for i := range nodes {
 		for j := i + 1; j < len(nodes); j++ {
-			a, b := nodes[i].Chain(), nodes[j].Chain()
-			// Align on the later starting session.
-			start := 0
-			if len(a) > 0 && len(b) > 0 {
-				s := a[0].Session
-				if b[0].Session > s {
-					s = b[0].Session
-				}
-				start = s
+			a, b := nodes[i].chain, nodes[j].chain
+			if len(a) == 0 || len(b) == 0 {
+				continue
 			}
-			var fa, fb []Event
-			for _, e := range a {
-				if e.Session >= start {
-					fa = append(fa, e)
-				}
+			// Align on the later starting session; chains are in session
+			// order, so that skips a prefix of the earlier one.
+			start := max(a[0].Session, b[0].Session)
+			for len(a) > 0 && a[0].Session < start {
+				a = a[1:]
 			}
-			for _, e := range b {
-				if e.Session >= start {
-					fb = append(fb, e)
-				}
+			for len(b) > 0 && b[0].Session < start {
+				b = b[1:]
 			}
-			m := len(fa)
-			if len(fb) < m {
-				m = len(fb)
-			}
-			for k := 0; k < m; k++ {
-				if fa[k] != fb[k] {
+			for k := 0; k < min(len(a), len(b)); k++ {
+				if a[k] != b[k] {
 					violations++
 					break
 				}

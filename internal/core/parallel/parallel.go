@@ -128,11 +128,17 @@ type instance struct {
 // machine-relative, starting at 1; the caller must invoke Step exactly
 // once per round with the messages addressed to this machine.
 type Machine struct {
-	self    ids.ID
-	filter  map[ids.ID]bool // optional admission set ("with respect to S"); nil = open
-	core    *rotor.Core
-	senders map[ids.ID]bool
-	members map[ids.ID]bool
+	self     ids.ID
+	filtered bool         // an admission set was given ("with respect to S")
+	filter   quorum.IDSet // that set; unused when !filtered
+	core     *rotor.Core
+
+	// senders collects who spoke during the two init rounds; it is then
+	// frozen as the membership: members lists it in id order and nv is
+	// its size.
+	senders quorum.IDSet
+	frozen  bool
+	members []ids.ID
 	nv      int
 
 	insts     map[PairID]*instance
@@ -150,17 +156,14 @@ type Machine struct {
 // discarded and nv is counted within the set).
 func NewMachine(self ids.ID, inputs map[PairID]Val, members []ids.ID) *Machine {
 	m := &Machine{
-		self:    self,
-		core:    rotor.NewCore(self),
-		senders: make(map[ids.ID]bool),
-		insts:   make(map[PairID]*instance),
-		arr:     make(map[PairID]*arrivals),
+		self:     self,
+		filtered: members != nil,
+		core:     rotor.NewCore(self),
+		insts:    make(map[PairID]*instance),
+		arr:      make(map[PairID]*arrivals),
 	}
-	if members != nil {
-		m.filter = make(map[ids.ID]bool, len(members))
-		for _, id := range members {
-			m.filter[id] = true
-		}
+	for _, id := range members {
+		m.filter.Add(id)
 	}
 	for id, x := range inputs { //lint:ordered independent per-pair writes, order-free
 		if x.Bot {
@@ -248,20 +251,16 @@ type arrivals struct {
 	inputs    *quorum.Tally[Val]
 	prefers   *quorum.Tally[Val]
 	strongs   *quorum.Tally[Val]
-	responded [numKinds]map[ids.ID]bool
+	responded [numKinds]quorum.IDSet
 	gen       int
 }
 
 func newArrivals() *arrivals {
-	a := &arrivals{
+	return &arrivals{
 		inputs:  quorum.NewTally[Val](),
 		prefers: quorum.NewTally[Val](),
 		strongs: quorum.NewTally[Val](),
 	}
-	for k := range a.responded {
-		a.responded[k] = make(map[ids.ID]bool)
-	}
-	return a
 }
 
 func (a *arrivals) reset() {
@@ -269,7 +268,7 @@ func (a *arrivals) reset() {
 	a.prefers.Reset()
 	a.strongs.Reset()
 	for k := range a.responded {
-		clear(a.responded[k])
+		a.responded[k].Reset()
 	}
 }
 
@@ -293,15 +292,15 @@ func (m *Machine) Step(inbox []sim.Message) []any {
 		}
 		return a
 	}
-	opinions := make(map[PairID]map[ids.ID]Val)
+	var opinions map[PairID]map[ids.ID]Val // allocated by the first Opinion
 
 	for _, msg := range inbox {
-		if m.filter != nil && !m.filter[msg.From] {
+		if m.filtered && !m.filter.Has(msg.From) {
 			continue // outside the recorded S: discarded (Alg. 6 rule)
 		}
-		if m.members == nil {
-			m.senders[msg.From] = true
-		} else if !m.members[msg.From] {
+		if !m.frozen {
+			m.senders.Add(msg.From)
+		} else if !m.senders.Has(msg.From) {
 			continue // did not count toward nv: discarded (Alg. 3 rule)
 		}
 		switch p := msg.Payload.(type) {
@@ -313,31 +312,34 @@ func (m *Machine) Step(inbox []sim.Message) []any {
 			if inst := m.admit(p.ID, kindInput, round); inst != nil {
 				a := get(p.ID)
 				a.inputs.Add(p.X, msg.From)
-				a.responded[kindInput][msg.From] = true
+				a.responded[kindInput].Add(msg.From)
 			}
 		case Prefer:
 			if inst := m.admit(p.ID, kindPrefer, round); inst != nil {
 				a := get(p.ID)
 				a.prefers.Add(p.X, msg.From)
-				a.responded[kindPrefer][msg.From] = true
+				a.responded[kindPrefer].Add(msg.From)
 			}
 		case NoPref:
 			if inst := m.admitKnownOnly(p.ID, kindPrefer, round); inst != nil {
-				get(p.ID).responded[kindPrefer][msg.From] = true
+				get(p.ID).responded[kindPrefer].Add(msg.From)
 			}
 		case StrongPrefer:
 			if inst := m.admit(p.ID, kindStrong, round); inst != nil {
 				a := get(p.ID)
 				a.strongs.Add(p.X, msg.From)
-				a.responded[kindStrong][msg.From] = true
+				a.responded[kindStrong].Add(msg.From)
 			}
 		case NoStrongPref:
 			if inst := m.admitKnownOnly(p.ID, kindStrong, round); inst != nil {
-				get(p.ID).responded[kindStrong][msg.From] = true
+				get(p.ID).responded[kindStrong].Add(msg.From)
 			}
 		case Opinion:
 			set := opinions[p.ID]
 			if set == nil {
+				if opinions == nil {
+					opinions = make(map[PairID]map[ids.ID]Val)
+				}
 				set = make(map[ids.ID]Val)
 				opinions[p.ID] = set
 			}
@@ -360,8 +362,9 @@ func (m *Machine) Step(inbox []sim.Message) []any {
 		return out
 	}
 
-	if m.members == nil {
-		m.members = m.senders
+	if !m.frozen {
+		m.frozen = true
+		m.members = m.senders.AppendTo(nil)
 		m.nv = len(m.members)
 	}
 
@@ -388,7 +391,7 @@ func (m *Machine) Step(inbox []sim.Message) []any {
 				continue
 			}
 			a := get(id)
-			m.substitute(inst, kindInput, round, a.inputs, a.responded[kindInput])
+			m.substitute(inst, kindInput, round, a.inputs, &a.responded[kindInput])
 			if x, count, ok := bestVal(a.inputs); ok && quorum.AtLeastTwoThirds(count, m.nv) {
 				inst.own[kindPrefer] = ownSent{mode: sentValue, val: x}
 				out = append(out, Prefer{ID: id, X: x})
@@ -405,7 +408,7 @@ func (m *Machine) Step(inbox []sim.Message) []any {
 				continue
 			}
 			a := get(id)
-			m.substitute(inst, kindPrefer, round, a.prefers, a.responded[kindPrefer])
+			m.substitute(inst, kindPrefer, round, a.prefers, &a.responded[kindPrefer])
 			x, count, ok := bestVal(a.prefers)
 			if ok && quorum.AtLeastThird(count, m.nv) {
 				inst.xv = x
@@ -426,7 +429,7 @@ func (m *Machine) Step(inbox []sim.Message) []any {
 				continue
 			}
 			a := get(id)
-			m.substitute(inst, kindStrong, round, a.strongs, a.responded[kindStrong])
+			m.substitute(inst, kindStrong, round, a.strongs, &a.responded[kindStrong])
 			// Swap the filled tally in as the round-E buffer; the pool
 			// entry takes the instance's previous buffer and resets it
 			// before its next use.
@@ -528,10 +531,10 @@ func (m *Machine) admitKnownOnly(id PairID, k kind, round int) *instance {
 //   - otherwise each missing member counts as this node's own most
 //     recently sent message of the kind (a no-preference marker
 //     contributes no value).
-func (m *Machine) substitute(inst *instance, k kind, round int, tally *quorum.Tally[Val], responded map[ids.ID]bool) {
+func (m *Machine) substitute(inst *instance, k kind, round int, tally *quorum.Tally[Val], responded *quorum.IDSet) {
 	firstTime := inst.firstSeen[k] == 0 || inst.firstSeen[k] == round
-	for member := range m.members { //lint:ordered tally insertion is commutative
-		if responded[member] {
+	for _, member := range m.members {
+		if responded.Has(member) {
 			continue
 		}
 		if firstTime {

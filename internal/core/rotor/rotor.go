@@ -57,7 +57,7 @@ type Core struct {
 	selected []ids.ID        // selection sequence (one per Advance)
 	r        int             // next selection round index (starts at 0)
 
-	keyScratch   []ids.ID // reused by Advance's per-round echo-key sort
+	keyScratch   []ids.ID // backs EchoInits' return, then Advance's per-round echo-key sort
 	relayScratch []ids.ID // backs Advance's relays return; valid until the next Advance
 }
 
@@ -79,13 +79,16 @@ func (c *Core) AbsorbInit(p ids.ID) { c.inits[p] = true }
 func (c *Core) AbsorbEcho(from, p ids.ID) { c.echoes.Add(p, from) }
 
 // EchoInits returns the candidate ids to echo in round 2 — one echo(p)
-// for every init received — in ascending order.
+// for every init received — in ascending order. Like Advance's relays,
+// the slice is scratch owned by the core (keyScratch, which Advance
+// takes over from round 3 on), valid until the next Advance.
 func (c *Core) EchoInits() []ids.ID {
-	out := make([]ids.ID, 0, len(c.inits))
+	out := c.keyScratch[:0]
 	for p := range c.inits {
 		out = append(out, p)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
+	c.keyScratch = out
 	return out
 }
 

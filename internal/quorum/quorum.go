@@ -10,6 +10,7 @@
 package quorum
 
 import (
+	"slices"
 	"sort"
 
 	"idonly/internal/ids"
@@ -137,6 +138,22 @@ func (s *IDSet) Has(id ids.ID) bool { return s.set.has(id) }
 
 // Len returns the cardinality.
 func (s *IDSet) Len() int { return s.set.len() }
+
+// Reset empties the set in place for reuse.
+func (s *IDSet) Reset() { s.set.reset() }
+
+// AppendTo appends the members to dst in increasing id order.
+func (s *IDSet) AppendTo(dst []ids.ID) []ids.ID {
+	if s.set.big == nil {
+		return append(dst, s.set.small[:s.set.n]...)
+	}
+	at := len(dst)
+	for id := range s.set.big {
+		dst = append(dst, id)
+	}
+	slices.Sort(dst[at:])
+	return dst
+}
 
 // Witnesses tracks, per message key, the cumulative set of distinct
 // senders observed across rounds — the Srikanth–Toueg counting

@@ -92,3 +92,31 @@ func TestIDSet(t *testing.T) {
 		t.Fatal("phantom membership")
 	}
 }
+
+// TestIDSetAppendToAndReset: AppendTo lists the members in increasing
+// id order after dst's own content, on both representations, and a
+// Reset set is empty and reusable.
+func TestIDSetAppendToAndReset(t *testing.T) {
+	for _, n := range []int{5, 3 * smallSetMax} {
+		var s IDSet
+		for i := n; i >= 1; i-- { // descending inserts: order must not leak
+			s.Add(ids.ID(7 * i))
+		}
+		got := s.AppendTo([]ids.ID{999})
+		if len(got) != n+1 || got[0] != 999 {
+			t.Fatalf("n=%d: AppendTo returned %v", n, got)
+		}
+		for i := 1; i <= n; i++ {
+			if got[i] != ids.ID(7*i) {
+				t.Fatalf("n=%d: AppendTo[%d] = %d, want %d", n, i, got[i], 7*i)
+			}
+		}
+		s.Reset()
+		if s.Len() != 0 || s.Has(7) || len(s.AppendTo(nil)) != 0 {
+			t.Fatalf("n=%d: Reset left residue", n)
+		}
+		if !s.Add(7) || s.Len() != 1 {
+			t.Fatalf("n=%d: set unusable after Reset", n)
+		}
+	}
+}

@@ -88,7 +88,9 @@ func BenchmarkDeliverBroadcast(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/n=%d", mode.name, n), func(b *testing.B) {
 				r := newBenchRunner(n)
 				r.StepRound() // warm the pooled buffers
-				from := r.nodes[0].id
+				// The highest id: its sends land after the warm-up round's
+				// own traffic, keeping the lanes in sender order.
+				from := r.nodes[n-1].id
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -109,19 +111,20 @@ func BenchmarkDeliverBroadcast(b *testing.B) {
 }
 
 // BenchmarkSortInbox measures sorting a pooled inbox whose sort keys
-// were computed at delivery time into the key arena. The input is
-// re-scrambled from a template each iteration; the baseline comparator
-// re-formatted every payload O(m log m) times, this one formats zero
-// and compares arena byte views.
+// were computed at delivery time into the key arena: m messages from
+// m/8 senders in sender order (as delivery leaves them), each sender's
+// run of 8 with its keys descending. The input is restored from a
+// template each iteration; the sort formats nothing and compares arena
+// byte views within one sender's run only.
 func BenchmarkSortInbox(b *testing.B) {
 	for _, m := range []int{16, 64, 256} {
 		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
-			senders := ids.Sparse(ids.NewRand(7), m/2)
+			senders := ids.SortIDs(ids.Sparse(ids.NewRand(7), m/8))
 			tmpl := inboxBuf{}
 			var arena []byte
 			for i := 0; i < m; i++ {
 				p := benchPayload{Kind: i % 3, Value: float64(m - i)}
-				tmpl.msgs = append(tmpl.msgs, Message{From: senders[i%len(senders)], Payload: p})
+				tmpl.msgs = append(tmpl.msgs, Message{From: senders[i/8], Payload: p})
 				start := len(arena)
 				arena = fmt.Append(arena, p)
 				tmpl.keys = append(tmpl.keys, keyRef{off: uint32(start), n: uint32(len(arena) - start)})
@@ -153,6 +156,55 @@ func BenchmarkStepRound(b *testing.B) {
 				r.StepRound()
 			}
 			b.ReportMetric(float64(n*n), "msgs/round")
+		})
+	}
+}
+
+// fanoutProc broadcasts 16 distinct registered payloads per round and
+// repeats the first of them: n·16 sources, n²·16 deliveries and n²
+// duplicate drops per round.
+type fanoutProc struct {
+	id    ids.ID
+	sends []Send
+}
+
+func (p *fanoutProc) ID() ids.ID    { return p.id }
+func (p *fanoutProc) Decided() bool { return false }
+func (p *fanoutProc) Output() any   { return nil }
+func (p *fanoutProc) Step(round int, inbox []Message) []Send {
+	return p.sends
+}
+
+// BenchmarkRunnerBroadcastFanout watches the property the source-keyed
+// filter exists for: on the reference plane the per-Send costs (key
+// rendering, interning, one filter probe) are shared by all n
+// recipients of a broadcast, so ns/delivery falls from n=14 to n=64 —
+// a filter probed once per delivery rises instead, its map growing
+// with n². At n=1024 a round is 16.7M appends over 1024 lanes (≈800 MB
+// of inboxes) and cache misses, not the filter, set the cost; the
+// figure to watch there is that it stays far below a map probe per
+// delivery (EXPERIMENTS.md has the table).
+func BenchmarkRunnerBroadcastFanout(b *testing.B) {
+	for _, n := range []int{14, 64, 1024} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			procs := make([]Process, n)
+			for i, id := range ids.Sparse(ids.NewRand(99), n) {
+				p := &fanoutProc{id: id}
+				for k := 0; k < 16; k++ {
+					p.sends = append(p.sends, BroadcastPayload(benchPayload{Kind: k, Value: float64(i)}))
+				}
+				p.sends = append(p.sends, p.sends[0])
+				procs[i] = p
+			}
+			r := NewRunner(Config{MaxRounds: 1 << 30}, procs, nil, nil)
+			r.StepRound()
+			r.StepRound() // both buffer generations warm
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				r.StepRound()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n*n*16), "ns/delivery")
 		})
 	}
 }
@@ -210,7 +262,7 @@ func BenchmarkDeliverBroadcastTyped(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			r := newTypedBenchRunner(n)
 			r.StepRound()
-			from := r.idvec[0]
+			from := r.idvec[n-1]
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

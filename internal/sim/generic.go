@@ -11,16 +11,17 @@
 // lanes carrying concrete values — no `any` boxing on registered paths
 // — node bookkeeping lives in struct-of-arrays (ids, processes, faulty
 // and decided flags in parallel slices a sharded round streams
-// through), and the duplicate filter keys on the comparable wire value
-// itself instead of (ordinal, interned key bytes).
+// through), and the shared duplicate filter (plane.go) keys on the
+// comparable wire value itself instead of (ordinal, interned key
+// bytes).
 //
 // The schedule is bit-identical to the reference Runner, and that is a
 // proven property, not an aspiration: the wire type's AppendSortKey
 // must render exactly the bytes of the payload it wraps (delegation,
-// checked in internal/sortkeys), so inbox sorts execute the same
-// comparisons in the same insertion order, and the typed duplicate
-// filter — wire-value equality — coincides with the reference filter
-// (sender, type ordinal, key bytes) by the SortKeyer contract: within
+// checked in internal/sortkeys), so the one inbox sort (plane.go)
+// executes the same comparisons in the same insertion order, and the
+// typed filter key — wire-value equality — coincides with the reference
+// key (sender, type ordinal, key bytes) by the SortKeyer contract: within
 // a registered type, byte equality is value equality, and ordinals
 // separate types whose renderings collide. typed_test.go replays the
 // golden trace digests of golden_test.go through this runner,
@@ -51,13 +52,6 @@ import (
 type WireMsg interface {
 	comparable
 	SortKeyer
-}
-
-// MsgT is Message with a concrete payload: one inbox entry of the
-// typed plane.
-type MsgT[M any] struct {
-	From    ids.ID
-	Payload M
 }
 
 // SendT is Send with a concrete payload.
@@ -101,91 +95,13 @@ type Codec[M any] struct {
 	Unwrap func(m M) any
 }
 
-// laneBuf is inboxBuf with a concrete message type: one recipient's
-// typed delivery lane, double-buffered and pooled exactly like the
-// reference inbox. It keeps the single global insertion order (not
-// per-type sublanes): sort.Sort is unstable and cross-type key-byte
-// ties exist, so splitting by type would reorder ties and break bit
-// identity with the reference schedule.
-type laneBuf[M any] struct {
-	msgs  []MsgT[M]
-	keys  []keyRef
-	arena []byte
-}
-
-func (b *laneBuf[M]) Len() int { return len(b.msgs) }
-func (b *laneBuf[M]) Less(i, j int) bool {
-	if b.msgs[i].From != b.msgs[j].From {
-		return b.msgs[i].From < b.msgs[j].From
-	}
-	ki, kj := b.keys[i], b.keys[j]
-	return string(b.arena[ki.off:ki.off+ki.n]) < string(b.arena[kj.off:kj.off+kj.n])
-}
-func (b *laneBuf[M]) Swap(i, j int) {
-	b.msgs[i], b.msgs[j] = b.msgs[j], b.msgs[i]
-	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
-}
-
-func (b *laneBuf[M]) sort(arena []byte) {
-	b.arena = arena
-	sort.Sort(b)
-	b.arena = nil
-}
-
-func (b *laneBuf[M]) reset() {
-	b.msgs = b.msgs[:0]
-	b.keys = b.keys[:0]
-}
-
-// srcKeyT is the typed duplicate-filter identity of one message
-// *source*: sender and wire value. The reference filter keys every
-// delivery on (to, from, payload); the typed filter keys the map on
-// (from, payload) only and tracks the recipient set in a side
-// structure (recipSet), so a broadcast to n nodes costs one hash
-// lookup plus n bit operations instead of n hash lookups. By the
-// WireMsg contract (see the package comment above) wire-value equality
-// coincides with boxed-value equality, so "slot i is in the set for
-// (from, m)" is exactly the reference predicate "(to_i, from, payload)
-// was delivered this round".
+// srcKeyT is the typed duplicate-filter identity of one message source:
+// sender and wire value. By the WireMsg contract (see the package
+// comment above) wire-value equality coincides with boxed-value
+// equality, so it names the same source as the reference dedupKey.
 type srcKeyT[M comparable] struct {
 	from    ids.ID
 	payload M
-}
-
-// smallSetMax is the recipient count at which a recipSet trades its
-// linear vec for a slot bitmap. Sparse-overlay fan-outs (a ring node
-// talks to ⌈log₂ n⌉ successors) stay in the vec, where a scan of a
-// few int32s beats any hashing; broadcast fan-outs upgrade on entry.
-const smallSetMax = 32
-
-// recipSet records the slots that already received one (from, payload)
-// this round. Membership lives in the unsorted tos vec until it would
-// exceed smallSetMax, then in a bitmap over all slots — the inline
-// word when the whole runner fits in 64 slots (no allocation ever),
-// an allocated mask otherwise. Sets are pooled across rounds: tos
-// chunks come from a shared slab and keep their capacity, masks
-// return zeroed to the runner's free list.
-type recipSet struct {
-	tos      []int32  // linear membership while !upgraded
-	word     uint64   // inline bitmap once upgraded, ≤64-slot runners
-	mask     []uint64 // allocated bitmap once upgraded, larger runners
-	upgraded bool
-}
-
-func (s *recipSet) has(i int) bool {
-	switch {
-	case !s.upgraded:
-		for _, t := range s.tos {
-			if int(t) == i {
-				return true
-			}
-		}
-		return false
-	case s.mask != nil:
-		return s.mask[i>>6]&(1<<uint(i&63)) != 0
-	default:
-		return s.word&(1<<uint(i)) != 0
-	}
 }
 
 // sendCtxT is sendCtx for the typed plane: the per-Send state shared
@@ -211,9 +127,6 @@ type sendCtxT[M comparable] struct {
 // the hot inboxes — InboxGrows is excluded from digests and canonical
 // reports precisely because it describes the allocator.
 const typedSlabBudget = 1 << 21
-
-// typedDedupBudget caps the duplicate-filter presize hint.
-const typedDedupBudget = 1 << 20
 
 // TypedRunner executes a synchronous round-based system on the
 // monomorphized plane. Construct with NewTypedRunner; the zero value
@@ -247,23 +160,8 @@ type TypedRunner[P ProcessT[M], M WireMsg] struct {
 	curArena []byte
 	nxtArena []byte
 
-	// Duplicate filter: one map entry per distinct (from, payload) this
-	// round, each pointing at its recipient set. sets and maskFree are
-	// round-scoped scratch recycled across rounds; lastKey caches the
-	// previous Send's resolution (a sparse sender unicasts the same
-	// payload to every successor, so consecutive sends usually hit).
-	dedup      map[srcKeyT[M]]int32
-	dedupAlloc int // entries the live filter map was sized for
-	sets       []recipSet
-	maskFree   [][]uint64 // zeroed bitmaps ready for reuse
-	tosSlab    []int32    // backing store handed to fresh sets in smallSetMax chunks
-	lastKey    srcKeyT[M]
-	lastIdx    int32
-	lastValid  bool
-
+	filter     srcFilter[srcKeyT[M]] // within-round duplicate filter (plane.go)
 	arenaGauge scratchGauge
-	dedupGauge scratchGauge
-	maskGauge  scratchGauge // bitmaps upgraded per round
 
 	obsSends []Send // observer unbox scratch, reused
 
@@ -401,17 +299,7 @@ func (r *TypedRunner[P, M]) presizeAll() {
 			ti++
 		}
 	}
-	// One filter entry per distinct (from, payload) per round — ~a few
-	// sends per node, not per delivery.
-	hint := 2 * len(r.idvec)
-	if hint < 16 {
-		hint = 16
-	}
-	if hint > typedDedupBudget {
-		hint = typedDedupBudget
-	}
-	r.dedup = make(map[srcKeyT[M]]int32, hint)
-	r.dedupAlloc = hint
+	r.filter.init(len(r.idvec))
 }
 
 // Metrics returns the metrics accumulated so far.
@@ -458,21 +346,7 @@ func (r *TypedRunner[P, M]) StepRound() {
 	if r.arenaGauge.oversized(cap(r.nxtArena), arenaRetainFloor) {
 		r.nxtArena = make([]byte, 0, r.arenaGauge.retainTarget(arenaRetainFloor))
 	}
-	r.resetSets()
-	if used := len(r.dedup); used > 0 || r.dedupAlloc > dedupRetainFloor {
-		r.dedupGauge.observe(used)
-		if r.dedupGauge.oversized(r.dedupAlloc, dedupRetainFloor) {
-			r.dedupAlloc = r.dedupGauge.retainTarget(dedupRetainFloor)
-			r.dedup = make(map[srcKeyT[M]]int32, r.dedupAlloc)
-			r.sets = nil // drop the matching flood of pooled vecs too
-			r.tosSlab = nil
-		} else if used > 0 {
-			if used > r.dedupAlloc {
-				r.dedupAlloc = used
-			}
-			clear(r.dedup)
-		}
-	}
+	r.filter.flip(len(r.idvec))
 	for i := range r.idvec {
 		if r.faulty[i] {
 			r.bcur[i], r.bnxt[i] = r.bnxt[i], r.bcur[i]
@@ -534,99 +408,6 @@ func (r *TypedRunner[P, M]) StepRound() {
 	r.metrics.Rounds = round
 }
 
-// resetSets recycles the round's recipient sets: vecs keep their
-// capacity in place, upgraded bitmaps are zeroed and returned to the
-// free list. The mask gauge bounds what a flood round may pin — the
-// free list is trimmed back toward the decayed per-round high-water,
-// exactly like the arena and filter-map gauges.
-func (r *TypedRunner[P, M]) resetSets() {
-	r.lastValid = false
-	released := 0
-	for i := range r.sets {
-		s := &r.sets[i]
-		s.tos = s.tos[:0]
-		s.word = 0
-		s.upgraded = false
-		if s.mask != nil {
-			clear(s.mask)
-			r.maskFree = append(r.maskFree, s.mask)
-			s.mask = nil
-			released++
-		}
-	}
-	r.sets = r.sets[:0]
-	if released > 0 || len(r.maskFree) > 0 {
-		r.maskGauge.observe(released)
-		if target := r.maskGauge.retainTarget(4); len(r.maskFree) > target {
-			for i := target; i < len(r.maskFree); i++ {
-				r.maskFree[i] = nil
-			}
-			r.maskFree = r.maskFree[:target]
-		}
-	}
-}
-
-// resolveSet returns this round's recipient set for (from, payload),
-// creating it on first sight. The single-entry cache makes the common
-// sparse pattern — one sender unicasting the same payload to each of
-// its overlay successors — cost one map lookup per sender instead of
-// one per successor.
-func (r *TypedRunner[P, M]) resolveSet(from ids.ID, payload M) *recipSet {
-	key := srcKeyT[M]{from: from, payload: payload}
-	if r.lastValid && r.lastKey == key {
-		return &r.sets[r.lastIdx]
-	}
-	idx, ok := r.dedup[key]
-	if !ok {
-		idx = int32(len(r.sets))
-		if n := len(r.sets); n < cap(r.sets) {
-			r.sets = r.sets[:n+1] // usually a pooled entry with its vec chunk
-		} else {
-			r.sets = append(r.sets, recipSet{})
-		}
-		// A pooled entry keeps its chunk (reset leaves tos non-nil at
-		// len 0); a genuinely fresh one — first use, or a zero entry off
-		// an append-growth tail — gets its vec carved from the shared
-		// slab, so a storm of distinct payloads costs one allocation per
-		// 64 sets, not one per set.
-		if e := &r.sets[idx]; e.tos == nil {
-			if cap(r.tosSlab)-len(r.tosSlab) < smallSetMax {
-				r.tosSlab = make([]int32, 0, 64*smallSetMax)
-			}
-			o := len(r.tosSlab)
-			r.tosSlab = r.tosSlab[:o+smallSetMax]
-			e.tos = r.tosSlab[o : o : o+smallSetMax]
-		}
-		r.dedup[key] = idx
-	}
-	r.lastKey, r.lastIdx, r.lastValid = key, idx, true
-	return &r.sets[idx]
-}
-
-// upgradeSet moves a recipient set from its vec to a bitmap over all
-// slots: the inline word for ≤64-slot runners (free), otherwise a
-// zeroed mask from the free list when one is there.
-func (r *TypedRunner[P, M]) upgradeSet(s *recipSet) {
-	s.upgraded = true
-	if len(r.idvec) <= 64 {
-		for _, t := range s.tos {
-			s.word |= 1 << uint(t)
-		}
-		s.tos = s.tos[:0]
-		return
-	}
-	if k := len(r.maskFree); k > 0 {
-		s.mask = r.maskFree[k-1]
-		r.maskFree = r.maskFree[:k-1]
-	} else {
-		s.mask = make([]uint64, (len(r.idvec)+63)/64)
-	}
-	for _, t := range s.tos {
-		s.mask[t>>6] |= 1 << uint(t&63)
-	}
-	s.tos = s.tos[:0]
-}
-
 // sortSlot orders one slot's current inbox against the current arena.
 func (r *TypedRunner[P, M]) sortSlot(i int) {
 	if r.faulty[i] {
@@ -660,7 +441,7 @@ func (r *TypedRunner[P, M]) observe(round int, from ids.ID, sends []SendT[M]) {
 // the message — the reference deliver, minus interning (the typed
 // filter keys on the value itself) and minus every box.
 func (r *TypedRunner[P, M]) deliver(from ids.ID, s SendT[M]) {
-	c := sendCtxT[M]{set: r.resolveSet(from, s.Payload)}
+	c := sendCtxT[M]{set: r.filter.resolve(srcKeyT[M]{from, s.Payload}, s.To)}
 	start := len(r.nxtArena)
 	r.nxtArena = s.Payload.AppendSortKey(r.nxtArena)
 	c.off, c.n = uint32(start), uint32(len(r.nxtArena)-start)
@@ -680,7 +461,7 @@ func (r *TypedRunner[P, M]) deliverBoxed(from ids.ID, s Send) {
 		panic(fmt.Sprintf("sim: typed runner cannot carry adversary payload %T", s.Payload))
 	}
 	c := sendCtxT[M]{
-		set:       r.resolveSet(from, m),
+		set:       r.filter.resolve(srcKeyT[M]{from, m}, s.To),
 		boxed:     s.Payload,
 		haveBoxed: true,
 	}
@@ -695,11 +476,6 @@ func (r *TypedRunner[P, M]) deliverBoxed(from ids.ID, s Send) {
 
 func (r *TypedRunner[P, M]) fanOut(to, from ids.ID, payload M, c *sendCtxT[M]) {
 	if to == Broadcast {
-		// A broadcast fan-out will blow past the vec threshold anyway;
-		// upgrading up front saves the per-recipient append-then-copy.
-		if !c.set.upgraded && len(r.idvec) > smallSetMax {
-			r.upgradeSet(c.set)
-		}
 		for i := range r.idvec {
 			r.deliverOne(i, from, payload, c)
 		}
@@ -709,38 +485,9 @@ func (r *TypedRunner[P, M]) fanOut(to, from ids.ID, payload M, c *sendCtxT[M]) {
 }
 
 func (r *TypedRunner[P, M]) deliverOne(i int, from ids.ID, payload M, c *sendCtxT[M]) {
-	set := c.set
-	if set.upgraded {
-		if set.mask != nil {
-			w, b := i>>6, uint(i&63)
-			if set.mask[w]&(1<<b) != 0 {
-				r.metrics.MessagesDropped++
-				return
-			}
-			set.mask[w] |= 1 << b
-		} else {
-			bit := uint64(1) << uint(i)
-			if set.word&bit != 0 {
-				r.metrics.MessagesDropped++
-				return
-			}
-			set.word |= bit
-		}
-	} else {
-		if set.has(i) {
-			r.metrics.MessagesDropped++
-			return
-		}
-		if len(set.tos) >= smallSetMax {
-			r.upgradeSet(set)
-			if set.mask != nil {
-				set.mask[i>>6] |= 1 << uint(i&63)
-			} else {
-				set.word |= 1 << uint(i)
-			}
-		} else {
-			set.tos = append(set.tos, int32(i))
-		}
+	if r.filter.add(c.set, i) {
+		r.metrics.MessagesDropped++
+		return
 	}
 	if r.faulty[i] {
 		// Faulty recipients consume the boxed plane (the Adversary

@@ -1,0 +1,311 @@
+// The delivery plane both runners share: the per-recipient lane with
+// its run sort, and the source-keyed duplicate filter. Runner (sim.go)
+// instantiates them over boxed payloads, TypedRunner (generic.go) over
+// a protocol's concrete wire type; there is one sort and one filter.
+package sim
+
+import (
+	"math"
+
+	"idonly/internal/ids"
+)
+
+// MsgT is one inbox entry carrying payload type M. Message is MsgT[any].
+type MsgT[M any] struct {
+	From    ids.ID
+	Payload M
+}
+
+// keyRef is one inbox entry's sort key: an offset/length view into the
+// runner's key arena for the round the message was delivered in.
+type keyRef struct {
+	off uint32
+	n   uint32
+}
+
+// laneBuf is one recipient's delivery lane: a pooled inbox and, in
+// tandem, the sort-key views computed at delivery time. It keeps the
+// single global insertion order (not per-type sublanes): cross-type
+// key-byte ties exist, and how a tie is broken depends on that order.
+type laneBuf[M any] struct {
+	msgs []MsgT[M]
+	keys []keyRef
+}
+
+// inboxBuf is the boxed lane of the reference plane and of faulty slots.
+type inboxBuf = laneBuf[any]
+
+// insertionShiftsPerEntry bounds the straight insertion sort of one
+// sender's run: a run that needs more than this many shifts per entry
+// gets the wider-gap passes of a Shell sort first, having cost about one
+// extra pass. Runs of up to 5 entries never exceed it; longer ones stay
+// under it when they arrive nearly sorted, which is how a protocol that
+// emits per session or per instance in a fixed order leaves them. An
+// adversary's scrambled flood does not, and gives up early.
+const insertionShiftsPerEntry = 2
+
+// sort orders the inbox by (sender id, key bytes) against the arena its
+// keys point into. Protocol logic must not depend on inbox order; the
+// sort exists so traces and any order-dependent tie-breaks are
+// reproducible run to run.
+//
+// Only each sender's run is sorted, by key bytes alone: StepRound
+// delivers the sends of one slot after another over the id-sorted node
+// table, so every lane is filled in non-decreasing sender order. That
+// holds with Workers > 1 (Steps are computed concurrently, deliveries
+// are replayed sequentially) and under churn (joins enter the sorted
+// table before the round's first delivery, leavers go after its last).
+// A sender id that decreases is therefore a runner bug, and panics.
+func (b *laneBuf[M]) sort(arena []byte) {
+	for lo := 0; lo < len(b.msgs); {
+		from := b.msgs[lo].From
+		hi := lo + 1
+		for hi < len(b.msgs) && b.msgs[hi].From == from {
+			hi++
+		}
+		if hi < len(b.msgs) && b.msgs[hi].From < from {
+			panic("sim: inbox is not in sender order")
+		}
+		msgs, keys := b.msgs[lo:hi], b.keys[lo:hi]
+		if !gapSort(msgs, keys, arena, 1, insertionShiftsPerEntry*len(msgs)) {
+			gap := 1
+			for gap < len(msgs)/3 {
+				gap = 3*gap + 1
+			}
+			for ; gap >= 1; gap /= 3 {
+				gapSort(msgs, keys, arena, gap, math.MaxInt)
+			}
+		}
+		lo = hi
+	}
+}
+
+// gapSort is one Shell-sort pass over a run — insertion sort of every
+// gap-th entry, straight insertion at gap 1 — moving messages and keys
+// in tandem. It gives up, leaving a permutation of the run, and reports
+// false once it has shifted more than budget entries.
+func gapSort[M any](msgs []MsgT[M], keys []keyRef, arena []byte, gap, budget int) bool {
+	for i := gap; i < len(msgs); i++ {
+		m, k := msgs[i], keys[i]
+		kb := arena[k.off : k.off+k.n]
+		j := i
+		for ; j >= gap; j -= gap {
+			p := keys[j-gap]
+			if string(kb) >= string(arena[p.off:p.off+p.n]) {
+				break
+			}
+			msgs[j], keys[j] = msgs[j-gap], p
+			budget--
+		}
+		msgs[j], keys[j] = m, k
+		if budget < 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// reset empties the buffer for reuse, keeping the backing arrays.
+func (b *laneBuf[M]) reset() {
+	b.msgs = b.msgs[:0]
+	b.keys = b.keys[:0]
+}
+
+// smallSetMax is the recipient count at which a recipSet trades its
+// linear vec for a slot bitmap. Sparse-overlay fan-outs (a ring node
+// talks to ⌈log₂ n⌉ successors) stay in the vec, where a scan of a
+// few int32s beats any hashing; broadcast fan-outs upgrade on entry.
+const smallSetMax = 32
+
+// recipSet records the slots that already received one source's message
+// this round. Membership lives in the unsorted tos vec until it would
+// exceed smallSetMax, then in a bitmap over all slots — the inline
+// word when the whole runner fits in 64 slots (no allocation ever),
+// an allocated mask otherwise. Sets are pooled across rounds: tos
+// chunks come from a shared slab and keep their capacity, masks
+// return zeroed to the filter's free list.
+type recipSet struct {
+	tos      []int32  // linear membership while !upgraded
+	word     uint64   // inline bitmap once upgraded, ≤64-slot runners
+	mask     []uint64 // allocated bitmap once upgraded, larger runners
+	upgraded bool
+}
+
+// filterPresizeMax caps the duplicate-filter presize hint.
+const filterPresizeMax = 1 << 20
+
+// srcFilter is the within-round duplicate filter. The model discards
+// duplicates "from the same node within one round", so a message's
+// duplicate status belongs to its source — K is (sender, payload
+// identity) — and the map is probed once per Send. Which recipients
+// already hold that source's message is one bit per slot in a recipSet:
+// a broadcast to n nodes costs one hash lookup plus n bit operations,
+// and "slot i is in the set of (from, payload)" is exactly the model's
+// predicate "(to_i, from, payload) was delivered this round".
+//
+// Slots are stable for the filter's whole lifetime between two flips:
+// membership is frozen while a round executes.
+type srcFilter[K comparable] struct {
+	idx   map[K]int32 // source -> its set in sets, this round
+	alloc int         // entries idx was sized for
+	slots int         // recipient slots this round
+
+	// sets, maskFree and tosSlab are round-scoped scratch recycled across
+	// rounds; last caches the previous Send's resolution (a sparse sender
+	// unicasts the same payload to every successor, so consecutive sends
+	// usually hit).
+	sets      []recipSet
+	maskFree  [][]uint64 // zeroed bitmaps of (slots+63)/64 words
+	tosSlab   []int32    // backing store handed to fresh sets in smallSetMax chunks
+	lastKey   K
+	lastIdx   int32
+	lastValid bool
+
+	gauge     scratchGauge // sources per round
+	maskGauge scratchGauge // bitmaps upgraded per round
+}
+
+// init seeds the map for the steady-state shape: a couple of distinct
+// sends per node per round.
+func (f *srcFilter[K]) init(nodes int) {
+	f.alloc = min(max(2*nodes, 16), filterPresizeMax)
+	f.idx = make(map[K]int32, f.alloc)
+}
+
+// flip empties the filter at the round boundary, for a round over the
+// given number of slots. Vecs keep their capacity in place, upgraded
+// bitmaps are zeroed and returned to the free list; the gauges
+// (scratch.go) bound what a flood round may pin — the map, the pooled
+// sets and the free list are released once they sit far above the
+// decayed per-round usage.
+func (f *srcFilter[K]) flip(slots int) {
+	f.lastValid = false
+	released := 0
+	for i := range f.sets {
+		s := &f.sets[i]
+		s.tos = s.tos[:0]
+		s.word = 0
+		s.upgraded = false
+		if s.mask != nil {
+			clear(s.mask)
+			f.maskFree = append(f.maskFree, s.mask)
+			s.mask = nil
+			released++
+		}
+	}
+	f.sets = f.sets[:0]
+	if (slots+63)/64 != (f.slots+63)/64 {
+		f.maskFree = nil // churn moved the table across a word boundary
+	}
+	f.slots = slots
+	if released > 0 || len(f.maskFree) > 0 {
+		f.maskGauge.observe(released)
+		if target := f.maskGauge.retainTarget(4); len(f.maskFree) > target {
+			clear(f.maskFree[target:])
+			f.maskFree = f.maskFree[:target]
+		}
+	}
+	if used := len(f.idx); used > 0 || f.alloc > filterRetainFloor {
+		f.gauge.observe(used)
+		if f.gauge.oversized(f.alloc, filterRetainFloor) {
+			f.alloc = f.gauge.retainTarget(filterRetainFloor)
+			f.idx = make(map[K]int32, f.alloc)
+			f.sets = nil // drop the matching flood of pooled vecs too
+			f.tosSlab = nil
+		} else if used > 0 {
+			f.alloc = max(f.alloc, used)
+			clear(f.idx)
+		}
+	}
+}
+
+// resolve returns this round's recipient set for the source of a Send
+// to the given destination, creating it on first sight. A broadcast
+// marks every slot, so its set goes straight to the bitmap (free on
+// runners of up to 64 slots) instead of scanning and growing the vec
+// recipient by recipient.
+func (f *srcFilter[K]) resolve(key K, to ids.ID) *recipSet {
+	idx := f.lastIdx
+	if !f.lastValid || f.lastKey != key {
+		var ok bool
+		if idx, ok = f.idx[key]; !ok {
+			idx = int32(len(f.sets))
+			if n := len(f.sets); n < cap(f.sets) {
+				f.sets = f.sets[:n+1] // usually a pooled entry with its vec chunk
+			} else {
+				f.sets = append(f.sets, recipSet{})
+			}
+			// A pooled entry keeps its chunk (flip leaves tos non-nil at
+			// len 0); a genuinely fresh one — first use, or a zero entry
+			// off an append-growth tail — gets its vec carved from the
+			// shared slab, so a storm of distinct payloads costs one
+			// allocation per 64 sets, not one per set.
+			if e := &f.sets[idx]; e.tos == nil {
+				if cap(f.tosSlab)-len(f.tosSlab) < smallSetMax {
+					f.tosSlab = make([]int32, 0, 64*smallSetMax)
+				}
+				o := len(f.tosSlab)
+				f.tosSlab = f.tosSlab[:o+smallSetMax]
+				e.tos = f.tosSlab[o : o : o+smallSetMax]
+			}
+			f.idx[key] = idx
+		}
+		f.lastKey, f.lastIdx, f.lastValid = key, idx, true
+	}
+	s := &f.sets[idx]
+	if to == Broadcast && !s.upgraded {
+		f.upgrade(s)
+	}
+	return s
+}
+
+// upgrade moves a recipient set from its vec to a bitmap over all
+// slots: the inline word for ≤64-slot runners (free), otherwise a
+// zeroed mask from the free list when one is there.
+func (f *srcFilter[K]) upgrade(s *recipSet) {
+	s.upgraded = true
+	if f.slots <= 64 {
+		for _, t := range s.tos {
+			s.word |= 1 << uint(t)
+		}
+		s.tos = s.tos[:0]
+		return
+	}
+	if k := len(f.maskFree); k > 0 {
+		s.mask = f.maskFree[k-1]
+		f.maskFree = f.maskFree[:k-1]
+	} else {
+		s.mask = make([]uint64, (f.slots+63)/64)
+	}
+	for _, t := range s.tos {
+		s.mask[t>>6] |= 1 << uint(t&63)
+	}
+	s.tos = s.tos[:0]
+}
+
+// add puts slot i into s and reports whether it was already there —
+// i.e. whether this delivery is a within-round duplicate.
+func (f *srcFilter[K]) add(s *recipSet, i int) (dup bool) {
+	if !s.upgraded {
+		for _, t := range s.tos {
+			if int(t) == i {
+				return true
+			}
+		}
+		if len(s.tos) < smallSetMax {
+			s.tos = append(s.tos, int32(i))
+			return false
+		}
+		f.upgrade(s)
+	}
+	if s.mask != nil {
+		w, bit := i>>6, uint64(1)<<uint(i&63)
+		dup = s.mask[w]&bit != 0
+		s.mask[w] |= bit
+		return dup
+	}
+	bit := uint64(1) << uint(i)
+	dup = s.word&bit != 0
+	s.word |= bit
+	return dup
+}

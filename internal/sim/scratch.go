@@ -21,9 +21,13 @@ const (
 	// below it cost more in re-growth than they save.
 	arenaRetainFloor = 64 << 10 // bytes
 
-	// dedupRetainFloor is the duplicate-filter size (entries) always
-	// retained across rounds.
-	dedupRetainFloor = 1 << 13
+	// filterRetainFloor is the duplicate-filter size always retained
+	// across rounds, in sources (distinct (sender, payload) per round —
+	// about n times fewer than deliveries under broadcast). A retained
+	// source holds a map entry, its pooled recipSet and that set's
+	// 128-byte vec chunk, ≈250 bytes, so the floor keeps about half a
+	// megabyte, as the per-delivery filter's 8192 entries did.
+	filterRetainFloor = 1 << 11
 
 	// internRetainMax caps the sort-key intern table. It is monotone by
 	// design (one entry per distinct key per run), so a chaos/flood run

@@ -117,21 +117,29 @@ func TestRunnerArenaShrinksAfterFlood(t *testing.T) {
 }
 
 func TestRunnerDedupAndInternShrinkAfterFlood(t *testing.T) {
-	// 4 procs x 600 sends x 4 recipients = 9600 filter entries per
-	// round, above dedupRetainFloor; ~2400 distinct interned keys per
-	// round cross internRetainMax within the flood.
-	r, _ := floodRunner(4, 30, 600, 4)
+	// The filter counts sources, not deliveries: 4 procs x 1200 distinct
+	// broadcasts = 4800 filter entries per round (19200 deliveries),
+	// above filterRetainFloor; the 4800 distinct interned keys per round
+	// cross internRetainMax within the flood.
+	r, _ := floodRunner(4, 30, 1200, 4)
 	for i := 0; i < 30; i++ {
 		r.StepRound()
 	}
-	if r.dedupAlloc <= dedupRetainFloor {
-		t.Fatalf("flood sized the filter to %d entries, too small to exercise the trim (floor %d)", r.dedupAlloc, dedupRetainFloor)
+	if r.filter.alloc <= filterRetainFloor {
+		t.Fatalf("flood sized the filter to %d entries, too small to exercise the trim (floor %d)", r.filter.alloc, filterRetainFloor)
+	}
+	floodSets := cap(r.filter.sets)
+	if floodSets < 4800 {
+		t.Fatalf("flood pooled %d recipient sets, want one per source (4800)", floodSets)
 	}
 	for i := 0; i < 60; i++ {
 		r.StepRound()
 	}
-	if r.dedupAlloc > dedupRetainFloor {
-		t.Fatalf("duplicate filter still sized for %d entries after 60 quiet rounds (floor %d)", r.dedupAlloc, dedupRetainFloor)
+	if r.filter.alloc > filterRetainFloor {
+		t.Fatalf("duplicate filter still sized for %d entries after 60 quiet rounds (floor %d)", r.filter.alloc, filterRetainFloor)
+	}
+	if c := cap(r.filter.sets); c >= floodSets/2 {
+		t.Fatalf("%d pooled recipient sets retained after 60 quiet rounds (flood pooled %d)", c, floodSets)
 	}
 	if n := len(r.intern); n > internRetainMax {
 		t.Fatalf("intern map holds %d keys, cap is %d", n, internRetainMax)

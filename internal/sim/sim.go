@@ -20,15 +20,21 @@
 // lives in one node table sorted by id, indexed through a slot map, so
 // broadcast fan-out, the destination-present check and per-round
 // iteration are O(1) array operations. Inbox buffers, their sort keys
-// and the per-recipient duplicate filters are pooled and reused across
-// rounds; each message's deterministic sort key is computed once per
-// Send at delivery time (shared by all recipients of a broadcast)
-// instead of once per comparison inside the inbox sort.
+// and the duplicate filter are pooled and reused across rounds, and a
+// round's cost follows its sends, not its deliveries: each message's
+// sort key is rendered once per Send, and "duplicate" is decided per
+// source — the filter (plane.go) is probed once per Send on (sender,
+// payload identity) and then spends one bit per recipient slot.
+//
+// StepRound delivers the sends of one slot after another over the
+// id-sorted table, so every inbox is filled in sender order; the inbox
+// sort (plane.go) relies on that and orders each sender's run by key
+// bytes only.
 //
 // The delivery path is reflection-free for payload types implementing
 // SortKeyer (see sortkey.go): key bytes are appended to a pooled,
 // double-buffered per-runner arena (inbox key tables are offset/length
-// views into it), and the duplicate filter is keyed by (sender, type
+// views into it), and the filter identifies a payload by (type
 // ordinal, interned key bytes) instead of hashing boxed interface
 // values. Payloads that do not implement SortKeyer fall back to
 // fmt.Append and interface-identity deduplication — the original
@@ -38,7 +44,6 @@
 package sim
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 
@@ -52,10 +57,7 @@ const Broadcast ids.ID = 0
 // sender identifier. Payload values must be comparable Go values
 // (structs without slices/maps), because the per-round duplicate filter
 // and the protocols' witness sets use them as map keys.
-type Message struct {
-	From    ids.ID
-	Payload any
-}
+type Message = MsgT[any]
 
 // Send is a message as submitted by a process: a destination and a
 // payload. The runner stamps the sender.
@@ -178,54 +180,6 @@ type node struct {
 	nxt    inboxBuf
 }
 
-// keyRef is one inbox entry's sort key: an offset/length view into the
-// runner's key arena for the round the message was delivered in.
-type keyRef struct {
-	off uint32
-	n   uint32
-}
-
-// inboxBuf couples a pooled inbox with the per-message sort-key views
-// computed at delivery time. It sorts both slices in tandem with the
-// same comparator the original delivery path used (sender id, then the
-// stable payload formatting), so the resulting order is identical —
-// without a single fmt call inside the sort. arena is set for the
-// duration of a sort only; the key bytes live on the runner.
-type inboxBuf struct {
-	msgs  []Message
-	keys  []keyRef
-	arena []byte
-}
-
-func (b *inboxBuf) Len() int { return len(b.msgs) }
-func (b *inboxBuf) Less(i, j int) bool {
-	if b.msgs[i].From != b.msgs[j].From {
-		return b.msgs[i].From < b.msgs[j].From
-	}
-	ki, kj := b.keys[i], b.keys[j]
-	return bytes.Compare(b.arena[ki.off:ki.off+ki.n], b.arena[kj.off:kj.off+kj.n]) < 0
-}
-func (b *inboxBuf) Swap(i, j int) {
-	b.msgs[i], b.msgs[j] = b.msgs[j], b.msgs[i]
-	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
-}
-
-// sort orders the inbox deterministically against the arena its keys
-// point into. Protocol logic must not depend on inbox order; the sort
-// exists so traces and any order-dependent tie-breaks are reproducible
-// run to run.
-func (b *inboxBuf) sort(arena []byte) {
-	b.arena = arena
-	sort.Sort(b)
-	b.arena = nil
-}
-
-// reset empties the buffer for reuse, keeping the backing arrays.
-func (b *inboxBuf) reset() {
-	b.msgs = b.msgs[:0]
-	b.keys = b.keys[:0]
-}
-
 // Runner executes a synchronous round-based system.
 type Runner struct {
 	cfg       Config
@@ -252,33 +206,26 @@ type Runner struct {
 	// short-circuit on pointer equality.
 	intern map[string]string
 
-	// dedup is the within-round duplicate filter of every recipient,
-	// cleared (not reallocated) each round; see dedupKey.
-	dedup      map[dedupKey]struct{}
-	dedupAlloc int // entries the live filter map was sized for
+	// filter is the within-round duplicate filter (plane.go), keyed by
+	// source; see dedupKey.
+	filter srcFilter[dedupKey]
 
-	// Scratch-retention gauges (scratch.go): decaying high-water marks
-	// of per-round arena and filter usage, so a flood round's scratch
-	// is released once traffic quiets down instead of staying pinned
-	// for the rest of the process.
+	// arenaGauge (scratch.go) is the decaying high-water mark of per-round
+	// arena usage, so a flood round's scratch is released once traffic
+	// quiets down instead of staying pinned for the rest of the process.
 	arenaGauge scratchGauge
-	dedupGauge scratchGauge
 
 	// Pooled shard buffers (Workers > 1); see shard.go.
 	pre    []stepOut
 	panics []any
 }
 
-// dedupKey is the per-recipient duplicate-filter identity of one Send.
-// All recipients share one runner-level filter map (one allocation and
-// one per-round clear instead of n), so the key leads with the
-// recipient id. Registered payloads use (from, ord, interned key
-// bytes) with payload nil; unregistered payloads use (from, boxed
-// payload) with ord 0 — the original interface-equality semantics. The
-// two populations can never collide: ord 0 is reserved for the
-// fallback.
+// dedupKey is the duplicate-filter identity of one message source.
+// Registered payloads use (from, ord, interned key bytes) with payload
+// nil; unregistered payloads use (from, boxed payload) with ord 0 — the
+// original interface-equality semantics. The two populations can never
+// collide: ord 0 is reserved for the fallback.
 type dedupKey struct {
-	to      ids.ID
 	from    ids.ID
 	ord     uint32
 	key     string
@@ -286,12 +233,12 @@ type dedupKey struct {
 }
 
 // sendCtx carries the per-Send delivery state shared by every recipient
-// of a broadcast: the duplicate-filter key is constructed once, and the
-// sort-key bytes land in the arena at most once — lazily on the
-// fallback path, so an unregistered Send dropped everywhere as a
-// duplicate never formats.
+// of a broadcast: the recipient set is resolved once, and the sort-key
+// bytes land in the arena at most once — lazily on the fallback path,
+// so an unregistered Send dropped everywhere as a duplicate never
+// formats.
 type sendCtx struct {
-	key      dedupKey
+	set      *recipSet
 	sk       SortKeyer // non-nil: append key bytes without fmt
 	off      uint32    // arena view of the key bytes (valid when keyed)
 	n        uint32
@@ -386,8 +333,7 @@ func (r *Runner) presizeAll() {
 		n.nxt.msgs = msgSlab[o+c : o+c : o+2*c]
 		n.nxt.keys = keySlab[o+c : o+c : o+2*c]
 	}
-	r.dedup = make(map[dedupKey]struct{}, c*len(r.nodes))
-	r.dedupAlloc = c * len(r.nodes)
+	r.filter.init(len(r.nodes))
 }
 
 // presize seeds one joining node's pooled delivery state (the
@@ -509,7 +455,7 @@ func (r *Runner) StepRound() {
 	// Flip the delivery buffers: last round's deliveries become this
 	// round's inboxes and the buffers consumed last round are emptied —
 	// backing arrays intact — to receive this round's traffic. The
-	// duplicate filters are cleared in place for the same reason, and
+	// duplicate filter is emptied in place for the same reason, and
 	// the key arenas flip in lockstep so every keyRef in a cur inbox
 	// points into curArena. The retention gauges (scratch.go) release
 	// scratch far above the decayed usage mark — only ever the buffer
@@ -524,18 +470,7 @@ func (r *Runner) StepRound() {
 	if len(r.intern) > internRetainMax {
 		r.intern = make(map[string]string, 64)
 	}
-	if used := len(r.dedup); used > 0 || r.dedupAlloc > dedupRetainFloor {
-		r.dedupGauge.observe(used)
-		if r.dedupGauge.oversized(r.dedupAlloc, dedupRetainFloor) {
-			r.dedupAlloc = r.dedupGauge.retainTarget(dedupRetainFloor)
-			r.dedup = make(map[dedupKey]struct{}, r.dedupAlloc)
-		} else if used > 0 {
-			if used > r.dedupAlloc {
-				r.dedupAlloc = used
-			}
-			clear(r.dedup)
-		}
-	}
+	r.filter.flip(len(r.nodes))
 	for i := range r.nodes {
 		n := &r.nodes[i]
 		n.cur, n.nxt = n.nxt, n.cur
@@ -615,9 +550,9 @@ func (r *Runner) markDecided(id ids.ID, round int) {
 // deliver routes one Send from the given sender, expanding broadcasts
 // to every currently active node (including the sender itself — the
 // paper's algorithms count the self-copy, e.g. Alg. 4 "including self")
-// and discarding within-round duplicates per recipient. The duplicate
-// key and the sort key are constructed once per Send and shared across
-// the whole broadcast fan-out.
+// and discarding within-round duplicates per recipient. The filter
+// probe and the sort key are paid once per Send and shared across the
+// whole broadcast fan-out.
 //
 // Registered payloads (SortKeyer with a nonzero ordinal) render their
 // key bytes into the arena up front — the duplicate filter needs them —
@@ -626,6 +561,7 @@ func (r *Runner) markDecided(id ids.ID, round int) {
 // lazily on first acceptance.
 func (r *Runner) deliver(from ids.ID, s Send) {
 	var c sendCtx
+	key := dedupKey{from: from, payload: s.Payload}
 	if sk, ok := s.Payload.(SortKeyer); ok {
 		c.sk = sk
 		if ord := sk.SortKeyOrdinal(); ord != 0 {
@@ -637,20 +573,17 @@ func (r *Runner) deliver(from ids.ID, s Send) {
 				ks = string(kb)
 				r.intern[ks] = ks
 			}
-			c.key = dedupKey{from: from, ord: ord, key: ks}
+			key = dedupKey{from: from, ord: ord, key: ks}
 			c.off, c.n, c.keyed = uint32(start), uint32(len(kb)), true
-		} else {
-			c.key = dedupKey{from: from, payload: s.Payload}
 		}
-	} else {
-		c.key = dedupKey{from: from, payload: s.Payload}
 	}
+	c.set = r.filter.resolve(key, s.To)
 	if s.To == Broadcast {
 		for i := range r.nodes {
-			r.deliverOne(&r.nodes[i], from, s.Payload, &c)
+			r.deliverOne(i, from, s.Payload, &c)
 		}
 	} else if j, ok := r.slot[s.To]; ok {
-		r.deliverOne(&r.nodes[j], from, s.Payload, &c)
+		r.deliverOne(j, from, s.Payload, &c)
 	}
 	// Destination absent (left or never joined): the Send vanishes.
 	if c.keyed && !c.accepted && uint32(len(r.nxtArena)) == c.off+c.n {
@@ -661,14 +594,11 @@ func (r *Runner) deliver(from ids.ID, s Send) {
 	}
 }
 
-func (r *Runner) deliverOne(n *node, from ids.ID, payload any, c *sendCtx) {
-	key := c.key
-	key.to = n.id
-	if _, dup := r.dedup[key]; dup {
+func (r *Runner) deliverOne(i int, from ids.ID, payload any, c *sendCtx) {
+	if r.filter.add(c.set, i) {
 		r.metrics.MessagesDropped++
 		return
 	}
-	r.dedup[key] = struct{}{}
 	if !c.keyed {
 		// The deterministic sort key: the same stable payload formatting
 		// the original comparator evaluated per comparison, at most once
@@ -682,11 +612,12 @@ func (r *Runner) deliverOne(n *node, from ids.ID, payload any, c *sendCtx) {
 		}
 		c.off, c.n, c.keyed = uint32(start), uint32(len(r.nxtArena)-start), true
 	}
-	if len(n.nxt.msgs) == cap(n.nxt.msgs) {
+	b := &r.nodes[i].nxt
+	if len(b.msgs) == cap(b.msgs) {
 		r.metrics.InboxGrows++
 	}
-	n.nxt.msgs = append(n.nxt.msgs, Message{From: from, Payload: payload})
-	n.nxt.keys = append(n.nxt.keys, keyRef{off: c.off, n: c.n})
+	b.msgs = append(b.msgs, Message{From: from, Payload: payload})
+	b.keys = append(b.keys, keyRef{off: c.off, n: c.n})
 	c.accepted = true
 	r.metrics.MessagesDelivered++
 	r.metrics.ByRound[len(r.metrics.ByRound)-1]++
