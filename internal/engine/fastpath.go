@@ -1,25 +1,26 @@
 package engine
 
-// Fast-path eligibility: when a scenario runs on the monomorphized
-// sim.TypedRunner instead of the interface-based reference Runner.
+// Fast-path eligibility: when a scenario runs on the simulator core
+// instantiated over its protocol's wire union (sim.NewTypedRunner)
+// instead of over boxed payloads (sim.NewRunner).
 //
-// The typed runner trades generality for a stenciled hot loop: it
-// carries one concrete wire type per protocol, so it cannot host
-// membership churn (joins/leaves rebuild node slots mid-run) and it
-// panics on adversary payloads outside the protocol's wire union. The
-// predicate below therefore admits exactly the combinations that are
-// proven safe, and everything else — chaos fuzzing, churned cells,
-// protocols without a typed plane — falls back to the reference
-// runner. Selection never changes a result: the typed golden-trace
-// tests (internal/sim) and TestFastPathMatchesReference pin the two
-// planes byte-equal, which is why NoFastPath and SimWorkers share the
-// same canonical-report exclusion.
+// Both are the same round loop (sim/generic.go); the wire-union
+// instantiation carries one concrete message type per protocol, with no
+// box per payload and a stenciled delivery plane, so it panics on an
+// adversary payload outside that union. The predicate below therefore
+// admits exactly the combinations whose adversaries stay inside it, and
+// everything else — chaos fuzzing, protocols without a wire union —
+// runs boxed. Membership churn is the core's own, so churned cells are
+// eligible like static ones. Selection never changes a result: the
+// golden-trace tests (internal/sim) and TestFastPathMatchesReference pin
+// the two instantiations byte-equal, which is why NoFastPath and
+// SimWorkers share the same canonical-report exclusion.
 
 // fastPath reports whether the (defaults-resolved) scenario may run on
-// the typed runner. buildProtocol must also have provided a typed
-// closure; run() checks both.
+// its protocol's wire union. buildProtocol must also have provided a
+// typed constructor; run() checks both.
 func (s Scenario) fastPath() bool {
-	if s.NoFastPath || s.Churn != nil {
+	if s.NoFastPath {
 		return false
 	}
 	switch s.Adversary {
@@ -27,7 +28,7 @@ func (s Scenario) fastPath() bool {
 		// Silent sends nothing; Replay re-sends received wire values;
 		// the split attacks emit protocol payloads (RBForgeSource,
 		// ConsSplit) — all inside the wire unions. Chaos fuzzes with
-		// arbitrary junk types the typed plane cannot carry.
+		// arbitrary junk types a wire union cannot carry.
 	default:
 		return false
 	}

@@ -3,6 +3,8 @@ package engine
 import (
 	"bytes"
 	"testing"
+
+	"idonly/internal/ids"
 )
 
 func TestFastPathEligibility(t *testing.T) {
@@ -22,23 +24,38 @@ func TestFastPathEligibility(t *testing.T) {
 		// No typed plane for the remaining protocols.
 		{"rotor/silent", Scenario{Protocol: ProtoRotor, Adversary: AdvSilent, N: 7, F: 2}, false},
 		{"dynamic/silent", Scenario{Protocol: ProtoDynamic, Adversary: AdvSilent, N: 7, F: 2}, false},
-		// Churn rebuilds membership mid-run; the typed plane is static.
-		{"churned", Scenario{Protocol: ProtoConsensus, Adversary: AdvSilent, N: 7, F: 2,
-			Churn: &Churn{FaultyLeaves: 1}}, false},
+		// Churn is the core's own: a churned cell stays on its wire union.
+		{"consensus/churned", Scenario{Protocol: ProtoConsensus, Adversary: AdvSilent, N: 7, F: 2,
+			Churn: &Churn{FaultyLeaves: 1}}, true},
+		{"ring/churned", Scenario{Protocol: ProtoRing, Adversary: AdvReplay, N: 14, F: 4,
+			Churn: &Churn{FaultyJoins: 1, FaultyLeaves: 1}}, true},
+		// Chaos still disqualifies, churned or not.
+		{"rbroadcast/chaos/churned", Scenario{Protocol: ProtoRBroadcast, Adversary: AdvChaos, N: 7, F: 2,
+			Churn: &Churn{FaultyJoins: 1}}, false},
 		// Explicit opt-out.
 		{"forced-off", Scenario{Protocol: ProtoRBroadcast, Adversary: AdvNone, N: 7, NoFastPath: true}, false},
 		// A zero churn spec resolves to nil and stays eligible.
 		{"zero-churn", Scenario{Protocol: ProtoRBroadcast, Adversary: AdvNone, N: 7, Churn: &Churn{}}, true},
 	}
 	for _, tc := range cases {
-		if got := tc.s.withDefaults().fastPath(); got != tc.want {
+		s := tc.s.withDefaults()
+		if got := s.fastPath(); got != tc.want {
 			t.Errorf("%s: fastPath() = %v, want %v", tc.name, got, tc.want)
+		}
+		// run() takes the typed instantiation exactly when the scenario is
+		// eligible and its protocol built a typed constructor: an eligible
+		// cell without one would run boxed without anyone noticing.
+		all := ids.Sparse(ids.NewRand(s.Seed), s.N)
+		if pr := buildProtocol(s, all[:s.N-s.F], all, s.churnPlan()); tc.want && pr.typed == nil {
+			t.Errorf("%s: eligible, but %s builds no typed runner", tc.name, s.Protocol)
 		}
 	}
 }
 
 // eligibleSpecs is every fast-path protocol crossed with every
-// fast-path adversary at two sizes and three seeds.
+// fast-path adversary at two sizes and three seeds, static and — where
+// there are faulty nodes to move — churned (one late faulty join, one
+// mid-run faulty removal).
 func eligibleSpecs() []Scenario {
 	var specs []Scenario
 	add := func(proto string, advs []string, sizes []int) {
@@ -49,7 +66,12 @@ func eligibleSpecs() []Scenario {
 					f = 0
 				}
 				for seed := uint64(1); seed <= 3; seed++ {
-					specs = append(specs, Scenario{Protocol: proto, Adversary: adv, N: n, F: f, Seed: seed})
+					s := Scenario{Protocol: proto, Adversary: adv, N: n, F: f, Seed: seed}
+					specs = append(specs, s)
+					if f >= 2 {
+						s.Churn = &Churn{FaultyJoins: 1, FaultyLeaves: 1}
+						specs = append(specs, s)
+					}
 				}
 			}
 		}
@@ -62,10 +84,10 @@ func eligibleSpecs() []Scenario {
 }
 
 // TestFastPathMatchesReference pins the whole point of the fast path:
-// for every eligible cell the canonical report bytes — results, digests,
-// metrics, aggregates — are identical whether the scenario ran on the
-// monomorphized runner, the reference runner, or the sharded variants
-// of either.
+// for every eligible cell, churned ones included, the canonical report
+// bytes — results, digests, metrics, aggregates — are identical whether
+// the scenario ran on the wire-union instantiation of the simulator
+// core, the boxed one (NoFastPath), or the sharded variant.
 func TestFastPathMatchesReference(t *testing.T) {
 	specs := eligibleSpecs()
 	for _, s := range specs {
@@ -76,6 +98,15 @@ func TestFastPathMatchesReference(t *testing.T) {
 	fast := RunAll(specs, Options{Workers: 4, Grid: "fastpath"})
 	if errs := fast.Errors(); len(errs) != 0 {
 		t.Fatalf("fast path produced %d errors, first: %s: %s", len(errs), errs[0].Scenario.Name, errs[0].Err)
+	}
+	churned := 0
+	for _, r := range fast.Results {
+		if r.Joins > 0 && r.Leaves > 0 {
+			churned++
+		}
+	}
+	if churned == 0 {
+		t.Fatal("no eligible cell applied both its faulty join and its removal: the churned half of the comparison is vacuous")
 	}
 
 	ref := make([]Scenario, len(specs))

@@ -214,11 +214,12 @@ type Scenario struct {
 	// excluded from the canonical report.
 	SimWorkers int `json:"-"`
 
-	// NoFastPath forces the interface-based reference runner even when
-	// the scenario is eligible for the monomorphized fast path
-	// (fastpath.go). Like SimWorkers it selects an execution strategy,
-	// never a result — the fast path is proven bit-identical — so it is
-	// excluded from the canonical report and the scenario digest.
+	// NoFastPath runs the scenario on the boxed instantiation of the
+	// simulator core even when it is eligible for the protocol's wire
+	// union (fastpath.go) — the comparison target for the typed one.
+	// Like SimWorkers it selects an execution strategy, never a result —
+	// the two are proven bit-identical — so it is excluded from the
+	// canonical report and the scenario digest.
 	NoFastPath bool `json:"-"`
 }
 
@@ -363,59 +364,53 @@ func (s Scenario) run(ph *phases) (res Result) {
 		Workers:            s.SimWorkers,
 	}
 
-	var m sim.Metrics
+	// One core, two instantiations (sim/generic.go): the protocol's wire
+	// union when it has one and the scenario is eligible (fastPath), the
+	// boxed payloads otherwise. Bit-identical by the golden-trace tests;
+	// TestFastPathMatchesReference pins the canonical report bytes.
+	var run runner
 	if pr.typed != nil && s.fastPath() {
-		// Monomorphized fast path: the protocol provided a typed runner
-		// and the scenario is eligible (static membership, wire-union
-		// adversary). Bit-identical to the branch below by the typed
-		// golden-trace tests; TestFastPathMatchesReference pins the
-		// canonical report bytes.
-		var roundsStart time.Time
-		if ph != nil {
-			roundsStart = time.Now() //lint:wallclock span phase timing; observability only
-			ph.buildNS = roundsStart.Sub(start).Nanoseconds()
-		}
-		m = pr.typed(cfg, early, adv)
-		if ph != nil {
-			ph.roundsNS = time.Since(roundsStart).Nanoseconds() //lint:wallclock span phase timing; observability only
-		}
+		run = pr.typed(cfg, early, adv)
 	} else {
-		run := sim.NewRunner(cfg, pr.procs, early, adv)
-
-		// Compile the churn plan onto the runner's membership hooks. Leaves
-		// were already compiled into the leavers' own configuration (the
-		// dynamic protocol's graceful-departure discipline, sim.Leaver);
-		// faulty removals fire between rounds through the stop callback
-		// (membership must not change mid-round).
+		boxed := sim.NewRunner(cfg, pr.procs, early, adv)
+		// Only the dynamic protocol has a join discipline, and it has no
+		// wire union: correct joiners exist on this instantiation only.
 		for i, round := range plan.joinRounds {
-			run.ScheduleJoin(round, pr.join(joiners[i]))
+			boxed.ScheduleJoin(round, pr.join(joiners[i]))
 		}
-		for i, round := range plan.faultyJoins {
-			run.ScheduleFaultyJoin(round, late[i])
+		run = boxed
+	}
+
+	// Compile the rest of the churn plan onto the runner's membership
+	// hooks. Leaves were already compiled into the leavers' own
+	// configuration (the dynamic protocol's graceful-departure
+	// discipline, sim.Leaver); faulty removals fire between rounds
+	// through the stop callback (membership must not change mid-round).
+	for i, round := range plan.faultyJoins {
+		run.ScheduleFaultyJoin(round, late[i])
+	}
+	var stop func(int) bool
+	if len(plan.faultyLeaves) > 0 {
+		removals := make(map[int][]ids.ID, len(plan.faultyLeaves))
+		for i, round := range plan.faultyLeaves {
+			removals[round] = append(removals[round], early[i])
 		}
-		var stop func(int) bool
-		if len(plan.faultyLeaves) > 0 {
-			removals := make(map[int][]ids.ID, len(plan.faultyLeaves))
-			for i, round := range plan.faultyLeaves {
-				removals[round] = append(removals[round], early[i])
+		stop = func(round int) bool {
+			for _, id := range removals[round] {
+				run.RemoveFaulty(id)
 			}
-			stop = func(round int) bool {
-				for _, id := range removals[round] {
-					run.RemoveFaulty(id)
-				}
-				delete(removals, round)
-				return false
-			}
+			delete(removals, round)
+			return false
 		}
-		var roundsStart time.Time
-		if ph != nil {
-			roundsStart = time.Now() //lint:wallclock span phase timing; observability only
-			ph.buildNS = roundsStart.Sub(start).Nanoseconds()
-		}
-		m = run.Run(stop)
-		if ph != nil {
-			ph.roundsNS = time.Since(roundsStart).Nanoseconds() //lint:wallclock span phase timing; observability only
-		}
+	}
+	var roundsStart time.Time
+	if ph != nil {
+		roundsStart = time.Now() //lint:wallclock span phase timing; observability only
+		ph.buildNS = roundsStart.Sub(start).Nanoseconds()
+	}
+	m := run.Run(stop)
+	if ph != nil {
+		ph.roundsNS = time.Since(roundsStart).Nanoseconds() //lint:wallclock span phase timing; observability only
 	}
 
 	res.Rounds = m.Rounds
@@ -468,11 +463,19 @@ type protocolRun struct {
 	finish      func(res *Result)
 	join        func(id ids.ID) sim.Process
 
-	// typed runs the same processes on the monomorphized fast path
-	// (sim.TypedRunner over the protocol's wire union); nil when the
-	// protocol has no typed plane. Only consulted when the scenario is
-	// eligible (Scenario.fastPath).
-	typed func(cfg sim.Config, faulty []ids.ID, adv sim.Adversary) sim.Metrics
+	// typed builds the runner over the protocol's wire union
+	// (sim.NewTypedRunner) for the same processes; nil when the protocol
+	// has none. Only consulted when the scenario is eligible
+	// (Scenario.fastPath).
+	typed func(cfg sim.Config, faulty []ids.ID, adv sim.Adversary) runner
+}
+
+// runner is what Scenario.run needs of either instantiation of the
+// simulator core: the faulty-membership hooks and Run.
+type runner interface {
+	ScheduleFaultyJoin(round int, id ids.ID)
+	RemoveFaulty(id ids.ID)
+	Run(stop func(round int) bool) sim.Metrics
 }
 
 // buildProtocol constructs the correct processes for the scenario. The
@@ -490,8 +493,8 @@ func buildProtocol(s Scenario, correct, founders []ids.ID, plan churnPlan) proto
 			procs = append(procs, nd)
 		}
 		src := correct[0]
-		return protocolRun{procs: procs, typed: func(cfg sim.Config, faulty []ids.ID, adv sim.Adversary) sim.Metrics {
-			return sim.NewTypedRunner(cfg, nodes, faulty, adv, rbroadcast.WireCodec()).Run(nil)
+		return protocolRun{procs: procs, typed: func(cfg sim.Config, faulty []ids.ID, adv sim.Adversary) runner {
+			return sim.NewTypedRunner(cfg, nodes, faulty, adv, rbroadcast.WireCodec())
 		}, digest: func() string {
 			accepted, maxRound, forged := 0, 0, 0
 			for _, nd := range nodes {
@@ -609,8 +612,8 @@ func buildProtocol(s Scenario, correct, founders []ids.ID, plan churnPlan) proto
 			nodes = append(nodes, nd)
 			procs = append(procs, nd)
 		}
-		return protocolRun{procs: procs, stopDecided: true, typed: func(cfg sim.Config, faulty []ids.ID, adv sim.Adversary) sim.Metrics {
-			return sim.NewTypedRunner(cfg, nodes, faulty, adv, consensus.WireCodec()).Run(nil)
+		return protocolRun{procs: procs, stopDecided: true, typed: func(cfg sim.Config, faulty []ids.ID, adv sim.Adversary) runner {
+			return sim.NewTypedRunner(cfg, nodes, faulty, adv, consensus.WireCodec())
 		}, digest: func() string {
 			phases, decidedRound := 0, 0
 			for _, nd := range nodes {
@@ -705,8 +708,8 @@ func buildProtocol(s Scenario, correct, founders []ids.ID, plan churnPlan) proto
 			procs = append(procs, nd)
 		}
 		want := correct[0]
-		return protocolRun{procs: procs, stopDecided: true, typed: func(cfg sim.Config, faulty []ids.ID, adv sim.Adversary) sim.Metrics {
-			return sim.NewTypedRunner(cfg, nodes, faulty, adv, ring.WireCodec()).Run(nil)
+		return protocolRun{procs: procs, stopDecided: true, typed: func(cfg sim.Config, faulty []ids.ID, adv sim.Adversary) runner {
+			return sim.NewTypedRunner(cfg, nodes, faulty, adv, ring.WireCodec())
 		}, digest: func() string {
 			converged := 0
 			for _, nd := range nodes {

@@ -89,12 +89,13 @@ func benchRingScale(n int) func() sim.Metrics {
 	}
 }
 
-// E1, E2, E4 and E10 run on the monomorphized fast path
-// (sim.TypedRunner), exactly as the engine would schedule them: their
-// protocol/adversary cells are fast-path eligible, so the snapshot
-// tracks the plane that production sweeps actually use. E3/E5-E9 stay
-// on the reference runner (no typed plane for those protocols), keeping
-// both planes under the perf gate.
+// E1, E2, E4 and E10 run on the simulator core instantiated over their
+// protocol's wire union (sim.NewTypedRunner), exactly as the engine
+// would schedule them: their protocol/adversary cells are fast-path
+// eligible, so the snapshot tracks the instantiation that production
+// sweeps actually use. E3/E5-E9 run boxed (sim.NewRunner: those
+// protocols have no wire union), keeping both instantiations under the
+// perf gate.
 
 func benchE1() sim.Metrics {
 	rng := ids.NewRand(1)

@@ -1,12 +1,13 @@
 package experiments
 
-// E1, E2, E4 and E10 run on the monomorphized fast path. This test pins
-// the claim that makes that rewiring legitimate: for each of those
-// workloads, an interface-plane (sim.NewRunner) reconstruction of the
-// same configuration produces identical protocol-level metrics —
-// rounds, deliveries, drops, the per-round schedule and the decided
-// map. Only InboxGrows may differ (it gauges the allocator, not the
-// protocol). E2 and E10 matter most here: their adversaries
+// E1, E2, E4 and E10 run on their protocol's wire union
+// (sim.NewTypedRunner). This test pins the claim that makes that
+// rewiring legitimate: for each of those workloads, a boxed
+// (sim.NewRunner) reconstruction of the same configuration — the same
+// round loop, with the identity codec in place of the union's —
+// produces identical protocol-level metrics: rounds, deliveries,
+// drops, the per-round schedule and the decided map. InboxGrows is not
+// compared (it gauges the allocator, not the protocol). E2 and E10 matter most here: their adversaries
 // (RBForgeSource, ConsStaircase) are outside the engine's fast-path
 // whitelist, so no engine-level equality test covers them.
 

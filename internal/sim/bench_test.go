@@ -1,12 +1,14 @@
 package sim
 
-// Micro-benchmarks for the flat message plane's hot operations. The
+// Micro-benchmarks for the runner core's hot operations. The
 // whole-protocol benchmarks live at the repo root (bench_test.go) and
 // in cmd/idonly-bench -bench-json; these isolate the delivery path
-// itself: broadcast fan-out (typed fast path and fmt fallback), inbox
-// sorting and a full steady-state round. After warm-up — arena, intern
-// table and inboxes at their steady sizes — the per-round path
-// performs zero allocations.
+// itself — broadcast fan-out, inbox sorting, a full steady-state round,
+// the sparse unicast overlay — as one table per operation over the
+// instantiations of the core: boxed (registered payloads, and the fmt
+// fallback where the key renderer matters) and typed. After warm-up —
+// arena and inboxes at their steady sizes — the per-round path performs
+// zero allocations.
 
 import (
 	"fmt"
@@ -16,8 +18,9 @@ import (
 )
 
 // benchPayload mirrors the protocols' payload shapes: a small
-// comparable struct, registered on the typed fast path like every
-// protocol message (test-local ordinal, outside the package ranges).
+// comparable struct, registered like every protocol message (test-local
+// ordinal, outside the package ranges). It is the typed
+// instantiation's wire type and the boxed one's payload.
 type benchPayload struct {
 	Kind  int
 	Value float64
@@ -32,81 +35,119 @@ func (p benchPayload) AppendSortKey(dst []byte) []byte {
 func (benchPayload) SortKeyOrdinal() uint32 { return 0x7f01 }
 
 // benchFallbackPayload is the same shape without SortKeyer: it rides
-// the fmt.Append + interface-identity fallback path.
+// the fmt.Append key path.
 type benchFallbackPayload struct {
 	Kind  int
 	Value float64
 }
 
-// benchProc broadcasts one message per round and never decides.
+// benchCodec is the identity codec for benchPayload.
+var benchCodec = Codec[benchPayload]{
+	Wrap: func(p any) (benchPayload, bool) {
+		v, ok := p.(benchPayload)
+		return v, ok
+	},
+	Unwrap: func(m benchPayload) any { return m },
+}
+
+// benchProc plays a send schedule on either instantiation: mk lists
+// one round's sends into the process-owned scratch it is handed, reused
+// across rounds as every protocol does. Step boxes them, as a
+// protocol's own Step would — the allocations a boxed round reports
+// are those boxes.
 type benchProc struct {
-	id ids.ID
+	id     ids.ID
+	succ   []ids.ID // the sparse overlay's neighbours (benchRunners)
+	mk     func(p *benchProc, round int, out []SendT[benchPayload]) []SendT[benchPayload]
+	sends  []Send
+	tsends []SendT[benchPayload]
 }
 
 func (p *benchProc) ID() ids.ID    { return p.id }
 func (p *benchProc) Decided() bool { return false }
 func (p *benchProc) Output() any   { return nil }
-func (p *benchProc) Step(round int, inbox []Message) []Send {
-	return []Send{BroadcastPayload(benchPayload{Kind: 1, Value: float64(round)})}
+func (p *benchProc) StepTyped(round int, _ []MsgT[benchPayload]) []SendT[benchPayload] {
+	p.tsends = p.mk(p, round, p.tsends[:0])
+	return p.tsends
 }
-
-func newBenchRunner(n int) *Runner {
-	all := ids.Sparse(ids.NewRand(99), n)
-	procs := make([]Process, n)
-	for i, id := range all {
-		procs[i] = &benchProc{id: id}
+func (p *benchProc) Step(round int, _ []Message) []Send {
+	p.sends = p.sends[:0]
+	for _, s := range p.StepTyped(round, nil) {
+		p.sends = append(p.sends, Unicast(s.To, s.Payload))
 	}
-	return NewRunner(Config{MaxRounds: 1 << 30}, procs, nil, nil)
+	return p.sends
 }
 
-// BenchmarkDeliverBroadcast measures one broadcast Send fanned out to n
-// recipients, dedup and sort-key construction included — on the typed
-// fast path and on the fmt fallback. The inboxes and duplicate filters
-// are drained every few deliveries with the timer stopped — a round
-// never carries unbounded backlog, and letting it pile up across b.N
-// iterations would measure map growth instead of the steady-state
+// oneBroadcast is the steady-state shape: one broadcast per node per
+// round.
+func oneBroadcast(p *benchProc, round int, out []SendT[benchPayload]) []SendT[benchPayload] {
+	return append(out, BroadcastT(benchPayload{Kind: 1, Value: float64(round)}))
+}
+
+// benchRunners builds the same n-node system, every node playing mk,
+// on the boxed and on the typed instantiation. Each node knows its ring
+// overlay successors (internal/core/ring): the nodes at power-of-two
+// index distances.
+func benchRunners(n int, mk func(*benchProc, int, []SendT[benchPayload]) []SendT[benchPayload]) (*TypedRunner[boxedProc, any], *TypedRunner[*benchProc, benchPayload]) {
+	all := ids.Sparse(ids.NewRand(99), n)
+	boxed := make([]Process, n)
+	typed := make([]*benchProc, n)
+	for i, id := range all {
+		var succ []ids.ID
+		for d := 1; d < n; d *= 2 {
+			succ = append(succ, all[(i+d)%n])
+		}
+		boxed[i] = &benchProc{id: id, succ: succ, mk: mk}
+		typed[i] = &benchProc{id: id, succ: succ, mk: mk}
+	}
+	cfg := Config{MaxRounds: 1 << 30}
+	return NewRunner(cfg, boxed, nil, nil).TypedRunner, NewTypedRunner(cfg, typed, nil, nil, benchCodec)
+}
+
+// benchDeliver measures one broadcast send fanned out to n recipients,
+// dedup and sort-key construction included. The inboxes and duplicate
+// filters are drained every few deliveries with the timer stopped — a
+// round never carries unbounded backlog, and letting it pile up across
+// b.N iterations would measure map growth instead of the steady-state
 // fan-out.
+func benchDeliver[P ProcessT[M], M comparable](b *testing.B, r *TypedRunner[P, M], payloads []M) {
+	r.StepRound() // warm the pooled buffers
+	// The highest id: its sends land after the warm-up round's own
+	// traffic, keeping the lanes in sender order.
+	from := r.idvec[len(r.idvec)-1]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%len(payloads) == 0 && i > 0 {
+			b.StopTimer()
+			r.StepRound() // flip + clear both buffer generations
+			r.StepRound()
+			b.StartTimer()
+		}
+		// A distinct payload per iteration within a batch so the dedup
+		// filter admits every delivery (the steady-state path).
+		r.deliver(from, Broadcast, payloads[i%len(payloads)], sendCtx{})
+	}
+}
+
 func BenchmarkDeliverBroadcast(b *testing.B) {
 	const batch = 16 // distinct broadcasts per sender per round; generous vs any protocol here
-	modes := []struct {
-		name string
-		mk   func(i int) any
-	}{
-		{"typed", func(i int) any { return benchPayload{Kind: i % batch, Value: 1} }},
-		{"fallback", func(i int) any { return benchFallbackPayload{Kind: i % batch, Value: 1} }},
+	// Box the payloads outside the timed loop: a protocol's sends are
+	// boxed by its own Step, so the fan-out itself is what this
+	// benchmark isolates.
+	registered, fallback := make([]any, batch), make([]any, batch)
+	wire := make([]benchPayload, batch)
+	for i := range wire {
+		wire[i] = benchPayload{Kind: i, Value: 1}
+		registered[i] = wire[i]
+		fallback[i] = benchFallbackPayload{Kind: i, Value: 1}
 	}
-	for _, mode := range modes {
-		// Box the payloads outside the timed loop: a protocol's Send
-		// values are boxed by its own Step, so the fan-out itself is
-		// what this benchmark isolates (the typed path is zero-alloc
-		// once the arena, intern table and inboxes are warm).
-		payloads := make([]Send, batch)
-		for i := range payloads {
-			payloads[i] = BroadcastPayload(mode.mk(i))
-		}
-		for _, n := range []int{8, 32, 128} {
-			b.Run(fmt.Sprintf("%s/n=%d", mode.name, n), func(b *testing.B) {
-				r := newBenchRunner(n)
-				r.StepRound() // warm the pooled buffers
-				// The highest id: its sends land after the warm-up round's
-				// own traffic, keeping the lanes in sender order.
-				from := r.nodes[n-1].id
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if i%batch == 0 && i > 0 {
-						b.StopTimer()
-						r.StepRound() // flip + clear both buffer generations
-						r.StepRound()
-						b.StartTimer()
-					}
-					// A distinct payload per iteration within a batch so
-					// the dedup filter admits every delivery (the
-					// steady-state path).
-					r.deliver(from, payloads[i%batch])
-				}
-			})
-		}
+	for _, n := range []int{8, 32, 128} {
+		boxed, typed := benchRunners(n, oneBroadcast)
+		b.Run(fmt.Sprintf("boxed/n=%d", n), func(b *testing.B) { benchDeliver(b, boxed, registered) })
+		b.Run(fmt.Sprintf("typed/n=%d", n), func(b *testing.B) { benchDeliver(b, typed, wire) })
+		boxed, _ = benchRunners(n, oneBroadcast)
+		b.Run(fmt.Sprintf("fallback/n=%d", n), func(b *testing.B) { benchDeliver(b, boxed, fallback) })
 	}
 }
 
@@ -141,248 +182,70 @@ func BenchmarkSortInbox(b *testing.B) {
 	}
 }
 
+// benchRounds measures full steady-state rounds with all pooled buffers
+// warm, and reports what one round carries.
+func benchRounds[P ProcessT[M], M comparable](b *testing.B, r *TypedRunner[P, M], msgsPerRound float64) {
+	r.StepRound()
+	r.StepRound() // both buffer generations warm
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.StepRound()
+	}
+	b.ReportMetric(msgsPerRound, "msgs/round")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*msgsPerRound), "ns/delivery")
+}
+
 // BenchmarkStepRound measures one full steady-state round: n nodes
-// each broadcasting one message to n recipients (n² deliveries), with
-// all pooled buffers warm.
+// each broadcasting one message to n recipients (n² deliveries).
 func BenchmarkStepRound(b *testing.B) {
 	for _, n := range []int{8, 32, 128, 1024} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			r := newBenchRunner(n)
-			r.StepRound()
-			r.StepRound() // both buffer generations warm
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r.StepRound()
-			}
-			b.ReportMetric(float64(n*n), "msgs/round")
-		})
+		boxed, typed := benchRunners(n, oneBroadcast)
+		b.Run(fmt.Sprintf("boxed/n=%d", n), func(b *testing.B) { benchRounds(b, boxed, float64(n*n)) })
+		b.Run(fmt.Sprintf("typed/n=%d", n), func(b *testing.B) { benchRounds(b, typed, float64(n*n)) })
 	}
-}
-
-// fanoutProc broadcasts 16 distinct registered payloads per round and
-// repeats the first of them: n·16 sources, n²·16 deliveries and n²
-// duplicate drops per round.
-type fanoutProc struct {
-	id    ids.ID
-	sends []Send
-}
-
-func (p *fanoutProc) ID() ids.ID    { return p.id }
-func (p *fanoutProc) Decided() bool { return false }
-func (p *fanoutProc) Output() any   { return nil }
-func (p *fanoutProc) Step(round int, inbox []Message) []Send {
-	return p.sends
 }
 
 // BenchmarkRunnerBroadcastFanout watches the property the source-keyed
-// filter exists for: on the reference plane the per-Send costs (key
-// rendering, interning, one filter probe) are shared by all n
-// recipients of a broadcast, so ns/delivery falls from n=14 to n=64 —
-// a filter probed once per delivery rises instead, its map growing
-// with n². At n=1024 a round is 16.7M appends over 1024 lanes (≈800 MB
-// of inboxes) and cache misses, not the filter, set the cost; the
-// figure to watch there is that it stays far below a map probe per
-// delivery (EXPERIMENTS.md has the table).
+// filter exists for: every node broadcasts 16 distinct payloads per
+// round and repeats the first of them — n·16 sources, n²·16 deliveries
+// and n² duplicate drops — and the per-send costs (key rendering, one
+// filter probe) are shared by all n recipients of a broadcast, so
+// ns/delivery falls from n=14 to n=64; a filter probed once per
+// delivery rises instead, its map growing with n². At n=1024 a round
+// is 16.7M appends over 1024 lanes (≈800 MB of inboxes) and cache
+// misses, not the filter, set the cost; the figure to watch there is
+// that it stays far below a map probe per delivery (EXPERIMENTS.md has
+// the table).
 func BenchmarkRunnerBroadcastFanout(b *testing.B) {
+	fanout := func(p *benchProc, _ int, out []SendT[benchPayload]) []SendT[benchPayload] {
+		for k := 0; k <= 16; k++ {
+			out = append(out, BroadcastT(benchPayload{Kind: k % 16, Value: float64(p.id % 1024)}))
+		}
+		return out
+	}
 	for _, n := range []int{14, 64, 1024} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			procs := make([]Process, n)
-			for i, id := range ids.Sparse(ids.NewRand(99), n) {
-				p := &fanoutProc{id: id}
-				for k := 0; k < 16; k++ {
-					p.sends = append(p.sends, BroadcastPayload(benchPayload{Kind: k, Value: float64(i)}))
-				}
-				p.sends = append(p.sends, p.sends[0])
-				procs[i] = p
-			}
-			r := NewRunner(Config{MaxRounds: 1 << 30}, procs, nil, nil)
-			r.StepRound()
-			r.StepRound() // both buffer generations warm
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r.StepRound()
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n*n*16), "ns/delivery")
-		})
+		boxed, typed := benchRunners(n, fanout)
+		b.Run(fmt.Sprintf("boxed/n=%d", n), func(b *testing.B) { benchRounds(b, boxed, float64(n*n*16)) })
+		b.Run(fmt.Sprintf("typed/n=%d", n), func(b *testing.B) { benchRounds(b, typed, float64(n*n*16)) })
 	}
-}
-
-// ---- Monomorphized-plane counterparts ----------------------------------
-//
-// The benchmarks below run the same workloads through the TypedRunner,
-// so `benchstat` (or eyeballing the CI log) reads the fast path's win
-// directly: same shape, same names modulo the Typed suffix.
-
-// benchCodec is the identity codec for benchPayload.
-var benchCodec = Codec[benchPayload]{
-	Wrap: func(p any) (benchPayload, bool) {
-		v, ok := p.(benchPayload)
-		return v, ok
-	},
-	Unwrap: func(m benchPayload) any { return m },
-}
-
-// benchProcT is benchProc on the typed plane.
-type benchProcT struct {
-	id    ids.ID
-	sends []SendT[benchPayload]
-}
-
-func (p *benchProcT) ID() ids.ID    { return p.id }
-func (p *benchProcT) Decided() bool { return false }
-func (p *benchProcT) Output() any   { return nil }
-func (p *benchProcT) StepTyped(round int, inbox []MsgT[benchPayload]) []SendT[benchPayload] {
-	out := p.sends[:0]
-	out = append(out, BroadcastT(benchPayload{Kind: 1, Value: float64(round)}))
-	p.sends = out
-	return out
-}
-
-func newTypedBenchRunner(n int) *TypedRunner[*benchProcT, benchPayload] {
-	all := ids.Sparse(ids.NewRand(99), n)
-	procs := make([]*benchProcT, n)
-	for i, id := range all {
-		procs[i] = &benchProcT{id: id}
-	}
-	return NewTypedRunner(Config{MaxRounds: 1 << 30}, procs, nil, nil, benchCodec)
-}
-
-// BenchmarkDeliverBroadcastTyped is BenchmarkDeliverBroadcast's typed
-// mode on the monomorphized runner: no interning, no boxing, the
-// duplicate filter keyed on the wire value itself.
-func BenchmarkDeliverBroadcastTyped(b *testing.B) {
-	const batch = 16
-	payloads := make([]SendT[benchPayload], batch)
-	for i := range payloads {
-		payloads[i] = BroadcastT(benchPayload{Kind: i % batch, Value: 1})
-	}
-	for _, n := range []int{8, 32, 128} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			r := newTypedBenchRunner(n)
-			r.StepRound()
-			from := r.idvec[n-1]
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if i%batch == 0 && i > 0 {
-					b.StopTimer()
-					r.StepRound()
-					r.StepRound()
-					b.StartTimer()
-				}
-				r.deliver(from, payloads[i%batch])
-			}
-		})
-	}
-}
-
-// BenchmarkStepRoundTyped is BenchmarkStepRound on the typed plane.
-func BenchmarkStepRoundTyped(b *testing.B) {
-	for _, n := range []int{8, 32, 128, 1024} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			r := newTypedBenchRunner(n)
-			r.StepRound()
-			r.StepRound()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r.StepRound()
-			}
-			b.ReportMetric(float64(n*n), "msgs/round")
-		})
-	}
-}
-
-// ---- Scale-frontier shape: sparse unicast overlay ----------------------
-
-// benchSuccessors mirrors the ring overlay (internal/core/ring): slot
-// i's neighbours at power-of-two index distances, n·⌈log₂ n⌉ unicasts
-// per round instead of n² broadcasts — the only delivery shape that
-// stays tractable at n = 10k+.
-func benchSuccessors(all []ids.ID, i int) []ids.ID {
-	n := len(all)
-	var succ []ids.ID
-	for d := 1; d < n; d *= 2 {
-		succ = append(succ, all[(i+d)%n])
-	}
-	return succ
-}
-
-type benchSparseProc struct {
-	id    ids.ID
-	succ  []ids.ID
-	sends []Send
-}
-
-func (p *benchSparseProc) ID() ids.ID    { return p.id }
-func (p *benchSparseProc) Decided() bool { return false }
-func (p *benchSparseProc) Output() any   { return nil }
-func (p *benchSparseProc) Step(round int, inbox []Message) []Send {
-	out := p.sends[:0]
-	for _, s := range p.succ {
-		out = append(out, Unicast(s, benchPayload{Kind: int(p.id % 7), Value: float64(round)}))
-	}
-	p.sends = out
-	return out
-}
-
-type benchSparseProcT struct {
-	id    ids.ID
-	succ  []ids.ID
-	sends []SendT[benchPayload]
-}
-
-func (p *benchSparseProcT) ID() ids.ID    { return p.id }
-func (p *benchSparseProcT) Decided() bool { return false }
-func (p *benchSparseProcT) Output() any   { return nil }
-func (p *benchSparseProcT) StepTyped(round int, inbox []MsgT[benchPayload]) []SendT[benchPayload] {
-	out := p.sends[:0]
-	for _, s := range p.succ {
-		out = append(out, UnicastT(s, benchPayload{Kind: int(p.id % 7), Value: float64(round)}))
-	}
-	p.sends = out
-	return out
 }
 
 // BenchmarkStepRoundSparse measures one steady-state round of the
-// sparse overlay on both planes at scale-frontier sizes.
+// scale-frontier shape at scale-frontier sizes: each node unicasts to
+// its overlay successors — n·⌈log₂ n⌉ unicasts per round instead of n²
+// broadcasts, the only delivery shape that stays tractable at n = 10k+.
 func BenchmarkStepRoundSparse(b *testing.B) {
+	sparse := func(p *benchProc, round int, out []SendT[benchPayload]) []SendT[benchPayload] {
+		for _, s := range p.succ {
+			out = append(out, UnicastT(s, benchPayload{Kind: int(p.id % 7), Value: float64(round)}))
+		}
+		return out
+	}
 	for _, n := range []int{1024, 10240} {
-		all := ids.Sparse(ids.NewRand(99), n)
-		msgs := float64(n * len(benchSuccessors(all, 0)))
-
-		b.Run(fmt.Sprintf("ref/n=%d", n), func(b *testing.B) {
-			procs := make([]Process, n)
-			for i, id := range all {
-				procs[i] = &benchSparseProc{id: id, succ: benchSuccessors(all, i)}
-			}
-			r := NewRunner(Config{MaxRounds: 1 << 30}, procs, nil, nil)
-			r.StepRound()
-			r.StepRound()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r.StepRound()
-			}
-			b.ReportMetric(msgs, "msgs/round")
-		})
-
-		b.Run(fmt.Sprintf("typed/n=%d", n), func(b *testing.B) {
-			procs := make([]*benchSparseProcT, n)
-			for i, id := range all {
-				procs[i] = &benchSparseProcT{id: id, succ: benchSuccessors(all, i)}
-			}
-			r := NewTypedRunner(Config{MaxRounds: 1 << 30}, procs, nil, nil, benchCodec)
-			r.StepRound()
-			r.StepRound()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r.StepRound()
-			}
-			b.ReportMetric(msgs, "msgs/round")
-		})
+		boxed, typed := benchRunners(n, sparse)
+		msgs := float64(n * len(typed.procs[0].succ))
+		b.Run(fmt.Sprintf("boxed/n=%d", n), func(b *testing.B) { benchRounds(b, boxed, msgs) })
+		b.Run(fmt.Sprintf("typed/n=%d", n), func(b *testing.B) { benchRounds(b, typed, msgs) })
 	}
 }

@@ -1,11 +1,13 @@
 package sim
 
-// White-box consistency of the flat node table under churn: every
-// insertNode/removeNode must leave the table sorted, the slot index
-// exactly inverse to it, and the churn gauges consistent. The external
-// tests prove the schedule is right; this one proves the data structure
-// the schedule depends on never drifts while joins and leaves
-// interleave in a single run.
+// White-box consistency of the struct-of-arrays node table under
+// churn: every insert/remove must leave the table sorted, the slot
+// index exactly inverse to it, every column the same length with each
+// slot's lanes and process on the right row, and the churn gauges
+// consistent. The external tests prove the schedule is right; this one
+// proves the data structure the schedule depends on never drifts while
+// joins and leaves interleave in a single run — on both instantiations
+// of the core.
 
 import (
 	"fmt"
@@ -14,8 +16,26 @@ import (
 	"idonly/internal/ids"
 )
 
-// hopProc broadcasts one string per round and leaves the system after
-// leaveAt rounds (0 = never).
+// hopMsg is what a hopProc broadcasts: a registered payload, so it can
+// be the typed instantiation's wire type as well as a boxed payload.
+type hopMsg struct {
+	ID    ids.ID
+	Round int
+}
+
+func (m hopMsg) SortKeyOrdinal() uint32 { return 0xfffd0001 } // test-local, outside real ranges
+func (m hopMsg) AppendSortKey(dst []byte) []byte {
+	dst = AppendUint(append(dst, '{'), uint64(m.ID))
+	return append(AppendInt(append(dst, ' '), int64(m.Round)), '}')
+}
+
+var hopCodec = Codec[hopMsg]{
+	Wrap:   func(p any) (hopMsg, bool) { m, ok := p.(hopMsg); return m, ok },
+	Unwrap: func(m hopMsg) any { return m },
+}
+
+// hopProc broadcasts one message per round and leaves the system after
+// leaveAt rounds (0 = never). It steps on either instantiation.
 type hopProc struct {
 	id      ids.ID
 	leaveAt int
@@ -28,7 +48,11 @@ func (p *hopProc) Output() any   { return p.round }
 func (p *hopProc) Left() bool    { return p.leaveAt != 0 && p.round >= p.leaveAt }
 func (p *hopProc) Step(round int, _ []Message) []Send {
 	p.round = round
-	return []Send{BroadcastPayload(fmt.Sprintf("m-%d-%d", p.id, round))}
+	return []Send{BroadcastPayload(hopMsg{p.id, round})}
+}
+func (p *hopProc) StepTyped(round int, _ []MsgT[hopMsg]) []SendT[hopMsg] {
+	p.round = round
+	return []SendT[hopMsg]{BroadcastT(hopMsg{p.id, round})}
 }
 
 // silentAdv keeps the faulty rows exercised without traffic.
@@ -36,39 +60,60 @@ type silentAdv struct{}
 
 func (silentAdv) Step(ids.ID, int, []Message) []Send { return nil }
 
-func checkSlotInvariants(t *testing.T, r *Runner, when string) {
+func checkSlotInvariants[P ProcessT[M], M comparable](t *testing.T, r *TypedRunner[P, M], when string) {
 	t.Helper()
-	if len(r.slot) != len(r.nodes) {
-		t.Fatalf("%s: slot map has %d entries for %d nodes", when, len(r.slot), len(r.nodes))
-	}
-	for i := range r.nodes {
-		if i > 0 && r.nodes[i-1].id >= r.nodes[i].id {
-			t.Fatalf("%s: node table unsorted at %d: %d >= %d", when, i, r.nodes[i-1].id, r.nodes[i].id)
+	nn := len(r.idvec)
+	for name, l := range map[string]int{
+		"slot": len(r.slot), "procs": len(r.procs), "faulty": len(r.faulty), "done": len(r.done), "leaver": len(r.leaver),
+		"cur": len(r.cur), "nxt": len(r.nxt), "bcur": len(r.bcur), "bnxt": len(r.bnxt),
+	} {
+		if l != nn {
+			t.Fatalf("%s: column %s has %d entries for %d nodes", when, name, l, nn)
 		}
-		j, ok := r.slot[r.nodes[i].id]
-		if !ok || j != i {
-			t.Fatalf("%s: slot[%d] = %d,%v, want %d", when, r.nodes[i].id, j, ok, i)
+	}
+	for i, id := range r.idvec {
+		if i > 0 && r.idvec[i-1] >= id {
+			t.Fatalf("%s: node table unsorted at %d: %d >= %d", when, i, r.idvec[i-1], id)
+		}
+		if j, ok := r.slot[id]; !ok || j != i {
+			t.Fatalf("%s: slot[%d] = %d,%v, want %d", when, id, j, ok, i)
+		}
+		// A correct slot owns wire lanes and its own process; a faulty
+		// slot owns boxed lanes and nothing else. A column shifted out
+		// of step with the others breaks one of these.
+		wire := cap(r.cur[i].msgs) > 0 && cap(r.nxt[i].msgs) > 0
+		boxed := cap(r.bcur[i].msgs) > 0 && cap(r.bnxt[i].msgs) > 0
+		if wire == r.faulty[i] || boxed != r.faulty[i] {
+			t.Fatalf("%s: slot %d (faulty=%v) holds wire lanes %v, boxed lanes %v", when, i, r.faulty[i], wire, boxed)
+		}
+		if r.faulty[i] {
+			if r.leaver[i] != nil || r.done[i] {
+				t.Fatalf("%s: faulty slot %d carries process state", when, i)
+			}
+		} else if got := r.procs[i].ID(); got != id {
+			t.Fatalf("%s: slot %d holds process %d, want %d", when, i, got, id)
 		}
 	}
 }
 
-// TestSlotMapConsistencyUnderChurn interleaves correct joins, graceful
-// leaves, faulty joins and faulty removals across one run and checks
-// the table/slot invariants after every round.
-func TestSlotMapConsistencyUnderChurn(t *testing.T) {
+// slotMapUnderChurn interleaves correct joins, graceful leaves, faulty
+// joins and faulty removals across one run and checks the table/slot
+// invariants after every round. mk builds the runner over the founders;
+// lift presents a hopProc as the instantiation's process type.
+func slotMapUnderChurn[P ProcessT[M], M comparable](t *testing.T, mk func(cfg Config, founders []*hopProc, faulty []ids.ID) *TypedRunner[P, M], lift func(*hopProc) P) {
 	rng := ids.NewRand(123)
 	all := ids.Sparse(rng, 16)
-	var procs []Process
+	var procs []*hopProc
 	// 8 correct founders; three leave at staggered rounds.
 	for i, id := range all[:8] {
 		leaveAt := 0
 		if i >= 5 {
-			leaveAt = 4 + 3*i // rounds 19, 22, 25... relative to i: 4+15=19 etc.
+			leaveAt = 4 + 3*i // rounds 19, 22, 25
 		}
 		procs = append(procs, &hopProc{id: id, leaveAt: leaveAt})
 	}
 	faulty := all[8:11]
-	r := NewRunner(Config{MaxRounds: 40}, procs, faulty, silentAdv{})
+	r := mk(Config{MaxRounds: 40}, procs, faulty)
 	checkSlotInvariants(t, r, "after construction")
 
 	// Correct joiners at rounds 3, 5, 7, 9 — two of them leave again.
@@ -77,7 +122,7 @@ func TestSlotMapConsistencyUnderChurn(t *testing.T) {
 		if i%2 == 0 {
 			leaveAt = 15 + i
 		}
-		r.ScheduleJoin(3+2*i, &hopProc{id: id, leaveAt: leaveAt})
+		r.ScheduleJoin(3+2*i, lift(&hopProc{id: id, leaveAt: leaveAt}))
 	}
 	// A faulty late joiner.
 	r.ScheduleFaultyJoin(6, all[15])
@@ -108,12 +153,27 @@ func TestSlotMapConsistencyUnderChurn(t *testing.T) {
 		t.Fatalf("membership extremes peak=%d min=%d inconsistent", m.PeakNodes, m.MinNodes)
 	}
 	// Removed and departed ids must not resolve; present ones must.
-	if r.Process(faulty[0]) != nil {
+	if _, ok := r.slot[faulty[0]]; ok {
 		t.Fatal("removed faulty id still resolves")
 	}
-	for _, id := range r.Active() {
-		if _, ok := r.slot[id]; !ok {
-			t.Fatalf("active id %d missing from slot map", id)
-		}
+	if _, ok := r.slot[procs[5].id]; ok {
+		t.Fatal("departed leaver still resolves")
 	}
+}
+
+func TestSlotMapConsistencyUnderChurn(t *testing.T) {
+	t.Run("boxed", func(t *testing.T) {
+		slotMapUnderChurn(t, func(cfg Config, founders []*hopProc, faulty []ids.ID) *TypedRunner[boxedProc, any] {
+			procs := make([]Process, len(founders))
+			for i, p := range founders {
+				procs[i] = p
+			}
+			return NewRunner(cfg, procs, faulty, silentAdv{}).TypedRunner
+		}, func(p *hopProc) boxedProc { return boxedProc{p} })
+	})
+	t.Run("typed", func(t *testing.T) {
+		slotMapUnderChurn(t, func(cfg Config, founders []*hopProc, faulty []ids.ID) *TypedRunner[*hopProc, hopMsg] {
+			return NewTypedRunner(cfg, founders, faulty, silentAdv{}, hopCodec)
+		}, func(p *hopProc) *hopProc { return p })
+	})
 }

@@ -66,7 +66,7 @@ func (p *fallbackProc) Step(round int, inbox []sim.Message) []sim.Send {
 	return out
 }
 
-func buildFallback(cfg sim.Config) (*sim.Runner, []sim.Process) {
+func fallbackSystem() system {
 	rng := ids.NewRand(123)
 	all := ids.Sparse(rng, 9)
 	correct := all[:7]
@@ -74,7 +74,7 @@ func buildFallback(cfg sim.Config) (*sim.Runner, []sim.Process) {
 	for _, id := range correct {
 		procs = append(procs, &fallbackProc{id: id, peers: all})
 	}
-	return sim.NewRunner(cfg, procs, all[7:], adversary.Replay{}), procs
+	return system{procs: procs, faulty: all[7:], adv: adversary.Replay{}}
 }
 
 // goldenFallback pins the unregistered-payload schedule generated with
@@ -85,7 +85,7 @@ const goldenFallback = "9ff3fd3790ee07d3"
 func TestFallbackUnregisteredSchedule(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			got := digestRun(workers, 10, false, buildFallback)
+			got := digestRun(workload{"fallback", 10, false, fallbackSystem, nil, false}, workers, boxed)
 			if got != goldenFallback {
 				t.Fatalf("fallback schedule changed: digest %s, golden %s", got, goldenFallback)
 			}

@@ -1,45 +1,45 @@
-// Monomorphized fast path: a runner generic over the concrete process
-// and message types.
+// The runner core: the one implementation of a round, generic over the
+// concrete process and message types.
 //
-// The interface Runner (sim.go) pays interface dispatch per Step, per
-// SortKeyer call and per payload box on every delivery. For a protocol
-// whose whole message alphabet is known at build time, all of that is
-// avoidable: TypedRunner is instantiated per protocol with a concrete
-// wire type M (a small value struct — the closed union of the
-// protocol's payloads) and a concrete process type P, so the compiler
-// stencils the entire delivery plane. Messages travel as []MsgT[M]
-// lanes carrying concrete values — no `any` boxing on registered paths
-// — node bookkeeping lives in struct-of-arrays (ids, processes, faulty
-// and decided flags in parallel slices a sharded round streams
-// through), and the shared duplicate filter (plane.go) keys on the
-// comparable wire value itself instead of (ordinal, interned key
-// bytes).
+// TypedRunner is instantiated with a process type P and a comparable
+// wire type M, and everything a round does — buffer flip, inbox sort,
+// adversary and process steps, observer, delivery through the
+// duplicate filter (plane.go), decided bookkeeping, membership churn,
+// the sharded Step fan-out (shard.go) — exists here and nowhere else.
+// Two kinds of instantiation share it:
 //
-// The schedule is bit-identical to the reference Runner, and that is a
-// proven property, not an aspiration: the wire type's AppendSortKey
-// must render exactly the bytes of the payload it wraps (delegation,
-// checked in internal/sortkeys), so the one inbox sort (plane.go)
-// executes the same comparisons in the same insertion order, and the
-// typed filter key — wire-value equality — coincides with the reference
-// key (sender, type ordinal, key bytes) by the SortKeyer contract: within
-// a registered type, byte equality is value equality, and ordinals
-// separate types whose renderings collide. typed_test.go replays the
-// golden trace digests of golden_test.go through this runner,
-// sequential and sharded, and the engine's fast-path tests pin
-// canonical-report byte equality.
+//   - NewTypedRunner, over a protocol's closed wire union (a small
+//     value struct) and its concrete node type: the compiler stencils
+//     the delivery plane, messages travel as []MsgT[M] lanes with no
+//     `any` box, and the filter hashes the wire value itself.
+//   - NewRunner (sim.go), over boxed payloads (M = any) and an adapter
+//     that presents a Process as a ProcessT[any]: any payload type,
+//     registered or not, with an identity codec.
 //
-// What the fast path does NOT support — by design, it falls back to
-// the reference Runner instead (engine fastPath): membership churn
-// (joins/leaves/Leaver), observers needing payload identity, and
-// adversaries that emit payloads outside the wire union (Wrap reports
-// false and the runner panics: eligibility is the caller's contract).
+// What an instantiation supplies besides its types is a Codec — how a
+// wire value crosses to and from the boxed form the Adversary and
+// Observer interfaces speak — and a key renderer, how a wire value
+// appends its sort key. Node bookkeeping lives in struct-of-arrays
+// (ids, processes, faulty and decided flags, lanes, in parallel slices
+// a sharded round streams through), sorted by id and indexed through a
+// slot map; joins and leaves shift every column in step.
+//
+// The duplicate filter keys on (sender, wire value). For a payload
+// type under the SortKeyer contract (sortkey.go) value equality and
+// (type, key bytes) equality coincide — within a type, byte equality
+// is value equality, and distinct types are distinct values — so both
+// instantiations name the same sources; NaN and negative zero, where
+// rendering and equality disagree, stay outside the contract. The
+// schedule is therefore the same for every instantiation, sequential
+// or sharded: golden_test.go pins the trace digests on both, and
+// naive_test.go checks the core against a map-based model of the
+// paper's §IV.
 package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"idonly/internal/ids"
 )
@@ -54,7 +54,8 @@ type WireMsg interface {
 	SortKeyer
 }
 
-// SendT is Send with a concrete payload.
+// SendT is a message as submitted by a process: a destination and a
+// payload. The runner stamps the sender.
 type SendT[M any] struct {
 	To      ids.ID // Broadcast or a specific node id
 	Payload M
@@ -66,12 +67,12 @@ func BroadcastT[M any](p M) SendT[M] { return SendT[M]{To: Broadcast, Payload: p
 // UnicastT is a convenience constructor for a typed direct send.
 func UnicastT[M any](to ids.ID, p M) SendT[M] { return SendT[M]{To: to, Payload: p} }
 
-// ProcessT is a correct participant on the typed plane. StepTyped is
-// Step with concrete message types; the ownership rules are identical
-// (the inbox is runner-owned and reused, the send slice is
-// process-owned scratch). A protocol node implements both Process and
-// ProcessT over the same state, and the two must emit the same
-// schedule — the golden digests check it.
+// ProcessT is a correct participant stepping on concrete message
+// types. StepTyped is Step with the payload type fixed; the ownership
+// rules are identical (the inbox is runner-owned and reused, the send
+// slice is process-owned scratch). A protocol node with a wire union
+// implements both Process and ProcessT over the same state, and the
+// two must emit the same schedule — the golden digests check it.
 type ProcessT[M any] interface {
 	ID() ids.ID
 	StepTyped(round int, inbox []MsgT[M]) []SendT[M]
@@ -80,37 +81,34 @@ type ProcessT[M any] interface {
 }
 
 // Codec converts between a protocol's wire type and the boxed payloads
-// of the interface plane. Wrap must be injective on the union
-// (distinct boxed values map to distinct wire values) and canonical
-// (unused fields of a wire value are always zero for a given kind), so
-// wire-value equality coincides with boxed-value equality. Unwrap must
-// invert Wrap, returning the exact payload type the boxed plane
-// carries — adversaries and observers see the same values either way.
+// the Adversary and Observer interfaces carry. Wrap must be injective
+// on the union (distinct boxed values map to distinct wire values) and
+// canonical (unused fields of a wire value are always zero for a given
+// kind), so wire-value equality coincides with boxed-value equality.
+// Unwrap must invert Wrap, returning the exact payload type the boxed
+// instantiation carries — adversaries and observers see the same
+// values either way.
 type Codec[M any] struct {
 	// Wrap converts a boxed payload into the wire type; ok is false for
-	// payloads outside the union (the typed runner cannot carry them).
+	// payloads outside the union (the runner cannot carry them).
 	Wrap func(p any) (M, bool)
-	// Unwrap restores the boxed payload an interface-plane consumer
-	// (adversary, observer) would have seen.
+	// Unwrap restores the boxed payload an adversary or observer sees.
 	Unwrap func(m M) any
 }
 
-// srcKeyT is the typed duplicate-filter identity of one message source:
-// sender and wire value. By the WireMsg contract (see the package
-// comment above) wire-value equality coincides with boxed-value
-// equality, so it names the same source as the reference dedupKey.
-type srcKeyT[M comparable] struct {
+// srcKey is the duplicate-filter identity of one message source:
+// sender and wire value.
+type srcKey[M comparable] struct {
 	from    ids.ID
 	payload M
 }
 
-// sendCtxT is sendCtx for the typed plane: the per-Send state shared
-// across a broadcast fan-out. The recipient set is resolved once per
-// Send; the boxed form of the payload — needed only when a faulty node
-// is among the recipients — is materialized at most once per Send, and
-// adversary-originated sends reuse their original boxed payload
-// instead of re-unwrapping.
-type sendCtxT[M comparable] struct {
+// sendCtx is the per-Send delivery state shared by every recipient of
+// a broadcast. The recipient set is resolved and the key bytes land in
+// the arena once per Send; the boxed form of the payload — needed only
+// when a faulty node is among the recipients — is materialized at most
+// once, and adversary sends reuse the box they arrived in.
+type sendCtx struct {
 	set       *recipSet
 	off       uint32 // arena view of the key bytes
 	n         uint32
@@ -119,69 +117,93 @@ type sendCtxT[M comparable] struct {
 	haveBoxed bool
 }
 
-// typedSlabBudget caps the presized lane slabs of one TypedRunner (in
-// entries across both buffers): up to n = 16384 the per-inbox presize
-// matches the reference exactly (so InboxGrows agrees delivery for
-// delivery); beyond that the cap shrinks the per-inbox seed instead of
-// committing hundreds of megabytes up front, and the first rounds grow
-// the hot inboxes — InboxGrows is excluded from digests and canonical
-// reports precisely because it describes the allocator.
-const typedSlabBudget = 1 << 21
+// slabBudget caps the presized lane slabs of one runner (in entries
+// across both buffers): up to n = 16384 every inbox is seeded with
+// clamp(n, 8, 64) entries; beyond that the cap shrinks the per-inbox
+// seed instead of committing hundreds of megabytes up front, and the
+// first rounds grow the hot inboxes — InboxGrows is excluded from
+// digests and canonical reports precisely because it describes the
+// allocator.
+const slabBudget = 1 << 21
 
-// TypedRunner executes a synchronous round-based system on the
-// monomorphized plane. Construct with NewTypedRunner; the zero value
+// spawn is a node scheduled to join; proc is the zero P for a faulty one.
+type spawn[P any] struct {
+	proc   P
+	id     ids.ID
+	faulty bool
+}
+
+// TypedRunner executes a synchronous round-based system. Construct
+// with NewTypedRunner (or NewRunner for boxed payloads); the zero value
 // is not usable.
-type TypedRunner[P ProcessT[M], M WireMsg] struct {
+type TypedRunner[P ProcessT[M], M comparable] struct {
 	cfg   Config
 	adv   Adversary
 	codec Codec[M]
+	keyOf func(dst []byte, m M) []byte // appends m's sort key
 
-	// Struct-of-arrays node plane, sorted by id: parallel slices
+	// Struct-of-arrays node table, sorted by id: parallel slices
 	// indexed by slot, so a sharded round walks contiguous memory
-	// instead of chasing per-node structs.
+	// instead of chasing per-node structs. procs and leaver are zero
+	// on faulty slots (the adversary drives those).
 	idvec  []ids.ID
 	procs  []P
 	faulty []bool
-	done   []bool // correct process observed Decided (skip future Steps)
+	done   []bool   // correct process observed Decided (skip future Steps)
+	leaver []Leaver // non-nil when the process has a leave discipline
 	slot   map[ids.ID]int
 
-	// Typed delivery lanes for correct slots, boxed inboxes for faulty
+	// Delivery lanes: wire-typed for correct slots, boxed for faulty
 	// slots (the Adversary interface consumes []Message). Both pairs
-	// are double-buffered per slot and flip at the round boundary.
+	// are double-buffered per slot — cur is consumed this round, nxt is
+	// filled for the next — and flip at the round boundary, so the
+	// backing arrays are reused for the whole run.
 	cur  []laneBuf[M]
 	nxt  []laneBuf[M]
 	bcur []inboxBuf
 	bnxt []inboxBuf
 
-	undecided int
+	undecided int // correct processes not yet observed Decided
 	metrics   Metrics
+	spawns    map[int][]spawn[P] // round -> nodes joining at the start of that round
 	round     int
+	stepping  bool     // a round is executing; membership is frozen
+	leavers   []ids.ID // per-round scratch, reused
 
-	curArena []byte
-	nxtArena []byte
-
-	filter     srcFilter[srcKeyT[M]] // within-round duplicate filter (plane.go)
+	// Double-buffered sort-key arenas: deliveries append key bytes to
+	// nxtArena; at the round flip it becomes curArena, which the inbox
+	// sorts (and their keyRef views) read. arenaGauge (scratch.go) is
+	// the decaying high-water mark of per-round usage, so a flood
+	// round's arena is released once traffic quiets down.
+	curArena   []byte
+	nxtArena   []byte
 	arenaGauge scratchGauge
+
+	filter srcFilter[srcKey[M]] // within-round duplicate filter (plane.go)
 
 	obsSends []Send // observer unbox scratch, reused
 
-	// Pooled shard buffers (Workers > 1).
-	pre    []stepOutT[M]
+	// Pooled shard buffers (Workers > 1); see shard.go.
+	pre    []stepOut[M]
 	panics []any
 }
 
-// NewTypedRunner creates a typed runner over the given processes,
-// faulty node ids and the adversary controlling them. codec must
-// round-trip every payload the protocol and the adversary emit; adv
-// may be nil when faulty is empty. Membership is fixed for the run:
-// processes implementing Leaver are rejected (the reference Runner
-// handles churn).
+// NewTypedRunner creates a runner over a protocol's wire union: the
+// given processes, faulty node ids and the adversary controlling them.
+// codec must round-trip every payload the protocol and the adversary
+// emit (an adversary payload outside the union panics the run:
+// eligibility is the caller's contract); adv may be nil when faulty is
+// empty.
 func NewTypedRunner[P ProcessT[M], M WireMsg](cfg Config, procs []P, faulty []ids.ID, adv Adversary, codec Codec[M]) *TypedRunner[P, M] {
+	return newRunner(cfg, procs, faulty, adv, codec, func(dst []byte, m M) []byte { return m.AppendSortKey(dst) })
+}
+
+func newRunner[P ProcessT[M], M comparable](cfg Config, procs []P, faulty []ids.ID, adv Adversary, codec Codec[M], keyOf func([]byte, M) []byte) *TypedRunner[P, M] {
 	if cfg.MaxRounds <= 0 {
 		cfg.MaxRounds = DefaultMaxRounds
 	}
 	if codec.Wrap == nil || codec.Unwrap == nil {
-		panic("sim: typed runner needs a complete codec")
+		panic("sim: runner needs a complete codec")
 	}
 	if len(faulty) > 0 && adv == nil {
 		panic("sim: faulty nodes without an adversary")
@@ -191,34 +213,28 @@ func NewTypedRunner[P ProcessT[M], M WireMsg](cfg Config, procs []P, faulty []id
 		cfg:      cfg,
 		adv:      adv,
 		codec:    codec,
+		keyOf:    keyOf,
 		idvec:    make([]ids.ID, 0, nn),
 		procs:    make([]P, nn),
 		faulty:   make([]bool, nn),
 		done:     make([]bool, nn),
+		leaver:   make([]Leaver, nn),
 		slot:     make(map[ids.ID]int, nn),
 		cur:      make([]laneBuf[M], nn),
 		nxt:      make([]laneBuf[M], nn),
 		bcur:     make([]inboxBuf, nn),
 		bnxt:     make([]inboxBuf, nn),
+		spawns:   make(map[int][]spawn[P]),
 		curArena: make([]byte, 0, 1024),
 		nxtArena: make([]byte, 0, 1024),
 	}
 	r.metrics.DecidedRound = make(map[ids.ID]int)
-	type row struct {
-		id     ids.ID
-		proc   P
-		hasP   bool
-		faulty bool
-	}
-	rows := make([]row, 0, nn)
+	rows := make([]spawn[P], 0, nn)
 	for _, p := range procs {
-		if _, ok := any(p).(Leaver); ok {
-			panic(fmt.Sprintf("sim: typed runner does not support leavers (process %d)", p.ID()))
-		}
-		rows = append(rows, row{id: p.ID(), proc: p, hasP: true})
+		rows = append(rows, spawn[P]{proc: p, id: p.ID()})
 	}
 	for _, id := range faulty {
-		rows = append(rows, row{id: id, faulty: true})
+		rows = append(rows, spawn[P]{id: id, faulty: true})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].id < rows[j].id })
 	for i, rw := range rows {
@@ -234,49 +250,42 @@ func NewTypedRunner[P ProcessT[M], M WireMsg](cfg Config, procs []P, faulty []id
 		}
 		r.slot[rw.id] = i
 		r.idvec = append(r.idvec, rw.id)
-		r.procs[i] = rw.proc
 		r.faulty[i] = rw.faulty
+		if !rw.faulty {
+			r.procs[i] = rw.proc
+			r.leaver[i], _ = any(rw.proc).(Leaver)
+		}
 	}
-	r.presizeAll()
+	r.presizeAll(len(procs), len(faulty))
 	r.undecided = len(procs)
 	r.metrics.PeakNodes = nn
 	r.metrics.MinNodes = nn
 	return r
 }
 
-// presizeCap mirrors Runner.presizeCap — clamp(n, 8, 64) — with the
-// slab budget applied for huge n.
+// presizeCap is the per-inbox capacity seeded for the steady-state
+// traffic shape — about one broadcast per peer per round, clamp(n, 8,
+// 64) — with the slab budget applied for huge n: the first rounds grow
+// the rare hot inboxes instead of committing n² memory up front.
 func (r *TypedRunner[P, M]) presizeCap() int {
 	n := len(r.idvec)
-	c := n
-	if c > 64 {
-		c = 64
-	}
-	if c < 8 {
-		c = 8
-	}
-	if n > 0 && 2*c*n > typedSlabBudget {
-		c = typedSlabBudget / (2 * n)
-		if c < 8 {
-			c = 8
-		}
+	c := min(max(n, 8), 64)
+	if 2*c*n > slabBudget {
+		c = max(slabBudget/(2*n), 8)
 	}
 	return c
 }
 
-// presizeAll seeds the pooled delivery state: one typed slab pair for
-// the correct slots, one boxed slab pair for the faulty slots, handed
-// out as capacity-limited views exactly like the reference presize.
-func (r *TypedRunner[P, M]) presizeAll() {
+// presizeAll seeds the founders' pooled delivery state at construction.
+// The lanes of all slots come from shared slabs — one pair for the nc
+// correct slots, one boxed pair for the nf faulty slots — handed out
+// as capacity-limited views, so short runs do not spend their few
+// rounds growing buffers one doubling at a time. A view that outgrows
+// its capacity reallocates away from the slab exactly as an
+// individually allocated buffer would (InboxGrows counts it either
+// way).
+func (r *TypedRunner[P, M]) presizeAll(nc, nf int) {
 	c := r.presizeCap()
-	nc, nf := 0, 0
-	for _, f := range r.faulty {
-		if f {
-			nf++
-		} else {
-			nc++
-		}
-	}
 	tms := make([]MsgT[M], 2*c*nc)
 	tks := make([]keyRef, 2*c*nc)
 	bms := make([]Message, 2*c*nf)
@@ -285,21 +294,65 @@ func (r *TypedRunner[P, M]) presizeAll() {
 	for i := range r.idvec {
 		if r.faulty[i] {
 			o := 2 * c * bi
-			r.bcur[i].msgs = bms[o : o : o+c]
-			r.bcur[i].keys = bks[o : o : o+c]
-			r.bnxt[i].msgs = bms[o+c : o+c : o+2*c]
-			r.bnxt[i].keys = bks[o+c : o+c : o+2*c]
+			r.bcur[i] = inboxBuf{bms[o : o : o+c], bks[o : o : o+c]}
+			r.bnxt[i] = inboxBuf{bms[o+c : o+c : o+2*c], bks[o+c : o+c : o+2*c]}
 			bi++
 		} else {
 			o := 2 * c * ti
-			r.cur[i].msgs = tms[o : o : o+c]
-			r.cur[i].keys = tks[o : o : o+c]
-			r.nxt[i].msgs = tms[o+c : o+c : o+2*c]
-			r.nxt[i].keys = tks[o+c : o+c : o+2*c]
+			r.cur[i] = laneBuf[M]{tms[o : o : o+c], tks[o : o : o+c]}
+			r.nxt[i] = laneBuf[M]{tms[o+c : o+c : o+2*c], tks[o+c : o+c : o+2*c]}
 			ti++
 		}
 	}
 	r.filter.init(len(r.idvec))
+}
+
+// ScheduleJoin arranges for a correct process to join the system at the
+// start of the given round (its first Step is that round).
+func (r *TypedRunner[P, M]) ScheduleJoin(round int, p P) {
+	r.schedule(round, spawn[P]{proc: p, id: p.ID()})
+}
+
+// ScheduleFaultyJoin arranges for a faulty node to join at the start of
+// the given round.
+func (r *TypedRunner[P, M]) ScheduleFaultyJoin(round int, id ids.ID) {
+	r.schedule(round, spawn[P]{id: id, faulty: true})
+}
+
+func (r *TypedRunner[P, M]) schedule(round int, s spawn[P]) {
+	if round <= r.round {
+		panic("sim: join scheduled in the past")
+	}
+	r.spawns[round] = append(r.spawns[round], s)
+}
+
+// RemoveFaulty removes a faulty node from the system immediately (the
+// adversary decides when faulty nodes leave, per the dynamic model).
+// It must not be called while a round is executing (e.g. from an
+// Observer): StepRound iterates the node table by slot and relies on
+// membership being frozen for the duration of the round.
+func (r *TypedRunner[P, M]) RemoveFaulty(id ids.ID) {
+	if r.stepping {
+		panic("sim: RemoveFaulty called mid-round")
+	}
+	j, ok := r.slot[id]
+	if !ok || !r.faulty[j] {
+		panic(fmt.Sprintf("sim: RemoveFaulty on non-faulty id %d", id))
+	}
+	r.remove(j)
+}
+
+// Active returns a copy of the sorted ids of all present nodes.
+func (r *TypedRunner[P, M]) Active() []ids.ID { return slices.Clone(r.idvec) }
+
+// Process returns the correct process with the given id, or the zero P
+// when the id is absent or faulty.
+func (r *TypedRunner[P, M]) Process(id ids.ID) P {
+	if j, ok := r.slot[id]; ok {
+		return r.procs[j]
+	}
+	var zero P
+	return zero
 }
 
 // Metrics returns the metrics accumulated so far.
@@ -307,11 +360,6 @@ func (r *TypedRunner[P, M]) Metrics() Metrics { return r.metrics }
 
 // Round returns the number of the last executed round (0 before Run).
 func (r *TypedRunner[P, M]) Round() int { return r.round }
-
-// Active returns a copy of the sorted ids of all nodes.
-func (r *TypedRunner[P, M]) Active() []ids.ID {
-	return append([]ids.ID(nil), r.idvec...)
-}
 
 // Run executes rounds until every correct node has decided (when
 // StopWhenAllDecided), the caller-provided stop function returns true,
@@ -329,17 +377,28 @@ func (r *TypedRunner[P, M]) Run(stop func(round int) bool) Metrics {
 	return r.metrics
 }
 
-// StepRound executes exactly one round on the typed plane, replaying
-// the reference schedule: buffer flip, then per-slot in increasing id
-// order — sort, adversary or process step, observer, delivery — with
-// metrics accounted identically.
+// StepRound executes exactly one round: joins scheduled for this round
+// take effect, every active node consumes its inbox and produces sends,
+// and the sends become next round's inboxes.
 func (r *TypedRunner[P, M]) StepRound() {
+	r.stepping = true
+	defer func() { r.stepping = false }()
 	r.round++
 	round := r.round
+	for _, s := range r.spawns[round] {
+		r.insert(s)
+	}
+	delete(r.spawns, round)
 
-	// Flip the delivery buffers and arenas exactly as the reference
-	// does, with the scratch-retention gauges (scratch.go) bounding
-	// what one flood round may pin.
+	// Flip the delivery buffers: last round's deliveries become this
+	// round's inboxes and the buffers consumed last round are emptied —
+	// backing arrays intact — to receive this round's traffic. The
+	// duplicate filter is emptied in place for the same reason, and
+	// the key arenas flip in lockstep so every keyRef in a cur inbox
+	// points into curArena. The retention gauge (scratch.go) releases
+	// an arena far above the decayed usage mark — only ever the buffer
+	// about to be refilled (nxtArena), never curArena, whose bytes the
+	// live keyRefs still view.
 	r.arenaGauge.observe(len(r.nxtArena))
 	r.curArena, r.nxtArena = r.nxtArena, r.curArena
 	r.nxtArena = r.nxtArena[:0]
@@ -358,18 +417,33 @@ func (r *TypedRunner[P, M]) StepRound() {
 	}
 	r.metrics.ByRound = append(r.metrics.ByRound, 0)
 
+	r.leavers = r.leavers[:0]
+	// Membership is frozen while the round executes: joins applied
+	// above, leavers removed below, so indexing the table by slot is
+	// safe even though delivery appends into other slots' lanes.
 	nn := len(r.idvec)
-	var pre []stepOutT[M]
+	// With Workers > 1 the Step calls of correct processes are computed
+	// concurrently up front (shard.go); the loop below then replays the
+	// exact sequential schedule — adversary steps, deliveries, observer
+	// callbacks and metrics all happen in increasing-id order either way.
+	var pre []stepOut[M]
 	if r.cfg.Workers > 1 {
 		pre = r.shardSteps(round)
 	}
 	for i := 0; i < nn; i++ {
+		id := r.idvec[i]
 		if pre == nil {
 			r.sortSlot(i)
 		}
 		if r.faulty[i] {
-			for _, s := range r.adv.Step(r.idvec[i], round, r.bcur[i].msgs) {
-				r.deliverBoxed(r.idvec[i], s)
+			for _, s := range r.adv.Step(id, round, r.bcur[i].msgs) {
+				// The adversary speaks boxed payloads: wrap into the wire
+				// type and keep the original box for faulty recipients.
+				m, ok := r.codec.Wrap(s.Payload)
+				if !ok {
+					panic(fmt.Sprintf("sim: runner cannot carry adversary payload %T", s.Payload))
+				}
+				r.deliver(id, s.To, m, sendCtx{boxed: s.Payload, haveBoxed: true})
 			}
 			continue
 		}
@@ -377,33 +451,34 @@ func (r *TypedRunner[P, M]) StepRound() {
 		var sends []SendT[M]
 		if pre != nil {
 			if pre[i].decidedBefore {
-				r.markDecided(r.idvec[i], round-1)
-				r.done[i] = true
+				r.markDecided(i, round-1)
 				continue
 			}
 			sends = pre[i].sends
 		} else {
-			// done[i] caches Decided: the reference re-calls Decided and
-			// markDecided every round after a node decides, but both are
-			// no-ops then (first-seen map, monotone protocols), so the
-			// flag skip is schedule-neutral.
+			// done[i] caches Decided: the protocols are monotone, so
+			// re-asking a decided node every round would be a no-op.
 			if r.done[i] || p.Decided() {
-				r.markDecided(r.idvec[i], round-1)
-				r.done[i] = true
+				r.markDecided(i, round-1)
 				continue
 			}
 			sends = p.StepTyped(round, r.cur[i].msgs)
 		}
 		if r.cfg.Observer != nil {
-			r.observe(round, r.idvec[i], sends)
+			r.observe(round, id, sends)
 		}
 		for _, s := range sends {
-			r.deliver(r.idvec[i], s)
+			r.deliver(id, s.To, s.Payload, sendCtx{})
 		}
 		if p.Decided() {
-			r.markDecided(r.idvec[i], round)
-			r.done[i] = true
+			r.markDecided(i, round)
 		}
+		if l := r.leaver[i]; l != nil && l.Left() {
+			r.leavers = append(r.leavers, id)
+		}
+	}
+	for _, id := range r.leavers {
+		r.remove(r.slot[id])
 	}
 	r.metrics.Rounds = round
 }
@@ -417,84 +492,75 @@ func (r *TypedRunner[P, M]) sortSlot(i int) {
 	}
 }
 
-// markDecided mirrors Runner.markDecided.
-func (r *TypedRunner[P, M]) markDecided(id ids.ID, round int) {
-	if _, seen := r.metrics.DecidedRound[id]; !seen {
+// markDecided records the first round a correct node reported Decided
+// and maintains the undecided counter that replaces a per-round
+// all-decided scan.
+func (r *TypedRunner[P, M]) markDecided(i, round int) {
+	if r.done[i] {
+		return
+	}
+	r.done[i] = true
+	if id := r.idvec[i]; !r.hasDecided(id) {
 		r.metrics.DecidedRound[id] = round
 		r.undecided--
 	}
 }
 
-// observe reconstructs the boxed sends an interface-plane observer
-// would have seen, in runner-owned scratch.
+func (r *TypedRunner[P, M]) hasDecided(id ids.ID) bool {
+	_, seen := r.metrics.DecidedRound[id]
+	return seen
+}
+
+// observe hands the observer the boxed sends of one process. On the
+// boxed instantiation the send slice already is a []Send; otherwise
+// the boxes are rebuilt in runner-owned scratch.
 func (r *TypedRunner[P, M]) observe(round int, from ids.ID, sends []SendT[M]) {
-	out := r.obsSends[:0]
-	for _, s := range sends {
-		out = append(out, Send{To: s.To, Payload: r.codec.Unwrap(s.Payload)})
+	out, boxed := any(sends).([]Send)
+	if !boxed {
+		out = r.obsSends[:0]
+		for _, s := range sends {
+			out = append(out, Send{To: s.To, Payload: r.codec.Unwrap(s.Payload)})
+		}
+		r.obsSends = out
 	}
-	r.obsSends = out
 	r.cfg.Observer(round, from, out)
 }
 
-// deliver routes one typed Send from a correct sender: render the key
-// bytes once into the arena, fan out, release the bytes if nobody took
-// the message — the reference deliver, minus interning (the typed
-// filter keys on the value itself) and minus every box.
-func (r *TypedRunner[P, M]) deliver(from ids.ID, s SendT[M]) {
-	c := sendCtxT[M]{set: r.filter.resolve(srcKeyT[M]{from, s.Payload}, s.To)}
+// deliver routes one send from the given sender, expanding broadcasts
+// to every currently active node (including the sender itself — the
+// paper's algorithms count the self-copy, e.g. Alg. 4 "including self")
+// and discarding within-round duplicates per recipient. The filter
+// probe and the sort key are paid once per send and shared across the
+// whole fan-out. A unicast whose destination is absent (left or never
+// joined) vanishes.
+func (r *TypedRunner[P, M]) deliver(from, to ids.ID, m M, c sendCtx) {
+	c.set = r.filter.resolve(srcKey[M]{from, m}, to)
 	start := len(r.nxtArena)
-	r.nxtArena = s.Payload.AppendSortKey(r.nxtArena)
+	r.nxtArena = r.keyOf(r.nxtArena, m)
 	c.off, c.n = uint32(start), uint32(len(r.nxtArena)-start)
-	r.fanOut(s.To, from, s.Payload, &c)
-	if !c.accepted && uint32(len(r.nxtArena)) == c.off+c.n {
-		r.nxtArena = r.nxtArena[:c.off]
-	}
-}
-
-// deliverBoxed routes one adversary Send: wrap into the wire union
-// (panic outside it — fast-path eligibility is the caller's contract),
-// keep the original boxed payload for faulty recipients, and fan out
-// like deliver.
-func (r *TypedRunner[P, M]) deliverBoxed(from ids.ID, s Send) {
-	m, ok := r.codec.Wrap(s.Payload)
-	if !ok {
-		panic(fmt.Sprintf("sim: typed runner cannot carry adversary payload %T", s.Payload))
-	}
-	c := sendCtxT[M]{
-		set:       r.filter.resolve(srcKeyT[M]{from, m}, s.To),
-		boxed:     s.Payload,
-		haveBoxed: true,
-	}
-	start := len(r.nxtArena)
-	r.nxtArena = m.AppendSortKey(r.nxtArena)
-	c.off, c.n = uint32(start), uint32(len(r.nxtArena)-start)
-	r.fanOut(s.To, from, m, &c)
-	if !c.accepted && uint32(len(r.nxtArena)) == c.off+c.n {
-		r.nxtArena = r.nxtArena[:c.off]
-	}
-}
-
-func (r *TypedRunner[P, M]) fanOut(to, from ids.ID, payload M, c *sendCtxT[M]) {
 	if to == Broadcast {
 		for i := range r.idvec {
-			r.deliverOne(i, from, payload, c)
+			r.deliverOne(i, from, m, &c)
 		}
 	} else if j, ok := r.slot[to]; ok {
-		r.deliverOne(j, from, payload, c)
+		r.deliverOne(j, from, m, &c)
+	}
+	if !c.accepted && uint32(len(r.nxtArena)) == c.off+c.n {
+		// Dropped everywhere (duplicates, or an absent unicast target):
+		// nothing references the key bytes, so release them — a replay
+		// flood must not grow the arena.
+		r.nxtArena = r.nxtArena[:c.off]
 	}
 }
 
-func (r *TypedRunner[P, M]) deliverOne(i int, from ids.ID, payload M, c *sendCtxT[M]) {
+func (r *TypedRunner[P, M]) deliverOne(i int, from ids.ID, m M, c *sendCtx) {
 	if r.filter.add(c.set, i) {
 		r.metrics.MessagesDropped++
 		return
 	}
 	if r.faulty[i] {
-		// Faulty recipients consume the boxed plane (the Adversary
-		// interface); materialize the box at most once per Send.
 		if !c.haveBoxed {
-			c.boxed = r.codec.Unwrap(payload)
-			c.haveBoxed = true
+			c.boxed, c.haveBoxed = r.codec.Unwrap(m), true
 		}
 		b := &r.bnxt[i]
 		if len(b.msgs) == cap(b.msgs) {
@@ -507,7 +573,7 @@ func (r *TypedRunner[P, M]) deliverOne(i int, from ids.ID, payload M, c *sendCtx
 		if len(b.msgs) == cap(b.msgs) {
 			r.metrics.InboxGrows++
 		}
-		b.msgs = append(b.msgs, MsgT[M]{From: from, Payload: payload})
+		b.msgs = append(b.msgs, MsgT[M]{From: from, Payload: m})
 		b.keys = append(b.keys, keyRef{off: c.off, n: c.n})
 	}
 	c.accepted = true
@@ -515,67 +581,74 @@ func (r *TypedRunner[P, M]) deliverOne(i int, from ids.ID, payload M, c *sendCtx
 	r.metrics.ByRound[len(r.metrics.ByRound)-1]++
 }
 
-// stepOutT is stepOut with concrete sends.
-type stepOutT[M any] struct {
-	sends         []SendT[M]
-	decidedBefore bool
+// insert places a joining node into the sorted table, shifting every
+// column at the insertion point and reindexing the slots after it, and
+// seeds its lanes. Membership changes are rare and never mid-delivery;
+// delivery only ever reads the slot map.
+func (r *TypedRunner[P, M]) insert(s spawn[P]) {
+	i, present := slices.BinarySearch(r.idvec, s.id)
+	if present {
+		switch {
+		case s.faulty && r.faulty[i]:
+			panic(fmt.Sprintf("sim: faulty id %d joined twice", s.id))
+		case !s.faulty && !r.faulty[i]:
+			panic(fmt.Sprintf("sim: process id %d joined twice", s.id))
+		}
+		panic(fmt.Sprintf("sim: id %d already active", s.id))
+	}
+	r.idvec = slices.Insert(r.idvec, i, s.id)
+	c := r.presizeCap()
+	var lane, next laneBuf[M]
+	var blane, bnext inboxBuf
+	var leaver Leaver
+	if s.faulty {
+		blane, bnext = newLane[any](c), newLane[any](c)
+	} else {
+		lane, next = newLane[M](c), newLane[M](c)
+		leaver, _ = any(s.proc).(Leaver)
+		r.undecided++
+	}
+	r.procs = slices.Insert(r.procs, i, s.proc)
+	r.faulty = slices.Insert(r.faulty, i, s.faulty)
+	r.done = slices.Insert(r.done, i, false)
+	r.leaver = slices.Insert(r.leaver, i, leaver)
+	r.cur = slices.Insert(r.cur, i, lane)
+	r.nxt = slices.Insert(r.nxt, i, next)
+	r.bcur = slices.Insert(r.bcur, i, blane)
+	r.bnxt = slices.Insert(r.bnxt, i, bnext)
+	r.reslot(i)
+	r.metrics.Joins++
+	r.metrics.PeakNodes = max(r.metrics.PeakNodes, len(r.idvec))
 }
 
-// shardSteps mirrors Runner.shardSteps on the typed plane: fan the
-// StepTyped calls across cfg.Workers goroutines via an atomic work
-// counter, sort every inbox (faulty included), capture per-slot panics
-// and re-raise the lowest slot's on the calling goroutine.
-func (r *TypedRunner[P, M]) shardSteps(round int) []stepOutT[M] {
-	nn := len(r.idvec)
-	if cap(r.pre) < nn {
-		r.pre = make([]stepOutT[M], nn)
-		r.panics = make([]any, nn)
+// remove drops slot i from every column (slices.Delete zeroes the
+// vacated tail, releasing the lanes to the GC) and keeps the undecided
+// counter consistent when a correct process leaves without having
+// decided.
+func (r *TypedRunner[P, M]) remove(i int) {
+	id := r.idvec[i]
+	if !r.faulty[i] && !r.hasDecided(id) {
+		r.undecided--
 	}
-	out := r.pre[:nn]
-	panics := r.panics[:nn]
-	for i := range out {
-		out[i] = stepOutT[M]{}
-		panics[i] = nil
+	delete(r.slot, id)
+	r.idvec = slices.Delete(r.idvec, i, i+1)
+	r.procs = slices.Delete(r.procs, i, i+1)
+	r.faulty = slices.Delete(r.faulty, i, i+1)
+	r.done = slices.Delete(r.done, i, i+1)
+	r.leaver = slices.Delete(r.leaver, i, i+1)
+	r.cur = slices.Delete(r.cur, i, i+1)
+	r.nxt = slices.Delete(r.nxt, i, i+1)
+	r.bcur = slices.Delete(r.bcur, i, i+1)
+	r.bnxt = slices.Delete(r.bnxt, i, i+1)
+	r.reslot(i)
+	r.metrics.Leaves++
+	r.metrics.MinNodes = min(r.metrics.MinNodes, len(r.idvec))
+}
+
+// reslot rebuilds the id -> slot map for the table from slot i on,
+// after a shift.
+func (r *TypedRunner[P, M]) reslot(i int) {
+	for ; i < len(r.idvec); i++ {
+		r.slot[r.idvec[i]] = i
 	}
-	workers := r.cfg.Workers
-	if workers > nn {
-		workers = nn
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= nn {
-					return
-				}
-				func() {
-					defer func() { panics[i] = recover() }()
-					r.sortSlot(i)
-					if r.faulty[i] {
-						return
-					}
-					p := r.procs[i]
-					if r.done[i] || p.Decided() {
-						out[i].decidedBefore = true
-						return
-					}
-					out[i].sends = p.StepTyped(round, r.cur[i].msgs)
-				}()
-			}
-		}()
-	}
-	wg.Wait()
-	for _, p := range panics {
-		if p != nil {
-			panic(p)
-		}
-	}
-	return out
 }

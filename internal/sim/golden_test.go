@@ -1,12 +1,14 @@
 package sim_test
 
-// Golden-trace equality: the flat message plane must reproduce the
-// exact schedule of the original map-based delivery path. The digests
-// below were generated with the pre-refactor runner (PR 1); every
-// refactor of the delivery path must keep them byte-identical, for
-// every protocol, sequential and sharded. The digest covers the full
-// observer trace (every send of every node in every round), the final
-// node outputs and the deterministic metrics fields.
+// Golden-trace equality: the runner core must reproduce the exact
+// schedule of the original map-based delivery path. The digests below
+// were generated with the pre-refactor runner (PR 1); every refactor
+// of the delivery path must keep them byte-identical, for every
+// protocol, on every instantiation of the core the protocol has (boxed
+// payloads always, its wire union where one exists), sequential and
+// sharded. The digest covers the full observer trace (every send of
+// every node in every round), the final node outputs and the
+// deterministic metrics fields.
 
 import (
 	"fmt"
@@ -20,27 +22,29 @@ import (
 	"idonly/internal/sim"
 )
 
-// digestRun executes one system and returns an FNV-1a 64 digest of its
-// observer trace, final outputs (in construction order) and metrics.
-// Metrics.InboxGrows-style allocation diagnostics must not be included:
-// the digest pins the schedule, not the allocator.
-func digestRun(workers, maxRounds int, stopDecided bool, build buildFn) string {
+// digestRun plays one workload and returns an FNV-1a 64 digest of its
+// observer trace, final outputs (in construction order) and metrics —
+// the decided rounds, or the churn gauges for a workload that says so
+// (the churn schedules were pinned with the one, the protocol traces
+// with the other). Metrics.InboxGrows-style allocation diagnostics
+// must not be included: the digest pins the schedule, not the
+// allocator.
+func digestRun(w workload, workers int, play playFn) string {
 	h := fnv.New64a()
-	cfg := sim.Config{
-		MaxRounds:          maxRounds,
-		StopWhenAllDecided: stopDecided,
-		Workers:            workers,
-		Observer: func(round int, from ids.ID, sends []sim.Send) {
-			fmt.Fprintf(h, "r%d %d %v\n", round, from, sends)
-		},
-	}
-	run, procs := build(cfg)
-	m := run.Run(nil)
-	for _, p := range procs {
+	s := w.sys()
+	m := play(w.config(workers, func(round int, from ids.ID, sends []sim.Send) {
+		fmt.Fprintf(h, "r%d %d %v\n", round, from, sends)
+	}), s)
+	for _, p := range s.all() {
 		fmt.Fprintf(h, "out %d %v\n", p.ID(), p.Output())
 	}
-	fmt.Fprintf(h, "rounds=%d delivered=%d dropped=%d byround=%v\n",
+	fmt.Fprintf(h, "rounds=%d delivered=%d dropped=%d byround=%v",
 		m.Rounds, m.MessagesDelivered, m.MessagesDropped, m.ByRound)
+	if w.gauges {
+		fmt.Fprintf(h, " joins=%d leaves=%d peak=%d min=%d\n", m.Joins, m.Leaves, m.PeakNodes, m.MinNodes)
+		return fmt.Sprintf("%016x", h.Sum64())
+	}
+	fmt.Fprintln(h)
 	decided := make([]ids.ID, 0, len(m.DecidedRound))
 	for id := range m.DecidedRound {
 		decided = append(decided, id)
@@ -52,42 +56,41 @@ func digestRun(workers, maxRounds int, stopDecided bool, build buildFn) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-var goldenTraces = []struct {
-	name        string
-	maxRounds   int
-	stopDecided bool
-	build       buildFn
-	want        string // pre-refactor digest; schedule is frozen
-}{
-	{"rbroadcast", 12, false, buildRBroadcast, "1bad0a01badaf2ce"},
-	{"consensus", 200, true, buildConsensus, "ec3f075f199dedbe"},
-	{"approx", 14, true, buildApprox, "7d219c58c70685ee"},
-	{"rotor", 130, true, buildRotor, "5cc3812bca1d2cdf"},
-	{"parallel", 400, true, buildParallel, "c682e4c6b2f34794"},
-	{"dynamic", 40, false, buildDynamic, "49ac5e06f84637ce"},
+// golden pins a workload's digest; the schedule is frozen.
+type golden struct {
+	workload
+	want string
+}
+
+// goldenTraces are the protocol workloads' pre-refactor digests.
+var goldenTraces = []golden{
+	{rbroadcastWorkload, "1bad0a01badaf2ce"},
+	{consensusWorkload, "ec3f075f199dedbe"},
+	{approxWorkload, "7d219c58c70685ee"},
+	{rotorWorkload, "5cc3812bca1d2cdf"},
+	{parallelWorkload, "c682e4c6b2f34794"},
+	{dynamicWorkload, "49ac5e06f84637ce"},
 }
 
 func TestGoldenTraces(t *testing.T) {
 	for _, tc := range goldenTraces {
-		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
-				got := digestRun(workers, tc.maxRounds, tc.stopDecided, tc.build)
-				if got != tc.want {
-					t.Fatalf("schedule changed: digest %s, golden %s", got, tc.want)
-				}
-			})
+		for name, play := range tc.instantiations() {
+			for _, workers := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s/%s/workers=%d", tc.name, name, workers), func(t *testing.T) {
+					if got := digestRun(tc.workload, workers, play); got != tc.want {
+						t.Fatalf("schedule changed: digest %s, golden %s", got, tc.want)
+					}
+				})
+			}
 		}
 	}
 }
 
-// churnHeavyDigest runs a churn-saturated dynamic-ordering system —
-// three staggered correct joiners, two graceful leavers, a late faulty
-// join and two mid-run faulty removals, under an event-equivocating
-// adversary — and digests its full schedule, outputs and metrics
-// (including the churn gauges). The removals fire through Run's stop
-// callback, which the plain digestRun helper cannot express.
-func churnHeavyDigest(workers int) string {
-	h := fnv.New64a()
+// churnHeavySystem is a churn-saturated dynamic-ordering system — three
+// staggered correct joiners, two graceful leavers, a late faulty join
+// and two mid-run faulty removals, under an event-equivocating
+// adversary.
+func churnHeavySystem() system {
 	rng := ids.NewRand(77)
 	all := ids.Sparse(rng, 12)
 	correct := all[:7]
@@ -95,7 +98,9 @@ func churnHeavyDigest(workers int) string {
 	lateFaulty := all[9]
 	joinerIDs := all[10:]
 
-	var procs []sim.Process
+	s := system{faulty: faulty, adv: adversary.DynEquivEvent{All: all[:9], Every: 2},
+		fjoins:   map[int]ids.ID{8: lateFaulty},
+		removals: map[int]ids.ID{25: faulty[0], 35: lateFaulty}}
 	for i, id := range correct {
 		witness := make(map[int][]string)
 		for r := 1; r <= 60; r++ {
@@ -110,48 +115,47 @@ func churnHeavyDigest(workers int) string {
 		case len(correct) - 2:
 			leaveAt = 20
 		}
-		procs = append(procs, dynamic.New(dynamic.Config{ID: id, Founders: all[:9], Witness: witness, LeaveAt: leaveAt}))
+		s.procs = append(s.procs, dynamic.New(dynamic.Config{ID: id, Founders: all[:9], Witness: witness, LeaveAt: leaveAt}))
 	}
-	cfg := sim.Config{
-		MaxRounds: 60,
-		Workers:   workers,
-		Observer: func(round int, from ids.ID, sends []sim.Send) {
-			fmt.Fprintf(h, "r%d %d %v\n", round, from, sends)
-		},
-	}
-	run := sim.NewRunner(cfg, procs, faulty, adversary.DynEquivEvent{All: all[:9], Every: 2})
 	for i, id := range joinerIDs {
-		joiner := dynamic.New(dynamic.Config{ID: id})
-		run.ScheduleJoin(5+5*i, joiner)
-		procs = append(procs, joiner)
+		s.joins = append(s.joins, join{5 + 5*i, dynamic.New(dynamic.Config{ID: id})})
 	}
-	run.ScheduleFaultyJoin(8, lateFaulty)
-	removals := map[int]ids.ID{25: faulty[0], 35: lateFaulty}
-	m := run.Run(func(round int) bool {
-		if id, ok := removals[round]; ok {
-			run.RemoveFaulty(id)
-		}
-		return false
-	})
-	for _, p := range procs {
-		fmt.Fprintf(h, "out %d %v\n", p.ID(), p.Output())
-	}
-	fmt.Fprintf(h, "rounds=%d delivered=%d dropped=%d byround=%v joins=%d leaves=%d peak=%d min=%d\n",
-		m.Rounds, m.MessagesDelivered, m.MessagesDropped, m.ByRound,
-		m.Joins, m.Leaves, m.PeakNodes, m.MinNodes)
-	return fmt.Sprintf("%016x", h.Sum64())
+	return s
 }
 
-// goldenChurn pins the churn-heavy schedule; joins, leaves and faulty
-// removals must replay bit-identically under the sharded round path.
-const goldenChurn = "94493272edd150e2"
+// churnConsensusSystem is the golden consensus system with its faulty
+// membership churned: one of the four faulty nodes is held back and
+// joins at round 3, a founding faulty node is removed after round 4
+// and the late one after round 7 (the run takes 12 rounds).
+func churnConsensusSystem() system {
+	s := consensusSystem()
+	early, late := s.faulty[:3], s.faulty[3]
+	s.faulty = early
+	s.fjoins = map[int]ids.ID{3: late}
+	s.removals = map[int]ids.ID{4: early[0], 7: late}
+	return s
+}
+
+// The churn schedules are pinned: joins, leaves and faulty removals
+// must replay bit-identically on every instantiation, sequential and
+// sharded. The dynamic digest was generated when churn landed (PR 3);
+// the consensus one on the boxed Runner of the last commit that still
+// had a second delivery plane, whose wire-union runner had no churn.
+var goldenChurn = []golden{
+	{workload{"churn-dynamic", 60, false, churnHeavySystem, nil, true}, "94493272edd150e2"},
+	{workload{"churn-consensus", 200, true, churnConsensusSystem, consensusWorkload.typed, true}, "82e6cdb6213a32f9"},
+}
 
 func TestGoldenChurnSchedule(t *testing.T) {
-	seq := churnHeavyDigest(1)
-	if par := churnHeavyDigest(4); par != seq {
-		t.Fatalf("churn schedule diverged between workers=1 (%s) and workers=4 (%s)", seq, par)
-	}
-	if seq != goldenChurn {
-		t.Fatalf("churn schedule changed: digest %s, golden %s", seq, goldenChurn)
+	for _, tc := range goldenChurn {
+		for name, play := range tc.instantiations() {
+			for _, workers := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s/%s/workers=%d", tc.name, name, workers), func(t *testing.T) {
+					if got := digestRun(tc.workload, workers, play); got != tc.want {
+						t.Fatalf("churn schedule changed: digest %s, golden %s", got, tc.want)
+					}
+				})
+			}
+		}
 	}
 }

@@ -1,7 +1,7 @@
-// The delivery plane both runners share: the per-recipient lane with
-// its run sort, and the source-keyed duplicate filter. Runner (sim.go)
-// instantiates them over boxed payloads, TypedRunner (generic.go) over
-// a protocol's concrete wire type; there is one sort and one filter.
+// The delivery plane under the runner core (generic.go): the
+// per-recipient lane with its run sort, and the source-keyed duplicate
+// filter, each generic over the payload type the core is instantiated
+// with.
 package sim
 
 import (
@@ -32,7 +32,13 @@ type laneBuf[M any] struct {
 	keys []keyRef
 }
 
-// inboxBuf is the boxed lane of the reference plane and of faulty slots.
+// newLane returns an empty lane with room for c entries.
+func newLane[M any](c int) laneBuf[M] {
+	return laneBuf[M]{make([]MsgT[M], 0, c), make([]keyRef, 0, c)}
+}
+
+// inboxBuf is the boxed lane: every slot's on the boxed instantiation,
+// the faulty slots' on any (the Adversary interface consumes []Message).
 type inboxBuf = laneBuf[any]
 
 // insertionShiftsPerEntry bounds the straight insertion sort of one

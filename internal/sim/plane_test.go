@@ -1,6 +1,6 @@
 package sim
 
-// Differential tests of the two mechanisms both runners share
+// Differential tests of the two mechanisms under the runner core
 // (plane.go), each against a naive model that lives only here: the
 // source-keyed duplicate filter against a map keyed by (to, from,
 // payload), and the run sort against sort.Sort over the whole inbox.
@@ -61,8 +61,9 @@ type naiveDelivery struct {
 	payload  any
 }
 
-// TestFilterMatchesNaiveModel runs seeded schedules through the
-// reference Runner and through the model the paper states — a message
+// TestFilterMatchesNaiveModel runs seeded schedules through the boxed
+// Runner (the pool mixes registered and unregistered payload types, so
+// no wire union holds it) and through the model the paper states — a message
 // is dropped exactly when the same (to, from, payload) was already
 // delivered this round — and compares the counters and every inbox.
 // The sizes cross the filter's regimes: all-vec (5), inline word with

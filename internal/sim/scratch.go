@@ -1,8 +1,8 @@
 // Scratch-retention bounds: what a flood round may pin, and for how
 // long.
 //
-// The runner's per-round scratch — the double-buffered sort-key arenas,
-// the intern table, the duplicate-filter map — grows to the largest
+// The runner's per-round scratch — the double-buffered sort-key arenas
+// and the duplicate-filter map — grows to the largest
 // round it ever served and used to stay that size for the rest of the
 // process. For a short-lived `idonly-bench` run that is fine; for a
 // resident `idonly-serve` process a single 100k-node sweep would leave
@@ -28,12 +28,6 @@ const (
 	// 128-byte vec chunk, ≈250 bytes, so the floor keeps about half a
 	// megabyte, as the per-delivery filter's 8192 entries did.
 	filterRetainFloor = 1 << 11
-
-	// internRetainMax caps the sort-key intern table. It is monotone by
-	// design (one entry per distinct key per run), so a chaos/flood run
-	// that manufactures unbounded distinct keys is the only way past
-	// the cap — at which point the table is dropped and re-warmed.
-	internRetainMax = 1 << 16
 
 	// scratchSlack is the capacity-to-usage ratio above which scratch
 	// counts as oversized and is released at the next flip.

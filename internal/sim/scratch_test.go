@@ -1,10 +1,11 @@
 package sim
 
 // Scratch-retention bounds (scratch.go): one flood round must not pin
-// its peak arena, duplicate-filter table or intern map for the rest of
-// a long run. These are allocator tests, so they live inside the
-// package and inspect the runner's buffers directly — nothing here is
-// observable through digests or canonical reports.
+// its peak arena or duplicate-filter table for the rest of a long run,
+// on either instantiation of the core. These are allocator tests, so
+// they live inside the package and inspect the runner's buffers
+// directly — nothing here is observable through digests or canonical
+// reports.
 
 import (
 	"fmt"
@@ -45,6 +46,8 @@ func TestScratchGaugeTracksHighWater(t *testing.T) {
 }
 
 // bigKeyPayload renders a sort key of pad+O(1) bytes, unique per seq.
+// It is registered, so it serves as a boxed payload and as the typed
+// instantiation's wire type.
 type bigKeyPayload struct {
 	seq int
 	pad int
@@ -61,8 +64,14 @@ func (p bigKeyPayload) AppendSortKey(dst []byte) []byte {
 	return append(dst, '}')
 }
 
+var bigKeyCodec = Codec[bigKeyPayload]{
+	Wrap:   func(p any) (bigKeyPayload, bool) { v, ok := p.(bigKeyPayload); return v, ok },
+	Unwrap: func(m bigKeyPayload) any { return m },
+}
+
 // floodProc broadcasts perRound distinct payloads for the first
-// floodRounds rounds, then goes quiet.
+// floodRounds rounds, then goes quiet. It steps on either
+// instantiation.
 type floodProc struct {
 	id          ids.ID
 	floodRounds int
@@ -73,36 +82,43 @@ type floodProc struct {
 func (p *floodProc) ID() ids.ID    { return p.id }
 func (p *floodProc) Decided() bool { return false }
 func (p *floodProc) Output() any   { return nil }
-func (p *floodProc) Step(round int, _ []Message) []Send {
+func (p *floodProc) StepTyped(round int, _ []MsgT[bigKeyPayload]) []SendT[bigKeyPayload] {
 	if round > p.floodRounds {
 		return nil
 	}
-	out := make([]Send, 0, p.perRound)
+	out := make([]SendT[bigKeyPayload], 0, p.perRound)
 	for i := 0; i < p.perRound; i++ {
 		seq := int(p.id)*1_000_000 + round*10_000 + i
-		out = append(out, BroadcastPayload(bigKeyPayload{seq: seq, pad: p.pad}))
+		out = append(out, BroadcastT(bigKeyPayload{seq: seq, pad: p.pad}))
+	}
+	return out
+}
+func (p *floodProc) Step(round int, _ []Message) []Send {
+	var out []Send
+	for _, s := range p.StepTyped(round, nil) {
+		out = append(out, BroadcastPayload(s.Payload))
 	}
 	return out
 }
 
-func floodRunner(nProcs, floodRounds, perRound, pad int) (*Runner, []Process) {
-	var procs []Process
+// floodRunners builds the same flood system on the boxed and on the
+// typed instantiation.
+func floodRunners(nProcs, floodRounds, perRound, pad int) (*TypedRunner[boxedProc, any], *TypedRunner[*floodProc, bigKeyPayload]) {
+	var boxed []Process
+	var typed []*floodProc
 	for i := 0; i < nProcs; i++ {
-		procs = append(procs, &floodProc{id: ids.ID(i + 1), floodRounds: floodRounds, perRound: perRound, pad: pad})
+		boxed = append(boxed, &floodProc{id: ids.ID(i + 1), floodRounds: floodRounds, perRound: perRound, pad: pad})
+		typed = append(typed, &floodProc{id: ids.ID(i + 1), floodRounds: floodRounds, perRound: perRound, pad: pad})
 	}
-	return NewRunner(Config{MaxRounds: 1 << 20}, procs, nil, nil), procs
+	cfg := Config{MaxRounds: 1 << 20}
+	return NewRunner(cfg, boxed, nil, nil).TypedRunner, NewTypedRunner(cfg, typed, nil, nil, bigKeyCodec)
 }
 
-func TestRunnerArenaShrinksAfterFlood(t *testing.T) {
-	// 4 procs x 4 sends x 16KiB keys = ~256KiB of arena per flood round.
-	r, _ := floodRunner(4, 3, 4, 16<<10)
+func arenaShrinksAfterFlood[P ProcessT[M], M comparable](t *testing.T, r *TypedRunner[P, M]) {
 	for i := 0; i < 3; i++ {
 		r.StepRound()
 	}
-	peak := cap(r.curArena)
-	if c := cap(r.nxtArena); c > peak {
-		peak = c
-	}
+	peak := max(cap(r.curArena), cap(r.nxtArena))
 	if peak < 4*arenaRetainFloor {
 		t.Fatalf("flood arena peaked at %d, too small to exercise the trim (floor %d)", peak, arenaRetainFloor)
 	}
@@ -116,12 +132,14 @@ func TestRunnerArenaShrinksAfterFlood(t *testing.T) {
 	}
 }
 
-func TestRunnerDedupAndInternShrinkAfterFlood(t *testing.T) {
-	// The filter counts sources, not deliveries: 4 procs x 1200 distinct
-	// broadcasts = 4800 filter entries per round (19200 deliveries),
-	// above filterRetainFloor; the 4800 distinct interned keys per round
-	// cross internRetainMax within the flood.
-	r, _ := floodRunner(4, 30, 1200, 4)
+func TestRunnerArenaShrinksAfterFlood(t *testing.T) {
+	// 4 procs x 4 sends x 16KiB keys = ~256KiB of arena per flood round.
+	boxed, typed := floodRunners(4, 3, 4, 16<<10)
+	t.Run("boxed", func(t *testing.T) { arenaShrinksAfterFlood(t, boxed) })
+	t.Run("typed", func(t *testing.T) { arenaShrinksAfterFlood(t, typed) })
+}
+
+func dedupShrinksAfterFlood[P ProcessT[M], M comparable](t *testing.T, r *TypedRunner[P, M]) {
 	for i := 0; i < 30; i++ {
 		r.StepRound()
 	}
@@ -141,74 +159,13 @@ func TestRunnerDedupAndInternShrinkAfterFlood(t *testing.T) {
 	if c := cap(r.filter.sets); c >= floodSets/2 {
 		t.Fatalf("%d pooled recipient sets retained after 60 quiet rounds (flood pooled %d)", c, floodSets)
 	}
-	if n := len(r.intern); n > internRetainMax {
-		t.Fatalf("intern map holds %d keys, cap is %d", n, internRetainMax)
-	}
 }
 
-// typedFloodWire is bigKeyPayload for the typed plane.
-type typedFloodWire struct {
-	Seq int
-	Pad int
-}
-
-func (w typedFloodWire) SortKeyOrdinal() uint32 { return ordScratchTest + 1 }
-func (w typedFloodWire) AppendSortKey(dst []byte) []byte {
-	dst = append(dst, fmt.Sprintf("{%d ", w.Seq)...)
-	for i := 0; i < w.Pad; i++ {
-		dst = append(dst, 'x')
-	}
-	return append(dst, '}')
-}
-
-type typedFloodProc struct {
-	id          ids.ID
-	floodRounds int
-	perRound    int
-	pad         int
-}
-
-func (p *typedFloodProc) ID() ids.ID    { return p.id }
-func (p *typedFloodProc) Decided() bool { return false }
-func (p *typedFloodProc) Output() any   { return nil }
-func (p *typedFloodProc) StepTyped(round int, _ []MsgT[typedFloodWire]) []SendT[typedFloodWire] {
-	if round > p.floodRounds {
-		return nil
-	}
-	out := make([]SendT[typedFloodWire], 0, p.perRound)
-	for i := 0; i < p.perRound; i++ {
-		seq := int(p.id)*1_000_000 + round*10_000 + i
-		out = append(out, BroadcastT(typedFloodWire{Seq: seq, Pad: p.pad}))
-	}
-	return out
-}
-
-func TestTypedRunnerArenaShrinksAfterFlood(t *testing.T) {
-	var procs []*typedFloodProc
-	for i := 0; i < 4; i++ {
-		procs = append(procs, &typedFloodProc{id: ids.ID(i + 1), floodRounds: 3, perRound: 4, pad: 16 << 10})
-	}
-	codec := Codec[typedFloodWire]{
-		Wrap:   func(p any) (typedFloodWire, bool) { v, ok := p.(typedFloodWire); return v, ok },
-		Unwrap: func(m typedFloodWire) any { return m },
-	}
-	r := NewTypedRunner(Config{MaxRounds: 1 << 20}, procs, nil, nil, codec)
-	for i := 0; i < 3; i++ {
-		r.StepRound()
-	}
-	peak := cap(r.curArena)
-	if c := cap(r.nxtArena); c > peak {
-		peak = c
-	}
-	if peak < 4*arenaRetainFloor {
-		t.Fatalf("flood arena peaked at %d, too small to exercise the trim (floor %d)", peak, arenaRetainFloor)
-	}
-	for i := 0; i < 60; i++ {
-		r.StepRound()
-	}
-	for _, c := range []int{cap(r.curArena), cap(r.nxtArena)} {
-		if c >= peak/2 {
-			t.Fatalf("typed arena capacity %d retained after 60 quiet rounds (flood peak %d)", c, peak)
-		}
-	}
+func TestRunnerDedupShrinksAfterFlood(t *testing.T) {
+	// The filter counts sources, not deliveries: 4 procs x 1200 distinct
+	// broadcasts = 4800 filter entries per round (19200 deliveries),
+	// above filterRetainFloor.
+	boxed, typed := floodRunners(4, 30, 1200, 4)
+	t.Run("boxed", func(t *testing.T) { dedupShrinksAfterFlood(t, boxed) })
+	t.Run("typed", func(t *testing.T) { dedupShrinksAfterFlood(t, typed) })
 }

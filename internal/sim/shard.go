@@ -18,39 +18,33 @@ import (
 )
 
 // stepOut is the precomputed outcome of one correct process's Step.
-type stepOut struct {
-	sends         []Send
+type stepOut[M any] struct {
+	sends         []SendT[M]
 	decidedBefore bool // process had decided before this round; Step not called
 }
 
 // shardSteps fans the Step calls of all correct, undecided processes in
 // the node table across cfg.Workers goroutines and returns their
-// outboxes indexed by table slot. Faulty slots are left zero (the
-// adversary is stepped sequentially by the caller). Every inbox —
-// including the faulty nodes' — is sorted here, so the caller must not
-// sort again. Work is handed out via an atomic counter rather than
-// fixed chunks, so uneven per-node costs (one slow protocol instance)
-// do not stall a whole shard. The result and panic buffers are pooled
-// on the Runner and reused every round.
-func (r *Runner) shardSteps(round int) []stepOut {
-	nn := len(r.nodes)
+// outboxes indexed by slot. Faulty slots are left zero (the adversary
+// is stepped sequentially by the caller). Every inbox — including the
+// faulty nodes' — is sorted here, so the caller must not sort again.
+// Work is handed out via an atomic counter rather than fixed chunks, so
+// uneven per-node costs (one slow protocol instance) do not stall a
+// whole shard. The result and panic buffers are pooled on the runner
+// and reused every round.
+func (r *TypedRunner[P, M]) shardSteps(round int) []stepOut[M] {
+	nn := len(r.idvec)
 	if cap(r.pre) < nn {
-		r.pre = make([]stepOut, nn)
+		r.pre = make([]stepOut[M], nn)
 		r.panics = make([]any, nn)
 	}
 	out := r.pre[:nn]
 	panics := r.panics[:nn]
 	for i := range out {
-		out[i] = stepOut{}
+		out[i] = stepOut[M]{}
 		panics[i] = nil
 	}
-	workers := r.cfg.Workers
-	if workers > nn {
-		workers = nn
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(min(r.cfg.Workers, nn), 1)
 	// A Step panic (the protocols panic on invariant violations) must
 	// not die on a shard goroutine — an unrecovered goroutine panic
 	// aborts the whole process and callers like the engine rely on
@@ -69,17 +63,16 @@ func (r *Runner) shardSteps(round int) []stepOut {
 				}
 				func() {
 					defer func() { panics[i] = recover() }()
-					n := &r.nodes[i]
-					n.cur.sort(r.curArena)
-					if n.faulty {
+					r.sortSlot(i)
+					if r.faulty[i] {
 						return
 					}
-					p := n.proc
-					if p.Decided() {
+					p := r.procs[i]
+					if r.done[i] || p.Decided() {
 						out[i].decidedBefore = true
 						return
 					}
-					out[i].sends = p.Step(round, n.cur.msgs)
+					out[i].sends = p.StepTyped(round, r.cur[i].msgs)
 				}()
 			}
 		}()

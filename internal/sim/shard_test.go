@@ -1,9 +1,9 @@
 package sim_test
 
 // Determinism of the sharded round fast path: for every core protocol,
-// a run with Config.Workers = 8 must be bit-identical to the sequential
-// run — same metrics, same per-round observer trace, same final node
-// outputs.
+// on every instantiation of the runner core it has, a run with
+// Config.Workers = 8 must be bit-identical to the sequential run —
+// same metrics, same per-round observer trace, same final node outputs.
 
 import (
 	"fmt"
@@ -16,48 +16,132 @@ import (
 	"idonly/internal/core/dynamic"
 	"idonly/internal/core/parallel"
 	"idonly/internal/core/rbroadcast"
+	"idonly/internal/core/ring"
 	"idonly/internal/core/rotor"
 	"idonly/internal/ids"
 	"idonly/internal/sim"
 )
 
-// trace runs one system and returns its observer trace, final outputs
-// (in increasing id order) and metrics.
-type buildFn func(cfg sim.Config) (*sim.Runner, []sim.Process)
+// runner is what the schedule tests need of either instantiation of the
+// core: *sim.Runner and every *sim.TypedRunner[P, M] satisfy it.
+type runner interface {
+	Run(stop func(round int) bool) sim.Metrics
+	ScheduleFaultyJoin(round int, id ids.ID)
+	RemoveFaulty(id ids.ID)
+}
 
-func runTraced(t *testing.T, workers int, maxRounds int, stopDecided bool, build buildFn) (string, string, sim.Metrics) {
-	t.Helper()
-	var tr []string
-	cfg := sim.Config{
-		MaxRounds:          maxRounds,
-		StopWhenAllDecided: stopDecided,
-		Workers:            workers,
-		Observer: func(round int, from ids.ID, sends []sim.Send) {
-			tr = append(tr, fmt.Sprintf("r%d %d %v", round, from, sends))
-		},
+// system is one workload before it is put on a runner: the founding
+// processes (freshly constructed — a system runs once), the faulty ids
+// and their adversary, and the membership changes of the run. The
+// golden tests put it on the core's instantiations; naive_test.go
+// interprets it directly.
+type system struct {
+	procs    []sim.Process
+	faulty   []ids.ID // present from round 1
+	adv      sim.Adversary
+	joins    []join         // correct joiners, in construction order
+	fjoins   map[int]ids.ID // faulty joiners by round
+	removals map[int]ids.ID // faulty node removed after the given round
+}
+
+type join struct {
+	round int
+	proc  sim.Process
+}
+
+// all lists every correct process of the run in construction order:
+// founders, then joiners.
+func (s system) all() []sim.Process {
+	out := append([]sim.Process(nil), s.procs...)
+	for _, j := range s.joins {
+		out = append(out, j.proc)
 	}
-	run, procs := build(cfg)
-	m := run.Run(nil)
+	return out
+}
+
+// playFn runs a system to completion under a config and returns the
+// run's metrics: the core's instantiations (on) and the naive model
+// (naive_test.go) are each one.
+type playFn func(cfg sim.Config, s system) sim.Metrics
+
+// on plays a system on the runner mk builds for it: faulty joins are
+// scheduled up front, removals fire through Run's stop callback
+// (membership must not change mid-round).
+func on(mk func(sim.Config, system) runner) playFn {
+	return func(cfg sim.Config, s system) sim.Metrics {
+		run := mk(cfg, s)
+		for round, id := range s.fjoins {
+			run.ScheduleFaultyJoin(round, id)
+		}
+		return run.Run(func(round int) bool {
+			if id, ok := s.removals[round]; ok {
+				run.RemoveFaulty(id)
+			}
+			return false
+		})
+	}
+}
+
+// boxed plays a system on the boxed instantiation.
+var boxed = on(func(cfg sim.Config, s system) runner {
+	run := sim.NewRunner(cfg, s.procs, s.faulty, s.adv)
+	for _, j := range s.joins {
+		run.ScheduleJoin(j.round, j.proc)
+	}
+	return run
+})
+
+// typedOver plays a system whose processes are all P on the core
+// instantiated over P's wire union. No protocol with a wire union has
+// a join discipline, so there are no correct joiners to schedule.
+func typedOver[P sim.ProcessT[M], M sim.WireMsg](codec sim.Codec[M]) playFn {
+	return on(func(cfg sim.Config, s system) runner {
+		procs := make([]P, len(s.procs))
+		for i, p := range s.procs {
+			procs[i] = p.(P)
+		}
+		return sim.NewTypedRunner(cfg, procs, s.faulty, s.adv, codec)
+	})
+}
+
+// workload is a named system with its run limits and, where the
+// protocol has a wire union, the typed instantiation to put it on.
+type workload struct {
+	name        string
+	maxRounds   int
+	stopDecided bool
+	sys         func() system
+	typed       playFn // nil: no wire union
+	gauges      bool   // digests cover the churn gauges instead of the decided rounds
+}
+
+// instantiations lists the runners a workload plays on: boxed always,
+// typed where it has one.
+func (w workload) instantiations() map[string]playFn {
+	m := map[string]playFn{"boxed": boxed}
+	if w.typed != nil {
+		m["typed"] = w.typed
+	}
+	return m
+}
+
+func (w workload) config(workers int, obs sim.Observer) sim.Config {
+	return sim.Config{MaxRounds: w.maxRounds, StopWhenAllDecided: w.stopDecided, Workers: workers, Observer: obs}
+}
+
+// runTraced runs one workload and returns its observer trace, final
+// outputs (in construction order) and metrics.
+func runTraced(w workload, workers int, play playFn) (string, string, sim.Metrics) {
+	var tr []string
+	s := w.sys()
+	m := play(w.config(workers, func(round int, from ids.ID, sends []sim.Send) {
+		tr = append(tr, fmt.Sprintf("r%d %d %v", round, from, sends))
+	}), s)
 	var outs []string
-	for _, p := range procs {
+	for _, p := range s.all() {
 		outs = append(outs, fmt.Sprintf("%d=%v", p.ID(), p.Output()))
 	}
 	return fmt.Sprint(tr), fmt.Sprint(outs), m
-}
-
-func checkShardMatchesSequential(t *testing.T, maxRounds int, stopDecided bool, build buildFn) {
-	t.Helper()
-	seqTrace, seqOut, seqM := runTraced(t, 1, maxRounds, stopDecided, build)
-	parTrace, parOut, parM := runTraced(t, 8, maxRounds, stopDecided, build)
-	if seqTrace != parTrace {
-		t.Fatalf("observer trace diverged between workers=1 and workers=8:\nseq: %.400s\npar: %.400s", seqTrace, parTrace)
-	}
-	if seqOut != parOut {
-		t.Fatalf("final outputs diverged:\nseq: %s\npar: %s", seqOut, parOut)
-	}
-	if !reflect.DeepEqual(seqM, parM) {
-		t.Fatalf("metrics diverged:\nseq: %+v\npar: %+v", seqM, parM)
-	}
 }
 
 func split(rng *ids.Rand, n, f int) (all, correct, faulty []ids.ID) {
@@ -65,51 +149,37 @@ func split(rng *ids.Rand, n, f int) (all, correct, faulty []ids.ID) {
 	return all, all[:n-f], all[n-f:]
 }
 
-// The named builders below are shared with the golden-trace tests
-// (golden_test.go), which pin the exact schedule these systems produce.
+// The workloads below are shared with the golden-trace tests
+// (golden_test.go), which pin the exact schedule they produce.
 
-func buildRBroadcast(cfg sim.Config) (*sim.Runner, []sim.Process) {
+func rbroadcastSystem() system {
 	_, correct, faulty := split(ids.NewRand(11), 13, 4)
 	var procs []sim.Process
 	for i, id := range correct {
 		procs = append(procs, rbroadcast.New(id, i == 0, "m"))
 	}
-	return sim.NewRunner(cfg, procs, faulty, adversary.Replay{}), procs
+	return system{procs: procs, faulty: faulty, adv: adversary.Replay{}}
 }
 
-func TestShardedReliableBroadcast(t *testing.T) {
-	checkShardMatchesSequential(t, 12, false, buildRBroadcast)
-}
-
-func buildConsensus(cfg sim.Config) (*sim.Runner, []sim.Process) {
+func consensusSystem() system {
 	all, correct, faulty := split(ids.NewRand(12), 13, 4)
 	var procs []sim.Process
 	for i, id := range correct {
 		procs = append(procs, consensus.New(id, float64(i%2)))
 	}
-	adv := adversary.ConsSplit{X1: 0, X2: 1, All: all}
-	return sim.NewRunner(cfg, procs, faulty, adv), procs
+	return system{procs: procs, faulty: faulty, adv: adversary.ConsSplit{X1: 0, X2: 1, All: all}}
 }
 
-func TestShardedConsensus(t *testing.T) {
-	checkShardMatchesSequential(t, 200, true, buildConsensus)
-}
-
-func buildApprox(cfg sim.Config) (*sim.Runner, []sim.Process) {
+func approxSystem() system {
 	all, correct, faulty := split(ids.NewRand(13), 10, 3)
 	var procs []sim.Process
 	for i, id := range correct {
 		procs = append(procs, approx.NewIterated(id, float64(i*10), 8))
 	}
-	adv := adversary.ApproxOutlier{Low: -1e6, High: 1e6, All: all}
-	return sim.NewRunner(cfg, procs, faulty, adv), procs
+	return system{procs: procs, faulty: faulty, adv: adversary.ApproxOutlier{Low: -1e6, High: 1e6, All: all}}
 }
 
-func TestShardedApprox(t *testing.T) {
-	checkShardMatchesSequential(t, 14, true, buildApprox)
-}
-
-func buildRotor(cfg sim.Config) (*sim.Runner, []sim.Process) {
+func rotorSystem() system {
 	all, correct, faulty := split(ids.NewRand(14), 13, 4)
 	var procs []sim.Process
 	for i, id := range correct {
@@ -119,14 +189,10 @@ func buildRotor(cfg sim.Config) (*sim.Runner, []sim.Process) {
 	for i, id := range faulty {
 		per[id] = &adversary.RotorHidden{Subset: correct[:1+i%len(correct)], All: all, X1: -1, X2: -2}
 	}
-	return sim.NewRunner(cfg, procs, faulty, adversary.Compose{PerNode: per}), procs
+	return system{procs: procs, faulty: faulty, adv: adversary.Compose{PerNode: per}}
 }
 
-func TestShardedRotor(t *testing.T) {
-	checkShardMatchesSequential(t, 130, true, buildRotor)
-}
-
-func buildParallel(cfg sim.Config) (*sim.Runner, []sim.Process) {
+func parallelSystem() system {
 	all, correct, faulty := split(ids.NewRand(15), 7, 2)
 	var procs []sim.Process
 	for _, id := range correct {
@@ -135,56 +201,12 @@ func buildParallel(cfg sim.Config) (*sim.Runner, []sim.Process) {
 		}
 		procs = append(procs, parallel.NewNode(id, inputs))
 	}
-	adv := adversary.ParaSplit{Pair: 1, X1: parallel.V("a"), X2: parallel.V("b"), All: all}
-	return sim.NewRunner(cfg, procs, faulty, adv), procs
+	return system{procs: procs, faulty: faulty, adv: adversary.ParaSplit{Pair: 1, X1: parallel.V("a"), X2: parallel.V("b"), All: all}}
 }
 
-func TestShardedParallelConsensus(t *testing.T) {
-	checkShardMatchesSequential(t, 400, true, buildParallel)
-}
-
-// panicProc panics in Step at a given round; used to prove a protocol
-// panic inside a shard goroutine re-raises on the caller's goroutine
-// (where it is recoverable) instead of aborting the process.
-type panicProc struct {
-	id      ids.ID
-	atRound int
-}
-
-func (p *panicProc) ID() ids.ID    { return p.id }
-func (p *panicProc) Decided() bool { return false }
-func (p *panicProc) Output() any   { return nil }
-func (p *panicProc) Step(round int, _ []sim.Message) []sim.Send {
-	if round == p.atRound {
-		panic(fmt.Sprintf("proc %d: invariant violated", p.id))
-	}
-	return nil
-}
-
-func TestShardedStepPanicIsRecoverable(t *testing.T) {
-	procs := []sim.Process{
-		&panicProc{id: 1, atRound: 2},
-		&panicProc{id: 2, atRound: 2},
-		&panicProc{id: 3, atRound: 99},
-	}
-	run := sim.NewRunner(sim.Config{MaxRounds: 5, Workers: 8}, procs, nil, nil)
-	defer func() {
-		p := recover()
-		if p == nil {
-			t.Fatal("sharded Step panic did not propagate to the caller")
-		}
-		// The lowest-id panic wins, matching the sequential schedule.
-		if got := fmt.Sprint(p); got != "proc 1: invariant violated" {
-			t.Fatalf("wrong panic propagated: %q", got)
-		}
-	}()
-	run.Run(nil)
-}
-
-// TestShardedDynamicChurn covers joins and Leaver removal under the
-// sharded path: a joiner at round 10, a leaver at round 12, and an
-// event-equivocating adversary.
-func buildDynamic(cfg sim.Config) (*sim.Runner, []sim.Process) {
+// dynamicSystem covers joins and Leaver removal: a joiner at round 10,
+// a leaver at round 12, and an event-equivocating adversary.
+func dynamicSystem() system {
 	all, correct, faulty := split(ids.NewRand(16), 7, 2)
 	var procs []sim.Process
 	for i, id := range correct {
@@ -200,13 +222,94 @@ func buildDynamic(cfg sim.Config) (*sim.Runner, []sim.Process) {
 		}
 		procs = append(procs, dynamic.New(dynamic.Config{ID: id, Founders: all, Witness: witness, LeaveAt: leaveAt}))
 	}
-	run := sim.NewRunner(cfg, procs, faulty, adversary.DynEquivEvent{All: all, Every: 2})
 	joiner := dynamic.New(dynamic.Config{ID: ids.Sparse(ids.NewRand(999), 1)[0]})
-	run.ScheduleJoin(10, joiner)
-	procs = append(procs, joiner)
-	return run, procs
+	return system{procs: procs, faulty: faulty, adv: adversary.DynEquivEvent{All: all, Every: 2},
+		joins: []join{{10, joiner}}}
 }
 
-func TestShardedDynamicChurn(t *testing.T) {
-	checkShardMatchesSequential(t, 40, false, buildDynamic)
+var (
+	rbroadcastWorkload = workload{"rbroadcast", 12, false, rbroadcastSystem, typedOver[*rbroadcast.Node](rbroadcast.WireCodec()), false}
+	consensusWorkload  = workload{"consensus", 200, true, consensusSystem, typedOver[*consensus.Node](consensus.WireCodec()), false}
+	approxWorkload     = workload{"approx", 14, true, approxSystem, nil, false}
+	rotorWorkload      = workload{"rotor", 130, true, rotorSystem, nil, false}
+	parallelWorkload   = workload{"parallel", 400, true, parallelSystem, nil, false}
+	dynamicWorkload    = workload{"dynamic", 40, false, dynamicSystem, nil, false}
+)
+
+// checkShardMatchesSequential holds every instantiation of a workload,
+// sequential and at workers = 8, to the boxed sequential run: same
+// trace, same outputs, same metrics (InboxGrows included — there is
+// one presize policy).
+func checkShardMatchesSequential(t *testing.T, w workload) {
+	seqTrace, seqOut, seqM := runTraced(w, 1, boxed)
+	for name, play := range w.instantiations() {
+		for _, workers := range []int{1, 8} {
+			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
+				parTrace, parOut, parM := runTraced(w, workers, play)
+				if seqTrace != parTrace {
+					t.Fatalf("observer trace diverged from boxed/workers=1:\nseq: %.400s\npar: %.400s", seqTrace, parTrace)
+				}
+				if seqOut != parOut {
+					t.Fatalf("final outputs diverged:\nseq: %s\npar: %s", seqOut, parOut)
+				}
+				if !reflect.DeepEqual(seqM, parM) {
+					t.Fatalf("metrics diverged:\nseq: %+v\npar: %+v", seqM, parM)
+				}
+			})
+		}
+	}
+}
+
+func TestShardedReliableBroadcast(t *testing.T) { checkShardMatchesSequential(t, rbroadcastWorkload) }
+func TestShardedConsensus(t *testing.T)         { checkShardMatchesSequential(t, consensusWorkload) }
+func TestShardedApprox(t *testing.T)            { checkShardMatchesSequential(t, approxWorkload) }
+func TestShardedRotor(t *testing.T)             { checkShardMatchesSequential(t, rotorWorkload) }
+func TestShardedParallelConsensus(t *testing.T) { checkShardMatchesSequential(t, parallelWorkload) }
+func TestShardedDynamicChurn(t *testing.T)      { checkShardMatchesSequential(t, dynamicWorkload) }
+
+// panicProc panics in its step at a given round; used to prove a
+// protocol panic inside a shard goroutine re-raises on the caller's
+// goroutine (where it is recoverable) instead of aborting the process.
+type panicProc struct {
+	id      ids.ID
+	atRound int
+}
+
+func (p *panicProc) ID() ids.ID    { return p.id }
+func (p *panicProc) Decided() bool { return false }
+func (p *panicProc) Output() any   { return nil }
+func (p *panicProc) Step(round int, _ []sim.Message) []sim.Send {
+	if round == p.atRound {
+		panic(fmt.Sprintf("proc %d: invariant violated", p.id))
+	}
+	return nil
+}
+func (p *panicProc) StepTyped(round int, _ []sim.MsgT[ring.Probe]) []sim.SendT[ring.Probe] {
+	p.Step(round, nil)
+	return nil
+}
+
+func TestShardedStepPanicIsRecoverable(t *testing.T) {
+	w := workload{maxRounds: 5, typed: typedOver[*panicProc](ring.WireCodec()), sys: func() system {
+		return system{procs: []sim.Process{
+			&panicProc{id: 1, atRound: 2},
+			&panicProc{id: 2, atRound: 2},
+			&panicProc{id: 3, atRound: 99},
+		}}
+	}}
+	for name, play := range w.instantiations() {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				p := recover()
+				if p == nil {
+					t.Fatal("sharded Step panic did not propagate to the caller")
+				}
+				// The lowest-id panic wins, matching the sequential schedule.
+				if got := fmt.Sprint(p); got != "proc 1: invariant violated" {
+					t.Fatalf("wrong panic propagated: %q", got)
+				}
+			}()
+			play(w.config(8, nil), w.sys())
+		})
+	}
 }

@@ -3,10 +3,10 @@
 // Every message delivered by the runner needs a deterministic sort key
 // (the inbox order tie-break) and a duplicate-filter identity. The
 // original path derived both from the boxed payload: fmt.Sprint for the
-// key, interface equality for the filter — reflection on every Send.
-// Payload types that implement SortKeyer instead render their own key
-// bytes into a pooled arena and carry a type ordinal, so the hot loop
-// formats nothing and hashes no interface values.
+// key, interface equality for the filter. Payload types that implement
+// SortKeyer instead render their own key bytes into a pooled arena, so
+// the hot loop formats nothing; the filter identity is the payload
+// value itself, on every instantiation of the runner (generic.go).
 //
 // The contract is strict because the schedule is golden-pinned:
 //
@@ -19,23 +19,24 @@
 //     both directions: distinct values render distinct bytes (the
 //     repository's message structs — ints, ids, bools, strings in
 //     last-position-unambiguous layouts — have this), and equal values
-//     render equal bytes. The duplicate filter relies on it: two
-//     payloads of the same type are the same message exactly when
-//     their bytes match. Values where rendering and equality disagree
-//     must not be carried by registered types: NaN (renders equal,
-//     compares unequal) and negative zero (compares equal to +0,
-//     renders "-0") — no protocol or adversary here produces either.
-//   - SortKeyOrdinal must be unique per concrete type (ranges below),
-//     because the filter key is (sender, ordinal, key bytes): two
-//     types whose renderings collide stay distinct messages. Returning
-//     0 opts out of the fast filter for a specific value — wrapper
-//     types (dynamic.SessMsg) do this when their inner payload is
-//     unregistered — while AppendSortKey remains usable for the sort
-//     key.
+//     render equal bytes. It is what lets the filter key on values
+//     where it once keyed on (type ordinal, key bytes): two payloads
+//     of the same type are the same message exactly when their bytes
+//     match. Values where rendering and equality disagree must not be
+//     carried by registered types: NaN (renders equal, compares
+//     unequal) and negative zero (compares equal to +0, renders "-0")
+//     — no protocol or adversary here produces either.
+//   - SortKeyOrdinal must be unique per concrete type (ranges below).
+//     Two types whose renderings collide stay distinct messages
+//     because their values differ in type; the ordinal states that as
+//     a number. No runner code reads it any more — internal/sortkeys
+//     and the sortkey-registry analyzer do — and it goes with the %v
+//     emulation when the goldens are re-pinned. Wrapper types
+//     (dynamic.SessMsg) return 0 when their inner payload is
+//     unregistered.
 //
-// Unregistered payloads keep working: the runner falls back to
-// fmt.Append for their sort key and to interface identity for their
-// duplicate filter, exactly the original semantics.
+// Unregistered payloads keep working: the boxed runner falls back to
+// fmt.Append for their sort key, exactly the original semantics.
 package sim
 
 import "strconv"
@@ -48,9 +49,8 @@ type SortKeyer interface {
 	AppendSortKey(dst []byte) []byte
 
 	// SortKeyOrdinal returns the type's unique ordinal (see the Ord
-	// range constants), or 0 to fall back to interface-identity
-	// deduplication for this value. Wrapper types compose:
-	// outer<<16 | inner.
+	// range constants), or 0 for a wrapper around an unregistered
+	// payload. Wrapper types compose: outer<<16 | inner.
 	SortKeyOrdinal() uint32
 }
 

@@ -1,147 +1,50 @@
 package sim_test
 
-// Bit-identity of the monomorphized plane: for every protocol that
-// implements ProcessT, the TypedRunner must reproduce the exact golden
-// trace digests pinned in golden_test.go — the same observer trace,
-// outputs and deterministic metrics as the interface Runner, sequential
-// and sharded. These tests are the proof obligation behind the engine
-// fast path: if they pass, swapping runners can never change a result.
+// Bit-identity of the two instantiations beyond the pinned goldens
+// (golden_test.go replays those on both): the scale-frontier ring
+// workload held equal across boxed and typed, sequential and sharded,
+// and the duplicate filter keyed on a wire value.
 
 import (
-	"fmt"
-	"hash/fnv"
-	"sort"
 	"testing"
 
-	"idonly/internal/adversary"
-	"idonly/internal/core/consensus"
-	"idonly/internal/core/rbroadcast"
 	"idonly/internal/core/ring"
 	"idonly/internal/ids"
 	"idonly/internal/sim"
 )
 
-// digestTypedRun is digestRun (golden_test.go) on the typed plane: it
-// executes one typed system and digests its observer trace, final
-// outputs (in construction order) and deterministic metrics with the
-// exact same rendering.
-func digestTypedRun[P sim.ProcessT[M], M sim.WireMsg](workers, maxRounds int, stopDecided bool, build func(cfg sim.Config) (*sim.TypedRunner[P, M], []P)) string {
-	h := fnv.New64a()
-	cfg := sim.Config{
-		MaxRounds:          maxRounds,
-		StopWhenAllDecided: stopDecided,
-		Workers:            workers,
-		Observer: func(round int, from ids.ID, sends []sim.Send) {
-			fmt.Fprintf(h, "r%d %d %v\n", round, from, sends)
-		},
-	}
-	run, procs := build(cfg)
-	m := run.Run(nil)
-	for _, p := range procs {
-		fmt.Fprintf(h, "out %d %v\n", p.ID(), p.Output())
-	}
-	fmt.Fprintf(h, "rounds=%d delivered=%d dropped=%d byround=%v\n",
-		m.Rounds, m.MessagesDelivered, m.MessagesDropped, m.ByRound)
-	decided := make([]ids.ID, 0, len(m.DecidedRound))
-	for id := range m.DecidedRound {
-		decided = append(decided, id)
-	}
-	sort.Slice(decided, func(i, j int) bool { return decided[i] < decided[j] })
-	for _, id := range decided {
-		fmt.Fprintf(h, "decided %d r%d\n", id, m.DecidedRound[id])
-	}
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// The typed builders mirror buildRBroadcast / buildConsensus
-// (shard_test.go) value for value — same seeds, same splits, same
-// adversaries — so the pinned interface-plane digests are the oracle.
-
-func buildRBroadcastTyped(cfg sim.Config) (*sim.TypedRunner[*rbroadcast.Node, rbroadcast.Wire], []*rbroadcast.Node) {
-	_, correct, faulty := split(ids.NewRand(11), 13, 4)
-	var procs []*rbroadcast.Node
-	for i, id := range correct {
-		procs = append(procs, rbroadcast.New(id, i == 0, "m"))
-	}
-	return sim.NewTypedRunner(cfg, procs, faulty, adversary.Replay{}, rbroadcast.WireCodec()), procs
-}
-
-func buildConsensusTyped(cfg sim.Config) (*sim.TypedRunner[*consensus.Node, consensus.Wire], []*consensus.Node) {
-	all, correct, faulty := split(ids.NewRand(12), 13, 4)
-	var procs []*consensus.Node
-	for i, id := range correct {
-		procs = append(procs, consensus.New(id, float64(i%2)))
-	}
-	adv := adversary.ConsSplit{X1: 0, X2: 1, All: all}
-	return sim.NewTypedRunner(cfg, procs, faulty, adv, consensus.WireCodec()), procs
-}
-
-// TestTypedGoldenTraces replays the frozen golden digests through the
-// monomorphized runner, sequential and sharded.
-func TestTypedGoldenTraces(t *testing.T) {
-	cases := []struct {
-		name string
-		want string // golden_test.go digest, generated by the reference Runner
-		run  func(workers int) string
-	}{
-		{"rbroadcast", "1bad0a01badaf2ce", func(w int) string {
-			return digestTypedRun(w, 12, false, buildRBroadcastTyped)
-		}},
-		{"consensus", "ec3f075f199dedbe", func(w int) string {
-			return digestTypedRun(w, 200, true, buildConsensusTyped)
-		}},
-	}
-	for _, tc := range cases {
-		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
-				if got := tc.run(workers); got != tc.want {
-					t.Fatalf("typed schedule diverged from reference: digest %s, golden %s", got, tc.want)
-				}
-			})
-		}
-	}
-}
-
-// ringSystems builds the same n-node ring workload on both planes.
-func ringSystems(n int) (build func(cfg sim.Config) (*sim.TypedRunner[*ring.Node, ring.Probe], []*ring.Node), ref buildFn, horizon int) {
+// ringWorkload is the n-node ring flood, on both instantiations.
+func ringWorkload(n int) workload {
 	all := ids.Sparse(ids.NewRand(21), n)
-	horizon = ring.Horizon(n)
-	build = func(cfg sim.Config) (*sim.TypedRunner[*ring.Node, ring.Probe], []*ring.Node) {
-		var procs []*ring.Node
-		for i, id := range all {
-			procs = append(procs, ring.New(id, ring.Successors(all, i), horizon))
-		}
-		return sim.NewTypedRunner(cfg, procs, nil, nil, ring.WireCodec()), procs
-	}
-	ref = func(cfg sim.Config) (*sim.Runner, []sim.Process) {
+	horizon := ring.Horizon(n)
+	return workload{"ring", horizon + 2, true, func() system {
 		var procs []sim.Process
 		for i, id := range all {
 			procs = append(procs, ring.New(id, ring.Successors(all, i), horizon))
 		}
-		return sim.NewRunner(cfg, procs, nil, nil), procs
-	}
-	return build, ref, horizon
+		return system{procs: procs}
+	}, typedOver[*ring.Node](ring.WireCodec()), false}
 }
 
 // TestTypedRingMatchesReference holds the scale-frontier workload
-// byte-equal across the two planes at n=1000, sequential and sharded —
-// the sim-level half of the engine's large-n smoke test.
+// byte-equal across the two instantiations at n=1000, sequential and
+// sharded — the sim-level half of the engine's large-n smoke test.
 func TestTypedRingMatchesReference(t *testing.T) {
-	typed, ref, horizon := ringSystems(1000)
-	maxRounds := horizon + 2
-	want := digestRun(1, maxRounds, true, ref)
+	w := ringWorkload(1000)
+	want := digestRun(w, 1, boxed)
 	for _, workers := range []int{1, 4} {
-		if got := digestTypedRun(workers, maxRounds, true, typed); got != want {
-			t.Fatalf("ring schedule diverged at workers=%d: typed %s, reference %s", workers, got, want)
+		if got := digestRun(w, workers, w.typed); got != want {
+			t.Fatalf("ring schedule diverged at workers=%d: typed %s, boxed %s", workers, got, want)
 		}
 	}
-	if par := digestRun(4, maxRounds, true, ref); par != want {
-		t.Fatalf("ring reference schedule diverged between workers=1 (%s) and workers=4 (%s)", want, par)
+	if par := digestRun(w, 4, boxed); par != want {
+		t.Fatalf("ring boxed schedule diverged between workers=1 (%s) and workers=4 (%s)", want, par)
 	}
 }
 
-// dupProc sends the same probe twice per round; the typed duplicate
-// filter must drop the second copy exactly like the reference filter.
+// dupProc sends the same probe twice per round; the duplicate filter
+// must drop the second copy whether it hashes the wire value or its
+// box.
 type dupProc struct {
 	id   ids.ID
 	peer ids.ID
@@ -157,15 +60,25 @@ func (p *dupProc) StepTyped(round int, inbox []sim.MsgT[ring.Probe]) []sim.SendT
 		sim.UnicastT(p.peer, ring.Probe{Min: 8}),
 	}
 }
+func (p *dupProc) Step(round int, inbox []sim.Message) []sim.Send {
+	var out []sim.Send
+	for _, s := range p.StepTyped(round, nil) {
+		out = append(out, sim.Unicast(s.To, s.Payload))
+	}
+	return out
+}
 
 func TestTypedRunnerDeduplicates(t *testing.T) {
-	procs := []*dupProc{{id: 1, peer: 2}, {id: 2, peer: 1}}
-	run := sim.NewTypedRunner(sim.Config{MaxRounds: 1}, procs, nil, nil, ring.WireCodec())
-	m := run.Run(nil)
-	if m.MessagesDelivered != 4 {
-		t.Fatalf("MessagesDelivered = %d, want 4", m.MessagesDelivered)
-	}
-	if m.MessagesDropped != 2 {
-		t.Fatalf("MessagesDropped = %d, want 2 (one duplicate per sender)", m.MessagesDropped)
+	w := workload{maxRounds: 1, typed: typedOver[*dupProc](ring.WireCodec()), sys: func() system {
+		return system{procs: []sim.Process{&dupProc{id: 1, peer: 2}, &dupProc{id: 2, peer: 1}}}
+	}}
+	for name, play := range w.instantiations() {
+		m := play(w.config(1, nil), w.sys())
+		if m.MessagesDelivered != 4 {
+			t.Fatalf("%s: MessagesDelivered = %d, want 4", name, m.MessagesDelivered)
+		}
+		if m.MessagesDropped != 2 {
+			t.Fatalf("%s: MessagesDropped = %d, want 2 (one duplicate per sender)", name, m.MessagesDropped)
+		}
 	}
 }
