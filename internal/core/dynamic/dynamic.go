@@ -13,15 +13,26 @@
 // (session, pair id) order. The chain satisfies chain-prefix (any two
 // correct chains are prefixes of one another) and chain-growth.
 //
-// A session is retired — machine and all — the moment it is harvested.
-// That is safe by the same clause of Theorem 6 that makes the harvest
-// safe: past the bound every correct node's machine for r' has
-// terminated, so no correct node sends session-r' traffic any more,
-// and whatever still arrives under that tag is Byzantine and was
-// already being discarded by the stopped machine. (A session harvested
-// with its machine unfinished — HarvestGap, impossible while n > 3f —
-// is retired all the same.) A node therefore holds at most 5·|S|/2 + 3
-// sessions at any time, however long it runs.
+// A session goes start → stop → harvest. It starts on a
+// parallel.Machine taken from the node's free list (Machine.Reset; a
+// new one only when the list is empty). Each round the node demuxes
+// every SessMsg straight into its session's machine (Absorb) and then
+// advances every live machine once. A machine stops once it has
+// listened through the first phase and every instance it knows has
+// terminated: a terminated instance's output can never change, and no
+// instance can be discovered after phase 1, so the outputs are captured
+// into the session and the machine goes back to the free list, rounds
+// before the harvest. Past the finality bound the session is harvested
+// — its captured outputs are appended to the chain — and retired. That
+// is safe by the same clause of Theorem 6 that makes the harvest safe:
+// past the bound every correct node's machine for r' has terminated,
+// so no correct node sends session-r' traffic any more, and whatever
+// still arrives under that tag is Byzantine and was already being
+// discarded for the stopped session. (A session harvested with its
+// machine unfinished — HarvestGap, impossible while n > 3f — gives up
+// its machine there.) A node therefore holds at most 5·|S|/2 + 3
+// sessions at any time, however long it runs, and allocates machines
+// only for those of them that have not stopped.
 //
 // Joining follows the present/ack protocol of the pseudocode: the
 // joiner broadcasts "present", members reply (ack, r), and the joiner
@@ -83,11 +94,10 @@ type Event struct {
 
 // session is one parallel-consensus session that is not yet final.
 type session struct {
-	start    int // protocol round in which it started
-	snapshot int // |S| at the start (finality denominator)
-	machine  *parallel.Machine
-	stopped  bool          // machine done, no longer stepped
-	inbox    []sim.Message // this round's traffic for the machine, reused
+	start    int               // protocol round in which it started
+	snapshot int               // |S| at the start (finality denominator)
+	machine  *parallel.Machine // nil once stopped
+	outputs  []Event           // captured when the machine stopped, in pair order
 }
 
 // joining states
@@ -107,8 +117,8 @@ type Node struct {
 	state int
 	r     int // protocol round (tracks the global round once synced)
 
-	members map[ids.ID]bool // S
-	peers   []ids.ID        // presents buffered while joining
+	members []ids.ID // S, sorted
+	peers   []ids.ID // presents buffered while joining
 
 	// Witness schedule: protocol round -> events witnessed that round;
 	// Submit adds to the next round. A leaving/left node witnesses
@@ -122,8 +132,9 @@ type Node struct {
 	// starts one per round from activation until it leaves and harvests
 	// from the front, so starts are consecutive: session r' sits at index
 	// r' − sessions[0].start.
-	sessions  []*session
-	inboxFree [][]sim.Message // inbox buffers of stopped sessions, for the next ones
+	sessions []session
+	free     []*parallel.Machine              // machines of stopped sessions, for the next ones
+	inputs   map[parallel.PairID]parallel.Val // I_r of the session being started, cleared each round
 
 	chain      []Event
 	finalUpTo  int        // R: all rounds <= R are final
@@ -149,21 +160,26 @@ type Config struct {
 func New(cfg Config) *Node {
 	n := &Node{
 		id:       cfg.ID,
-		members:  make(map[ids.ID]bool),
+		state:    stJoinAnnounce,
 		schedule: cfg.Witness,
 		leaveAt:  cfg.LeaveAt,
+		inputs:   make(map[parallel.PairID]parallel.Val),
 	}
 	if cfg.Founders != nil {
 		n.state = stFounder
 		for _, id := range cfg.Founders {
-			n.members[id] = true
+			n.addMember(id)
 		}
-		n.members[n.id] = true
-	} else {
-		n.state = stJoinAnnounce
-		n.members[n.id] = true
 	}
+	n.addMember(n.id)
 	return n
+}
+
+// addMember inserts id into S.
+func (n *Node) addMember(id ids.ID) {
+	if i, found := slices.BinarySearch(n.members, id); !found {
+		n.members = slices.Insert(n.members, i, id)
+	}
 }
 
 // ID implements sim.Process.
@@ -193,14 +209,11 @@ func (n *Node) FinalRound() int { return n.finalUpTo }
 // Round returns the node's protocol round.
 func (n *Node) Round() int { return n.r }
 
+// ChainLen returns the length of the chain without copying it.
+func (n *Node) ChainLen() int { return len(n.chain) }
+
 // Members returns the node's current S, sorted.
-func (n *Node) Members() []ids.ID {
-	out := make([]ids.ID, 0, len(n.members))
-	for id := range n.members {
-		out = append(out, id)
-	}
-	return ids.SortIDs(out)
-}
+func (n *Node) Members() []ids.ID { return slices.Clone(n.members) }
 
 // HarvestGap reports whether any session had to be harvested before its
 // machine terminated — a violation of Theorem 6's finality bound, which
@@ -233,7 +246,7 @@ func (n *Node) Step(round int, inbox []sim.Message) []sim.Send {
 		for _, msg := range inbox {
 			if a, ok := msg.Payload.(Ack); ok {
 				counts[a.R]++
-				n.members[msg.From] = true
+				n.addMember(msg.From)
 			}
 		}
 		bestR, bestC := 0, 0
@@ -250,7 +263,7 @@ func (n *Node) Step(round int, inbox []sim.Message) []sim.Send {
 		n.r = bestR
 		n.finalUpTo = bestR // the chain of a joiner starts at its join round
 		for _, p := range n.peers {
-			n.members[p] = true
+			n.addMember(p)
 		}
 		n.peers = nil
 		n.state = stActive
@@ -265,31 +278,30 @@ func (n *Node) Step(round int, inbox []sim.Message) []sim.Send {
 
 	out := n.sends[:0]
 	var ackTo []ids.ID
-	var events map[ids.ID]string // I_r: first event per sender tagged r-1
+	clear(n.inputs) // I_r: first event per sender tagged r-1
 
 	for _, msg := range inbox {
 		switch p := msg.Payload.(type) {
 		case Present:
 			if n.state == stActive {
-				n.members[msg.From] = true
+				n.addMember(msg.From)
 				ackTo = append(ackTo, msg.From)
 			}
 		case Absent:
-			delete(n.members, msg.From)
+			if i, found := slices.BinarySearch(n.members, msg.From); found {
+				n.members = slices.Delete(n.members, i, i+1)
+			}
 		case EventMsg:
 			if n.state == stActive && p.R == n.r-1 {
-				if _, dup := events[msg.From]; !dup {
-					if events == nil {
-						events = make(map[ids.ID]string)
-					}
-					events[msg.From] = p.M
+				if _, dup := n.inputs[parallel.PairID(msg.From)]; !dup {
+					n.inputs[parallel.PairID(msg.From)] = parallel.V(p.M)
 				}
 			}
 		case SessMsg:
 			// Traffic for a session this node never started, has stopped or
 			// has already retired is dropped here.
-			if s := n.session(p.Sess); s != nil && !s.stopped {
-				s.inbox = append(s.inbox, sim.Message{From: msg.From, Payload: p.Inner})
+			if s := n.session(p.Sess); s != nil && s.machine != nil {
+				s.machine.Absorb(msg.From, p.Inner)
 			}
 		case Ack:
 			// stray ack (e.g. duplicate join traffic): ignore
@@ -318,44 +330,34 @@ func (n *Node) Step(round int, inbox []sim.Message) []sim.Send {
 		n.pending = nil
 	}
 
-	// Step all live session machines with this round's session traffic.
-	for _, s := range n.sessions {
-		if s.stopped {
+	// Advance all live session machines over the traffic they absorbed.
+	for i := range n.sessions {
+		s := &n.sessions[i]
+		if s.machine == nil {
 			continue
 		}
-		payloads := s.machine.Step(s.inbox)
-		s.inbox = s.inbox[:0]
-		for _, p := range payloads {
+		for _, p := range s.machine.Advance() {
 			out = append(out, sim.BroadcastPayload(SessMsg{Sess: s.start, Inner: p}))
 		}
 		// A machine may be stopped only once it has listened through the
 		// whole first phase (instances can be discovered until its round
 		// D) and every known instance has terminated.
 		if s.machine.Round() >= consensus.InitRounds+consensus.PhaseRounds && s.machine.Done() {
-			s.stopped = true
-			n.inboxFree = append(n.inboxFree, s.inbox)
-			s.inbox = nil
+			n.release(s)
 		}
 	}
 
 	// Start session r (line 27) with the events received this round.
 	if n.state == stActive {
-		var inputs map[parallel.PairID]parallel.Val
-		if len(events) > 0 {
-			inputs = make(map[parallel.PairID]parallel.Val, len(events))
+		var mach *parallel.Machine
+		if k := len(n.free); k > 0 {
+			mach, n.free = n.free[k-1], n.free[:k-1]
+			mach.Reset(n.id, n.inputs, n.members)
+		} else {
+			mach = parallel.NewMachine(n.id, n.inputs, n.members)
 		}
-		for u, m := range events { //lint:ordered independent per-event writes, order-free
-			inputs[parallel.PairID(u)] = parallel.V(m)
-		}
-		snapshot := n.Members()
-		mach := parallel.NewMachine(n.id, inputs, snapshot)
-		s := &session{start: n.r, snapshot: len(snapshot), machine: mach}
-		if k := len(n.inboxFree); k > 0 {
-			s.inbox, n.inboxFree = n.inboxFree[k-1], n.inboxFree[:k-1]
-		}
-		n.sessions = append(n.sessions, s)
-		payloads := mach.Step(nil) // machine round 1: session-tagged rotor init
-		for _, p := range payloads {
+		n.sessions = append(n.sessions, session{start: n.r, snapshot: len(n.members), machine: mach})
+		for _, p := range mach.Advance() { // machine round 1: session-tagged rotor init
 			out = append(out, sim.BroadcastPayload(SessMsg{Sess: n.r, Inner: p}))
 		}
 	}
@@ -365,14 +367,7 @@ func (n *Node) Step(round int, inbox []sim.Message) []sim.Send {
 
 	// A leaving node disappears once its outstanding sessions are done.
 	if n.state == stLeaving {
-		done := true
-		for _, s := range n.sessions {
-			if !s.stopped {
-				done = false
-				break
-			}
-		}
-		if done {
+		if !slices.ContainsFunc(n.sessions, func(s session) bool { return s.machine != nil }) {
 			n.state = stLeft
 		}
 	}
@@ -386,9 +381,19 @@ func (n *Node) session(start int) *session {
 		return nil
 	}
 	if i := start - n.sessions[0].start; i >= 0 && i < len(n.sessions) {
-		return n.sessions[i]
+		return &n.sessions[i]
 	}
 	return nil
+}
+
+// release captures the outputs of s's machine, in pair order, and hands
+// the machine to the free list.
+func (n *Node) release(s *session) {
+	s.machine.EachOutput(func(id parallel.PairID, x parallel.Val) {
+		s.outputs = append(s.outputs, Event{Session: s.start, Node: ids.ID(id), M: x.S})
+	})
+	n.free = append(n.free, s.machine)
+	s.machine = nil
 }
 
 // advanceFinality extends R while the next round is final, appending
@@ -396,7 +401,7 @@ func (n *Node) session(start int) *session {
 // order and retiring them.
 func (n *Node) advanceFinality() {
 	for len(n.sessions) > 0 {
-		s := n.sessions[0]
+		s := &n.sessions[0]
 		next := n.finalUpTo + 1
 		if s.start != next {
 			return
@@ -405,23 +410,13 @@ func (n *Node) advanceFinality() {
 		if 2*(n.r-next) <= 5*s.snapshot+4 {
 			return
 		}
-		if !s.machine.Done() {
-			n.harvestGap = true
+		if s.machine != nil { // not stopped yet: a gap if an instance is still undecided
+			n.harvestGap = n.harvestGap || !s.machine.Done()
+			n.release(s)
 		}
-		outputs := s.machine.Outputs()
-		pairs := make([]parallel.PairID, 0, len(outputs))
-		for id := range outputs {
-			pairs = append(pairs, id)
-		}
-		slices.Sort(pairs)
-		for _, id := range pairs {
-			n.chain = append(n.chain, Event{Session: next, Node: ids.ID(id), M: outputs[id].S})
-		}
+		n.chain = append(n.chain, s.outputs...)
 		n.finalUpTo = next
-		last := len(n.sessions) - 1
-		copy(n.sessions, n.sessions[1:])
-		n.sessions[last] = nil
-		n.sessions = n.sessions[:last]
+		n.sessions = slices.Delete(n.sessions, 0, 1)
 	}
 }
 

@@ -22,9 +22,10 @@ func chainDigest(chain []Event) string {
 // TestSessionRetirementBound pins the memory claim of retiring sessions
 // at harvest: a session started in round r' is final — and deleted —
 // once r − r' > 5|S|/2 + 2, so a node never holds more than 5|S|/2 + 3
-// of them, however long the run. The chain digests were recorded from
-// the code that kept every session for the whole run, on the same seed:
-// retirement must not change what is ordered.
+// of them — nor builds more machines than that — however long the run.
+// The chain digests were recorded from the code that kept every session
+// for the whole run, on the same seed: neither retirement nor machine
+// recycling may change what is ordered.
 func TestSessionRetirementBound(t *testing.T) {
 	const (
 		n          = 14
@@ -55,8 +56,9 @@ func TestSessionRetirementBound(t *testing.T) {
 
 	r.Run(func(round int) bool {
 		for _, nd := range nodes {
-			if bound := 5*(n+1)/2 + 3; len(nd.sessions) > bound {
-				t.Fatalf("round %d: node %d holds %d sessions, bound 5|S|/2+3 = %d", round, nd.id, len(nd.sessions), bound)
+			if bound := 5*(n+1)/2 + 3; len(nd.sessions) > bound || machinesAllocated(nd) > bound {
+				t.Fatalf("round %d: node %d holds %d sessions and has built %d machines, bound 5|S|/2+3 = %d",
+					round, nd.id, len(nd.sessions), machinesAllocated(nd), bound)
 			}
 		}
 		return false

@@ -26,8 +26,10 @@
 // A Machine is one node's whole ParallelConsensus execution; it is
 // deliberately decoupled from sim.Process so the dynamic total-order
 // protocol (Algorithm 6) can run many machines side by side, one per
-// round-tagged session. Node adapts a Machine to sim.Process for
-// standalone use.
+// round-tagged session. A round is Absorb for each message addressed to
+// the machine, then one Advance; a finished machine is given its next
+// execution by Reset, which keeps everything it has allocated. Node
+// adapts a Machine to sim.Process for standalone use.
 package parallel
 
 import (
@@ -111,7 +113,8 @@ const (
 	sentMarker  = 2
 )
 
-// instance is the per-pair EarlyConsensus state.
+// instance is the per-pair EarlyConsensus state. Instances are recycled
+// through the Machine's free list together with their tallies.
 type instance struct {
 	id           PairID
 	xv           Val
@@ -119,14 +122,18 @@ type instance struct {
 	firstSeen    [numKinds]int // machine round of first reception per type (0 = never)
 	own          [numKinds]ownSent
 	strong       *quorum.Tally[Val] // buffered from round D, judged in round E
+	coordOp      Val                // first opinion of prevCoord received in round coordOpRound
+	coordOpRound int
 	decided      bool
 	output       Val
 	decidedRound int
+	arr          *arrivals // this round's arrivals
 }
 
 // Machine is one node's ParallelConsensus execution. Rounds are
-// machine-relative, starting at 1; the caller must invoke Step exactly
-// once per round with the messages addressed to this machine.
+// machine-relative, starting at 1; the caller must, exactly once per
+// round, Absorb the messages addressed to this machine and then Advance
+// (Step does both).
 type Machine struct {
 	self     ids.ID
 	filtered bool         // an admission set was given ("with respect to S")
@@ -142,12 +149,18 @@ type Machine struct {
 	nv      int
 
 	insts     map[PairID]*instance
-	arr       map[PairID]*arrivals // pooled per-instance arrival state, reset per round
-	arrGen    int                  // round stamp for the lazy per-round reset
-	order     []PairID             // deterministic iteration order (sorted, maintained on insert)
-	out       []any                // backs Step's return value, reused across rounds
+	instFree  []*instance // instances of earlier executions, for ensure
+	undecided int         // instances in insts not yet decided
+	order     []PairID    // deterministic iteration order (sorted, maintained on insert)
+	out       []any       // backs Advance's return value, reused across rounds
 	prevCoord ids.ID
 	round     int
+
+	// Absorb's verdict on the sender of the previous message: an inbox is
+	// sender-sorted by the runner, so one check serves a sender's whole run.
+	lastFrom  ids.ID
+	lastRound int // round lastFrom was checked for (0 = never)
+	lastOK    bool
 }
 
 // NewMachine returns a machine with the given input pairs. members, if
@@ -155,50 +168,62 @@ type Machine struct {
 // dynamic protocol's "with respect to S": messages from other nodes are
 // discarded and nv is counted within the set).
 func NewMachine(self ids.ID, inputs map[PairID]Val, members []ids.ID) *Machine {
-	m := &Machine{
-		self:     self,
-		filtered: members != nil,
-		core:     rotor.NewCore(self),
-		insts:    make(map[PairID]*instance),
-		arr:      make(map[PairID]*arrivals),
-	}
+	m := &Machine{core: rotor.NewCore(self), insts: make(map[PairID]*instance)}
+	m.Reset(self, inputs, members)
+	return m
+}
+
+// Reset starts a new execution on m, which is afterwards
+// indistinguishable from NewMachine(self, inputs, members): nothing of
+// the previous execution can be observed, only its memory is reused.
+// inputs and members are read, not retained.
+func (m *Machine) Reset(self ids.ID, inputs map[PairID]Val, members []ids.ID) {
+	m.self, m.filtered = self, members != nil
+	m.core.Reset(self)
+	m.filter.Reset()
 	for _, id := range members {
 		m.filter.Add(id)
 	}
+	m.senders.Reset()
+	m.frozen, m.members, m.nv = false, m.members[:0], 0
+	for _, id := range m.order {
+		m.instFree = append(m.instFree, m.insts[id])
+	}
+	clear(m.insts)
+	m.order, m.undecided = m.order[:0], 0
+	m.prevCoord, m.round, m.lastRound = 0, 0, 0
 	for id, x := range inputs { //lint:ordered independent per-pair writes, order-free
 		if x.Bot {
 			continue // the rules only broadcast non-⊥ inputs
 		}
-		m.ensure(id).xv = x
-		m.insts[id].hasInput = true
+		inst := m.ensure(id)
+		inst.xv, inst.hasInput = x, true
 	}
-	return m
 }
 
-// Round returns the machine-relative round of the last Step.
+// Round returns the machine-relative round of the last Advance.
 func (m *Machine) Round() int { return m.round }
 
 // Done reports whether every known instance has terminated. A machine
 // that knows no instances is vacuously done; the caller decides how
 // long to keep listening (the dynamic protocol uses the finality bound,
 // the standalone Node waits out the first phase).
-func (m *Machine) Done() bool {
-	for _, inst := range m.insts { //lint:ordered all-quantifier, order-free
-		if !inst.decided {
-			return false
+func (m *Machine) Done() bool { return m.undecided == 0 }
+
+// EachOutput calls fn for every decided (id, x) pair with x ≠ ⊥, in id
+// order.
+func (m *Machine) EachOutput(fn func(id PairID, x Val)) {
+	for _, id := range m.order {
+		if inst := m.insts[id]; inst.decided && !inst.output.Bot {
+			fn(id, inst.output)
 		}
 	}
-	return true
 }
 
 // Outputs returns the decided (id, x) pairs with x ≠ ⊥.
 func (m *Machine) Outputs() map[PairID]Val {
 	out := make(map[PairID]Val)
-	for id, inst := range m.insts { //lint:ordered map-to-map copy, order-free
-		if inst.decided && !inst.output.Bot {
-			out[id] = inst.output
-		}
-	}
+	m.EachOutput(func(id PairID, x Val) { out[id] = x })
 	return out
 }
 
@@ -220,8 +245,19 @@ func (m *Machine) NV() int { return m.nv }
 func (m *Machine) ensure(id PairID) *instance {
 	inst := m.insts[id]
 	if inst == nil {
-		inst = &instance{id: id, xv: Bot, strong: quorum.NewTally[Val]()}
+		if k := len(m.instFree); k > 0 {
+			inst, m.instFree = m.instFree[k-1], m.instFree[:k-1]
+			// The tallies come along as they are: gen 0 has arr reset by
+			// its first use, and strong is read (round E) only after round
+			// D has swapped it for arr's filled one.
+			inst.arr.gen = 0
+			*inst = instance{strong: inst.strong, arr: inst.arr}
+		} else {
+			inst = &instance{strong: quorum.NewTally[Val](), arr: newArrivals()}
+		}
+		inst.id, inst.xv = id, Bot
 		m.insts[id] = inst
+		m.undecided++
 		i := sort.Search(len(m.order), func(i int) bool { return m.order[i] >= id })
 		m.order = append(m.order, 0)
 		copy(m.order[i+1:], m.order[i:])
@@ -244,9 +280,9 @@ func phaseNum(round int) int {
 // arrivals is the per-instance arrival state of one round: per-kind
 // tallies plus the responders per kind — members that sent *any*
 // message of the kind, including the explicit no-preference markers;
-// these are exempt from substitution. The structs are pooled on the
-// Machine and reset lazily (gen stamps the round they were last used
-// in), so steady-state rounds allocate none.
+// these are exempt from substitution. Each instance owns one, reset
+// lazily (gen stamps the round it was last used in), so steady-state
+// rounds allocate none.
 type arrivals struct {
 	inputs    *quorum.Tally[Val]
 	prefers   *quorum.Tally[Val]
@@ -263,91 +299,97 @@ func newArrivals() *arrivals {
 	}
 }
 
-func (a *arrivals) reset() {
-	a.inputs.Reset()
-	a.prefers.Reset()
-	a.strongs.Reset()
-	for k := range a.responded {
-		a.responded[k].Reset()
+// arrivals returns the instance's arrival state for the given round.
+func (inst *instance) arrivals(round int) *arrivals {
+	a := inst.arr
+	if a.gen != round {
+		a.gen = round
+		a.inputs.Reset()
+		a.prefers.Reset()
+		a.strongs.Reset()
+		for k := range a.responded {
+			a.responded[k].Reset()
+		}
+	}
+	return a
+}
+
+// Step is one whole round over an inbox: Absorb each message, then
+// Advance.
+func (m *Machine) Step(inbox []sim.Message) []any {
+	for _, msg := range inbox {
+		m.Absorb(msg.From, msg.Payload)
+	}
+	return m.Advance()
+}
+
+// Absorb classifies one message of the coming round into the
+// per-instance arrival state. Messages of one sender should arrive
+// together (the runner sorts inboxes by sender): the admission checks
+// then run once per sender, not once per message.
+func (m *Machine) Absorb(from ids.ID, payload any) {
+	round := m.round + 1
+	if from != m.lastFrom || round != m.lastRound {
+		m.lastFrom, m.lastRound = from, round
+		switch {
+		case m.filtered && !m.filter.Has(from):
+			m.lastOK = false // outside the recorded S: discarded (Alg. 6 rule)
+		case !m.frozen:
+			m.senders.Add(from)
+			m.lastOK = true
+		default:
+			m.lastOK = m.senders.Has(from) // else did not count toward nv: discarded (Alg. 3 rule)
+		}
+	}
+	if !m.lastOK {
+		return
+	}
+	switch p := payload.(type) {
+	case rotor.Init:
+		m.core.AbsorbInit(from)
+	case rotor.Echo:
+		m.core.AbsorbEcho(from, p.P)
+	case Input:
+		if inst := m.admit(p.ID, kindInput, round); inst != nil {
+			a := inst.arrivals(round)
+			a.inputs.Add(p.X, from)
+			a.responded[kindInput].Add(from)
+		}
+	case Prefer:
+		if inst := m.admit(p.ID, kindPrefer, round); inst != nil {
+			a := inst.arrivals(round)
+			a.prefers.Add(p.X, from)
+			a.responded[kindPrefer].Add(from)
+		}
+	case NoPref:
+		if inst := m.admitKnownOnly(p.ID, kindPrefer, round); inst != nil {
+			inst.arrivals(round).responded[kindPrefer].Add(from)
+		}
+	case StrongPrefer:
+		if inst := m.admit(p.ID, kindStrong, round); inst != nil {
+			a := inst.arrivals(round)
+			a.strongs.Add(p.X, from)
+			a.responded[kindStrong].Add(from)
+		}
+	case NoStrongPref:
+		if inst := m.admitKnownOnly(p.ID, kindStrong, round); inst != nil {
+			inst.arrivals(round).responded[kindStrong].Add(from)
+		}
+	case Opinion:
+		// Round E reads only the previous coordinator's opinion, and the
+		// first one it sent.
+		if inst := m.insts[p.ID]; inst != nil && from == m.prevCoord && inst.coordOpRound != round {
+			inst.coordOp, inst.coordOpRound = p.X, round
+		}
 	}
 }
 
-// Step advances the machine one round and returns the payloads to
-// broadcast (the caller wraps them for transport and broadcasts).
-func (m *Machine) Step(inbox []sim.Message) []any {
+// Advance closes the round whose messages have been absorbed and
+// returns the payloads to broadcast (the caller wraps them for
+// transport and broadcasts); the slice is valid until the next Advance.
+func (m *Machine) Advance() []any {
 	m.round++
 	round := m.round
-
-	// Classify this round's arrivals into the pooled per-instance state.
-	m.arrGen++
-	get := func(id PairID) *arrivals {
-		a := m.arr[id]
-		if a == nil {
-			a = newArrivals()
-			m.arr[id] = a
-		}
-		if a.gen != m.arrGen {
-			a.reset()
-			a.gen = m.arrGen
-		}
-		return a
-	}
-	var opinions map[PairID]map[ids.ID]Val // allocated by the first Opinion
-
-	for _, msg := range inbox {
-		if m.filtered && !m.filter.Has(msg.From) {
-			continue // outside the recorded S: discarded (Alg. 6 rule)
-		}
-		if !m.frozen {
-			m.senders.Add(msg.From)
-		} else if !m.senders.Has(msg.From) {
-			continue // did not count toward nv: discarded (Alg. 3 rule)
-		}
-		switch p := msg.Payload.(type) {
-		case rotor.Init:
-			m.core.AbsorbInit(msg.From)
-		case rotor.Echo:
-			m.core.AbsorbEcho(msg.From, p.P)
-		case Input:
-			if inst := m.admit(p.ID, kindInput, round); inst != nil {
-				a := get(p.ID)
-				a.inputs.Add(p.X, msg.From)
-				a.responded[kindInput].Add(msg.From)
-			}
-		case Prefer:
-			if inst := m.admit(p.ID, kindPrefer, round); inst != nil {
-				a := get(p.ID)
-				a.prefers.Add(p.X, msg.From)
-				a.responded[kindPrefer].Add(msg.From)
-			}
-		case NoPref:
-			if inst := m.admitKnownOnly(p.ID, kindPrefer, round); inst != nil {
-				get(p.ID).responded[kindPrefer].Add(msg.From)
-			}
-		case StrongPrefer:
-			if inst := m.admit(p.ID, kindStrong, round); inst != nil {
-				a := get(p.ID)
-				a.strongs.Add(p.X, msg.From)
-				a.responded[kindStrong].Add(msg.From)
-			}
-		case NoStrongPref:
-			if inst := m.admitKnownOnly(p.ID, kindStrong, round); inst != nil {
-				get(p.ID).responded[kindStrong].Add(msg.From)
-			}
-		case Opinion:
-			set := opinions[p.ID]
-			if set == nil {
-				if opinions == nil {
-					opinions = make(map[PairID]map[ids.ID]Val)
-				}
-				set = make(map[ids.ID]Val)
-				opinions[p.ID] = set
-			}
-			if _, dup := set[msg.From]; !dup {
-				set[msg.From] = p.X
-			}
-		}
-	}
 
 	switch {
 	case round == 1: // init round 1: rotor init
@@ -364,7 +406,7 @@ func (m *Machine) Step(inbox []sim.Message) []any {
 
 	if !m.frozen {
 		m.frozen = true
-		m.members = m.senders.AppendTo(nil)
+		m.members = m.senders.AppendTo(m.members)
 		m.nv = len(m.members)
 	}
 
@@ -390,7 +432,7 @@ func (m *Machine) Step(inbox []sim.Message) []any {
 			if inst.decided {
 				continue
 			}
-			a := get(id)
+			a := inst.arrivals(round)
 			m.substitute(inst, kindInput, round, a.inputs, &a.responded[kindInput])
 			if x, count, ok := bestVal(a.inputs); ok && quorum.AtLeastTwoThirds(count, m.nv) {
 				inst.own[kindPrefer] = ownSent{mode: sentValue, val: x}
@@ -407,7 +449,7 @@ func (m *Machine) Step(inbox []sim.Message) []any {
 			if inst.decided {
 				continue
 			}
-			a := get(id)
+			a := inst.arrivals(round)
 			m.substitute(inst, kindPrefer, round, a.prefers, &a.responded[kindPrefer])
 			x, count, ok := bestVal(a.prefers)
 			if ok && quorum.AtLeastThird(count, m.nv) {
@@ -428,7 +470,7 @@ func (m *Machine) Step(inbox []sim.Message) []any {
 			if inst.decided {
 				continue
 			}
-			a := get(id)
+			a := inst.arrivals(round)
 			m.substitute(inst, kindStrong, round, a.strongs, &a.responded[kindStrong])
 			// Swap the filled tally in as the round-E buffer; the pool
 			// entry takes the instance's previous buffer and resets it
@@ -463,13 +505,12 @@ func (m *Machine) Step(inbox []sim.Message) []any {
 				inst.decided = true
 				inst.output = x
 				inst.decidedRound = round
+				m.undecided--
 				continue
 			}
 			if !ok || quorum.LessThanThird(count, m.nv) {
-				if m.prevCoord != 0 {
-					if c, got := opinions[id][m.prevCoord]; got {
-						inst.xv = c
-					}
+				if m.prevCoord != 0 && inst.coordOpRound == round {
+					inst.xv = inst.coordOp
 				}
 			}
 			inst.strong.Reset()
@@ -591,7 +632,8 @@ func (n *Node) Outputs() map[PairID]Val { return n.machine.Outputs() }
 // Machine exposes the underlying machine (experiments peek at NV etc.).
 func (n *Node) Machine() *Machine { return n.machine }
 
-// Step implements sim.Process.
+// Step implements sim.Process: the machine absorbs the inbox and
+// advances one round, and its payloads go out as broadcasts.
 func (n *Node) Step(round int, inbox []sim.Message) []sim.Send {
 	payloads := n.machine.Step(inbox)
 	if n.machine.round >= consensus.InitRounds+consensus.PhaseRounds && n.machine.Done() {

@@ -1,6 +1,7 @@
 package rotor_test
 
 import (
+	"reflect"
 	"testing"
 
 	"idonly/internal/core/rotor"
@@ -128,5 +129,42 @@ func TestStandaloneRotorNoCoordOnEmptyCv(t *testing.T) {
 		if s != 7 {
 			t.Fatalf("lone node selected %d", s)
 		}
+	}
+}
+
+// driveCore runs one seeded life of a core — inits, the round-2 echo
+// list, then rounds of echoes from up to 40 senders (past the inline
+// witness sets' 32) for 9 candidates and an Advance each — and calls
+// observe with everything the core lets a caller see after each step.
+func driveCore(c *rotor.Core, seed uint64, rounds int, observe func(step int, view ...any)) {
+	rng := ids.NewRand(seed)
+	for i := rng.Intn(8); i > 0; i-- {
+		c.AbsorbInit(ids.ID(1 + rng.Intn(9)))
+	}
+	observe(0, append([]ids.ID(nil), c.EchoInits()...))
+	for r := 1; r <= rounds; r++ {
+		for i := rng.Intn(60); i > 0; i-- {
+			c.AbsorbEcho(ids.ID(100+rng.Intn(40)), ids.ID(1+rng.Intn(9)))
+		}
+		relays, sel := c.Advance(10 + rng.Intn(30))
+		observe(r, append([]ids.ID(nil), relays...), sel, c.Candidates(), c.Selected())
+	}
+}
+
+// TestCoreResetEqualsFresh recycles one core through thirty lives of
+// different lengths and requires each to be indistinguishable, step by
+// step, from the same life on a new core.
+func TestCoreResetEqualsFresh(t *testing.T) {
+	recycled := rotor.NewCore(1)
+	for seed := uint64(1); seed <= 30; seed++ {
+		self, rounds := ids.ID(1+seed%9), int(seed%12)
+		var want [][]any
+		driveCore(rotor.NewCore(self), seed, rounds, func(_ int, view ...any) { want = append(want, view) })
+		recycled.Reset(self)
+		driveCore(recycled, seed, rounds, func(step int, view ...any) {
+			if !reflect.DeepEqual(view, want[step]) {
+				t.Fatalf("life %d step %d: recycled core shows %v, fresh core %v", seed, step, view, want[step])
+			}
+		})
 	}
 }

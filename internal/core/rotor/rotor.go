@@ -72,6 +72,17 @@ func NewCore(self ids.ID) *Core {
 	}
 }
 
+// Reset returns the core to the state NewCore(self) builds, keeping
+// every map's buckets, the witness sets and the slices' capacity.
+func (c *Core) Reset(self ids.ID) {
+	c.self, c.r = self, 0
+	clear(c.inits)
+	c.echoes.Reset()
+	clear(c.inCv)
+	clear(c.sv)
+	c.cv, c.selected = c.cv[:0], c.selected[:0]
+}
+
 // AbsorbInit records an init broadcast from p.
 func (c *Core) AbsorbInit(p ids.ID) { c.inits[p] = true }
 

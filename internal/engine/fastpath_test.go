@@ -130,6 +130,31 @@ func TestFastPathMatchesReference(t *testing.T) {
 	}
 }
 
+// TestShardedSessionsMatchSequential is the same byte equality for the
+// two protocols that keep per-session machines: Algorithm 6 recycles
+// them through a per-node free list and Algorithm 5 absorbs and advances
+// one. Sharding runs the nodes' Steps on four goroutines, so under -race
+// this is also the proof that no recycled state is shared between nodes.
+func TestShardedSessionsMatchSequential(t *testing.T) {
+	grid := Grid{
+		Name:        "sessions",
+		Protocols:   []string{ProtoDynamic, ProtoParallel},
+		Adversaries: []string{AdvSilent, AdvSplit, AdvChaos},
+		Sizes:       []int{7, 14},
+		Seeds:       seedRange(2),
+		Churns:      []Churn{{}, {Joins: 2, Leaves: 1, FaultyJoins: 1, FaultyLeaves: 1}},
+	}
+	seq := RunAll(grid.Scenarios(), Options{Workers: 1, Grid: grid.Name})
+	if errs := seq.Errors(); len(errs) != 0 {
+		t.Fatalf("%d errors, first: %s: %s", len(errs), errs[0].Scenario.Name, errs[0].Err)
+	}
+	grid.SimWorkers = 4
+	shr := RunAll(grid.Scenarios(), Options{Workers: 2, Grid: grid.Name})
+	if !bytes.Equal(mustCanonical(t, seq), mustCanonical(t, shr)) {
+		t.Fatal("canonical reports differ between SimWorkers 1 and 4")
+	}
+}
+
 // TestScaleSmokeFastVsReference is the large-n smoke test CI runs: the
 // ring workload at n = 10k, fast path against reference, sequential
 // against sharded, all four canonical-byte identical.

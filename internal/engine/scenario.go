@@ -566,7 +566,7 @@ func buildProtocol(s Scenario, correct, founders []ids.ID, plan churnPlan) proto
 				}
 			}
 			return fmt.Sprintf("chain=%d final=%d members=%d gaps=%d",
-				len(rep.Chain()), rep.FinalRound(), len(rep.Members()), gaps)
+				rep.ChainLen(), rep.FinalRound(), len(rep.Members()), gaps)
 		}, decided: func() (int, int, bool) {
 			// The ordering service never decides — it runs until the
 			// simulation stops. Rendered n/a, not 0/N.

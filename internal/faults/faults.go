@@ -62,7 +62,8 @@ const (
 	ActError Action = iota
 	// ActCrash makes Check panic with a Crash.
 	ActCrash
-	// ActSleep makes Check block for Rule.Delay, then succeed.
+	// ActSleep makes Check block for Rule.Delay — or, when Rule.Until is
+	// set, until that channel is closed — then succeed.
 	ActSleep
 	// ActTorn is only meaningful on a file wrapper's write points:
 	// half the buffer lands, then the wrapper panics with a Crash.
@@ -89,6 +90,19 @@ type Rule struct {
 	After  int           // skip the first After hits before firing
 	Times  int           // fire at most Times times; 0 means every hit
 	Delay  time.Duration // ActSleep only
+	// Until, for ActSleep, replaces the delay by an event: the check
+	// blocks until the channel is closed, so a test can hold a goroutine
+	// at the point for exactly as long as another one needs.
+	Until <-chan struct{}
+}
+
+// sleep blocks the way an ActSleep rule says.
+func (r *Rule) sleep() {
+	if r.Until != nil {
+		<-r.Until
+		return
+	}
+	time.Sleep(r.Delay)
 }
 
 type ruleState struct {
@@ -180,7 +194,7 @@ func (s *Set) Check(point string) error {
 	case ActCrash, ActTorn:
 		panic(Crash{Point: point})
 	case ActSleep:
-		time.Sleep(r.Delay)
+		r.sleep()
 	}
 	return nil
 }

@@ -1,9 +1,6 @@
 package faults
 
-import (
-	"os"
-	"time"
-)
+import "os"
 
 // File is the errfs wrapper: an *os.File whose operations pass through
 // named failpoints first. A wrapped file named "log" checks log_read,
@@ -48,7 +45,7 @@ func (w *File) writeCheck(p []byte, write func([]byte) (int, error)) (int, error
 	case ActCrash:
 		panic(Crash{Point: w.name + "_write"})
 	case ActSleep:
-		time.Sleep(r.Delay)
+		r.sleep()
 		return write(p)
 	case ActTorn:
 		write(p[:len(p)/2])

@@ -10,7 +10,7 @@ import (
 // RunStats describes how one CachedRunAll call split its grid.
 type RunStats struct {
 	Hits      int `json:"hits"`      // scenarios served from the store (zero simulator rounds)
-	Misses    int `json:"misses"`    // scenarios not in the store when the run began
+	Misses    int `json:"misses"`    // scenarios the store did not hold: computed by this call or coalesced
 	Coalesced int `json:"coalesced"` // misses served by another caller's in-flight computation
 }
 
@@ -27,7 +27,11 @@ type RunStats struct {
 // digest is registered as a singleflight, so when N CachedRunAll calls
 // race on overlapping grids, each scenario is computed by exactly one
 // of them and the rest wait for that flight instead of re-running the
-// simulator (RunStats.Coalesced counts those). A leader always
+// simulator (RunStats.Coalesced counts those). A leader keeps its
+// fulfilled flights registered until their batch is durable, and a
+// caller that wins a lead probes the store once more before computing:
+// between its first Get and its claim another leader may have come and
+// gone, and then the record is there. A leader always
 // fulfills its own flights before waiting on anyone else's — two calls
 // leading disjoint halves of the same grid can never deadlock — and a
 // leader that fails abandons its flights, downgrading every waiter to
@@ -76,8 +80,10 @@ func CachedRunAll(st *Store, specs []engine.Scenario, opts engine.Options) (*eng
 			missIdx = append(missIdx, i)
 		}
 	}
-	stats.Misses = len(missIdx)
 	if len(missIdx) > 0 {
+		if err := st.faults.Check("cached_claim"); err != nil {
+			return nil, stats, err
+		}
 		// Claim a flight per miss: leads are ours to compute, follows
 		// are someone else's in-flight computation we wait on.
 		type follow struct {
@@ -87,26 +93,48 @@ func CachedRunAll(st *Store, specs []engine.Scenario, opts engine.Options) (*eng
 		var leadIdx []int
 		var leadFlights []*flight
 		var follows []follow
-		for _, i := range missIdx {
-			f, leader := st.beginFlight(digests[i])
-			if leader {
-				leadIdx = append(leadIdx, i)
-				leadFlights = append(leadFlights, f)
-			} else {
-				follows = append(follows, follow{i: i, f: f})
-			}
-		}
 		// Whatever happens below — an encode error, an unexpected panic
 		// out of the engine — our flights must not strand their
 		// followers: any not yet fulfilled are abandoned on the way out.
+		// Fulfilled ones stay registered until then, which is after their
+		// batch became durable: a caller that leads afresh finds the
+		// records in the store.
 		fulfilled := false
 		defer func() {
-			if !fulfilled {
-				for k, f := range leadFlights {
+			for k, f := range leadFlights {
+				if !fulfilled {
 					st.finishFlight(digests[leadIdx[k]], f, engine.Result{}, false)
 				}
+				st.dropFlight(digests[leadIdx[k]], f)
 			}
 		}()
+		for _, i := range missIdx {
+			f, leader := st.beginFlight(digests[i])
+			if !leader {
+				follows = append(follows, follow{i: i, f: f})
+				continue
+			}
+			lookup := time.Now()
+			res, ok, err := st.Get(digests[i])
+			if err != nil || ok {
+				// An earlier leader finished between our miss and this
+				// claim; its record is durable. Serve it as the hit it is.
+				st.finishFlight(digests[i], f, res, ok)
+				st.dropFlight(digests[i], f)
+				if err != nil {
+					return nil, stats, err
+				}
+				results[i] = res
+				stats.Hits++
+				if hooked {
+					hooks.ObserveCached(i, digests[i], &results[i], time.Since(lookup).Nanoseconds())
+				}
+				continue
+			}
+			leadIdx = append(leadIdx, i)
+			leadFlights = append(leadFlights, f)
+		}
+		stats.Misses = len(leadIdx) + len(follows)
 		if len(leadIdx) > 0 {
 			fresh := engine.MapWorker(workers, len(leadIdx), func(w, j int) engine.Result {
 				return specs[leadIdx[j]].RunHooked(w, leadIdx[j], hooks)

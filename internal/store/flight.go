@@ -32,13 +32,26 @@ func (s *Store) beginFlight(digest string) (*flight, bool) {
 }
 
 // finishFlight publishes the leader's result (ok=true) or abandonment
-// (ok=false) and wakes every follower. The flight is deregistered
-// first, so a Get-missing caller that arrives after this starts a new
-// flight rather than observing a completed one.
+// (ok=false) and wakes every follower. An abandoned flight is
+// deregistered at once, so the next caller leads a fresh one. A
+// fulfilled flight stays registered — late callers coalesce onto its
+// result — until the leader calls dropFlight, which it does on its way
+// out of CachedRunAll, after the result became durable in the store:
+// whoever wins a lead after that finds the record by probing the store
+// again.
 func (s *Store) finishFlight(digest string, f *flight, res engine.Result, ok bool) {
 	f.res, f.ok = res, ok
-	s.fmu.Lock()
-	delete(s.flights, digest)
-	s.fmu.Unlock()
+	if !ok {
+		s.dropFlight(digest, f)
+	}
 	close(f.done)
+}
+
+// dropFlight deregisters f; dropping a flight twice is harmless.
+func (s *Store) dropFlight(digest string, f *flight) {
+	s.fmu.Lock()
+	if s.flights[digest] == f {
+		delete(s.flights, digest)
+	}
+	s.fmu.Unlock()
 }
