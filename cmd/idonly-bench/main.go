@@ -35,18 +35,13 @@
 //	                                      # (digest, phase timings, worker) to a
 //	                                      # file; summarize with
 //	                                      # `idonly-trace -summarize trace.ndjson`
-//	idonly-bench -bench-json                 # measure the E1–E10 workloads and
-//	                                         # emit a BENCH_*.json perf snapshot
-//	                                         # (ns/op, allocs/op, msgs/sec)
-//	idonly-bench -bench-json -bench-out BENCH_1.json -bench-label pr2
-//	idonly-bench -bench-json -bench-baseline BENCH_1.json
-//	                                         # also compare against a checked-in
-//	                                         # snapshot; exit 1 on a >2x
-//	                                         # allocs/op or >1.5x ns/op regression
 //	idonly-bench -run E4 -cpuprofile cpu.pprof -memprofile mem.pprof
-//	                                         # profile any mode (experiments,
-//	                                         # grids, snapshots); inspect with
-//	                                         # `go tool pprof`
+//	                                      # profile either mode (experiments
+//	                                      # or grids); inspect with
+//	                                      # `go tool pprof`
+//
+// Performance is measured by the benchmark module (benchmark/README.md),
+// not by this command.
 //
 // Profiles and the trace sink share one run-once cleanup path that also
 // fires on SIGINT/SIGTERM, so an interrupted grid still leaves valid
@@ -102,7 +97,7 @@ func (c *cleanups) run() {
 }
 
 // main defers the cleanup path inside realMain so profiles and traces
-// flush on every exit path, including failed gate comparisons.
+// flush on every exit path, including a failed grid sweep.
 func main() {
 	os.Exit(realMain())
 }
@@ -118,10 +113,6 @@ func realMain() int {
 	storeDir := flag.String("store", "", "with -grid: serve cached results from (and persist fresh results to) this content-addressed store directory")
 	canonical := flag.Bool("canonical", false, "with -grid: emit the canonical (timing-free, byte-stable) report JSON")
 	traceOut := flag.String("trace-out", "", "with -grid: write one NDJSON span record per scenario to this file ('-' = stderr)")
-	benchJSON := flag.Bool("bench-json", false, "measure the experiment workloads and emit a perf snapshot as JSON")
-	benchOut := flag.String("bench-out", "", "with -bench-json: write the snapshot to this file instead of stdout")
-	benchLabel := flag.String("bench-label", "", "with -bench-json: label recorded in the snapshot")
-	benchBaseline := flag.String("bench-baseline", "", "with -bench-json: compare against this snapshot file, exit 1 on a >2x allocs/op or >1.5x ns/op regression")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile (all allocs since start) to this file at exit")
 	logFlags := obs.RegisterLogFlags(flag.CommandLine)
@@ -203,13 +194,6 @@ func realMain() int {
 		}
 	})
 
-	if *benchJSON {
-		if err := runBenchJSON(*run, *benchLabel, *benchOut, *benchBaseline); err != nil {
-			slog.Error("bench snapshot failed", "err", err)
-			return 1
-		}
-		return 0
-	}
 	if *grid != "" {
 		if err := runGrid(*grid, *churn, *storeDir, *workers, *simWorkers, *jsonOut, *canonical, compare, hooks); err != nil {
 			slog.Error("grid sweep failed", "err", err)
@@ -312,68 +296,6 @@ func runGrid(name, churn, storeDir string, workers, simWorkers int, jsonOut, can
 	if errs := rep.Errors(); len(errs) > 0 {
 		return fmt.Errorf("%d scenarios failed; first: %s: %s", len(errs), errs[0].Scenario.Name, errs[0].Err)
 	}
-	return nil
-}
-
-// runBenchJSON measures the benchmark workloads (optionally a -run
-// subset) and emits the snapshot. With a baseline file it additionally
-// fails on a >2x allocs/op regression — the machine-independent half of
-// the snapshot — so CI can gate on the checked-in BENCH_*.json.
-func runBenchJSON(run, label, outPath, baselinePath string) error {
-	want := map[string]bool{}
-	if run != "" {
-		for _, id := range strings.Split(run, ",") {
-			want[strings.ToUpper(strings.TrimSpace(id))] = true
-		}
-	}
-	snap := experiments.RunBenchSnapshot(label, want)
-
-	out := io.Writer(os.Stdout)
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		out = f
-	}
-	if err := snap.WriteJSON(out); err != nil {
-		return err
-	}
-	for _, r := range snap.Results {
-		fmt.Fprintf(os.Stderr, "%-4s %12.0f ns/op %8d allocs/op %10d B/op %12.0f msgs/sec\n",
-			r.ID, r.NsPerOp, r.AllocsPerOp, r.BytesPerOp, r.MsgsPerSec)
-	}
-
-	if baselinePath == "" {
-		return nil
-	}
-	f, err := os.Open(baselinePath)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	base, err := experiments.ReadBenchSnapshot(f)
-	if err != nil {
-		return err
-	}
-	if len(want) > 0 {
-		// A -run subset deliberately skips the rest of the suite: prune
-		// the baseline to the requested ids so the missing-workload gate
-		// only fires when a *measured* workload vanished.
-		kept := base.Results[:0]
-		for _, r := range base.Results {
-			if want[r.ID] {
-				kept = append(kept, r)
-			}
-		}
-		base.Results = kept
-	}
-	if failures := experiments.CompareBenchSnapshots(base, snap, 2.0, 1.5); len(failures) > 0 {
-		return fmt.Errorf("perf regression vs %s:\n  %s",
-			baselinePath, strings.Join(failures, "\n  "))
-	}
-	fmt.Fprintf(os.Stderr, "allocs/op within 2x of baseline %s; ns/op within 1.5x of the snapshot-median ratio\n", baselinePath)
 	return nil
 }
 

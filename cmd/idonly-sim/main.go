@@ -67,6 +67,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	if err := checkSize(*n, *f); err != nil {
+		slog.Error(err.Error())
+		os.Exit(2)
+	}
 
 	if *churn != "" {
 		// The engine scenario path uses its own per-protocol workload;
@@ -249,6 +253,22 @@ func main() {
 	default:
 		fatalf("unknown protocol %q", *protocol)
 	}
+}
+
+// checkSize rejects sizes no run can be built from: at least one node,
+// and at least one of them correct. n ≤ 3f is allowed — running outside
+// the resiliency bound is how violations are shown — and only warned
+// about.
+func checkSize(n, f int) error {
+	switch {
+	case n < 1:
+		return fmt.Errorf("-n %d: need at least one node", n)
+	case f < 0:
+		return fmt.Errorf("-f %d: the fault count cannot be negative", f)
+	case f >= n:
+		return fmt.Errorf("-f %d with -n %d: need at least one correct node (f < n)", f, n)
+	}
+	return nil
 }
 
 // runScenario executes one churned run through the scenario engine, so

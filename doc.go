@@ -16,9 +16,8 @@
 // internal/service, and the experiment harness in
 // internal/experiments. See README.md for a guided tour,
 // DESIGN.md for the system inventory, and EXPERIMENTS.md for the
-// paper-claim vs measured record. The benchmarks in this package
-// (bench_test.go) exercise one representative workload per experiment
-// E1–E10.
+// paper-claim vs measured record. Performance is measured by the
+// separate benchmark module under benchmark/.
 //
 // # Parallel scenario engine
 //

@@ -320,8 +320,7 @@ func (s Scenario) Run() Result { return s.run(nil) }
 // build phase covers validation through churn-plan compilation, the
 // rounds phase is the simulated run itself. A nil *phases (the
 // uninstrumented path) costs one branch per phase boundary — that is
-// the whole disabled-observability overhead, and the BENCH gate pins
-// it.
+// the whole disabled-observability overhead.
 type phases struct {
 	buildNS  int64
 	roundsNS int64

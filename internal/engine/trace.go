@@ -91,8 +91,8 @@ func NewObs(reg *obs.Registry) *Obs {
 
 // Hooks bundles a sweep's observability: metrics and/or a trace sink.
 // The zero value is fully disabled — every instrumentation site in the
-// engine and the store reduces to a nil check, which is the
-// zero-overhead-when-off contract the BENCH gate enforces.
+// engine and the store reduces to a nil check: the
+// zero-overhead-when-off contract.
 type Hooks struct {
 	Obs  *Obs
 	Span SpanSink

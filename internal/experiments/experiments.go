@@ -5,9 +5,7 @@
 // convergence rate, impossibility construction) into a measured table.
 //
 // Each Ei function is deterministic for a given seed and returns one or
-// more Tables. The cmd/idonly-bench binary prints them; the repo-level
-// benchmarks (bench_test.go) run representative workloads from the same
-// code paths and report rounds/messages as benchmark metrics; and
+// more Tables. The cmd/idonly-bench binary prints them, and
 // EXPERIMENTS.md records paper-claim vs measured output.
 package experiments
 

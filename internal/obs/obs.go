@@ -14,7 +14,9 @@
 //   - Zero cost when disabled: every instrumentation site in engine,
 //     store and service is a nil check around a held pointer; a build
 //     with observability off the hot path is the same build with the
-//     pointers nil (proven by the BENCH_4-vs-BENCH_3 CI gate).
+//     pointers nil (EXPERIMENTS.md's BENCH_4 table: allocs/op identical
+//     to the build without the plane). What the pointers cost when set
+//     is the benchmark's obs.hooks_on_ratio.
 //   - Determinism of the rendered form: families sort by name, series
 //     sort by label signature, so two renders of the same state are
 //     byte-identical — golden-testable like everything else here.
@@ -143,13 +145,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 // (tens of seconds) without per-site tuning.
 var LatencyBuckets = []float64{
 	1e-6, 5e-6, 25e-6, 1e-4, 5e-4, 25e-4, 1e-2, 5e-2, 0.25, 1, 5, 25,
-}
-
-// RequestBuckets spans 100µs to 10s in 1-2-5 steps — dense enough that
-// an interpolated p99 over HTTP request latencies moves smoothly as
-// traffic shifts, which the loadgen's SLO gate depends on.
-var RequestBuckets = []float64{
-	1e-4, 2e-4, 5e-4, 1e-3, 2e-3, 5e-3, 1e-2, 2e-2, 5e-2, 0.1, 0.2, 0.5, 1, 2, 5, 10,
 }
 
 // kind is a family's metric type; mixing kinds under one name is a

@@ -1,14 +1,15 @@
 package sim
 
-// Micro-benchmarks for the runner core's hot operations. The
-// whole-protocol benchmarks live at the repo root (bench_test.go) and
-// in cmd/idonly-bench -bench-json; these isolate the delivery path
-// itself — broadcast fan-out, inbox sorting, a full steady-state round,
-// the sparse unicast overlay — as one table per operation over the
-// instantiations of the core: boxed (registered payloads, and the fmt
-// fallback where the key renderer matters) and typed. After warm-up —
-// arena and inboxes at their steady sizes — the per-round path performs
-// zero allocations.
+// Micro-benchmarks for the runner core's hot operations. Whole-protocol
+// runs are measured by the benchmark module (benchmark/, sim-scale);
+// these isolate the delivery path itself — broadcast fan-out, inbox
+// sorting, a full steady-state round, the sparse unicast overlay — as
+// one table per operation over the instantiations of the core: boxed
+// (registered payloads, and the fmt fallback where the key renderer
+// matters) and typed. After warm-up — arena and inboxes at their steady
+// sizes — the typed per-round path performs zero allocations, and the
+// boxed one only the boxes its processes' Steps make
+// (TestSteadyRoundAllocs).
 
 import (
 	"fmt"
@@ -203,6 +204,29 @@ func BenchmarkStepRound(b *testing.B) {
 		boxed, typed := benchRunners(n, oneBroadcast)
 		b.Run(fmt.Sprintf("boxed/n=%d", n), func(b *testing.B) { benchRounds(b, boxed, float64(n*n)) })
 		b.Run(fmt.Sprintf("typed/n=%d", n), func(b *testing.B) { benchRounds(b, typed, float64(n*n)) })
+	}
+}
+
+// TestSteadyRoundAllocs pins the header's claim on BenchmarkStepRound's
+// shape: once both buffer generations are warm, a typed round allocates
+// nothing, and a boxed round allocates at most the n payload boxes its
+// benchProc Steps make — the runner itself adds none.
+func TestSteadyRoundAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the pin only holds uninstrumented")
+	}
+	for _, n := range []int{8, 32, 128} {
+		boxed, typed := benchRunners(n, oneBroadcast)
+		boxed.StepRound()
+		boxed.StepRound() // both buffer generations warm
+		typed.StepRound()
+		typed.StepRound()
+		if got := testing.AllocsPerRun(20, typed.StepRound); got != 0 {
+			t.Errorf("typed n=%d: a steady round allocates %.0f times, want 0", n, got)
+		}
+		if got := testing.AllocsPerRun(20, boxed.StepRound); got > float64(n) {
+			t.Errorf("boxed n=%d: a steady round allocates %.0f times, want <= %d (one box per Step)", n, got, n)
+		}
 	}
 }
 
