@@ -31,8 +31,8 @@
 // stays on one worker past -scenario-deadline: a flight-recorder event
 // with the offending ScenarioDigest plus a goroutine dump to stderr.
 //
-// Identical sweeps arriving concurrently coalesce onto one engine
-// computation (disable with -coalesce=false); -store-max-bytes keeps
+// Concurrent sweeps that share scenarios simulate each shared one once
+// (the store's per-digest flights dedupe them); -store-max-bytes keeps
 // the result log under a watermark by evicting the least-recently-read
 // records, and -rate-rps/-rate-burst token-bucket each client address.
 // The -faults flag arms the failpoint plane used by the chaos CI job —
@@ -83,7 +83,6 @@ type serveConfig struct {
 	HotResults    int
 	RateRPS       float64
 	RateBurst     int
-	Coalesce      bool
 	FaultSpec     string
 }
 
@@ -104,7 +103,6 @@ func main() {
 	flag.IntVar(&cfg.HotResults, "hot-results", 0, "in-memory LRU of recently read results served without disk reads (0 = off)")
 	flag.Float64Var(&cfg.RateRPS, "rate-rps", 0, "per-client sweep token refill rate; excess requests get 429 with an honest Retry-After (0 = unlimited)")
 	flag.IntVar(&cfg.RateBurst, "rate-burst", 0, "per-client token-bucket depth (0 = ceil of -rate-rps)")
-	flag.BoolVar(&cfg.Coalesce, "coalesce", true, "merge identical concurrent sweeps onto one engine computation")
 	flag.StringVar(&cfg.FaultSpec, "faults", "", "failpoint spec, e.g. compact_pre_rename=sleep:10s (chaos testing only)")
 	logFlags := obs.RegisterLogFlags(flag.CommandLine)
 	flag.Parse()
@@ -154,10 +152,8 @@ func run(cfg serveConfig) error {
 		ScenarioDeadline: cfg.Deadline,
 		RunHistory:       cfg.RunHistory,
 		EventBuffer:      cfg.EventBuf,
-
-		DisableCoalesce: !cfg.Coalesce,
-		RateRPS:         cfg.RateRPS,
-		RateBurst:       cfg.RateBurst,
+		RateRPS:          cfg.RateRPS,
+		RateBurst:        cfg.RateBurst,
 	})
 	srv := &http.Server{
 		Addr:              cfg.Addr,
@@ -172,7 +168,7 @@ func run(cfg serveConfig) error {
 	go func() { errc <- srv.ListenAndServe() }()
 	slog.Info("listening",
 		"addr", cfg.Addr, "store", cfg.StoreDir, "results", st.Len(),
-		"pprof", cfg.PprofOn, "coalesce", cfg.Coalesce,
+		"pprof", cfg.PprofOn,
 		"store_max_bytes", cfg.StoreMaxBytes, "hot_results", cfg.HotResults,
 		"rate_rps", cfg.RateRPS)
 

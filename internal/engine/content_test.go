@@ -73,8 +73,10 @@ func contentStrategies(t *testing.T) []contentStrategy {
 // across execution strategies, and enforces the digest contract in both
 // directions: result bytes that change under an unchanged
 // scenarioDigestVersion fail, and so does a bumped version without a
-// re-pinned row set. The medium grid (≈ 10 s a pass) is checked by hand
-// with `idonly-bench -grid medium -canonical | sha256sum`.
+// re-pinned row set. The medium grid (≈ 10 s a pass) is pinned by the
+// "medium grid pinned canonical bytes" step of the CI bench job, which
+// compares `idonly-bench -grid medium -canonical | sha256sum` with a
+// hash kept in .github/workflows/ci.yml.
 func TestContentPins(t *testing.T) {
 	strategies := contentStrategies(t)
 	got := make([]contentPin, len(strategies))

@@ -35,9 +35,9 @@
 // bound), a single request may expand to at most Config.MaxScenarios
 // scenarios (413 beyond that), and with Config.RateRPS set each client
 // host gets a token bucket over sweep admissions (429 + the honest
-// time to the next token). Identical concurrent sweeps coalesce by
-// default — one computation, one in-flight slot, every requester
-// streams the shared report; see coalesce.go. Graceful shutdown is
+// time to the next token). Concurrent sweeps that share scenarios
+// compute each shared one once: the store's per-digest flights
+// (store.CachedRunAll) are the only coalescer. Graceful shutdown is
 // the caller's job via http.Server.Shutdown; the handler holds no state
 // that outlives a request.
 //
@@ -111,12 +111,6 @@ type Config struct {
 	// so they are opt-in per process.
 	EnablePprof bool
 
-	// DisableCoalesce turns off whole-sweep request coalescing. On by
-	// default (zero value): N concurrent identical sweeps admit one
-	// computation on one in-flight slot and every request renders the
-	// shared report; see coalesce.go for the disconnect semantics.
-	DisableCoalesce bool
-
 	// RateRPS enables per-client rate limiting on POST /v1/sweep: each
 	// RemoteAddr host accrues RateRPS sweep admissions per second up to
 	// RateBurst (<= 0 means ceil(RateRPS), floor 1). Beyond that the
@@ -167,7 +161,6 @@ type Counters struct {
 	SweepsInFlight  int64       `json:"sweeps_in_flight"` // currently running
 	SweepsRejected  int64       `json:"sweeps_rejected"`  // 429s from the in-flight bound
 	RateLimited     int64       `json:"rate_limited"`     // 429s from the per-client rate limit
-	Coalesced       int64       `json:"coalesced"`        // sweeps served by joining an in-flight computation
 	ScenariosServed int64       `json:"scenarios_served"` // total scenarios across sweeps
 	CacheHits       int64       `json:"cache_hits"`       // scenarios served from the store
 	CacheMisses     int64       `json:"cache_misses"`     // scenarios computed
@@ -204,14 +197,9 @@ type Service struct {
 	sweepLat     *obs.Histogram // idonly_sweep_seconds
 	watchdogHits *obs.Counter   // idonly_watchdog_fires_total
 
-	// limiter is the per-client token bucket (nil when RateRPS <= 0);
-	// sflights are the in-flight whole-sweep computations (coalesce.go).
-	limiter         *rateLimiter
-	rateLimited     *obs.Counter // idonly_ratelimit_rejected_total
-	coalesceHits    *obs.Counter // idonly_coalesce_hits_total
-	coalesceFlights *obs.Counter // idonly_coalesce_flights_total
-	sfmu            sync.Mutex
-	sflights        map[string]*sweepFlight
+	// limiter is the per-client token bucket (nil when RateRPS <= 0).
+	limiter     *rateLimiter
+	rateLimited *obs.Counter // idonly_ratelimit_rejected_total
 
 	// httpLat holds the per-endpoint latency series, preregistered for
 	// the full bounded endpoint-label set so ServeHTTP observes into a
@@ -264,8 +252,7 @@ func New(cfg Config) *Service {
 	}
 	s := &Service{cfg: cfg, sem: make(chan struct{}, cfg.MaxInFlight), reg: reg,
 		runs: runs, events: events,
-		limiter:  newRateLimiter(cfg.RateRPS, cfg.RateBurst),
-		sflights: make(map[string]*sweepFlight)}
+		limiter: newRateLimiter(cfg.RateRPS, cfg.RateBurst)}
 	s.eo = engine.NewObs(reg)
 	cfg.Store.Instrument(reg)
 	cfg.Store.RecordEvents(events)
@@ -289,10 +276,6 @@ func New(cfg Config) *Service {
 		"Slow-scenario watchdog fires: shards that held one scenario past the deadline.")
 	s.rateLimited = reg.Counter("idonly_ratelimit_rejected_total",
 		"Sweeps rejected by the per-client rate limit (HTTP 429).")
-	s.coalesceHits = reg.Counter("idonly_coalesce_hits_total",
-		"Sweep requests served by joining another request's in-flight computation.")
-	s.coalesceFlights = reg.Counter("idonly_coalesce_flights_total",
-		"Coalesced sweep computations started (one per distinct in-flight sweep).")
 	s.httpLat = make(map[string]*obs.Histogram, len(endpointLabels))
 	for _, ep := range endpointLabels {
 		s.httpLat[ep] = reg.Histogram("idonly_http_request_seconds", reqLatHelp,
@@ -508,16 +491,6 @@ func (s *Service) sweepRetryAfter() int {
 	return sec
 }
 
-// rejectInFlight writes the in-flight-bound 429.
-func (s *Service) rejectInFlight(w http.ResponseWriter, nspecs int) {
-	s.rejected.Inc()
-	s.events.Record("sweep_reject",
-		obs.F("reason", "in_flight_limit"),
-		obs.F("scenarios", strconv.Itoa(nspecs)))
-	w.Header().Set("Retry-After", strconv.Itoa(s.sweepRetryAfter()))
-	httpError(w, http.StatusTooManyRequests, "%d sweeps already in flight", s.cfg.MaxInFlight)
-}
-
 func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// The rate limit runs before anything else: a client over its
 	// budget should not even cost request parsing.
@@ -567,87 +540,63 @@ func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if !s.cfg.DisableCoalesce {
-		key := sweepKey(gridName, traced, specs)
-		f, leader := s.claimSweep(key)
-		if f == nil {
-			s.rejectInFlight(w, len(specs))
-			return
-		}
-		if leader {
-			s.coalesceFlights.Inc()
-			go s.runSweepFlight(f, key, specs, gridName, traced)
-		} else {
-			s.coalesceHits.Inc()
-		}
-		select {
-		case <-f.done:
-		case <-r.Context().Done():
-			// This client is gone; the computation is not — it runs
-			// detached and the remaining waiters (if any) get it.
-			return
-		}
-		out := f.out
-		if out.err != nil {
-			httpError(w, http.StatusInternalServerError, "sweep failed: %v", out.err)
-			return
-		}
-		w.Header().Set("X-Idonly-Run", out.runID)
-		if leader {
-			w.Header().Set("X-Idonly-Computed", strconv.Itoa(out.stats.Misses-out.stats.Coalesced))
-		} else {
-			w.Header().Set("X-Idonly-Coalesced", "1")
-			w.Header().Set("X-Idonly-Computed", "0")
-		}
-		s.renderSweep(w, format, out)
-		return
-	}
-
+	// Identical concurrent sweeps each take their own slot; they still
+	// simulate every shared scenario once, because CachedRunAll's
+	// per-digest flights dedupe across callers.
 	select {
 	case s.sem <- struct{}{}:
 		defer func() { <-s.sem }()
 	default:
-		s.rejectInFlight(w, len(specs))
+		s.rejected.Inc()
+		s.events.Record("sweep_reject",
+			obs.F("reason", "in_flight_limit"),
+			obs.F("scenarios", strconv.Itoa(len(specs))))
+		w.Header().Set("Retry-After", strconv.Itoa(s.sweepRetryAfter()))
+		httpError(w, http.StatusTooManyRequests, "%d sweeps already in flight", s.cfg.MaxInFlight)
 		return
 	}
-	out := s.computeSweep(specs, gridName, traced)
-	if out.err != nil {
-		httpError(w, http.StatusInternalServerError, "sweep failed: %v", out.err)
+	out, err := s.computeSweep(specs, gridName, traced)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "sweep failed: %v", err)
 		return
 	}
 	w.Header().Set("X-Idonly-Run", out.runID)
 	w.Header().Set("X-Idonly-Computed", strconv.Itoa(out.stats.Misses-out.stats.Coalesced))
+	if out.stats.Misses > 0 && out.stats.Coalesced == out.stats.Misses {
+		// Every miss was served by another request's in-flight
+		// computation: this sweep simulated nothing itself.
+		w.Header().Set("X-Idonly-Coalesced", "1")
+	}
 	s.renderSweep(w, format, out)
 }
 
 // sweepOutcome is one computed sweep, ready to render in any format.
-// Spans arrive sorted by Seq so concurrent renderers never mutate the
-// shared slice.
 type sweepOutcome struct {
 	rep       *engine.Report
 	stats     store.RunStats
-	spans     []engine.Span
+	spans     []engine.Span // sorted by Seq
 	elapsedNS int64
 	runID     string
-	err       error
 }
 
 // computeSweep runs the grid through the cached engine with the full
 // observability harness: a run record (progress API), the slow-scenario
-// watchdog, flight-recorder events, and the sweep metric set. It is
-// shared by the inline (coalescing-disabled) path and the detached
-// flight goroutine.
-func (s *Service) computeSweep(specs []engine.Scenario, gridName string, traced bool) sweepOutcome {
+// watchdog, flight-recorder events, and the sweep metric set. The run
+// record and the watchdog are released on every exit, a panic out of
+// the engine or the store included.
+func (s *Service) computeSweep(specs []engine.Scenario, gridName string, traced bool) (sweepOutcome, error) {
 	workers := s.cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	run := s.runs.NewRun("sweep", gridName, len(specs), workers)
+	defer run.Finish()
 	s.events.Record("sweep_admit",
 		obs.F("run", run.ID()),
 		obs.F("scenarios", strconv.Itoa(len(specs))))
-	stopWatch := make(chan struct{})
 	if s.cfg.ScenarioDeadline > 0 {
+		stopWatch := make(chan struct{})
+		defer close(stopWatch)
 		go s.watchdog(run, stopWatch)
 	}
 
@@ -665,11 +614,9 @@ func (s *Service) computeSweep(specs []engine.Scenario, gridName string, traced 
 	rep, stats, err := store.CachedRunAll(s.cfg.Store, specs, engine.Options{
 		Workers: s.cfg.Workers, Grid: gridName, Hooks: hooks,
 	})
-	close(stopWatch)
-	run.Finish()
 	if err != nil {
 		s.events.Record("sweep_failed", obs.F("run", run.ID()))
-		return sweepOutcome{runID: run.ID(), err: err}
+		return sweepOutcome{}, err
 	}
 	elapsed := time.Since(start)
 	s.events.Record("sweep_done",
@@ -687,12 +634,10 @@ func (s *Service) computeSweep(specs []engine.Scenario, gridName string, traced 
 	return sweepOutcome{
 		rep: rep, stats: stats, spans: spans,
 		elapsedNS: elapsed.Nanoseconds(), runID: run.ID(),
-	}
+	}, nil
 }
 
-// renderSweep writes one outcome in the requested format. Safe for any
-// number of concurrent callers over a shared outcome: every path reads
-// the report or copies it before mutating.
+// renderSweep writes one outcome in the requested format.
 func (s *Service) renderSweep(w http.ResponseWriter, format string, out sweepOutcome) {
 	switch format {
 	case "", "ndjson":
@@ -746,11 +691,9 @@ type spanLine struct {
 
 // writeNDJSON streams the per-scenario results one JSON object per
 // line, in deterministic input order, then (for traced sweeps) one
-// span line per scenario in sweep order (the caller pre-sorts spans by
-// Seq — this function may run concurrently over a shared coalesced
-// outcome and must not mutate it), then the trailer with aggregates
-// and cache stats. Lines are flushed as written so a slow client sees
-// results as they serialize.
+// span line per scenario in the order given (computeSweep sorts them
+// by Seq), then the trailer with aggregates and cache stats. Lines are
+// flushed as written so a slow client sees results as they serialize.
 func (s *Service) writeNDJSON(w http.ResponseWriter, rep *engine.Report, stats store.RunStats, spans []engine.Span, elapsed int64) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
@@ -845,7 +788,6 @@ func (s *Service) Snapshot() Counters {
 		SweepsInFlight:  int64(len(s.sem)),
 		SweepsRejected:  s.rejected.Value(),
 		RateLimited:     s.rateLimited.Value(),
-		Coalesced:       s.coalesceHits.Value(),
 		ScenariosServed: s.scenarios.Value(),
 		CacheHits:       s.eo.Cached.Value(),
 		CacheMisses:     s.eo.Computed.Value(),
