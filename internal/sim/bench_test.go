@@ -6,10 +6,10 @@ package sim
 // sorting, a full steady-state round, the sparse unicast overlay — as
 // one table per operation over the instantiations of the core: boxed
 // (registered payloads, and the fmt fallback where the key renderer
-// matters) and typed. After warm-up — arena and inboxes at their steady
-// sizes — the typed per-round path performs zero allocations, and the
-// boxed one only the boxes its processes' Steps make
-// (TestSteadyRoundAllocs).
+// matters) and typed. After warm-up — arena, log, lanes and merge
+// scratch at their steady sizes — the typed per-round path performs
+// zero allocations, and the boxed one only the boxes its processes'
+// Steps make (TestSteadyRoundAllocs).
 
 import (
 	"fmt"
@@ -207,40 +207,106 @@ func BenchmarkStepRound(b *testing.B) {
 	}
 }
 
-// TestSteadyRoundAllocs pins the header's claim on BenchmarkStepRound's
-// shape: once both buffer generations are warm, a typed round allocates
+// splitBroadcast is the split shape's correct side: one broadcast of
+// one fixed payload per node per round.
+func splitBroadcast(_ *benchProc, _ int, out []SendT[benchPayload]) []SendT[benchPayload] {
+	return append(out, BroadcastT(splitPayload))
+}
+
+var splitPayload = benchPayload{Kind: 1}
+
+// splitCodec is benchCodec with splitPayload boxed once: the faulty
+// recipients' boxed log then costs the codec no allocation either, so
+// an allocation in the split shape is the runner's.
+var splitCodec = Codec[benchPayload]{
+	Wrap: benchCodec.Wrap,
+	Unwrap: func(m benchPayload) any {
+		if m == splitPayload {
+			return splitBox
+		}
+		return m
+	},
+}
+
+var splitBox any = splitPayload
+
+// splitAdv is the split shape's faulty side: every faulty node unicasts
+// its own payload to every correct node each round, from send slices
+// built, boxes included, once up front.
+type splitAdv map[ids.ID][]Send
+
+func (a splitAdv) Step(node ids.ID, _ int, _ []Message) []Send { return a[node] }
+
+// splitRunners builds the split shape on both instantiations: n correct
+// nodes broadcasting beside f faulty ones unicasting, so every correct
+// inbox merges the log with its own lane.
+func splitRunners(n, f int) (*TypedRunner[boxedProc, any], *TypedRunner[*benchProc, benchPayload]) {
+	all := ids.Sparse(ids.NewRand(98), n+f)
+	correct, faulty := all[:n], all[n:]
+	adv := make(splitAdv)
+	for j, id := range faulty {
+		for _, to := range correct {
+			adv[id] = append(adv[id], Unicast(to, benchPayload{Kind: 2, Value: float64(j)}))
+		}
+	}
+	boxed := make([]Process, n)
+	typed := make([]*benchProc, n)
+	for i, id := range correct {
+		boxed[i] = &benchProc{id: id, mk: splitBroadcast}
+		typed[i] = &benchProc{id: id, mk: splitBroadcast}
+	}
+	cfg := Config{MaxRounds: 1 << 30}
+	return NewRunner(cfg, boxed, faulty, adv).TypedRunner, NewTypedRunner(cfg, typed, faulty, adv, splitCodec)
+}
+
+// TestSteadyRoundAllocs pins the header's claim: once both buffer
+// generations and the merge scratch are warm, a typed round allocates
 // nothing, and a boxed round allocates at most the n payload boxes its
-// benchProc Steps make — the runner itself adds none.
+// benchProc Steps make — the runner itself adds none. Two shapes:
+// BenchmarkStepRound's all-broadcast one, where every inbox is the
+// shared log, and the split one, where faulty unicasts beside the
+// correct broadcasts put every correct inbox on the merge path.
 func TestSteadyRoundAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the pin only holds uninstrumented")
 	}
-	for _, n := range []int{8, 32, 128} {
-		boxed, typed := benchRunners(n, oneBroadcast)
+	check := func(shape string, n int, boxed *TypedRunner[boxedProc, any], typed *TypedRunner[*benchProc, benchPayload]) {
 		boxed.StepRound()
 		boxed.StepRound() // both buffer generations warm
 		typed.StepRound()
 		typed.StepRound()
 		if got := testing.AllocsPerRun(20, typed.StepRound); got != 0 {
-			t.Errorf("typed n=%d: a steady round allocates %.0f times, want 0", n, got)
+			t.Errorf("%s typed n=%d: a steady round allocates %.0f times, want 0", shape, n, got)
 		}
 		if got := testing.AllocsPerRun(20, boxed.StepRound); got > float64(n) {
-			t.Errorf("boxed n=%d: a steady round allocates %.0f times, want <= %d (one box per Step)", n, got, n)
+			t.Errorf("%s boxed n=%d: a steady round allocates %.0f times, want <= %d (one box per Step)", shape, n, got, n)
+		}
+	}
+	for _, n := range []int{8, 32, 128} {
+		boxed, typed := benchRunners(n, oneBroadcast)
+		check("broadcast", n, boxed, typed)
+		boxed, typed = splitRunners(n, n/3)
+		check("split", n, boxed, typed)
+		for i := range typed.idvec {
+			if !typed.faulty[i] && len(typed.cur[i].msgs) == 0 {
+				t.Fatalf("split n=%d: correct slot %d has an empty lane, so its inbox is not merged", n, i)
+			}
 		}
 	}
 }
 
-// BenchmarkRunnerBroadcastFanout watches the property the source-keyed
-// filter exists for: every node broadcasts 16 distinct payloads per
-// round and repeats the first of them — n·16 sources, n²·16 deliveries
-// and n² duplicate drops — and the per-send costs (key rendering, one
-// filter probe) are shared by all n recipients of a broadcast, so
-// ns/delivery falls from n=14 to n=64; a filter probed once per
-// delivery rises instead, its map growing with n². At n=1024 a round
-// is 16.7M appends over 1024 lanes (≈800 MB of inboxes) and cache
-// misses, not the filter, set the cost; the figure to watch there is
-// that it stays far below a map probe per delivery (EXPERIMENTS.md has
-// the table).
+// BenchmarkRunnerBroadcastFanout watches the property the broadcast log
+// and the source-keyed filter exist for: every node broadcasts 16
+// distinct payloads per round and repeats the first of them — n·16
+// sources, n²·16 deliveries and n² duplicate drops. Each fresh
+// broadcast is one key render, one filter probe and one log append,
+// and the log is sorted once per round and handed to all n recipients
+// as their shared inbox; a repeat is one probe that counts n drops. A
+// round therefore costs O(n·16), not O(n²·16), and ns/delivery falls
+// roughly as 1/n. At n=1024 a round is 16 384 log entries (≈0.5 MB)
+// where a plane that appended per recipient made 16.7M appends over
+// 1024 lanes (≈800 MB) and was bound by cache misses (EXPERIMENTS.md
+// has both tables).
 func BenchmarkRunnerBroadcastFanout(b *testing.B) {
 	fanout := func(p *benchProc, _ int, out []SendT[benchPayload]) []SendT[benchPayload] {
 		for k := 0; k <= 16; k++ {

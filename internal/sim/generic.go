@@ -2,16 +2,17 @@
 // concrete process and message types.
 //
 // TypedRunner is instantiated with a process type P and a comparable
-// wire type M, and everything a round does — buffer flip, inbox sort,
-// adversary and process steps, observer, delivery through the
-// duplicate filter (plane.go), decided bookkeeping, membership churn,
-// the sharded Step fan-out (shard.go) — exists here and nowhere else.
-// Two kinds of instantiation share it:
+// wire type M, and everything a round does — buffer flip, inbox
+// assembly, adversary and process steps, observer, delivery through
+// the duplicate filter into the broadcast log and the exception lanes
+// (plane.go), decided bookkeeping, membership churn, the sharded Step
+// fan-out (shard.go) — exists here and nowhere else. Two kinds of
+// instantiation share it:
 //
 //   - NewTypedRunner, over a protocol's closed wire union (a small
 //     value struct) and its concrete node type: the compiler stencils
-//     the delivery plane, messages travel as []MsgT[M] lanes with no
-//     `any` box, and the filter hashes the wire value itself.
+//     the delivery plane, messages travel as []MsgT[M] with no `any`
+//     box, and the filter hashes the wire value itself.
 //   - NewRunner (sim.go), over boxed payloads (M = any) and an adapter
 //     that presents a Process as a ProcessT[any]: any payload type,
 //     registered or not, with an identity codec.
@@ -19,7 +20,10 @@
 // What an instantiation supplies besides its types is a Codec — how a
 // wire value crosses to and from the boxed form the Adversary and
 // Observer interfaces speak — and a key renderer, how a wire value
-// appends its sort key. Node bookkeeping lives in struct-of-arrays
+// appends its sort key. Delivery is paid per source: the key is
+// rendered once per (sender, payload) per round, and a fresh broadcast
+// is one log append whatever the recipient count, so an inbox may be
+// the round's shared log. Node bookkeeping lives in struct-of-arrays
 // (ids, processes, faulty and decided flags, lanes, in parallel slices
 // a sharded round streams through), sorted by id and indexed through a
 // slot map; joins and leaves shift every column in step.
@@ -69,8 +73,9 @@ func UnicastT[M any](to ids.ID, p M) SendT[M] { return SendT[M]{To: to, Payload:
 
 // ProcessT is a correct participant stepping on concrete message
 // types. StepTyped is Step with the payload type fixed; the ownership
-// rules are identical (the inbox is runner-owned and reused, the send
-// slice is process-owned scratch). A protocol node with a wire union
+// rules are identical (the inbox is runner-owned, reused and shared,
+// so neither retained nor modified; the send slice is process-owned
+// scratch). A protocol node with a wire union
 // implements both Process and ProcessT over the same state, and the
 // two must emit the same schedule — the golden digests check it.
 type ProcessT[M any] interface {
@@ -104,24 +109,23 @@ type srcKey[M comparable] struct {
 }
 
 // sendCtx is the per-Send delivery state shared by every recipient of
-// a broadcast. The recipient set is resolved and the key bytes land in
-// the arena once per Send; the boxed form of the payload — needed only
-// when a faulty node is among the recipients — is materialized at most
-// once, and adversary sends reuse the box they arrived in.
+// a send. The recipient set, which also holds the source's arena view
+// of its key bytes, is resolved once per Send; the boxed form of the
+// payload — needed only when a faulty node is among the recipients —
+// is materialized at most once, and adversary sends reuse the box they
+// arrived in.
 type sendCtx struct {
 	set       *recipSet
-	off       uint32 // arena view of the key bytes
-	n         uint32
 	accepted  bool // at least one recipient took the message
 	boxed     any  // lazy boxed payload for faulty recipients
 	haveBoxed bool
 }
 
 // slabBudget caps the presized lane slabs of one runner (in entries
-// across both buffers): up to n = 16384 every inbox is seeded with
-// clamp(n, 8, 64) entries; beyond that the cap shrinks the per-inbox
+// across both buffers): up to n = 16384 every lane is seeded with
+// clamp(n, 8, 64) entries; beyond that the cap shrinks the per-lane
 // seed instead of committing hundreds of megabytes up front, and the
-// first rounds grow the hot inboxes — InboxGrows is excluded from
+// first rounds grow the hot lanes — InboxGrows is excluded from
 // digests and canonical reports precisely because it describes the
 // allocator.
 const slabBudget = 1 << 21
@@ -153,15 +157,29 @@ type TypedRunner[P ProcessT[M], M comparable] struct {
 	leaver []Leaver // non-nil when the process has a leave discipline
 	slot   map[ids.ID]int
 
-	// Delivery lanes: wire-typed for correct slots, boxed for faulty
-	// slots (the Adversary interface consumes []Message). Both pairs
-	// are double-buffered per slot — cur is consumed this round, nxt is
-	// filled for the next — and flip at the round boundary, so the
-	// backing arrays are reused for the whole run.
-	cur  []laneBuf[M]
-	nxt  []laneBuf[M]
-	bcur []inboxBuf
-	bnxt []inboxBuf
+	// Delivery (plane.go): the broadcast log carries each fresh
+	// broadcast once for every slot; the per-slot exception lanes —
+	// wire-typed for correct slots, boxed for faulty slots (the
+	// Adversary interface consumes []Message) — carry the rest. The
+	// faulty slots read blog, log's boxed mirror, which is filled only
+	// in rounds with a faulty slot present (mirror); for M = any blog is
+	// nil and they read log itself. Log and lanes are double-buffered —
+	// cur is consumed this round, nxt is filled for the next — and flip
+	// at the round boundary, so the backing arrays are reused for the
+	// whole run.
+	log    bcastLog[M]
+	blog   *bcastLog[any]
+	mirror bool
+	cur    []laneBuf[M]
+	nxt    []laneBuf[M]
+	bcur   []inboxBuf
+	bnxt   []inboxBuf
+
+	// Merge scratch for inboxes whose lane is not empty: merged[0] on
+	// the sequential path, merged[w] for shard worker w, bmerged for the
+	// faulty slots (always assembled sequentially).
+	merged  []laneBuf[M]
+	bmerged inboxBuf
 
 	undecided int // correct processes not yet observed Decided
 	metrics   Metrics
@@ -224,6 +242,7 @@ func newRunner[P ProcessT[M], M comparable](cfg Config, procs []P, faulty []ids.
 		nxt:      make([]laneBuf[M], nn),
 		bcur:     make([]inboxBuf, nn),
 		bnxt:     make([]inboxBuf, nn),
+		merged:   make([]laneBuf[M], 1),
 		spawns:   make(map[int][]spawn[P]),
 		curArena: make([]byte, 0, 1024),
 		nxtArena: make([]byte, 0, 1024),
@@ -263,10 +282,10 @@ func newRunner[P ProcessT[M], M comparable](cfg Config, procs []P, faulty []ids.
 	return r
 }
 
-// presizeCap is the per-inbox capacity seeded for the steady-state
-// traffic shape — about one broadcast per peer per round, clamp(n, 8,
-// 64) — with the slab budget applied for huge n: the first rounds grow
-// the rare hot inboxes instead of committing n² memory up front.
+// presizeCap is the per-buffer capacity seeded for the steady-state
+// traffic shape — about one send per peer per round, clamp(n, 8, 64) —
+// with the slab budget applied for huge n: the first rounds grow the
+// rare hot lanes instead of committing n² memory up front.
 func (r *TypedRunner[P, M]) presizeCap() int {
 	n := len(r.idvec)
 	c := min(max(n, 8), 64)
@@ -276,31 +295,35 @@ func (r *TypedRunner[P, M]) presizeCap() int {
 	return c
 }
 
-// presizeAll seeds the founders' pooled delivery state at construction.
-// The lanes of all slots come from shared slabs — one pair for the nc
-// correct slots, one boxed pair for the nf faulty slots — handed out
-// as capacity-limited views, so short runs do not spend their few
-// rounds growing buffers one doubling at a time. A view that outgrows
-// its capacity reallocates away from the slab exactly as an
+// presizeAll seeds the founders' pooled delivery state at construction:
+// the broadcast log (and, for M ≠ any, its boxed mirror) with one
+// buffer's worth, and the lanes of all slots from shared slabs — one
+// set for the nc correct slots, one boxed set for the nf faulty slots
+// — handed out as capacity-limited views, so short runs do not spend
+// their few rounds growing buffers one doubling at a time. A view that
+// outgrows its capacity reallocates away from the slab exactly as an
 // individually allocated buffer would (InboxGrows counts it either
 // way).
 func (r *TypedRunner[P, M]) presizeAll(nc, nf int) {
 	c := r.presizeCap()
-	tms := make([]MsgT[M], 2*c*nc)
-	tks := make([]keyRef, 2*c*nc)
-	bms := make([]Message, 2*c*nf)
-	bks := make([]keyRef, 2*c*nf)
+	r.log = newLog[M](c)
+	if _, boxed := any(&r.log).(*bcastLog[any]); !boxed {
+		l := newLog[any](c)
+		r.blog = &l
+	}
+	tms, tks := make([]MsgT[M], 2*c*nc), make([]keyRef, 2*c*nc)
+	bms, bks := make([]Message, 2*c*nf), make([]keyRef, 2*c*nf)
 	ti, bi := 0, 0
 	for i := range r.idvec {
 		if r.faulty[i] {
 			o := 2 * c * bi
-			r.bcur[i] = inboxBuf{bms[o : o : o+c], bks[o : o : o+c]}
-			r.bnxt[i] = inboxBuf{bms[o+c : o+c : o+2*c], bks[o+c : o+c : o+2*c]}
+			r.bcur[i] = inboxBuf{msgs: bms[o : o : o+c], keys: bks[o : o : o+c]}
+			r.bnxt[i] = inboxBuf{msgs: bms[o+c : o+c : o+2*c], keys: bks[o+c : o+c : o+2*c]}
 			bi++
 		} else {
 			o := 2 * c * ti
-			r.cur[i] = laneBuf[M]{tms[o : o : o+c], tks[o : o : o+c]}
-			r.nxt[i] = laneBuf[M]{tms[o+c : o+c : o+2*c], tks[o+c : o+c : o+2*c]}
+			r.cur[i] = laneBuf[M]{msgs: tms[o : o : o+c], keys: tks[o : o : o+c]}
+			r.nxt[i] = laneBuf[M]{msgs: tms[o+c : o+c : o+2*c], keys: tks[o+c : o+c : o+2*c]}
 			ti++
 		}
 	}
@@ -391,14 +414,14 @@ func (r *TypedRunner[P, M]) StepRound() {
 	delete(r.spawns, round)
 
 	// Flip the delivery buffers: last round's deliveries become this
-	// round's inboxes and the buffers consumed last round are emptied —
-	// backing arrays intact — to receive this round's traffic. The
-	// duplicate filter is emptied in place for the same reason, and
-	// the key arenas flip in lockstep so every keyRef in a cur inbox
-	// points into curArena. The retention gauge (scratch.go) releases
-	// an arena far above the decayed usage mark — only ever the buffer
-	// about to be refilled (nxtArena), never curArena, whose bytes the
-	// live keyRefs still view.
+	// round's inboxes — the log sorted once for everyone — and the
+	// buffers consumed last round are emptied, backing arrays intact, to
+	// receive this round's traffic. The duplicate filter is emptied in
+	// place for the same reason, and the key arenas flip in lockstep so
+	// every keyRef in a cur inbox points into curArena. The retention
+	// gauge (scratch.go) releases an arena far above the decayed usage
+	// mark — only ever the buffer about to be refilled (nxtArena), never
+	// curArena, whose bytes the live keyRefs still view.
 	r.arenaGauge.observe(len(r.nxtArena))
 	r.curArena, r.nxtArena = r.nxtArena, r.curArena
 	r.nxtArena = r.nxtArena[:0]
@@ -406,8 +429,14 @@ func (r *TypedRunner[P, M]) StepRound() {
 		r.nxtArena = make([]byte, 0, r.arenaGauge.retainTarget(arenaRetainFloor))
 	}
 	r.filter.flip(len(r.idvec))
+	r.log.flip(r.curArena)
+	if r.blog != nil {
+		r.blog.flip(r.curArena)
+	}
+	faulty := false
 	for i := range r.idvec {
 		if r.faulty[i] {
+			faulty = true
 			r.bcur[i], r.bnxt[i] = r.bnxt[i], r.bcur[i]
 			r.bnxt[i].reset()
 		} else {
@@ -415,6 +444,7 @@ func (r *TypedRunner[P, M]) StepRound() {
 			r.nxt[i].reset()
 		}
 	}
+	r.mirror = faulty && r.blog != nil
 	r.metrics.ByRound = append(r.metrics.ByRound, 0)
 
 	r.leavers = r.leavers[:0]
@@ -432,11 +462,9 @@ func (r *TypedRunner[P, M]) StepRound() {
 	}
 	for i := 0; i < nn; i++ {
 		id := r.idvec[i]
-		if pre == nil {
-			r.sortSlot(i)
-		}
 		if r.faulty[i] {
-			for _, s := range r.adv.Step(id, round, r.bcur[i].msgs) {
+			inbox := assemble(&r.bcur[i], r.faultyLog(), &r.bmerged, r.curArena)
+			for _, s := range r.adv.Step(id, round, inbox) {
 				// The adversary speaks boxed payloads: wrap into the wire
 				// type and keep the original box for faulty recipients.
 				m, ok := r.codec.Wrap(s.Payload)
@@ -462,7 +490,7 @@ func (r *TypedRunner[P, M]) StepRound() {
 				r.markDecided(i, round-1)
 				continue
 			}
-			sends = p.StepTyped(round, r.cur[i].msgs)
+			sends = p.StepTyped(round, r.inbox(i, 0))
 		}
 		if r.cfg.Observer != nil {
 			r.observe(round, id, sends)
@@ -483,13 +511,19 @@ func (r *TypedRunner[P, M]) StepRound() {
 	r.metrics.Rounds = round
 }
 
-// sortSlot orders one slot's current inbox against the current arena.
-func (r *TypedRunner[P, M]) sortSlot(i int) {
-	if r.faulty[i] {
-		r.bcur[i].sort(r.curArena)
-	} else {
-		r.cur[i].sort(r.curArena)
+// inbox assembles correct slot i's inbox for this round (plane.go), in
+// merge scratch w when its lane is not empty.
+func (r *TypedRunner[P, M]) inbox(i, w int) []MsgT[M] {
+	return assemble(&r.cur[i], &r.log, &r.merged[w], r.curArena)
+}
+
+// faultyLog is the broadcast log the faulty slots read: the boxed
+// mirror, or for M = any the log itself.
+func (r *TypedRunner[P, M]) faultyLog() *bcastLog[any] {
+	if r.blog != nil {
+		return r.blog
 	}
+	return any(&r.log).(*bcastLog[any])
 }
 
 // markDecided records the first round a correct node reported Decided
@@ -530,61 +564,106 @@ func (r *TypedRunner[P, M]) observe(round int, from ids.ID, sends []SendT[M]) {
 // to every currently active node (including the sender itself — the
 // paper's algorithms count the self-copy, e.g. Alg. 4 "including self")
 // and discarding within-round duplicates per recipient. The filter
-// probe and the sort key are paid once per send and shared across the
-// whole fan-out. A unicast whose destination is absent (left or never
-// joined) vanishes.
+// probe is paid once per send and the sort key once per source; a
+// broadcast whose source reached no slot yet is one log append, any
+// other send fans out into the recipients' lanes. A unicast whose
+// destination is absent (left or never joined) vanishes.
 func (r *TypedRunner[P, M]) deliver(from, to ids.ID, m M, c sendCtx) {
-	c.set = r.filter.resolve(srcKey[M]{from, m}, to)
-	start := len(r.nxtArena)
-	r.nxtArena = r.keyOf(r.nxtArena, m)
-	c.off, c.n = uint32(start), uint32(len(r.nxtArena)-start)
-	if to == Broadcast {
+	s := r.filter.resolve(srcKey[M]{from, m})
+	if s.logged {
+		// Every slot already holds this source through the log.
+		if to == Broadcast {
+			r.metrics.MessagesDropped += int64(len(r.idvec))
+		} else if _, ok := r.slot[to]; ok {
+			r.metrics.MessagesDropped++
+		}
+		return
+	}
+	rendered := !s.keyed
+	if rendered {
+		start := len(r.nxtArena)
+		r.nxtArena = r.keyOf(r.nxtArena, m)
+		s.key, s.keyed = keyRef{off: uint32(start), n: uint32(len(r.nxtArena) - start)}, true
+	}
+	c.set = s
+	switch {
+	case to == Broadcast && s.empty():
+		s.logged = true
+		r.logOne(from, m, &c)
+	case to == Broadcast:
+		r.filter.upgrade(s)
 		for i := range r.idvec {
 			r.deliverOne(i, from, m, &c)
 		}
-	} else if j, ok := r.slot[to]; ok {
-		r.deliverOne(j, from, m, &c)
+	default:
+		if j, ok := r.slot[to]; ok {
+			r.deliverOne(j, from, m, &c)
+		}
 	}
-	if !c.accepted && uint32(len(r.nxtArena)) == c.off+c.n {
+	if rendered && !c.accepted {
 		// Dropped everywhere (duplicates, or an absent unicast target):
-		// nothing references the key bytes, so release them — a replay
-		// flood must not grow the arena.
-		r.nxtArena = r.nxtArena[:c.off]
+		// nothing references the key bytes this send rendered, so
+		// release them — a replay flood must not grow the arena.
+		r.nxtArena = r.nxtArena[:s.key.off]
+		s.keyed = false
 	}
 }
 
+// logOne appends a fresh broadcast to the round's log (and its boxed
+// mirror, when a faulty slot is present): one entry stands for a
+// delivery to every slot.
+func (r *TypedRunner[P, M]) logOne(from ids.ID, m M, c *sendCtx) {
+	if r.log.next.push(from, m, c.set.key) {
+		r.metrics.InboxGrows++
+	}
+	if r.mirror {
+		r.blog.next.push(from, r.box(m, c), c.set.key)
+	}
+	n := int64(len(r.idvec))
+	c.accepted = true
+	r.metrics.MessagesDelivered += n
+	r.metrics.ByRound[len(r.metrics.ByRound)-1] += n
+}
+
+// deliverOne appends one delivery to slot i's exception lane unless the
+// slot already holds the source.
 func (r *TypedRunner[P, M]) deliverOne(i int, from ids.ID, m M, c *sendCtx) {
 	if r.filter.add(c.set, i) {
 		r.metrics.MessagesDropped++
 		return
 	}
+	k := c.set.key
+	k.at = uint32(len(r.log.next.msgs))
+	var grew bool
 	if r.faulty[i] {
-		if !c.haveBoxed {
-			c.boxed, c.haveBoxed = r.codec.Unwrap(m), true
-		}
-		b := &r.bnxt[i]
-		if len(b.msgs) == cap(b.msgs) {
-			r.metrics.InboxGrows++
-		}
-		b.msgs = append(b.msgs, Message{From: from, Payload: c.boxed})
-		b.keys = append(b.keys, keyRef{off: c.off, n: c.n})
+		grew = r.bnxt[i].push(from, r.box(m, c), k)
 	} else {
-		b := &r.nxt[i]
-		if len(b.msgs) == cap(b.msgs) {
-			r.metrics.InboxGrows++
-		}
-		b.msgs = append(b.msgs, MsgT[M]{From: from, Payload: m})
-		b.keys = append(b.keys, keyRef{off: c.off, n: c.n})
+		grew = r.nxt[i].push(from, m, k)
+	}
+	if grew {
+		r.metrics.InboxGrows++
 	}
 	c.accepted = true
 	r.metrics.MessagesDelivered++
 	r.metrics.ByRound[len(r.metrics.ByRound)-1]++
 }
 
+// box returns the send's boxed payload for a faulty recipient,
+// unwrapping it on first use.
+func (r *TypedRunner[P, M]) box(m M, c *sendCtx) any {
+	if !c.haveBoxed {
+		c.boxed, c.haveBoxed = r.codec.Unwrap(m), true
+	}
+	return c.boxed
+}
+
 // insert places a joining node into the sorted table, shifting every
 // column at the insertion point and reindexing the slots after it, and
-// seeds its lanes. Membership changes are rare and never mid-delivery;
-// delivery only ever reads the slot map.
+// seeds its lanes. Inserts run before the round flip, so the lane
+// seeded as next is the joiner's first inbox: it is marked to skip the
+// log, which was filled before the joiner was there. Membership changes
+// are rare and never mid-delivery; delivery only ever reads the slot
+// map.
 func (r *TypedRunner[P, M]) insert(s spawn[P]) {
 	i, present := slices.BinarySearch(r.idvec, s.id)
 	if present {
@@ -603,8 +682,10 @@ func (r *TypedRunner[P, M]) insert(s spawn[P]) {
 	var leaver Leaver
 	if s.faulty {
 		blane, bnext = newLane[any](c), newLane[any](c)
+		bnext.noLog = true
 	} else {
 		lane, next = newLane[M](c), newLane[M](c)
+		next.noLog = true
 		leaver, _ = any(s.proc).(Leaver)
 		r.undecided++
 	}

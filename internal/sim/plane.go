@@ -1,11 +1,24 @@
-// The delivery plane under the runner core (generic.go): the
-// per-recipient lane with its run sort, and the source-keyed duplicate
-// filter, each generic over the payload type the core is instantiated
-// with.
+// The delivery plane under the runner core (generic.go): the round's
+// broadcast log, the per-recipient exception lane, the run sort and the
+// merge that assembles an inbox from the two, and the source-keyed
+// duplicate filter, each generic over the payload type the core is
+// instantiated with.
+//
+// A round's traffic is paid per source, not per recipient. A broadcast
+// whose source has reached no slot yet — almost every broadcast — is
+// one append to the broadcast log, sorted once at the round flip and
+// handed whole, as a shared read-only slice, to every recipient whose
+// lane is empty. Lanes keep only what is not the same for everyone:
+// unicasts, and the broadcasts of a source that already reached some
+// slot. A recipient with a non-empty lane gets the two merged into
+// runner scratch, with each sender's run rebuilt in the exact order
+// the per-recipient plane used to deliver it, so the inbox is
+// byte-identical to sorting that plane's lane.
 package sim
 
 import (
 	"math"
+	"slices"
 
 	"idonly/internal/ids"
 )
@@ -16,30 +29,132 @@ type MsgT[M any] struct {
 	Payload M
 }
 
-// keyRef is one inbox entry's sort key: an offset/length view into the
-// runner's key arena for the round the message was delivered in.
+// keyRef is one entry's sort key: an offset/length view into the
+// runner's key arena for the round the message was delivered in. A
+// lane entry also records at, the broadcast log's length when it was
+// appended — where it sat among the log's entries in send order. It
+// rides in the key table, not a table of its own, so a lane append
+// writes two arrays, not three.
 type keyRef struct {
 	off uint32
 	n   uint32
+	at  uint32
 }
 
-// laneBuf is one recipient's delivery lane: a pooled inbox and, in
-// tandem, the sort-key views computed at delivery time. It keeps the
+// laneBuf is a pooled message buffer and, in tandem, the sort-key views
+// computed at delivery time: one recipient's exception lane, one
+// generation of the broadcast log, or merge scratch. It keeps the
 // single global insertion order (not per-type sublanes): cross-type
 // key-byte ties exist, and how a tie is broken depends on that order.
 type laneBuf[M any] struct {
 	msgs []MsgT[M]
 	keys []keyRef
+	// noLog marks a joiner's first inbox: the slot was not in the
+	// table when the previous round's log was filled.
+	noLog bool
 }
 
 // newLane returns an empty lane with room for c entries.
 func newLane[M any](c int) laneBuf[M] {
-	return laneBuf[M]{make([]MsgT[M], 0, c), make([]keyRef, 0, c)}
+	return laneBuf[M]{msgs: make([]MsgT[M], 0, c), keys: make([]keyRef, 0, c)}
 }
 
 // inboxBuf is the boxed lane: every slot's on the boxed instantiation,
 // the faulty slots' on any (the Adversary interface consumes []Message).
 type inboxBuf = laneBuf[any]
+
+// push appends one entry and reports whether the buffer had to grow.
+func (b *laneBuf[M]) push(from ids.ID, p M, k keyRef) (grew bool) {
+	grew = len(b.msgs) == cap(b.msgs)
+	b.msgs = append(b.msgs, MsgT[M]{From: from, Payload: p})
+	b.keys = append(b.keys, k)
+	return grew
+}
+
+// bcastLog is one round's broadcast log: the fresh broadcasts — those
+// whose source had reached no slot yet — in send order, each delivered
+// to every slot of the round by one append. It is double-buffered like
+// the arenas: next fills during the round; at the flip it becomes sent,
+// and sorted is its run-sorted copy, the inbox every recipient with an
+// empty lane shares. sent keeps the send order, which a recipient whose
+// lane holds the same sender rebuilds that sender's run from.
+type bcastLog[M any] struct {
+	next, sent, sorted laneBuf[M]
+}
+
+// newLog returns an empty log with room for c entries per generation.
+func newLog[M any](c int) bcastLog[M] {
+	return bcastLog[M]{newLane[M](c), newLane[M](c), newLane[M](c)}
+}
+
+// flip turns the round's appends into the next round's inbox, sorted
+// against the arena its keys point into, and empties next.
+func (l *bcastLog[M]) flip(arena []byte) {
+	l.sent, l.next = l.next, l.sent
+	l.next.reset()
+	l.sorted.msgs = append(l.sorted.msgs[:0], l.sent.msgs...)
+	l.sorted.keys = append(l.sorted.keys[:0], l.sent.keys...)
+	l.sorted.sort(arena)
+}
+
+// assemble returns a recipient's inbox for the round: its lane sorted
+// in place when the log has nothing for it (a joiner's first round, or
+// a unicast-only round), the shared sorted log when its lane is empty,
+// and otherwise the two merged into scratch. The result is valid until
+// the scratch or the lane is reused.
+func assemble[M any](lane *laneBuf[M], log *bcastLog[M], scratch *laneBuf[M], arena []byte) []MsgT[M] {
+	switch {
+	case lane.noLog || len(log.sent.msgs) == 0:
+		lane.sort(arena)
+		return lane.msgs
+	case len(lane.msgs) == 0:
+		return log.sorted.msgs
+	}
+	scratch.merge(lane, log, arena)
+	return scratch.msgs
+}
+
+// merge fills b with the sender-ordered merge of a lane and the log,
+// each sender's run exactly as sorting the per-recipient lane of old
+// leaves it: a run only the log holds is copied already sorted, a run
+// only the lane holds is copied and sorted, and a mixed run is rebuilt
+// in send order — a lane entry goes after the log entries before its
+// at mark — and then sorted. Rebuilding first is not optional: with
+// cross-type key ties and the unstable Shell fallback, merging two
+// sorted runs could order them differently.
+func (b *laneBuf[M]) merge(lane *laneBuf[M], log *bcastLog[M], arena []byte) {
+	sent, sorted := &log.sent, &log.sorted
+	need := len(lane.msgs) + len(sent.msgs)
+	b.msgs, b.keys = slices.Grow(b.msgs[:0], need), slices.Grow(b.keys[:0], need)
+	for g, l := 0, 0; g < len(sent.msgs) || l < len(lane.msgs); {
+		inLog, inLane := g < len(sent.msgs), l < len(lane.msgs)
+		if !inLane || inLog && sent.msgs[g].From < lane.msgs[l].From {
+			ge := runEnd(sent.msgs, g)
+			b.msgs = append(b.msgs, sorted.msgs[g:ge]...)
+			b.keys = append(b.keys, sorted.keys[g:ge]...)
+			g = ge
+			continue
+		}
+		start, le := len(b.msgs), runEnd(lane.msgs, l)
+		if inLog && sent.msgs[g].From == lane.msgs[l].From {
+			ge := runEnd(sent.msgs, g)
+			for ; l < le; l++ {
+				at := int(lane.keys[l].at)
+				b.msgs = append(append(b.msgs, sent.msgs[g:at]...), lane.msgs[l])
+				b.keys = append(append(b.keys, sent.keys[g:at]...), lane.keys[l])
+				g = at
+			}
+			b.msgs = append(b.msgs, sent.msgs[g:ge]...)
+			b.keys = append(b.keys, sent.keys[g:ge]...)
+			g = ge
+		} else {
+			b.msgs = append(b.msgs, lane.msgs[l:le]...)
+			b.keys = append(b.keys, lane.keys[l:le]...)
+			l = le
+		}
+		sortRun(b.msgs[start:], b.keys[start:], arena)
+	}
+}
 
 // insertionShiftsPerEntry bounds the straight insertion sort of one
 // sender's run: a run that needs more than this many shifts per entry
@@ -57,32 +172,46 @@ const insertionShiftsPerEntry = 2
 //
 // Only each sender's run is sorted, by key bytes alone: StepRound
 // delivers the sends of one slot after another over the id-sorted node
-// table, so every lane is filled in non-decreasing sender order. That
-// holds with Workers > 1 (Steps are computed concurrently, deliveries
-// are replayed sequentially) and under churn (joins enter the sorted
-// table before the round's first delivery, leavers go after its last).
-// A sender id that decreases is therefore a runner bug, and panics.
+// table, so every lane and the log are filled in non-decreasing sender
+// order. That holds with Workers > 1 (Steps are computed concurrently,
+// deliveries are replayed sequentially) and under churn (joins enter
+// the sorted table before the round's first delivery, leavers go after
+// its last). A sender id that decreases is therefore a runner bug, and
+// panics.
 func (b *laneBuf[M]) sort(arena []byte) {
 	for lo := 0; lo < len(b.msgs); {
-		from := b.msgs[lo].From
-		hi := lo + 1
-		for hi < len(b.msgs) && b.msgs[hi].From == from {
-			hi++
-		}
-		if hi < len(b.msgs) && b.msgs[hi].From < from {
-			panic("sim: inbox is not in sender order")
-		}
-		msgs, keys := b.msgs[lo:hi], b.keys[lo:hi]
-		if !gapSort(msgs, keys, arena, 1, insertionShiftsPerEntry*len(msgs)) {
-			gap := 1
-			for gap < len(msgs)/3 {
-				gap = 3*gap + 1
-			}
-			for ; gap >= 1; gap /= 3 {
-				gapSort(msgs, keys, arena, gap, math.MaxInt)
-			}
-		}
+		hi := runEnd(b.msgs, lo)
+		sortRun(b.msgs[lo:hi], b.keys[lo:hi], arena)
 		lo = hi
+	}
+}
+
+// runEnd returns the end of the sender run that starts at lo, panicking
+// if the next run's sender id is smaller.
+func runEnd[M any](msgs []MsgT[M], lo int) int {
+	from := msgs[lo].From
+	hi := lo + 1
+	for hi < len(msgs) && msgs[hi].From == from {
+		hi++
+	}
+	if hi < len(msgs) && msgs[hi].From < from {
+		panic("sim: inbox is not in sender order")
+	}
+	return hi
+}
+
+// sortRun orders one sender's run by key bytes: straight insertion
+// within the shift budget, the wider Shell passes first beyond it.
+func sortRun[M any](msgs []MsgT[M], keys []keyRef, arena []byte) {
+	if gapSort(msgs, keys, arena, 1, insertionShiftsPerEntry*len(msgs)) {
+		return
+	}
+	gap := 1
+	for gap < len(msgs)/3 {
+		gap = 3*gap + 1
+	}
+	for ; gap >= 1; gap /= 3 {
+		gapSort(msgs, keys, arena, gap, math.MaxInt)
 	}
 }
 
@@ -115,6 +244,7 @@ func gapSort[M any](msgs []MsgT[M], keys []keyRef, arena []byte, gap, budget int
 func (b *laneBuf[M]) reset() {
 	b.msgs = b.msgs[:0]
 	b.keys = b.keys[:0]
+	b.noLog = false
 }
 
 // smallSetMax is the recipient count at which a recipSet trades its
@@ -124,18 +254,26 @@ func (b *laneBuf[M]) reset() {
 const smallSetMax = 32
 
 // recipSet records the slots that already received one source's message
-// this round. Membership lives in the unsorted tos vec until it would
-// exceed smallSetMax, then in a bitmap over all slots — the inline
-// word when the whole runner fits in 64 slots (no allocation ever),
-// an allocated mask otherwise. Sets are pooled across rounds: tos
-// chunks come from a shared slab and keep their capacity, masks
-// return zeroed to the filter's free list.
+// this round, and where the source's key bytes sit in the arena. A
+// logged source went to every slot through the broadcast log, so every
+// slot is a member. Otherwise membership lives in the unsorted tos vec
+// until it would exceed smallSetMax, then in a bitmap over all slots —
+// the inline word when the whole runner fits in 64 slots (no
+// allocation ever), an allocated mask otherwise. Sets are pooled
+// across rounds: tos chunks come from a shared slab and keep their
+// capacity, masks return zeroed to the filter's free list.
 type recipSet struct {
 	tos      []int32  // linear membership while !upgraded
 	word     uint64   // inline bitmap once upgraded, ≤64-slot runners
 	mask     []uint64 // allocated bitmap once upgraded, larger runners
 	upgraded bool
+	logged   bool   // in this round's broadcast log: every slot holds it
+	keyed    bool   // key is rendered (a key may be empty, so n cannot say)
+	key      keyRef // the source's key bytes in the round's arena
 }
+
+// empty reports whether the source has reached no slot yet.
+func (s *recipSet) empty() bool { return !s.logged && !s.upgraded && len(s.tos) == 0 }
 
 // filterPresizeMax caps the duplicate-filter presize hint.
 const filterPresizeMax = 1 << 20
@@ -144,10 +282,11 @@ const filterPresizeMax = 1 << 20
 // duplicates "from the same node within one round", so a message's
 // duplicate status belongs to its source — K is (sender, payload
 // identity) — and the map is probed once per Send. Which recipients
-// already hold that source's message is one bit per slot in a recipSet:
-// a broadcast to n nodes costs one hash lookup plus n bit operations,
-// and "slot i is in the set of (from, payload)" is exactly the model's
-// predicate "(to_i, from, payload) was delivered this round".
+// already hold that source's message is one flag or one bit per slot
+// in a recipSet: a fresh broadcast to n nodes costs one hash lookup
+// and marks the set logged, and "slot i is in the set of (from,
+// payload)" is exactly the model's predicate "(to_i, from, payload)
+// was delivered this round".
 //
 // Slots are stable for the filter's whole lifetime between two flips:
 // membership is frozen while a round executes.
@@ -191,7 +330,7 @@ func (f *srcFilter[K]) flip(slots int) {
 		s := &f.sets[i]
 		s.tos = s.tos[:0]
 		s.word = 0
-		s.upgraded = false
+		s.upgraded, s.logged, s.keyed = false, false, false
 		if s.mask != nil {
 			clear(s.mask)
 			f.maskFree = append(f.maskFree, s.mask)
@@ -225,12 +364,9 @@ func (f *srcFilter[K]) flip(slots int) {
 	}
 }
 
-// resolve returns this round's recipient set for the source of a Send
-// to the given destination, creating it on first sight. A broadcast
-// marks every slot, so its set goes straight to the bitmap (free on
-// runners of up to 64 slots) instead of scanning and growing the vec
-// recipient by recipient.
-func (f *srcFilter[K]) resolve(key K, to ids.ID) *recipSet {
+// resolve returns this round's recipient set for a source, creating it
+// on first sight.
+func (f *srcFilter[K]) resolve(key K) *recipSet {
 	idx := f.lastIdx
 	if !f.lastValid || f.lastKey != key {
 		var ok bool
@@ -258,17 +394,18 @@ func (f *srcFilter[K]) resolve(key K, to ids.ID) *recipSet {
 		}
 		f.lastKey, f.lastIdx, f.lastValid = key, idx, true
 	}
-	s := &f.sets[idx]
-	if to == Broadcast && !s.upgraded {
-		f.upgrade(s)
-	}
-	return s
+	return &f.sets[idx]
 }
 
 // upgrade moves a recipient set from its vec to a bitmap over all
 // slots: the inline word for ≤64-slot runners (free), otherwise a
-// zeroed mask from the free list when one is there.
+// zeroed mask from the free list when one is there. A broadcast that
+// fans out lane by lane upgrades first instead of scanning and growing
+// the vec recipient by recipient.
 func (f *srcFilter[K]) upgrade(s *recipSet) {
+	if s.upgraded {
+		return
+	}
 	s.upgraded = true
 	if f.slots <= 64 {
 		for _, t := range s.tos {

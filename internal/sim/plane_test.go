@@ -1,13 +1,16 @@
 package sim
 
-// Differential tests of the two mechanisms under the runner core
-// (plane.go), each against a naive model that lives only here: the
+// Differential tests of the mechanisms under the runner core
+// (plane.go), each against a model that lives only here: the
 // source-keyed duplicate filter against a map keyed by (to, from,
-// payload), and the run sort against sort.Sort over the whole inbox.
+// payload), the run sort against sort.Sort over the whole inbox, and
+// inbox assembly from the broadcast log and the exception lanes against
+// the per-recipient plane it replaced.
 
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 
@@ -36,7 +39,8 @@ func (p ord0Payload) AppendSortKey(dst []byte) []byte {
 type plainPayload struct{ V int }
 
 // scriptProc plays a fixed schedule of sends, keeps a copy of every
-// inbox it was handed, and leaves after round leaveAt (0 = never).
+// inbox it was handed, and leaves after round leaveAt (0 = never). It
+// steps boxed, and typed over asmWire.
 type scriptProc struct {
 	id      ids.ID
 	script  map[int][]Send
@@ -53,6 +57,18 @@ func (p *scriptProc) Step(round int, inbox []Message) []Send {
 	p.round = round
 	p.inboxes[round] = append([]Message(nil), inbox...)
 	return p.script[round]
+}
+func (p *scriptProc) StepTyped(round int, inbox []MsgT[asmWire]) []SendT[asmWire] {
+	boxed := make([]Message, len(inbox))
+	for i, m := range inbox {
+		boxed[i] = Message{From: m.From, Payload: asmCodec.Unwrap(m.Payload)}
+	}
+	var out []SendT[asmWire]
+	for _, s := range p.Step(round, boxed) {
+		w, _ := asmCodec.Wrap(s.Payload)
+		out = append(out, SendT[asmWire]{To: s.To, Payload: w})
+	}
+	return out
 }
 
 // naiveDelivery is the model's key: one entry per delivery.
@@ -348,7 +364,263 @@ func TestRunSortPanicsOnUnorderedSenders(t *testing.T) {
 	}()
 	lane := inboxBuf{
 		msgs: []Message{{From: 2, Payload: regPayload{1}}, {From: 1, Payload: regPayload{1}}},
-		keys: []keyRef{{0, 3}, {0, 3}},
+		keys: []keyRef{{off: 0, n: 3}, {off: 0, n: 3}},
 	}
 	lane.sort([]byte("{1}"))
+}
+
+// asmWire is FuzzInboxAssembly's wire union over the payload pool: K
+// picks regPayload, tieA or tieB. All three render "{V}", so one value
+// under two kinds is a cross-type key tie.
+type asmWire struct {
+	K uint8
+	V int
+}
+
+func (w asmWire) AppendSortKey(dst []byte) []byte { return appendBoxedKey(dst, asmCodec.Unwrap(w)) }
+func (asmWire) SortKeyOrdinal() uint32            { return 0xfffc0001 }
+
+var asmCodec = Codec[asmWire]{
+	Wrap: func(p any) (asmWire, bool) {
+		switch v := p.(type) {
+		case regPayload:
+			return asmWire{0, v.V}, true
+		case tieA:
+			return asmWire{1, v.ID}, true
+		case tieB:
+			return asmWire{2, v.ID}, true
+		}
+		return asmWire{}, false
+	},
+	Unwrap: func(w asmWire) any { return asmPayload(int(w.K), w.V) },
+}
+
+func asmPayload(kind, v int) any {
+	switch kind % 3 {
+	case 1:
+		return tieA{v}
+	case 2:
+		return tieB{v}
+	}
+	return regPayload{v}
+}
+
+// The assembly system: correct founders 10, 30, 40 (leaves after round
+// 1) and 60; faulty founders 20 and 50; a correct joiner 35 and a
+// faulty joiner 55 at round 2. Unicasts may also target 99, never
+// present. Rounds 1 and 2 carry the decoded sends; the inboxes of
+// rounds 2 and 3 are what assembly produced from them.
+var asmTargets = []ids.ID{10, 20, 30, 35, 40, 50, 55, 60, 99}
+
+func asmPresent(round int) []ids.ID {
+	if round == 1 {
+		return []ids.ID{10, 20, 30, 40, 50, 60}
+	}
+	return []ids.ID{10, 20, 30, 35, 50, 55, 60}
+}
+
+func asmFaulty(id ids.ID) bool { return id == 20 || id == 50 || id == 55 }
+
+// asmScript is round -> sender -> sends, in send order.
+type asmScript map[int]map[ids.ID][]Send
+
+// asmChunk encodes one op of the decoder below: the sender is an index
+// into asmPresent(round), the target an index into asmTargets, and c
+// picks the payload — kind c%3, value c/3.
+func asmChunk(round, sender int, op byte, target int, c byte) []byte {
+	return []byte{byte(sender<<1 | (round - 1)), byte(target<<3) | op, c}
+}
+
+// decodeAssembly reads three bytes per op. Ops: 0 broadcast, 1
+// unicast, 2 unicast then broadcast of one source, 3 broadcast then
+// unicast, 4 every send twice, 5 and 6 a burst of 6–12 distinct
+// payloads in descending key order (a run past the insertion budget,
+// sorted by the Shell passes) as broadcasts or as unicasts, 7 a
+// unicast and then a broadcast tied with it on key bytes.
+func decodeAssembly(data []byte) asmScript {
+	sc := asmScript{1: {}, 2: {}}
+	for ; len(data) >= 3; data = data[3:] {
+		a, b, c := data[0], data[1], data[2]
+		round := 1 + int(a&1)
+		senders := asmPresent(round)
+		from := senders[int(a>>1)%len(senders)]
+		to := asmTargets[int(b>>3)%len(asmTargets)]
+		p := asmPayload(int(c%3), int(c/3))
+		var out []Send
+		switch b & 7 {
+		case 0:
+			out = []Send{BroadcastPayload(p)}
+		case 1:
+			out = []Send{Unicast(to, p)}
+		case 2:
+			out = []Send{Unicast(to, p), BroadcastPayload(p)}
+		case 3:
+			out = []Send{BroadcastPayload(p), Unicast(to, p)}
+		case 4:
+			out = []Send{BroadcastPayload(p), BroadcastPayload(p), Unicast(to, p), Unicast(to, p)}
+		case 5, 6:
+			for v := 106 + int(c)%7; v > 100; v-- {
+				q := asmPayload(int(c%3), v)
+				if b&7 == 5 {
+					out = append(out, BroadcastPayload(q))
+				} else {
+					out = append(out, Unicast(to, q))
+				}
+			}
+		case 7:
+			out = []Send{Unicast(to, asmPayload(int(c%3)+1, int(c/3))), BroadcastPayload(p)}
+		}
+		sc[round][from] = append(sc[round][from], out...)
+	}
+	return sc
+}
+
+// asmModel is the per-recipient plane the broadcast log replaced, kept
+// as the model: every send renders its own key, every delivery is
+// appended to its recipient's own lane unless (to, from, payload) was
+// already delivered this round, and each lane is run-sorted by
+// laneBuf.sort. It returns id -> round -> inbox, and the counters.
+func asmModel(sc asmScript) (map[ids.ID]map[int][]Message, Metrics) {
+	inboxes := make(map[ids.ID]map[int][]Message)
+	var m Metrics
+	for round := 1; round <= 2; round++ {
+		present := asmPresent(round)
+		lanes := make(map[ids.ID]*inboxBuf)
+		seen := make(map[naiveDelivery]bool)
+		var arena []byte
+		m.ByRound = append(m.ByRound, 0)
+		for _, from := range present {
+			for _, s := range sc[round][from] {
+				off := len(arena)
+				arena = appendBoxedKey(arena, s.Payload)
+				k := keyRef{off: uint32(off), n: uint32(len(arena) - off)}
+				for _, to := range present {
+					if s.To != Broadcast && s.To != to {
+						continue
+					}
+					if d := (naiveDelivery{to, from, s.Payload}); seen[d] {
+						m.MessagesDropped++
+						continue
+					} else {
+						seen[d] = true
+					}
+					if lanes[to] == nil {
+						lanes[to] = &inboxBuf{}
+					}
+					lanes[to].push(from, s.Payload, k)
+					m.MessagesDelivered++
+					m.ByRound[round-1]++
+				}
+			}
+		}
+		for _, to := range asmPresent(round + 1) {
+			in := []Message{}
+			if l := lanes[to]; l != nil {
+				l.sort(arena)
+				in = l.msgs
+			}
+			if inboxes[to] == nil {
+				inboxes[to] = make(map[int][]Message)
+			}
+			inboxes[to][round+1] = in
+		}
+	}
+	m.ByRound = append(m.ByRound, 0) // round 3 sends nothing
+	return inboxes, m
+}
+
+// asmAdv drives the faulty nodes from the script and keeps a copy of
+// every inbox it was handed.
+type asmAdv struct {
+	script  asmScript
+	inboxes map[ids.ID]map[int][]Message
+}
+
+func (a *asmAdv) Step(node ids.ID, round int, inbox []Message) []Send {
+	if a.inboxes[node] == nil {
+		a.inboxes[node] = make(map[int][]Message)
+	}
+	a.inboxes[node][round] = append([]Message(nil), inbox...)
+	return a.script[round][node]
+}
+
+// runAssembly plays the decoded rounds on the boxed or the typed
+// instantiation and returns what every node was handed, and the
+// counters.
+func runAssembly(sc asmScript, typed bool, workers int) (map[ids.ID]map[int][]Message, Metrics) {
+	procs := make(map[ids.ID]*scriptProc)
+	for _, id := range []ids.ID{10, 30, 35, 40, 60} {
+		p := &scriptProc{id: id, script: map[int][]Send{1: sc[1][id], 2: sc[2][id]}, inboxes: make(map[int][]Message)}
+		if id == 40 {
+			p.leaveAt = 1
+		}
+		procs[id] = p
+	}
+	founders := []*scriptProc{procs[10], procs[30], procs[40], procs[60]}
+	adv := &asmAdv{script: sc, inboxes: make(map[ids.ID]map[int][]Message)}
+	cfg := Config{MaxRounds: 3, Workers: workers}
+	var m Metrics
+	if typed {
+		r := NewTypedRunner(cfg, founders, []ids.ID{20, 50}, adv, asmCodec)
+		r.ScheduleJoin(2, procs[35])
+		r.ScheduleFaultyJoin(2, 55)
+		m = r.Run(nil)
+	} else {
+		boxed := make([]Process, len(founders))
+		for i, p := range founders {
+			boxed[i] = p
+		}
+		r := NewRunner(cfg, boxed, []ids.ID{20, 50}, adv)
+		r.ScheduleJoin(2, procs[35])
+		r.ScheduleFaultyJoin(2, 55)
+		m = r.Run(nil)
+	}
+	got := adv.inboxes
+	for id, p := range procs {
+		got[id] = p.inboxes
+	}
+	return got, m
+}
+
+// FuzzInboxAssembly decodes bytes into two rounds of sends and holds
+// every inbox assembled from the broadcast log and the exception lanes
+// — entry for entry, in order — and the delivered, dropped and
+// per-round counts to the per-recipient plane of asmModel, on both
+// instantiations, sequential and sharded.
+func FuzzInboxAssembly(f *testing.F) {
+	// Broadcasts only: every inbox is the shared sorted log.
+	f.Add(slices.Concat(asmChunk(1, 0, 0, 0, 4), asmChunk(1, 1, 0, 0, 5), asmChunk(1, 3, 5, 0, 7), asmChunk(2, 2, 0, 0, 9)))
+	// Unicasts only, to present, leaving, joining and absent targets:
+	// lanes sorted in place.
+	f.Add(slices.Concat(asmChunk(1, 0, 1, 2, 3), asmChunk(1, 2, 6, 0, 8), asmChunk(1, 4, 1, 3, 3), asmChunk(2, 1, 1, 4, 6), asmChunk(2, 6, 1, 8, 1)))
+	// Mixed runs: a logged burst beside unicasts of the same sender,
+	// unicast-then-broadcast, broadcast-then-unicast, repeats and ties,
+	// with faulty senders and recipients.
+	f.Add(slices.Concat(asmChunk(1, 0, 5, 0, 2), asmChunk(1, 0, 1, 2, 10), asmChunk(1, 0, 7, 5, 13),
+		asmChunk(1, 1, 2, 0, 4), asmChunk(1, 1, 6, 5, 1), asmChunk(1, 2, 3, 1, 7), asmChunk(1, 4, 4, 2, 7),
+		asmChunk(2, 0, 6, 0, 11), asmChunk(2, 0, 0, 0, 12), asmChunk(2, 3, 7, 6, 3), asmChunk(2, 5, 2, 3, 9)))
+	// The joiners' first inbox follows a full log; their second holds
+	// what round 2 sent them.
+	f.Add(slices.Concat(asmChunk(1, 5, 0, 0, 1), asmChunk(1, 4, 0, 0, 2), asmChunk(2, 3, 1, 6, 5), asmChunk(2, 0, 3, 3, 8)))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sc := decodeAssembly(data)
+		want, wantM := asmModel(sc)
+		for _, typed := range []bool{false, true} {
+			for _, workers := range []int{1, 4} {
+				got, m := runAssembly(sc, typed, workers)
+				tag := fmt.Sprintf("typed=%v workers=%d", typed, workers)
+				if m.MessagesDelivered != wantM.MessagesDelivered || m.MessagesDropped != wantM.MessagesDropped || !slices.Equal(m.ByRound, wantM.ByRound) {
+					t.Fatalf("%s: delivered/dropped/byround = %d/%d/%v, model %d/%d/%v", tag,
+						m.MessagesDelivered, m.MessagesDropped, m.ByRound, wantM.MessagesDelivered, wantM.MessagesDropped, wantM.ByRound)
+				}
+				for id, rounds := range want {
+					for round, in := range rounds {
+						if !slices.Equal(got[id][round], in) {
+							t.Fatalf("%s: node %d (faulty=%v) round %d inbox\n got  %v\n want %v", tag, id, asmFaulty(id), round, got[id][round], in)
+						}
+					}
+				}
+			}
+		}
+	})
 }

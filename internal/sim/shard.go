@@ -25,13 +25,13 @@ type stepOut[M any] struct {
 
 // shardSteps fans the Step calls of all correct, undecided processes in
 // the node table across cfg.Workers goroutines and returns their
-// outboxes indexed by slot. Faulty slots are left zero (the adversary
-// is stepped sequentially by the caller). Every inbox — including the
-// faulty nodes' — is sorted here, so the caller must not sort again.
-// Work is handed out via an atomic counter rather than fixed chunks, so
-// uneven per-node costs (one slow protocol instance) do not stall a
-// whole shard. The result and panic buffers are pooled on the runner
-// and reused every round.
+// outboxes indexed by slot. Faulty slots are left zero: the adversary
+// is stepped sequentially by the caller, which assembles those inboxes
+// itself. A worker assembles each inbox it steps in its own merge
+// scratch, valid for that one Step. Work is handed out via an atomic
+// counter rather than fixed chunks, so uneven per-node costs (one slow
+// protocol instance) do not stall a whole shard. The result, panic and
+// scratch buffers are pooled on the runner and reused every round.
 func (r *TypedRunner[P, M]) shardSteps(round int) []stepOut[M] {
 	nn := len(r.idvec)
 	if cap(r.pre) < nn {
@@ -45,6 +45,9 @@ func (r *TypedRunner[P, M]) shardSteps(round int) []stepOut[M] {
 		panics[i] = nil
 	}
 	workers := max(min(r.cfg.Workers, nn), 1)
+	if len(r.merged) < workers {
+		r.merged = append(r.merged, make([]laneBuf[M], workers-len(r.merged))...)
+	}
 	// A Step panic (the protocols panic on invariant violations) must
 	// not die on a shard goroutine — an unrecovered goroutine panic
 	// aborts the whole process and callers like the engine rely on
@@ -61,18 +64,17 @@ func (r *TypedRunner[P, M]) shardSteps(round int) []stepOut[M] {
 				if i >= nn {
 					return
 				}
+				if r.faulty[i] {
+					continue
+				}
 				func() {
 					defer func() { panics[i] = recover() }()
-					r.sortSlot(i)
-					if r.faulty[i] {
-						return
-					}
 					p := r.procs[i]
 					if r.done[i] || p.Decided() {
 						out[i].decidedBefore = true
 						return
 					}
-					out[i].sends = p.StepTyped(round, r.cur[i].msgs)
+					out[i].sends = p.StepTyped(round, r.inbox(i, w))
 				}()
 			}
 		}()

@@ -19,14 +19,17 @@
 // Delivery runs on a flat message plane: all per-node runner state
 // lives in one node table sorted by id, indexed through a slot map, so
 // broadcast fan-out, the destination-present check and per-round
-// iteration are O(1) array operations. Inbox buffers, their sort keys
-// and the duplicate filter are pooled and reused across rounds, and a
-// round's cost follows its sends, not its deliveries: each message's
-// sort key is rendered once per send into a pooled, double-buffered
-// arena (inbox key tables are offset/length views into it), and
-// "duplicate" is decided per source — the filter (plane.go) is probed
-// once per send on (sender, payload value) and then spends one bit per
-// recipient slot.
+// iteration are O(1) array operations. Delivery buffers, their sort
+// keys and the duplicate filter are pooled and reused across rounds,
+// and a round's cost follows its sources, not its deliveries: each
+// message's sort key is rendered once per source into a pooled,
+// double-buffered arena (key tables are offset/length views into it);
+// a fresh broadcast is one append to the round's broadcast log, sorted
+// once and shared as the inbox of every recipient with nothing else to
+// receive, so an inbox may be that one shared slice (plane.go); and
+// "duplicate" is decided per source — the filter is probed once per
+// send on (sender, payload value) and then spends one flag, or one bit
+// per recipient slot.
 //
 // There is one round loop, the generic core in generic.go. This file
 // holds the model's vocabulary — messages, processes, the adversary,
@@ -70,9 +73,12 @@ func Unicast(to ids.ID, p any) Send { return Send{To: to, Payload: p} }
 // and stop sending; their substitution rules keep the remaining nodes'
 // thresholds satisfiable).
 //
-// The inbox slice is owned by the runner and reused across rounds:
-// Step must not retain it (or subslices of it) past the call. Payload
-// values may be kept — they are immutable by convention.
+// The inbox slice is owned by the runner, reused across rounds and
+// often shared — the round's broadcast log is the very slice every
+// recipient with no unicasts gets — so Step must not retain it (or
+// subslices of it) past the call, and must not modify it: one write
+// would show in every peer's inbox. Payload values may be kept — they
+// are immutable by convention.
 //
 // Symmetrically, the returned send slice is owned by the process: the
 // runner consumes it before the process's next Step, so a process may
@@ -99,7 +105,7 @@ type Leaver interface {
 // forging on direct messages is impossible in the model). An adversary
 // may equivocate by unicasting different payloads to different nodes,
 // stay silent, replay, or flood. Like Process.Step, it must not retain
-// the inbox slice.
+// or modify the inbox slice.
 type Adversary interface {
 	Step(node ids.ID, round int, inbox []Message) []Send
 }
@@ -112,8 +118,10 @@ type Metrics struct {
 	ByRound           []int64        // deliveries per round (index round-1)
 	DecidedRound      map[ids.ID]int // first round in which each correct node reported Decided
 
-	// InboxGrows counts deliveries that forced a pooled inbox buffer to
-	// grow — the allocation-pressure gauge of the flat message plane.
+	// InboxGrows counts appends that forced a pooled delivery buffer to
+	// grow — the broadcast log, or a recipient's exception lane (its
+	// unicasts and the broadcasts of sources that already reached some
+	// slot) — the allocation-pressure gauge of the flat message plane.
 	// After the warm-up rounds of a steady-state run it stops
 	// increasing. It is deterministic (same schedule, same growth), but
 	// it describes the allocator, not the protocol; trace digests and

@@ -286,28 +286,56 @@ func (a floodAdversary) Step(node ids.ID, round int, _ []sim.Message) []sim.Send
 	return out
 }
 
+// unicastFloodAdversary unicasts many distinct payloads to every
+// correct node per round.
+type unicastFloodAdversary struct {
+	k   int
+	tos []ids.ID
+}
+
+func (a unicastFloodAdversary) Step(node ids.ID, round int, _ []sim.Message) []sim.Send {
+	var out []sim.Send
+	for _, to := range a.tos {
+		for i := 0; i < a.k; i++ {
+			out = append(out, sim.Unicast(to, greet{N: 1000 + i}))
+		}
+	}
+	return out
+}
+
 func TestInboxGrowsCountsBufferGrowth(t *testing.T) {
-	// The pooled inbox buffers are pre-sized for about one broadcast
+	// The pooled delivery buffers — the broadcast log and the
+	// per-recipient exception lanes — are pre-sized for about one send
 	// per peer; a flood of distinct payloads must overflow them (counted
-	// in InboxGrows) in the first round and be absorbed by the grown
+	// in InboxGrows) in the first rounds and be absorbed by the grown
 	// buffers afterwards.
-	run := func(rounds int) sim.Metrics {
-		rng := ids.NewRand(5)
-		all := ids.Sparse(rng, 3)
+	run := func(n, rounds int, adv func(correct []ids.ID) sim.Adversary) sim.Metrics {
+		all := ids.Sparse(ids.NewRand(5), n+1)
 		var procs []sim.Process
-		for _, id := range all[:2] {
+		for _, id := range all[:n] {
 			procs = append(procs, &echoProc{id: id, stopAt: 1 << 30})
 		}
-		r := sim.NewRunner(sim.Config{MaxRounds: rounds}, procs, all[2:], floodAdversary{k: 40})
-		return r.Run(nil)
+		return sim.NewRunner(sim.Config{MaxRounds: rounds}, procs, all[n:], adv(all[:n])).Run(nil)
 	}
-	short := run(2)
-	if short.InboxGrows == 0 {
-		t.Fatal("flood did not grow any pooled inbox buffer")
+	broadcasts := func([]ids.ID) sim.Adversary { return floodAdversary{k: 40} }
+	unicasts := func(correct []ids.ID) sim.Adversary { return unicastFloodAdversary{k: 40, tos: correct} }
+	for name, adv := range map[string]func([]ids.ID) sim.Adversary{"broadcast flood": broadcasts, "unicast flood": unicasts} {
+		short := run(2, 2, adv)
+		if short.InboxGrows == 0 {
+			t.Fatalf("%s did not grow any pooled buffer", name)
+		}
+		if long := run(2, 6, adv); long.InboxGrows != short.InboxGrows {
+			t.Fatalf("%s: buffers kept growing after warm-up: %d grows in 2 rounds, %d in 6",
+				name, short.InboxGrows, long.InboxGrows)
+		}
 	}
-	long := run(6)
-	if long.InboxGrows != short.InboxGrows {
-		t.Fatalf("buffers kept growing after warm-up: %d grows in 2 rounds, %d in 6",
-			short.InboxGrows, long.InboxGrows)
+	// A broadcast flood grows the one log, not a buffer per recipient:
+	// more recipients (same presize) grow nothing more. A unicast flood
+	// lands in the recipients' own lanes, so it does.
+	if few, many := run(2, 4, broadcasts), run(6, 4, broadcasts); few.InboxGrows != many.InboxGrows {
+		t.Fatalf("broadcast flood: %d grows with 2 correct recipients, %d with 6", few.InboxGrows, many.InboxGrows)
+	}
+	if few, many := run(2, 4, unicasts), run(6, 4, unicasts); many.InboxGrows <= few.InboxGrows {
+		t.Fatalf("unicast flood: %d grows with 2 correct recipients, %d with 6", few.InboxGrows, many.InboxGrows)
 	}
 }
