@@ -41,21 +41,21 @@ func (r *Report) Errors() []Result {
 // worker count — and regardless of delivery-path buffer tuning — this
 // is the determinism contract the engine tests enforce, and the bytes
 // the result store's content digests are computed over.
+//
+// The bytes are json.MarshalIndent's with a two-space indent, plus a
+// final newline, written by the hand-written codec (codec.go) in one
+// pass; the error is always nil.
 func (r *Report) CanonicalBytes() ([]byte, error) {
-	c := *r
-	c.Workers = 0
-	c.ElapsedNS = 0
-	c.Results = make([]Result, len(r.Results))
-	copy(c.Results, r.Results)
-	for i := range c.Results {
-		c.Results[i].WallNS = 0
-		c.Results[i].InboxGrows = 0
-	}
-	b, err := json.MarshalIndent(&c, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("engine: canonical marshal failed: %w", err)
-	}
-	return append(b, '\n'), nil
+	w := jsonOut{b: make([]byte, 0, canonicalSizeHint(r)), canonical: true}
+	w.report(r)
+	return append(w.b, '\n'), nil
+}
+
+// canonicalSizeHint is a capacity for the canonical bytes that covers
+// the small preset grid's report without regrowing (193 670 bytes): its
+// results average 604 bytes indented, its groups 363.
+func canonicalSizeHint(r *Report) int {
+	return 64 + 640*len(r.Results) + 384*len(r.Groups)
 }
 
 // Canonical is the panic-on-error convenience form of CanonicalBytes,

@@ -697,15 +697,19 @@ type spanLine struct {
 func (s *Service) writeNDJSON(w http.ResponseWriter, rep *engine.Report, stats store.RunStats, spans []engine.Span, elapsed int64) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+	// Result lines are the bytes json.Encoder writes, from the engine's
+	// hand-written codec.
+	var line []byte
 	for i := range rep.Results {
-		if err := enc.Encode(&rep.Results[i]); err != nil {
+		line = append(engine.AppendResultJSON(line[:0], &rep.Results[i]), '\n')
+		if _, err := w.Write(line); err != nil {
 			return // client went away; nothing sensible to do mid-stream
 		}
 		if flusher != nil && i%64 == 63 {
 			flusher.Flush()
 		}
 	}
+	enc := json.NewEncoder(w)
 	if spans != nil {
 		for i := range spans {
 			if err := enc.Encode(spanLine{Span: &spans[i]}); err != nil {

@@ -120,6 +120,10 @@ func TestSweepNDJSONStream(t *testing.T) {
 			t.Fatalf("bad NDJSON line: %v\n%s", err, line)
 		}
 		if res.Scenario.Protocol != "" {
+			// A result line is exactly what json.Encoder would write.
+			if want, err := json.Marshal(&res); err != nil || !bytes.Equal(line, want) {
+				t.Fatalf("result line differs from json.Marshal (err %v):\n got %s\nwant %s", err, line, want)
+			}
 			results = append(results, res)
 			continue
 		}

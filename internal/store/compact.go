@@ -64,8 +64,8 @@ func (s *Store) Compact(target int64) (CompactStats, error) {
 	defer s.syncMu.Unlock()
 
 	type liveRec struct {
-		key string
-		off int64
+		key uint64 // indexKey
+		off int64  // payload start; the digest is the keySize bytes before it
 		n   int
 		use int64
 	}
@@ -82,20 +82,32 @@ func (s *Store) Compact(target int64) (CompactStats, error) {
 	// budget; ties (never-Get records) break toward keeping the newer
 	// log position, since recovery assigned ascending clocks in scan
 	// order and appends keep bumping the clock.
-	var evictedKeys []string
+	var evicted []liveRec
 	if target > 0 {
 		sort.Slice(live, func(i, j int) bool { return live[i].use > live[j].use })
 		projected := int64(len(magic))
 		kept := live[:0]
 		for _, r := range live {
 			if projected+recSize(r.n) > target {
-				evictedKeys = append(evictedKeys, r.key)
+				evicted = append(evicted, r)
 				continue
 			}
 			projected += recSize(r.n)
 			kept = append(kept, r)
 		}
 		live = kept
+	}
+	// The hot cache is keyed by hex digest: read the evicted records'
+	// digests while the old log is still the log.
+	var evictedDigests []string
+	if s.hot != nil {
+		var raw [keySize]byte
+		for _, r := range evicted {
+			if _, err := s.f.ReadAt(raw[:], r.off-keySize); err != nil {
+				return CompactStats{}, fmt.Errorf("store: compact: reading %016x: %w", r.key, err)
+			}
+			evictedDigests = append(evictedDigests, hex.EncodeToString(raw[:]))
+		}
 	}
 	// Write survivors in their current log order: the rewritten log
 	// reads like the old one minus the evictions, and sequential source
@@ -122,31 +134,22 @@ func (s *Store) Compact(target int64) (CompactStats, error) {
 	if _, err := bw.WriteString(magic); err != nil {
 		return fail(fmt.Errorf("store: compact: %w", err))
 	}
-	newIndex := make(map[string]*recordEnt, len(live))
+	newIndex := make(map[uint64]*recordEnt, len(live))
 	newOff := int64(len(magic))
 	var hdr [4]byte
 	for _, r := range live {
-		rawKey, err := hex.DecodeString(r.key)
-		if err != nil || len(rawKey) != keySize {
-			return fail(fmt.Errorf("store: compact: bad indexed digest %q", r.key))
-		}
-		body := make([]byte, r.n+4) // payload ∥ stored crc
-		if _, err := s.f.ReadAt(body, r.off); err != nil {
-			return fail(fmt.Errorf("store: compact: reading %s: %w", r.key[:12], err))
+		body := make([]byte, keySize+r.n+4) // digest ∥ payload ∥ stored crc
+		if _, err := s.f.ReadAt(body, r.off-keySize); err != nil {
+			return fail(fmt.Errorf("store: compact: reading %016x: %w", r.key, err))
 		}
 		// Verify before carrying over: a silently corrupted record must
 		// fail the compaction, not be laundered into a fresh log with a
 		// recomputed checksum.
-		crc := crc32.Checksum(rawKey, crcTable)
-		crc = crc32.Update(crc, crcTable, body[:r.n])
-		if crc != binary.BigEndian.Uint32(body[r.n:]) {
-			return fail(fmt.Errorf("store: compact: record %s fails its checksum", r.key[:12]))
+		if crc32.Checksum(body[:keySize+r.n], crcTable) != binary.BigEndian.Uint32(body[keySize+r.n:]) {
+			return fail(fmt.Errorf("store: compact: record %016x fails its checksum", r.key))
 		}
 		binary.BigEndian.PutUint32(hdr[:], uint32(r.n))
 		if _, err := bw.Write(hdr[:]); err != nil {
-			return fail(fmt.Errorf("store: compact: %w", err))
-		}
-		if _, err := bw.Write(rawKey); err != nil {
 			return fail(fmt.Errorf("store: compact: %w", err))
 		}
 		if _, err := bw.Write(body); err != nil {
@@ -192,10 +195,8 @@ func (s *Store) Compact(target int64) (CompactStats, error) {
 	// The old descriptor points at the unlinked inode; closing it
 	// releases its flock. Errors are moot — the data lives elsewhere.
 	oldRaw.Close()
-	if s.hot != nil {
-		for _, key := range evictedKeys {
-			s.hot.remove(key)
-		}
+	for _, d := range evictedDigests {
+		s.hot.remove(d)
 	}
 
 	if postErr == nil {
@@ -204,7 +205,7 @@ func (s *Store) Compact(target int64) (CompactStats, error) {
 
 	stats := CompactStats{
 		Kept:           len(live),
-		Evicted:        len(evictedKeys),
+		Evicted:        len(evicted),
 		BytesBefore:    bytesBefore,
 		BytesAfter:     newOff,
 		ReclaimedBytes: bytesBefore - newOff,

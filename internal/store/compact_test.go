@@ -32,7 +32,8 @@ func recBytes(t *testing.T, st *Store, digest string) int64 {
 	t.Helper()
 	st.imu.RLock()
 	defer st.imu.RUnlock()
-	ent, ok := st.index[digest]
+	raw, _ := parseDigest(digest)
+	ent, ok := st.index[indexKey(raw[:])]
 	if !ok {
 		t.Fatalf("record %s not indexed", digest[:12])
 	}

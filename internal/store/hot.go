@@ -11,8 +11,10 @@ import (
 // ReadAt path (WithHotCache). Results are treated as immutable
 // everywhere in the repo — the engine hands them out by value and
 // nothing writes through the shared slices — so caching the decoded
-// value is safe and saves both the disk read and the JSON decode on
-// every repeat Get of a hot digest.
+// value is safe and saves both the disk read and the
+// engine.DecodeResult pass on every repeat Get of a hot digest. The
+// decoder never retains its input, so a cached value never aliases a
+// pooled read buffer.
 type hotCache struct {
 	mu  sync.Mutex
 	max int

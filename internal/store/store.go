@@ -13,7 +13,8 @@
 //	magic   "IDONLYS1"                      (8 bytes, once)
 //	record  length   uint32 big-endian      payload byte count
 //	        key      32 raw bytes           scenario digest (SHA-256)
-//	        payload  JSON engine.Result
+//	        payload  JSON engine.Result (json.Marshal's bytes, written
+//	                 and read by engine.AppendResultJSON/DecodeResult)
 //	        crc      uint32 big-endian      CRC-32C over key ∥ payload
 //
 // Records are only ever appended; a batch is flushed with one fsync,
@@ -39,8 +40,6 @@ package store
 
 import (
 	"encoding/binary"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -86,6 +85,44 @@ type logFile interface {
 	Truncate(size int64) error
 	Stat() (os.FileInfo, error)
 	Close() error
+}
+
+// indexKey is a record's key in the in-memory index: the first eight
+// bytes of its raw scenario digest. The index holds one entry per
+// record for the life of the process, so it keeps no more of the digest
+// than that; the full digest is in the log beside every payload, and a
+// lookup checks it there. Two digests that share an index key — odds
+// of about n²/2⁶⁵ among n records — cost a cache miss, never a wrong
+// result: the index keeps the later record. An entry costs 50–60
+// bytes of heap where one keyed by the 64-character hex digest cost
+// 130–145, and a long-running serve process holds one per stored
+// result.
+func indexKey(raw []byte) uint64 { return binary.BigEndian.Uint64(raw) }
+
+// parseDigest decodes a digest in the lowercase hex form
+// engine.Scenario.Digest returns, without allocating.
+func parseDigest(digest string) (k [keySize]byte, ok bool) {
+	if len(digest) != 2*keySize {
+		return k, false
+	}
+	for i := range k {
+		hi, lo := unhex(digest[2*i]), unhex(digest[2*i+1])
+		if hi > 0xf || lo > 0xf {
+			return k, false
+		}
+		k[i] = hi<<4 | lo
+	}
+	return k, true
+}
+
+func unhex(c byte) byte {
+	switch {
+	case '0' <= c && c <= '9':
+		return c - '0'
+	case 'a' <= c && c <= 'f':
+		return c - 'a' + 10
+	}
+	return 0xff
 }
 
 // recordEnt locates one record's payload inside the log and carries
@@ -140,7 +177,7 @@ type Store struct {
 	dir  string
 
 	imu   sync.RWMutex
-	index map[string]*recordEnt
+	index map[uint64]*recordEnt // by indexKey
 
 	// clock is the logical access clock: bumped on every Get that
 	// finds a record, stored into that record's index entry.
@@ -169,12 +206,13 @@ type Store struct {
 	fmu     sync.Mutex
 	flights map[string]*flight
 
-	// readBufs pools Get's payload buffers: json.Unmarshal never
-	// retains its input, so the buffer is safe to recycle the moment a
-	// Get returns — warm CachedRunAll sweeps stop allocating one fresh
-	// buffer per read. Buffers above maxPooledReadBuf are not returned
-	// to the pool: one giant record must not pin its allocation for the
-	// life of a long-running serve process.
+	// readBufs pools Get's read buffers: engine.DecodeResult never
+	// retains its input (it copies every string it keeps), so a buffer
+	// is safe to recycle the moment a Get returns — warm CachedRunAll
+	// sweeps stop allocating one fresh buffer per read. Buffers above
+	// maxPooledReadBuf are not returned to the pool: one giant record
+	// must not pin its allocation for the life of a long-running serve
+	// process.
 	readBufs sync.Pool
 
 	gets, hits, puts, dups          atomic.Int64
@@ -237,7 +275,7 @@ func Open(dir string, opts ...Option) (*Store, error) {
 	s := &Store{
 		path:    filepath.Join(dir, logName),
 		dir:     dir,
-		index:   make(map[string]*recordEnt),
+		index:   make(map[uint64]*recordEnt),
 		flights: make(map[string]*flight),
 	}
 	for _, opt := range opts {
@@ -326,10 +364,9 @@ func (s *Store) recover() error {
 		if crc32.Checksum(body[:keySize+n], crcTable) != want {
 			return s.truncateTo(off, size, false)
 		}
-		key := hex.EncodeToString(body[:keySize])
 		ent := &recordEnt{off: off + int64(headerLen), n: n}
 		ent.use.Store(s.clock.Add(1))
-		s.index[key] = ent
+		s.index[indexKey(body)] = ent
 		off += int64(headerLen + n + 4)
 	}
 	s.setSize(off)
@@ -371,10 +408,21 @@ func (s *Store) truncateTo(off, size int64, rewriteMagic bool) error {
 
 // Has reports whether a result for the digest is stored.
 func (s *Store) Has(digest string) bool {
+	raw, ok := parseDigest(digest)
+	return ok && s.has(raw)
+}
+
+// has checks an index hit against the digest stored in the log.
+func (s *Store) has(raw [keySize]byte) bool {
 	s.imu.RLock()
-	_, ok := s.index[digest]
-	s.imu.RUnlock()
-	return ok
+	defer s.imu.RUnlock()
+	ent, ok := s.index[indexKey(raw[:])]
+	if !ok {
+		return false
+	}
+	var stored [keySize]byte
+	_, err := s.f.ReadAt(stored[:], ent.off-keySize)
+	return err == nil && stored == raw
 }
 
 // Len returns the number of distinct digests indexed.
@@ -401,32 +449,43 @@ func (s *Store) Get(digest string) (engine.Result, bool, error) {
 			return res, true, nil
 		}
 	}
+	raw, ok := parseDigest(digest)
+	if !ok {
+		return engine.Result{}, false, nil
+	}
 	s.imu.RLock()
-	ent, ok := s.index[digest]
+	ent, ok := s.index[indexKey(raw[:])]
 	if !ok {
 		s.imu.RUnlock()
 		return engine.Result{}, false, nil
 	}
-	ent.use.Store(s.clock.Add(1))
-	n, off := ent.n, ent.off
-	var payload []byte
+	// One read covers the stored digest and the payload after it.
+	n := keySize + ent.n
+	var rec []byte
 	if b, _ := s.readBufs.Get().(*[]byte); b != nil && cap(*b) >= n {
-		payload = (*b)[:n]
+		rec = (*b)[:n]
 	} else {
-		payload = make([]byte, n)
+		rec = make([]byte, n)
 	}
-	_, err := s.f.ReadAt(payload, off)
+	_, err := s.f.ReadAt(rec, ent.off-keySize)
+	match := err == nil && string(rec[:keySize]) == string(raw[:])
+	if match {
+		ent.use.Store(s.clock.Add(1))
+	}
 	s.imu.RUnlock()
 	defer func() {
-		if cap(payload) <= maxPooledReadBuf {
-			s.readBufs.Put(&payload)
+		if cap(rec) <= maxPooledReadBuf {
+			s.readBufs.Put(&rec)
 		}
 	}()
 	if err != nil {
 		return engine.Result{}, false, fmt.Errorf("store: reading %s: %w", digest[:12], err)
 	}
-	var res engine.Result
-	if err := json.Unmarshal(payload, &res); err != nil {
+	if !match {
+		return engine.Result{}, false, nil // another digest with the same index key
+	}
+	res, err := engine.DecodeResult(rec[keySize:])
+	if err != nil {
 		return engine.Result{}, false, fmt.Errorf("store: decoding %s: %w", digest[:12], err)
 	}
 	s.hits.Add(1)
@@ -437,10 +496,13 @@ func (s *Store) Get(digest string) (engine.Result, bool, error) {
 }
 
 // touch bumps the access clock on the digest's index entry (the hot
-// cache served the bytes, but eviction ranking lives on the index).
+// cache served the bytes, but eviction ranking lives on the index). It
+// does not check the stored digest: at worst it ranks the record that
+// shares the index key.
 func (s *Store) touch(digest string) {
+	raw, _ := parseDigest(digest) // the hot cache holds valid digests only
 	s.imu.RLock()
-	if ent, ok := s.index[digest]; ok {
+	if ent, ok := s.index[indexKey(raw[:])]; ok {
 		ent.use.Store(s.clock.Add(1))
 	}
 	s.imu.RUnlock()
@@ -493,7 +555,7 @@ func (s *Store) putBatch(results []engine.Result) error {
 		// Fresh results are the hottest there are: the warm re-sweep
 		// that follows a cold compute should hit memory, not disk.
 		for _, st := range stage {
-			s.hot.add(st.key, st.res)
+			s.hot.add(st.digest, st.res)
 		}
 	}
 	s.puts.Add(int64(len(stage)))
@@ -507,9 +569,10 @@ func (s *Store) putBatch(results []engine.Result) error {
 }
 
 type stagedPut struct {
-	key string
-	ent *recordEnt
-	res engine.Result
+	key    uint64 // indexKey
+	digest string // hex, for the hot cache
+	ent    *recordEnt
+	res    engine.Result
 }
 
 // appendRecords encodes and writes the batch under the append mutex,
@@ -527,37 +590,33 @@ func (s *Store) appendRecords(results []engine.Result) (target int64, stage []st
 		return 0, nil, 0, errors.New("store: closed")
 	}
 	off := s.size.Load()
-	seen := make(map[string]bool, len(results))
+	seen := make(map[[keySize]byte]bool, len(results))
 	for _, res := range results {
-		key := res.Scenario.Digest()
-		if seen[key] || s.Has(key) {
+		digest := res.Scenario.Digest()
+		raw, ok := parseDigest(digest)
+		if !ok {
+			return 0, nil, 0, fmt.Errorf("store: bad digest %q", digest)
+		}
+		if seen[raw] || s.has(raw) {
 			s.dups.Add(1)
 			continue
 		}
-		seen[key] = true
-		rawKey, err := hex.DecodeString(key)
-		if err != nil || len(rawKey) != keySize {
-			return 0, nil, 0, fmt.Errorf("store: bad digest %q", key)
-		}
-		payload, err := json.Marshal(&res)
-		if err != nil {
-			return 0, nil, 0, fmt.Errorf("store: encoding %s: %w", res.Scenario.Name, err)
-		}
-		if len(payload) > maxPayload {
+		seen[raw] = true
+		// The payload is encoded in place after its header; the length
+		// prefix is patched in once it is known.
+		rec := len(buf)
+		buf = append(buf, 0, 0, 0, 0)
+		buf = append(buf, raw[:]...)
+		buf = engine.AppendResultJSON(buf, &res)
+		n := len(buf) - rec - headerLen
+		if n > maxPayload {
 			return 0, nil, 0, fmt.Errorf("store: result %s exceeds the %d-byte record bound", res.Scenario.Name, maxPayload)
 		}
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-		rec := len(buf)
-		buf = append(buf, hdr[:]...)
-		buf = append(buf, rawKey...)
-		buf = append(buf, payload...)
-		var crc [4]byte
-		binary.BigEndian.PutUint32(crc[:], crc32.Checksum(buf[rec+4:], crcTable))
-		buf = append(buf, crc[:]...)
-		ent := &recordEnt{off: off + int64(rec+headerLen), n: len(payload)}
+		binary.BigEndian.PutUint32(buf[rec:], uint32(n))
+		buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf[rec+4:], crcTable))
+		ent := &recordEnt{off: off + int64(rec+headerLen), n: n}
 		ent.use.Store(s.clock.Add(1))
-		stage = append(stage, stagedPut{key: key, ent: ent, res: res})
+		stage = append(stage, stagedPut{key: indexKey(raw[:]), digest: digest, ent: ent, res: res})
 	}
 	if len(stage) == 0 {
 		return 0, nil, 0, nil
