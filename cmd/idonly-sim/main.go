@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
+	"slices"
 	"strings"
 
 	"idonly/internal/adversary"
@@ -68,6 +69,10 @@ func main() {
 		os.Exit(2)
 	}
 	if err := checkSize(*n, *f); err != nil {
+		slog.Error(err.Error())
+		os.Exit(2)
+	}
+	if err := checkNames(*protocol, *adv, *churn != ""); err != nil {
 		slog.Error(err.Error())
 		os.Exit(2)
 	}
@@ -267,6 +272,30 @@ func checkSize(n, f int) error {
 		return fmt.Errorf("-f %d: the fault count cannot be negative", f)
 	case f >= n:
 		return fmt.Errorf("-f %d with -n %d: need at least one correct node (f < n)", f, n)
+	}
+	return nil
+}
+
+// The names the direct path understands; -churn runs take the engine's.
+var (
+	simProtocols   = []string{"rbroadcast", "rotor", "consensus", "approx", "parallel", "dynamic"}
+	simAdversaries = []string{"silent", "split", "stubborn", "hidden", "replay"}
+)
+
+// checkNames rejects an unknown -protocol or -adversary before any run
+// is built, whatever -f is (with f = 0 the adversary is never
+// constructed, so a typo would otherwise pass silently): the direct
+// path's own names, or with -churn the scenario engine's.
+func checkNames(protocol, adv string, churn bool) error {
+	protos, advs := simProtocols, simAdversaries
+	if churn {
+		protos, advs = append(engine.Protocols(), engine.ProtoRing), engine.Adversaries()
+	}
+	if !slices.Contains(protos, protocol) {
+		return fmt.Errorf("-protocol %q: want one of %s", protocol, strings.Join(protos, " | "))
+	}
+	if !slices.Contains(advs, adv) {
+		return fmt.Errorf("-adversary %q: want one of %s", adv, strings.Join(advs, " | "))
 	}
 	return nil
 }

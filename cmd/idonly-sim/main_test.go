@@ -26,3 +26,33 @@ func TestCheckSize(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckNames: unknown protocol and adversary names are usage errors
+// on both paths, whatever -f is — the direct path checks its own names,
+// -churn the scenario engine's.
+func TestCheckNames(t *testing.T) {
+	cases := []struct {
+		protocol, adv string
+		churn, ok     bool
+	}{
+		{"consensus", "split", false, true},
+		{"rotor", "hidden", false, true},
+		{"dynamic", "stubborn", false, true},
+		{"consensus", "bogus", false, false}, // -f 0 never built the adversary
+		{"bogus", "silent", false, false},
+		{"consensus", "chaos", false, false}, // an engine name, not a direct one
+		{"ring", "silent", false, false},
+		{"consensus", "chaos", true, true},
+		{"ring", "none", true, true},
+		{"dynamic", "none", true, true},
+		{"consensus", "hidden", true, false}, // a direct name, not an engine one
+		{"consensus", "bogus", true, false},
+		{"bogus", "silent", true, false},
+	}
+	for _, tc := range cases {
+		err := checkNames(tc.protocol, tc.adv, tc.churn)
+		if (err == nil) != tc.ok {
+			t.Errorf("checkNames(%q, %q, churn=%v) = %v, want ok=%v", tc.protocol, tc.adv, tc.churn, err, tc.ok)
+		}
+	}
+}

@@ -4,8 +4,7 @@ package adversary
 // strategy speaks the protocols' and baselines' wire formats. This test
 // pins that property: everything any strategy ever sends implements
 // sim.SortKeyer, so adversarial traffic rides the reflection-free
-// delivery path (a SessMsg wrapper may legitimately report ordinal 0
-// and fall back to interface-identity dedup).
+// delivery path.
 
 import (
 	"testing"
@@ -56,12 +55,8 @@ func TestAdversaryPayloadsAreRegistered(t *testing.T) {
 	for name, adv := range strategies {
 		for round := 1; round <= 8; round++ {
 			for _, snd := range adv.Step(all[0], round, inbox) {
-				sk, ok := snd.Payload.(sim.SortKeyer)
-				if !ok {
+				if _, ok := snd.Payload.(sim.SortKeyer); !ok {
 					t.Fatalf("%s round %d: payload %T does not implement sim.SortKeyer", name, round, snd.Payload)
-				}
-				if _, wrapper := snd.Payload.(dynamic.SessMsg); !wrapper && sk.SortKeyOrdinal() == 0 {
-					t.Fatalf("%s round %d: payload %T has ordinal 0", name, round, snd.Payload)
 				}
 			}
 		}

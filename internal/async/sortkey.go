@@ -8,19 +8,11 @@ import "idonly/internal/sim"
 // the repository-wide contract so they can ride the synchronous
 // simulator's fast path if a comparison experiment ever drops them in.
 
-const (
-	ordHello     = sim.OrdBaseAsync + 1
-	ordGossipMsg = sim.OrdBaseAsync + 2
-)
-
 // AppendSortKey implements sim.SortKeyer.
 func (m Hello) AppendSortKey(dst []byte) []byte {
 	dst = sim.AppendInt(append(dst, '{'), int64(m.Val))
 	return append(dst, '}')
 }
-
-// SortKeyOrdinal implements sim.SortKeyer.
-func (Hello) SortKeyOrdinal() uint32 { return ordHello }
 
 // AppendSortKey implements sim.SortKeyer.
 func (m GossipMsg) AppendSortKey(dst []byte) []byte {
@@ -28,6 +20,3 @@ func (m GossipMsg) AppendSortKey(dst []byte) []byte {
 	dst = sim.AppendInt(append(dst, ' '), int64(m.Val))
 	return append(dst, '}')
 }
-
-// SortKeyOrdinal implements sim.SortKeyer.
-func (GossipMsg) SortKeyOrdinal() uint32 { return ordGossipMsg }

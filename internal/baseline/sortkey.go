@@ -3,20 +3,10 @@ package baseline
 import "idonly/internal/sim"
 
 // Typed sort keys (sim.SortKeyer): byte-identical to fmt.Sprint of each
-// payload, with per-type ordinals from the baseline range. The
-// known-n,f baselines share the wire with the id-only protocols in the
-// comparison experiments (E5/E6) and with the adversaries that speak
-// both dialects, so they join the fast delivery path too.
-
-const (
-	ordSTInitial = sim.OrdBaseBaseline + 1
-	ordSTEcho    = sim.OrdBaseBaseline + 2
-	ordKInput    = sim.OrdBaseBaseline + 3
-	ordKPrefer   = sim.OrdBaseBaseline + 4
-	ordKStrong   = sim.OrdBaseBaseline + 5
-	ordKKing     = sim.OrdBaseBaseline + 6
-	ordAValue    = sim.OrdBaseBaseline + 7
-)
+// payload. The known-n,f baselines share the wire with the id-only
+// protocols in the comparison experiments (E5/E6) and with the
+// adversaries that speak both dialects, so they join the fast delivery
+// path too.
 
 // AppendSortKey implements sim.SortKeyer.
 func (m STInitial) AppendSortKey(dst []byte) []byte {
@@ -25,9 +15,6 @@ func (m STInitial) AppendSortKey(dst []byte) []byte {
 	return append(dst, '}')
 }
 
-// SortKeyOrdinal implements sim.SortKeyer.
-func (STInitial) SortKeyOrdinal() uint32 { return ordSTInitial }
-
 // AppendSortKey implements sim.SortKeyer.
 func (m STEcho) AppendSortKey(dst []byte) []byte {
 	dst = append(append(dst, '{'), m.M...)
@@ -35,17 +22,11 @@ func (m STEcho) AppendSortKey(dst []byte) []byte {
 	return append(dst, '}')
 }
 
-// SortKeyOrdinal implements sim.SortKeyer.
-func (STEcho) SortKeyOrdinal() uint32 { return ordSTEcho }
-
 // AppendSortKey implements sim.SortKeyer.
 func (m KInput) AppendSortKey(dst []byte) []byte {
 	dst = sim.AppendFloat(append(dst, '{'), m.X)
 	return append(dst, '}')
 }
-
-// SortKeyOrdinal implements sim.SortKeyer.
-func (KInput) SortKeyOrdinal() uint32 { return ordKInput }
 
 // AppendSortKey implements sim.SortKeyer.
 func (m KPrefer) AppendSortKey(dst []byte) []byte {
@@ -53,17 +34,11 @@ func (m KPrefer) AppendSortKey(dst []byte) []byte {
 	return append(dst, '}')
 }
 
-// SortKeyOrdinal implements sim.SortKeyer.
-func (KPrefer) SortKeyOrdinal() uint32 { return ordKPrefer }
-
 // AppendSortKey implements sim.SortKeyer.
 func (m KStrong) AppendSortKey(dst []byte) []byte {
 	dst = sim.AppendFloat(append(dst, '{'), m.X)
 	return append(dst, '}')
 }
-
-// SortKeyOrdinal implements sim.SortKeyer.
-func (KStrong) SortKeyOrdinal() uint32 { return ordKStrong }
 
 // AppendSortKey implements sim.SortKeyer.
 func (m KKing) AppendSortKey(dst []byte) []byte {
@@ -71,14 +46,8 @@ func (m KKing) AppendSortKey(dst []byte) []byte {
 	return append(dst, '}')
 }
 
-// SortKeyOrdinal implements sim.SortKeyer.
-func (KKing) SortKeyOrdinal() uint32 { return ordKKing }
-
 // AppendSortKey implements sim.SortKeyer.
 func (m AValue) AppendSortKey(dst []byte) []byte {
 	dst = sim.AppendFloat(append(dst, '{'), m.X)
 	return append(dst, '}')
 }
-
-// SortKeyOrdinal implements sim.SortKeyer.
-func (AValue) SortKeyOrdinal() uint32 { return ordAValue }

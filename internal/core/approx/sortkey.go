@@ -3,15 +3,10 @@ package approx
 import "idonly/internal/sim"
 
 // Typed sort key (sim.SortKeyer): byte-identical to fmt.Sprint of the
-// payload, with the ordinal from the approx range.
-
-const ordValue = sim.OrdBaseApprox + 1
+// payload.
 
 // AppendSortKey implements sim.SortKeyer.
 func (m Value) AppendSortKey(dst []byte) []byte {
 	dst = sim.AppendFloat(append(dst, '{'), m.X)
 	return append(dst, '}')
 }
-
-// SortKeyOrdinal implements sim.SortKeyer.
-func (Value) SortKeyOrdinal() uint32 { return ordValue }

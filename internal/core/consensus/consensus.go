@@ -73,14 +73,14 @@ type Node struct {
 	strongTally *quorum.Tally[float64] // buffered from round D, judged in E
 	prevCoord   ids.ID                 // coordinator selected in this phase's round D
 
-	// Per-round scratch, reset (not reallocated) by absorb every round.
-	// strongTally and inStrongs swap in round D, so the buffered
-	// strongprefers survive round E's absorb without a fresh tally.
+	// Per-round scratch, reset (not reallocated) at the start of every
+	// StepTyped. strongTally and inStrongs swap in round D, so the
+	// buffered strongprefers survive round E's reset without a fresh
+	// tally.
 	inInputs, inPrefers, inStrongs *quorum.Tally[float64]
 	inOpinions                     map[ids.ID]float64
-	evScratch                      []consEvent       // backs stepCore's return value, reused
-	sends                          []sim.Send        // backs Step's return value, reused
-	wireSends                      []sim.SendT[Wire] // backs StepTyped's return value, reused
+	out                            []sim.SendT[Wire]   // backs StepTyped's return value, reused
+	boxed                          sim.BoxedStep[Wire] // Step's scratch on the boxed plane
 
 	phase        int // 1-based phase counter
 	decided      bool
@@ -145,30 +145,47 @@ func (n *Node) CoordinatorAdoptions() int { return n.coordAdopted }
 // NV returns the frozen membership size (0 before initialization ends).
 func (n *Node) NV() int { return n.nv }
 
-// consEvent is one send decided by stepCore, rendered by the plane
-// adapters (Step boxes it, StepTyped wraps it). Every send of
-// Algorithm 3 is a broadcast.
-type consEvent struct {
-	kind uint8 // a w* wire kind
-	p    ids.ID
-	x    float64
+// Step implements sim.Process through the wire codec.
+func (n *Node) Step(round int, inbox []sim.Message) []sim.Send {
+	return n.boxed.Step(n, codec, round, inbox)
 }
 
-// stepCore runs one round of Algorithm 3 against the absorbed tallies
-// and returns the broadcasts to emit, in node-owned scratch.
-func (n *Node) stepCore(round int, inputs, prefers, strongs *quorum.Tally[float64], opinions map[ids.ID]float64) []consEvent {
-	evs := n.evScratch[:0]
-	defer func() { n.evScratch = evs }()
+// StepTyped implements sim.ProcessT[Wire]: it classifies the inbox, then
+// runs one round of Algorithm 3. Every send of Algorithm 3 is a
+// broadcast.
+func (n *Node) StepTyped(round int, inbox []sim.MsgT[Wire]) []sim.SendT[Wire] {
+	// Classify the inbox into the per-round scratch: membership/rotor
+	// bookkeeping plus per-kind tallies of this round's messages.
+	// Messages from non-members are discarded once the membership is
+	// frozen. Any message — even one outside the wire union, like a
+	// chaos adversary's junk, which arrives as the zero Wire — counts
+	// its sender toward the pre-freeze senders set; only classification
+	// is union-gated.
+	n.inInputs.Reset()
+	n.inPrefers.Reset()
+	n.inStrongs.Reset()
+	clear(n.inOpinions)
+	for _, msg := range inbox {
+		if n.members == nil {
+			n.senders[msg.From] = true
+		} else if !n.members[msg.From] {
+			continue
+		}
+		n.absorbOne(msg.From, msg.Payload)
+	}
+
+	out := n.out[:0]
+	defer func() { n.out = out }()
 
 	switch round {
 	case 1: // init round 1: rotor init broadcast
-		evs = append(evs, consEvent{kind: wInit})
-		return evs
+		out = append(out, sim.BroadcastT(Wire{Kind: wInit}))
+		return out
 	case 2: // init round 2: rotor echoes for every init received
 		for _, p := range n.core.EchoInits() {
-			evs = append(evs, consEvent{kind: wEcho, p: p})
+			out = append(out, sim.BroadcastT(Wire{Kind: wEcho, P: p}))
 		}
-		return evs
+		return out
 	}
 
 	if n.members == nil {
@@ -184,40 +201,40 @@ func (n *Node) stepCore(round int, inputs, prefers, strongs *quorum.Tally[float6
 		n.phase++
 		n.lastInput, n.hasLastInput = n.xv, true
 		n.hasLastPrefer, n.hasLastStrong = false, false
-		evs = append(evs, consEvent{kind: wInput, x: n.xv})
+		out = append(out, sim.BroadcastT(Wire{Kind: wInput, X: n.xv}))
 
 	case 1: // B — count inputs, maybe broadcast prefer
-		n.substitute(inputs, n.lastInput, n.hasLastInput)
-		if x, count, ok := best(inputs); ok && quorum.AtLeastTwoThirds(count, n.nv) {
+		n.substitute(n.inInputs, n.lastInput, n.hasLastInput)
+		if x, count, ok := best(n.inInputs); ok && quorum.AtLeastTwoThirds(count, n.nv) {
 			n.lastPrefer, n.hasLastPrefer = x, true
-			evs = append(evs, consEvent{kind: wPrefer, x: x})
+			out = append(out, sim.BroadcastT(Wire{Kind: wPrefer, X: x}))
 		}
 
 	case 2: // C — count prefers, adopt, maybe broadcast strongprefer
-		n.substitute(prefers, n.lastPrefer, n.hasLastPrefer)
-		if x, count, ok := best(prefers); ok {
+		n.substitute(n.inPrefers, n.lastPrefer, n.hasLastPrefer)
+		if x, count, ok := best(n.inPrefers); ok {
 			if quorum.AtLeastThird(count, n.nv) {
 				n.xv = x
 			}
 			if quorum.AtLeastTwoThirds(count, n.nv) {
 				n.lastStrong, n.hasLastStrong = x, true
-				evs = append(evs, consEvent{kind: wStrong, x: x})
+				out = append(out, sim.BroadcastT(Wire{Kind: wStrong, X: x}))
 			}
 		}
 
 	case 3: // D — rotor round; strongprefers arrive here and are buffered
-		n.substitute(strongs, n.lastStrong, n.hasLastStrong)
+		n.substitute(n.inStrongs, n.lastStrong, n.hasLastStrong)
 		// Swap the filled scratch in as the buffer; the old buffer
-		// becomes next round's scratch (absorb resets it before use).
-		n.strongTally, n.inStrongs = strongs, n.strongTally
+		// becomes next round's scratch (reset before use).
+		n.strongTally, n.inStrongs = n.inStrongs, n.strongTally
 		relays, sel := n.core.Advance(n.nv)
 		for _, p := range relays {
-			evs = append(evs, consEvent{kind: wEcho, p: p})
+			out = append(out, sim.BroadcastT(Wire{Kind: wEcho, P: p}))
 		}
 		if sel.HasCoord {
 			n.prevCoord = sel.Coord
 			if sel.SelfCoord {
-				evs = append(evs, consEvent{kind: wOpinion, x: n.xv})
+				out = append(out, sim.BroadcastT(Wire{Kind: wOpinion, X: n.xv}))
 			}
 		} else {
 			n.prevCoord = 0
@@ -229,85 +246,18 @@ func (n *Node) stepCore(round int, inputs, prefers, strongs *quorum.Tally[float6
 			n.decided = true
 			n.output = x
 			n.decidedRound = round
-			return evs
+			return out
 		}
 		if !ok || quorum.LessThanThird(count, n.nv) {
 			if n.prevCoord != 0 {
-				if c, got := opinions[n.prevCoord]; got {
+				if c, got := n.inOpinions[n.prevCoord]; got {
 					n.xv = c
 					n.coordAdopted++
 				}
 			}
 		}
 	}
-	return evs
-}
-
-// Step implements sim.Process.
-func (n *Node) Step(round int, inbox []sim.Message) []sim.Send {
-	inputs, prefers, strongs, opinions := n.absorb(inbox)
-	out := n.sends[:0]
-	for _, e := range n.stepCore(round, inputs, prefers, strongs, opinions) {
-		out = append(out, sim.BroadcastPayload(e.boxed()))
-	}
-	n.sends = out
 	return out
-}
-
-// StepTyped implements sim.ProcessT[Wire]; same schedule as Step.
-func (n *Node) StepTyped(round int, inbox []sim.MsgT[Wire]) []sim.SendT[Wire] {
-	inputs, prefers, strongs, opinions := n.absorbTyped(inbox)
-	out := n.wireSends[:0]
-	for _, e := range n.stepCore(round, inputs, prefers, strongs, opinions) {
-		out = append(out, sim.BroadcastT(e.wire()))
-	}
-	n.wireSends = out
-	return out
-}
-
-// absorb classifies the inbox: membership/rotor bookkeeping plus
-// per-kind tallies of this round's consensus messages. Messages from
-// non-members are discarded once the membership is frozen. The
-// returned tallies and opinion map are the node's own per-round
-// scratch, valid until the next Step.
-//
-// Any message — even one outside the wire union, like a chaos
-// adversary's junk — counts its sender toward the pre-freeze senders
-// set; only classification is union-gated.
-func (n *Node) absorb(inbox []sim.Message) (inputs, prefers, strongs *quorum.Tally[float64], opinions map[ids.ID]float64) {
-	n.resetScratch()
-	for _, msg := range inbox {
-		if n.members == nil {
-			n.senders[msg.From] = true
-		} else if !n.members[msg.From] {
-			continue
-		}
-		if w, ok := wrap(msg.Payload); ok {
-			n.absorbOne(msg.From, w)
-		}
-	}
-	return n.inInputs, n.inPrefers, n.inStrongs, n.inOpinions
-}
-
-// absorbTyped is absorb on the typed plane.
-func (n *Node) absorbTyped(inbox []sim.MsgT[Wire]) (inputs, prefers, strongs *quorum.Tally[float64], opinions map[ids.ID]float64) {
-	n.resetScratch()
-	for _, msg := range inbox {
-		if n.members == nil {
-			n.senders[msg.From] = true
-		} else if !n.members[msg.From] {
-			continue
-		}
-		n.absorbOne(msg.From, msg.Payload)
-	}
-	return n.inInputs, n.inPrefers, n.inStrongs, n.inOpinions
-}
-
-func (n *Node) resetScratch() {
-	n.inInputs.Reset()
-	n.inPrefers.Reset()
-	n.inStrongs.Reset()
-	clear(n.inOpinions)
 }
 
 // absorbOne folds one classified message into the per-round scratch.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"idonly/internal/core/consensus"
+	"idonly/internal/core/rotor"
 	"idonly/internal/ids"
 	"idonly/internal/sim"
 )
@@ -118,5 +119,21 @@ func TestCoordinatorAdoptionCounter(t *testing.T) {
 		if nd.CoordinatorAdoptions() != 0 {
 			t.Fatalf("unanimous run adopted a coordinator opinion %d times", nd.CoordinatorAdoptions())
 		}
+	}
+}
+
+// TestJunkSenderJoinsMembership: a sender whose only initialization-round
+// message lies outside the wire union (a chaos adversary's junk) was
+// still heard from, so it is in the membership frozen at round 3.
+func TestJunkSenderJoinsMembership(t *testing.T) {
+	nd := consensus.New(10, 1)
+	nd.Step(1, nil)
+	nd.Step(2, []sim.Message{
+		{From: 10, Payload: rotor.Init{}},
+		{From: 77, Payload: "junk"},
+	})
+	nd.Step(3, nil)
+	if got := nd.NV(); got != 2 {
+		t.Fatalf("frozen nv = %d with one Init sender and one junk sender, want 2", got)
 	}
 }

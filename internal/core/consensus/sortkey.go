@@ -3,13 +3,7 @@ package consensus
 import "idonly/internal/sim"
 
 // Typed sort keys (sim.SortKeyer): byte-identical to fmt.Sprint of each
-// payload, with per-type ordinals from the consensus range.
-
-const (
-	ordInput        = sim.OrdBaseConsensus + 1
-	ordPrefer       = sim.OrdBaseConsensus + 2
-	ordStrongPrefer = sim.OrdBaseConsensus + 3
-)
+// payload.
 
 // AppendSortKey implements sim.SortKeyer.
 func (m Input) AppendSortKey(dst []byte) []byte {
@@ -17,23 +11,14 @@ func (m Input) AppendSortKey(dst []byte) []byte {
 	return append(dst, '}')
 }
 
-// SortKeyOrdinal implements sim.SortKeyer.
-func (Input) SortKeyOrdinal() uint32 { return ordInput }
-
 // AppendSortKey implements sim.SortKeyer.
 func (m Prefer) AppendSortKey(dst []byte) []byte {
 	dst = sim.AppendFloat(append(dst, '{'), m.X)
 	return append(dst, '}')
 }
 
-// SortKeyOrdinal implements sim.SortKeyer.
-func (Prefer) SortKeyOrdinal() uint32 { return ordPrefer }
-
 // AppendSortKey implements sim.SortKeyer.
 func (m StrongPrefer) AppendSortKey(dst []byte) []byte {
 	dst = sim.AppendFloat(append(dst, '{'), m.X)
 	return append(dst, '}')
 }
-
-// SortKeyOrdinal implements sim.SortKeyer.
-func (StrongPrefer) SortKeyOrdinal() uint32 { return ordStrongPrefer }

@@ -9,12 +9,11 @@ import (
 // Wire is the closed union of Algorithm 3's message alphabet — the
 // three consensus kinds plus the rotor-coordinator kinds the protocol
 // rides on — as one concrete value struct for the monomorphized
-// runner. The Kind discriminates; wrap is canonical (unused fields are
-// zero for a kind), so Wire equality is payload equality and the typed
-// duplicate filter matches the reference's (ordinal, key bytes)
-// identity. Sort keys and ordinals delegate to the wrapped types, so
-// both planes render identical bytes; Wire stays out of the
-// internal/sortkeys registry for exactly that reason.
+// runner. The Kind discriminates, and the zero Kind is no message
+// (BoxedStep delivers payloads outside the union as the zero Wire);
+// wrap is canonical (unused fields are zero for a kind), so Wire
+// equality is payload equality. Sort keys delegate to the wrapped
+// types, so both planes render identical bytes.
 type Wire struct {
 	Kind uint8
 	P    ids.ID  // rotor.Echo relay target
@@ -49,27 +48,9 @@ func (w Wire) AppendSortKey(dst []byte) []byte {
 	}
 }
 
-// SortKeyOrdinal implements sim.SortKeyer by delegation.
-func (w Wire) SortKeyOrdinal() uint32 {
-	switch w.Kind {
-	case wInit:
-		return rotor.Init{}.SortKeyOrdinal()
-	case wEcho:
-		return rotor.Echo{}.SortKeyOrdinal()
-	case wOpinion:
-		return rotor.Opinion{}.SortKeyOrdinal()
-	case wInput:
-		return ordInput
-	case wPrefer:
-		return ordPrefer
-	default:
-		return ordStrongPrefer
-	}
-}
-
 // wrap converts a boxed payload into the union; ok is false outside
-// the alphabet (e.g. chaos junk — membership noise both planes treat
-// identically: sender counted, payload unclassified).
+// the alphabet (e.g. chaos junk — membership noise: sender counted,
+// payload unclassified).
 func wrap(p any) (Wire, bool) {
 	switch p := p.(type) {
 	case rotor.Init:
@@ -106,16 +87,10 @@ func (w Wire) unwrap() any {
 	}
 }
 
-// boxed renders one stepCore event for the interface plane.
-func (e consEvent) boxed() any { return e.wire().unwrap() }
-
-// wire renders one stepCore event for the typed plane.
-func (e consEvent) wire() Wire { return Wire{Kind: e.kind, P: e.p, X: e.x} }
+// codec is the union's sim.Codec.
+var codec = sim.Codec[Wire]{Wrap: wrap, Unwrap: Wire.unwrap}
 
 // WireCodec returns the sim.Codec for the consensus union.
 func WireCodec() sim.Codec[Wire] {
-	return sim.Codec[Wire]{
-		Wrap:   wrap,
-		Unwrap: func(w Wire) any { return w.unwrap() },
-	}
+	return codec
 }

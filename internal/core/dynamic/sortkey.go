@@ -7,28 +7,15 @@ import (
 )
 
 // Typed sort keys (sim.SortKeyer): byte-identical to fmt.Sprint of each
-// payload, with per-type ordinals from the dynamic range. SessMsg is
-// the one wrapper type in the repository: it composes its ordinal with
-// its inner payload's (outer<<16 | inner) so that two session messages
-// whose inner types render the same bytes — e.g. parallel.NoPref and
-// parallel.NoStrongPref for the same pair — remain distinct to the
-// duplicate filter, exactly as interface equality kept them distinct.
-// A SessMsg wrapping an unregistered (or doubly wrapped) payload
-// returns ordinal 0, falling back to interface-identity dedup.
-
-const (
-	ordPresent  = sim.OrdBaseDynamic + 1
-	ordAck      = sim.OrdBaseDynamic + 2
-	ordAbsent   = sim.OrdBaseDynamic + 3
-	ordEventMsg = sim.OrdBaseDynamic + 4
-	ordSessMsg  = sim.OrdBaseDynamic + 5
-)
+// payload. SessMsg is the one wrapper type in the repository: it renders
+// its inner payload's key in place, and fmt's %v form for an inner
+// payload without one. Two session messages whose inner types render
+// the same bytes — e.g. parallel.NoPref and parallel.NoStrongPref for
+// the same pair — stay distinct to the duplicate filter, which keys on
+// values, not bytes.
 
 // AppendSortKey implements sim.SortKeyer.
 func (Present) AppendSortKey(dst []byte) []byte { return append(dst, "{}"...) }
-
-// SortKeyOrdinal implements sim.SortKeyer.
-func (Present) SortKeyOrdinal() uint32 { return ordPresent }
 
 // AppendSortKey implements sim.SortKeyer.
 func (m Ack) AppendSortKey(dst []byte) []byte {
@@ -36,14 +23,8 @@ func (m Ack) AppendSortKey(dst []byte) []byte {
 	return append(dst, '}')
 }
 
-// SortKeyOrdinal implements sim.SortKeyer.
-func (Ack) SortKeyOrdinal() uint32 { return ordAck }
-
 // AppendSortKey implements sim.SortKeyer.
 func (Absent) AppendSortKey(dst []byte) []byte { return append(dst, "{}"...) }
-
-// SortKeyOrdinal implements sim.SortKeyer.
-func (Absent) SortKeyOrdinal() uint32 { return ordAbsent }
 
 // AppendSortKey implements sim.SortKeyer.
 func (m EventMsg) AppendSortKey(dst []byte) []byte {
@@ -51,9 +32,6 @@ func (m EventMsg) AppendSortKey(dst []byte) []byte {
 	dst = sim.AppendInt(append(dst, ' '), int64(m.R))
 	return append(dst, '}')
 }
-
-// SortKeyOrdinal implements sim.SortKeyer.
-func (EventMsg) SortKeyOrdinal() uint32 { return ordEventMsg }
 
 // AppendSortKey implements sim.SortKeyer.
 func (m SessMsg) AppendSortKey(dst []byte) []byte {
@@ -68,14 +46,4 @@ func (m SessMsg) AppendSortKey(dst []byte) []byte {
 		dst = fmt.Append(dst, inner)
 	}
 	return append(dst, '}')
-}
-
-// SortKeyOrdinal implements sim.SortKeyer.
-func (m SessMsg) SortKeyOrdinal() uint32 {
-	if sk, ok := m.Inner.(sim.SortKeyer); ok {
-		if inner := sk.SortKeyOrdinal(); inner != 0 && inner <= 0xffff {
-			return ordSessMsg<<16 | inner
-		}
-	}
-	return 0
 }

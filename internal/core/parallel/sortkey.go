@@ -3,18 +3,8 @@ package parallel
 import "idonly/internal/sim"
 
 // Typed sort keys (sim.SortKeyer): byte-identical to fmt.Sprint of each
-// payload, with per-type ordinals from the parallel range. Val is not a
-// payload on its own — it renders itself so the six carrier types stay
-// in lockstep with fmt's nested-struct form.
-
-const (
-	ordInput        = sim.OrdBaseParallel + 1
-	ordPrefer       = sim.OrdBaseParallel + 2
-	ordNoPref       = sim.OrdBaseParallel + 3
-	ordStrongPrefer = sim.OrdBaseParallel + 4
-	ordNoStrongPref = sim.OrdBaseParallel + 5
-	ordOpinion      = sim.OrdBaseParallel + 6
-)
+// payload. Val is not a payload on its own — it renders itself so the
+// six carrier types stay in lockstep with fmt's nested-struct form.
 
 // AppendSortKey renders the opinion the way %v renders the nested
 // struct: "{<S> <Bot>}".
@@ -41,35 +31,17 @@ func appendPair(dst []byte, id PairID) []byte {
 // AppendSortKey implements sim.SortKeyer.
 func (m Input) AppendSortKey(dst []byte) []byte { return appendPairVal(dst, m.ID, m.X) }
 
-// SortKeyOrdinal implements sim.SortKeyer.
-func (Input) SortKeyOrdinal() uint32 { return ordInput }
-
 // AppendSortKey implements sim.SortKeyer.
 func (m Prefer) AppendSortKey(dst []byte) []byte { return appendPairVal(dst, m.ID, m.X) }
-
-// SortKeyOrdinal implements sim.SortKeyer.
-func (Prefer) SortKeyOrdinal() uint32 { return ordPrefer }
 
 // AppendSortKey implements sim.SortKeyer.
 func (m NoPref) AppendSortKey(dst []byte) []byte { return appendPair(dst, m.ID) }
 
-// SortKeyOrdinal implements sim.SortKeyer.
-func (NoPref) SortKeyOrdinal() uint32 { return ordNoPref }
-
 // AppendSortKey implements sim.SortKeyer.
 func (m StrongPrefer) AppendSortKey(dst []byte) []byte { return appendPairVal(dst, m.ID, m.X) }
-
-// SortKeyOrdinal implements sim.SortKeyer.
-func (StrongPrefer) SortKeyOrdinal() uint32 { return ordStrongPrefer }
 
 // AppendSortKey implements sim.SortKeyer.
 func (m NoStrongPref) AppendSortKey(dst []byte) []byte { return appendPair(dst, m.ID) }
 
-// SortKeyOrdinal implements sim.SortKeyer.
-func (NoStrongPref) SortKeyOrdinal() uint32 { return ordNoStrongPref }
-
 // AppendSortKey implements sim.SortKeyer.
 func (m Opinion) AppendSortKey(dst []byte) []byte { return appendPairVal(dst, m.ID, m.X) }
-
-// SortKeyOrdinal implements sim.SortKeyer.
-func (Opinion) SortKeyOrdinal() uint32 { return ordOpinion }

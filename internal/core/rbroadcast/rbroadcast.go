@@ -64,11 +64,10 @@ type Node struct {
 	accepted map[Key]int            // key -> round of acceptance
 	echoed   map[Key]bool           // keys for which the round-2 direct echo fired
 
-	directScratch []Key             // per-round direct-initials scratch, reused
-	keyScratch    []Key             // per-round echo-key scratch, reused
-	evScratch     []outEvent        // backs stepCore's return value, reused
-	sends         []sim.Send        // backs Step's return value, reused across rounds
-	wireSends     []sim.SendT[Wire] // backs StepTyped's return value, reused
+	directScratch []Key               // per-round direct-initials scratch, reused
+	keyScratch    []Key               // per-round echo-key scratch, reused
+	out           []sim.SendT[Wire]   // backs StepTyped's return value, reused
+	boxed         sim.BoxedStep[Wire] // Step's scratch on the boxed plane
 }
 
 // New returns a node. If source is true the node broadcasts (m, id) in
@@ -113,8 +112,8 @@ func (n *Node) AcceptedKeys() map[Key]int {
 func (n *Node) NV() int { return n.senders.Len() }
 
 // absorbOne handles one classified message. The sender was already
-// counted toward nv by the caller; payloads outside the wire union
-// never reach here (both planes drop them before classification).
+// counted toward nv by the caller; a payload outside the wire union
+// arrives as the zero Wire, whose kind classifies as nothing.
 func (n *Node) absorbOne(from ids.ID, w Wire) {
 	switch w.Kind {
 	case wInitial:
@@ -131,30 +130,34 @@ func (n *Node) absorbOne(from ids.ID, w Wire) {
 	}
 }
 
-// outEvent is one send decided by stepCore, rendered by the plane
-// adapters (Step boxes it, StepTyped wraps it). Every send of
-// Algorithm 1 is a broadcast.
-type outEvent struct {
-	kind uint8 // a w* wire kind
-	key  Key
+// Step implements sim.Process through the wire codec.
+func (n *Node) Step(round int, inbox []sim.Message) []sim.Send {
+	return n.boxed.Step(n, codec, round, inbox)
 }
 
-// stepCore runs one round of Algorithm 1 against the absorbed state
-// and returns the broadcasts to emit, in node-owned scratch.
-func (n *Node) stepCore(round int) []outEvent {
-	evs := n.evScratch[:0]
+// StepTyped implements sim.ProcessT[Wire] and follows Algorithm 1 line
+// by line. Every send of Algorithm 1 is a broadcast.
+func (n *Node) StepTyped(round int, inbox []sim.MsgT[Wire]) []sim.SendT[Wire] {
+	// Every received message counts its sender toward nv, and every
+	// echo accumulates a witness, regardless of the round.
+	n.directScratch = n.directScratch[:0]
+	for _, msg := range inbox {
+		n.senders.Add(msg.From)
+		n.absorbOne(msg.From, msg.Payload)
+	}
+	out := n.out[:0]
 	switch {
 	case round == 1: // Round 1: source broadcasts (m, s); others Present.
 		if n.source {
-			evs = append(evs, outEvent{kind: wInitial, key: Key{M: n.m, S: n.id}})
+			out = append(out, sim.BroadcastT(Wire{Kind: wInitial, M: n.m, S: n.id}))
 		} else {
-			evs = append(evs, outEvent{kind: wPresent})
+			out = append(out, sim.BroadcastT(Wire{Kind: wPresent}))
 		}
 	case round == 2: // Round 2: echo the initial message if received from s.
 		for _, k := range n.directScratch {
 			if !n.echoed[k] {
 				n.echoed[k] = true
-				evs = append(evs, outEvent{kind: wEcho, key: k})
+				out = append(out, echo(k))
 			}
 		}
 	default: // Rounds 3..∞: threshold echo and accept.
@@ -166,49 +169,20 @@ func (n *Node) stepCore(round int) []outEvent {
 				// Line 13: re-broadcast echo while not yet accepted (the
 				// pseudocode re-sends each round; receivers deduplicate
 				// by distinct sender, so this is idempotent).
-				evs = append(evs, outEvent{kind: wEcho, key: k})
+				out = append(out, echo(k))
 			}
 			if quorum.AtLeastTwoThirds(count, nv) && !hasKey(n.accepted, k) {
 				n.accepted[k] = round
 			}
 		}
 	}
-	n.evScratch = evs
-	return evs
-}
-
-// Step implements sim.Process and follows Algorithm 1 line by line.
-func (n *Node) Step(round int, inbox []sim.Message) []sim.Send {
-	// Every received message counts its sender toward nv, and every
-	// echo accumulates a witness, regardless of the round.
-	n.directScratch = n.directScratch[:0]
-	for _, msg := range inbox {
-		n.senders.Add(msg.From)
-		if w, ok := wrap(msg.Payload); ok {
-			n.absorbOne(msg.From, w)
-		}
-	}
-	out := n.sends[:0]
-	for _, e := range n.stepCore(round) {
-		out = append(out, sim.BroadcastPayload(e.boxed()))
-	}
-	n.sends = out
+	n.out = out
 	return out
 }
 
-// StepTyped implements sim.ProcessT[Wire]; same schedule as Step.
-func (n *Node) StepTyped(round int, inbox []sim.MsgT[Wire]) []sim.SendT[Wire] {
-	n.directScratch = n.directScratch[:0]
-	for _, msg := range inbox {
-		n.senders.Add(msg.From)
-		n.absorbOne(msg.From, msg.Payload)
-	}
-	out := n.wireSends[:0]
-	for _, e := range n.stepCore(round) {
-		out = append(out, sim.BroadcastT(e.wire()))
-	}
-	n.wireSends = out
-	return out
+// echo is the echo(m, s) broadcast for a key.
+func echo(k Key) sim.SendT[Wire] {
+	return sim.BroadcastT(Wire{Kind: wEcho, M: k.M, S: k.S})
 }
 
 func hasKey(m map[Key]int, k Key) bool {

@@ -184,3 +184,22 @@ func TestMessageComplexityQuadratic(t *testing.T) {
 		}
 	}
 }
+
+// TestJunkSenderCountsTowardNV: a payload outside Algorithm 1's alphabet
+// (a chaos adversary's junk) classifies as nothing, but its sender was
+// heard from, so it still counts toward nv.
+func TestJunkSenderCountsTowardNV(t *testing.T) {
+	nd := rbroadcast.New(10, false, "")
+	nd.Step(1, nil)
+	nd.Step(2, []sim.Message{
+		{From: 10, Payload: rbroadcast.Present{}},
+		{From: 30, Payload: struct{ A int }{A: 4}},
+		{From: 40, Payload: "junk"},
+	})
+	if got := nd.NV(); got != 3 {
+		t.Fatalf("nv = %d after one Present and two junk senders, want 3", got)
+	}
+	if len(nd.AcceptedKeys()) != 0 {
+		t.Fatalf("junk produced accepted keys %v", nd.AcceptedKeys())
+	}
+}

@@ -3,13 +3,7 @@ package rbroadcast
 import "idonly/internal/sim"
 
 // Typed sort keys (sim.SortKeyer): byte-identical to fmt.Sprint of each
-// payload, with per-type ordinals from the rbroadcast range.
-
-const (
-	ordInitial = sim.OrdBaseRBroadcast + 1
-	ordPresent = sim.OrdBaseRBroadcast + 2
-	ordEcho    = sim.OrdBaseRBroadcast + 3
-)
+// payload.
 
 // AppendSortKey implements sim.SortKeyer.
 func (m Initial) AppendSortKey(dst []byte) []byte {
@@ -18,14 +12,8 @@ func (m Initial) AppendSortKey(dst []byte) []byte {
 	return append(dst, '}')
 }
 
-// SortKeyOrdinal implements sim.SortKeyer.
-func (Initial) SortKeyOrdinal() uint32 { return ordInitial }
-
 // AppendSortKey implements sim.SortKeyer.
 func (Present) AppendSortKey(dst []byte) []byte { return append(dst, "{}"...) }
-
-// SortKeyOrdinal implements sim.SortKeyer.
-func (Present) SortKeyOrdinal() uint32 { return ordPresent }
 
 // AppendSortKey implements sim.SortKeyer.
 func (m Echo) AppendSortKey(dst []byte) []byte {
@@ -33,6 +21,3 @@ func (m Echo) AppendSortKey(dst []byte) []byte {
 	dst = sim.AppendUint(append(dst, ' '), uint64(m.S))
 	return append(dst, '}')
 }
-
-// SortKeyOrdinal implements sim.SortKeyer.
-func (Echo) SortKeyOrdinal() uint32 { return ordEcho }

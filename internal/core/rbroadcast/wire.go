@@ -7,16 +7,14 @@ import (
 
 // Wire is the closed union of Algorithm 1's message alphabet — the
 // concrete message type the monomorphized runner carries, so the hot
-// loop never boxes a payload. The Kind discriminates; unused fields
-// are always zero for a kind (wrap is canonical), so Wire equality is
-// payload equality and the typed duplicate filter matches the
-// reference filter's (ordinal, key bytes) identity.
+// loop never boxes a payload. The Kind discriminates, and the zero Kind
+// is no message (BoxedStep delivers payloads outside the union as the
+// zero Wire); unused fields are always zero for a kind (wrap is
+// canonical), so Wire equality is payload equality.
 //
 // Wire delegates its sort key to the wrapped payload type, so the
 // rendered bytes — and with them inbox order, trace digests and
-// canonical reports — are identical on both planes. It deliberately
-// stays out of the internal/sortkeys registry: its ordinals are the
-// delegated originals, not a fresh range.
+// canonical reports — are identical on both planes.
 type Wire struct {
 	Kind uint8
 	M    string
@@ -42,21 +40,9 @@ func (w Wire) AppendSortKey(dst []byte) []byte {
 	}
 }
 
-// SortKeyOrdinal implements sim.SortKeyer by delegation.
-func (w Wire) SortKeyOrdinal() uint32 {
-	switch w.Kind {
-	case wInitial:
-		return ordInitial
-	case wPresent:
-		return ordPresent
-	default:
-		return ordEcho
-	}
-}
-
 // wrap converts a boxed payload into the union; ok is false outside
-// the alphabet (unknown payloads are membership noise both planes
-// ignore — the reference Step's type switch had no default case).
+// the alphabet (unknown payloads are membership noise: their sender
+// counts toward nv, nothing else).
 func wrap(p any) (Wire, bool) {
 	switch p := p.(type) {
 	case Initial:
@@ -81,34 +67,10 @@ func (w Wire) unwrap() any {
 	}
 }
 
-// boxed renders one stepCore event for the interface plane.
-func (e outEvent) boxed() any {
-	switch e.kind {
-	case wInitial:
-		return Initial{M: e.key.M, S: e.key.S}
-	case wPresent:
-		return Present{}
-	default:
-		return Echo{M: e.key.M, S: e.key.S}
-	}
-}
-
-// wire renders one stepCore event for the typed plane.
-func (e outEvent) wire() Wire {
-	switch e.kind {
-	case wInitial:
-		return Wire{Kind: wInitial, M: e.key.M, S: e.key.S}
-	case wPresent:
-		return Wire{Kind: wPresent}
-	default:
-		return Wire{Kind: wEcho, M: e.key.M, S: e.key.S}
-	}
-}
+// codec is the union's sim.Codec.
+var codec = sim.Codec[Wire]{Wrap: wrap, Unwrap: Wire.unwrap}
 
 // WireCodec returns the sim.Codec for the rbroadcast union.
 func WireCodec() sim.Codec[Wire] {
-	return sim.Codec[Wire]{
-		Wrap:   wrap,
-		Unwrap: func(w Wire) any { return w.unwrap() },
-	}
+	return codec
 }

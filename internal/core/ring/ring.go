@@ -18,9 +18,10 @@
 // every node (Horizon = ⌈log₂ n⌉ + 1, the extra round being the final
 // absorb), at which point every node decides on its current minimum.
 //
-// The node implements both sim.Process and sim.ProcessT[Probe], so it
-// runs identically on the reference and the monomorphized plane — the
-// engine's scale smoke test holds the two schedules byte-equal.
+// The node's round logic is StepTyped (sim.ProcessT[Probe]); its
+// sim.Process Step is derived through the codec, so it runs identically
+// on the reference and the monomorphized plane — the engine's scale
+// smoke test holds the two schedules byte-equal.
 package ring
 
 import (
@@ -32,12 +33,12 @@ import (
 
 // Probe carries the sender's current minimum id. It is its own wire
 // type: the protocol's whole alphabet is this one struct, so the typed
-// plane carries it without a union wrapper.
+// plane carries it without a union wrapper. The zero Probe is no
+// message (BoxedStep delivers payloads outside the alphabet as it):
+// ids.Sparse never draws id 0, so no real minimum is 0.
 type Probe struct {
 	Min ids.ID
 }
-
-const ordProbe = sim.OrdBaseRing + 1
 
 // AppendSortKey implements sim.SortKeyer.
 func (p Probe) AppendSortKey(dst []byte) []byte {
@@ -45,19 +46,17 @@ func (p Probe) AppendSortKey(dst []byte) []byte {
 	return append(dst, '}')
 }
 
-// SortKeyOrdinal implements sim.SortKeyer.
-func (Probe) SortKeyOrdinal() uint32 { return ordProbe }
+// codec is the identity codec for the probe alphabet.
+var codec = sim.Codec[Probe]{
+	Wrap: func(p any) (Probe, bool) {
+		v, ok := p.(Probe)
+		return v, ok
+	},
+	Unwrap: func(m Probe) any { return m },
+}
 
 // WireCodec returns the identity codec for the probe alphabet.
-func WireCodec() sim.Codec[Probe] {
-	return sim.Codec[Probe]{
-		Wrap: func(p any) (Probe, bool) {
-			v, ok := p.(Probe)
-			return v, ok
-		},
-		Unwrap: func(m Probe) any { return m },
-	}
-}
+func WireCodec() sim.Codec[Probe] { return codec }
 
 // Horizon returns the number of rounds after which every node decides:
 // ⌈log₂ n⌉ send rounds plus the final absorb round.
@@ -88,8 +87,8 @@ type Node struct {
 	horizon int
 	decided bool
 
-	sends  []sim.Send         // backs Step's return value, reused
-	tsends []sim.SendT[Probe] // backs StepTyped's return value, reused
+	out   []sim.SendT[Probe]   // backs StepTyped's return value, reused
+	boxed sim.BoxedStep[Probe] // Step's scratch on the boxed plane
 }
 
 // New returns a node with the given overlay successors and decision
@@ -110,53 +109,28 @@ func (n *Node) Output() any { return n.min }
 // Min returns the node's current minimum.
 func (n *Node) Min() ids.ID { return n.min }
 
-// absorbMin folds one received minimum into the running minimum.
-func (n *Node) absorbMin(m ids.ID) {
-	if m < n.min {
-		n.min = m
-	}
-}
-
-// stepCore advances the round state machine shared by both planes:
-// whether this round still gossips, with the horizon deciding instead.
-func (n *Node) stepCore(round int) (gossip bool) {
-	if round >= n.horizon {
-		n.decided = true
-		return false
-	}
-	return true
-}
-
-// Step implements sim.Process.
+// Step implements sim.Process through the probe codec.
 func (n *Node) Step(round int, inbox []sim.Message) []sim.Send {
-	for _, msg := range inbox {
-		if p, ok := msg.Payload.(Probe); ok {
-			n.absorbMin(p.Min)
-		}
-	}
-	if !n.stepCore(round) {
-		return nil
-	}
-	out := n.sends[:0]
-	for _, s := range n.succ {
-		out = append(out, sim.Unicast(s, Probe{Min: n.min}))
-	}
-	n.sends = out
-	return out
+	return n.boxed.Step(n, codec, round, inbox)
 }
 
-// StepTyped implements sim.ProcessT[Probe]; same schedule as Step.
+// StepTyped implements sim.ProcessT[Probe]: fold the received minima
+// into the running one (the zero Probe carries none), then gossip it
+// along the overlay until the horizon decides.
 func (n *Node) StepTyped(round int, inbox []sim.MsgT[Probe]) []sim.SendT[Probe] {
 	for _, msg := range inbox {
-		n.absorbMin(msg.Payload.Min)
+		if m := msg.Payload.Min; m != 0 && m < n.min {
+			n.min = m
+		}
 	}
-	if !n.stepCore(round) {
+	if round >= n.horizon {
+		n.decided = true
 		return nil
 	}
-	out := n.tsends[:0]
+	out := n.out[:0]
 	for _, s := range n.succ {
 		out = append(out, sim.UnicastT(s, Probe{Min: n.min}))
 	}
-	n.tsends = out
+	n.out = out
 	return out
 }

@@ -72,3 +72,21 @@ func TestRingConvergesAtHorizon(t *testing.T) {
 		buildRing(t, n)
 	}
 }
+
+// TestJunkLeavesMinUnchanged: payloads outside the probe alphabet (a
+// chaos adversary's junk) carry no minimum, so they must not lower the
+// running one; a real probe still does.
+func TestJunkLeavesMinUnchanged(t *testing.T) {
+	nd := ring.New(50, []ids.ID{60}, 5)
+	nd.Step(1, []sim.Message{
+		{From: 70, Payload: "junk"},
+		{From: 80, Payload: struct{ Min ids.ID }{Min: 3}},
+	})
+	if got := nd.Min(); got != 50 {
+		t.Fatalf("Min = %d after junk only, want 50", got)
+	}
+	nd.Step(2, []sim.Message{{From: 60, Payload: ring.Probe{Min: 20}}})
+	if got := nd.Min(); got != 20 {
+		t.Fatalf("Min = %d after Probe{20}, want 20", got)
+	}
+}

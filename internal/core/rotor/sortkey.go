@@ -3,21 +3,11 @@ package rotor
 import "idonly/internal/sim"
 
 // Typed sort keys (sim.SortKeyer): byte-identical to fmt.Sprint of each
-// payload, with per-type ordinals from the rotor range. The contract —
-// and the differential tests enforcing it — lives in internal/sim's
-// sortkey.go and internal/sortkeys.
-
-const (
-	ordInit    = sim.OrdBaseRotor + 1
-	ordEcho    = sim.OrdBaseRotor + 2
-	ordOpinion = sim.OrdBaseRotor + 3
-)
+// payload. The contract — and the differential tests enforcing it —
+// lives in internal/sim's sortkey.go and internal/sortkeys.
 
 // AppendSortKey implements sim.SortKeyer.
 func (Init) AppendSortKey(dst []byte) []byte { return append(dst, "{}"...) }
-
-// SortKeyOrdinal implements sim.SortKeyer.
-func (Init) SortKeyOrdinal() uint32 { return ordInit }
 
 // AppendSortKey implements sim.SortKeyer.
 func (m Echo) AppendSortKey(dst []byte) []byte {
@@ -25,14 +15,8 @@ func (m Echo) AppendSortKey(dst []byte) []byte {
 	return append(dst, '}')
 }
 
-// SortKeyOrdinal implements sim.SortKeyer.
-func (Echo) SortKeyOrdinal() uint32 { return ordEcho }
-
 // AppendSortKey implements sim.SortKeyer.
 func (m Opinion) AppendSortKey(dst []byte) []byte {
 	dst = sim.AppendFloat(append(dst, '{'), m.X)
 	return append(dst, '}')
 }
-
-// SortKeyOrdinal implements sim.SortKeyer.
-func (Opinion) SortKeyOrdinal() uint32 { return ordOpinion }

@@ -29,8 +29,6 @@ func (d *determinism) Name() string { return "determinism" }
 func (d *determinism) Doc() string {
 	return "flag schedule-dependent constructs (map iteration, wall clocks, global rand, map-keyed selects) in schedule-critical packages"
 }
-func (d *determinism) Finish() []Diagnostic { return nil }
-
 func (d *determinism) Package(pkg *Package) []Diagnostic {
 	if !matchesAny(pkg.Path, d.cfg.CriticalPaths) {
 		return nil

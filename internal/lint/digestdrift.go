@@ -28,8 +28,6 @@ func (d *digestDrift) Name() string { return "digest-drift" }
 func (d *digestDrift) Doc() string {
 	return "every Scenario field must be encoded by Digest() or on the explicit exclusion list"
 }
-func (d *digestDrift) Finish() []Diagnostic { return nil }
-
 func (d *digestDrift) Package(pkg *Package) []Diagnostic {
 	obj, ok := pkg.Types.Scope().Lookup(d.cfg.ScenarioType).(*types.TypeName)
 	if !ok {

@@ -130,12 +130,6 @@ func TestDigestDriftGolden(t *testing.T) {
 	})
 }
 
-func TestSortKeyRegistryGolden(t *testing.T) {
-	golden(t, "sortkeybad", "sortkey-registry", func(cfg *Config) {
-		cfg.OrdinalRanges = map[string]uint32{"testdata/src/sortkeybad": 0x0100}
-	})
-}
-
 func TestHotPathGolden(t *testing.T) {
 	golden(t, "hotbad", "hotpath-allocs", func(cfg *Config) {
 		cfg.HotPaths = []string{"testdata/src/hotbad"}

@@ -27,8 +27,6 @@ func (h *hotPath) Name() string { return "hotpath-allocs" }
 func (h *hotPath) Doc() string {
 	return "forbid fmt, reflect, and explicit any-boxing in the simulator hot path outside the designated fallback file"
 }
-func (h *hotPath) Finish() []Diagnostic { return nil }
-
 func (h *hotPath) Package(pkg *Package) []Diagnostic {
 	if !matchesAny(pkg.Path, h.cfg.HotPaths) {
 		return nil

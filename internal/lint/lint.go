@@ -44,13 +44,11 @@ func (d Diagnostic) String() string {
 }
 
 // Analyzer is one contract checker. Package is called once per loaded
-// package; Finish once after every package, for repo-wide checks
-// (ordinal uniqueness needs all packages before it can decide).
+// package.
 type Analyzer interface {
 	Name() string
 	Doc() string
 	Package(pkg *Package) []Diagnostic
-	Finish() []Diagnostic
 }
 
 // Config points the analyzers at the repo's contract surfaces. The
@@ -65,11 +63,9 @@ type Config struct {
 	CriticalPaths []string
 	SortFuncs     map[string][]string
 
-	// SimPath is the import path of the package defining SortKeyer and
-	// Codec; HotPaths are the import-path substrings under the hot-path
+	// HotPaths are the import-path substrings under the hot-path
 	// allocation rules, with HotAllowFiles naming the designated
 	// fallback files (base names) exempt from them.
-	SimPath       string
 	HotPaths      []string
 	HotAllowFiles []string
 
@@ -81,20 +77,13 @@ type Config struct {
 	DigestMethod  string
 	DigestExclude []string
 
-	// OrdinalRanges maps package import-path suffixes to their
-	// documented SortKeyOrdinal base; each package owns
-	// [Base, Base+OrdinalWidth).
-	OrdinalRanges map[string]uint32
-	OrdinalWidth  uint32
-
 	// ObsPath is the metrics package; metric names passed to its
 	// Registry must be string literals prefixed with MetricPrefix.
 	ObsPath      string
 	MetricPrefix string
 }
 
-// DefaultConfig is the repo's contract surface. The ordinal ranges
-// mirror the OrdBase* constants documented in internal/sim/sortkey.go.
+// DefaultConfig is the repo's contract surface.
 func DefaultConfig() Config {
 	return Config{
 		CriticalPaths: []string{
@@ -108,26 +97,13 @@ func DefaultConfig() Config {
 		SortFuncs: map[string][]string{
 			"idonly/internal/ids": {"SortIDs"},
 		},
-		SimPath:       "idonly/internal/sim",
 		HotPaths:      []string{"idonly/internal/sim"},
 		HotAllowFiles: []string{"fallback.go"},
 		ScenarioType:  "Scenario",
 		DigestMethod:  "Digest",
 		DigestExclude: []string{"SimWorkers", "NoFastPath"},
-		OrdinalRanges: map[string]uint32{
-			"internal/core/rotor":      0x0100,
-			"internal/core/rbroadcast": 0x0200,
-			"internal/core/consensus":  0x0300,
-			"internal/core/approx":     0x0400,
-			"internal/core/parallel":   0x0500,
-			"internal/core/dynamic":    0x0600,
-			"internal/baseline":        0x0700,
-			"internal/async":           0x0800,
-			"internal/core/ring":       0x0900,
-		},
-		OrdinalWidth: 0x0100,
-		ObsPath:      "idonly/internal/obs",
-		MetricPrefix: "idonly_",
+		ObsPath:       "idonly/internal/obs",
+		MetricPrefix:  "idonly_",
 	}
 }
 
@@ -136,7 +112,6 @@ func Analyzers(cfg Config) []Analyzer {
 	return []Analyzer{
 		newDeterminism(cfg),
 		newDigestDrift(cfg),
-		newSortKeyRegistry(cfg),
 		newHotPath(cfg),
 		newObsNaming(cfg),
 	}
@@ -163,9 +138,6 @@ func Run(cfg Config, pkgs []*Package, only ...string) []Diagnostic {
 		for _, a := range active {
 			diags = append(diags, a.Package(pkg)...)
 		}
-	}
-	for _, a := range active {
-		diags = append(diags, a.Finish()...)
 	}
 	// Unused directives are stale annotations: the finding they excused
 	// is gone, so the justification must go too. Only meaningful when

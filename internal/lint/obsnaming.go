@@ -57,8 +57,6 @@ func (o *obsNaming) Name() string { return "obs-naming" }
 func (o *obsNaming) Doc() string {
 	return "metric, label, event and run-kind names must be literal snake_case strings"
 }
-func (o *obsNaming) Finish() []Diagnostic { return nil }
-
 func (o *obsNaming) Package(pkg *Package) []Diagnostic {
 	if pkg.Path == o.cfg.ObsPath {
 		return nil // the registry's own internals aren't call sites

@@ -19,9 +19,8 @@ import (
 )
 
 // benchPayload mirrors the protocols' payload shapes: a small
-// comparable struct, registered like every protocol message (test-local
-// ordinal, outside the package ranges). It is the typed
-// instantiation's wire type and the boxed one's payload.
+// comparable struct, registered like every protocol message. It is the
+// typed instantiation's wire type and the boxed one's payload.
 type benchPayload struct {
 	Kind  int
 	Value float64
@@ -32,8 +31,6 @@ func (p benchPayload) AppendSortKey(dst []byte) []byte {
 	dst = AppendFloat(append(dst, ' '), p.Value)
 	return append(dst, '}')
 }
-
-func (benchPayload) SortKeyOrdinal() uint32 { return 0x7f01 }
 
 // benchFallbackPayload is the same shape without SortKeyer: it rides
 // the fmt.Append key path.

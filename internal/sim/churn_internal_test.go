@@ -23,7 +23,6 @@ type hopMsg struct {
 	Round int
 }
 
-func (m hopMsg) SortKeyOrdinal() uint32 { return 0xfffd0001 } // test-local, outside real ranges
 func (m hopMsg) AppendSortKey(dst []byte) []byte {
 	dst = AppendUint(append(dst, '{'), uint64(m.ID))
 	return append(AppendInt(append(dst, ' '), int64(m.Round)), '}')

@@ -50,9 +50,9 @@ import (
 
 // WireMsg is the constraint on a protocol's concrete wire type: a
 // comparable value (the duplicate filter keys on it directly) that
-// renders its own deterministic sort key. The SortKeyer contract
-// (sortkey.go) is what makes value equality and (ordinal, key bytes)
-// equality interchangeable.
+// renders its own deterministic sort key under the SortKeyer contract
+// (sortkey.go). A union's zero value must be no message: BoxedStep
+// delivers payloads outside the union as it.
 type WireMsg interface {
 	comparable
 	SortKeyer
@@ -75,9 +75,9 @@ func UnicastT[M any](to ids.ID, p M) SendT[M] { return SendT[M]{To: to, Payload:
 // types. StepTyped is Step with the payload type fixed; the ownership
 // rules are identical (the inbox is runner-owned, reused and shared,
 // so neither retained nor modified; the send slice is process-owned
-// scratch). A protocol node with a wire union
-// implements both Process and ProcessT over the same state, and the
-// two must emit the same schedule — the golden digests check it.
+// scratch). A protocol node with a wire union holds its round logic in
+// StepTyped alone and derives Process.Step from it through its codec
+// (BoxedStep), so the two planes cannot drift apart.
 type ProcessT[M any] interface {
 	ID() ids.ID
 	StepTyped(round int, inbox []MsgT[M]) []SendT[M]
@@ -99,6 +99,39 @@ type Codec[M any] struct {
 	Wrap func(p any) (M, bool)
 	// Unwrap restores the boxed payload an adversary or observer sees.
 	Unwrap func(m M) any
+}
+
+// BoxedStep runs a ProcessT on the boxed plane through its Codec: the
+// inbox is wrapped into reused scratch, StepTyped runs, and its sends
+// are unwrapped into reused scratch. A wire-union node embeds one and
+// implements Process.Step as a single delegation to Step. A payload
+// outside the union reaches StepTyped as the zero M with its sender
+// kept — no message the protocol knows, but a sender it heard from —
+// so the protocol's zero kind must classify as nothing. The zero value
+// is ready to use.
+type BoxedStep[M any] struct {
+	inbox []MsgT[M]
+	sends []Send
+}
+
+// Step is p.StepTyped over a boxed inbox, with boxed sends.
+func (b *BoxedStep[M]) Step(p ProcessT[M], c Codec[M], round int, inbox []Message) []Send {
+	in := b.inbox[:0]
+	for _, msg := range inbox {
+		m, ok := c.Wrap(msg.Payload)
+		if !ok {
+			var zero M
+			m = zero
+		}
+		in = append(in, MsgT[M]{From: msg.From, Payload: m})
+	}
+	b.inbox = in
+	out := b.sends[:0]
+	for _, s := range p.StepTyped(round, in) {
+		out = append(out, Send{To: s.To, Payload: c.Unwrap(s.Payload)})
+	}
+	b.sends = out
+	return out
 }
 
 // srcKey is the duplicate-filter identity of one message source:

@@ -17,21 +17,18 @@ import (
 	"idonly/internal/ids"
 )
 
-// regPayload is a registered payload (nonzero ordinal): the filter
-// identifies it by (ordinal, key bytes).
+// regPayload is a registered payload: it renders its own key.
 type regPayload struct{ V int }
 
-func (p regPayload) SortKeyOrdinal() uint32 { return 0xfffe0001 }
 func (p regPayload) AppendSortKey(dst []byte) []byte {
 	return append(AppendInt(append(dst, '{'), int64(p.V)), '}')
 }
 
-// ord0Payload renders its own key but opts out of the fast filter, as a
-// wrapper around an unregistered inner payload does.
-type ord0Payload struct{ V int }
+// twinPayload renders exactly regPayload's keys under another type: a
+// cross-type key tie the value-keyed filter must keep apart.
+type twinPayload struct{ V int }
 
-func (p ord0Payload) SortKeyOrdinal() uint32 { return 0 }
-func (p ord0Payload) AppendSortKey(dst []byte) []byte {
+func (p twinPayload) AppendSortKey(dst []byte) []byte {
 	return append(AppendInt(append(dst, '{'), int64(p.V)), '}')
 }
 
@@ -98,7 +95,7 @@ func TestFilterMatchesNaiveModel(t *testing.T) {
 
 			pool := []any{
 				regPayload{1}, regPayload{2}, regPayload{3},
-				ord0Payload{1}, ord0Payload{2},
+				twinPayload{1}, twinPayload{2},
 				plainPayload{1}, plainPayload{2},
 			}
 			pick := func() any { return pool[rng.Intn(len(pool))] }
@@ -378,7 +375,6 @@ type asmWire struct {
 }
 
 func (w asmWire) AppendSortKey(dst []byte) []byte { return appendBoxedKey(dst, asmCodec.Unwrap(w)) }
-func (asmWire) SortKeyOrdinal() uint32            { return 0xfffc0001 }
 
 var asmCodec = Codec[asmWire]{
 	Wrap: func(p any) (asmWire, bool) {

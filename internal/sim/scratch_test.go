@@ -53,9 +53,6 @@ type bigKeyPayload struct {
 	pad int
 }
 
-const ordScratchTest uint32 = 0xffff0001 // test-local, outside real ranges
-
-func (p bigKeyPayload) SortKeyOrdinal() uint32 { return ordScratchTest }
 func (p bigKeyPayload) AppendSortKey(dst []byte) []byte {
 	dst = append(dst, fmt.Sprintf("{%d ", p.seq)...)
 	for i := 0; i < p.pad; i++ {

@@ -19,21 +19,17 @@
 //     both directions: distinct values render distinct bytes (the
 //     repository's message structs — ints, ids, bools, strings in
 //     last-position-unambiguous layouts — have this), and equal values
-//     render equal bytes. It is what lets the filter key on values
-//     where it once keyed on (type ordinal, key bytes): two payloads
-//     of the same type are the same message exactly when their bytes
-//     match. Values where rendering and equality disagree must not be
-//     carried by registered types: NaN (renders equal, compares
-//     unequal) and negative zero (compares equal to +0, renders "-0")
-//     — no protocol or adversary here produces either.
-//   - SortKeyOrdinal must be unique per concrete type (ranges below).
-//     Two types whose renderings collide stay distinct messages
-//     because their values differ in type; the ordinal states that as
-//     a number. No runner code reads it any more — internal/sortkeys
-//     and the sortkey-registry analyzer do — and it goes with the %v
-//     emulation when the goldens are re-pinned. Wrapper types
-//     (dynamic.SessMsg) return 0 when their inner payload is
-//     unregistered.
+//     render equal bytes. It is what lets the filter key on values:
+//     two payloads of the same type are the same message exactly when
+//     their bytes match. Values where rendering and equality disagree
+//     must not be carried by registered types: NaN (renders equal,
+//     compares unequal) and negative zero (compares equal to +0,
+//     renders "-0") — no protocol or adversary here produces either.
+//
+// Registering a payload type means implementing AppendSortKey and adding
+// sample values to internal/sortkeys, whose tests hold the type to both
+// rules. Two types whose renderings collide stay distinct messages,
+// because their values differ in type.
 //
 // Unregistered payloads keep working: the boxed runner falls back to
 // fmt.Append for their sort key, exactly the original semantics.
@@ -47,27 +43,7 @@ type SortKeyer interface {
 	// and returns the extended slice. The bytes must equal
 	// fmt.Sprint(payload) exactly.
 	AppendSortKey(dst []byte) []byte
-
-	// SortKeyOrdinal returns the type's unique ordinal (see the Ord
-	// range constants), or 0 for a wrapper around an unregistered
-	// payload. Wrapper types compose: outer<<16 | inner.
-	SortKeyOrdinal() uint32
 }
-
-// Ordinal ranges. Each package owning registered payload types draws
-// its ordinals from its own range; internal/sortkeys tests that no two
-// concrete types collide. 0 is reserved for "unregistered".
-const (
-	OrdBaseRotor      uint32 = 0x0100 // internal/core/rotor
-	OrdBaseRBroadcast uint32 = 0x0200 // internal/core/rbroadcast
-	OrdBaseConsensus  uint32 = 0x0300 // internal/core/consensus
-	OrdBaseApprox     uint32 = 0x0400 // internal/core/approx
-	OrdBaseParallel   uint32 = 0x0500 // internal/core/parallel
-	OrdBaseDynamic    uint32 = 0x0600 // internal/core/dynamic
-	OrdBaseBaseline   uint32 = 0x0700 // internal/baseline
-	OrdBaseAsync      uint32 = 0x0800 // internal/async
-	OrdBaseRing       uint32 = 0x0900 // internal/core/ring
-)
 
 // The Append helpers below centralize how fmt's %v renders the field
 // kinds that appear in message payloads, so the per-type AppendSortKey

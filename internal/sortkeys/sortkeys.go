@@ -1,9 +1,9 @@
 // Package sortkeys is the registry of every payload type implementing
 // sim.SortKeyer, as sample values. It exists for the differential tests
 // that enforce the sort-key contract (AppendSortKey == fmt.Sprint,
-// ordinal uniqueness, per-type injectivity) across all protocol
-// packages at once — the packages themselves cannot host that test
-// without importing each other.
+// per-type injectivity) and check every wire union's members, across
+// all protocol packages at once — the packages themselves cannot host
+// those tests without importing each other.
 package sortkeys
 
 import (

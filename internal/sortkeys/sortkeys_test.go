@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"reflect"
 	"testing"
 
 	"idonly/internal/async"
@@ -38,49 +37,28 @@ func TestAppendSortKeyMatchesSprint(t *testing.T) {
 	}
 }
 
-// typeIdent names the concrete type an ordinal stands for. The SessMsg
-// wrapper composes its ordinal with its inner payload's, so its
-// identity includes the inner type.
-func typeIdent(s sim.SortKeyer) string {
-	if w, ok := s.(dynamic.SessMsg); ok {
-		return fmt.Sprintf("%T[%v]", w, reflect.TypeOf(w.Inner))
+// typeIdent names a payload's concrete type, the unit within which the
+// sort-key contract makes key bytes and values agree. The SessMsg
+// wrapper renders its inner payload's key in place, so its identity
+// includes the inner type: parallel.NoPref and parallel.NoStrongPref for
+// one pair render alike and stay distinct values inside a SessMsg too.
+func typeIdent(p any) string {
+	if w, ok := p.(dynamic.SessMsg); ok {
+		return "dynamic.SessMsg[" + typeIdent(w.Inner) + "]"
 	}
-	return reflect.TypeOf(s).String()
+	return fmt.Sprintf("%T", p)
 }
 
-// TestOrdinalsUnique: a nonzero ordinal maps to exactly one concrete
-// type (incl. wrapper composition), and every plain registered type has
-// a nonzero ordinal. SessMsg legitimately returns 0 when wrapping an
-// unregistered or doubly wrapped inner payload.
-func TestOrdinalsUnique(t *testing.T) {
-	owner := make(map[uint32]string)
-	for _, s := range Samples() {
-		ord := s.SortKeyOrdinal()
-		ident := typeIdent(s)
-		if ord == 0 {
-			if _, isWrapper := s.(dynamic.SessMsg); !isWrapper {
-				t.Errorf("%s: ordinal 0 on a non-wrapper registered type", ident)
-			}
-			continue
-		}
-		if prev, ok := owner[ord]; ok && prev != ident {
-			t.Errorf("ordinal %#x claimed by both %s and %s", ord, prev, ident)
-		}
-		owner[ord] = ident
-	}
-}
-
-// TestSameTypeInjective: within one ordinal, equal key bytes must mean
-// equal payload values — the property the (from, ordinal, key) dedup
-// identity relies on. Checked pairwise over the sample set.
+// TestSameTypeInjective: within one concrete type, equal key bytes must
+// mean equal payload values — the property that lets the duplicate
+// filter key on values. Checked pairwise over the sample set.
 func TestSameTypeInjective(t *testing.T) {
-	byOrd := make(map[uint32][]sim.SortKeyer)
+	byType := make(map[string][]sim.SortKeyer)
 	for _, s := range Samples() {
-		if ord := s.SortKeyOrdinal(); ord != 0 {
-			byOrd[ord] = append(byOrd[ord], s)
-		}
+		ident := typeIdent(s)
+		byType[ident] = append(byType[ident], s)
 	}
-	for ord, group := range byOrd {
+	for ident, group := range byType {
 		keys := make([]string, len(group))
 		for i, s := range group {
 			keys[i] = string(s.AppendSortKey(nil))
@@ -88,8 +66,8 @@ func TestSameTypeInjective(t *testing.T) {
 		for i := range group {
 			for j := i + 1; j < len(group); j++ {
 				if keys[i] == keys[j] && group[i] != group[j] {
-					t.Errorf("ordinal %#x: distinct values %#v and %#v share key %q",
-						ord, group[i], group[j], keys[i])
+					t.Errorf("%s: distinct values %#v and %#v share key %q",
+						ident, group[i], group[j], keys[i])
 				}
 			}
 		}
@@ -185,7 +163,7 @@ func build(kind byte, r *fuzzReader) sim.SortKeyer {
 }
 
 // FuzzSortKeyContract fuzzes the two contract halves over random field
-// values: AppendSortKey == fmt.Sprint, and within a type ordinal equal
+// values: AppendSortKey == fmt.Sprint, and within a concrete type equal
 // bytes imply equal values.
 func FuzzSortKeyContract(f *testing.F) {
 	f.Add([]byte("seed"), byte(0))
@@ -200,7 +178,7 @@ func FuzzSortKeyContract(f *testing.F) {
 				t.Fatalf("%T: AppendSortKey = %q, fmt.Sprint = %q", s, got, want)
 			}
 		}
-		if a.SortKeyOrdinal() != 0 && a.SortKeyOrdinal() == b.SortKeyOrdinal() {
+		if typeIdent(a) == typeIdent(b) {
 			ka, kb := string(a.AppendSortKey(nil)), string(b.AppendSortKey(nil))
 			if ka == kb && a != b {
 				t.Fatalf("injectivity: distinct %#v and %#v share key %q", a, b, ka)
