@@ -1,20 +1,19 @@
-// idonly-vet runs the repo's contract analyzers (internal/lint) over
+// idonly-vet runs the repo's determinism analyzer (internal/lint) over
 // module packages and reports violations with file:line positions.
 //
 // Usage:
 //
-//	idonly-vet [flags] [packages]
+//	idonly-vet [-github] [packages]
 //
 // Packages default to ./... . Exit status: 0 clean, 1 findings,
 // 2 load/usage error.
 //
-// Output is one line per finding; -json emits a machine-readable
-// array, -github additionally emits ::error workflow commands so
-// findings annotate the offending lines on pull requests.
+// Output is one line per finding; -github additionally emits ::error
+// workflow commands so findings annotate the offending lines on pull
+// requests.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -24,23 +23,12 @@ import (
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit findings as a JSON array on stdout")
 	github := flag.Bool("github", false, "also emit GitHub ::error workflow commands per finding")
-	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
-	list := flag.Bool("list", false, "list the analyzers and exit")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: idonly-vet [flags] [packages]\n\nAnalyzers enforce the repo's determinism, digest-stability and\nhot-path contracts; see DESIGN.md \"Enforced invariants\".\n\n")
+		fmt.Fprintf(os.Stderr, "usage: idonly-vet [flags] [packages]\n\nThe determinism analyzer flags schedule-dependent constructs in the\nschedule-critical packages; see DESIGN.md \"Enforced invariants\".\n\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-
-	cfg := lint.DefaultConfig()
-	if *list {
-		for _, a := range lint.Analyzers(cfg) {
-			fmt.Printf("%-18s %s\n", a.Name(), a.Doc())
-		}
-		return
-	}
 
 	wd, err := os.Getwd()
 	if err != nil {
@@ -67,37 +55,17 @@ func main() {
 		pkgs = append(pkgs, pkg)
 	}
 
-	var names []string
-	if *only != "" {
-		names = strings.Split(*only, ",")
-	}
-	diags := lint.Run(cfg, pkgs, names...)
-	for i := range diags {
+	diags := lint.Run(lint.DefaultConfig(), pkgs)
+	for _, d := range diags {
 		// Positions relative to the module root read better in CI logs
 		// and are what GitHub annotations require.
-		if rel, ok := strings.CutPrefix(diags[i].File, loader.ModuleRoot+string(os.PathSeparator)); ok {
-			diags[i].File = rel
+		if rel, ok := strings.CutPrefix(d.Pos.Filename, loader.ModuleRoot+string(os.PathSeparator)); ok {
+			d.Pos.Filename = rel
 		}
-	}
-
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if diags == nil {
-			diags = []lint.Diagnostic{}
-		}
-		if err := enc.Encode(diags); err != nil {
-			fatal(err)
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d)
-		}
-	}
-	if *github {
-		for _, d := range diags {
+		fmt.Println(d)
+		if *github {
 			fmt.Printf("::error file=%s,line=%d,col=%d::[%s] %s\n",
-				d.File, d.Line, d.Col, d.Analyzer, escapeGitHub(d.Message))
+				d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, escapeGitHub(d.Message))
 		}
 	}
 	if len(diags) > 0 {

@@ -24,9 +24,11 @@ const scenarioDigestVersion = "idonly/scenario/v1"
 // Because a scenario derives all of its randomness from Seed, its
 // Result is a pure function of this digest; a content-addressed store
 // keyed by it can serve a previously computed Result byte-for-byte.
-// SimWorkers is deliberately excluded: the sharded round fast path is
-// proven bit-identical to sequential execution, so it changes how fast
-// the result is computed, never what it is.
+// SimWorkers and NoFastPath are deliberately excluded: the sharded
+// round and the boxed instantiation are each proven bit-identical to
+// the default path, so they change how fast the result is computed,
+// never what it is. TestDigestCoversEveryField fails on any other
+// field that does not move the digest.
 func (s Scenario) Digest() string {
 	s = s.withDefaults()
 	h := sha256.New()
@@ -74,13 +76,14 @@ func (r *Report) ContentDigest() (string, error) {
 // ParseChurn parses a churn spec in the same compact form Churn.Label
 // renders: comma-separated jN / lN / fjN / flN / wN terms (e.g.
 // "j2,l1,fj1,fl1"). The literal "none" is the zero spec (a static-only
-// axis). The bench and sim binaries and the sweep service all accept
-// this syntax.
+// axis). Each term may appear once. The bench and sim binaries and the
+// sweep service all accept this syntax.
 func ParseChurn(spec string) (Churn, error) {
 	var c Churn
 	if spec == "none" {
 		return c, nil
 	}
+	seen := make(map[*int]bool, 5)
 	for _, term := range strings.Split(spec, ",") {
 		term = strings.TrimSpace(term)
 		var dst *int
@@ -103,6 +106,10 @@ func ParseChurn(spec string) (Churn, error) {
 		if err != nil || n < 0 {
 			return c, fmt.Errorf("churn spec: bad count in %q", term)
 		}
+		if seen[dst] {
+			return c, fmt.Errorf("churn spec: term %q repeats an earlier one", term)
+		}
+		seen[dst] = true
 		*dst = n
 	}
 	return c, nil

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -50,32 +51,77 @@ func TestDigestDefaultResolution(t *testing.T) {
 	}
 }
 
-// TestDigestSensitivity: every result-relevant field must move the
-// digest; SimWorkers (proven result-neutral) must not.
-func TestDigestSensitivity(t *testing.T) {
+// digestNeutral names the Scenario fields that select an execution
+// strategy, never a result: each is proven bit-identical to the default
+// path, so neither may move the cache key.
+var digestNeutral = []string{"SimWorkers", "NoFastPath"}
+
+// TestDigestCoversEveryField sets each Scenario field in turn, json:"-"
+// ones included, and, under a churned base, each Churn field: every one
+// must move the digest except exactly the digestNeutral fields, which
+// must not. A new axis that never reaches Digest() would otherwise
+// serve a cached result across scenarios that differ in it.
+func TestDigestCoversEveryField(t *testing.T) {
+	typ := reflect.TypeOf(Scenario{})
+	neutral := make(map[string]bool, len(digestNeutral))
+	for _, name := range digestNeutral {
+		if _, ok := typ.FieldByName(name); !ok {
+			t.Errorf("digestNeutral names %q, which is no Scenario field", name)
+		}
+		neutral[name] = true
+	}
 	base := Scenario{Protocol: ProtoConsensus, Adversary: AdvSilent, N: 7, F: 2, Seed: 1}
 	d := base.Digest()
-	mutations := map[string]Scenario{
-		"protocol":  {Protocol: ProtoApprox, Adversary: AdvSilent, N: 7, F: 2, Seed: 1},
-		"adversary": {Protocol: ProtoConsensus, Adversary: AdvSplit, N: 7, F: 2, Seed: 1},
-		"n":         {Protocol: ProtoConsensus, Adversary: AdvSilent, N: 10, F: 2, Seed: 1},
-		"f":         {Protocol: ProtoConsensus, Adversary: AdvSilent, N: 7, F: 1, Seed: 1},
-		"seed":      {Protocol: ProtoConsensus, Adversary: AdvSilent, N: 7, F: 2, Seed: 2},
-		"name":      {Name: "custom", Protocol: ProtoConsensus, Adversary: AdvSilent, N: 7, F: 2, Seed: 1},
-		"churn":     {Protocol: ProtoConsensus, Adversary: AdvSilent, N: 7, F: 2, Seed: 1, Churn: &Churn{FaultyLeaves: 1}},
-	}
-	for field, m := range mutations {
-		if m.Digest() == d {
-			t.Errorf("mutating %s did not change the digest", field)
-		}
-	}
-	sharded := base
-	sharded.SimWorkers = 4
-	if sharded.Digest() != d {
-		t.Fatal("SimWorkers leaked into the digest (it never changes results)")
-	}
 	if len(d) != 64 || strings.ToLower(d) != d {
 		t.Fatalf("digest %q is not lowercase hex SHA-256", d)
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		s := base
+		perturb(t, name, reflect.ValueOf(&s).Elem().Field(i))
+		switch moved := s.Digest() != d; {
+		case neutral[name] && moved:
+			t.Errorf("Scenario.%s moved the digest, but it is on digestNeutral", name)
+		case !neutral[name] && !moved:
+			t.Errorf("Scenario.%s does not move the digest: encode it in Digest() (and bump scenarioDigestVersion) or add it to digestNeutral", name)
+		}
+	}
+	churned := base
+	churned.Churn = &Churn{FaultyLeaves: 1}
+	d = churned.Digest()
+	ctyp := reflect.TypeOf(Churn{})
+	for i := 0; i < ctyp.NumField(); i++ {
+		c := *churned.Churn
+		perturb(t, ctyp.Field(i).Name, reflect.ValueOf(&c).Elem().Field(i))
+		s := churned
+		s.Churn = &c
+		if s.Digest() == d {
+			t.Errorf("Churn.%s does not move the digest", ctyp.Field(i).Name)
+		}
+	}
+}
+
+// perturb moves v off its current value to one no default resolution
+// maps back: numbers go up (a non-positive MaxRounds or Pairs would
+// resolve to the default), and a nil struct pointer gets a value whose
+// first field is perturbed.
+func perturb(t *testing.T, name string, v reflect.Value) {
+	switch v.Kind() {
+	case reflect.String:
+		v.SetString(v.String() + "-perturbed")
+	case reflect.Int:
+		v.SetInt(v.Int() + 12345)
+	case reflect.Uint64:
+		v.SetUint(v.Uint() + 12345)
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Pointer:
+		if v.IsNil() {
+			v.Set(reflect.New(v.Type().Elem()))
+		}
+		perturb(t, name, v.Elem().Field(0))
+	default:
+		t.Fatalf("%s: no perturbation for a %s field; teach this test the new type", name, v.Type())
 	}
 }
 
@@ -117,7 +163,7 @@ func TestParseChurn(t *testing.T) {
 	if c, err := ParseChurn("none"); err != nil || !c.IsZero() {
 		t.Fatalf("none → %+v, %v", c, err)
 	}
-	for _, bad := range []string{"x1", "j", "j-1", "jj1", ""} {
+	for _, bad := range []string{"x1", "j", "j-1", "jj1", "", "j2,j1", "w1,l1,w1"} {
 		if _, err := ParseChurn(bad); err == nil {
 			t.Errorf("ParseChurn(%q) accepted", bad)
 		}

@@ -86,6 +86,21 @@ func TestHooksDoNotChangeResults(t *testing.T) {
 	}
 }
 
+// TestRunAllSelfRegisters: with Options.Runs and no caller run record,
+// RunAll mints a "sweep" run in the registry, feeds it and finishes it.
+func TestRunAllSelfRegisters(t *testing.T) {
+	runs := obs.NewRunRegistry(0)
+	specs := testSpecs()
+	RunAll(specs, Options{Workers: 2, Grid: "trace-test", Runs: runs})
+	active, completed := runs.Snapshots()
+	if len(active) != 0 || len(completed) != 1 {
+		t.Fatalf("%d active, %d completed runs, want 0 and 1", len(active), len(completed))
+	}
+	if r := completed[0]; r.Kind != "sweep" || r.Grid != "trace-test" || r.Done != int64(len(specs)) || r.State != obs.RunDone {
+		t.Fatalf("run snapshot %+v", r)
+	}
+}
+
 // TestErrorSpans: a failing scenario still emits a span, with Err set
 // and the error counter bumped.
 func TestErrorSpans(t *testing.T) {

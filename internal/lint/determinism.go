@@ -19,24 +19,14 @@ import (
 //   - select sources keyed by a map lookup are flagged outright (the
 //     runtime picks a ready case pseudo-randomly, and a map-keyed
 //     channel makes even the case set schedule-dependent).
-type determinism struct {
-	cfg Config
-}
-
-func newDeterminism(cfg Config) *determinism { return &determinism{cfg: cfg} }
-
-func (d *determinism) Name() string { return "determinism" }
-func (d *determinism) Doc() string {
-	return "flag schedule-dependent constructs (map iteration, wall clocks, global rand, map-keyed selects) in schedule-critical packages"
-}
-func (d *determinism) Package(pkg *Package) []Diagnostic {
-	if !matchesAny(pkg.Path, d.cfg.CriticalPaths) {
+func determinism(cfg Config, pkg *Package) []Diagnostic {
+	if !matchesAny(pkg.Path, cfg.CriticalPaths) {
 		return nil
 	}
 	var diags []Diagnostic
 	add := func(pos ast.Node, format string, args ...any) {
 		diags = append(diags, Diagnostic{
-			Analyzer: d.Name(),
+			Analyzer: "determinism",
 			Pos:      pkg.Fset.Position(pos.Pos()),
 			Message:  fmt.Sprintf(format, args...),
 		})
@@ -61,7 +51,7 @@ func (d *determinism) Package(pkg *Package) []Diagnostic {
 				if _, isMap := t.Underlying().(*types.Map); !isMap {
 					return true
 				}
-				if annotated(dirOrdered, n) || feedsSort(pkg, bodies.enclosing(n), n, d.cfg.SortFuncs) {
+				if annotated(dirOrdered, n) || feedsSort(pkg, bodies.enclosing(n), n, cfg.SortFuncs) {
 					return true
 				}
 				add(n, "map iteration order is schedule-dependent (range over %s); feed it into a sort or annotate //lint:ordered <why>", t)

@@ -9,38 +9,35 @@ import (
 	"testing"
 )
 
-// The golden-diagnostic harness: each testdata/src package seeds
-// violations annotated with want comments,
+var sharedLoader = sync.OnceValues(func() (*Loader, error) {
+	return NewLoader(".")
+})
+
+// TestDeterminismGolden is the golden-diagnostic check: testdata/src/determ
+// seeds violations annotated with want comments,
 //
 //	bad() // want `regex` `another regex`
 //
 // and the test asserts an exact bijection between the comments and the
 // diagnostics the analyzer emits — every finding must be wanted on its
 // line, every want must be matched. Missing findings and spurious
-// findings both fail, so the seeded packages double as a regression
+// findings both fail, so the seeded package doubles as a regression
 // net for the analyzer messages themselves.
-
-var sharedLoader = sync.OnceValues(func() (*Loader, error) {
-	return NewLoader(".")
-})
-
-func golden(t *testing.T, pkg, analyzer string, narrow func(*Config)) {
-	t.Helper()
+func TestDeterminismGolden(t *testing.T) {
 	loader, err := sharedLoader()
 	if err != nil {
 		t.Fatalf("loader: %v", err)
 	}
-	p, err := loader.LoadDir(filepath.Join("testdata", "src", pkg))
+	dir := filepath.Join("testdata", "src", "determ")
+	p, err := loader.LoadDir(dir)
 	if err != nil {
-		t.Fatalf("loading testdata/src/%s: %v", pkg, err)
+		t.Fatalf("loading %s: %v", dir, err)
 	}
 	cfg := DefaultConfig()
-	if narrow != nil {
-		narrow(&cfg)
-	}
-	diags := Run(cfg, []*Package{p}, analyzer)
+	cfg.CriticalPaths = []string{"testdata/src/determ"}
+	diags := Run(cfg, []*Package{p})
 	if len(diags) == 0 {
-		t.Fatalf("analyzer %s found nothing in the seeded package %s", analyzer, pkg)
+		t.Fatalf("the analyzer found nothing in the seeded package %s", dir)
 	}
 
 	wants := parseWants(t, p.GoFiles)
@@ -65,7 +62,7 @@ type wantSet struct{ wants []*want }
 
 func (ws *wantSet) match(d Diagnostic) bool {
 	for _, w := range ws.wants {
-		if !w.matched && w.file == d.File && w.line == d.Line && w.rx.MatchString(d.Message) {
+		if !w.matched && w.file == d.Pos.Filename && w.line == d.Pos.Line && w.rx.MatchString(d.Message) {
 			w.matched = true
 			return true
 		}
@@ -118,36 +115,10 @@ func parseWants(t *testing.T, files []string) *wantSet {
 	return ws
 }
 
-func TestDeterminismGolden(t *testing.T) {
-	golden(t, "determ", "determinism", func(cfg *Config) {
-		cfg.CriticalPaths = []string{"testdata/src/determ"}
-	})
-}
-
-func TestDigestDriftGolden(t *testing.T) {
-	golden(t, "digestdrift", "digest-drift", func(cfg *Config) {
-		cfg.DigestExclude = []string{"SimWorkers", "Tainted", "Ghost"}
-	})
-}
-
-func TestHotPathGolden(t *testing.T) {
-	golden(t, "hotbad", "hotpath-allocs", func(cfg *Config) {
-		cfg.HotPaths = []string{"testdata/src/hotbad"}
-	})
-}
-
-func TestObsNamingGolden(t *testing.T) {
-	golden(t, "obsbad", "obs-naming", nil)
-}
-
-func TestObsNamingEventsGolden(t *testing.T) {
-	golden(t, "eventbad", "obs-naming", nil)
-}
-
-// TestSelfCheck runs the full suite over the real module with the real
+// TestSelfCheck runs the analyzer over the real module with the real
 // config — the in-process twin of the CI `idonly-vet ./...` gate. The
-// tree must be clean: every intentional exception is either annotated
-// or designed into the config, so any diagnostic here is a regression.
+// tree must be clean: every intentional exception is annotated, so any
+// diagnostic here is a regression.
 func TestSelfCheck(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped with -short")

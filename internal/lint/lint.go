@@ -1,13 +1,14 @@
-// Package lint is the idonly-vet analyzer suite: repo-specific static
-// analysis that turns the invariants the runtime test planes prove —
-// deterministic schedules, digest-stable cache keys, reflection-free
-// hot paths, greppable metric names — into compile-time diagnostics
-// with file:line positions.
+// Package lint is idonly-vet's one analyzer, determinism: repo-specific
+// static analysis for the one invariant no runtime test can pin
+// reliably — a schedule that depends on map order or the wall clock
+// makes a pinned result flaky rather than failing — reported as
+// diagnostics with file:line positions. The digest, naming and hot-path
+// contracts are checked on the running program by tests instead.
 //
-// The suite is deliberately dependency-free: packages are loaded with
-// `go list -json` plus go/types' source importer (load.go), and the
-// analyzers work on go/ast + go/types directly, so the root module
-// stays zero-dep.
+// The analyzer is deliberately dependency-free: packages are loaded
+// with `go list -json` plus go/types' source importer (load.go), and it
+// works on go/ast + go/types directly, so the root module stays
+// zero-dep.
 //
 // Two inline directives suppress intentional findings, each with a
 // mandatory justification:
@@ -28,62 +29,33 @@ import (
 	"strings"
 )
 
-// Diagnostic is one finding: an analyzer name, a position, and a
-// message describing the violated contract.
+// Diagnostic is one finding: its source (determinism, or directives for
+// a stale annotation), a position, and a message describing the
+// violated contract.
 type Diagnostic struct {
-	Analyzer string         `json:"analyzer"`
-	Pos      token.Position `json:"-"`
-	File     string         `json:"file"`
-	Line     int            `json:"line"`
-	Col      int            `json:"col"`
-	Message  string         `json:"message"`
+	Analyzer string
+	Pos      token.Position
+	Message  string
 }
 
 func (d Diagnostic) String() string {
-	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.File, d.Line, d.Col, d.Analyzer, d.Message)
+	return fmt.Sprintf("%s:%d:%d: [%s] %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 }
 
-// Analyzer is one contract checker. Package is called once per loaded
-// package.
-type Analyzer interface {
-	Name() string
-	Doc() string
-	Package(pkg *Package) []Diagnostic
-}
-
-// Config points the analyzers at the repo's contract surfaces. The
-// golden-diagnostic harness narrows these onto seeded testdata
-// packages; everything else uses DefaultConfig.
+// Config points the analyzer at the repo's schedule-critical code. The
+// golden-diagnostic test narrows it onto a seeded testdata package;
+// everything else uses DefaultConfig.
 type Config struct {
 	// CriticalPaths are import-path substrings of the schedule-critical
-	// packages the determinism analyzer covers. SortFuncs names
-	// repo-specific sorting functions (package path -> function names)
-	// the feeds-a-sort exemption recognizes alongside sort.* and
+	// packages the analyzer covers. SortFuncs names repo-specific
+	// sorting functions (package path -> function names) the
+	// feeds-a-sort exemption recognizes alongside sort.* and
 	// slices.Sort*.
 	CriticalPaths []string
 	SortFuncs     map[string][]string
-
-	// HotPaths are the import-path substrings under the hot-path
-	// allocation rules, with HotAllowFiles naming the designated
-	// fallback files (base names) exempt from them.
-	HotPaths      []string
-	HotAllowFiles []string
-
-	// ScenarioType/DigestMethod name the cached-scenario struct and its
-	// content-address method; DigestExclude lists the fields that are
-	// deliberately not part of the cache key (execution strategy, never
-	// results).
-	ScenarioType  string
-	DigestMethod  string
-	DigestExclude []string
-
-	// ObsPath is the metrics package; metric names passed to its
-	// Registry must be string literals prefixed with MetricPrefix.
-	ObsPath      string
-	MetricPrefix string
 }
 
-// DefaultConfig is the repo's contract surface.
+// DefaultConfig covers the repo's schedule-critical packages.
 func DefaultConfig() Config {
 	return Config{
 		CriticalPaths: []string{
@@ -97,63 +69,23 @@ func DefaultConfig() Config {
 		SortFuncs: map[string][]string{
 			"idonly/internal/ids": {"SortIDs"},
 		},
-		HotPaths:      []string{"idonly/internal/sim"},
-		HotAllowFiles: []string{"fallback.go"},
-		ScenarioType:  "Scenario",
-		DigestMethod:  "Digest",
-		DigestExclude: []string{"SimWorkers", "NoFastPath"},
-		ObsPath:       "idonly/internal/obs",
-		MetricPrefix:  "idonly_",
 	}
 }
 
-// Analyzers returns a fresh instance of the full suite.
-func Analyzers(cfg Config) []Analyzer {
-	return []Analyzer{
-		newDeterminism(cfg),
-		newDigestDrift(cfg),
-		newHotPath(cfg),
-		newObsNaming(cfg),
-	}
-}
-
-// Run applies the analyzers (all of them when only is empty, else the
-// named subset) to the packages and returns position-sorted findings,
-// including one per directive that suppressed nothing.
-func Run(cfg Config, pkgs []*Package, only ...string) []Diagnostic {
-	var active []Analyzer
-	for _, a := range Analyzers(cfg) {
-		if len(only) == 0 {
-			active = append(active, a)
-			continue
-		}
-		for _, name := range only {
-			if a.Name() == name {
-				active = append(active, a)
-			}
-		}
-	}
+// Run applies the determinism analyzer to the packages and returns
+// position-sorted findings, including one per directive that
+// suppressed nothing.
+func Run(cfg Config, pkgs []*Package) []Diagnostic {
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
-		for _, a := range active {
-			diags = append(diags, a.Package(pkg)...)
-		}
+		diags = append(diags, determinism(cfg, pkg)...)
 	}
 	// Unused directives are stale annotations: the finding they excused
-	// is gone, so the justification must go too. Only meaningful when
-	// the analyzer that consumes the verb actually ran.
-	verbs := map[string]bool{}
-	for _, a := range active {
-		switch a.Name() {
-		case "determinism":
-			verbs[dirOrdered] = true
-			verbs[dirWallclock] = true
-		}
-	}
+	// is gone, so the justification must go too.
 	for _, pkg := range pkgs {
 		for _, dirs := range pkg.directives {
 			for _, d := range dirs {
-				if d.used || !verbs[d.verb] {
+				if d.used || (d.verb != dirOrdered && d.verb != dirWallclock) {
 					continue
 				}
 				diags = append(diags, Diagnostic{
@@ -164,21 +96,16 @@ func Run(cfg Config, pkgs []*Package, only ...string) []Diagnostic {
 			}
 		}
 	}
-	for i := range diags {
-		diags[i].File = diags[i].Pos.Filename
-		diags[i].Line = diags[i].Pos.Line
-		diags[i].Col = diags[i].Pos.Column
-	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
-		if a.File != b.File {
-			return a.File < b.File
+		if a.Pos.Filename != b.Pos.Filename {
+			return a.Pos.Filename < b.Pos.Filename
 		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
+		if a.Pos.Line != b.Pos.Line {
+			return a.Pos.Line < b.Pos.Line
 		}
-		if a.Col != b.Col {
-			return a.Col < b.Col
+		if a.Pos.Column != b.Pos.Column {
+			return a.Pos.Column < b.Pos.Column
 		}
 		if a.Analyzer != b.Analyzer {
 			return a.Analyzer < b.Analyzer

@@ -10,9 +10,10 @@ import (
 )
 
 // Field is one structured key/value attached to a flight-recorder
-// event. Keys are part of the event taxonomy and must be literal
-// snake_case strings (enforced by the obs-naming analyzer); values are
-// free-form — digests, counts, durations.
+// event. Keys are part of the event taxonomy and must be snake_case
+// (internal/service TestEmittedNamesFollowGrammar checks every key the
+// service emits against the taxonomy); values are free-form — digests,
+// counts, durations.
 type Field struct {
 	Key, Value string
 }

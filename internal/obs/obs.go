@@ -203,9 +203,14 @@ func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
+// The repo's naming grammar, a subset of Prometheus's: metric names are
+// idonly_-prefixed snake_case and label keys snake_case, so the scrape
+// surface stays greppable and collision-free. Registration panics on
+// anything else, so every test that builds the instrumented tiers
+// enforces it.
 var (
-	metricNameRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
-	labelNameRE  = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
+	metricNameRE = regexp.MustCompile(`^idonly(_[a-z0-9]+)+$`)
+	labelNameRE  = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
 )
 
 // labelKey renders labels in sorted key order; it is both the series

@@ -9,14 +9,14 @@ import (
 
 func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("test_ops_total", "ops")
+	c := r.Counter("idonly_test_ops_total", "ops")
 	c.Inc()
 	c.Add(4)
 	c.Add(-3) // dropped: counters are monotonic
 	if got := c.Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
 	}
-	g := r.Gauge("test_depth", "depth")
+	g := r.Gauge("idonly_test_depth", "depth")
 	g.Set(7)
 	g.Add(-2)
 	if got := g.Value(); got != 5 {
@@ -28,18 +28,18 @@ func TestCounterGaugeBasics(t *testing.T) {
 // instance; different labels under one name are distinct series.
 func TestRegistrationIdempotent(t *testing.T) {
 	r := NewRegistry()
-	a := r.Counter("test_reqs_total", "reqs", L("code", "200"))
-	b := r.Counter("test_reqs_total", "reqs", L("code", "200"))
+	a := r.Counter("idonly_test_reqs_total", "reqs", L("code", "200"))
+	b := r.Counter("idonly_test_reqs_total", "reqs", L("code", "200"))
 	if a != b {
 		t.Fatal("same (name, labels) returned distinct counters")
 	}
-	c := r.Counter("test_reqs_total", "reqs", L("code", "500"))
+	c := r.Counter("idonly_test_reqs_total", "reqs", L("code", "500"))
 	if a == c {
 		t.Fatal("distinct labels returned the same counter")
 	}
 	// Label order must not matter to identity.
-	d := r.Counter("test_multi_total", "m", L("a", "1"), L("b", "2"))
-	e := r.Counter("test_multi_total", "m", L("b", "2"), L("a", "1"))
+	d := r.Counter("idonly_test_multi_total", "m", L("a", "1"), L("b", "2"))
+	e := r.Counter("idonly_test_multi_total", "m", L("b", "2"), L("a", "1"))
 	if d != e {
 		t.Fatal("label order changed series identity")
 	}
@@ -47,28 +47,34 @@ func TestRegistrationIdempotent(t *testing.T) {
 
 func TestKindMismatchPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("test_thing", "x")
+	r.Counter("idonly_test_thing", "x")
 	defer func() {
 		if recover() == nil {
 			t.Fatal("re-registering a counter as a gauge did not panic")
 		}
 	}()
-	r.Gauge("test_thing", "x")
+	r.Gauge("idonly_test_thing", "x")
 }
 
 func TestInvalidNamesPanic(t *testing.T) {
 	r := NewRegistry()
-	for _, fn := range []func(){
-		func() { r.Counter("0bad", "x") },
-		func() { r.Counter("has-dash", "x") },
-		func() { r.Counter("test_ok", "x", L("0bad", "v")) },
-		func() { r.Histogram("test_h", "x", nil) },
-		func() { r.Histogram("test_h2", "x", []float64{2, 1}) },
+	for what, fn := range map[string]func(){
+		"leading digit":        func() { r.Counter("0bad", "x") },
+		"dash":                 func() { r.Counter("has-dash", "x") },
+		"no idonly_ prefix":    func() { r.Gauge("unprefixed_records", "x") },
+		"bare prefix":          func() { r.Counter("idonly_", "x") },
+		"camel case":           func() { r.Histogram("idonly_BadCase_seconds", "x", []float64{1}) },
+		"colon":                func() { r.Counter("idonly_rule:sum", "x") },
+		"label leading digit":  func() { r.Counter("idonly_test_ok", "x", L("0bad", "v")) },
+		"label camel case":     func() { r.Counter("idonly_test_ok", "x", L("badKey", "v")) },
+		"label struct literal": func() { r.Counter("idonly_test_ok", "x", Label{Key: "also-bad key", Value: "v"}) },
+		"no buckets":           func() { r.Histogram("idonly_test_h", "x", nil) },
+		"unsorted buckets":     func() { r.Histogram("idonly_test_h2", "x", []float64{2, 1}) },
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Fatal("invalid registration did not panic")
+					t.Errorf("%s: invalid registration did not panic", what)
 				}
 			}()
 			fn()
@@ -78,7 +84,7 @@ func TestInvalidNamesPanic(t *testing.T) {
 
 func TestHistogramObserveAndQuantile(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("test_lat_seconds", "latency", []float64{0.1, 1, 10})
+	h := r.Histogram("idonly_test_lat_seconds", "latency", []float64{0.1, 1, 10})
 	for i := 0; i < 90; i++ {
 		h.Observe(0.05) // first bucket
 	}
@@ -108,7 +114,7 @@ func TestHistogramObserveAndQuantile(t *testing.T) {
 
 func TestHistogramQuantileEmpty(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("test_empty_seconds", "x", []float64{1})
+	h := r.Histogram("idonly_test_empty_seconds", "x", []float64{1})
 	if q := h.Quantile(0.5); q != 0 {
 		t.Fatalf("empty quantile = %v", q)
 	}
@@ -120,7 +126,7 @@ func TestHistogramQuantileEmpty(t *testing.T) {
 // usage the service puts it to.
 func TestRegistryConcurrentHammer(t *testing.T) {
 	r := NewRegistry()
-	r.GaugeFunc("test_fn", "fn", func() float64 { return 42 })
+	r.GaugeFunc("idonly_test_fn", "fn", func() float64 { return 42 })
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -128,9 +134,9 @@ func TestRegistryConcurrentHammer(t *testing.T) {
 			defer wg.Done()
 			codes := []string{"200", "429", "500"}
 			for i := 0; i < 500; i++ {
-				r.Counter("test_reqs_total", "reqs", L("code", codes[i%3])).Inc()
-				r.Gauge("test_inflight", "g").Add(1)
-				r.Histogram("test_lat_seconds", "lat", LatencyBuckets).Observe(float64(i) / 1e4)
+				r.Counter("idonly_test_reqs_total", "reqs", L("code", codes[i%3])).Inc()
+				r.Gauge("idonly_test_inflight", "g").Add(1)
+				r.Histogram("idonly_test_lat_seconds", "lat", LatencyBuckets).Observe(float64(i) / 1e4)
 				if i%100 == 0 {
 					var sb strings.Builder
 					if err := r.WritePrometheus(&sb); err != nil {
@@ -144,12 +150,12 @@ func TestRegistryConcurrentHammer(t *testing.T) {
 	wg.Wait()
 	var total int64
 	for _, code := range []string{"200", "429", "500"} {
-		total += r.Counter("test_reqs_total", "reqs", L("code", code)).Value()
+		total += r.Counter("idonly_test_reqs_total", "reqs", L("code", code)).Value()
 	}
 	if total != 8*500 {
 		t.Fatalf("lost increments: %d, want %d", total, 8*500)
 	}
-	if h := r.Histogram("test_lat_seconds", "lat", LatencyBuckets); h.Count() != 8*500 {
+	if h := r.Histogram("idonly_test_lat_seconds", "lat", LatencyBuckets); h.Count() != 8*500 {
 		t.Fatalf("histogram count %d, want %d", h.Count(), 8*500)
 	}
 }

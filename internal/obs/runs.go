@@ -242,7 +242,8 @@ func NewRunRegistry(keep int) *RunRegistry {
 }
 
 // NewRun registers a live run. kind is a snake_case taxonomy name
-// (enforced by the obs-naming analyzer, like event names); grid is the
+// (checked on /v1/runs by internal/service TestEmittedNamesFollowGrammar,
+// like event names); grid is the
 // optional grid label; total and workers size the progress bar and the
 // shard table.
 func (g *RunRegistry) NewRun(kind, grid string, total, workers int) *RunRecord {

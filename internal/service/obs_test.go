@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"maps"
 	"net/http"
+	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -55,9 +58,101 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
+	// The scrape surface is closed: registration already panics on a name
+	// outside the grammar, and this pins each family a service exposes
+	// with its label keys, so a computed name that fits the grammar but
+	// forks a family fails too.
+	if got := scrapedFamilies(out); !maps.Equal(got, metricFamilies) {
+		for name, keys := range got {
+			if want, ok := metricFamilies[name]; !ok || want != keys {
+				t.Errorf("exposition family %s{%s}, want %q in metricFamilies (%v)", name, keys, want, ok)
+			}
+		}
+		for name := range metricFamilies {
+			if _, ok := got[name]; !ok {
+				t.Errorf("exposition lacks the family %s", name)
+			}
+		}
+	}
 	if t.Failed() {
 		t.Fatalf("full exposition:\n%s", out)
 	}
+}
+
+// metricFamilies is every family a service's /metrics exposes after
+// sweeps, each with its comma-joined label keys.
+var metricFamilies = map[string]string{
+	"idonly_sweeps_total":                         "",
+	"idonly_sweeps_rejected_total":                "",
+	"idonly_sweep_scenarios_total":                "",
+	"idonly_result_lookups_total":                 "",
+	"idonly_sweep_wall_ns_total":                  "",
+	"idonly_sweep_last_ns":                        "",
+	"idonly_sweep_seconds":                        "",
+	"idonly_sweeps_in_flight":                     "",
+	"idonly_watchdog_fires_total":                 "",
+	"idonly_ratelimit_rejected_total":             "",
+	"idonly_http_request_seconds":                 "endpoint",
+	"idonly_http_requests_total":                  "code,endpoint",
+	"idonly_engine_scenarios_total":               "source",
+	"idonly_engine_scenario_errors_total":         "",
+	"idonly_engine_rounds_total":                  "",
+	"idonly_engine_messages_total":                "",
+	"idonly_engine_build_seconds":                 "",
+	"idonly_engine_run_seconds":                   "",
+	"idonly_engine_aggregate_seconds":             "",
+	"idonly_store_records":                        "",
+	"idonly_store_log_bytes":                      "",
+	"idonly_store_gets_total":                     "",
+	"idonly_store_get_hits_total":                 "",
+	"idonly_store_puts_total":                     "",
+	"idonly_store_dup_puts_total":                 "",
+	"idonly_store_recovery_truncated_bytes_total": "",
+	"idonly_store_hot_hits_total":                 "",
+	"idonly_store_hot_entries":                    "",
+	"idonly_store_coalesced_total":                "",
+	"idonly_store_compact_total":                  "",
+	"idonly_store_compact_evicted_total":          "",
+	"idonly_store_compact_reclaimed_bytes_total":  "",
+	"idonly_store_get_seconds":                    "",
+	"idonly_store_append_seconds":                 "",
+	"idonly_store_compact_seconds":                "",
+}
+
+var labelKeyRE = regexp.MustCompile(`([a-z_][a-z0-9_]*)="`)
+
+// scrapedFamilies maps each family in an exposition (its # TYPE line)
+// to the comma-joined label keys of its samples, a histogram's le
+// excluded.
+func scrapedFamilies(exposition string) map[string]string {
+	fams := map[string]string{}
+	for _, line := range strings.Split(exposition, "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			fams[strings.Fields(rest)[0]] = ""
+		}
+	}
+	for _, line := range strings.Split(exposition, "\n") {
+		name, labels, ok := strings.Cut(line, "{")
+		if !ok || strings.HasPrefix(line, "#") {
+			continue
+		}
+		if _, isFam := fams[name]; !isFam {
+			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+				if base, cut := strings.CutSuffix(name, suffix); cut {
+					name = base
+				}
+			}
+		}
+		var keys []string
+		for _, m := range labelKeyRE.FindAllStringSubmatch(labels, -1) {
+			if m[1] != "le" {
+				keys = append(keys, m[1])
+			}
+		}
+		slices.Sort(keys)
+		fams[name] = strings.Join(keys, ",")
+	}
+	return fams
 }
 
 // TestSweepTrace: trace=1 adds one span line per scenario between the

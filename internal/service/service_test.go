@@ -265,6 +265,7 @@ func TestSweepRejectsBadRequests(t *testing.T) {
 		`{"preset":"nope"}`: http.StatusBadRequest,
 		`{"preset":"small","grid":{"protocols":["consensus"]}}`: http.StatusBadRequest,
 		`{"preset":"small","churn":"zz9"}`:                      http.StatusBadRequest,
+		`{"preset":"small","churn":"j2,j1"}`:                    http.StatusBadRequest,
 		`{"preset":"small"}`:                                    http.StatusRequestEntityTooLarge, // 288 > MaxScenarios=10
 	} {
 		resp, b := postSweep(t, ts, "", body)

@@ -2,9 +2,10 @@
 // reflection is allowed. Unregistered payload types — anything outside
 // the SortKeyer registry, chaos junk included — take this slow path
 // for their sort keys, exactly the pre-registry semantics. Everything
-// else in this package is contractually reflection-free, and the
-// hotpath-allocs analyzer (internal/lint) enforces that at compile
-// time; fallback.go is its documented exemption.
+// else in this package is contractually allocation-free per steady
+// round — TestSteadyRoundAllocs pins a warm typed round at zero
+// allocations, so an fmt.Sprintf or an any box on the per-send path
+// fails it — and no file imports reflect (TestNoReflectImport).
 package sim
 
 import "fmt"

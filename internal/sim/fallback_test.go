@@ -18,6 +18,10 @@ package sim_test
 
 import (
 	"fmt"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"idonly/internal/adversary"
@@ -81,6 +85,32 @@ func fallbackSystem() system {
 // the pre-SortKeyer delivery path. Sequential and sharded runs must
 // both reproduce it bit for bit.
 const goldenFallback = "9ff3fd3790ee07d3"
+
+// TestNoReflectImport keeps the simulator reflection-free. The hot
+// path's runtime gate is TestSteadyRoundAllocs, which fails on an fmt
+// call or an any box that allocates, but a reflect call need not
+// allocate — reflect.TypeOf(m).Name() on the per-send path costs none —
+// so no non-test file here may import reflect.
+func TestNoReflectImport(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"reflect"` {
+				t.Errorf("%s imports reflect; the simulator is reflection-free", name)
+			}
+		}
+	}
+}
 
 func TestFallbackUnregisteredSchedule(t *testing.T) {
 	for _, workers := range []int{1, 4} {
