@@ -1,8 +1,6 @@
 package idonly
 
 import (
-	"io"
-
 	"idonly/internal/adversary"
 	"idonly/internal/async"
 	"idonly/internal/core/approx"
@@ -10,10 +8,8 @@ import (
 	"idonly/internal/core/dynamic"
 	"idonly/internal/core/parallel"
 	"idonly/internal/core/rbroadcast"
-	"idonly/internal/core/rotor"
 	"idonly/internal/engine"
 	"idonly/internal/ids"
-	"idonly/internal/obs"
 	"idonly/internal/sim"
 	"idonly/internal/store"
 )
@@ -21,7 +17,8 @@ import (
 // This file is the library's public surface: curated aliases and
 // constructors over the internal packages, so that code outside this
 // module can use the id-only algorithms without reaching into
-// internal/. The examples/ directory uses exactly this API.
+// internal/. The package examples (example_test.go) use exactly this
+// API, and every name here is used by an example, a test or cmd/idonly.
 
 // ---------------------------------------------------------------------
 // Identifiers and randomness
@@ -30,38 +27,28 @@ import (
 // NodeID is a node identifier: unique, not necessarily consecutive.
 type NodeID = ids.ID
 
-// Rand is the deterministic generator used for reproducible workloads.
-type Rand = ids.Rand
-
-// NewRand returns a seeded deterministic generator.
-func NewRand(seed uint64) *Rand { return ids.NewRand(seed) }
+// NewRand returns a seeded deterministic generator for reproducible
+// workloads.
+func NewRand(seed uint64) *ids.Rand { return ids.NewRand(seed) }
 
 // SparseIDs returns n unique non-consecutive identifiers (sorted).
-func SparseIDs(r *Rand, n int) []NodeID { return ids.Sparse(r, n) }
+func SparseIDs(r *ids.Rand, n int) []NodeID { return ids.Sparse(r, n) }
 
 // ---------------------------------------------------------------------
 // Synchronous simulator
 // ---------------------------------------------------------------------
 
-// Process is a correct synchronous protocol participant.
-type Process = sim.Process
-
-// Adversary drives the faulty nodes.
-type Adversary = sim.Adversary
-
-// Message, Send, Config, Metrics and Runner are the synchronous
-// simulator types; see package idonly/internal/sim for semantics.
+// Process is a correct synchronous protocol participant, and Config
+// configures the synchronous simulator; see package idonly/internal/sim
+// for semantics.
 type (
-	Message = sim.Message
-	Send    = sim.Send
+	Process = sim.Process
 	Config  = sim.Config
-	Metrics = sim.Metrics
-	Runner  = sim.Runner
 )
 
 // NewRunner builds a synchronous system over correct processes, faulty
-// ids, and the adversary controlling them.
-func NewRunner(cfg Config, procs []Process, faulty []NodeID, adv Adversary) *Runner {
+// ids, and the adversary controlling them (nil when there are none).
+func NewRunner(cfg Config, procs []Process, faulty []NodeID, adv sim.Adversary) *sim.Runner {
 	return sim.NewRunner(cfg, procs, faulty, adv)
 }
 
@@ -78,20 +65,11 @@ func NewReliableBroadcast(id NodeID, source bool, m string) *rbroadcast.Node {
 // ReliableBroadcastNode is the Algorithm 1 process type.
 type ReliableBroadcastNode = rbroadcast.Node
 
-// NewRotorCoordinator returns an Algorithm 2 node with opinion x.
-func NewRotorCoordinator(id NodeID, x float64) *rotor.Node { return rotor.New(id, x) }
-
-// RotorNode is the Algorithm 2 process type.
-type RotorNode = rotor.Node
-
 // NewConsensus returns an Algorithm 3 node with real-valued input x.
 func NewConsensus(id NodeID, x float64) *consensus.Node { return consensus.New(id, x) }
 
 // ConsensusNode is the Algorithm 3 process type.
 type ConsensusNode = consensus.Node
-
-// NewApproxAgreement returns a one-shot Algorithm 4 node with input x.
-func NewApproxAgreement(id NodeID, x float64) *approx.Node { return approx.New(id, x) }
 
 // NewIteratedApprox returns an Algorithm 4 node that iterates the
 // broadcast-trim-midpoint step the given number of times; it may join a
@@ -100,15 +78,15 @@ func NewIteratedApprox(id NodeID, x float64, iterations int) *approx.Iterated {
 	return approx.NewIterated(id, x, iterations)
 }
 
-// PairID identifies a parallel-consensus input pair; Val is an opinion
-// (a string value or the distinguished Bot).
+// IteratedApproxNode is the iterated Algorithm 4 process type; its
+// History holds the estimate after each iteration.
+type IteratedApproxNode = approx.Iterated
+
+// PairID identifies a parallel-consensus input pair; Val is an opinion.
 type (
 	PairID = parallel.PairID
 	Val    = parallel.Val
 )
-
-// Bot is the missing-opinion value ⊥ of Algorithm 5.
-var Bot = parallel.Bot
 
 // V wraps a string as a parallel-consensus opinion.
 func V(s string) Val { return parallel.V(s) }
@@ -137,40 +115,56 @@ func NewDynamicOrder(cfg DynamicConfig) *dynamic.Node { return dynamic.New(cfg) 
 // Adversaries (a curated selection; more in internal/adversary)
 // ---------------------------------------------------------------------
 
-// SilentAdversary never sends anything.
-func SilentAdversary() Adversary { return adversary.Silent{} }
-
 // SplitBrainAdversary pushes opposite consensus values to the two
 // halves of the system at every protocol step.
-func SplitBrainAdversary(x1, x2 float64, all []NodeID) Adversary {
+func SplitBrainAdversary(x1, x2 float64, all []NodeID) sim.Adversary {
 	return adversary.ConsSplit{X1: x1, X2: x2, All: all}
 }
 
-// ChaosAdversary fuzzes every protocol with seeded random payloads.
-func ChaosAdversary(seed uint64, all []NodeID) Adversary {
-	return adversary.NewChaos(seed, all)
+// OutlierAdversary feeds approximate-agreement nodes the value low on
+// one half of the system and high on the other, trying to pull the
+// correct estimates apart.
+func OutlierAdversary(low, high float64, all []NodeID) sim.Adversary {
+	return adversary.ApproxOutlier{Low: low, High: high, All: all}
+}
+
+// EquivocatingEventAdversary makes faulty dynamic-ordering members
+// report conflicting events to the two halves of the system every
+// every-th round.
+func EquivocatingEventAdversary(all []NodeID, every int) sim.Adversary {
+	return adversary.DynEquivEvent{All: all, Every: every}
 }
 
 // ---------------------------------------------------------------------
 // Asynchronous demonstrations (paper Section IX)
 // ---------------------------------------------------------------------
 
-// AsyncProcess, AsyncScheduler and DelayFn expose the event-driven
-// simulator used by the impossibility demonstrations.
-type (
-	AsyncProcess   = async.Process
-	AsyncScheduler = async.Scheduler
-	DelayFn        = async.DelayFn
-)
+// AsyncProcess is a participant of the event-driven simulator used by
+// the impossibility demonstrations.
+type AsyncProcess = async.Process
 
 // NewAsyncScheduler builds an asynchronous system with the given delay
 // policy.
-func NewAsyncScheduler(procs []AsyncProcess, delay DelayFn) *AsyncScheduler {
+func NewAsyncScheduler(procs []AsyncProcess, delay async.DelayFn) *async.Scheduler {
 	return async.NewScheduler(procs, delay)
 }
 
+// NewClosureGossip returns the Lemma 14 gossip node with a binary
+// input: it decides once every node it knows has confirmed the same
+// participant set.
+func NewClosureGossip(id NodeID, input int) *async.ClosureGossip {
+	return async.NewClosureGossip(id, input)
+}
+
+// NewTimeoutQuorum returns the Lemma 15 node with a binary input: it
+// decides the majority of the values heard within its guess of the
+// unknown delay bound.
+func NewTimeoutQuorum(id NodeID, input int, guess float64) *async.TimeoutQuorum {
+	return async.NewTimeoutQuorum(id, input, guess)
+}
+
 // PartitionDelay builds the Lemma 14/15 partition delay policy.
-func PartitionDelay(groupA map[NodeID]bool, inner, cross float64) DelayFn {
+func PartitionDelay(groupA map[NodeID]bool, inner, cross float64) async.DelayFn {
 	return async.PartitionDelay(groupA, inner, cross)
 }
 
@@ -181,24 +175,22 @@ func PartitionDelay(groupA map[NodeID]bool, inner, cross float64) DelayFn {
 // Scenario is one declarative simulation run — a protocol, an adversary
 // strategy, a system size (n, f), an optional churn spec and a seed.
 // Grid crosses protocols × adversaries × sizes × churn specs × seeds
-// into a scenario list, and Report carries the sweep's per-scenario
-// results plus per-cell aggregates (round and message percentiles,
-// decision counts, churn metrics).
+// into a scenario list, and the report RunAll returns carries the
+// sweep's per-scenario results plus per-cell aggregates (round and
+// message percentiles, decision counts, churn metrics).
 //
 // Determinism contract: every scenario derives all randomness from its
 // own seeded Rand — including the churn plan, whose join/leave rounds
 // are resolved from the seed alone — results are merged in
-// scenario-index order and aggregates in sorted key order, so
-// Report.Canonical() — the report with the wall-clock timing fields
-// zeroed — is byte-identical for any worker count, including per-round
+// scenario-index order and aggregates in sorted key order, so the
+// report's canonical bytes — the report with the wall-clock timing
+// fields zeroed — are byte-identical for any worker count, including per-round
 // sharding via Scenario.SimWorkers (which maps to Config.Workers inside
 // the synchronous simulator).
 type (
-	Scenario       = engine.Scenario
-	Grid           = engine.Grid
-	Report         = engine.Report
-	ScenarioResult = engine.Result
-	EngineOptions  = engine.Options
+	Scenario      = engine.Scenario
+	Grid          = engine.Grid
+	EngineOptions = engine.Options
 )
 
 // ChurnSpec declares mid-run membership change for a Scenario or a
@@ -209,34 +201,20 @@ type (
 // pure values.
 type ChurnSpec = engine.Churn
 
-// Scenario protocol names (Scenario.Protocol / Grid.Protocols).
+// Scenario protocol and adversary names (Scenario.Protocol,
+// Scenario.Adversary); the full lists are in package
+// idonly/internal/engine.
 const (
-	ProtoRBroadcast = engine.ProtoRBroadcast // Algorithm 1, reliable broadcast
-	ProtoRotor      = engine.ProtoRotor      // Algorithm 2, rotor-coordinator
-	ProtoConsensus  = engine.ProtoConsensus  // Algorithm 3, id-only consensus
-	ProtoApprox     = engine.ProtoApprox     // Algorithm 4, iterated approximate agreement
-	ProtoParallel   = engine.ProtoParallel   // Algorithm 5, parallel consensus
-	ProtoDynamic    = engine.ProtoDynamic    // Algorithm 6, total ordering under churn
+	ProtoConsensus = engine.ProtoConsensus // Algorithm 3, id-only consensus
+	ProtoDynamic   = engine.ProtoDynamic   // Algorithm 6, total ordering under churn
+	AdvSilent      = engine.AdvSilent      // faulty nodes never send
+	AdvSplit       = engine.AdvSplit       // protocol-specific value-targeting attack
 )
-
-// Scenario adversary names (Scenario.Adversary / Grid.Adversaries).
-const (
-	AdvNone   = engine.AdvNone
-	AdvSilent = engine.AdvSilent
-	AdvSplit  = engine.AdvSplit
-	AdvChaos  = engine.AdvChaos
-	AdvReplay = engine.AdvReplay
-)
-
-// ScenarioProtocols returns every engine protocol name in canonical
-// order; ScenarioAdversaries likewise for adversaries.
-func ScenarioProtocols() []string   { return engine.Protocols() }
-func ScenarioAdversaries() []string { return engine.Adversaries() }
 
 // RunAll executes every scenario across a worker pool of
 // opts.Workers goroutines (GOMAXPROCS when 0) and returns the
 // aggregated report.
-func RunAll(specs []Scenario, opts EngineOptions) *Report {
+func RunAll(specs []Scenario, opts EngineOptions) *engine.Report {
 	return engine.RunAll(specs, opts)
 }
 
@@ -256,21 +234,12 @@ func ParallelMap[T any](workers, n int, fn func(i int) T) []T {
 // Content-addressed result store
 // ---------------------------------------------------------------------
 
-// Store is the content-addressed result store: an append-only,
-// crash-recovering segment log of scenario results keyed by
-// ScenarioDigest, safe for concurrent readers alongside one appender.
-// StoreStats is its counter snapshot and CacheRunStats the hit/miss
-// split of one CachedRunAll call.
-type (
-	Store         = store.Store
-	StoreStats    = store.Stats
-	CacheRunStats = store.RunStats
-)
-
-// OpenStore opens (creating if needed) the store rooted at dir,
-// truncating any torn or corrupt log tail back to the last intact
-// record.
-func OpenStore(dir string) (*Store, error) { return store.Open(dir) }
+// OpenStore opens (creating if needed) the content-addressed result
+// store rooted at dir: an append-only, crash-recovering segment log of
+// scenario results keyed by ScenarioDigest, safe for concurrent readers
+// alongside one appender. Opening truncates any torn or corrupt log
+// tail back to the last intact record.
+func OpenStore(dir string) (*store.Store, error) { return store.Open(dir) }
 
 // ScenarioDigest returns the scenario's content address: a SHA-256
 // (hex) over every field that influences the run's result bytes, taken
@@ -283,37 +252,6 @@ func ScenarioDigest(s Scenario) string { return s.Digest() }
 // rest are fanned through the worker pool and persisted as one batch.
 // The returned report's canonical bytes are identical to what a cold
 // RunAll of the same scenarios produces.
-func CachedRunAll(st *Store, specs []Scenario, opts EngineOptions) (*Report, CacheRunStats, error) {
+func CachedRunAll(st *store.Store, specs []Scenario, opts EngineOptions) (*engine.Report, store.RunStats, error) {
 	return store.CachedRunAll(st, specs, opts)
 }
-
-// ---------------------------------------------------------------------
-// Observability
-// ---------------------------------------------------------------------
-
-// MetricsRegistry is the dependency-free metrics plane: atomic
-// counters, gauges and fixed-bucket latency histograms, rendered in
-// Prometheus text exposition format via WritePrometheus.
-// EngineHooks carries a sweep's instrumentation in EngineOptions.Hooks
-// — its zero value is fully disabled and adds no measurable overhead —
-// and SweepSpan is the per-scenario trace record an EngineHooks.Span
-// sink receives (one per grid cell: digest, worker slot, phase
-// timings, cache provenance).
-type (
-	MetricsRegistry = obs.Registry
-	EngineHooks     = engine.Hooks
-	EngineObs       = engine.Obs
-	SweepSpan       = engine.Span
-)
-
-// NewMetricsRegistry returns an empty registry.
-func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
-
-// NewEngineObs registers the engine's metric families
-// (idonly_engine_*) on reg; registration is idempotent.
-func NewEngineObs(reg *MetricsRegistry) *EngineObs { return engine.NewObs(reg) }
-
-// ReadSweepSpans parses an NDJSON trace stream — an idonly-bench
-// -trace-out file or a /v1/sweep?trace=1 response — skipping non-span
-// lines.
-func ReadSweepSpans(r io.Reader) ([]SweepSpan, error) { return engine.ReadSpans(r) }

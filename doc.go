@@ -22,23 +22,29 @@
 // # Parallel scenario engine
 //
 // internal/engine fans many independent (protocol × adversary × size ×
-// seed) simulation runs across a worker pool (Scenario, Grid, RunAll,
-// Report — all re-exported from this package), and internal/sim can
+// seed) simulation runs across a worker pool (Scenario, Grid and RunAll
+// are re-exported from this package), and internal/sim can
 // additionally shard one run's per-round Step calls across goroutines
 // via Config.Workers. Both layers obey one determinism contract: each
 // scenario seeds its own ids.Rand, the simulator merges outboxes in
 // increasing-id order, and reports merge results in scenario order and
-// aggregates in sorted key order — so Report.Canonical() is
-// byte-identical for every worker count.
+// aggregates in sorted key order — so the report's canonical bytes are
+// identical for every worker count.
 //
 // # Result store and sweep service
 //
 // Determinism makes results cacheable: ScenarioDigest addresses a
-// scenario's result before it runs, OpenStore/Store persist results in
-// an append-only crash-recovering segment log keyed by that digest,
-// and CachedRunAll partitions a sweep into store hits and computed
-// misses — a warm re-run performs zero simulator rounds and reproduces
-// the cold run's canonical report byte for byte. cmd/idonly-serve
-// exposes the same caching plane over HTTP (POST /v1/sweep, GET
-// /v1/result/{digest}).
+// scenario's result before it runs, the store OpenStore returns
+// persists results in an append-only crash-recovering segment log
+// keyed by that digest, and CachedRunAll partitions a sweep into store
+// hits and computed misses — a warm re-run performs zero simulator
+// rounds and reproduces the cold run's canonical report byte for byte.
+// `idonly serve` exposes the same caching plane over HTTP (POST
+// /v1/sweep, GET /v1/result/{digest}).
+//
+// # Examples
+//
+// The package examples walk through consensus, a ledger, sensor
+// fusion, the asynchronous impossibility constructions and churn using
+// only this package's API; `go test .` checks their output.
 package idonly

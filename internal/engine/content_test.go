@@ -86,7 +86,7 @@ func contentStrategies(t *testing.T) []contentStrategy {
 // scenarioDigestVersion fail, and so does a bumped version without a
 // re-pinned row set. The medium grid (≈ 10 s a pass) is pinned by the
 // "medium grid pinned canonical bytes" step of the CI bench job, which
-// compares `idonly-bench -grid medium -canonical | sha256sum` with a
+// compares `idonly sweep -grid medium -canonical | sha256sum` with a
 // hash kept in .github/workflows/ci.yml.
 func TestContentPins(t *testing.T) {
 	strategies := contentStrategies(t)

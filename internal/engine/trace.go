@@ -201,7 +201,7 @@ func (h Hooks) Aggregate(results []Result) []Group {
 // ---------------------------------------------------------------------
 
 // ReadSpans parses an NDJSON stream of trace records, accepting both
-// bare Span lines (idonly-bench -trace-out) and {"span": {...}}
+// bare Span lines (idonly sweep -trace-out) and {"span": {...}}
 // wrapper lines (the /v1/sweep?trace=1 response stream). Lines that
 // are neither — result lines, trailers, blanks — are skipped, so a
 // whole sweep response pipes straight in.
@@ -268,8 +268,12 @@ func SummarizeSpans(spans []Span) TraceSummary {
 }
 
 // SlowestSpans returns the k spans with the largest WallNS, slowest
-// first; ties break by sweep order so the result is deterministic.
+// first; ties break by sweep order so the result is deterministic. It
+// returns no spans for k ≤ 0.
 func SlowestSpans(spans []Span, k int) []Span {
+	if k <= 0 {
+		return nil
+	}
 	out := make([]Span, len(spans))
 	copy(out, spans)
 	sort.Slice(out, func(i, j int) bool {

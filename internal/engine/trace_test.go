@@ -149,4 +149,9 @@ func TestReadSpansBothShapes(t *testing.T) {
 	if len(slow) != 1 || slow[0].Digest != "d0" {
 		t.Fatalf("slowest: %+v", slow)
 	}
+	for _, k := range []int{0, -1} {
+		if slow := SlowestSpans(spans, k); len(slow) != 0 {
+			t.Fatalf("SlowestSpans(k=%d) = %+v, want none", k, slow)
+		}
+	}
 }

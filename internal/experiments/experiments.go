@@ -5,7 +5,7 @@
 // convergence rate, impossibility construction) into a measured table.
 //
 // Each Ei function is deterministic for a given seed and returns one or
-// more Tables. The cmd/idonly-bench binary prints them, and
+// more Tables. `idonly exp` prints them, and
 // EXPERIMENTS.md records paper-claim vs measured output.
 package experiments
 
@@ -101,7 +101,7 @@ func All() []Experiment {
 // independent runs across (via the engine's deterministic parallel
 // map). Each run seeds its own ids.Rand and results are assembled in
 // index order, so the tables are byte-identical for any value; the
-// default uses every core. cmd/idonly-bench overrides it with -workers.
+// default uses every core. `idonly exp` overrides it with -workers.
 var Parallelism = runtime.GOMAXPROCS(0)
 
 // pmap fans fn(0..n-1) across the engine worker pool and returns the

@@ -116,7 +116,7 @@ func parseWants(t *testing.T, files []string) *wantSet {
 }
 
 // TestSelfCheck runs the analyzer over the real module with the real
-// config — the in-process twin of the CI `idonly-vet ./...` gate. The
+// config — the in-process twin of the CI `idonly vet ./...` gate. The
 // tree must be clean: every intentional exception is annotated, so any
 // diagnostic here is a regression.
 func TestSelfCheck(t *testing.T) {

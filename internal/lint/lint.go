@@ -1,4 +1,4 @@
-// Package lint is idonly-vet's one analyzer, determinism: repo-specific
+// Package lint is `idonly vet`'s one analyzer, determinism: repo-specific
 // static analysis for the one invariant no runtime test can pin
 // reliably — a schedule that depends on map order or the wall clock
 // makes a pinned result flaky rather than failing — reported as

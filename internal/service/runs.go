@@ -130,7 +130,7 @@ func (s *Service) watchdog(run *obs.RunRecord, stop <-chan struct{}) {
 				buf := make([]byte, 1<<20)
 				n := runtime.Stack(buf, true)
 				fmt.Fprintf(s.cfg.WatchdogDump,
-					"idonly-serve: watchdog: run %s worker %d busy %s on scenario %s (digest %s); goroutines:\n",
+					"idonly serve: watchdog: run %s worker %d busy %s on scenario %s (digest %s); goroutines:\n",
 					run.ID(), sh.Worker, time.Duration(sh.BusyNS), sh.Scenario, sh.Digest)
 				s.cfg.WatchdogDump.Write(buf[:n])
 			}

@@ -124,7 +124,7 @@ type Config struct {
 
 // SweepRequest is the POST /v1/sweep body: either a named preset or a
 // full grid spec, with an optional churn-axis override in the same
-// compact syntax idonly-bench accepts (engine.ParseChurn).
+// compact syntax `idonly sweep -churn` accepts (engine.ParseChurn).
 type SweepRequest struct {
 	Preset string       `json:"preset,omitempty"`
 	Grid   *engine.Grid `json:"grid,omitempty"`
@@ -378,7 +378,7 @@ func (s *Service) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	defer func() {
 		if p := recover(); p != nil {
 			s.events.Record("http_panic", obs.F("endpoint", ep))
-			fmt.Fprintf(os.Stderr, "idonly-serve: panic serving %s: %v\nflight recorder:\n", r.URL.Path, p)
+			fmt.Fprintf(os.Stderr, "idonly serve: panic serving %s: %v\nflight recorder:\n", r.URL.Path, p)
 			s.events.WriteNDJSON(os.Stderr)
 			panic(p)
 		}

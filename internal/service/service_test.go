@@ -317,7 +317,7 @@ func TestSweepInFlightBound(t *testing.T) {
 	}
 }
 
-// TestChurnOverride mirrors idonly-bench's -churn flag over HTTP.
+// TestChurnOverride mirrors `idonly sweep`'s -churn flag over HTTP.
 func TestChurnOverride(t *testing.T) {
 	_, ts := newTestService(t, Config{Workers: 2})
 	body := `{"grid": {

@@ -4,8 +4,8 @@
 // The runner's per-round scratch — the double-buffered sort-key arenas
 // and the duplicate-filter map — grows to the largest
 // round it ever served and used to stay that size for the rest of the
-// process. For a short-lived `idonly-bench` run that is fine; for a
-// resident `idonly-serve` process a single 100k-node sweep would leave
+// process. For a short-lived `idonly sweep` run that is fine; for a
+// resident `idonly serve` process a single 100k-node sweep would leave
 // megabytes pinned under every later 7-node run. The gauge below tracks
 // a decaying high-water mark of actual per-round usage, and the round
 // flip releases any scratch whose capacity is far above it.
