@@ -56,6 +56,7 @@ type STNode struct {
 	f        int
 	source   bool
 	m        string
+	idx      quorum.Index // numbers the echo senders
 	echoes   *quorum.Witnesses[STKey]
 	echoed   map[STKey]bool
 	accepted map[STKey]int
@@ -108,7 +109,7 @@ func (n *STNode) Step(round int, inbox []sim.Message) []sim.Send {
 				direct = append(direct, STKey{M: p.M, S: p.S})
 			}
 		case STEcho:
-			n.echoes.Add(STKey{M: p.M, S: p.S}, msg.From)
+			n.echoes.Add(STKey{M: p.M, S: p.S}, n.idx.Of(msg.From))
 		}
 	}
 
@@ -125,7 +126,7 @@ func (n *STNode) Step(round int, inbox []sim.Message) []sim.Send {
 			out = append(out, sim.BroadcastPayload(STEcho{M: k.M, S: k.S}))
 		}
 	}
-	keys := n.echoes.Keys()
+	keys := n.echoes.AppendKeys(nil)
 	sort.Slice(keys, func(i, j int) bool {
 		if keys[i].S != keys[j].S {
 			return keys[i].S < keys[j].S
@@ -182,6 +183,7 @@ type KingNode struct {
 	id   ids.ID
 	n, f int
 	xv   float64
+	idx  quorum.Index // numbers the voters
 
 	strongTally *quorum.Tally[float64]
 	// Per-round scratch, reset (not reallocated) every Step; strongTally
@@ -257,11 +259,11 @@ func (k *KingNode) Step(round int, inbox []sim.Message) []sim.Send {
 	for _, msg := range inbox {
 		switch p := msg.Payload.(type) {
 		case KInput:
-			inputs.Add(p.X, msg.From)
+			inputs.Add(p.X, k.idx.Of(msg.From))
 		case KPrefer:
-			prefers.Add(p.X, msg.From)
+			prefers.Add(p.X, k.idx.Of(msg.From))
 		case KStrong:
-			strongs.Add(p.X, msg.From)
+			strongs.Add(p.X, k.idx.Of(msg.From))
 		case KKing:
 			if _, dup := kings[msg.From]; !dup {
 				kings[msg.From] = p.X

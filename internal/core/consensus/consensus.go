@@ -60,10 +60,15 @@ type Node struct {
 	xv   float64 // current opinion
 	opts Options
 
+	// idx numbers every id this node has seen; the sets below hold its
+	// numbers. senders collects who spoke during initialization and is
+	// then frozen as the membership, whose size is nv.
+	idx     quorum.Index
 	core    *rotor.Core
-	senders map[ids.ID]bool // init-phase senders; becomes the member set
-	members map[ids.ID]bool // frozen nv set (nil until frozen)
+	senders quorum.Set
+	frozen  bool
 	nv      int
+	scratch quorum.Set // substitute's responders
 
 	// most recent message of each kind this node sent, for the
 	// substitution rule ("assume the silent member sent what I sent").
@@ -106,18 +111,18 @@ func New(id ids.ID, x float64) *Node {
 
 // NewWithOptions returns a consensus node with explicit options.
 func NewWithOptions(id ids.ID, x float64, opts Options) *Node {
-	return &Node{
+	n := &Node{
 		id:          id,
 		xv:          x,
 		opts:        opts,
-		core:        rotor.NewCore(id),
-		senders:     make(map[ids.ID]bool),
 		strongTally: quorum.NewTally[float64](),
 		inInputs:    quorum.NewTally[float64](),
 		inPrefers:   quorum.NewTally[float64](),
 		inStrongs:   quorum.NewTally[float64](),
 		inOpinions:  make(map[ids.ID]float64),
 	}
+	n.core = rotor.NewCore(id, &n.idx)
+	return n
 }
 
 // ID implements sim.Process.
@@ -160,18 +165,27 @@ func (n *Node) StepTyped(round int, inbox []sim.MsgT[Wire]) []sim.SendT[Wire] {
 	// frozen. Any message — even one outside the wire union, like a
 	// chaos adversary's junk, which arrives as the zero Wire — counts
 	// its sender toward the pre-freeze senders set; only classification
-	// is union-gated.
+	// is union-gated. Inboxes are sender-sorted, so the membership check
+	// and the sender's number are looked up once per sender run.
 	n.inInputs.Reset()
 	n.inPrefers.Reset()
 	n.inStrongs.Reset()
 	clear(n.inOpinions)
+	from, last, ok := int32(-1), ids.ID(0), false
 	for _, msg := range inbox {
-		if n.members == nil {
-			n.senders[msg.From] = true
-		} else if !n.members[msg.From] {
-			continue
+		if from < 0 || msg.From != last {
+			last = msg.From
+			if !n.frozen {
+				from, ok = n.idx.Of(last), true
+				n.senders.Add(from)
+			} else {
+				from, ok = n.idx.Lookup(last)
+				ok = ok && n.senders.Has(from)
+			}
 		}
-		n.absorbOne(msg.From, msg.Payload)
+		if ok {
+			n.absorbOne(last, from, msg.Payload)
+		}
 	}
 
 	out := n.out[:0]
@@ -188,12 +202,12 @@ func (n *Node) StepTyped(round int, inbox []sim.MsgT[Wire]) []sim.SendT[Wire] {
 		return out
 	}
 
-	if n.members == nil {
+	if !n.frozen {
 		// Membership freezes at the start of round 3: everyone who sent
 		// a message during the two initialization rounds counts toward
 		// nv; everyone else is ignored forever after (Alg. 3 line 2).
-		n.members = n.senders
-		n.nv = len(n.members)
+		n.frozen = true
+		n.nv = n.senders.Len()
 	}
 
 	switch (round - InitRounds - 1) % PhaseRounds {
@@ -260,16 +274,17 @@ func (n *Node) StepTyped(round int, inbox []sim.MsgT[Wire]) []sim.SendT[Wire] {
 	return out
 }
 
-// absorbOne folds one classified message into the per-round scratch.
-func (n *Node) absorbOne(from ids.ID, w Wire) {
+// absorbOne folds one classified message from the member id, numbered
+// from, into the per-round scratch.
+func (n *Node) absorbOne(id ids.ID, from int32, w Wire) {
 	switch w.Kind {
 	case wInit:
 		n.core.AbsorbInit(from)
 	case wEcho:
 		n.core.AbsorbEcho(from, w.P)
 	case wOpinion:
-		if _, dup := n.inOpinions[from]; !dup {
-			n.inOpinions[from] = w.X
+		if _, dup := n.inOpinions[id]; !dup {
+			n.inOpinions[id] = w.X
 		}
 	case wInput:
 		n.inInputs.Add(w.X, from)
@@ -282,16 +297,15 @@ func (n *Node) absorbOne(from ids.ID, w Wire) {
 
 // substitute applies the Algorithm 3 caption rule: every member from
 // whom no message of this kind arrived is assumed to have sent the same
-// message this node sent in the previous round (if it sent one).
+// message this node sent in the previous round (if it sent one): the
+// members minus the union of the tally's voters all vote for own.
 func (n *Node) substitute(tally *quorum.Tally[float64], own float64, hasOwn bool) {
 	if !hasOwn || n.opts.NoSubstitution {
 		return
 	}
-	for m := range n.members { //lint:ordered tally insertion is commutative
-		if !tally.HasSender(m) {
-			tally.Add(own, m)
-		}
-	}
+	n.scratch.Reset()
+	tally.AddSendersTo(&n.scratch)
+	tally.Senders(own).AddDiff(&n.senders, &n.scratch)
 }
 
 // best returns the value with the highest vote count, ties broken

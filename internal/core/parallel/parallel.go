@@ -121,8 +121,8 @@ type instance struct {
 	hasInput     bool
 	firstSeen    [numKinds]int // machine round of first reception per type (0 = never)
 	own          [numKinds]ownSent
-	strong       *quorum.Tally[Val] // buffered from round D, judged in round E
-	coordOp      Val                // first opinion of prevCoord received in round coordOpRound
+	strong       quorum.Tally[Val] // buffered from round D, judged in round E
+	coordOp      Val               // first opinion of prevCoord received in round coordOpRound
 	coordOpRound int
 	decided      bool
 	output       Val
@@ -135,17 +135,19 @@ type instance struct {
 // round, Absorb the messages addressed to this machine and then Advance
 // (Step does both).
 type Machine struct {
-	self     ids.ID
-	filtered bool         // an admission set was given ("with respect to S")
-	filter   quorum.IDSet // that set; unused when !filtered
+	self ids.ID
+	// idx numbers the ids this execution has seen; every sender set below
+	// holds its numbers. Reset starts it afresh, so it grows only with
+	// one execution's ids, forged echo candidates included.
+	idx      quorum.Index
+	filtered bool       // an admission set was given ("with respect to S")
+	filter   quorum.Set // that set; unused when !filtered
 	core     *rotor.Core
 
 	// senders collects who spoke during the two init rounds; it is then
-	// frozen as the membership: members lists it in id order and nv is
-	// its size.
-	senders quorum.IDSet
+	// frozen as the membership, and nv is its size.
+	senders quorum.Set
 	frozen  bool
-	members []ids.ID
 	nv      int
 
 	insts     map[PairID]*instance
@@ -157,10 +159,12 @@ type Machine struct {
 	round     int
 
 	// Absorb's verdict on the sender of the previous message: an inbox is
-	// sender-sorted by the runner, so one check serves a sender's whole run.
+	// sender-sorted by the runner, so one check and one index lookup serve
+	// a sender's whole run.
 	lastFrom  ids.ID
 	lastRound int // round lastFrom was checked for (0 = never)
 	lastOK    bool
+	lastIdx   int32 // lastFrom's number, when lastOK
 }
 
 // NewMachine returns a machine with the given input pairs. members, if
@@ -168,7 +172,8 @@ type Machine struct {
 // dynamic protocol's "with respect to S": messages from other nodes are
 // discarded and nv is counted within the set).
 func NewMachine(self ids.ID, inputs map[PairID]Val, members []ids.ID) *Machine {
-	m := &Machine{core: rotor.NewCore(self), insts: make(map[PairID]*instance)}
+	m := &Machine{insts: make(map[PairID]*instance)}
+	m.core = rotor.NewCore(self, &m.idx)
 	m.Reset(self, inputs, members)
 	return m
 }
@@ -179,13 +184,14 @@ func NewMachine(self ids.ID, inputs map[PairID]Val, members []ids.ID) *Machine {
 // inputs and members are read, not retained.
 func (m *Machine) Reset(self ids.ID, inputs map[PairID]Val, members []ids.ID) {
 	m.self, m.filtered = self, members != nil
+	m.idx.Reset()
 	m.core.Reset(self)
 	m.filter.Reset()
 	for _, id := range members {
-		m.filter.Add(id)
+		m.filter.Add(m.idx.Of(id))
 	}
 	m.senders.Reset()
-	m.frozen, m.members, m.nv = false, m.members[:0], 0
+	m.frozen, m.nv = false, 0
 	for _, id := range m.order {
 		m.instFree = append(m.instFree, m.insts[id])
 	}
@@ -253,7 +259,7 @@ func (m *Machine) ensure(id PairID) *instance {
 			inst.arr.gen = 0
 			*inst = instance{strong: inst.strong, arr: inst.arr}
 		} else {
-			inst = &instance{strong: quorum.NewTally[Val](), arr: newArrivals()}
+			inst = &instance{arr: new(arrivals)}
 		}
 		inst.id, inst.xv = id, Bot
 		m.insts[id] = inst
@@ -284,19 +290,11 @@ func phaseNum(round int) int {
 // lazily (gen stamps the round it was last used in), so steady-state
 // rounds allocate none.
 type arrivals struct {
-	inputs    *quorum.Tally[Val]
-	prefers   *quorum.Tally[Val]
-	strongs   *quorum.Tally[Val]
-	responded [numKinds]quorum.IDSet
+	inputs    quorum.Tally[Val]
+	prefers   quorum.Tally[Val]
+	strongs   quorum.Tally[Val]
+	responded [numKinds]quorum.Set
 	gen       int
-}
-
-func newArrivals() *arrivals {
-	return &arrivals{
-		inputs:  quorum.NewTally[Val](),
-		prefers: quorum.NewTally[Val](),
-		strongs: quorum.NewTally[Val](),
-	}
 }
 
 // arrivals returns the instance's arrival state for the given round.
@@ -331,49 +329,55 @@ func (m *Machine) Absorb(from ids.ID, payload any) {
 	round := m.round + 1
 	if from != m.lastFrom || round != m.lastRound {
 		m.lastFrom, m.lastRound = from, round
+		i, seen := m.idx.Lookup(from)
 		switch {
-		case m.filtered && !m.filter.Has(from):
+		case m.filtered && !(seen && m.filter.Has(i)):
 			m.lastOK = false // outside the recorded S: discarded (Alg. 6 rule)
 		case !m.frozen:
-			m.senders.Add(from)
+			if !seen {
+				i = m.idx.Of(from)
+			}
+			m.senders.Add(i)
 			m.lastOK = true
 		default:
-			m.lastOK = m.senders.Has(from) // else did not count toward nv: discarded (Alg. 3 rule)
+			m.lastOK = seen && m.senders.Has(i) // else did not count toward nv: discarded (Alg. 3 rule)
 		}
+		m.lastIdx = i
 	}
 	if !m.lastOK {
 		return
 	}
+	fi := m.lastIdx
 	switch p := payload.(type) {
 	case rotor.Init:
-		m.core.AbsorbInit(from)
+		m.core.AbsorbInit(fi)
 	case rotor.Echo:
-		m.core.AbsorbEcho(from, p.P)
+		m.core.AbsorbEcho(fi, p.P)
 	case Input:
 		if inst := m.admit(p.ID, kindInput, round); inst != nil {
 			a := inst.arrivals(round)
-			a.inputs.Add(p.X, from)
-			a.responded[kindInput].Add(from)
+			a.inputs.Add(p.X, fi)
+			a.responded[kindInput].Add(fi)
 		}
 	case Prefer:
 		if inst := m.admit(p.ID, kindPrefer, round); inst != nil {
 			a := inst.arrivals(round)
-			a.prefers.Add(p.X, from)
-			a.responded[kindPrefer].Add(from)
+			a.prefers.Add(p.X, fi)
+			a.responded[kindPrefer].Add(fi)
 		}
 	case NoPref:
 		if inst := m.admitKnownOnly(p.ID, kindPrefer, round); inst != nil {
-			inst.arrivals(round).responded[kindPrefer].Add(from)
+			inst.arrivals(round).responded[kindPrefer].Add(fi)
 		}
 	case StrongPrefer:
 		if inst := m.admit(p.ID, kindStrong, round); inst != nil {
 			a := inst.arrivals(round)
-			a.strongs.Add(p.X, from)
-			a.responded[kindStrong].Add(from)
+			a.strongs.Add(p.X, fi)
+			a.responded[kindStrong].Add(fi)
 		}
 	case NoStrongPref:
 		if inst := m.admitKnownOnly(p.ID, kindStrong, round); inst != nil {
-			inst.arrivals(round).responded[kindStrong].Add(from)
+			inst.arrivals(round).responded[kindStrong].Add(fi)
 		}
 	case Opinion:
 		// Round E reads only the previous coordinator's opinion, and the
@@ -406,8 +410,7 @@ func (m *Machine) Advance() []any {
 
 	if !m.frozen {
 		m.frozen = true
-		m.members = m.senders.AppendTo(m.members)
-		m.nv = len(m.members)
+		m.nv = m.senders.Len()
 	}
 
 	out := m.out[:0]
@@ -433,8 +436,8 @@ func (m *Machine) Advance() []any {
 				continue
 			}
 			a := inst.arrivals(round)
-			m.substitute(inst, kindInput, round, a.inputs, &a.responded[kindInput])
-			if x, count, ok := bestVal(a.inputs); ok && quorum.AtLeastTwoThirds(count, m.nv) {
+			m.substitute(inst, kindInput, round, &a.inputs, &a.responded[kindInput])
+			if x, count, ok := bestVal(&a.inputs); ok && quorum.AtLeastTwoThirds(count, m.nv) {
 				inst.own[kindPrefer] = ownSent{mode: sentValue, val: x}
 				out = append(out, Prefer{ID: id, X: x})
 			} else {
@@ -450,8 +453,8 @@ func (m *Machine) Advance() []any {
 				continue
 			}
 			a := inst.arrivals(round)
-			m.substitute(inst, kindPrefer, round, a.prefers, &a.responded[kindPrefer])
-			x, count, ok := bestVal(a.prefers)
+			m.substitute(inst, kindPrefer, round, &a.prefers, &a.responded[kindPrefer])
+			x, count, ok := bestVal(&a.prefers)
 			if ok && quorum.AtLeastThird(count, m.nv) {
 				inst.xv = x
 			}
@@ -471,7 +474,7 @@ func (m *Machine) Advance() []any {
 				continue
 			}
 			a := inst.arrivals(round)
-			m.substitute(inst, kindStrong, round, a.strongs, &a.responded[kindStrong])
+			m.substitute(inst, kindStrong, round, &a.strongs, &a.responded[kindStrong])
 			// Swap the filled tally in as the round-E buffer; the pool
 			// entry takes the instance's previous buffer and resets it
 			// before its next use.
@@ -500,7 +503,7 @@ func (m *Machine) Advance() []any {
 			if inst.decided {
 				continue
 			}
-			x, count, ok := bestVal(inst.strong)
+			x, count, ok := bestVal(&inst.strong)
 			if ok && quorum.AtLeastTwoThirds(count, m.nv) {
 				inst.decided = true
 				inst.output = x
@@ -572,23 +575,17 @@ func (m *Machine) admitKnownOnly(id PairID, k kind, round int) *instance {
 //   - otherwise each missing member counts as this node's own most
 //     recently sent message of the kind (a no-preference marker
 //     contributes no value).
-func (m *Machine) substitute(inst *instance, k kind, round int, tally *quorum.Tally[Val], responded *quorum.IDSet) {
-	firstTime := inst.firstSeen[k] == 0 || inst.firstSeen[k] == round
-	for _, member := range m.members {
-		if responded.Has(member) {
-			continue
-		}
-		if firstTime {
-			tally.Add(Bot, member)
-			continue
-		}
-		switch own := inst.own[k]; own.mode {
-		case sentValue:
-			tally.Add(own.val, member)
-		case sentMarker, sentNothing:
-			// contributes nothing to any value's count
-		}
+//
+// The missing members are the membership minus the responders, one
+// bitset difference.
+func (m *Machine) substitute(inst *instance, k kind, round int, tally *quorum.Tally[Val], responded *quorum.Set) {
+	switch own := inst.own[k]; {
+	case inst.firstSeen[k] == 0 || inst.firstSeen[k] == round:
+		tally.Senders(Bot).AddDiff(&m.senders, responded)
+	case own.mode == sentValue:
+		tally.Senders(own.val).AddDiff(&m.senders, responded)
 	}
+	// A sent marker, or nothing sent, contributes to no value's count.
 }
 
 // bestVal returns the opinion with the highest vote count,

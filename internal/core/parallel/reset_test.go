@@ -28,8 +28,12 @@ type execution struct {
 // (outside S when the run is filtered) does the same; and a stranger
 // that belongs to S stays silent through the freeze and speaks after it.
 // Every execution draws its ids from one pool of twelve, so that a
-// member of one is the outsider or the stranger of another.
-func record(seed uint64, rounds int) execution {
+// member of one is the outsider or the stranger of another. A wide
+// execution adds forgery on a scale the pool cannot reach: each round,
+// each Byzantine member also echoes 40 fresh forged candidates, so the
+// machine numbers more than 64 ids — past a sender set's inline word —
+// from round 3 on.
+func record(seed uint64, rounds int, wide bool) execution {
 	rng := ids.NewRand(seed)
 	n := 4 + rng.Intn(4)
 	all := ids.Sample(rng, ids.Sparse(ids.NewRand(1), 12), n+4)
@@ -102,6 +106,12 @@ func record(seed uint64, rounds int) execution {
 					for k := rng.Intn(4); k > 0; k-- {
 						inbox = append(inbox, sim.Message{From: from, Payload: junk()})
 					}
+					if wide && slices.Contains(byz, from) {
+						for j := range 40 {
+							forged := ids.ID(1<<40 + 64*round + j)
+							inbox = append(inbox, sim.Message{From: from, Payload: rotor.Echo{P: forged}})
+						}
+					}
 				}
 			}
 			inboxes[to] = inbox
@@ -168,17 +178,36 @@ func checkRecycled(t *testing.T, m *parallel.Machine, exec execution, rng *ids.R
 	}
 }
 
+// forgedCandidates counts the distinct echo candidates outside the
+// twelve-id pool that an execution's inboxes name.
+func forgedCandidates(exec execution) int {
+	seen := map[ids.ID]bool{}
+	for _, inbox := range exec.inboxes {
+		for _, msg := range inbox {
+			if e, ok := msg.Payload.(rotor.Echo); ok && e.P >= 1<<40 {
+				seen[e.P] = true
+			}
+		}
+	}
+	return len(seen)
+}
+
 // TestMachineResetEqualsFresh recycles one machine through sixty
 // executions, each cut off at a different round, and compares it with a
-// fresh machine throughout. It also checks that the executions are the
-// dirty ones the comparison is meant for: some are abandoned with an
-// instance undecided, some decide a value, some decide ⊥ only.
+// fresh machine throughout. Every tenth execution is wide, so the small
+// one after it runs on sets and an index that have been past 64 ids. It
+// also checks that the executions are the dirty ones the comparison is
+// meant for: some are abandoned with an instance undecided, some decide
+// a value, some decide ⊥ only.
 func TestMachineResetEqualsFresh(t *testing.T) {
 	rng := ids.NewRand(99)
 	m := parallel.NewMachine(1, nil, nil)
 	var unfinished, withOutput, withoutOutput int
 	for seed := uint64(1); seed <= 60; seed++ {
-		exec := record(seed, 3+int(seed*7)%25)
+		exec := record(seed, 3+int(seed*7)%25, seed%10 == 0)
+		if seed%10 == 0 && forgedCandidates(exec) <= 64 {
+			t.Fatalf("wide execution %d forged only %d candidates", seed, forgedCandidates(exec))
+		}
 		checkRecycled(t, m, exec, rng)
 		switch {
 		case !m.Done():
@@ -195,21 +224,22 @@ func TestMachineResetEqualsFresh(t *testing.T) {
 }
 
 // FuzzMachineReset is the same comparison over fuzzed seeds: a machine
-// runs the first cut rounds of one execution, is Reset, and must then
-// match a fresh machine on another.
+// runs the first cut rounds of one execution, wide or not, is Reset, and
+// must then match a fresh machine on another.
 func FuzzMachineReset(f *testing.F) {
-	f.Add(uint64(1), uint64(2), uint8(0))
-	f.Add(uint64(3), uint64(4), uint8(4)) // cut inside phase 1
-	f.Add(uint64(7), uint64(11), uint8(9))
-	f.Add(uint64(20), uint64(5), uint8(30)) // ran to the end
-	f.Add(uint64(1<<40+17), uint64(1<<33), uint8(13))
-	f.Fuzz(func(t *testing.T, dirtySeed, cleanSeed uint64, cut uint8) {
-		dirty := record(dirtySeed, int(cut%31))
+	f.Add(uint64(1), uint64(2), uint8(0), false)
+	f.Add(uint64(3), uint64(4), uint8(4), false) // cut inside phase 1
+	f.Add(uint64(7), uint64(11), uint8(9), false)
+	f.Add(uint64(20), uint64(5), uint8(30), false) // ran to the end
+	f.Add(uint64(1<<40+17), uint64(1<<33), uint8(13), false)
+	f.Add(uint64(6), uint64(8), uint8(12), true) // past 64 ids, then a small execution
+	f.Fuzz(func(t *testing.T, dirtySeed, cleanSeed uint64, cut uint8, wide bool) {
+		dirty := record(dirtySeed, int(cut%31), wide)
 		m := parallel.NewMachine(dirty.self, dirty.inputs, dirty.members)
 		for _, inbox := range dirty.inboxes {
 			m.Step(inbox)
 		}
-		checkRecycled(t, m, record(cleanSeed, 22), ids.NewRand(dirtySeed^cleanSeed))
+		checkRecycled(t, m, record(cleanSeed, 22, false), ids.NewRand(dirtySeed^cleanSeed))
 	})
 }
 

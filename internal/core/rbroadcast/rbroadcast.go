@@ -59,7 +59,8 @@ type Node struct {
 	id       ids.ID
 	source   bool
 	m        string
-	senders  quorum.IDSet           // distinct nodes heard from (defines nv)
+	idx      quorum.Index           // numbers every sender heard from
+	senders  quorum.Set             // distinct nodes heard from (defines nv)
 	echoes   *quorum.Witnesses[Key] // cumulative distinct echo senders per key
 	accepted map[Key]int            // key -> round of acceptance
 	echoed   map[Key]bool           // keys for which the round-2 direct echo fired
@@ -111,16 +112,17 @@ func (n *Node) AcceptedKeys() map[Key]int {
 // NV returns the node's current nv (distinct nodes heard from).
 func (n *Node) NV() int { return n.senders.Len() }
 
-// absorbOne handles one classified message. The sender was already
-// counted toward nv by the caller; a payload outside the wire union
-// arrives as the zero Wire, whose kind classifies as nothing.
-func (n *Node) absorbOne(from ids.ID, w Wire) {
+// absorbOne handles one classified message from id, numbered from. The
+// sender was already counted toward nv by the caller; a payload outside
+// the wire union arrives as the zero Wire, whose kind classifies as
+// nothing.
+func (n *Node) absorbOne(id ids.ID, from int32, w Wire) {
 	switch w.Kind {
 	case wInitial:
 		// "Received (m, s) from s": the initial message is only
 		// believed when it arrives directly from its claimed source
 		// (the network stamps senders, so this cannot be forged).
-		if from == w.S {
+		if id == w.S {
 			n.directScratch = append(n.directScratch, Key{M: w.M, S: w.S})
 		}
 	case wEcho:
@@ -139,11 +141,16 @@ func (n *Node) Step(round int, inbox []sim.Message) []sim.Send {
 // by line. Every send of Algorithm 1 is a broadcast.
 func (n *Node) StepTyped(round int, inbox []sim.MsgT[Wire]) []sim.SendT[Wire] {
 	// Every received message counts its sender toward nv, and every
-	// echo accumulates a witness, regardless of the round.
+	// echo accumulates a witness, regardless of the round. Inboxes are
+	// sender-sorted, so a sender is numbered once per run.
 	n.directScratch = n.directScratch[:0]
+	from, last := int32(-1), ids.ID(0)
 	for _, msg := range inbox {
-		n.senders.Add(msg.From)
-		n.absorbOne(msg.From, msg.Payload)
+		if from < 0 || msg.From != last {
+			from, last = n.idx.Of(msg.From), msg.From
+			n.senders.Add(from)
+		}
+		n.absorbOne(last, from, msg.Payload)
 	}
 	out := n.out[:0]
 	switch {

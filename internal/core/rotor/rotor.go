@@ -46,60 +46,79 @@ type Opinion struct {
 }
 
 // Core is the candidate/selection state machine shared by every
-// protocol that embeds a rotor-coordinator.
+// protocol that embeds a rotor-coordinator. Senders and candidates are
+// dense indices of the owner's quorum.Index; every loop that hands ids
+// out orders them by id, never by index.
 type Core struct {
-	self     ids.ID
-	inits    map[ids.ID]bool           // inits absorbed (round-1 senders)
-	echoes   *quorum.Witnesses[ids.ID] // echo(p) distinct-sender counts
-	cv       []ids.ID                  // candidate coordinators, ascending
-	inCv     map[ids.ID]bool
-	sv       map[ids.ID]bool // selected coordinators
-	selected []ids.ID        // selection sequence (one per Advance)
-	r        int             // next selection round index (starts at 0)
+	self      ids.ID
+	idx       *quorum.Index // the owner's; numbers senders and candidates
+	inits     quorum.Set    // init senders (round 1)
+	echoes    []quorum.Set  // echoes[p]: distinct senders of echo(p), by p's index
+	witnessed []int32       // candidates with at least one echo, in id order
+	cv        []int32       // candidate coordinators, in id order
+	inCv      quorum.Set    // cv as a set
+	sv        quorum.Set    // selected coordinators
+	selected  []ids.ID      // selection sequence (one per Advance)
+	r         int           // next selection round index (starts at 0)
 
-	keyScratch   []ids.ID // backs EchoInits' return, then Advance's per-round echo-key sort
+	initScratch  []ids.ID // backs EchoInits' return, valid until the next EchoInits
 	relayScratch []ids.ID // backs Advance's relays return; valid until the next Advance
 }
 
-// NewCore returns an empty rotor core for the given node.
-func NewCore(self ids.ID) *Core {
-	return &Core{
-		self:   self,
-		inits:  make(map[ids.ID]bool),
-		echoes: quorum.NewWitnesses[ids.ID](),
-		inCv:   make(map[ids.ID]bool),
-		sv:     make(map[ids.ID]bool),
-	}
+// NewCore returns an empty rotor core for the given node, numbering ids
+// in idx, which its owner resets with the core.
+func NewCore(self ids.ID, idx *quorum.Index) *Core {
+	return &Core{self: self, idx: idx}
 }
 
-// Reset returns the core to the state NewCore(self) builds, keeping
-// every map's buckets, the witness sets and the slices' capacity.
+// Reset returns the core to the state NewCore(self, idx) builds, keeping
+// the sets' words and the slices' capacity. The owner resets idx.
 func (c *Core) Reset(self ids.ID) {
 	c.self, c.r = self, 0
-	clear(c.inits)
-	c.echoes.Reset()
-	clear(c.inCv)
-	clear(c.sv)
+	c.inits.Reset()
+	for _, p := range c.witnessed {
+		c.echoes[p].Reset()
+	}
+	c.echoes, c.witnessed = c.echoes[:0], c.witnessed[:0]
+	c.inCv.Reset()
+	c.sv.Reset()
 	c.cv, c.selected = c.cv[:0], c.selected[:0]
 }
 
-// AbsorbInit records an init broadcast from p.
-func (c *Core) AbsorbInit(p ids.ID) { c.inits[p] = true }
+// AbsorbInit records an init broadcast from the sender numbered from.
+func (c *Core) AbsorbInit(from int32) { c.inits.Add(from) }
 
-// AbsorbEcho records an echo(p) vouched by sender from.
-func (c *Core) AbsorbEcho(from, p ids.ID) { c.echoes.Add(p, from) }
+// AbsorbEcho records an echo(p) vouched by the sender numbered from.
+func (c *Core) AbsorbEcho(from int32, p ids.ID) {
+	pi := c.idx.Of(p)
+	if n := int(pi) + 1; n > len(c.echoes) {
+		// Room for every id numbered so far, in one step; sets past len
+		// were reset before the slice was cut back.
+		c.echoes = slices.Grow(c.echoes, c.idx.Len()-len(c.echoes))[:n]
+	}
+	set := &c.echoes[pi]
+	if set.Len() == 0 {
+		c.witnessed = c.insertByID(c.witnessed, pi)
+	}
+	set.Add(from)
+}
+
+// insertByID inserts index pi into s, which is kept in id order.
+func (c *Core) insertByID(s []int32, pi int32) []int32 {
+	p := c.idx.ID(pi)
+	i := sort.Search(len(s), func(i int) bool { return c.idx.ID(s[i]) >= p })
+	return slices.Insert(s, i, pi)
+}
 
 // EchoInits returns the candidate ids to echo in round 2 — one echo(p)
 // for every init received — in ascending order. Like Advance's relays,
-// the slice is scratch owned by the core (keyScratch, which Advance
-// takes over from round 3 on), valid until the next Advance.
+// the slice is scratch owned by the core, valid until the next
+// EchoInits.
 func (c *Core) EchoInits() []ids.ID {
-	out := c.keyScratch[:0]
-	for p := range c.inits {
-		out = append(out, p)
-	}
+	out := c.initScratch[:0]
+	c.inits.Each(func(i int32) { out = append(out, c.idx.ID(i)) })
 	slices.Sort(out)
-	c.keyScratch = out
+	c.initScratch = out
 	return out
 }
 
@@ -126,17 +145,18 @@ func (c *Core) Advance(nv int) (relays []ids.ID, sel Selection) {
 	// relay check precedes admission within a round, as in the
 	// pseudocode, so a node may both relay echo(p) and admit p in the
 	// same round.
-	keys := c.echoes.AppendKeys(c.keyScratch[:0])
-	c.keyScratch = keys
 	relays = c.relayScratch[:0]
-	slices.Sort(keys)
-	for _, p := range keys {
-		count := c.echoes.Count(p)
-		if quorum.AtLeastThird(count, nv) && !c.inCv[p] {
-			relays = append(relays, p)
+	for _, pi := range c.witnessed {
+		if c.inCv.Has(pi) {
+			continue
 		}
-		if quorum.AtLeastTwoThirds(count, nv) && !c.inCv[p] {
-			c.insertCandidate(p)
+		count := c.echoes[pi].Len()
+		if quorum.AtLeastThird(count, nv) {
+			relays = append(relays, c.idx.ID(pi))
+		}
+		if quorum.AtLeastTwoThirds(count, nv) {
+			c.cv = c.insertByID(c.cv, pi)
+			c.inCv.Add(pi)
 		}
 	}
 	c.relayScratch = relays
@@ -150,12 +170,11 @@ func (c *Core) Advance(nv int) (relays []ids.ID, sel Selection) {
 		c.r++
 		return relays, Selection{}
 	}
-	p := c.cv[c.r%len(c.cv)]
+	pi := c.cv[c.r%len(c.cv)]
+	p := c.idx.ID(pi)
 	sel = Selection{Coord: p, HasCoord: true, SelfCoord: p == c.self}
-	if c.sv[p] {
+	if !c.sv.Add(pi) {
 		sel.Reselected = true
-	} else {
-		c.sv[p] = true
 	}
 	c.selected = append(c.selected, p)
 	c.r++
@@ -165,7 +184,9 @@ func (c *Core) Advance(nv int) (relays []ids.ID, sel Selection) {
 // Candidates returns a copy of Cv in ascending order.
 func (c *Core) Candidates() []ids.ID {
 	out := make([]ids.ID, len(c.cv))
-	copy(out, c.cv)
+	for i, pi := range c.cv {
+		out[i] = c.idx.ID(pi)
+	}
 	return out
 }
 
@@ -174,14 +195,6 @@ func (c *Core) Selected() []ids.ID {
 	out := make([]ids.ID, len(c.selected))
 	copy(out, c.selected)
 	return out
-}
-
-func (c *Core) insertCandidate(p ids.ID) {
-	i := sort.Search(len(c.cv), func(i int) bool { return c.cv[i] >= p })
-	c.cv = append(c.cv, 0)
-	copy(c.cv[i+1:], c.cv[i:])
-	c.cv[i] = p
-	c.inCv[p] = true
 }
 
 // AcceptedOpinion records one accepted coordinator opinion: in round
@@ -201,7 +214,8 @@ type Node struct {
 	id        ids.ID
 	opinion   float64
 	core      *Core
-	senders   quorum.IDSet // nv bookkeeping
+	idx       quorum.Index // numbers every id this node has seen
+	senders   quorum.Set   // nv bookkeeping
 	prevCoord ids.ID       // coordinator selected in the previous round (0 = none)
 	accepted  []AcceptedOpinion
 	opScratch map[ids.ID]float64 // per-round opinion scratch, cleared each Step
@@ -212,12 +226,9 @@ type Node struct {
 
 // New returns a rotor-coordinator node whose own opinion is x.
 func New(id ids.ID, x float64) *Node {
-	return &Node{
-		id:        id,
-		opinion:   x,
-		core:      NewCore(id),
-		opScratch: make(map[ids.ID]float64),
-	}
+	n := &Node{id: id, opinion: x, opScratch: make(map[ids.ID]float64)}
+	n.core = NewCore(id, &n.idx)
+	return n
 }
 
 // ID implements sim.Process.
@@ -250,15 +261,20 @@ func (n *Node) Step(round int, inbox []sim.Message) []sim.Send {
 	// Absorb traffic: every sender counts toward nv; echoes and inits
 	// feed the core; opinions are matched against the coordinator
 	// selected in the previous round.
+	// Inboxes are sender-sorted, so a sender is numbered once per run.
 	opinions := n.opScratch
 	clear(opinions)
+	from, last := int32(-1), ids.ID(0)
 	for _, msg := range inbox {
-		n.senders.Add(msg.From)
+		if from < 0 || msg.From != last {
+			from, last = n.idx.Of(msg.From), msg.From
+			n.senders.Add(from)
+		}
 		switch p := msg.Payload.(type) {
 		case Init:
-			n.core.AbsorbInit(msg.From)
+			n.core.AbsorbInit(from)
 		case Echo:
-			n.core.AbsorbEcho(msg.From, p.P)
+			n.core.AbsorbEcho(from, p.P)
 		case Opinion:
 			if _, dup := opinions[msg.From]; !dup {
 				opinions[msg.From] = p.X

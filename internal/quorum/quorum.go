@@ -1,17 +1,25 @@
 // Package quorum implements the threshold arithmetic of the id-only
-// model. The paper replaces the unknown fault bound f by the locally
-// observable quantity nv — the number of distinct nodes a node v has
-// heard from — and tests message counts against nv/3 and 2nv/3.
+// model and the sender sets it counts. The paper replaces the unknown
+// fault bound f by the locally observable quantity nv — the number of
+// distinct nodes a node v has heard from — and tests message counts
+// against nv/3 and 2nv/3.
 //
 // All comparisons are exact: "at least nv/3" is evaluated as
 // 3·count ≥ nv and "at least 2nv/3" as 3·count ≥ 2·nv, with no
 // floating-point division, matching the rational inequalities used in
 // the paper's proofs.
+//
+// Every threshold is a sender-set cardinality, so sender sets are the
+// protocols' hot structure. The id-only model forbids knowing n, but not
+// numbering the ids already seen: an Index gives each id a dense int32
+// in first-sight order, and a Set is a bitset over those numbers with
+// its count kept on insert. One execution owns one Index; the sets it
+// numbers are only meaningful beside it.
 package quorum
 
 import (
+	"math/bits"
 	"slices"
-	"sort"
 
 	"idonly/internal/ids"
 )
@@ -37,296 +45,341 @@ func FloorThird(nv int) int {
 	return nv / 3
 }
 
-// smallSetMax is the cardinality up to which witness sets use the
-// sorted-slice representation. The sets here are the per-node hot
-// structures of every protocol, and in the paper's regime (n a few
-// dozen, thresholds at nv/3) most sets stay tiny: a sorted slice has
-// no per-entry boxing, hashes nothing, and membership is a short
-// binary search over a few cache lines. Sets that outgrow the
-// threshold promote to a map once and stay there. 32 covers every
-// full-membership witness set of the E1–E10 workloads (n ≤ 32 there;
-// promotion profiling showed the n=25/31 runs paying one map per
-// (key, node) at the old threshold of 16), while a set is still only
-// 280 bytes.
-const smallSetMax = 32
-
-// idSet is a set of node ids optimised for small cardinalities: a
-// sorted array inlined in the struct up to smallSetMax entries (so the
-// whole set is one allocation and zero growth), a map beyond. The zero
-// value is an empty set.
-type idSet struct {
-	n     int // entries in small when big == nil
-	small [smallSetMax]ids.ID
-	big   map[ids.ID]struct{}
+// Index numbers ids densely in first-sight order: the first id given to
+// Of is 0, the next new one 1, and so on. It is an open-addressing
+// table with linear probing over a power-of-two array, never more than
+// half full. It grows with what arrives and is never sized by n or f.
+// The zero value is an empty index.
+type Index struct {
+	slots []int32  // dense index + 1; 0 marks an empty slot
+	ids   []ids.ID // dense index → id
+	shift uint8    // 64 - log2(len(slots))
 }
 
-// reset empties the set in place for reuse: the inline array rewinds
-// and a promoted map keeps its buckets. A reset set is observationally
-// identical to a fresh one.
-func (s *idSet) reset() {
-	s.n = 0
-	if s.big != nil {
-		clear(s.big)
-	}
+// home is id's first probe position: Fibonacci hashing keeps the top
+// bits of a multiplicative hash, so sparse and consecutive ids spread
+// alike.
+func (x *Index) home(id ids.ID) int {
+	return int((uint64(id) * 0x9E3779B97F4A7C15) >> x.shift)
 }
 
-// add inserts id and reports whether it was newly added.
-func (s *idSet) add(id ids.ID) bool {
-	if s.big != nil {
-		if _, ok := s.big[id]; ok {
-			return false
+// find returns id's slot: the one holding its number, or else the
+// empty slot where the probe for it ends.
+func (x *Index) find(id ids.ID) (h int, found bool) {
+	mask := len(x.slots) - 1
+	for h = x.home(id); ; h = (h + 1) & mask {
+		switch s := x.slots[h]; {
+		case s == 0:
+			return h, false
+		case x.ids[s-1] == id:
+			return h, true
 		}
-		s.big[id] = struct{}{}
-		return true
 	}
-	sm := s.small[:s.n]
-	i := sort.Search(len(sm), func(i int) bool { return sm[i] >= id })
-	if i < len(sm) && sm[i] == id {
+}
+
+// Of returns id's dense index, numbering id first if it is new.
+func (x *Index) Of(id ids.ID) int32 {
+	if 2*(len(x.ids)+1) > len(x.slots) {
+		x.grow()
+	}
+	h, found := x.find(id)
+	if !found {
+		x.ids = append(x.ids, id)
+		x.slots[h] = int32(len(x.ids))
+	}
+	return x.slots[h] - 1
+}
+
+// Lookup returns id's dense index without numbering it; ok is false
+// when the index has not seen id.
+func (x *Index) Lookup(id ids.ID) (i int32, ok bool) {
+	if len(x.slots) == 0 {
+		return 0, false
+	}
+	if h, found := x.find(id); found {
+		return x.slots[h] - 1, true
+	}
+	return 0, false
+}
+
+// ID returns the id numbered i.
+func (x *Index) ID(i int32) ids.ID { return x.ids[i] }
+
+// Len returns how many ids are numbered.
+func (x *Index) Len() int { return len(x.ids) }
+
+// Reset forgets every id, keeping the table's memory: the next Of
+// numbers from 0 again.
+func (x *Index) Reset() {
+	clear(x.slots)
+	x.ids = x.ids[:0]
+}
+
+// grow doubles the table (32 slots at first) and re-inserts every id
+// under its old number; ids gets room for the new capacity at once.
+func (x *Index) grow() {
+	n := max(2*len(x.slots), 32)
+	x.slots = make([]int32, n)
+	x.ids = slices.Grow(x.ids, n/2-len(x.ids))
+	x.shift = uint8(64 - bits.TrailingZeros(uint(n)))
+	for i, id := range x.ids {
+		h, _ := x.find(id)
+		x.slots[h] = int32(i) + 1
+	}
+}
+
+// Set is a set of dense indices: a bitset whose first 64 indices live in
+// the struct and whose higher ones live in overflow words, with the
+// cardinality kept on insert. The zero value is an empty set; embedding
+// one costs no allocation until an index past 63 is added.
+type Set struct {
+	w0   uint64   // indices 0..63
+	over []uint64 // indices 64·(k+1) .. 64·(k+2)-1 in over[k]
+	n    int
+}
+
+// word returns the word holding index i, or nil if the set has none.
+func (s *Set) word(i int32) *uint64 {
+	if i < 64 {
+		return &s.w0
+	}
+	if k := int(i>>6) - 1; k < len(s.over) {
+		return &s.over[k]
+	}
+	return nil
+}
+
+// Add inserts index i and reports whether it was newly added.
+func (s *Set) Add(i int32) bool {
+	w := s.word(i)
+	if w == nil {
+		k := int(i>>6) - 1
+		s.over = append(s.over, make([]uint64, k+1-len(s.over))...)
+		w = &s.over[k]
+	}
+	b := uint64(1) << (i & 63)
+	if *w&b != 0 {
 		return false
 	}
-	if s.n < smallSetMax {
-		copy(s.small[i+1:s.n+1], s.small[i:s.n])
-		s.small[i] = id
-		s.n++
-		return true
-	}
-	s.big = make(map[ids.ID]struct{}, 2*smallSetMax)
-	for _, v := range sm {
-		s.big[v] = struct{}{}
-	}
-	s.n = 0
-	s.big[id] = struct{}{}
+	*w |= b
+	s.n++
 	return true
 }
 
-func (s *idSet) has(id ids.ID) bool {
-	if s == nil {
-		return false
-	}
-	if s.big != nil {
-		_, ok := s.big[id]
-		return ok
-	}
-	sm := s.small[:s.n]
-	i := sort.Search(len(sm), func(i int) bool { return sm[i] >= id })
-	return i < len(sm) && sm[i] == id
+// Has reports whether index i is in the set.
+func (s *Set) Has(i int32) bool {
+	w := s.word(i)
+	return w != nil && *w&(uint64(1)<<(i&63)) != 0
 }
-
-func (s *idSet) len() int {
-	if s == nil {
-		return 0
-	}
-	if s.big != nil {
-		return len(s.big)
-	}
-	return s.n
-}
-
-// IDSet is the exported form of the small-set representation for
-// callers that track plain sender sets (the nv bookkeeping of the
-// protocols): inline sorted array up to smallSetMax ids, map beyond.
-// The zero value is an empty set ready for use — embedding it in a
-// node costs no allocation at all for systems up to smallSetMax
-// participants, where a map would pay its header plus growth.
-type IDSet struct{ set idSet }
-
-// Add inserts id and reports whether it was newly added.
-func (s *IDSet) Add(id ids.ID) bool { return s.set.add(id) }
-
-// Has reports membership.
-func (s *IDSet) Has(id ids.ID) bool { return s.set.has(id) }
 
 // Len returns the cardinality.
-func (s *IDSet) Len() int { return s.set.len() }
+func (s *Set) Len() int { return s.n }
 
-// Reset empties the set in place for reuse.
-func (s *IDSet) Reset() { s.set.reset() }
+// Reset empties the set in place, keeping its overflow words.
+func (s *Set) Reset() {
+	s.w0, s.n = 0, 0
+	clear(s.over)
+}
 
-// AppendTo appends the members to dst in increasing id order.
-func (s *IDSet) AppendTo(dst []ids.ID) []ids.ID {
-	if s.set.big == nil {
-		return append(dst, s.set.small[:s.set.n]...)
+// Each calls fn for every index in the set, in increasing order. (That
+// is first-sight order, not id order: callers that need ids in order
+// sort them.)
+func (s *Set) Each(fn func(i int32)) {
+	for k := -1; k < len(s.over); k++ {
+		w := s.w0
+		if k >= 0 {
+			w = s.over[k]
+		}
+		for ; w != 0; w &= w - 1 {
+			fn(int32(64*(k+1) + bits.TrailingZeros64(w)))
+		}
 	}
-	at := len(dst)
-	for id := range s.set.big {
-		dst = append(dst, id)
+}
+
+// AddDiff adds to s every index of a that is not in b: s ∪= a \ b.
+func (s *Set) AddDiff(a, b *Set) {
+	s.w0 = s.or(s.w0, a.w0&^b.w0)
+	for k, w := range a.over {
+		if k < len(b.over) {
+			w &^= b.over[k]
+		}
+		if w == 0 {
+			continue
+		}
+		if k >= len(s.over) {
+			s.over = append(s.over, make([]uint64, k+1-len(s.over))...)
+		}
+		s.over[k] = s.or(s.over[k], w)
 	}
-	slices.Sort(dst[at:])
-	return dst
+}
+
+// or returns w|v and counts v's bits that w lacked.
+func (s *Set) or(w, v uint64) uint64 {
+	s.n += bits.OnesCount64(v &^ w)
+	return w | v
+}
+
+// keyed maps keys to sender sets. Entries are kept in insertion order
+// and found by a short scan; once a tracker holds more than scanMax keys
+// — only an adversary forging many values gets there — a map takes over
+// the lookup. Reset rewinds the entries and resets their sets in place,
+// so a tracker that is reset every round stops allocating once warm.
+type keyed[K comparable] struct {
+	es  []entry[K]  // reset entries wait beyond len
+	pos map[K]int32 // key → position, valid while len(es) > scanMax
+}
+
+type entry[K comparable] struct {
+	key K
+	set Set
+}
+
+const scanMax = 8
+
+func (t *keyed[K]) find(key K) int {
+	if len(t.es) > scanMax {
+		if i, ok := t.pos[key]; ok {
+			return int(i)
+		}
+		return -1
+	}
+	for i := range t.es {
+		if t.es[i].key == key {
+			return i
+		}
+	}
+	return -1
+}
+
+// senders returns key's sender set, adding key with an empty set if it
+// is new. The pointer is valid until the next call that adds a key.
+func (t *keyed[K]) senders(key K) *Set {
+	i := t.find(key)
+	if i < 0 {
+		i = len(t.es)
+		if i < cap(t.es) {
+			t.es = t.es[:i+1]
+			t.es[i].key = key
+		} else {
+			t.es = append(slices.Grow(t.es, 2), entry[K]{key: key})
+		}
+		switch {
+		case i == scanMax:
+			if t.pos == nil {
+				t.pos = make(map[K]int32, 2*scanMax)
+			}
+			clear(t.pos)
+			for j := range t.es {
+				t.pos[t.es[j].key] = int32(j)
+			}
+		case i > scanMax:
+			t.pos[key] = int32(i)
+		}
+	}
+	return &t.es[i].set
+}
+
+func (t *keyed[K]) count(key K) int {
+	if i := t.find(key); i >= 0 {
+		return t.es[i].set.Len()
+	}
+	return 0
+}
+
+func (t *keyed[K]) reset() {
+	for i := range t.es {
+		t.es[i].set.Reset()
+	}
+	t.es = t.es[:0]
 }
 
 // Witnesses tracks, per message key, the cumulative set of distinct
 // senders observed across rounds — the Srikanth–Toueg counting
-// semantics used by Algorithm 1 and Algorithm 2. A sender is counted at
-// most once per key no matter how many rounds it repeats the message.
-type Witnesses[K comparable] struct {
-	byKey map[K]*idSet
-	free  []*idSet // reset sets awaiting reuse (filled by Reset)
-}
+// semantics used by Algorithm 1. A sender is counted at most once per
+// key no matter how many rounds it repeats the message. Senders are
+// dense indices of the caller's Index.
+type Witnesses[K comparable] struct{ t keyed[K] }
 
-// NewWitnesses returns an empty witness tracker. The key map is
-// created lazily on first Add, so an idle tracker costs one struct.
+// NewWitnesses returns an empty witness tracker.
 func NewWitnesses[K comparable]() *Witnesses[K] {
 	return &Witnesses[K]{}
 }
 
 // Add records that sender has vouched for key. It reports whether this
 // is the first time the sender vouched for the key.
-func (w *Witnesses[K]) Add(key K, sender ids.ID) bool {
-	if w.byKey == nil {
-		w.byKey = make(map[K]*idSet, 8)
-	}
-	set := w.byKey[key]
-	if set == nil {
-		if n := len(w.free); n > 0 {
-			set = w.free[n-1]
-			w.free[n-1] = nil
-			w.free = w.free[:n-1]
-		} else {
-			set = &idSet{}
-		}
-		w.byKey[key] = set
-	}
-	return set.add(sender)
+func (w *Witnesses[K]) Add(key K, sender int32) bool {
+	return w.t.senders(key).Add(sender)
 }
 
 // Count returns the number of distinct senders recorded for key.
-func (w *Witnesses[K]) Count(key K) int {
-	return w.byKey[key].len()
-}
-
-// Has reports whether sender already vouched for key.
-func (w *Witnesses[K]) Has(key K, sender ids.ID) bool {
-	return w.byKey[key].has(sender)
-}
-
-// Keys returns all keys with at least one witness, in unspecified order.
-func (w *Witnesses[K]) Keys() []K {
-	return w.AppendKeys(nil)
-}
+func (w *Witnesses[K]) Count(key K) int { return w.t.count(key) }
 
 // AppendKeys appends all keys with at least one witness to dst, in
-// unspecified order — the allocation-free form of Keys for callers
-// holding a reusable scratch slice.
+// first-witness order; callers that need another order sort.
 func (w *Witnesses[K]) AppendKeys(dst []K) []K {
-	for k := range w.byKey { //lint:ordered contractually unordered; callers sort or reduce commutatively
-		dst = append(dst, k)
+	for i := range w.t.es {
+		dst = append(dst, w.t.es[i].key)
 	}
 	return dst
 }
 
 // Len returns the number of keys with at least one witness.
-func (w *Witnesses[K]) Len() int { return len(w.byKey) }
+func (w *Witnesses[K]) Len() int { return len(w.t.es) }
 
-// Reset clears the tracker for reuse, keeping the key map's buckets and
-// recycling the per-key sender sets through an internal free list, so a
-// long-lived tracker that is periodically reset stops allocating.
-func (w *Witnesses[K]) Reset() {
-	for _, set := range w.byKey { //lint:ordered sets are fully reset; free-list order only affects reused capacity
-		set.reset()
-		w.free = append(w.free, set)
-	}
-	clear(w.byKey)
-}
+// Reset clears the tracker for reuse, keeping its memory.
+func (w *Witnesses[K]) Reset() { w.t.reset() }
 
 // Tally counts, for a single round, how many distinct senders sent each
 // key. Unlike Witnesses it is reset every round; the consensus
 // algorithms (Alg. 3 and Alg. 5) count per-round, not cumulatively.
-type Tally[K comparable] struct {
-	byKey map[K]*idSet
-	free  []*idSet // reset sets awaiting reuse (filled by Reset)
-}
+// Senders are dense indices of the caller's Index.
+type Tally[K comparable] struct{ t keyed[K] }
 
 // NewTally returns an empty per-round tally.
 func NewTally[K comparable]() *Tally[K] {
-	return &Tally[K]{byKey: make(map[K]*idSet)}
+	return &Tally[K]{}
 }
 
 // Add records one vote by sender for key (idempotent per sender).
-func (t *Tally[K]) Add(key K, sender ids.ID) {
-	set := t.byKey[key]
-	if set == nil {
-		if n := len(t.free); n > 0 {
-			set = t.free[n-1]
-			t.free[n-1] = nil
-			t.free = t.free[:n-1]
-		} else {
-			set = &idSet{}
-		}
-		t.byKey[key] = set
-	}
-	set.add(sender)
-}
+func (t *Tally[K]) Add(key K, sender int32) { t.t.senders(key).Add(sender) }
 
 // Count returns the number of distinct senders that voted for key.
-func (t *Tally[K]) Count(key K) int {
-	return t.byKey[key].len()
-}
+func (t *Tally[K]) Count(key K) int { return t.t.count(key) }
 
-// Best returns the key with the most votes and its count. ok is false
-// when the tally is empty. Ties are broken deterministically by
-// preferring the key whose set was built first is not possible with map
-// iteration, so ties are broken by count only after callers filter with
-// a threshold; for the threshold uses in this repository at most one
-// key can pass 2nv/3 and at most two can pass nv/3, and callers that
-// need determinism use BestFunc with an explicit order.
-func (t *Tally[K]) Best() (key K, count int, ok bool) {
-	for k, set := range t.byKey { //lint:ordered threshold callers admit at most one qualifying key
-		if set.len() > count {
-			key, count, ok = k, set.len(), true
-		}
+// Senders returns key's voter set for bulk votes (Set.AddDiff), adding
+// key if it is new. The pointer is valid until the next vote for a new
+// key.
+func (t *Tally[K]) Senders(key K) *Set { return t.t.senders(key) }
+
+// AddSendersTo adds to dst every sender that voted for any key — the
+// set the substitution rules exempt ("did this member send any message
+// of this kind this round?").
+func (t *Tally[K]) AddSendersTo(dst *Set) {
+	var none Set
+	for i := range t.t.es {
+		dst.AddDiff(&t.t.es[i].set, &none)
 	}
-	return key, count, ok
 }
 
 // BestFunc returns the key with the most votes, breaking ties with
-// less(a, b) == true meaning a is preferred. ok is false when empty.
+// less(a, b) == true meaning a is preferred; keys without votes do not
+// count. ok is false when no key has a vote.
 func (t *Tally[K]) BestFunc(less func(a, b K) bool) (key K, count int, ok bool) {
-	for k, set := range t.byKey { //lint:ordered less() tie-break is a total order, so the max is order-free
+	for i := range t.t.es {
+		e := &t.t.es[i]
+		c := e.set.Len()
 		switch {
-		case !ok, set.len() > count:
-			key, count, ok = k, set.len(), true
-		case set.len() == count && less(k, key):
-			key = k
+		case c == 0:
+		case !ok, c > count:
+			key, count, ok = e.key, c, true
+		case c == count && less(e.key, key):
+			key = e.key
 		}
 	}
 	return key, count, ok
 }
 
-// Has reports whether sender voted for key.
-func (t *Tally[K]) Has(key K, sender ids.ID) bool {
-	return t.byKey[key].has(sender)
-}
-
-// HasSender reports whether sender voted for any key in this tally —
-// the probe used by the substitution rules ("did this member send any
-// message of this kind this round?").
-func (t *Tally[K]) HasSender(sender ids.ID) bool {
-	for _, set := range t.byKey { //lint:ordered existence check, order-free
-		if set.has(sender) {
-			return true
-		}
-	}
-	return false
-}
-
-// Keys returns all keys present in the tally.
-func (t *Tally[K]) Keys() []K {
-	out := make([]K, 0, len(t.byKey))
-	for k := range t.byKey { //lint:ordered contractually unordered; callers sort or reduce commutatively
-		out = append(out, k)
-	}
-	return out
-}
-
-// Reset clears the tally for reuse in the next round, keeping the
-// outer map's buckets and recycling the per-key sender sets through an
-// internal free list, so the per-round tallies of a long run stop
-// allocating after warm-up.
-func (t *Tally[K]) Reset() {
-	for _, set := range t.byKey { //lint:ordered sets are fully reset; free-list order only affects reused capacity
-		set.reset()
-		t.free = append(t.free, set)
-	}
-	clear(t.byKey)
-}
+// Reset clears the tally for reuse in the next round, keeping its
+// memory, so the per-round tallies of a long run stop allocating after
+// warm-up.
+func (t *Tally[K]) Reset() { t.t.reset() }

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"idonly/internal/ids"
 	"idonly/internal/quorum"
 )
 
@@ -83,11 +82,8 @@ func TestWitnessesDistinctSenders(t *testing.T) {
 	if w.Count("missing") != 0 {
 		t.Fatal("missing key must count 0")
 	}
-	if !w.Has("k", 2) || w.Has("k", 3) {
-		t.Fatal("Has is wrong")
-	}
-	if len(w.Keys()) != 2 {
-		t.Fatalf("Keys = %v", w.Keys())
+	if keys := w.AppendKeys(nil); len(keys) != 2 || keys[0] != "k" || keys[1] != "other" {
+		t.Fatalf("AppendKeys = %v, want first-witness order [k other]", keys)
 	}
 }
 
@@ -98,7 +94,7 @@ func TestWitnessesCumulativeProperty(t *testing.T) {
 		w := quorum.NewWitnesses[int]()
 		distinct := make(map[uint8]bool)
 		for _, s := range senders {
-			w.Add(0, ids.ID(s))
+			w.Add(0, int32(s))
 			distinct[s] = true
 		}
 		return w.Count(0) == len(distinct)
@@ -126,21 +122,33 @@ func TestTallyBestAndTies(t *testing.T) {
 	}
 }
 
+// TestTallyBestEmpty: an empty tally, and one whose only key was opened
+// for bulk votes that never came, has no best key.
 func TestTallyBestEmpty(t *testing.T) {
+	less := func(a, b int) bool { return a < b }
 	tl := quorum.NewTally[int]()
-	if _, _, ok := tl.Best(); ok {
+	if _, _, ok := tl.BestFunc(less); ok {
 		t.Fatal("empty tally must report !ok")
+	}
+	tl.Senders(3).AddDiff(&quorum.Set{}, &quorum.Set{})
+	if _, _, ok := tl.BestFunc(less); ok {
+		t.Fatal("a key without votes must not be best")
 	}
 }
 
+// TestTallyHasSender: the union of a tally's voters is what the
+// substitution rules exempt.
 func TestTallyHasSender(t *testing.T) {
 	tl := quorum.NewTally[string]()
 	tl.Add("a", 1)
-	if !tl.HasSender(1) || tl.HasSender(2) {
-		t.Fatal("HasSender wrong")
+	tl.Add("b", 70)
+	var voted quorum.Set
+	tl.AddSendersTo(&voted)
+	if !voted.Has(1) || !voted.Has(70) || voted.Has(2) || voted.Len() != 2 {
+		t.Fatal("AddSendersTo wrong")
 	}
-	if !tl.Has("a", 1) || tl.Has("b", 1) {
-		t.Fatal("Has wrong")
+	if tl.Count("a") != 1 || tl.Count("c") != 0 {
+		t.Fatal("Count wrong")
 	}
 }
 
@@ -162,22 +170,22 @@ func TestTallyReset(t *testing.T) {
 	tl := quorum.NewTally[int]()
 	tl.Add(1, 1)
 	tl.Reset()
-	if tl.Count(1) != 0 || len(tl.Keys()) != 0 {
+	if _, _, ok := tl.BestFunc(func(a, b int) bool { return a < b }); tl.Count(1) != 0 || ok {
 		t.Fatal("Reset did not clear")
 	}
 }
 
-// The witness sets use a sorted-slice representation below a size
-// threshold and promote to a map beyond it. The tests below cross the
-// promotion boundary (well past any plausible threshold) and check that
-// membership, idempotence and counting are unaffected.
+// Sender sets keep their first 64 indices inline and promote higher
+// ones to overflow words. The tests below cross that boundary (well
+// past it, with sparse indices) and check that membership, idempotence
+// and counting are unaffected.
 
 func TestWitnessesSmallSetPromotion(t *testing.T) {
 	w := quorum.NewWitnesses[string]()
 	const n = 100
 	for round := 0; round < 2; round++ {
 		for i := 1; i <= n; i++ {
-			added := w.Add("k", ids.ID(i*7)) // non-consecutive, unsorted-insert order
+			added := w.Add("k", int32(i*7)) // sparse, past the inline word
 			if round == 0 && !added {
 				t.Fatalf("first Add of sender %d reported duplicate", i*7)
 			}
@@ -189,33 +197,25 @@ func TestWitnessesSmallSetPromotion(t *testing.T) {
 	if w.Count("k") != n {
 		t.Fatalf("Count = %d, want %d", w.Count("k"), n)
 	}
-	for i := 1; i <= n; i++ {
-		if !w.Has("k", ids.ID(i*7)) {
-			t.Fatalf("Has lost sender %d", i*7)
-		}
-		if w.Has("k", ids.ID(i*7+1)) {
-			t.Fatalf("Has invented sender %d", i*7+1)
-		}
-	}
 }
 
 func TestWitnessesSmallSetInsertOrderIrrelevant(t *testing.T) {
-	// Same senders in opposite insertion orders must agree exactly —
-	// the sorted slice and the map are both order-free sets.
+	// Same senders in opposite insertion orders must agree exactly: a
+	// bitset is an order-free set.
 	f := func(senders []uint16) bool {
 		a := quorum.NewWitnesses[int]()
 		b := quorum.NewWitnesses[int]()
 		for _, s := range senders {
-			a.Add(0, ids.ID(s)+1)
+			a.Add(0, int32(s)+1)
 		}
 		for i := len(senders) - 1; i >= 0; i-- {
-			b.Add(0, ids.ID(senders[i])+1)
+			b.Add(0, int32(senders[i])+1)
 		}
 		if a.Count(0) != b.Count(0) {
 			return false
 		}
 		for _, s := range senders {
-			if !a.Has(0, ids.ID(s)+1) || !b.Has(0, ids.ID(s)+1) {
+			if a.Add(0, int32(s)+1) || b.Add(0, int32(s)+1) {
 				return false
 			}
 		}
@@ -228,20 +228,48 @@ func TestWitnessesSmallSetInsertOrderIrrelevant(t *testing.T) {
 
 func TestTallySmallSetPromotion(t *testing.T) {
 	tl := quorum.NewTally[int]()
-	const n = 60
+	const n = 150
 	for i := 1; i <= n; i++ {
-		tl.Add(1, ids.ID(i))
-		tl.Add(1, ids.ID(i)) // duplicate votes never double-count
+		tl.Add(1, int32(i))
+		tl.Add(1, int32(i)) // duplicate votes never double-count
 	}
 	if tl.Count(1) != n {
 		t.Fatalf("Count = %d, want %d", tl.Count(1), n)
 	}
+	voters := tl.Senders(1)
 	for i := 1; i <= n; i++ {
-		if !tl.Has(1, ids.ID(i)) {
-			t.Fatalf("Has lost sender %d", i)
+		if !voters.Has(int32(i)) {
+			t.Fatalf("lost sender %d", i)
 		}
 	}
-	if tl.Has(1, ids.ID(n+1)) {
-		t.Fatal("Has invented a sender")
+	if voters.Has(n+1) || voters.Has(0) {
+		t.Fatal("invented a sender")
+	}
+}
+
+// TestTallyManyKeys: past the short key scan, a forging sender's many
+// values are still told apart, and a Reset tally starts from the scan
+// again.
+func TestTallyManyKeys(t *testing.T) {
+	tl := quorum.NewTally[int]()
+	for round := 0; round < 2; round++ {
+		for k := 0; k < 40; k++ {
+			for s := 0; s <= k%5; s++ {
+				tl.Add(k, int32(s))
+			}
+		}
+		for k := 0; k < 40; k++ {
+			if got := tl.Count(k); got != k%5+1 {
+				t.Fatalf("round %d: Count(%d) = %d, want %d", round, k, got, k%5+1)
+			}
+		}
+		x, c, ok := tl.BestFunc(func(a, b int) bool { return a < b })
+		if !ok || x != 4 || c != 5 {
+			t.Fatalf("round %d: BestFunc = (%d, %d, %v), want (4, 5, true)", round, x, c, ok)
+		}
+		tl.Reset()
+		if tl.Count(4) != 0 {
+			t.Fatalf("round %d: Reset left votes", round)
+		}
 	}
 }

@@ -1,42 +1,51 @@
 package quorum
 
-// White-box tests of the reuse machinery: Reset must leave tallies,
-// witness trackers and their recycled sender sets observationally
-// fresh, across the inline-array/map representation boundary.
+// White-box tests of the reuse machinery: Reset must leave indices,
+// sender sets, tallies and witness trackers observationally fresh,
+// across a Set's inline word, and keep their memory for the next use.
 
 import (
+	"slices"
 	"testing"
 
 	"idonly/internal/ids"
 )
 
 // TestTallyResetReuse: a reset tally is observationally a fresh one —
-// including sets that promoted to the map representation — and reuses
-// its sender sets through the free list instead of reallocating.
+// including sets that spilled into overflow words — and a warm tally
+// runs a round without allocating.
 func TestTallyResetReuse(t *testing.T) {
 	tl := NewTally[string]()
-	for round := 0; round < 5; round++ {
-		for s := 1; s <= 2*smallSetMax+5; s++ { // force promotion past smallSetMax
-			tl.Add("hot", ids.ID(s))
-			tl.Add("hot", ids.ID(s)) // idempotent
+	round := func() {
+		for s := int32(0); s < 2*64+5; s++ {
+			tl.Add("hot", s)
+			tl.Add("hot", s) // idempotent
 		}
 		tl.Add("cold", 7)
-		if got := tl.Count("hot"); got != 2*smallSetMax+5 {
-			t.Fatalf("round %d: Count(hot) = %d, want %d", round, got, 2*smallSetMax+5)
+	}
+	for r := 0; r < 5; r++ {
+		round()
+		if got := tl.Count("hot"); got != 2*64+5 {
+			t.Fatalf("round %d: Count(hot) = %d, want %d", r, got, 2*64+5)
 		}
 		if got := tl.Count("cold"); got != 1 {
-			t.Fatalf("round %d: Count(cold) = %d, want 1", round, got)
+			t.Fatalf("round %d: Count(cold) = %d, want 1", r, got)
 		}
-		if !tl.Has("hot", 3) || tl.Has("hot", 999) || !tl.HasSender(7) {
-			t.Fatalf("round %d: membership wrong after reuse", round)
+		var voted Set
+		tl.AddSendersTo(&voted)
+		if voted.Len() != 2*64+5 || !voted.Has(7) || voted.Has(999) {
+			t.Fatalf("round %d: membership wrong after reuse", r)
 		}
 		tl.Reset()
 		if got := tl.Count("hot"); got != 0 {
-			t.Fatalf("round %d: Count after Reset = %d, want 0", round, got)
+			t.Fatalf("round %d: Count after Reset = %d, want 0", r, got)
 		}
-		if len(tl.Keys()) != 0 || tl.HasSender(7) {
-			t.Fatalf("round %d: Reset left residue", round)
+		if len(tl.t.es) != 0 || tl.t.es[:1][0].set.Len() != 0 {
+			t.Fatalf("round %d: Reset left residue", r)
 		}
+	}
+	if got := testing.AllocsPerRun(20, func() { tl.Reset(); round() }); got != 0 {
+		t.Fatalf("a warm tally allocates %.0f times per round", got)
 	}
 }
 
@@ -44,16 +53,16 @@ func TestTallyResetReuse(t *testing.T) {
 func TestWitnessesReset(t *testing.T) {
 	w := NewWitnesses[int]()
 	for round := 0; round < 3; round++ {
-		for s := 1; s <= smallSetMax+2; s++ {
-			if !w.Add(41, ids.ID(s)) {
+		for s := int32(1); s <= 64+2; s++ {
+			if !w.Add(41, s) {
 				t.Fatalf("round %d: Add(41, %d) not new", round, s)
 			}
-			if w.Add(41, ids.ID(s)) {
+			if w.Add(41, s) {
 				t.Fatalf("round %d: duplicate Add(41, %d) reported new", round, s)
 			}
 		}
-		if got := w.Count(41); got != smallSetMax+2 {
-			t.Fatalf("round %d: Count = %d, want %d", round, got, smallSetMax+2)
+		if got := w.Count(41); got != 64+2 {
+			t.Fatalf("round %d: Count = %d, want %d", round, got, 64+2)
 		}
 		if w.Len() != 1 {
 			t.Fatalf("round %d: Len = %d, want 1", round, w.Len())
@@ -65,57 +74,72 @@ func TestWitnessesReset(t *testing.T) {
 	}
 }
 
-// TestIDSet covers the exported small-set across the inline/map
-// boundary.
+// TestIDSet numbers sparse ids through an Index into a Set across the
+// inline word, and checks the numbering is first-sight order.
 func TestIDSet(t *testing.T) {
-	var s IDSet
-	if s.Len() != 0 || s.Has(1) {
-		t.Fatal("zero IDSet not empty")
+	var x Index
+	var s Set
+	if s.Len() != 0 || s.Has(1) || x.Len() != 0 {
+		t.Fatal("zero Index and Set not empty")
 	}
-	for i := 1; i <= 3*smallSetMax; i++ {
-		if !s.Add(ids.ID(i)) {
-			t.Fatalf("Add(%d) not new", i)
+	if _, ok := x.Lookup(7); ok {
+		t.Fatal("empty index found an id")
+	}
+	const n = 3 * 64
+	for i := 1; i <= n; i++ {
+		id := ids.ID(7919 * i)
+		if got := x.Of(id); got != int32(i-1) {
+			t.Fatalf("Of(%d) = %d, want first-sight number %d", id, got, i-1)
 		}
-		if s.Add(ids.ID(i)) {
-			t.Fatalf("re-Add(%d) reported new", i)
+		if !s.Add(x.Of(id)) {
+			t.Fatalf("Add(%d) not new", id)
+		}
+		if s.Add(x.Of(id)) {
+			t.Fatalf("re-Add(%d) reported new", id)
 		}
 	}
-	if s.Len() != 3*smallSetMax {
-		t.Fatalf("Len = %d, want %d", s.Len(), 3*smallSetMax)
+	if s.Len() != n || x.Len() != n {
+		t.Fatalf("Len = %d, index Len = %d, want %d", s.Len(), x.Len(), n)
 	}
-	for i := 1; i <= 3*smallSetMax; i++ {
-		if !s.Has(ids.ID(i)) {
-			t.Fatalf("Has(%d) = false", i)
+	for i := 1; i <= n; i++ {
+		id := ids.ID(7919 * i)
+		if j, ok := x.Lookup(id); !ok || x.ID(j) != id || !s.Has(j) {
+			t.Fatalf("lost id %d", id)
 		}
 	}
-	if s.Has(ids.ID(3*smallSetMax + 1)) {
+	if _, ok := x.Lookup(ids.ID(7919*n + 1)); ok || s.Has(n) {
 		t.Fatal("phantom membership")
+	}
+	x.Reset()
+	if x.Len() != 0 || x.Of(5) != 0 {
+		t.Fatal("a reset index does not number from 0")
+	}
+	if _, ok := x.Lookup(7919); ok {
+		t.Fatal("a reset index still finds an old id")
 	}
 }
 
-// TestIDSetAppendToAndReset: AppendTo lists the members in increasing
-// id order after dst's own content, on both representations, and a
-// Reset set is empty and reusable.
-func TestIDSetAppendToAndReset(t *testing.T) {
-	for _, n := range []int{5, 3 * smallSetMax} {
-		var s IDSet
+// TestSetEachAndReset: Each lists the members in increasing index order
+// on both sides of the inline word, and a Reset set is empty and
+// reusable.
+func TestSetEachAndReset(t *testing.T) {
+	for _, n := range []int{5, 3 * 64} {
+		var s Set
 		for i := n; i >= 1; i-- { // descending inserts: order must not leak
-			s.Add(ids.ID(7 * i))
+			s.Add(int32(3 * i))
 		}
-		got := s.AppendTo([]ids.ID{999})
-		if len(got) != n+1 || got[0] != 999 {
-			t.Fatalf("n=%d: AppendTo returned %v", n, got)
-		}
-		for i := 1; i <= n; i++ {
-			if got[i] != ids.ID(7*i) {
-				t.Fatalf("n=%d: AppendTo[%d] = %d, want %d", n, i, got[i], 7*i)
-			}
+		var got []int32
+		s.Each(func(i int32) { got = append(got, i) })
+		if len(got) != n || !slices.IsSorted(got) || got[0] != 3 || got[n-1] != int32(3*n) {
+			t.Fatalf("n=%d: Each listed %v", n, got)
 		}
 		s.Reset()
-		if s.Len() != 0 || s.Has(7) || len(s.AppendTo(nil)) != 0 {
+		got = got[:0]
+		s.Each(func(i int32) { got = append(got, i) })
+		if s.Len() != 0 || s.Has(3) || len(got) != 0 {
 			t.Fatalf("n=%d: Reset left residue", n)
 		}
-		if !s.Add(7) || s.Len() != 1 {
+		if !s.Add(3) || s.Len() != 1 {
 			t.Fatalf("n=%d: set unusable after Reset", n)
 		}
 	}
