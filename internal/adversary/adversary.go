@@ -25,6 +25,9 @@ type Silent struct{}
 // Step implements sim.Adversary.
 func (Silent) Step(ids.ID, int, []sim.Message) []sim.Send { return nil }
 
+// Blind implements sim.Blind: Step never reads its inbox.
+func (Silent) Blind() {}
+
 // Crash wraps another adversary and cuts it off after a given round,
 // modelling fail-stop behaviour on top of any strategy.
 type Crash struct {

@@ -34,6 +34,9 @@ func (a DynEquivEvent) Step(node ids.ID, round int, _ []sim.Message) []sim.Send 
 	return append(out, unicastAll(hi, dynamic.EventMsg{M: mb, R: round})...)
 }
 
+// Blind implements sim.Blind: Step never reads its inbox.
+func (DynEquivEvent) Blind() {}
+
 // DynBadAck answers every join announcement with a wildly wrong round
 // number, trying to desynchronize joiners. The majority rule over acks
 // (correct members outnumber the faulty ones, g > 2f) must win.
@@ -71,3 +74,6 @@ func (a DynGhostPair) Step(node ids.ID, round int, _ []sim.Message) []sim.Send {
 	// faulty node's own id, not the ghost's.
 	return []sim.Send{sim.BroadcastPayload(dynamic.EventMsg{M: "ghost-event", R: round})}
 }
+
+// Blind implements sim.Blind: Step never reads its inbox.
+func (DynGhostPair) Blind() {}

@@ -36,6 +36,9 @@ func (a KingSplit) Step(node ids.ID, round int, _ []sim.Message) []sim.Send {
 	}
 }
 
+// Blind implements sim.Blind: Step never reads its inbox.
+func (KingSplit) Blind() {}
+
 // STForge is the known-f counterpart of RBForgeSource: the faulty
 // nodes echo a message attributed to a source that never sent it,
 // against the Srikanth–Toueg thresholds (relay f+1, accept 2f+1).
@@ -51,3 +54,6 @@ func (a STForge) Step(node ids.ID, round int, _ []sim.Message) []sim.Send {
 	}
 	return []sim.Send{sim.BroadcastPayload(baseline.STEcho{M: a.FakeM, S: a.FakeS})}
 }
+
+// Blind implements sim.Blind: Step never reads its inbox.
+func (STForge) Blind() {}

@@ -31,6 +31,9 @@ func (a ApproxOutlier) Step(node ids.ID, round int, _ []sim.Message) []sim.Send 
 	return out
 }
 
+// Blind implements sim.Blind: Step never reads its inbox.
+func (ApproxOutlier) Blind() {}
+
 // ParaGhost injects messages for a pair id that no correct node has as
 // input: an input at the legal discovery round, then prefers and
 // strongprefers with a real value, trying to trick some correct node

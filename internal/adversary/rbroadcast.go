@@ -28,6 +28,9 @@ func (a RBEquivocate) Step(node ids.ID, round int, _ []sim.Message) []sim.Send {
 	return out
 }
 
+// Blind implements sim.Blind: Step never reads its inbox.
+func (RBEquivocate) Blind() {}
+
 // RBColluder is a faulty echoer that vouches for every message of an
 // equivocating partner (both stories), and optionally for a message
 // from a non-existent source — the indirect forgery the model allows
@@ -51,6 +54,9 @@ func (a RBColluder) Step(node ids.ID, round int, _ []sim.Message) []sim.Send {
 	return out
 }
 
+// Blind implements sim.Blind: Step never reads its inbox.
+func (RBColluder) Blind() {}
+
 // RBForgeSource echoes a message attributed to a source id that does
 // not exist in the system at all. Unforgeability says such a message is
 // only ever accepted if enough *correct* nodes echo it, which they
@@ -69,6 +75,9 @@ func (a RBForgeSource) Step(node ids.ID, round int, _ []sim.Message) []sim.Send 
 	}
 	return []sim.Send{sim.BroadcastPayload(rbroadcast.Echo{M: a.FakeM, S: a.FakeS})}
 }
+
+// Blind implements sim.Blind: Step never reads its inbox.
+func (RBForgeSource) Blind() {}
 
 // RBSelective is a faulty source that broadcasts its message to only a
 // chosen subset, hoping to create a split where some correct nodes
@@ -89,3 +98,6 @@ func (a RBSelective) Step(node ids.ID, round int, _ []sim.Message) []sim.Send {
 	}
 	return nil
 }
+
+// Blind implements sim.Blind: Step never reads its inbox.
+func (RBSelective) Blind() {}

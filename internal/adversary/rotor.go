@@ -95,3 +95,6 @@ func (a RotorLateInit) Step(node ids.ID, round int, _ []sim.Message) []sim.Send 
 		sim.BroadcastPayload(rotor.Echo{P: p}),
 	}
 }
+
+// Blind implements sim.Blind: Step never reads its inbox.
+func (RotorLateInit) Blind() {}

@@ -16,13 +16,16 @@
 // A session goes start → stop → harvest. It starts on a
 // parallel.Machine taken from the node's free list (Machine.Reset; a
 // new one only when the list is empty). Each round the node demuxes
-// every SessMsg straight into its session's machine (Absorb) and then
-// advances every live machine once. A machine stops once it has
-// listened through the first phase and every instance it knows has
-// terminated: a terminated instance's output can never change, and no
-// instance can be discovered after phase 1, so the outputs are captured
-// into the session and the machine goes back to the free list, rounds
-// before the harvest. Past the finality bound the session is harvested
+// every session message straight into its session's machine (Absorb)
+// and then advances every live machine once. Nodes speak Wire
+// (wire.go), whose session kind carries the machine's parallel.Wire
+// unboxed; Step, the boxed form, is derived through the union's codec.
+// A machine stops once it has listened through the first phase and
+// every instance it knows has terminated: a terminated instance's
+// output can never change, and no instance can be discovered after
+// phase 1, so the outputs are captured into the session and the
+// machine goes back to the free list, rounds before the harvest. Past
+// the finality bound the session is harvested
 // — its captured outputs are appended to the chain — and retired. That
 // is safe by the same clause of Theorem 6 that makes the harvest safe:
 // past the bound every correct node's machine for r' has terminated,
@@ -137,9 +140,10 @@ type Node struct {
 	inputs   map[parallel.PairID]parallel.Val // I_r of the session being started, cleared each round
 
 	chain      []Event
-	finalUpTo  int        // R: all rounds <= R are final
-	sends      []sim.Send // backs Step's return value, reused across rounds
-	harvestGap bool       // a session was harvested before its machine finished (must never happen under n > 3f)
+	finalUpTo  int                 // R: all rounds <= R are final
+	sends      []sim.SendT[Wire]   // backs StepTyped's return value, reused across rounds
+	boxed      sim.BoxedStep[Wire] // Step's scratch
+	harvestGap bool                // a session was harvested before its machine finished (must never happen under n > 3f)
 }
 
 // Config constructs a Node.
@@ -223,17 +227,22 @@ func (n *Node) HarvestGap() bool { return n.harvestGap }
 // Submit queues an event to be witnessed in the node's next round.
 func (n *Node) Submit(m string) { n.pending = append(n.pending, m) }
 
-// Step implements sim.Process.
+// Step implements sim.Process through the union's codec.
 func (n *Node) Step(round int, inbox []sim.Message) []sim.Send {
+	return n.boxed.Step(n, codec, round, inbox)
+}
+
+// StepTyped implements sim.ProcessT.
+func (n *Node) StepTyped(round int, inbox []sim.MsgT[Wire]) []sim.SendT[Wire] {
 	switch n.state {
 	case stJoinAnnounce:
 		n.state = stJoinWait
-		n.sends = append(n.sends[:0], sim.BroadcastPayload(Present{}))
+		n.sends = append(n.sends[:0], sim.BroadcastT(Wire{Kind: wPresent}))
 		return n.sends
 	case stJoinWait:
 		// Acks are still in flight; remember peers joining alongside us.
 		for _, msg := range inbox {
-			if _, ok := msg.Payload.(Present); ok {
+			if msg.Payload.Kind == wPresent {
 				n.peers = append(n.peers, msg.From)
 			}
 		}
@@ -244,7 +253,7 @@ func (n *Node) Step(round int, inbox []sim.Message) []sim.Send {
 		// sync with the members.
 		counts := make(map[int]int)
 		for _, msg := range inbox {
-			if a, ok := msg.Payload.(Ack); ok {
+			if a := msg.Payload; a.Kind == wAck {
 				counts[a.R]++
 				n.addMember(msg.From)
 			}
@@ -281,29 +290,30 @@ func (n *Node) Step(round int, inbox []sim.Message) []sim.Send {
 	clear(n.inputs) // I_r: first event per sender tagged r-1
 
 	for _, msg := range inbox {
-		switch p := msg.Payload.(type) {
-		case Present:
+		switch p := msg.Payload; p.Kind {
+		case wPresent:
 			if n.state == stActive {
 				n.addMember(msg.From)
 				ackTo = append(ackTo, msg.From)
 			}
-		case Absent:
+		case wAbsent:
 			if i, found := slices.BinarySearch(n.members, msg.From); found {
 				n.members = slices.Delete(n.members, i, i+1)
 			}
-		case EventMsg:
+		case wEvent:
 			if n.state == stActive && p.R == n.r-1 {
 				if _, dup := n.inputs[parallel.PairID(msg.From)]; !dup {
-					n.inputs[parallel.PairID(msg.From)] = parallel.V(p.M)
+					n.inputs[parallel.PairID(msg.From)] = parallel.V(p.S)
 				}
 			}
-		case SessMsg:
+		case wSess, wNoise:
 			// Traffic for a session this node never started, has stopped or
-			// has already retired is dropped here.
-			if s := n.session(p.Sess); s != nil && s.machine != nil {
-				s.machine.Absorb(msg.From, p.Inner)
+			// has already retired is dropped here. Noise carries the zero
+			// parallel.Wire: the machine admits its sender and nothing else.
+			if s := n.session(p.R); s != nil && s.machine != nil {
+				s.machine.Absorb(msg.From, p.in())
 			}
-		case Ack:
+		case wAck:
 			// stray ack (e.g. duplicate join traffic): ignore
 		}
 	}
@@ -311,21 +321,21 @@ func (n *Node) Step(round int, inbox []sim.Message) []sim.Send {
 	// Leave announcement.
 	if n.state == stActive && n.leaveAt != 0 && n.r >= n.leaveAt {
 		n.state = stLeaving
-		out = append(out, sim.BroadcastPayload(Absent{}))
+		out = append(out, sim.BroadcastT(Wire{Kind: wAbsent}))
 	}
 
 	// Acks for joiners.
 	for _, u := range ackTo {
-		out = append(out, sim.Unicast(u, Ack{R: n.r}))
+		out = append(out, sim.UnicastT(u, Wire{Kind: wAck, R: n.r}))
 	}
 
 	// Witness events (line 21-23): schedule plus queued submissions.
 	if n.state == stActive {
 		for _, m := range n.schedule[n.r] {
-			out = append(out, sim.BroadcastPayload(EventMsg{M: m, R: n.r}))
+			out = append(out, sim.BroadcastT(Wire{Kind: wEvent, R: n.r, S: m}))
 		}
 		for _, m := range n.pending {
-			out = append(out, sim.BroadcastPayload(EventMsg{M: m, R: n.r}))
+			out = append(out, sim.BroadcastT(Wire{Kind: wEvent, R: n.r, S: m}))
 		}
 		n.pending = nil
 	}
@@ -337,7 +347,7 @@ func (n *Node) Step(round int, inbox []sim.Message) []sim.Send {
 			continue
 		}
 		for _, p := range s.machine.Advance() {
-			out = append(out, sim.BroadcastPayload(SessMsg{Sess: s.start, Inner: p}))
+			out = append(out, sim.BroadcastT(sess(s.start, p)))
 		}
 		// A machine may be stopped only once it has listened through the
 		// whole first phase (instances can be discovered until its round
@@ -358,7 +368,7 @@ func (n *Node) Step(round int, inbox []sim.Message) []sim.Send {
 		}
 		n.sessions = append(n.sessions, session{start: n.r, snapshot: len(n.members), machine: mach})
 		for _, p := range mach.Advance() { // machine round 1: session-tagged rotor init
-			out = append(out, sim.BroadcastPayload(SessMsg{Sess: n.r, Inner: p}))
+			out = append(out, sim.BroadcastT(sess(n.r, p)))
 		}
 	}
 

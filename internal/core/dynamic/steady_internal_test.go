@@ -9,16 +9,25 @@ import (
 )
 
 // silent is the adversary that sends nothing (internal/adversary imports
-// this package).
+// this package), blind like adversary.Silent.
 type silent struct{}
 
 func (silent) Step(ids.ID, int, []sim.Message) []sim.Send { return nil }
+func (silent) Blind()                                     {}
+
+// stepper is what the steady-state tests drive: either instantiation of
+// the runner core.
+type stepper interface {
+	StepRound()
+	Round() int
+}
 
 // steadySystem builds n founders of which the last f are faulty and
 // silent; every correct one witnesses an event each fifth round, so a
 // session has two inputs and every round starts, runs, stops and
-// harvests sessions. The runner has no round limit.
-func steadySystem(n, f, rounds int) (*sim.Runner, []*Node) {
+// harvests sessions. The runner — over boxed payloads, or typed over
+// the wire union — has no round limit.
+func steadySystem(n, f, rounds int, typed bool) (stepper, []*Node) {
 	all := ids.Sparse(ids.NewRand(14), n)
 	var nodes []*Node
 	var procs []sim.Process
@@ -30,6 +39,9 @@ func steadySystem(n, f, rounds int) (*sim.Runner, []*Node) {
 		nd := New(Config{ID: id, Founders: all, Witness: witness})
 		nodes = append(nodes, nd)
 		procs = append(procs, nd)
+	}
+	if typed {
+		return sim.NewTypedRunner(sim.Config{}, nodes, all[n-f:], silent{}, WireCodec()), nodes
 	}
 	return sim.NewRunner(sim.Config{}, procs, all[n-f:], silent{}), nodes
 }
@@ -49,52 +61,63 @@ func machinesAllocated(nd *Node) int {
 // TestSteadyStateAllocs pins what recycling buys once every node has
 // been through a full finality window (5|S|/2+3 rounds): a round no
 // longer builds machines, instances, tallies or witness sets, so what it
-// allocates is what it sends — two boxes per session message — plus the
-// captured outputs of the sessions that stop. With a fresh machine per
-// node and round the same round allocated 1606 times. Over the whole run
-// a node builds machines for the sessions it has live at once, never
-// one per round.
+// allocates is what it sends and the captured outputs of the sessions
+// that stop. On the typed runner a session message is a wire value,
+// never boxed. The boxed runner's derived Step unwraps each session
+// message it sends into two boxes, the SessMsg and its inner payload,
+// as the node's own Step did before it had a wire union. With a fresh
+// machine per node and round the same round allocated 1606 times. Over
+// the whole run a node builds machines for the sessions it has live at
+// once, never one per round.
 func TestSteadyStateAllocs(t *testing.T) {
 	const (
 		n, f   = 14, 4
 		window = 5*n/2 + 3
-		budget = 700 // measured 556 for one round of the 10 correct nodes
 	)
-	r, nodes := steadySystem(n, f, 400)
-	for r.Round() < 2*window {
-		r.StepRound()
-	}
-	if got := testing.AllocsPerRun(50, r.StepRound); got > budget {
-		t.Fatalf("a steady-state round allocates %.0f times, budget %d", got, budget)
-	}
-	for r.Round() < 200 {
-		r.StepRound()
-	}
-	for _, nd := range nodes {
-		if got := machinesAllocated(nd); got > window {
-			t.Fatalf("node %d built %d machines in %d rounds, bound 5|S|/2+3 = %d", nd.id, got, r.Round(), window)
+	// Measured for one round of the 10 correct nodes: typed 20, boxed
+	// 556 (two boxes per session message sent).
+	budgets := map[bool]float64{true: 40, false: 700}
+	for _, typed := range []bool{true, false} {
+		r, nodes := steadySystem(n, f, 400, typed)
+		for r.Round() < 2*window {
+			r.StepRound()
 		}
-		if nd.HarvestGap() || nd.ChainLen() == 0 {
-			t.Fatalf("node %d: harvest gap %v, chain %d", nd.id, nd.HarvestGap(), nd.ChainLen())
+		got := testing.AllocsPerRun(50, r.StepRound)
+		t.Logf("typed=%v: %.0f allocations per steady round", typed, got)
+		if got > budgets[typed] {
+			t.Fatalf("typed=%v: a steady-state round allocates %.0f times, budget %.0f", typed, got, budgets[typed])
 		}
+		for r.Round() < 200 {
+			r.StepRound()
+		}
+		for _, nd := range nodes {
+			if got := machinesAllocated(nd); got > window {
+				t.Fatalf("node %d built %d machines in %d rounds, bound 5|S|/2+3 = %d", nd.id, got, r.Round(), window)
+			}
+			if nd.HarvestGap() || nd.ChainLen() == 0 {
+				t.Fatalf("node %d: harvest gap %v, chain %d", nd.id, nd.HarvestGap(), nd.ChainLen())
+			}
+		}
+		t.Logf("machines built per node after %d rounds: %d (sessions held: %d)", r.Round(), machinesAllocated(nodes[0]), len(nodes[0].sessions))
 	}
-	t.Logf("machines built per node after %d rounds: %d (sessions held: %d)", r.Round(), machinesAllocated(nodes[0]), len(nodes[0].sessions))
 }
 
 // BenchmarkDynamicRound measures one steady-state round of the whole
-// system: ns/round and allocs/round.
+// system on both planes: ns/round and allocs/round.
 func BenchmarkDynamicRound(b *testing.B) {
-	for _, n := range []int{7, 14} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			r, _ := steadySystem(n, (n-1)/3, 100+b.N)
-			for r.Round() < 5*n+6 {
-				r.StepRound()
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r.StepRound()
-			}
-		})
+	for _, plane := range []string{"typed", "boxed"} {
+		for _, n := range []int{7, 14} {
+			b.Run(fmt.Sprintf("%s/n=%d", plane, n), func(b *testing.B) {
+				r, _ := steadySystem(n, (n-1)/3, 100+b.N, plane == "typed")
+				for r.Round() < 5*n+6 {
+					r.StepRound()
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					r.StepRound()
+				}
+			})
+		}
 	}
 }

@@ -28,8 +28,11 @@
 // protocol (Algorithm 6) can run many machines side by side, one per
 // round-tagged session. A round is Absorb for each message addressed to
 // the machine, then one Advance; a finished machine is given its next
-// execution by Reset, which keeps everything it has allocated. Node
-// adapts a Machine to sim.Process for standalone use.
+// execution by Reset, which keeps everything it has allocated. Machines
+// speak Wire (wire.go), the closed union of the alphabet, so no message
+// is boxed between a session and its transport. Node adapts a Machine
+// to sim.ProcessT[Wire] for standalone use, and to sim.Process through
+// the union's codec.
 package parallel
 
 import (
@@ -154,7 +157,7 @@ type Machine struct {
 	instFree  []*instance // instances of earlier executions, for ensure
 	undecided int         // instances in insts not yet decided
 	order     []PairID    // deterministic iteration order (sorted, maintained on insert)
-	out       []any       // backs Advance's return value, reused across rounds
+	out       []Wire      // backs Advance's return value, reused across rounds
 	prevCoord ids.ID
 	round     int
 
@@ -314,7 +317,7 @@ func (inst *instance) arrivals(round int) *arrivals {
 
 // Step is one whole round over an inbox: Absorb each message, then
 // Advance.
-func (m *Machine) Step(inbox []sim.Message) []any {
+func (m *Machine) Step(inbox []sim.MsgT[Wire]) []Wire {
 	for _, msg := range inbox {
 		m.Absorb(msg.From, msg.Payload)
 	}
@@ -324,8 +327,10 @@ func (m *Machine) Step(inbox []sim.Message) []any {
 // Absorb classifies one message of the coming round into the
 // per-instance arrival state. Messages of one sender should arrive
 // together (the runner sorts inboxes by sender): the admission checks
-// then run once per sender, not once per message.
-func (m *Machine) Absorb(from ids.ID, payload any) {
+// then run once per sender, not once per message. The zero Wire is
+// admitted and classified as nothing: its sender counts, as the sender
+// of any payload outside the alphabet does.
+func (m *Machine) Absorb(from ids.ID, w Wire) {
 	round := m.round + 1
 	if from != m.lastFrom || round != m.lastRound {
 		m.lastFrom, m.lastRound = from, round
@@ -348,42 +353,42 @@ func (m *Machine) Absorb(from ids.ID, payload any) {
 		return
 	}
 	fi := m.lastIdx
-	switch p := payload.(type) {
-	case rotor.Init:
+	switch w.Kind {
+	case wInit:
 		m.core.AbsorbInit(fi)
-	case rotor.Echo:
-		m.core.AbsorbEcho(fi, p.P)
-	case Input:
-		if inst := m.admit(p.ID, kindInput, round); inst != nil {
+	case wEcho:
+		m.core.AbsorbEcho(fi, ids.ID(w.ID))
+	case wInput:
+		if inst := m.admit(w.ID, kindInput, round); inst != nil {
 			a := inst.arrivals(round)
-			a.inputs.Add(p.X, fi)
+			a.inputs.Add(w.x(), fi)
 			a.responded[kindInput].Add(fi)
 		}
-	case Prefer:
-		if inst := m.admit(p.ID, kindPrefer, round); inst != nil {
+	case wPrefer:
+		if inst := m.admit(w.ID, kindPrefer, round); inst != nil {
 			a := inst.arrivals(round)
-			a.prefers.Add(p.X, fi)
+			a.prefers.Add(w.x(), fi)
 			a.responded[kindPrefer].Add(fi)
 		}
-	case NoPref:
-		if inst := m.admitKnownOnly(p.ID, kindPrefer, round); inst != nil {
+	case wNoPref:
+		if inst := m.admitKnownOnly(w.ID, kindPrefer, round); inst != nil {
 			inst.arrivals(round).responded[kindPrefer].Add(fi)
 		}
-	case StrongPrefer:
-		if inst := m.admit(p.ID, kindStrong, round); inst != nil {
+	case wStrong:
+		if inst := m.admit(w.ID, kindStrong, round); inst != nil {
 			a := inst.arrivals(round)
-			a.strongs.Add(p.X, fi)
+			a.strongs.Add(w.x(), fi)
 			a.responded[kindStrong].Add(fi)
 		}
-	case NoStrongPref:
-		if inst := m.admitKnownOnly(p.ID, kindStrong, round); inst != nil {
+	case wNoStrong:
+		if inst := m.admitKnownOnly(w.ID, kindStrong, round); inst != nil {
 			inst.arrivals(round).responded[kindStrong].Add(fi)
 		}
-	case Opinion:
+	case wOpinion:
 		// Round E reads only the previous coordinator's opinion, and the
 		// first one it sent.
-		if inst := m.insts[p.ID]; inst != nil && from == m.prevCoord && inst.coordOpRound != round {
-			inst.coordOp, inst.coordOpRound = p.X, round
+		if inst := m.insts[w.ID]; inst != nil && from == m.prevCoord && inst.coordOpRound != round {
+			inst.coordOp, inst.coordOpRound = w.x(), round
 		}
 	}
 }
@@ -391,18 +396,18 @@ func (m *Machine) Absorb(from ids.ID, payload any) {
 // Advance closes the round whose messages have been absorbed and
 // returns the payloads to broadcast (the caller wraps them for
 // transport and broadcasts); the slice is valid until the next Advance.
-func (m *Machine) Advance() []any {
+func (m *Machine) Advance() []Wire {
 	m.round++
 	round := m.round
 
 	switch {
 	case round == 1: // init round 1: rotor init
-		m.out = append(m.out[:0], rotor.Init{})
+		m.out = append(m.out[:0], Wire{Kind: wInit})
 		return m.out
 	case round == 2: // init round 2: rotor echoes
 		out := m.out[:0]
 		for _, p := range m.core.EchoInits() {
-			out = append(out, rotor.Echo{P: p})
+			out = append(out, echo(p))
 		}
 		m.out = out
 		return out
@@ -423,7 +428,7 @@ func (m *Machine) Advance() []any {
 			}
 			if !inst.xv.Bot {
 				inst.own[kindInput] = ownSent{mode: sentValue, val: inst.xv}
-				out = append(out, Input{ID: id, X: inst.xv})
+				out = append(out, pairVal(wInput, id, inst.xv))
 			}
 			// A node whose opinion is ⊥ stays silent; its input-kind
 			// "most recent" message is unchanged.
@@ -439,10 +444,10 @@ func (m *Machine) Advance() []any {
 			m.substitute(inst, kindInput, round, &a.inputs, &a.responded[kindInput])
 			if x, count, ok := bestVal(&a.inputs); ok && quorum.AtLeastTwoThirds(count, m.nv) {
 				inst.own[kindPrefer] = ownSent{mode: sentValue, val: x}
-				out = append(out, Prefer{ID: id, X: x})
+				out = append(out, pairVal(wPrefer, id, x))
 			} else {
 				inst.own[kindPrefer] = ownSent{mode: sentMarker}
-				out = append(out, NoPref{ID: id})
+				out = append(out, Wire{Kind: wNoPref, ID: id})
 			}
 		}
 
@@ -460,10 +465,10 @@ func (m *Machine) Advance() []any {
 			}
 			if ok && quorum.AtLeastTwoThirds(count, m.nv) {
 				inst.own[kindStrong] = ownSent{mode: sentValue, val: x}
-				out = append(out, StrongPrefer{ID: id, X: x})
+				out = append(out, pairVal(wStrong, id, x))
 			} else {
 				inst.own[kindStrong] = ownSent{mode: sentMarker}
-				out = append(out, NoStrongPref{ID: id})
+				out = append(out, Wire{Kind: wNoStrong, ID: id})
 			}
 		}
 
@@ -482,14 +487,14 @@ func (m *Machine) Advance() []any {
 		}
 		relays, sel := m.core.Advance(m.nv)
 		for _, p := range relays {
-			out = append(out, rotor.Echo{P: p})
+			out = append(out, echo(p))
 		}
 		if sel.HasCoord {
 			m.prevCoord = sel.Coord
 			if sel.SelfCoord {
 				for _, id := range m.order {
 					if inst := m.insts[id]; !inst.decided {
-						out = append(out, Opinion{ID: id, X: inst.xv})
+						out = append(out, pairVal(wOpinion, id, inst.xv))
 					}
 				}
 			}
@@ -599,10 +604,12 @@ func bestVal(t *quorum.Tally[Val]) (x Val, count int, ok bool) {
 	})
 }
 
-// Node adapts a Machine to sim.Process for static-network use.
+// Node adapts a Machine to sim.ProcessT[Wire] for static-network use,
+// and to sim.Process through the union's codec.
 type Node struct {
 	machine *Machine
-	sends   []sim.Send // backs Step's return value, reused across rounds
+	sends   []sim.SendT[Wire] // backs StepTyped's return value, reused across rounds
+	boxed   sim.BoxedStep[Wire]
 	decided bool
 }
 
@@ -629,17 +636,22 @@ func (n *Node) Outputs() map[PairID]Val { return n.machine.Outputs() }
 // Machine exposes the underlying machine (experiments peek at NV etc.).
 func (n *Node) Machine() *Machine { return n.machine }
 
-// Step implements sim.Process: the machine absorbs the inbox and
+// StepTyped implements sim.ProcessT: the machine absorbs the inbox and
 // advances one round, and its payloads go out as broadcasts.
-func (n *Node) Step(round int, inbox []sim.Message) []sim.Send {
+func (n *Node) StepTyped(round int, inbox []sim.MsgT[Wire]) []sim.SendT[Wire] {
 	payloads := n.machine.Step(inbox)
 	if n.machine.round >= consensus.InitRounds+consensus.PhaseRounds && n.machine.Done() {
 		n.decided = true
 	}
 	out := n.sends[:0]
 	for _, p := range payloads {
-		out = append(out, sim.BroadcastPayload(p))
+		out = append(out, sim.BroadcastT(p))
 	}
 	n.sends = out
 	return out
+}
+
+// Step implements sim.Process through the union's codec.
+func (n *Node) Step(round int, inbox []sim.Message) []sim.Send {
+	return n.boxed.Step(n, codec, round, inbox)
 }

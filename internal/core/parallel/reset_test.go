@@ -16,8 +16,16 @@ import (
 type execution struct {
 	self    ids.ID
 	inputs  map[parallel.PairID]parallel.Val
-	members []ids.ID        // nil: unfiltered
-	inboxes [][]sim.Message // sender-sorted, as the runner delivers them
+	members []ids.ID                    // nil: unfiltered
+	inboxes [][]sim.MsgT[parallel.Wire] // sender-sorted, as the runner delivers them
+}
+
+// wire converts a boxed payload as the runner's codec does: a payload
+// outside the union becomes the zero Wire, which a machine admits and
+// classifies as nothing.
+func wire(p any) parallel.Wire {
+	w, _ := parallel.WireCodec().Wrap(p)
+	return w
 }
 
 // record plays 4–7 correct machines in lockstep and returns what the
@@ -87,29 +95,29 @@ func record(seed uint64, rounds int, wide bool) execution {
 		}
 		return struct{}{}
 	}
-	inboxes := make([][]sim.Message, n)
+	inboxes := make([][]sim.MsgT[parallel.Wire], n)
 	for round := 1; round <= rounds; round++ {
-		sends := make([][]any, n)
+		sends := make([][]parallel.Wire, n)
 		for i, m := range machines {
 			sends[i] = slices.Clone(m.Step(inboxes[i]))
 		}
 		exec.inboxes = append(exec.inboxes, inboxes[0])
 		for to := range machines {
-			var inbox []sim.Message
+			var inbox []sim.MsgT[parallel.Wire]
 			for _, from := range all { // ascending: the runner's sender order
 				switch i := slices.Index(correct, from); {
 				case i >= 0:
 					for _, p := range sends[i] {
-						inbox = append(inbox, sim.Message{From: from, Payload: p})
+						inbox = append(inbox, sim.MsgT[parallel.Wire]{From: from, Payload: p})
 					}
 				case from != stranger || round >= 4:
 					for k := rng.Intn(4); k > 0; k-- {
-						inbox = append(inbox, sim.Message{From: from, Payload: junk()})
+						inbox = append(inbox, sim.MsgT[parallel.Wire]{From: from, Payload: wire(junk())})
 					}
 					if wide && slices.Contains(byz, from) {
 						for j := range 40 {
 							forged := ids.ID(1<<40 + 64*round + j)
-							inbox = append(inbox, sim.Message{From: from, Payload: rotor.Echo{P: forged}})
+							inbox = append(inbox, sim.MsgT[parallel.Wire]{From: from, Payload: wire(rotor.Echo{P: forged})})
 						}
 					}
 				}
@@ -125,16 +133,16 @@ func record(seed uint64, rounds int, wide bool) execution {
 // not stay together — the worst an unsorted caller can do to Absorb's
 // per-sender cache. (The outcome may differ from the sorted inbox's: a
 // no-preference marker counts only if its instance is already known.)
-func interleave(rng *ids.Rand, inbox []sim.Message) []sim.Message {
-	var runs [][]sim.Message
+func interleave[M any](rng *ids.Rand, inbox []sim.MsgT[M]) []sim.MsgT[M] {
+	var runs [][]sim.MsgT[M]
 	for _, msg := range inbox {
 		if k := len(runs); k > 0 && runs[k-1][0].From == msg.From {
 			runs[k-1] = append(runs[k-1], msg)
 		} else {
-			runs = append(runs, []sim.Message{msg})
+			runs = append(runs, []sim.MsgT[M]{msg})
 		}
 	}
-	out := make([]sim.Message, 0, len(inbox))
+	out := make([]sim.MsgT[M], 0, len(inbox))
 	for len(runs) > 0 {
 		i := rng.Intn(len(runs))
 		out = append(out, runs[i][0])
@@ -184,7 +192,7 @@ func forgedCandidates(exec execution) int {
 	seen := map[ids.ID]bool{}
 	for _, inbox := range exec.inboxes {
 		for _, msg := range inbox {
-			if e, ok := msg.Payload.(rotor.Echo); ok && e.P >= 1<<40 {
+			if e, ok := parallel.WireCodec().Unwrap(msg.Payload).(rotor.Echo); ok && e.P >= 1<<40 {
 				seen[e.P] = true
 			}
 		}
@@ -252,10 +260,10 @@ func TestAbsorbChecksEverySender(t *testing.T) {
 	m := parallel.NewMachine(self, nil, []ids.ID{self, member, stranger})
 	m.Advance()
 	for i := 0; i < 3; i++ { // member and outsider alternate
-		m.Absorb(member, rotor.Init{})
-		m.Absorb(outsider, rotor.Init{})
+		m.Absorb(member, wire(rotor.Init{}))
+		m.Absorb(outsider, wire(rotor.Init{}))
 	}
-	if got := m.Advance(); !slices.Equal(got, []any{rotor.Echo{P: member}}) {
+	if got := m.Advance(); !slices.Equal(got, []parallel.Wire{wire(rotor.Echo{P: member})}) {
 		t.Fatalf("round 2 echoes %v, want only the member's init", got)
 	}
 	m.Advance() // round 3 freezes nv
@@ -264,9 +272,9 @@ func TestAbsorbChecksEverySender(t *testing.T) {
 	}
 	// Round 4 is phase 1's round B, where an input may still open an
 	// instance — but not the input of a member first heard after the freeze.
-	m.Absorb(member, "junk")
-	m.Absorb(stranger, parallel.Input{ID: 9, X: parallel.V("x")})
-	m.Absorb(member, "junk")
+	m.Absorb(member, wire("junk"))
+	m.Absorb(stranger, wire(parallel.Input{ID: 9, X: parallel.V("x")}))
+	m.Absorb(member, wire("junk"))
 	if got := m.Advance(); len(got) != 0 || !m.Done() {
 		t.Fatalf("a post-freeze stranger opened an instance: sends %v, done %v", got, m.Done())
 	}
@@ -275,10 +283,10 @@ func TestAbsorbChecksEverySender(t *testing.T) {
 	// previous execution must not survive Reset.
 	m = parallel.NewMachine(self, nil, []ids.ID{self, member})
 	m.Advance()
-	m.Absorb(member, rotor.Init{})
+	m.Absorb(member, wire(rotor.Init{}))
 	m.Reset(self, nil, []ids.ID{self})
 	m.Advance()
-	m.Absorb(member, rotor.Init{})
+	m.Absorb(member, wire(rotor.Init{}))
 	if got := m.Advance(); len(got) != 0 {
 		t.Fatalf("round 2 echoes %v after Reset dropped the sender from S", got)
 	}

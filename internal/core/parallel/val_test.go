@@ -97,9 +97,9 @@ func TestMachineMembershipFilter(t *testing.T) {
 	m := parallel.NewMachine(members[0], map[parallel.PairID]parallel.Val{1: parallel.V("x")}, members)
 	m.Step(nil) // round 1
 	// round 2 inbox: inits from members and the outsider
-	var inbox []sim.Message
+	var inbox []sim.MsgT[parallel.Wire]
 	for _, id := range all {
-		inbox = append(inbox, sim.Message{From: id, Payload: rotor.Init{}})
+		inbox = append(inbox, sim.MsgT[parallel.Wire]{From: id, Payload: wire(rotor.Init{})})
 	}
 	m.Step(inbox)
 	m.Step(nil) // round 3: freeze

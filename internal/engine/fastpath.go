@@ -7,11 +7,17 @@ package engine
 // Both are the same round loop (sim/generic.go); the wire-union
 // instantiation carries one concrete message type per protocol, with no
 // box per payload and a stenciled delivery plane, so it panics on an
-// adversary payload outside that union. The predicate below therefore
-// admits exactly the combinations whose adversaries stay inside it, and
-// everything else — chaos fuzzing, protocols without a wire union —
-// runs boxed. Membership churn is the core's own, so churned cells are
-// eligible like static ones. Selection never changes a result: the
+// adversary payload outside that union. Five protocols have a union —
+// rbroadcast, consensus, ring, parallel and dynamic, whose session tag
+// carries parallel's payload unboxed — and rotor and approx run boxed.
+// The predicate below admits exactly the combinations whose adversaries
+// stay inside the union, and everything else — chaos fuzzing, the two
+// protocols without one — runs boxed. Membership churn is the core's
+// own, and the typed constructor schedules the dynamic protocol's
+// correct joiners, so churned cells are eligible like static ones. Under
+// a blind adversary (sim.Blind: silent, and the split attacks of
+// rbroadcast and dynamic) the faulty slots keep no inbox, so nothing is
+// boxed for them either. Selection never changes a result: the
 // golden-trace tests (internal/sim) and TestFastPathMatchesReference pin
 // the two instantiations byte-equal, which is why NoFastPath and
 // SimWorkers share the same canonical-report exclusion.
@@ -27,13 +33,14 @@ func (s Scenario) fastPath() bool {
 	case AdvNone, AdvSilent, AdvSplit, AdvReplay:
 		// Silent sends nothing; Replay re-sends received wire values;
 		// the split attacks emit protocol payloads (RBForgeSource,
-		// ConsSplit) — all inside the wire unions. Chaos fuzzes with
-		// arbitrary junk types a wire union cannot carry.
+		// ConsSplit, ParaSplit, DynEquivEvent) — all inside the wire
+		// unions. Chaos fuzzes with arbitrary junk types a wire union
+		// cannot carry.
 	default:
 		return false
 	}
 	switch s.Protocol {
-	case ProtoRBroadcast, ProtoConsensus, ProtoRing:
+	case ProtoRBroadcast, ProtoConsensus, ProtoRing, ProtoParallel, ProtoDynamic:
 		return true
 	}
 	return false

@@ -18,17 +18,27 @@ func TestFastPathEligibility(t *testing.T) {
 		{"rbroadcast/split", Scenario{Protocol: ProtoRBroadcast, Adversary: AdvSplit, N: 7, F: 2}, true},
 		{"rbroadcast/replay", Scenario{Protocol: ProtoRBroadcast, Adversary: AdvReplay, N: 7, F: 2}, true},
 		{"consensus/split", Scenario{Protocol: ProtoConsensus, Adversary: AdvSplit, N: 7, F: 2}, true},
+		{"parallel/none", Scenario{Protocol: ProtoParallel, Adversary: AdvNone, N: 7}, true},
+		{"parallel/split", Scenario{Protocol: ProtoParallel, Adversary: AdvSplit, N: 7, F: 2}, true},
+		{"parallel/replay", Scenario{Protocol: ProtoParallel, Adversary: AdvReplay, N: 7, F: 2}, true},
+		{"dynamic/silent", Scenario{Protocol: ProtoDynamic, Adversary: AdvSilent, N: 7, F: 2}, true},
+		{"dynamic/split", Scenario{Protocol: ProtoDynamic, Adversary: AdvSplit, N: 7, F: 2}, true},
 		{"ring/none", Scenario{Protocol: ProtoRing, Adversary: AdvNone, N: 100}, true},
 		// Chaos fuzzes with payloads outside the wire unions.
 		{"rbroadcast/chaos", Scenario{Protocol: ProtoRBroadcast, Adversary: AdvChaos, N: 7, F: 2}, false},
-		// No typed plane for the remaining protocols.
+		{"parallel/chaos", Scenario{Protocol: ProtoParallel, Adversary: AdvChaos, N: 7, F: 2}, false},
+		{"dynamic/chaos", Scenario{Protocol: ProtoDynamic, Adversary: AdvChaos, N: 7, F: 2}, false},
+		// No wire union for the remaining protocols.
 		{"rotor/silent", Scenario{Protocol: ProtoRotor, Adversary: AdvSilent, N: 7, F: 2}, false},
-		{"dynamic/silent", Scenario{Protocol: ProtoDynamic, Adversary: AdvSilent, N: 7, F: 2}, false},
+		{"approx/silent", Scenario{Protocol: ProtoApprox, Adversary: AdvSilent, N: 7, F: 2}, false},
 		// Churn is the core's own: a churned cell stays on its wire union.
 		{"consensus/churned", Scenario{Protocol: ProtoConsensus, Adversary: AdvSilent, N: 7, F: 2,
 			Churn: &Churn{FaultyLeaves: 1}}, true},
 		{"ring/churned", Scenario{Protocol: ProtoRing, Adversary: AdvReplay, N: 14, F: 4,
 			Churn: &Churn{FaultyJoins: 1, FaultyLeaves: 1}}, true},
+		// Correct joiners and leavers too: the typed constructor schedules them.
+		{"dynamic/churned", Scenario{Protocol: ProtoDynamic, Adversary: AdvSplit, N: 8, F: 2,
+			Churn: &Churn{Joins: 1, Leaves: 1, FaultyJoins: 1, FaultyLeaves: 1}}, true},
 		// Chaos still disqualifies, churned or not.
 		{"rbroadcast/chaos/churned", Scenario{Protocol: ProtoRBroadcast, Adversary: AdvChaos, N: 7, F: 2,
 			Churn: &Churn{FaultyJoins: 1}}, false},
@@ -46,7 +56,7 @@ func TestFastPathEligibility(t *testing.T) {
 		// eligible and its protocol built a typed constructor: an eligible
 		// cell without one would run boxed without anyone noticing.
 		all := ids.Sparse(ids.NewRand(s.Seed), s.N)
-		if pr := buildProtocol(s, all[:s.N-s.F], all, s.churnPlan()); tc.want && pr.typed == nil {
+		if pr := buildProtocol(s, all[:s.N-s.F], all, nil, s.churnPlan()); tc.want && pr.typed == nil {
 			t.Errorf("%s: eligible, but %s builds no typed runner", tc.name, s.Protocol)
 		}
 	}
@@ -54,11 +64,13 @@ func TestFastPathEligibility(t *testing.T) {
 
 // eligibleSpecs is every fast-path protocol crossed with every
 // fast-path adversary at two sizes and three seeds, static and — where
-// there are faulty nodes to move — churned (one late faulty join, one
-// mid-run faulty removal).
+// there are faulty nodes to move — churned: one late faulty join and
+// one mid-run faulty removal, and for the dynamic protocol, which has a
+// join discipline, a correct joiner and a correct leaver as well.
 func eligibleSpecs() []Scenario {
 	var specs []Scenario
-	add := func(proto string, advs []string, sizes []int) {
+	faultyChurn := Churn{FaultyJoins: 1, FaultyLeaves: 1}
+	add := func(proto string, advs []string, sizes []int, churn Churn) {
 		for _, adv := range advs {
 			for _, n := range sizes {
 				f := (n - 1) / 3
@@ -69,7 +81,7 @@ func eligibleSpecs() []Scenario {
 					s := Scenario{Protocol: proto, Adversary: adv, N: n, F: f, Seed: seed}
 					specs = append(specs, s)
 					if f >= 2 {
-						s.Churn = &Churn{FaultyJoins: 1, FaultyLeaves: 1}
+						s.Churn = &churn
 						specs = append(specs, s)
 					}
 				}
@@ -77,9 +89,11 @@ func eligibleSpecs() []Scenario {
 		}
 	}
 	all := []string{AdvNone, AdvSilent, AdvSplit, AdvReplay}
-	add(ProtoRBroadcast, all, []int{7, 14})
-	add(ProtoConsensus, all, []int{7, 14})
-	add(ProtoRing, []string{AdvNone, AdvSilent, AdvReplay}, []int{14, 50})
+	add(ProtoRBroadcast, all, []int{7, 14}, faultyChurn)
+	add(ProtoConsensus, all, []int{7, 14}, faultyChurn)
+	add(ProtoRing, []string{AdvNone, AdvSilent, AdvReplay}, []int{14, 50}, faultyChurn)
+	add(ProtoParallel, all, []int{7, 14}, faultyChurn)
+	add(ProtoDynamic, all, []int{8, 11}, Churn{Joins: 1, Leaves: 1, FaultyJoins: 1, FaultyLeaves: 1})
 	return specs
 }
 
@@ -99,14 +113,20 @@ func TestFastPathMatchesReference(t *testing.T) {
 	if errs := fast.Errors(); len(errs) != 0 {
 		t.Fatalf("fast path produced %d errors, first: %s: %s", len(errs), errs[0].Scenario.Name, errs[0].Err)
 	}
-	churned := 0
+	churned, correctJoins := 0, 0
 	for _, r := range fast.Results {
 		if r.Joins > 0 && r.Leaves > 0 {
 			churned++
 		}
+		if r.Scenario.Protocol == ProtoDynamic && r.Joins > 1 {
+			correctJoins++
+		}
 	}
 	if churned == 0 {
 		t.Fatal("no eligible cell applied both its faulty join and its removal: the churned half of the comparison is vacuous")
+	}
+	if correctJoins == 0 {
+		t.Fatal("no dynamic cell added a correct joiner: the typed runner's join scheduling is untested")
 	}
 
 	ref := make([]Scenario, len(specs))

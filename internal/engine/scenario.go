@@ -352,7 +352,7 @@ func (s Scenario) run(ph *phases) (res Result) {
 	early := faulty[:len(faulty)-nLate]
 	late := faulty[len(faulty)-nLate:]
 
-	pr := buildProtocol(s, correct, founders, plan)
+	pr := buildProtocol(s, correct, founders, joiners, plan)
 	var adv sim.Adversary
 	if len(faulty) > 0 {
 		adv = buildAdversary(s, founders, correct, rng)
@@ -366,14 +366,14 @@ func (s Scenario) run(ph *phases) (res Result) {
 	// One core, two instantiations (sim/generic.go): the protocol's wire
 	// union when it has one and the scenario is eligible (fastPath), the
 	// boxed payloads otherwise. Bit-identical by the golden-trace tests;
-	// TestFastPathMatchesReference pins the canonical report bytes.
+	// TestFastPathMatchesReference pins the canonical report bytes. The
+	// typed constructor schedules the correct joiners itself (its
+	// processes are concrete); the boxed ones are scheduled here.
 	var run runner
 	if pr.typed != nil && s.fastPath() {
 		run = pr.typed(cfg, early, adv)
 	} else {
 		boxed := sim.NewRunner(cfg, pr.procs, early, adv)
-		// Only the dynamic protocol has a join discipline, and it has no
-		// wire union: correct joiners exist on this instantiation only.
 		for i, round := range plan.joinRounds {
 			boxed.ScheduleJoin(round, pr.join(joiners[i]))
 		}
@@ -452,8 +452,9 @@ func (s Scenario) run(ph *phases) (res Result) {
 // protocolRun couples a scenario's constructed processes with its
 // protocol-specific hooks: the outcome digest, the terminal predicate
 // backing the decided column (nil = derive from Process.Decided), the
-// joiner factory for churn, and an optional finisher that fills
-// protocol-specific Result fields (finality lag).
+// joiner factory the boxed runner schedules correct joiners with, and
+// an optional finisher that fills protocol-specific Result fields
+// (finality lag).
 type protocolRun struct {
 	procs       []sim.Process
 	stopDecided bool
@@ -463,9 +464,9 @@ type protocolRun struct {
 	join        func(id ids.ID) sim.Process
 
 	// typed builds the runner over the protocol's wire union
-	// (sim.NewTypedRunner) for the same processes; nil when the protocol
-	// has none. Only consulted when the scenario is eligible
-	// (Scenario.fastPath).
+	// (sim.NewTypedRunner) for the same processes, correct joiners
+	// scheduled; nil when the protocol has none. Only consulted when the
+	// scenario is eligible (Scenario.fastPath).
 	typed func(cfg sim.Config, faulty []ids.ID, adv sim.Adversary) runner
 }
 
@@ -480,8 +481,11 @@ type runner interface {
 // buildProtocol constructs the correct processes for the scenario. The
 // digest is a deterministic one-line summary of the protocol outcome,
 // evaluated after the run; protocols whose agreement property is
-// checkable panic inside it (the runs double as checkers).
-func buildProtocol(s Scenario, correct, founders []ids.ID, plan churnPlan) protocolRun {
+// checkable panic inside it (the runs double as checkers). joiners are
+// the ids of the correct nodes the churn plan adds, one per
+// plan.joinRounds entry; only the dynamic protocol has a join
+// discipline, so only it reads them.
+func buildProtocol(s Scenario, correct, founders, joiners []ids.ID, plan churnPlan) protocolRun {
 	switch s.Protocol {
 	case ProtoRBroadcast:
 		var nodes []*rbroadcast.Node
@@ -545,7 +549,18 @@ func buildProtocol(s Scenario, correct, founders []ids.ID, plan churnPlan) proto
 			nodes = append(nodes, nd)
 			procs = append(procs, nd)
 		}
-		return protocolRun{procs: procs, digest: func() string {
+		join := func(id ids.ID) *dynamic.Node {
+			nd := dynamic.New(dynamic.Config{ID: id}) // joins via the present/ack protocol
+			nodes = append(nodes, nd)
+			return nd
+		}
+		return protocolRun{procs: procs, typed: func(cfg sim.Config, faulty []ids.ID, adv sim.Adversary) runner {
+			r := sim.NewTypedRunner(cfg, nodes, faulty, adv, dynamic.WireCodec())
+			for i, round := range plan.joinRounds {
+				r.ScheduleJoin(round, join(joiners[i]))
+			}
+			return r
+		}, digest: func() string {
 			if v := dynamic.PrefixViolations(nodes); v > 0 {
 				panic(fmt.Sprintf("engine: dynamic chain-prefix violated (%d node pairs)", v))
 			}
@@ -579,11 +594,7 @@ func buildProtocol(s Scenario, correct, founders []ids.ID, plan churnPlan) proto
 					res.FinalityLag = lag
 				}
 			}
-		}, join: func(id ids.ID) sim.Process {
-			nd := dynamic.New(dynamic.Config{ID: id}) // joins via the present/ack protocol
-			nodes = append(nodes, nd)
-			return nd
-		}}
+		}, join: func(id ids.ID) sim.Process { return join(id) }}
 
 	case ProtoRotor:
 		var nodes []*rotor.Node
@@ -667,7 +678,9 @@ func buildProtocol(s Scenario, correct, founders []ids.ID, plan churnPlan) proto
 			nodes = append(nodes, nd)
 			procs = append(procs, nd)
 		}
-		return protocolRun{procs: procs, stopDecided: true, digest: func() string {
+		return protocolRun{procs: procs, stopDecided: true, typed: func(cfg sim.Config, faulty []ids.ID, adv sim.Adversary) runner {
+			return sim.NewTypedRunner(cfg, nodes, faulty, adv, parallel.WireCodec())
+		}, digest: func() string {
 			out := nodes[0].Outputs()
 			for _, nd := range nodes[1:] {
 				other := nd.Outputs()

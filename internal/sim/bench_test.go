@@ -212,39 +212,39 @@ func splitBroadcast(_ *benchProc, _ int, out []SendT[benchPayload]) []SendT[benc
 
 var splitPayload = benchPayload{Kind: 1}
 
-// splitCodec is benchCodec with splitPayload boxed once: the faulty
-// recipients' boxed log then costs the codec no allocation either, so
-// an allocation in the split shape is the runner's.
-var splitCodec = Codec[benchPayload]{
-	Wrap: benchCodec.Wrap,
-	Unwrap: func(m benchPayload) any {
-		if m == splitPayload {
-			return splitBox
-		}
-		return m
-	},
-}
-
-var splitBox any = splitPayload
-
 // splitAdv is the split shape's faulty side: every faulty node unicasts
 // its own payload to every correct node each round, from send slices
-// built, boxes included, once up front.
+// built, boxes included, once up front. It never reads its inbox, and
+// says so (Blind).
 type splitAdv map[ids.ID][]Send
 
 func (a splitAdv) Step(node ids.ID, _ int, _ []Message) []Send { return a[node] }
+func (splitAdv) Blind()                                        {}
+
+// readingSplitAdv plays splitAdv without the Blind declaration: the
+// runner keeps the faulty slots' inboxes, the boxed mirror of the log
+// included.
+type readingSplitAdv struct{ sends splitAdv }
+
+func (a readingSplitAdv) Step(node ids.ID, round int, inbox []Message) []Send {
+	return a.sends.Step(node, round, inbox)
+}
 
 // splitRunners builds the split shape on both instantiations: n correct
 // nodes broadcasting beside f faulty ones unicasting, so every correct
-// inbox merges the log with its own lane.
-func splitRunners(n, f int) (*TypedRunner[boxedProc, any], *TypedRunner[*benchProc, benchPayload]) {
+// inbox merges the log with its own lane. blind selects the adversary.
+func splitRunners(n, f int, blind bool) (*TypedRunner[boxedProc, any], *TypedRunner[*benchProc, benchPayload]) {
 	all := ids.Sparse(ids.NewRand(98), n+f)
 	correct, faulty := all[:n], all[n:]
-	adv := make(splitAdv)
+	sends := make(splitAdv)
 	for j, id := range faulty {
 		for _, to := range correct {
-			adv[id] = append(adv[id], Unicast(to, benchPayload{Kind: 2, Value: float64(j)}))
+			sends[id] = append(sends[id], Unicast(to, benchPayload{Kind: 2, Value: float64(j)}))
 		}
+	}
+	var adv Adversary = readingSplitAdv{sends}
+	if blind {
+		adv = sends
 	}
 	boxed := make([]Process, n)
 	typed := make([]*benchProc, n)
@@ -253,7 +253,7 @@ func splitRunners(n, f int) (*TypedRunner[boxedProc, any], *TypedRunner[*benchPr
 		typed[i] = &benchProc{id: id, mk: splitBroadcast}
 	}
 	cfg := Config{MaxRounds: 1 << 30}
-	return NewRunner(cfg, boxed, faulty, adv).TypedRunner, NewTypedRunner(cfg, typed, faulty, adv, splitCodec)
+	return NewRunner(cfg, boxed, faulty, adv).TypedRunner, NewTypedRunner(cfg, typed, faulty, adv, benchCodec)
 }
 
 // TestSteadyRoundAllocs pins the header's claim: once both buffer
@@ -262,18 +262,22 @@ func splitRunners(n, f int) (*TypedRunner[boxedProc, any], *TypedRunner[*benchPr
 // benchProc Steps make — the runner itself adds none. Two shapes:
 // BenchmarkStepRound's all-broadcast one, where every inbox is the
 // shared log, and the split one, where faulty unicasts beside the
-// correct broadcasts put every correct inbox on the merge path.
+// correct broadcasts put every correct inbox on the merge path. The
+// split adversary is blind, so its slots keep no inbox and the typed
+// runner boxes nothing for them; the same adversary without the Blind
+// declaration costs the typed round one box per log entry — the boxed
+// mirror the faulty slots read, through the allocating benchCodec.
 func TestSteadyRoundAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the pin only holds uninstrumented")
 	}
-	check := func(shape string, n int, boxed *TypedRunner[boxedProc, any], typed *TypedRunner[*benchProc, benchPayload]) {
+	check := func(shape string, n int, boxed *TypedRunner[boxedProc, any], typed *TypedRunner[*benchProc, benchPayload], typedMax int) {
 		boxed.StepRound()
 		boxed.StepRound() // both buffer generations warm
 		typed.StepRound()
 		typed.StepRound()
-		if got := testing.AllocsPerRun(20, typed.StepRound); got != 0 {
-			t.Errorf("%s typed n=%d: a steady round allocates %.0f times, want 0", shape, n, got)
+		if got := testing.AllocsPerRun(20, typed.StepRound); got > float64(typedMax) {
+			t.Errorf("%s typed n=%d: a steady round allocates %.0f times, want <= %d", shape, n, got, typedMax)
 		}
 		if got := testing.AllocsPerRun(20, boxed.StepRound); got > float64(n) {
 			t.Errorf("%s boxed n=%d: a steady round allocates %.0f times, want <= %d (one box per Step)", shape, n, got, n)
@@ -281,13 +285,21 @@ func TestSteadyRoundAllocs(t *testing.T) {
 	}
 	for _, n := range []int{8, 32, 128} {
 		boxed, typed := benchRunners(n, oneBroadcast)
-		check("broadcast", n, boxed, typed)
-		boxed, typed = splitRunners(n, n/3)
-		check("split", n, boxed, typed)
+		check("broadcast", n, boxed, typed, 0)
+		boxed, typed = splitRunners(n, n/3, true)
+		check("split/blind", n, boxed, typed, 0)
 		for i := range typed.idvec {
 			if !typed.faulty[i] && len(typed.cur[i].msgs) == 0 {
 				t.Fatalf("split n=%d: correct slot %d has an empty lane, so its inbox is not merged", n, i)
 			}
+		}
+		if typed.blog != nil {
+			t.Fatalf("split/blind n=%d: the runner built a boxed mirror nobody reads", n)
+		}
+		boxed, typed = splitRunners(n, n/3, false)
+		check("split/reading", n, boxed, typed, n)
+		if len(typed.log.sent.msgs) != n || len(typed.blog.sent.msgs) != n {
+			t.Fatalf("split/reading n=%d: log %d and mirror %d entries, want %d each", n, len(typed.log.sent.msgs), len(typed.blog.sent.msgs), n)
 		}
 	}
 }

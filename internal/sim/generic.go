@@ -20,10 +20,11 @@
 // What an instantiation supplies besides its types is a Codec — how a
 // wire value crosses to and from the boxed form the Adversary and
 // Observer interfaces speak — and a key renderer, how a wire value
-// appends its sort key. Delivery is paid per source: the key is
-// rendered once per (sender, payload) per round, and a fresh broadcast
-// is one log append whatever the recipient count, so an inbox may be
-// the round's shared log. Node bookkeeping lives in struct-of-arrays
+// appends its sort key. A blind adversary (Blind) is handed no inbox,
+// so its faulty slots keep none and nothing is unwrapped for them.
+// Delivery is paid per source: the key is rendered once per (sender,
+// payload) per round, and a fresh broadcast is one log append whatever
+// the recipient count, so an inbox may be the round's shared log. Node bookkeeping lives in struct-of-arrays
 // (ids, processes, faulty and decided flags, lanes, in parallel slices
 // a sharded round streams through), sorted by id and indexed through a
 // slot map; joins and leaves shift every column in step.
@@ -95,7 +96,11 @@ type ProcessT[M any] interface {
 // values either way.
 type Codec[M any] struct {
 	// Wrap converts a boxed payload into the wire type; ok is false for
-	// payloads outside the union (the runner cannot carry them).
+	// payloads outside the union (the runner cannot carry them). The
+	// value it returns with ok false is what a derived Step (BoxedStep)
+	// hands StepTyped in the payload's place: the zero M, unless the
+	// union keeps part of an outside payload (a session tag around an
+	// unknown inner payload, say) to classify it as noise.
 	Wrap func(p any) (M, bool)
 	// Unwrap restores the boxed payload an adversary or observer sees.
 	Unwrap func(m M) any
@@ -105,10 +110,11 @@ type Codec[M any] struct {
 // inbox is wrapped into reused scratch, StepTyped runs, and its sends
 // are unwrapped into reused scratch. A wire-union node embeds one and
 // implements Process.Step as a single delegation to Step. A payload
-// outside the union reaches StepTyped as the zero M with its sender
-// kept — no message the protocol knows, but a sender it heard from —
-// so the protocol's zero kind must classify as nothing. The zero value
-// is ready to use.
+// outside the union reaches StepTyped as what Wrap returned for it —
+// the zero M, or the union's noise kind — with its sender kept: no
+// message the protocol knows, but a sender it heard from. The
+// protocol's zero kind must therefore classify as nothing. The zero
+// value is ready to use.
 type BoxedStep[M any] struct {
 	inbox []MsgT[M]
 	sends []Send
@@ -118,11 +124,7 @@ type BoxedStep[M any] struct {
 func (b *BoxedStep[M]) Step(p ProcessT[M], c Codec[M], round int, inbox []Message) []Send {
 	in := b.inbox[:0]
 	for _, msg := range inbox {
-		m, ok := c.Wrap(msg.Payload)
-		if !ok {
-			var zero M
-			m = zero
-		}
+		m, _ := c.Wrap(msg.Payload)
 		in = append(in, MsgT[M]{From: msg.From, Payload: m})
 	}
 	b.inbox = in
@@ -144,9 +146,9 @@ type srcKey[M comparable] struct {
 // sendCtx is the per-Send delivery state shared by every recipient of
 // a send. The recipient set, which also holds the source's arena view
 // of its key bytes, is resolved once per Send; the boxed form of the
-// payload — needed only when a faulty node is among the recipients —
-// is materialized at most once, and adversary sends reuse the box they
-// arrived in.
+// payload — needed only when a faulty node whose adversary reads its
+// inbox is among the recipients — is materialized at most once, and
+// adversary sends reuse the box they arrived in.
 type sendCtx struct {
 	set       *recipSet
 	accepted  bool // at least one recipient took the message
@@ -176,6 +178,7 @@ type spawn[P any] struct {
 type TypedRunner[P ProcessT[M], M comparable] struct {
 	cfg   Config
 	adv   Adversary
+	blind bool // adv never reads an inbox (Blind): faulty slots keep none
 	codec Codec[M]
 	keyOf func(dst []byte, m M) []byte // appends m's sort key
 
@@ -196,10 +199,11 @@ type TypedRunner[P ProcessT[M], M comparable] struct {
 	// Adversary interface consumes []Message) — carry the rest. The
 	// faulty slots read blog, log's boxed mirror, which is filled only
 	// in rounds with a faulty slot present (mirror); for M = any blog is
-	// nil and they read log itself. Log and lanes are double-buffered —
-	// cur is consumed this round, nxt is filled for the next — and flip
-	// at the round boundary, so the backing arrays are reused for the
-	// whole run.
+	// nil and they read log itself. A blind adversary reads neither: its
+	// slots' lanes stay empty and blog is never built. Log and lanes are
+	// double-buffered — cur is consumed this round, nxt is filled for the
+	// next — and flip at the round boundary, so the backing arrays are
+	// reused for the whole run.
 	log    bcastLog[M]
 	blog   *bcastLog[any]
 	mirror bool
@@ -244,7 +248,8 @@ type TypedRunner[P ProcessT[M], M comparable] struct {
 // codec must round-trip every payload the protocol and the adversary
 // emit (an adversary payload outside the union panics the run:
 // eligibility is the caller's contract); adv may be nil when faulty is
-// empty.
+// empty. When adv is Blind, the faulty slots' traffic is counted and
+// never stored, so it is never boxed either.
 func NewTypedRunner[P ProcessT[M], M WireMsg](cfg Config, procs []P, faulty []ids.ID, adv Adversary, codec Codec[M]) *TypedRunner[P, M] {
 	return newRunner(cfg, procs, faulty, adv, codec, func(dst []byte, m M) []byte { return m.AppendSortKey(dst) })
 }
@@ -260,9 +265,11 @@ func newRunner[P ProcessT[M], M comparable](cfg Config, procs []P, faulty []ids.
 		panic("sim: faulty nodes without an adversary")
 	}
 	nn := len(procs) + len(faulty)
+	_, blind := adv.(Blind)
 	r := &TypedRunner[P, M]{
 		cfg:      cfg,
 		adv:      adv,
+		blind:    blind || adv == nil,
 		codec:    codec,
 		keyOf:    keyOf,
 		idvec:    make([]ids.ID, 0, nn),
@@ -329,18 +336,21 @@ func (r *TypedRunner[P, M]) presizeCap() int {
 }
 
 // presizeAll seeds the founders' pooled delivery state at construction:
-// the broadcast log (and, for M ≠ any, its boxed mirror) with one
-// buffer's worth, and the lanes of all slots from shared slabs — one
-// set for the nc correct slots, one boxed set for the nf faulty slots
-// — handed out as capacity-limited views, so short runs do not spend
-// their few rounds growing buffers one doubling at a time. A view that
-// outgrows its capacity reallocates away from the slab exactly as an
+// the broadcast log (and, for M ≠ any under an adversary that reads,
+// its boxed mirror) with one buffer's worth, and the lanes of all slots
+// from shared slabs — one set for the nc correct slots, one boxed set
+// for the nf faulty slots unless the adversary is blind — handed out
+// as capacity-limited views, so short runs do not spend their few
+// rounds growing buffers one doubling at a time. A view that outgrows
+// its capacity reallocates away from the slab exactly as an
 // individually allocated buffer would (InboxGrows counts it either
 // way).
 func (r *TypedRunner[P, M]) presizeAll(nc, nf int) {
 	c := r.presizeCap()
 	r.log = newLog[M](c)
-	if _, boxed := any(&r.log).(*bcastLog[any]); !boxed {
+	if r.blind {
+		nf = 0
+	} else if _, boxed := any(&r.log).(*bcastLog[any]); !boxed {
 		l := newLog[any](c)
 		r.blog = &l
 	}
@@ -348,6 +358,9 @@ func (r *TypedRunner[P, M]) presizeAll(nc, nf int) {
 	bms, bks := make([]Message, 2*c*nf), make([]keyRef, 2*c*nf)
 	ti, bi := 0, 0
 	for i := range r.idvec {
+		if r.faulty[i] && r.blind {
+			continue
+		}
 		if r.faulty[i] {
 			o := 2 * c * bi
 			r.bcur[i] = inboxBuf{msgs: bms[o : o : o+c], keys: bks[o : o : o+c]}
@@ -496,7 +509,10 @@ func (r *TypedRunner[P, M]) StepRound() {
 	for i := 0; i < nn; i++ {
 		id := r.idvec[i]
 		if r.faulty[i] {
-			inbox := assemble(&r.bcur[i], r.faultyLog(), &r.bmerged, r.curArena)
+			var inbox []Message
+			if !r.blind {
+				inbox = assemble(&r.bcur[i], r.faultyLog(), &r.bmerged, r.curArena)
+			}
 			for _, s := range r.adv.Step(id, round, inbox) {
 				// The adversary speaks boxed payloads: wrap into the wire
 				// type and keep the original box for faulty recipients.
@@ -643,8 +659,8 @@ func (r *TypedRunner[P, M]) deliver(from, to ids.ID, m M, c sendCtx) {
 }
 
 // logOne appends a fresh broadcast to the round's log (and its boxed
-// mirror, when a faulty slot is present): one entry stands for a
-// delivery to every slot.
+// mirror, when a faulty slot whose adversary reads is present): one
+// entry stands for a delivery to every slot.
 func (r *TypedRunner[P, M]) logOne(from ids.ID, m M, c *sendCtx) {
 	if r.log.next.push(from, m, c.set.key) {
 		r.metrics.InboxGrows++
@@ -659,7 +675,8 @@ func (r *TypedRunner[P, M]) logOne(from ids.ID, m M, c *sendCtx) {
 }
 
 // deliverOne appends one delivery to slot i's exception lane unless the
-// slot already holds the source.
+// slot already holds the source. A blind adversary's slot keeps no
+// lane: the delivery is counted only.
 func (r *TypedRunner[P, M]) deliverOne(i int, from ids.ID, m M, c *sendCtx) {
 	if r.filter.add(c.set, i) {
 		r.metrics.MessagesDropped++
@@ -668,9 +685,11 @@ func (r *TypedRunner[P, M]) deliverOne(i int, from ids.ID, m M, c *sendCtx) {
 	k := c.set.key
 	k.at = uint32(len(r.log.next.msgs))
 	var grew bool
-	if r.faulty[i] {
+	switch {
+	case r.faulty[i] && r.blind: // counted, not stored
+	case r.faulty[i]:
 		grew = r.bnxt[i].push(from, r.box(m, c), k)
-	} else {
+	default:
 		grew = r.nxt[i].push(from, m, k)
 	}
 	if grew {
@@ -713,10 +732,12 @@ func (r *TypedRunner[P, M]) insert(s spawn[P]) {
 	var lane, next laneBuf[M]
 	var blane, bnext inboxBuf
 	var leaver Leaver
-	if s.faulty {
+	switch {
+	case s.faulty && r.blind: // no lanes: nothing is stored for it
+	case s.faulty:
 		blane, bnext = newLane[any](c), newLane[any](c)
 		bnext.noLog = true
-	} else {
+	default:
 		lane, next = newLane[M](c), newLane[M](c)
 		next.noLog = true
 		leaver, _ = any(s.proc).(Leaver)

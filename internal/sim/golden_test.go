@@ -142,7 +142,7 @@ func churnConsensusSystem() system {
 // the consensus one on the boxed Runner of the last commit that still
 // had a second delivery plane, whose wire-union runner had no churn.
 var goldenChurn = []golden{
-	{workload{"churn-dynamic", 60, false, churnHeavySystem, nil, true}, "94493272edd150e2"},
+	{workload{"churn-dynamic", 60, false, churnHeavySystem, dynamicWorkload.typed, true}, "94493272edd150e2"},
 	{workload{"churn-consensus", 200, true, churnConsensusSystem, consensusWorkload.typed, true}, "82e6cdb6213a32f9"},
 }
 

@@ -540,10 +540,28 @@ func (a *asmAdv) Step(node ids.ID, round int, inbox []Message) []Send {
 	return a.script[round][node]
 }
 
+// asmBlindAdv drives the faulty nodes from the script without reading
+// an inbox, and says so: the runner then keeps none for them. It counts
+// the inboxes it was handed anyway, which must all be nil.
+type asmBlindAdv struct {
+	script asmScript
+	handed int
+}
+
+func (a *asmBlindAdv) Step(node ids.ID, round int, inbox []Message) []Send {
+	if inbox != nil {
+		a.handed++
+	}
+	return a.script[round][node]
+}
+
+func (*asmBlindAdv) Blind() {}
+
 // runAssembly plays the decoded rounds on the boxed or the typed
-// instantiation and returns what every node was handed, and the
-// counters.
-func runAssembly(sc asmScript, typed bool, workers int) (map[ids.ID]map[int][]Message, Metrics) {
+// instantiation, under the inbox-recording adversary or the blind one,
+// and returns what every node was handed — the faulty nodes only under
+// the recording one — and the counters.
+func runAssembly(t *testing.T, sc asmScript, typed, blind bool, workers int) (map[ids.ID]map[int][]Message, Metrics) {
 	procs := make(map[ids.ID]*scriptProc)
 	for _, id := range []ids.ID{10, 30, 35, 40, 60} {
 		p := &scriptProc{id: id, script: map[int][]Send{1: sc[1][id], 2: sc[2][id]}, inboxes: make(map[int][]Message)}
@@ -553,7 +571,12 @@ func runAssembly(sc asmScript, typed bool, workers int) (map[ids.ID]map[int][]Me
 		procs[id] = p
 	}
 	founders := []*scriptProc{procs[10], procs[30], procs[40], procs[60]}
-	adv := &asmAdv{script: sc, inboxes: make(map[ids.ID]map[int][]Message)}
+	rec := &asmAdv{script: sc, inboxes: make(map[ids.ID]map[int][]Message)}
+	blindAdv := &asmBlindAdv{script: sc}
+	var adv Adversary = rec
+	if blind {
+		adv = blindAdv
+	}
 	cfg := Config{MaxRounds: 3, Workers: workers}
 	var m Metrics
 	if typed {
@@ -571,7 +594,10 @@ func runAssembly(sc asmScript, typed bool, workers int) (map[ids.ID]map[int][]Me
 		r.ScheduleFaultyJoin(2, 55)
 		m = r.Run(nil)
 	}
-	got := adv.inboxes
+	if blindAdv.handed > 0 {
+		t.Fatalf("a blind adversary was handed %d inboxes", blindAdv.handed)
+	}
+	got := rec.inboxes
 	for id, p := range procs {
 		got[id] = p.inboxes
 	}
@@ -582,7 +608,9 @@ func runAssembly(sc asmScript, typed bool, workers int) (map[ids.ID]map[int][]Me
 // every inbox assembled from the broadcast log and the exception lanes
 // — entry for entry, in order — and the delivered, dropped and
 // per-round counts to the per-recipient plane of asmModel, on both
-// instantiations, sequential and sharded.
+// instantiations, sequential and sharded. Under a blind adversary the
+// faulty nodes keep no inbox at all, and the counts and the correct
+// nodes' inboxes must still be the model's.
 func FuzzInboxAssembly(f *testing.F) {
 	// Broadcasts only: every inbox is the shared sorted log.
 	f.Add(slices.Concat(asmChunk(1, 0, 0, 0, 4), asmChunk(1, 1, 0, 0, 5), asmChunk(1, 3, 5, 0, 7), asmChunk(2, 2, 0, 0, 9)))
@@ -601,15 +629,18 @@ func FuzzInboxAssembly(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc := decodeAssembly(data)
 		want, wantM := asmModel(sc)
-		for _, typed := range []bool{false, true} {
+		for _, col := range []struct{ typed, blind bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
 			for _, workers := range []int{1, 4} {
-				got, m := runAssembly(sc, typed, workers)
-				tag := fmt.Sprintf("typed=%v workers=%d", typed, workers)
+				got, m := runAssembly(t, sc, col.typed, col.blind, workers)
+				tag := fmt.Sprintf("typed=%v blind=%v workers=%d", col.typed, col.blind, workers)
 				if m.MessagesDelivered != wantM.MessagesDelivered || m.MessagesDropped != wantM.MessagesDropped || !slices.Equal(m.ByRound, wantM.ByRound) {
 					t.Fatalf("%s: delivered/dropped/byround = %d/%d/%v, model %d/%d/%v", tag,
 						m.MessagesDelivered, m.MessagesDropped, m.ByRound, wantM.MessagesDelivered, wantM.MessagesDropped, wantM.ByRound)
 				}
 				for id, rounds := range want {
+					if col.blind && asmFaulty(id) {
+						continue
+					}
 					for round, in := range rounds {
 						if !slices.Equal(got[id][round], in) {
 							t.Fatalf("%s: node %d (faulty=%v) round %d inbox\n got  %v\n want %v", tag, id, asmFaulty(id), round, got[id][round], in)

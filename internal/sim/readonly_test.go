@@ -14,6 +14,8 @@ import (
 	"testing"
 
 	"idonly/internal/core/consensus"
+	"idonly/internal/core/dynamic"
+	"idonly/internal/core/parallel"
 	"idonly/internal/core/rbroadcast"
 	"idonly/internal/core/ring"
 	"idonly/internal/ids"
@@ -77,6 +79,11 @@ func (p guardedT[M]) StepTyped(round int, inbox []sim.MsgT[M]) []sim.SendT[M] {
 	return check(p.g, "StepTyped", p.ID(), round, inbox, func() []sim.SendT[M] { return p.ProcessT.StepTyped(round, inbox) })
 }
 
+func (p guardedT[M]) Left() bool {
+	l, ok := p.ProcessT.(sim.Leaver)
+	return ok && l.Left()
+}
+
 type guardedAdv struct {
 	sim.Adversary
 	g *inboxGuard
@@ -119,7 +126,11 @@ func guardedOver[P sim.ProcessT[M], M sim.WireMsg](codec sim.Codec[M]) func(*inb
 			for i, p := range s.procs {
 				procs[i] = guardedT[M]{p.(P), g}
 			}
-			return sim.NewTypedRunner(cfg, procs, s.faulty, g.adversary(s.adv), codec)
+			run := sim.NewTypedRunner(cfg, procs, s.faulty, g.adversary(s.adv), codec)
+			for _, j := range s.joins {
+				run.ScheduleJoin(j.round, guardedT[M]{j.proc.(P), g})
+			}
+			return run
 		})
 	}
 }
@@ -130,6 +141,9 @@ var guardedTyped = map[string]func(*inboxGuard) playFn{
 	"rbroadcast":      guardedOver[*rbroadcast.Node](rbroadcast.WireCodec()),
 	"consensus":       guardedOver[*consensus.Node](consensus.WireCodec()),
 	"churn-consensus": guardedOver[*consensus.Node](consensus.WireCodec()),
+	"parallel":        guardedOver[*parallel.Node](parallel.WireCodec()),
+	"dynamic":         guardedOver[*dynamic.Node](dynamic.WireCodec()),
+	"churn-dynamic":   guardedOver[*dynamic.Node](dynamic.WireCodec()),
 }
 
 // TestInboxIsReadOnly replays every golden system, on both

@@ -91,16 +91,19 @@ var boxed = on(func(cfg sim.Config, s system) runner {
 	return run
 })
 
-// typedOver plays a system whose processes are all P on the core
-// instantiated over P's wire union. No protocol with a wire union has
-// a join discipline, so there are no correct joiners to schedule.
+// typedOver plays a system whose processes, joiners included, are all
+// P on the core instantiated over P's wire union.
 func typedOver[P sim.ProcessT[M], M sim.WireMsg](codec sim.Codec[M]) playFn {
 	return on(func(cfg sim.Config, s system) runner {
 		procs := make([]P, len(s.procs))
 		for i, p := range s.procs {
 			procs[i] = p.(P)
 		}
-		return sim.NewTypedRunner(cfg, procs, s.faulty, s.adv, codec)
+		run := sim.NewTypedRunner(cfg, procs, s.faulty, s.adv, codec)
+		for _, j := range s.joins {
+			run.ScheduleJoin(j.round, j.proc.(P))
+		}
+		return run
 	})
 }
 
@@ -232,8 +235,8 @@ var (
 	consensusWorkload  = workload{"consensus", 200, true, consensusSystem, typedOver[*consensus.Node](consensus.WireCodec()), false}
 	approxWorkload     = workload{"approx", 14, true, approxSystem, nil, false}
 	rotorWorkload      = workload{"rotor", 130, true, rotorSystem, nil, false}
-	parallelWorkload   = workload{"parallel", 400, true, parallelSystem, nil, false}
-	dynamicWorkload    = workload{"dynamic", 40, false, dynamicSystem, nil, false}
+	parallelWorkload   = workload{"parallel", 400, true, parallelSystem, typedOver[*parallel.Node](parallel.WireCodec()), false}
+	dynamicWorkload    = workload{"dynamic", 40, false, dynamicSystem, typedOver[*dynamic.Node](dynamic.WireCodec()), false}
 )
 
 // checkShardMatchesSequential holds every instantiation of a workload,

@@ -110,6 +110,19 @@ type Adversary interface {
 	Step(node ids.ID, round int, inbox []Message) []Send
 }
 
+// Blind is the refinement of Adversary for strategies whose Step never
+// reads its inbox: forgers and equivocators that act on the round
+// number alone, and silence. It is a property of the strategy's type,
+// declared by the marker method, not an option. The runner keeps no
+// inbox for the faulty slots of a blind adversary — a delivery to one
+// is counted and dropped, and no boxed copy of the round's broadcasts
+// is made for them — and hands every Step a nil inbox. A nil adversary
+// (no faulty slots) is treated as blind.
+type Blind interface {
+	Adversary
+	Blind()
+}
+
 // Metrics accumulates cost measures of a run.
 type Metrics struct {
 	Rounds            int            // rounds executed
