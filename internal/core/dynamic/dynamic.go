@@ -289,8 +289,28 @@ func (n *Node) StepTyped(round int, inbox []sim.MsgT[Wire]) []sim.SendT[Wire] {
 	var ackTo []ids.ID
 	clear(n.inputs) // I_r: first event per sender tagged r-1
 
-	for _, msg := range inbox {
-		switch p := msg.Payload; p.Kind {
+	// Session traffic is almost all of an inbox: it takes the first
+	// branch, and its session is found by offset from the oldest live
+	// one (sessions neither start nor retire while the inbox is read).
+	first := 0
+	if len(n.sessions) > 0 {
+		first = n.sessions[0].start
+	}
+	for i := range inbox {
+		msg := &inbox[i]
+		p := &msg.Payload
+		if p.Kind == wSess || p.Kind == wNoise {
+			// Traffic for a session this node never started, has stopped or
+			// has already retired is dropped here. Noise carries the zero
+			// parallel.Wire: the machine admits its sender and nothing else.
+			if k := p.R - first; k >= 0 && k < len(n.sessions) {
+				if m := n.sessions[k].machine; m != nil {
+					m.Absorb(msg.From, p.in())
+				}
+			}
+			continue
+		}
+		switch p.Kind {
 		case wPresent:
 			if n.state == stActive {
 				n.addMember(msg.From)
@@ -305,13 +325,6 @@ func (n *Node) StepTyped(round int, inbox []sim.MsgT[Wire]) []sim.SendT[Wire] {
 				if _, dup := n.inputs[parallel.PairID(msg.From)]; !dup {
 					n.inputs[parallel.PairID(msg.From)] = parallel.V(p.S)
 				}
-			}
-		case wSess, wNoise:
-			// Traffic for a session this node never started, has stopped or
-			// has already retired is dropped here. Noise carries the zero
-			// parallel.Wire: the machine admits its sender and nothing else.
-			if s := n.session(p.R); s != nil && s.machine != nil {
-				s.machine.Absorb(msg.From, p.in())
 			}
 		case wAck:
 			// stray ack (e.g. duplicate join traffic): ignore
@@ -383,17 +396,6 @@ func (n *Node) StepTyped(round int, inbox []sim.MsgT[Wire]) []sim.SendT[Wire] {
 	}
 	n.sends = out
 	return out
-}
-
-// session returns the live session started in the given round, or nil.
-func (n *Node) session(start int) *session {
-	if len(n.sessions) == 0 {
-		return nil
-	}
-	if i := start - n.sessions[0].start; i >= 0 && i < len(n.sessions) {
-		return &n.sessions[i]
-	}
-	return nil
 }
 
 // release captures the outputs of s's machine, in pair order, and hands

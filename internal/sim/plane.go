@@ -17,7 +17,9 @@
 package sim
 
 import (
+	"hash/maphash"
 	"math"
+	"math/bits"
 	"slices"
 
 	"idonly/internal/ids"
@@ -281,19 +283,30 @@ const filterPresizeMax = 1 << 20
 // srcFilter is the within-round duplicate filter. The model discards
 // duplicates "from the same node within one round", so a message's
 // duplicate status belongs to its source — K is (sender, payload
-// identity) — and the map is probed once per Send. Which recipients
+// identity) — and the index is probed once per Send. Which recipients
 // already hold that source's message is one flag or one bit per slot
-// in a recipSet: a fresh broadcast to n nodes costs one hash lookup
-// and marks the set logged, and "slot i is in the set of (from,
+// in a recipSet: a fresh broadcast to n nodes costs one hash and one
+// probe, and marks the set logged, and "slot i is in the set of (from,
 // payload)" is exactly the model's predicate "(to_i, from, payload)
 // was delivered this round".
+//
+// The index is open addressing over the sets, not a Go map: a map
+// hashes a fresh source twice (the lookup that misses, then the
+// insert), and almost every source is fresh. table holds a set's index
+// + 1 (0 is empty) at the first free slot probed linearly from its
+// source's hash, keys and hashes hold each set's source and hash by set
+// index, and the load stays at most 3/4. The table is never iterated,
+// so the per-runner random hash seed cannot reach the schedule.
 //
 // Slots are stable for the filter's whole lifetime between two flips:
 // membership is frozen while a round executes.
 type srcFilter[K comparable] struct {
-	idx   map[K]int32 // source -> its set in sets, this round
-	alloc int         // entries idx was sized for
-	slots int         // recipient slots this round
+	table  []int32  // open-addressing index: set index + 1, or 0; a power of two long
+	keys   []K      // each set's source, by set index
+	hashes []uint64 // each set's source hash, by set index
+	seed   maphash.Seed
+	alloc  int // sources the table was sized for
+	slots  int // recipient slots this round
 
 	// sets, maskFree and tosSlab are round-scoped scratch recycled across
 	// rounds; last caches the previous Send's resolution (a sparse sender
@@ -310,21 +323,31 @@ type srcFilter[K comparable] struct {
 	maskGauge scratchGauge // bitmaps upgraded per round
 }
 
-// init seeds the map for the steady-state shape: a couple of distinct
-// sends per node per round.
+// init seeds the index for the steady-state shape: a couple of
+// distinct sends per node per round.
 func (f *srcFilter[K]) init(nodes int) {
+	f.seed = maphash.MakeSeed()
 	f.alloc = min(max(2*nodes, 16), filterPresizeMax)
-	f.idx = make(map[K]int32, f.alloc)
+	f.table = make([]int32, tableLen(f.alloc))
+}
+
+// tableLen is the index length that holds n sources at a load of at
+// most 3/4.
+func tableLen(n int) int {
+	return 1 << bits.Len(uint(4*n/3))
 }
 
 // flip empties the filter at the round boundary, for a round over the
 // given number of slots. Vecs keep their capacity in place, upgraded
 // bitmaps are zeroed and returned to the free list; the gauges
-// (scratch.go) bound what a flood round may pin — the map, the pooled
+// (scratch.go) bound what a flood round may pin — the index, the pooled
 // sets and the free list are released once they sit far above the
 // decayed per-round usage.
 func (f *srcFilter[K]) flip(slots int) {
 	f.lastValid = false
+	used := len(f.keys)
+	clear(f.keys) // drop the payloads' references
+	f.keys, f.hashes = f.keys[:0], f.hashes[:0]
 	released := 0
 	for i := range f.sets {
 		s := &f.sets[i]
@@ -350,16 +373,17 @@ func (f *srcFilter[K]) flip(slots int) {
 			f.maskFree = f.maskFree[:target]
 		}
 	}
-	if used := len(f.idx); used > 0 || f.alloc > filterRetainFloor {
+	if used > 0 || f.alloc > filterRetainFloor {
 		f.gauge.observe(used)
 		if f.gauge.oversized(f.alloc, filterRetainFloor) {
 			f.alloc = f.gauge.retainTarget(filterRetainFloor)
-			f.idx = make(map[K]int32, f.alloc)
+			f.table = make([]int32, tableLen(f.alloc))
 			f.sets = nil // drop the matching flood of pooled vecs too
 			f.tosSlab = nil
+			f.keys, f.hashes = nil, nil
 		} else if used > 0 {
 			f.alloc = max(f.alloc, used)
-			clear(f.idx)
+			clear(f.table)
 		}
 	}
 }
@@ -369,8 +393,18 @@ func (f *srcFilter[K]) flip(slots int) {
 func (f *srcFilter[K]) resolve(key K) *recipSet {
 	idx := f.lastIdx
 	if !f.lastValid || f.lastKey != key {
-		var ok bool
-		if idx, ok = f.idx[key]; !ok {
+		h := maphash.Comparable(f.seed, key)
+		mask := uint64(len(f.table) - 1)
+		i := h & mask
+		for e := f.table[i]; e != 0; e = f.table[i] {
+			if f.hashes[e-1] == h && f.keys[e-1] == key {
+				break
+			}
+			i = (i + 1) & mask
+		}
+		if e := f.table[i]; e != 0 {
+			idx = e - 1
+		} else {
 			idx = int32(len(f.sets))
 			if n := len(f.sets); n < cap(f.sets) {
 				f.sets = f.sets[:n+1] // usually a pooled entry with its vec chunk
@@ -390,11 +424,29 @@ func (f *srcFilter[K]) resolve(key K) *recipSet {
 				f.tosSlab = f.tosSlab[:o+smallSetMax]
 				e.tos = f.tosSlab[o : o : o+smallSetMax]
 			}
-			f.idx[key] = idx
+			f.keys = append(f.keys, key)
+			f.hashes = append(f.hashes, h)
+			f.table[i] = idx + 1
+			if 4*len(f.keys) > 3*len(f.table) {
+				f.grow()
+			}
 		}
 		f.lastKey, f.lastIdx, f.lastValid = key, idx, true
 	}
 	return &f.sets[idx]
+}
+
+// grow doubles the index and re-seats every set by its stored hash.
+func (f *srcFilter[K]) grow() {
+	f.table = make([]int32, 2*len(f.table))
+	mask := uint64(len(f.table) - 1)
+	for k, h := range f.hashes {
+		i := h & mask
+		for f.table[i] != 0 {
+			i = (i + 1) & mask
+		}
+		f.table[i] = int32(k + 1)
+	}
 }
 
 // upgrade moves a recipient set from its vec to a bitmap over all

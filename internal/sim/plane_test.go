@@ -74,6 +74,48 @@ type naiveDelivery struct {
 	payload  any
 }
 
+// TestFilterIndexMatchesMap holds the filter's open-addressing index to
+// a map: over rounds of a few to thousands of sources — from a table of
+// 32 slots, so every round past the first grows it, and back, so the
+// gauge shrinks it — resolving a source returns the set it got on first
+// sight that round, and distinct sources get distinct sets numbered in
+// first-sight order.
+func TestFilterIndexMatchesMap(t *testing.T) {
+	var f srcFilter[srcKey[any]]
+	f.init(1)
+	rng := ids.NewRand(3)
+	for round, sources := range []int{5, 3000, 40, 9000, 2, 0, 700, 1} {
+		f.flip(8)
+		model := make(map[srcKey[any]]int32)
+		for k := 0; k < 3*sources; k++ {
+			// Mixed types and a small value range: repeats within the round,
+			// and values of two types that compare unequal.
+			v := rng.Intn(sources)
+			var p any = v
+			if v%3 == 0 {
+				p = regPayload{v}
+			}
+			key := srcKey[any]{from: ids.ID(v % 7), payload: p}
+			got := f.resolve(key)
+			idx := f.lastIdx
+			if got != &f.sets[idx] {
+				t.Fatalf("round %d: source %v: resolve returned another set than its index names", round, key)
+			}
+			want, seen := model[key]
+			if !seen {
+				want = int32(len(model))
+				model[key] = want
+			}
+			if idx != want {
+				t.Fatalf("round %d: source %v resolved to set %d, want %d", round, key, idx, want)
+			}
+		}
+		if len(f.sets) != len(model) || len(f.keys) != len(model) {
+			t.Fatalf("round %d: %d sets and %d keys for %d sources", round, len(f.sets), len(f.keys), len(model))
+		}
+	}
+}
+
 // TestFilterMatchesNaiveModel runs seeded schedules through the boxed
 // Runner (the pool mixes registered and unregistered payload types, so
 // no wire union holds it) and through the model the paper states — a message

@@ -2,12 +2,12 @@
 // long.
 //
 // The runner's per-round scratch — the double-buffered sort-key arenas
-// and the duplicate-filter map — grows to the largest
-// round it ever served and used to stay that size for the rest of the
-// process. For a short-lived `idonly sweep` run that is fine; for a
-// resident `idonly serve` process a single 100k-node sweep would leave
-// megabytes pinned under every later 7-node run. The gauge below tracks
-// a decaying high-water mark of actual per-round usage, and the round
+// and the duplicate filter's index — grows to the largest round it
+// ever served and used to stay that size for the rest of the process.
+// For a short-lived `idonly sweep` run that is fine; for a resident
+// `idonly serve` process a single 100k-node sweep would leave megabytes
+// pinned under every later 7-node run. The gauge below tracks a
+// decaying high-water mark of actual per-round usage, and the round
 // flip releases any scratch whose capacity is far above it.
 //
 // What is deliberately NOT trimmed: the delivery buffers — the per-node
@@ -25,9 +25,10 @@ const (
 	// filterRetainFloor is the duplicate-filter size always retained
 	// across rounds, in sources (distinct (sender, payload) per round —
 	// about n times fewer than deliveries under broadcast). A retained
-	// source holds a map entry, its pooled recipSet and that set's
-	// 128-byte vec chunk, ≈250 bytes, so the floor keeps about half a
-	// megabyte, as the per-delivery filter's 8192 entries did.
+	// source holds index slots, its key and hash, its pooled recipSet
+	// and that set's 128-byte vec chunk, ≈250 bytes, so the floor keeps
+	// about half a megabyte, as the per-delivery filter's 8192 entries
+	// did.
 	filterRetainFloor = 1 << 11
 
 	// scratchSlack is the capacity-to-usage ratio above which scratch
