@@ -67,6 +67,13 @@ func MapWorker[T any](workers, n int, fn func(worker, i int) T) []T {
 					return
 				}
 				out[i] = fn(w, i)
+				// Yield between items. A pool as wide as GOMAXPROCS
+				// never blocks, so a GC cycle started meanwhile gets
+				// no P for its mark worker until the 10 ms preemption
+				// tick: the cycle stretches, everything allocated
+				// during it is marked live, and the next heap goal —
+				// and with it the resident set — jumps several-fold.
+				runtime.Gosched()
 			}
 		}(w)
 	}
