@@ -70,6 +70,7 @@ var goldenTraces = []golden{
 	{rotorWorkload, "5cc3812bca1d2cdf"},
 	{parallelWorkload, "c682e4c6b2f34794"},
 	{dynamicWorkload, "49ac5e06f84637ce"},
+	{ring1024Workload, "a10b0d0d4631b28e"},
 }
 
 func TestGoldenTraces(t *testing.T) {

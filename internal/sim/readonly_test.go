@@ -144,6 +144,7 @@ var guardedTyped = map[string]func(*inboxGuard) playFn{
 	"parallel":        guardedOver[*parallel.Node](parallel.WireCodec()),
 	"dynamic":         guardedOver[*dynamic.Node](dynamic.WireCodec()),
 	"churn-dynamic":   guardedOver[*dynamic.Node](dynamic.WireCodec()),
+	"ring1024":        guardedOver[*ring.Node](ring.WireCodec()),
 }
 
 // TestInboxIsReadOnly replays every golden system, on both

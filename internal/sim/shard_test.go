@@ -8,6 +8,7 @@ package sim_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"idonly/internal/adversary"
@@ -230,6 +231,33 @@ func dynamicSystem() system {
 		joins: []join{{10, joiner}}}
 }
 
+// ringSystem is the scale-frontier overlay at n = 1024: each correct
+// node unicasts its running minimum to ⌈log₂ n⌉ successors, so almost
+// every delivery is a unicast into a recipient's lane, over far more
+// slots than one bitmap word. Its faulty nodes sit on the ring and
+// bounce what they receive, so the faulty slots keep boxed lanes too.
+func ringSystem() system {
+	all, correct, faulty := split(ids.NewRand(17), 1024, 8)
+	var procs []sim.Process
+	for _, id := range correct {
+		i, _ := slices.BinarySearch(all, id)
+		procs = append(procs, ring.New(id, ring.Successors(all, i), ring.Horizon(len(all))))
+	}
+	return system{procs: procs, faulty: faulty, adv: bounce{}}
+}
+
+// bounce is an adversary that reads its inbox: every message a faulty
+// node received last round goes back to its sender, a unicast.
+type bounce struct{}
+
+func (bounce) Step(_ ids.ID, _ int, inbox []sim.Message) []sim.Send {
+	var out []sim.Send
+	for _, msg := range inbox {
+		out = append(out, sim.Unicast(msg.From, msg.Payload))
+	}
+	return out
+}
+
 var (
 	rbroadcastWorkload = workload{"rbroadcast", 12, false, rbroadcastSystem, typedOver[*rbroadcast.Node](rbroadcast.WireCodec()), false}
 	consensusWorkload  = workload{"consensus", 200, true, consensusSystem, typedOver[*consensus.Node](consensus.WireCodec()), false}
@@ -237,6 +265,7 @@ var (
 	rotorWorkload      = workload{"rotor", 130, true, rotorSystem, nil, false}
 	parallelWorkload   = workload{"parallel", 400, true, parallelSystem, typedOver[*parallel.Node](parallel.WireCodec()), false}
 	dynamicWorkload    = workload{"dynamic", 40, false, dynamicSystem, typedOver[*dynamic.Node](dynamic.WireCodec()), false}
+	ring1024Workload   = workload{"ring1024", 13, true, ringSystem, typedOver[*ring.Node](ring.WireCodec()), false}
 )
 
 // checkShardMatchesSequential holds every instantiation of a workload,
