@@ -2,9 +2,9 @@ package sim
 
 // White-box consistency of the struct-of-arrays node table under
 // churn: every insert/remove must leave the table sorted, the slot
-// index exactly inverse to it, every column the same length with each
-// slot's lanes and process on the right row, and the churn gauges
-// consistent. The external tests prove the schedule is right; this one
+// index (a quorum.Index numbered over the table) exactly inverse to
+// it, every column the same length with each slot's lane view and
+// process on the right row, and the churn gauges consistent. The external tests prove the schedule is right; this one
 // proves the data structure the schedule depends on never drifts while
 // joins and leaves interleave in a single run — on both instantiations
 // of the core.
@@ -33,8 +33,10 @@ var hopCodec = Codec[hopMsg]{
 	Unwrap: func(m hopMsg) any { return m },
 }
 
-// hopProc broadcasts one message per round and leaves the system after
-// leaveAt rounds (0 = never). It steps on either instantiation.
+// hopProc broadcasts one message per round, unicasts another to itself
+// — so its next inbox has a lane entry only it can own — and leaves
+// the system after leaveAt rounds (0 = never). It steps on either
+// instantiation.
 type hopProc struct {
 	id      ids.ID
 	leaveAt int
@@ -47,11 +49,11 @@ func (p *hopProc) Output() any   { return p.round }
 func (p *hopProc) Left() bool    { return p.leaveAt != 0 && p.round >= p.leaveAt }
 func (p *hopProc) Step(round int, _ []Message) []Send {
 	p.round = round
-	return []Send{BroadcastPayload(hopMsg{p.id, round})}
+	return []Send{BroadcastPayload(hopMsg{p.id, round}), Unicast(p.id, hopMsg{p.id, -round})}
 }
 func (p *hopProc) StepTyped(round int, _ []MsgT[hopMsg]) []SendT[hopMsg] {
 	p.round = round
-	return []SendT[hopMsg]{BroadcastT(hopMsg{p.id, round})}
+	return []SendT[hopMsg]{BroadcastT(hopMsg{p.id, round}), UnicastT(p.id, hopMsg{p.id, -round})}
 }
 
 // silentAdv keeps the faulty rows exercised without traffic.
@@ -59,12 +61,15 @@ type silentAdv struct{}
 
 func (silentAdv) Step(ids.ID, int, []Message) []Send { return nil }
 
-func checkSlotInvariants[P ProcessT[M], M comparable](t *testing.T, r *TypedRunner[P, M], when string) {
+// checkSlotInvariants checks the table between rounds. stepped says a
+// round has run, so every correct slot's lane view — the bucket's
+// scatter of that round — holds the one self-unicast its process sent.
+func checkSlotInvariants[P ProcessT[M], M comparable](t *testing.T, r *TypedRunner[P, M], stepped bool, when string) {
 	t.Helper()
 	nn := len(r.idvec)
 	for name, l := range map[string]int{
-		"slot": len(r.slot), "procs": len(r.procs), "faulty": len(r.faulty), "done": len(r.done), "leaver": len(r.leaver),
-		"cur": len(r.cur), "nxt": len(r.nxt), "bcur": len(r.bcur), "bnxt": len(r.bnxt),
+		"slot": r.slot.Len(), "procs": len(r.procs), "faulty": len(r.faulty), "done": len(r.done), "leaver": len(r.leaver),
+		"cur": len(r.cur), "bcur": len(r.bcur),
 	} {
 		if l != nn {
 			t.Fatalf("%s: column %s has %d entries for %d nodes", when, name, l, nn)
@@ -74,16 +79,28 @@ func checkSlotInvariants[P ProcessT[M], M comparable](t *testing.T, r *TypedRunn
 		if i > 0 && r.idvec[i-1] >= id {
 			t.Fatalf("%s: node table unsorted at %d: %d >= %d", when, i, r.idvec[i-1], id)
 		}
-		if j, ok := r.slot[id]; !ok || j != i {
-			t.Fatalf("%s: slot[%d] = %d,%v, want %d", when, id, j, ok, i)
+		if j, ok := r.slot.Lookup(id); !ok || int(j) != i {
+			t.Fatalf("%s: slot.Lookup(%d) = %d,%v, want %d", when, id, j, ok, i)
 		}
-		// A correct slot owns wire lanes and its own process; a faulty
-		// slot owns boxed lanes and nothing else. A column shifted out
-		// of step with the others breaks one of these.
-		wire := cap(r.cur[i].msgs) > 0 && cap(r.nxt[i].msgs) > 0
-		boxed := cap(r.bcur[i].msgs) > 0 && cap(r.bnxt[i].msgs) > 0
-		if wire == r.faulty[i] || boxed != r.faulty[i] {
-			t.Fatalf("%s: slot %d (faulty=%v) holds wire lanes %v, boxed lanes %v", when, i, r.faulty[i], wire, boxed)
+		// A correct slot's wire lane holds its own self-unicast and
+		// nothing else; the faulty slots, silent, hold nothing. Each
+		// view is capacity-limited, so an append could not spill into
+		// the next slot's run. A column shifted out of step with the
+		// others shows as a lane on the wrong row.
+		wire, boxed := r.cur[i], r.bcur[i]
+		want := 0
+		if stepped && !r.faulty[i] {
+			want = 1
+		}
+		if len(wire.msgs) != want || len(boxed.msgs) != 0 {
+			t.Fatalf("%s: slot %d (faulty=%v) holds %d wire and %d boxed lane entries, want %d and 0",
+				when, i, r.faulty[i], len(wire.msgs), len(boxed.msgs), want)
+		}
+		if want == 1 && wire.msgs[0].From != id {
+			t.Fatalf("%s: slot %d (id %d) holds a lane entry from %d", when, i, id, wire.msgs[0].From)
+		}
+		if cap(wire.msgs) != len(wire.msgs) || cap(wire.keys) != len(wire.keys) {
+			t.Fatalf("%s: slot %d's lane is not a capacity-limited view", when, i)
 		}
 		if r.faulty[i] {
 			if r.leaver[i] != nil || r.done[i] {
@@ -113,7 +130,7 @@ func slotMapUnderChurn[P ProcessT[M], M comparable](t *testing.T, mk func(cfg Co
 	}
 	faulty := all[8:11]
 	r := mk(Config{MaxRounds: 40}, procs, faulty)
-	checkSlotInvariants(t, r, "after construction")
+	checkSlotInvariants(t, r, false, "after construction")
 
 	// Correct joiners at rounds 3, 5, 7, 9 — two of them leave again.
 	for i, id := range all[11:15] {
@@ -129,10 +146,10 @@ func slotMapUnderChurn[P ProcessT[M], M comparable](t *testing.T, mk func(cfg Co
 	removals := map[int]ids.ID{10: faulty[0], 12: all[15], 20: faulty[1]}
 	for round := 1; round <= 40; round++ {
 		r.StepRound()
-		checkSlotInvariants(t, r, fmt.Sprintf("after round %d", round))
+		checkSlotInvariants(t, r, true, fmt.Sprintf("after round %d", round))
 		if id, ok := removals[round]; ok {
 			r.RemoveFaulty(id)
-			checkSlotInvariants(t, r, fmt.Sprintf("after removal in round %d", round))
+			checkSlotInvariants(t, r, true, fmt.Sprintf("after removal in round %d", round))
 		}
 	}
 
@@ -152,10 +169,10 @@ func slotMapUnderChurn[P ProcessT[M], M comparable](t *testing.T, mk func(cfg Co
 		t.Fatalf("membership extremes peak=%d min=%d inconsistent", m.PeakNodes, m.MinNodes)
 	}
 	// Removed and departed ids must not resolve; present ones must.
-	if _, ok := r.slot[faulty[0]]; ok {
+	if _, ok := r.slot.Lookup(faulty[0]); ok {
 		t.Fatal("removed faulty id still resolves")
 	}
-	if _, ok := r.slot[procs[5].id]; ok {
+	if _, ok := r.slot.Lookup(procs[5].id); ok {
 		t.Fatal("departed leaver still resolves")
 	}
 }

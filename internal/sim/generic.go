@@ -24,10 +24,12 @@
 // so its faulty slots keep none and nothing is unwrapped for them.
 // Delivery is paid per source: the key is rendered once per (sender,
 // payload) per round, and a fresh broadcast is one log append whatever
-// the recipient count, so an inbox may be the round's shared log. Node bookkeeping lives in struct-of-arrays
-// (ids, processes, faulty and decided flags, lanes, in parallel slices
-// a sharded round streams through), sorted by id and indexed through a
-// slot map; joins and leaves shift every column in step.
+// the recipient count, so an inbox may be the round's shared log; the
+// rest is one append to the round's bucket. Node bookkeeping lives in
+// struct-of-arrays (ids, processes, faulty and decided flags, lanes,
+// in parallel slices a sharded round streams through), sorted by id
+// and indexed through a quorum.Index that numbers the ids in slot
+// order; joins and leaves shift every column in step.
 //
 // The duplicate filter keys on (sender, wire value). For a payload
 // type under the SortKeyer contract (sortkey.go) value equality and
@@ -47,6 +49,7 @@ import (
 	"sort"
 
 	"idonly/internal/ids"
+	"idonly/internal/quorum"
 )
 
 // WireMsg is the constraint on a protocol's concrete wire type: a
@@ -156,15 +159,6 @@ type sendCtx struct {
 	haveBoxed bool
 }
 
-// slabBudget caps the presized lane slabs of one runner (in entries
-// across both buffers): up to n = 16384 every lane is seeded with
-// clamp(n, 8, 64) entries; beyond that the cap shrinks the per-lane
-// seed instead of committing hundreds of megabytes up front, and the
-// first rounds grow the hot lanes — InboxGrows is excluded from
-// digests and canonical reports precisely because it describes the
-// allocator.
-const slabBudget = 1 << 21
-
 // spawn is a node scheduled to join; proc is the zero P for a faulty one.
 type spawn[P any] struct {
 	proc   P
@@ -189,28 +183,29 @@ type TypedRunner[P ProcessT[M], M comparable] struct {
 	idvec  []ids.ID
 	procs  []P
 	faulty []bool
-	done   []bool   // correct process observed Decided (skip future Steps)
-	leaver []Leaver // non-nil when the process has a leave discipline
-	slot   map[ids.ID]int
+	done   []bool       // correct process observed Decided (skip future Steps)
+	leaver []Leaver     // non-nil when the process has a leave discipline
+	slot   quorum.Index // id -> slot: numbered over idvec in order
 
 	// Delivery (plane.go): the broadcast log carries each fresh
-	// broadcast once for every slot; the per-slot exception lanes —
-	// wire-typed for correct slots, boxed for faulty slots (the
-	// Adversary interface consumes []Message) — carry the rest. The
-	// faulty slots read blog, log's boxed mirror, which is filled only
-	// in rounds with a faulty slot present (mirror); for M = any blog is
-	// nil and they read log itself. A blind adversary reads neither: its
-	// slots' lanes stay empty and blog is never built. Log and lanes are
-	// double-buffered — cur is consumed this round, nxt is filled for the
-	// next — and flip at the round boundary, so the backing arrays are
-	// reused for the whole run.
-	log    bcastLog[M]
-	blog   *bcastLog[any]
-	mirror bool
-	cur    []laneBuf[M]
-	nxt    []laneBuf[M]
-	bcur   []inboxBuf
-	bnxt   []inboxBuf
+	// broadcast once for every slot; the exception lanes — wire-typed
+	// for correct slots, boxed for faulty slots (the Adversary interface
+	// consumes []Message) — carry the rest. The faulty slots read blog,
+	// log's boxed mirror, which is filled only in rounds with a faulty
+	// slot present (mirror); for M = any blog is nil and they read log
+	// itself. A blind adversary reads neither: its slots' lanes stay
+	// empty and blog is never built. The log is double-buffered and
+	// flips at the round boundary. Lane traffic goes into one bucket per
+	// plane, in delivery order; after the round's last delivery the
+	// bucket scatters it into cur (bcur), one view per slot, which the
+	// next round consumes. All backing arrays are reused for the run.
+	log     bcastLog[M]
+	blog    *bcastLog[any]
+	mirror  bool
+	bucket  bucket[M]
+	bbucket bucket[any] // the faulty slots' traffic; unused when blind
+	cur     []laneBuf[M]
+	bcur    []inboxBuf
 
 	// Merge scratch for inboxes whose lane is not empty: merged[0] on
 	// the sequential path, merged[w] for shard worker w, bmerged for the
@@ -222,8 +217,8 @@ type TypedRunner[P ProcessT[M], M comparable] struct {
 	metrics   Metrics
 	spawns    map[int][]spawn[P] // round -> nodes joining at the start of that round
 	round     int
-	stepping  bool     // a round is executing; membership is frozen
-	leavers   []ids.ID // per-round scratch, reused
+	stepping  bool  // a round is executing; membership is frozen
+	leavers   []int // this round's leaving slots, ascending; reused
 
 	// Double-buffered sort-key arenas: deliveries append key bytes to
 	// nxtArena; at the round flip it becomes curArena, which the inbox
@@ -277,11 +272,8 @@ func newRunner[P ProcessT[M], M comparable](cfg Config, procs []P, faulty []ids.
 		faulty:   make([]bool, nn),
 		done:     make([]bool, nn),
 		leaver:   make([]Leaver, nn),
-		slot:     make(map[ids.ID]int, nn),
 		cur:      make([]laneBuf[M], nn),
-		nxt:      make([]laneBuf[M], nn),
 		bcur:     make([]inboxBuf, nn),
-		bnxt:     make([]inboxBuf, nn),
 		merged:   make([]laneBuf[M], 1),
 		spawns:   make(map[int][]spawn[P]),
 		curArena: make([]byte, 0, 1024),
@@ -297,17 +289,16 @@ func newRunner[P ProcessT[M], M comparable](cfg Config, procs []P, faulty []ids.
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].id < rows[j].id })
 	for i, rw := range rows {
-		if j, dup := r.slot[rw.id]; dup {
-			switch {
-			case r.faulty[j] && rw.faulty:
+		if i > 0 && rows[i-1].id == rw.id {
+			switch prev := rows[i-1]; {
+			case prev.faulty && rw.faulty:
 				panic(fmt.Sprintf("sim: duplicate faulty id %d", rw.id))
-			case !r.faulty[j] && !rw.faulty:
+			case !prev.faulty && !rw.faulty:
 				panic(fmt.Sprintf("sim: duplicate process id %d", rw.id))
 			default:
 				panic(fmt.Sprintf("sim: id %d is both correct and faulty", rw.id))
 			}
 		}
-		r.slot[rw.id] = i
 		r.idvec = append(r.idvec, rw.id)
 		r.faulty[i] = rw.faulty
 		if !rw.faulty {
@@ -315,65 +306,32 @@ func newRunner[P ProcessT[M], M comparable](cfg Config, procs []P, faulty []ids.
 			r.leaver[i], _ = any(rw.proc).(Leaver)
 		}
 	}
-	r.presizeAll(len(procs), len(faulty))
+	r.reslot()
+	r.presize()
 	r.undecided = len(procs)
 	r.metrics.PeakNodes = nn
 	r.metrics.MinNodes = nn
 	return r
 }
 
-// presizeCap is the per-buffer capacity seeded for the steady-state
-// traffic shape — about one send per peer per round, clamp(n, 8, 64) —
-// with the slab budget applied for huge n: the first rounds grow the
-// rare hot lanes instead of committing n² memory up front.
-func (r *TypedRunner[P, M]) presizeCap() int {
+// presize seeds the founders' delivery buffers for about one send per
+// peer per round — the broadcast log (and, for M ≠ any under an
+// adversary that reads, its boxed mirror) with clamp(n, 8, 64) entries,
+// each bucket with n — so short runs do not spend their few rounds
+// growing buffers one doubling at a time.
+func (r *TypedRunner[P, M]) presize() {
 	n := len(r.idvec)
 	c := min(max(n, 8), 64)
-	if 2*c*n > slabBudget {
-		c = max(slabBudget/(2*n), 8)
-	}
-	return c
-}
-
-// presizeAll seeds the founders' pooled delivery state at construction:
-// the broadcast log (and, for M ≠ any under an adversary that reads,
-// its boxed mirror) with one buffer's worth, and the lanes of all slots
-// from shared slabs — one set for the nc correct slots, one boxed set
-// for the nf faulty slots unless the adversary is blind — handed out
-// as capacity-limited views, so short runs do not spend their few
-// rounds growing buffers one doubling at a time. A view that outgrows
-// its capacity reallocates away from the slab exactly as an
-// individually allocated buffer would (InboxGrows counts it either
-// way).
-func (r *TypedRunner[P, M]) presizeAll(nc, nf int) {
-	c := r.presizeCap()
 	r.log = newLog[M](c)
-	if r.blind {
-		nf = 0
-	} else if _, boxed := any(&r.log).(*bcastLog[any]); !boxed {
-		l := newLog[any](c)
-		r.blog = &l
-	}
-	tms, tks := make([]MsgT[M], 2*c*nc), make([]keyRef, 2*c*nc)
-	bms, bks := make([]Message, 2*c*nf), make([]keyRef, 2*c*nf)
-	ti, bi := 0, 0
-	for i := range r.idvec {
-		if r.faulty[i] && r.blind {
-			continue
-		}
-		if r.faulty[i] {
-			o := 2 * c * bi
-			r.bcur[i] = inboxBuf{msgs: bms[o : o : o+c], keys: bks[o : o : o+c]}
-			r.bnxt[i] = inboxBuf{msgs: bms[o+c : o+c : o+2*c], keys: bks[o+c : o+c : o+2*c]}
-			bi++
-		} else {
-			o := 2 * c * ti
-			r.cur[i] = laneBuf[M]{msgs: tms[o : o : o+c], keys: tks[o : o : o+c]}
-			r.nxt[i] = laneBuf[M]{msgs: tms[o+c : o+c : o+2*c], keys: tks[o+c : o+c : o+2*c]}
-			ti++
+	r.bucket.ents = make([]bucketEnt[M], 0, n)
+	if !r.blind {
+		r.bbucket.ents = make([]bucketEnt[any], 0, n)
+		if _, boxed := any(&r.log).(*bcastLog[any]); !boxed {
+			l := newLog[any](c)
+			r.blog = &l
 		}
 	}
-	r.filter.init(len(r.idvec))
+	r.filter.init(n)
 }
 
 // ScheduleJoin arranges for a correct process to join the system at the
@@ -404,11 +362,11 @@ func (r *TypedRunner[P, M]) RemoveFaulty(id ids.ID) {
 	if r.stepping {
 		panic("sim: RemoveFaulty called mid-round")
 	}
-	j, ok := r.slot[id]
+	j, ok := r.slot.Lookup(id)
 	if !ok || !r.faulty[j] {
 		panic(fmt.Sprintf("sim: RemoveFaulty on non-faulty id %d", id))
 	}
-	r.remove(j)
+	r.remove(int(j))
 }
 
 // Active returns a copy of the sorted ids of all present nodes.
@@ -417,7 +375,7 @@ func (r *TypedRunner[P, M]) Active() []ids.ID { return slices.Clone(r.idvec) }
 // Process returns the correct process with the given id, or the zero P
 // when the id is absent or faulty.
 func (r *TypedRunner[P, M]) Process(id ids.ID) P {
-	if j, ok := r.slot[id]; ok {
+	if j, ok := r.slot.Lookup(id); ok {
 		return r.procs[j]
 	}
 	var zero P
@@ -459,12 +417,13 @@ func (r *TypedRunner[P, M]) StepRound() {
 	}
 	delete(r.spawns, round)
 
-	// Flip the delivery buffers: last round's deliveries become this
-	// round's inboxes — the log sorted once for everyone — and the
-	// buffers consumed last round are emptied, backing arrays intact, to
-	// receive this round's traffic. The duplicate filter is emptied in
-	// place for the same reason, and the key arenas flip in lockstep so
-	// every keyRef in a cur inbox points into curArena. The retention
+	// Flip the delivery buffers: last round's log becomes this round's
+	// shared inbox, sorted once for everyone, beside the lanes last
+	// round's bucket scattered, and the log consumed last round is
+	// emptied, backing arrays intact, to receive this round's traffic.
+	// The duplicate filter is emptied in place for the same reason, and
+	// the key arenas flip in lockstep so every keyRef in a lane or the
+	// log points into curArena. The retention
 	// gauge (scratch.go) releases an arena far above the decayed usage
 	// mark — only ever the buffer about to be refilled (nxtArena), never
 	// curArena, whose bytes the live keyRefs still view.
@@ -479,24 +438,13 @@ func (r *TypedRunner[P, M]) StepRound() {
 	if r.blog != nil {
 		r.blog.flip(r.curArena)
 	}
-	faulty := false
-	for i := range r.idvec {
-		if r.faulty[i] {
-			faulty = true
-			r.bcur[i], r.bnxt[i] = r.bnxt[i], r.bcur[i]
-			r.bnxt[i].reset()
-		} else {
-			r.cur[i], r.nxt[i] = r.nxt[i], r.cur[i]
-			r.nxt[i].reset()
-		}
-	}
-	r.mirror = faulty && r.blog != nil
+	r.mirror = r.blog != nil && slices.Contains(r.faulty, true)
 	r.metrics.ByRound = append(r.metrics.ByRound, 0)
 
 	r.leavers = r.leavers[:0]
 	// Membership is frozen while the round executes: joins applied
-	// above, leavers removed below, so indexing the table by slot is
-	// safe even though delivery appends into other slots' lanes.
+	// above, leavers removed below, so the slots delivery tags its
+	// bucket entries with are the slots the scatter hands lanes to.
 	nn := len(r.idvec)
 	// With Workers > 1 the Step calls of correct processes are computed
 	// concurrently up front (shard.go); the loop below then replays the
@@ -551,11 +499,20 @@ func (r *TypedRunner[P, M]) StepRound() {
 			r.markDecided(i, round)
 		}
 		if l := r.leaver[i]; l != nil && l.Left() {
-			r.leavers = append(r.leavers, id)
+			r.leavers = append(r.leavers, i)
 		}
 	}
-	for _, id := range r.leavers {
-		r.remove(r.slot[id])
+	// The round's last delivery is done: scatter the buckets into the
+	// lanes next round reads, then drop the leavers, lanes and all,
+	// highest slot first, so no removal shifts a slot still to go.
+	if r.bucket.scatter(r.cur) {
+		r.metrics.InboxGrows++
+	}
+	if !r.blind && r.bbucket.scatter(r.bcur) {
+		r.metrics.InboxGrows++
+	}
+	for k := len(r.leavers) - 1; k >= 0; k-- {
+		r.remove(r.leavers[k])
 	}
 	r.metrics.Rounds = round
 }
@@ -623,7 +580,7 @@ func (r *TypedRunner[P, M]) deliver(from, to ids.ID, m M, c sendCtx) {
 		// Every slot already holds this source through the log.
 		if to == Broadcast {
 			r.metrics.MessagesDropped += int64(len(r.idvec))
-		} else if _, ok := r.slot[to]; ok {
+		} else if _, ok := r.slot.Lookup(to); ok {
 			r.metrics.MessagesDropped++
 		}
 		return
@@ -645,8 +602,8 @@ func (r *TypedRunner[P, M]) deliver(from, to ids.ID, m M, c sendCtx) {
 			r.deliverOne(i, from, m, &c)
 		}
 	default:
-		if j, ok := r.slot[to]; ok {
-			r.deliverOne(j, from, m, &c)
+		if j, ok := r.slot.Lookup(to); ok {
+			r.deliverOne(int(j), from, m, &c)
 		}
 	}
 	if rendered && !c.accepted {
@@ -674,9 +631,9 @@ func (r *TypedRunner[P, M]) logOne(from ids.ID, m M, c *sendCtx) {
 	r.metrics.ByRound[len(r.metrics.ByRound)-1] += n
 }
 
-// deliverOne appends one delivery to slot i's exception lane unless the
-// slot already holds the source. A blind adversary's slot keeps no
-// lane: the delivery is counted only.
+// deliverOne puts one delivery into the round's bucket, bound for slot
+// i's exception lane, unless the slot already holds the source. A
+// blind adversary's slot keeps no lane: the delivery is counted only.
 func (r *TypedRunner[P, M]) deliverOne(i int, from ids.ID, m M, c *sendCtx) {
 	if r.filter.add(c.set, i) {
 		r.metrics.MessagesDropped++
@@ -684,16 +641,12 @@ func (r *TypedRunner[P, M]) deliverOne(i int, from ids.ID, m M, c *sendCtx) {
 	}
 	k := c.set.key
 	k.at = uint32(len(r.log.next.msgs))
-	var grew bool
 	switch {
 	case r.faulty[i] && r.blind: // counted, not stored
 	case r.faulty[i]:
-		grew = r.bnxt[i].push(from, r.box(m, c), k)
+		r.bbucket.push(i, from, r.box(m, c), k)
 	default:
-		grew = r.nxt[i].push(from, m, k)
-	}
-	if grew {
-		r.metrics.InboxGrows++
+		r.bucket.push(i, from, m, k)
 	}
 	c.accepted = true
 	r.metrics.MessagesDelivered++
@@ -710,12 +663,11 @@ func (r *TypedRunner[P, M]) box(m M, c *sendCtx) any {
 }
 
 // insert places a joining node into the sorted table, shifting every
-// column at the insertion point and reindexing the slots after it, and
-// seeds its lanes. Inserts run before the round flip, so the lane
-// seeded as next is the joiner's first inbox: it is marked to skip the
-// log, which was filled before the joiner was there. Membership changes
+// column at the insertion point and renumbering the slot index. Its
+// lane is empty and marked to skip the log, which was filled before
+// the joiner was there: that is its first inbox. Membership changes
 // are rare and never mid-delivery; delivery only ever reads the slot
-// map.
+// index.
 func (r *TypedRunner[P, M]) insert(s spawn[P]) {
 	i, present := slices.BinarySearch(r.idvec, s.id)
 	if present {
@@ -728,18 +680,8 @@ func (r *TypedRunner[P, M]) insert(s spawn[P]) {
 		panic(fmt.Sprintf("sim: id %d already active", s.id))
 	}
 	r.idvec = slices.Insert(r.idvec, i, s.id)
-	c := r.presizeCap()
-	var lane, next laneBuf[M]
-	var blane, bnext inboxBuf
 	var leaver Leaver
-	switch {
-	case s.faulty && r.blind: // no lanes: nothing is stored for it
-	case s.faulty:
-		blane, bnext = newLane[any](c), newLane[any](c)
-		bnext.noLog = true
-	default:
-		lane, next = newLane[M](c), newLane[M](c)
-		next.noLog = true
+	if !s.faulty {
 		leaver, _ = any(s.proc).(Leaver)
 		r.undecided++
 	}
@@ -747,43 +689,39 @@ func (r *TypedRunner[P, M]) insert(s spawn[P]) {
 	r.faulty = slices.Insert(r.faulty, i, s.faulty)
 	r.done = slices.Insert(r.done, i, false)
 	r.leaver = slices.Insert(r.leaver, i, leaver)
-	r.cur = slices.Insert(r.cur, i, lane)
-	r.nxt = slices.Insert(r.nxt, i, next)
-	r.bcur = slices.Insert(r.bcur, i, blane)
-	r.bnxt = slices.Insert(r.bnxt, i, bnext)
-	r.reslot(i)
+	r.cur = slices.Insert(r.cur, i, laneBuf[M]{noLog: true})
+	r.bcur = slices.Insert(r.bcur, i, inboxBuf{noLog: true})
+	r.reslot()
 	r.metrics.Joins++
 	r.metrics.PeakNodes = max(r.metrics.PeakNodes, len(r.idvec))
 }
 
 // remove drops slot i from every column (slices.Delete zeroes the
-// vacated tail, releasing the lanes to the GC) and keeps the undecided
-// counter consistent when a correct process leaves without having
-// decided.
+// vacated tail, so the slot's lane views go with it), renumbers the
+// slot index and keeps the undecided counter consistent when a correct
+// process leaves without having decided.
 func (r *TypedRunner[P, M]) remove(i int) {
 	id := r.idvec[i]
 	if !r.faulty[i] && !r.hasDecided(id) {
 		r.undecided--
 	}
-	delete(r.slot, id)
 	r.idvec = slices.Delete(r.idvec, i, i+1)
 	r.procs = slices.Delete(r.procs, i, i+1)
 	r.faulty = slices.Delete(r.faulty, i, i+1)
 	r.done = slices.Delete(r.done, i, i+1)
 	r.leaver = slices.Delete(r.leaver, i, i+1)
 	r.cur = slices.Delete(r.cur, i, i+1)
-	r.nxt = slices.Delete(r.nxt, i, i+1)
 	r.bcur = slices.Delete(r.bcur, i, i+1)
-	r.bnxt = slices.Delete(r.bnxt, i, i+1)
-	r.reslot(i)
+	r.reslot()
 	r.metrics.Leaves++
 	r.metrics.MinNodes = min(r.metrics.MinNodes, len(r.idvec))
 }
 
-// reslot rebuilds the id -> slot map for the table from slot i on,
-// after a shift.
-func (r *TypedRunner[P, M]) reslot(i int) {
-	for ; i < len(r.idvec); i++ {
-		r.slot[r.idvec[i]] = i
+// reslot renumbers the slot index after a shift: numbering idvec in
+// order from an empty index makes each id's number its slot.
+func (r *TypedRunner[P, M]) reslot() {
+	r.slot.Reset()
+	for _, id := range r.idvec {
+		r.slot.Of(id)
 	}
 }

@@ -1,8 +1,9 @@
 // The delivery plane under the runner core (generic.go): the round's
-// broadcast log, the per-recipient exception lane, the run sort and the
-// merge that assembles an inbox from the two, and the source-keyed
-// duplicate filter, each generic over the payload type the core is
-// instantiated with.
+// broadcast log, the lane bucket that sorts the rest of the traffic
+// into per-recipient exception lanes, the run sort and the merge that
+// assembles an inbox from log and lane, and the source-keyed duplicate
+// filter, each generic over the payload type the core is instantiated
+// with.
 //
 // A round's traffic is paid per source, not per recipient. A broadcast
 // whose source has reached no slot yet — almost every broadcast — is
@@ -10,10 +11,12 @@
 // handed whole, as a shared read-only slice, to every recipient whose
 // lane is empty. Lanes keep only what is not the same for everyone:
 // unicasts, and the broadcasts of a source that already reached some
-// slot. A recipient with a non-empty lane gets the two merged into
-// runner scratch, with each sender's run rebuilt in the exact order
-// the per-recipient plane used to deliver it, so the inbox is
-// byte-identical to sorting that plane's lane.
+// slot. They are appended to one round-wide bucket and sorted into
+// lanes by recipient once, when the round ends. A recipient with a
+// non-empty lane gets log and lane merged into runner scratch, each
+// sender's run rebuilt in the exact order the per-recipient plane used
+// to deliver it, so the inbox is byte-identical to sorting that
+// plane's lane.
 package sim
 
 import (
@@ -56,11 +59,6 @@ type laneBuf[M any] struct {
 	noLog bool
 }
 
-// newLane returns an empty lane with room for c entries.
-func newLane[M any](c int) laneBuf[M] {
-	return laneBuf[M]{msgs: make([]MsgT[M], 0, c), keys: make([]keyRef, 0, c)}
-}
-
 // inboxBuf is the boxed lane: every slot's on the boxed instantiation,
 // the faulty slots' on any (the Adversary interface consumes []Message).
 type inboxBuf = laneBuf[any]
@@ -70,6 +68,67 @@ func (b *laneBuf[M]) push(from ids.ID, p M, k keyRef) (grew bool) {
 	grew = len(b.msgs) == cap(b.msgs)
 	b.msgs = append(b.msgs, MsgT[M]{From: from, Payload: p})
 	b.keys = append(b.keys, k)
+	return grew
+}
+
+// bucket is one round's lane traffic: every delivery that is not a log
+// append, in delivery order, tagged with its recipient slot. When the
+// round ends, one stable counting sort scatters it into an array that
+// holds each slot's entries together, in arrival order — exactly, at
+// marks included, what appending to a buffer of the slot's own would
+// hold — and every slot gets its run as its lane, a capacity-limited
+// view. A delivery costs one sequential append, not a write into one
+// of n buffers.
+type bucket[M any] struct {
+	ents []bucketEnt[M] // this round's deliveries, in delivery order
+	ends []int32        // scatter scratch: per slot, its lane's end in out
+	out  laneBuf[M]     // the scattered lanes, slot after slot
+}
+
+// bucketEnt is one delivery waiting for the scatter.
+type bucketEnt[M any] struct {
+	to  int32
+	key keyRef
+	msg MsgT[M]
+}
+
+// push appends one delivery to slot i's lane.
+func (b *bucket[M]) push(i int, from ids.ID, p M, k keyRef) {
+	b.ents = append(b.ents, bucketEnt[M]{to: int32(i), key: k, msg: MsgT[M]{From: from, Payload: p}})
+}
+
+// scatter sorts the round's deliveries into lanes, one per slot, valid
+// until the next scatter, and empties the bucket. It reports whether
+// the lanes' array had to grow; its capacity follows the traffic alone,
+// not the payload type's width, so both instantiations grow alike.
+func (b *bucket[M]) scatter(lanes []laneBuf[M]) (grew bool) {
+	b.ends = slices.Grow(b.ends[:0], len(lanes))[:len(lanes)]
+	ends := b.ends
+	clear(ends)
+	for _, e := range b.ents {
+		ends[e.to]++
+	}
+	var total int32
+	for i, c := range ends {
+		ends[i] = total
+		total += c
+	}
+	if grew = cap(b.out.msgs) < int(total); grew {
+		c := max(int(total), 2*cap(b.out.msgs))
+		b.out.msgs, b.out.keys = make([]MsgT[M], c), make([]keyRef, c)
+	}
+	msgs, keys := b.out.msgs[:total], b.out.keys[:total]
+	for _, e := range b.ents {
+		at := ends[e.to]
+		ends[e.to]++
+		msgs[at], keys[at] = e.msg, e.key
+	}
+	var lo int32
+	for i, hi := range ends {
+		lanes[i] = laneBuf[M]{msgs: msgs[lo:hi:hi], keys: keys[lo:hi:hi]}
+		lo = hi
+	}
+	b.ents = b.ents[:0]
 	return grew
 }
 
@@ -86,7 +145,8 @@ type bcastLog[M any] struct {
 
 // newLog returns an empty log with room for c entries per generation.
 func newLog[M any](c int) bcastLog[M] {
-	return bcastLog[M]{newLane[M](c), newLane[M](c), newLane[M](c)}
+	lane := func() laneBuf[M] { return laneBuf[M]{msgs: make([]MsgT[M], 0, c), keys: make([]keyRef, 0, c)} }
+	return bcastLog[M]{lane(), lane(), lane()}
 }
 
 // flip turns the round's appends into the next round's inbox, sorted

@@ -10,11 +10,11 @@
 // decaying high-water mark of actual per-round usage, and the round
 // flip releases any scratch whose capacity is far above it.
 //
-// What is deliberately NOT trimmed: the delivery buffers — the per-node
-// lanes, the broadcast log and the merge scratch. The growth of the
-// first two is an observable (Metrics.InboxGrows, "stops increasing
-// after warm-up"), all three are per runner, and the lanes are
-// slab-allocated, so they are reclaimed wholesale when the run ends.
+// What is deliberately NOT trimmed: the delivery buffers — the
+// broadcast log, the lane bucket with the array it scatters into, and
+// the merge scratch. Their growth is an observable (Metrics.InboxGrows,
+// "stops increasing after warm-up"), and each is a handful of arrays
+// owned by one runner, so they are reclaimed when the run ends.
 package sim
 
 const (

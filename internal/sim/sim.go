@@ -131,12 +131,12 @@ type Metrics struct {
 	ByRound           []int64        // deliveries per round (index round-1)
 	DecidedRound      map[ids.ID]int // first round in which each correct node reported Decided
 
-	// InboxGrows counts appends that forced a pooled delivery buffer to
-	// grow — the broadcast log, or a recipient's exception lane (its
-	// unicasts and the broadcasts of sources that already reached some
-	// slot) — the allocation-pressure gauge of the flat message plane.
-	// After the warm-up rounds of a steady-state run it stops
-	// increasing. It is deterministic (same schedule, same growth), but
+	// InboxGrows counts growths of the pooled delivery buffers — each
+	// append that grew the broadcast log, and each round whose lane
+	// traffic (unicasts, and the broadcasts of sources that already
+	// reached some slot) outgrew the lanes' array — the
+	// allocation-pressure gauge of the flat message plane. After the
+	// warm-up rounds of a steady-state run it stops increasing. It is deterministic (same schedule, same growth), but
 	// it describes the allocator, not the protocol; trace digests and
 	// canonical reports exclude it.
 	InboxGrows int64
