@@ -92,8 +92,13 @@ type bucketEnt[M any] struct {
 	msg MsgT[M]
 }
 
-// push appends one delivery to slot i's lane.
+// push appends one delivery to slot i's lane. A full bucket doubles
+// (append grows a large one by a quarter, leaving four times the dead
+// copies), which keeps a flood round's garbage, and peak RSS, steady.
 func (b *bucket[M]) push(i int, from ids.ID, p M, k keyRef) {
+	if len(b.ents) == cap(b.ents) {
+		b.ents = slices.Grow(b.ents, len(b.ents))
+	}
 	b.ents = append(b.ents, bucketEnt[M]{to: int32(i), key: k, msg: MsgT[M]{From: from, Payload: p}})
 }
 
@@ -102,9 +107,8 @@ func (b *bucket[M]) push(i int, from ids.ID, p M, k keyRef) {
 // the lanes' array had to grow; its capacity follows the traffic alone,
 // not the payload type's width, so both instantiations grow alike.
 func (b *bucket[M]) scatter(lanes []laneBuf[M]) (grew bool) {
-	b.ends = slices.Grow(b.ends[:0], len(lanes))[:len(lanes)]
-	ends := b.ends
-	clear(ends)
+	ends := append(b.ends[:0], make([]int32, len(lanes))...)
+	b.ends = ends
 	for _, e := range b.ents {
 		ends[e.to]++
 	}
@@ -153,7 +157,7 @@ func newLog[M any](c int) bcastLog[M] {
 // against the arena its keys point into, and empties next.
 func (l *bcastLog[M]) flip(arena []byte) {
 	l.sent, l.next = l.next, l.sent
-	l.next.reset()
+	l.next.msgs, l.next.keys = l.next.msgs[:0], l.next.keys[:0]
 	l.sorted.msgs = append(l.sorted.msgs[:0], l.sent.msgs...)
 	l.sorted.keys = append(l.sorted.keys[:0], l.sent.keys...)
 	l.sorted.sort(arena)
@@ -300,13 +304,6 @@ func gapSort[M any](msgs []MsgT[M], keys []keyRef, arena []byte, gap, budget int
 		}
 	}
 	return true
-}
-
-// reset empties the buffer for reuse, keeping the backing arrays.
-func (b *laneBuf[M]) reset() {
-	b.msgs = b.msgs[:0]
-	b.keys = b.keys[:0]
-	b.noLog = false
 }
 
 // smallSetMax is the recipient count at which a recipSet trades its
