@@ -17,8 +17,8 @@
 // by the caller.
 //
 // Delivery runs on a flat message plane: all per-node runner state
-// lives in one node table sorted by id, indexed through a slot map, so
-// broadcast fan-out, the destination-present check and per-round
+// lives in one node table sorted by id, indexed through a slot index,
+// so broadcast fan-out, the destination-present check and per-round
 // iteration are O(1) array operations. Delivery buffers, their sort
 // keys and the duplicate filter are pooled and reused across rounds,
 // and a round's cost follows its sources, not its deliveries: each
@@ -26,7 +26,8 @@
 // double-buffered arena (key tables are offset/length views into it);
 // a fresh broadcast is one append to the round's broadcast log, sorted
 // once and shared as the inbox of every recipient with nothing else to
-// receive, so an inbox may be that one shared slice (plane.go); and
+// receive, so an inbox may be that one shared slice (plane.go); the
+// rest goes to recipients' lanes through one round-wide bucket; and
 // "duplicate" is decided per source — the filter is probed once per
 // send on (sender, payload value) and then spends one flag, or one bit
 // per recipient slot.
