@@ -4,10 +4,11 @@ package sim
 // churn: every insert/remove must leave the table sorted, the slot
 // index (a quorum.Index numbered over the table) exactly inverse to
 // it, every column the same length with each slot's lane view and
-// process on the right row, and the churn gauges consistent. The external tests prove the schedule is right; this one
-// proves the data structure the schedule depends on never drifts while
-// joins and leaves interleave in a single run — on both instantiations
-// of the core.
+// process on the right row, and the churn gauges consistent. The
+// external tests prove the schedule is right; this one proves the data
+// structure the schedule depends on never drifts while joins and
+// leaves interleave in a single run — on both instantiations of the
+// core.
 
 import (
 	"fmt"

@@ -329,8 +329,8 @@ func TestInboxGrowsCountsBufferGrowth(t *testing.T) {
 		}
 	}
 	// Neither flood grows a buffer per recipient: a broadcast flood
-	// grows the one log, and a unicast flood the one lane bucket, which
-	// counts a round it outgrew once however far it grew. More
+	// grows the one log, and a unicast flood the one array the round's
+	// lane bucket scatters into, counted once per round it outgrows. More
 	// recipients grow nothing more.
 	for name, adv := range map[string]func([]ids.ID) sim.Adversary{"broadcast flood": broadcasts, "unicast flood": unicasts} {
 		if few, many := run(2, 4, adv), run(6, 4, adv); few.InboxGrows != many.InboxGrows {
