@@ -2,11 +2,9 @@ package engine
 
 import (
 	"encoding/json"
-	"fmt"
 	"math"
 	"strconv"
 	"sync"
-	"unicode"
 	"unicode/utf8"
 )
 
@@ -20,17 +18,13 @@ import (
 // (json.MarshalIndent with a two-space indent: CanonicalBytes), in one
 // pass into one buffer.
 //
-// The decoder reads a JSON Result into the value json.Unmarshal would
-// produce, or fails; it never accepts a document json.Unmarshal
-// rejects. Unknown keys are validated and skipped, keys match
-// case-insensitively the way encoding/json matches them, and a
-// repeated key decodes over the value already there. It is stricter in
-// two places: null is rejected for every field (no encoder writes one),
-// and unknown values may nest at most maxSkipDepth deep.
+// The decoder returns what json.Unmarshal returns for a Result. It
+// scans the one compact form the encoder writes itself and hands every
+// other document, whole, to json.Unmarshal.
 //
 // TestCodecCoversEveryField fails when a field of these types is added
-// without codec support; FuzzResultCodec holds both sides to
-// encoding/json.
+// without codec support, or is written in a form the scanner does not
+// read; FuzzResultCodec holds both sides to encoding/json.
 
 // AppendResultJSON appends the compact JSON encoding of r to dst — the
 // bytes json.Marshal(r) returns.
@@ -298,573 +292,226 @@ func appendJSONString(dst []byte, s string) []byte {
 	return append(dst, '"')
 }
 
-// DecodeResult decodes one JSON-encoded Result: the store's record
-// payload. It returns the value json.Unmarshal would, or an error. The
-// result shares no memory with data — every string is copied or is one
-// of the engine's protocol and adversary constants — so the caller may
-// reuse data at once. Churn specs are interned: results with equal
-// specs share one *Churn, which Scenario.Churn's never-mutated contract
-// allows.
+// DecodeResult decodes one JSON-encoded Result, the store's record
+// payload: it returns the value and the error json.Unmarshal returns.
+// A record in the one compact form AppendResultJSON writes is read by
+// scanResult; any other document goes whole to json.Unmarshal. Either
+// way the result shares no memory with data, so the caller may reuse
+// data at once. On the scanned path protocol and adversary names are
+// the engine's constants and churn specs are interned: results with
+// equal specs share one *Churn, which Scenario.Churn's never-mutated
+// contract allows.
 func DecodeResult(data []byte) (Result, error) {
+	if r, ok := scanResult(data); ok {
+		return r, nil
+	}
 	var r Result
-	d := jsonIn{data: data}
-	if err := d.result(&r); err != nil {
-		return Result{}, err
-	}
-	if d.ws(); d.pos != len(d.data) {
-		return Result{}, d.fail("trailing data after the result")
-	}
-	return r, nil
+	err := json.Unmarshal(data, &r)
+	return r, err
 }
 
-// maxSkipDepth bounds how deep an unknown value may nest. encoding/json
-// allows 10000 levels; the records this repository writes carry no
-// unknown values at all, so the decoder rejects far sooner.
-const maxSkipDepth = 64
+// The two kinds of member: one the encoder always writes, and one it
+// leaves out when the value is zero.
+const (
+	required  = false
+	omitempty = true
+)
 
-// jsonIn is the decoder's cursor over one JSON document.
-type jsonIn struct {
+// scanner is scanResult's cursor. Its readers stop at the first byte
+// outside the compact form and clear ok, after which every reader is a
+// no-op returning zero; the caller checks ok once, at the end.
+type scanner struct {
 	data []byte
 	pos  int
+	ok   bool
 }
 
-func (d *jsonIn) fail(what string) error {
-	return fmt.Errorf("engine: decoding result: %s at offset %d", what, d.pos)
+// scanResult reads data if it is in the compact form AppendResultJSON
+// writes, and reports whether it was. In that form keys come in
+// declaration order, with an omitempty key missing or present; there
+// is no white space; integers are written as strconv writes them; and
+// every string is printable ASCII with no quote and no backslash, so
+// its bytes are its value. Whatever it accepts, json.Unmarshal reads to
+// the same value.
+func scanResult(data []byte) (Result, bool) {
+	s := scanner{data: data, ok: true}
+	var r Result
+	s.lit("{")
+	s.open("scenario", required)
+	s.scenario(&r.Scenario)
+	r.Rounds = s.int("rounds", required)
+	r.MessagesDelivered = s.int64("messages_delivered", required)
+	r.MessagesDropped = s.int64("messages_dropped", required)
+	r.AllDecided = s.bool("all_decided", required)
+	r.DecidedRoundMax = s.int("decided_round_max", required)
+	r.Output = string(s.str("output", required))
+	r.Err = string(s.str("err", omitempty))
+	r.WallNS = s.int64("wall_ns", omitempty)
+	r.DecidedNodes = s.int("decided_nodes", required)
+	r.DecidedOf = s.int("decided_of", required)
+	r.DecidedNA = s.bool("decided_na", omitempty)
+	r.Joins = s.int("joins", omitempty)
+	r.Leaves = s.int("leaves", omitempty)
+	r.PeakMembers = s.int("peak_members", omitempty)
+	r.MinMembers = s.int("min_members", omitempty)
+	r.FinalityLag = s.int("finality_lag", omitempty)
+	r.InboxGrows = s.int64("inbox_grows", omitempty)
+	s.close()
+	return r, s.ok && s.pos == len(s.data)
 }
 
-func (d *jsonIn) ws() {
-	for d.pos < len(d.data) {
-		switch d.data[d.pos] {
-		case ' ', '\t', '\n', '\r':
-			d.pos++
-		default:
-			return
+func (s *scanner) scenario(sc *Scenario) {
+	sc.Name = string(s.str("name", required))
+	sc.Protocol = s.name("protocol")
+	sc.Adversary = s.name("adversary")
+	sc.N = s.int("n", required)
+	sc.F = s.int("f", required)
+	if s.key("seed", required) {
+		sc.Seed = s.digits(math.MaxUint64)
+	}
+	sc.MaxRounds = s.int("max_rounds", required)
+	sc.Pairs = s.int("pairs", omitempty)
+	if s.open("churn", omitempty) {
+		var c Churn
+		c.Joins = s.int("joins", omitempty)
+		c.Leaves = s.int("leaves", omitempty)
+		c.FaultyJoins = s.int("faulty_joins", omitempty)
+		c.FaultyLeaves = s.int("faulty_leaves", omitempty)
+		c.Window = s.int("window", omitempty)
+		if s.close(); s.ok {
+			sc.Churn = internChurn(c)
 		}
 	}
+	s.close()
 }
 
-// peek skips white space and returns the next byte, or 0 at the end.
-func (d *jsonIn) peek() byte {
-	if d.pos < len(d.data) && d.data[d.pos] > ' ' {
-		return d.data[d.pos] // compact input: no white space to skip
+// lit steps over the literal l.
+func (s *scanner) lit(l string) bool {
+	if s.ok && len(s.data)-s.pos >= len(l) && string(s.data[s.pos:s.pos+len(l)]) == l {
+		s.pos += len(l)
+		return true
 	}
-	d.ws()
-	if d.pos < len(d.data) {
-		return d.data[d.pos]
-	}
-	return 0
+	s.ok = false
+	return false
 }
 
-// object decodes one object. For each key that matches names[i] —
-// exactly, or else under encoding/json's case folding — it calls
-// member(i) with the cursor on the value, which member must consume;
-// every other value is validated and skipped. depth is the nesting of
-// the object among unknown values.
-func (d *jsonIn) object(depth int, names []string, member func(i int) error) error {
-	if d.peek() != '{' {
-		return d.fail("want an object")
-	}
-	d.pos++
-	if d.peek() == '}' {
-		d.pos++
-		return nil
-	}
-	next := 0 // encoders write keys in declaration order: search from the last match on
-	for {
-		key, err := d.str()
-		if err != nil {
-			return err
-		}
-		if d.peek() != ':' {
-			return d.fail("want ':' after an object key")
-		}
-		d.pos++
-		if i := matchKey(key, names, next); i >= 0 {
-			err = member(i)
-			next = i + 1
-		} else {
-			err = d.skip(depth + 1)
-		}
-		if err != nil {
-			return err
-		}
-		switch d.peek() {
-		case ',':
-			d.pos++
-		case '}':
-			d.pos++
-			return nil
-		default:
-			return d.fail("want ',' or '}' in an object")
-		}
-	}
-}
-
-// matchKey returns the index of key in names, or -1. Like
-// encoding/json it prefers an exact match and falls back to a
-// case-insensitive one. The exact search starts at names[from], where
-// a key written in declaration order is found first.
-func matchKey(key []byte, names []string, from int) int {
-	if len(names) == 0 {
-		return -1
-	}
-	for i := from; i < len(names); i++ {
-		if string(key) == names[i] {
-			return i
-		}
-	}
-	for i := 0; i < from; i++ {
-		if string(key) == names[i] {
-			return i
-		}
-	}
-	var buf [32]byte
-	folded := foldKey(buf[:0], key)
-	for i, name := range names {
-		if foldedEqual(folded, name) {
-			return i
-		}
-	}
-	return -1
-}
-
-// foldKey folds key the way encoding/json folds object keys: ASCII
-// letters to upper case, every other rune to the smallest rune of its
-// case-folding orbit (so U+017F matches "s" and the Kelvin sign U+212A
-// matches "k").
-func foldKey(dst, key []byte) []byte {
-	for i := 0; i < len(key); {
-		if c := key[i]; c < utf8.RuneSelf {
-			if 'a' <= c && c <= 'z' {
-				c -= 'a' - 'A'
-			}
-			dst = append(dst, c)
-			i++
-			continue
-		}
-		r, n := utf8.DecodeRune(key[i:])
-		for {
-			r2 := unicode.SimpleFold(r)
-			if r2 <= r {
-				r = r2
-				break
-			}
-			r = r2
-		}
-		dst = utf8.AppendRune(dst, r)
-		i += n
-	}
-	return dst
-}
-
-// foldedEqual reports whether a folded key equals the folded form of
-// name, a json tag of plain ASCII.
-func foldedEqual(folded []byte, name string) bool {
-	if len(folded) != len(name) {
+// key steps over the member key k and its colon — after the comma
+// that separates it from the member before, unless it is the first in
+// its object — and reports whether it did. A missing omitempty key is
+// no error; its value reads as zero.
+func (s *scanner) key(k string, omit bool) bool {
+	if !s.ok {
 		return false
 	}
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		if 'a' <= c && c <= 'z' {
-			c -= 'a' - 'A'
-		}
-		if folded[i] != c {
+	p := s.pos // past the result's opening brace: ok implies p > 0
+	if s.data[p-1] != '{' {
+		if p == len(s.data) || s.data[p] != ',' {
+			s.ok = omit
 			return false
 		}
+		p++
 	}
+	end := p + len(k) + 3
+	if end > len(s.data) || s.data[p] != '"' || string(s.data[p+1:end-2]) != k || s.data[end-2] != '"' || s.data[end-1] != ':' {
+		s.ok = omit
+		return false
+	}
+	s.pos = end
 	return true
 }
 
-// skip validates and steps over one value of any type.
-func (d *jsonIn) skip(depth int) error {
-	if depth > maxSkipDepth {
-		return d.fail("unknown value nested too deep")
-	}
-	switch c := d.peek(); {
-	case c == '{':
-		return d.object(depth, nil, nil)
-	case c == '[':
-		d.pos++
-		if d.peek() == ']' {
-			d.pos++
-			return nil
+// open steps over the key k and the brace that opens its object value.
+func (s *scanner) open(k string, omit bool) bool { return s.key(k, omit) && s.lit("{") }
+
+func (s *scanner) close() { s.lit("}") }
+
+// digits reads a non-negative integer as strconv writes it — digits
+// only, no leading zero — that is at most limit.
+func (s *scanner) digits(limit uint64) uint64 {
+	start := s.pos
+	var u uint64
+	for ; s.ok && s.pos < len(s.data); s.pos++ {
+		c := s.data[s.pos]
+		if c < '0' || c > '9' {
+			break
 		}
-		for {
-			if err := d.skip(depth + 1); err != nil {
-				return err
-			}
-			switch d.peek() {
-			case ',':
-				d.pos++
-			case ']':
-				d.pos++
-				return nil
-			default:
-				return d.fail("want ',' or ']' in an array")
-			}
+		if u > (limit-uint64(c-'0'))/10 {
+			s.ok = false
 		}
-	case c == '"':
-		_, _, err := d.scanStr()
-		return err
-	case c == 't':
-		return d.literal("true")
-	case c == 'f':
-		return d.literal("false")
-	case c == 'n':
-		return d.literal("null")
-	case c == '-' || '0' <= c && c <= '9':
-		_, err := d.number()
-		return err
+		u = u*10 + uint64(c-'0')
 	}
-	return d.fail("want a value")
+	if n := s.pos - start; n == 0 || n > 1 && s.data[start] == '0' {
+		s.ok = false
+	}
+	return u
 }
 
-func (d *jsonIn) literal(s string) error {
-	if len(d.data)-d.pos < len(s) || string(d.data[d.pos:d.pos+len(s)]) != s {
-		return d.fail("want " + s)
+func (s *scanner) int64(k string, omit bool) int64 {
+	if !s.key(k, omit) {
+		return 0
 	}
-	d.pos += len(s)
+	if s.pos < len(s.data) && s.data[s.pos] == '-' {
+		s.pos++
+		return -int64(s.digits(1 << 63)) // -(1<<63) wraps to math.MinInt64 itself
+	}
+	return int64(s.digits(math.MaxInt64))
+}
+
+func (s *scanner) int(k string, omit bool) int {
+	v := s.int64(k, omit)
+	if int64(int(v)) != v {
+		s.ok = false
+	}
+	return int(v)
+}
+
+func (s *scanner) bool(k string, omit bool) bool {
+	if !s.key(k, omit) {
+		return false
+	}
+	if s.pos < len(s.data) && s.data[s.pos] == 't' {
+		return s.lit("true")
+	}
+	s.lit("false")
+	return false
+}
+
+// str reads a string of printable ASCII with no quote and no
+// backslash. The bytes alias the input, so a caller that keeps them
+// must copy.
+func (s *scanner) str(k string, omit bool) []byte {
+	if !s.key(k, omit) || !s.lit(`"`) {
+		return nil
+	}
+	for start := s.pos; s.pos < len(s.data); s.pos++ {
+		switch c := s.data[s.pos]; {
+		case c == '"':
+			s.pos++
+			return s.data[start : s.pos-1]
+		case c < ' ' || c > '~' || c == '\\':
+			s.ok = false
+			return nil
+		}
+	}
+	s.ok = false
 	return nil
 }
 
-// scanStr validates the string token at the cursor and steps over it,
-// reporting whether it holds an escape and whether it is all ASCII.
-func (d *jsonIn) scanStr() (escaped, ascii bool, err error) {
-	if d.peek() != '"' {
-		return false, false, d.fail("want a string")
-	}
-	d.pos++
-	ascii = true
-	for d.pos < len(d.data) {
-		c := d.data[d.pos]
-		if plainASCII[c] {
-			d.pos++
-			continue
-		}
-		switch {
-		case c == '"':
-			d.pos++
-			return escaped, ascii, nil
-		case c == '\\':
-			escaped = true
-			if err := d.escape(); err != nil {
-				return false, false, err
-			}
-		case c < ' ':
-			return false, false, d.fail("control character in a string")
-		default:
-			if c >= utf8.RuneSelf {
-				ascii = false
-			}
-			d.pos++
-		}
-	}
-	return false, false, d.fail("unterminated string")
-}
-
-// plainASCII marks the bytes a string token holds as themselves: ASCII
-// from the space up, except the quote and the backslash.
-var plainASCII = func() (t [256]bool) {
-	for c := ' '; c < utf8.RuneSelf; c++ {
-		t[c] = c != '"' && c != '\\'
-	}
-	return t
-}()
-
-// escape validates the escape sequence at the cursor and steps over it.
-func (d *jsonIn) escape() error {
-	if d.pos+1 < len(d.data) {
-		switch d.data[d.pos+1] {
-		case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-			d.pos += 2
-			return nil
-		case 'u':
-			if d.pos+6 <= len(d.data) {
-				ok := true
-				for _, h := range d.data[d.pos+2 : d.pos+6] {
-					ok = ok && ('0' <= h && h <= '9' || 'a' <= h && h <= 'f' || 'A' <= h && h <= 'F')
-				}
-				if ok {
-					d.pos += 6
-					return nil
-				}
-			}
-		}
-	}
-	return d.fail("bad escape in a string")
-}
-
-// str reads one string. The bytes alias the input when the token holds
-// no escape and is valid UTF-8, so a caller that keeps them must copy.
-// A token with an escape is the one thing decoded by encoding/json;
-// invalid UTF-8 becomes U+FFFD per byte, as json.Unmarshal makes it.
-func (d *jsonIn) str() ([]byte, error) {
-	d.ws()
-	start := d.pos
-	escaped, ascii, err := d.scanStr()
-	if err != nil {
-		return nil, err
-	}
-	tok := d.data[start:d.pos]
-	raw := tok[1 : len(tok)-1]
-	switch {
-	case escaped:
-		var s string
-		if err := json.Unmarshal(tok, &s); err != nil {
-			return nil, d.fail("bad string: " + err.Error())
-		}
-		return []byte(s), nil
-	case !ascii && !utf8.Valid(raw):
-		out := make([]byte, 0, len(raw)+8)
-		for i := 0; i < len(raw); {
-			r, n := utf8.DecodeRune(raw[i:])
-			out = utf8.AppendRune(out, r)
-			i += n
-		}
-		return out, nil
-	}
-	return raw, nil
-}
-
-// string reads one string into memory of its own.
-func (d *jsonIn) string() (string, error) {
-	b, err := d.str()
-	return string(b), err
-}
-
-// internedNames are the protocol and adversary constants; a decoded
+// internedNames are the protocol and adversary constants; a scanned
 // name equal to one shares its memory instead of allocating a copy.
 var internedNames = []string{
 	ProtoRBroadcast, ProtoRotor, ProtoConsensus, ProtoApprox, ProtoParallel, ProtoDynamic, ProtoRing,
 	AdvNone, AdvSilent, AdvSplit, AdvChaos, AdvReplay,
 }
 
-func (d *jsonIn) internedName() (string, error) {
-	b, err := d.str()
-	if err != nil {
-		return "", err
-	}
-	for _, s := range internedNames {
-		if string(b) == s {
-			return s, nil
+func (s *scanner) name(k string) string {
+	b := s.str(k, required)
+	for _, n := range internedNames {
+		if string(b) == n {
+			return n
 		}
 	}
-	return string(b), nil
-}
-
-// number validates the number token at the cursor, steps over it and
-// returns it.
-func (d *jsonIn) number() ([]byte, error) {
-	d.ws()
-	start := d.pos
-	digits := func() int {
-		n := 0
-		for d.pos < len(d.data) && '0' <= d.data[d.pos] && d.data[d.pos] <= '9' {
-			d.pos++
-			n++
-		}
-		return n
-	}
-	at := func(c byte) bool {
-		if d.pos < len(d.data) && d.data[d.pos] == c {
-			d.pos++
-			return true
-		}
-		return false
-	}
-	at('-')
-	if !at('0') && digits() == 0 {
-		return nil, d.fail("want a number")
-	}
-	if at('.') && digits() == 0 {
-		return nil, d.fail("want a digit after '.'")
-	}
-	if at('e') || at('E') {
-		if !at('+') {
-			at('-')
-		}
-		if digits() == 0 {
-			return nil, d.fail("want a digit in the exponent")
-		}
-	}
-	return d.data[start:d.pos], nil
-}
-
-// uint64 reads a non-negative integer; like json.Unmarshal it rejects
-// fractions, exponents, signs and overflow.
-func (d *jsonIn) uint64() (uint64, error) {
-	tok, err := d.number()
-	if err != nil {
-		return 0, err
-	}
-	u, ok := parseDigits(tok)
-	if !ok {
-		return 0, d.fail("want an unsigned 64-bit integer")
-	}
-	return u, nil
-}
-
-func (d *jsonIn) int64() (int64, error) {
-	tok, err := d.number()
-	if err != nil {
-		return 0, err
-	}
-	neg := tok[0] == '-'
-	if neg {
-		tok = tok[1:]
-	}
-	u, ok := parseDigits(tok)
-	switch {
-	case !ok || u > 1<<63 || !neg && u == 1<<63:
-		return 0, d.fail("want a 64-bit integer")
-	case neg:
-		return -int64(u), nil
-	}
-	return int64(u), nil
-}
-
-func (d *jsonIn) int() (int, error) {
-	v, err := d.int64()
-	if err == nil && int64(int(v)) != v {
-		return 0, d.fail("integer overflows int")
-	}
-	return int(v), err
-}
-
-// parseDigits parses a run of decimal digits, failing on any other
-// byte and on overflow.
-func parseDigits(tok []byte) (uint64, bool) {
-	var u uint64
-	for i, c := range tok {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		if i >= 19 && (u > math.MaxUint64/10 || u*10 > math.MaxUint64-uint64(c-'0')) {
-			return 0, false
-		}
-		u = u*10 + uint64(c-'0')
-	}
-	return u, len(tok) > 0
-}
-
-func (d *jsonIn) bool() (bool, error) {
-	switch d.peek() {
-	case 't':
-		return true, d.literal("true")
-	case 'f':
-		return false, d.literal("false")
-	}
-	return false, d.fail("want true or false")
-}
-
-var resultKeys = []string{
-	"scenario", "rounds", "messages_delivered", "messages_dropped", "all_decided",
-	"decided_round_max", "output", "err", "wall_ns", "decided_nodes", "decided_of",
-	"decided_na", "joins", "leaves", "peak_members", "min_members", "finality_lag",
-	"inbox_grows",
-}
-
-func (d *jsonIn) result(r *Result) error {
-	return d.object(0, resultKeys, func(i int) (err error) {
-		switch resultKeys[i] {
-		case "scenario":
-			err = d.scenario(&r.Scenario)
-		case "rounds":
-			r.Rounds, err = d.int()
-		case "messages_delivered":
-			r.MessagesDelivered, err = d.int64()
-		case "messages_dropped":
-			r.MessagesDropped, err = d.int64()
-		case "all_decided":
-			r.AllDecided, err = d.bool()
-		case "decided_round_max":
-			r.DecidedRoundMax, err = d.int()
-		case "output":
-			r.Output, err = d.string()
-		case "err":
-			r.Err, err = d.string()
-		case "wall_ns":
-			r.WallNS, err = d.int64()
-		case "decided_nodes":
-			r.DecidedNodes, err = d.int()
-		case "decided_of":
-			r.DecidedOf, err = d.int()
-		case "decided_na":
-			r.DecidedNA, err = d.bool()
-		case "joins":
-			r.Joins, err = d.int()
-		case "leaves":
-			r.Leaves, err = d.int()
-		case "peak_members":
-			r.PeakMembers, err = d.int()
-		case "min_members":
-			r.MinMembers, err = d.int()
-		case "finality_lag":
-			r.FinalityLag, err = d.int()
-		case "inbox_grows":
-			r.InboxGrows, err = d.int64()
-		}
-		return err
-	})
-}
-
-var scenarioKeys = []string{"name", "protocol", "adversary", "n", "f", "seed", "max_rounds", "pairs", "churn"}
-
-func (d *jsonIn) scenario(s *Scenario) error {
-	return d.object(0, scenarioKeys, func(i int) (err error) {
-		switch scenarioKeys[i] {
-		case "name":
-			s.Name, err = d.string()
-		case "protocol":
-			s.Protocol, err = d.internedName()
-		case "adversary":
-			s.Adversary, err = d.internedName()
-		case "n":
-			s.N, err = d.int()
-		case "f":
-			s.F, err = d.int()
-		case "seed":
-			s.Seed, err = d.uint64()
-		case "max_rounds":
-			s.MaxRounds, err = d.int()
-		case "pairs":
-			s.Pairs, err = d.int()
-		case "churn":
-			s.Churn, err = d.churn(s.Churn)
-		}
-		return err
-	})
-}
-
-var churnKeys = []string{"joins", "leaves", "faulty_joins", "faulty_leaves", "window"}
-
-// churn decodes a churn spec over prev, the spec a repeated "churn"
-// key already decoded (json.Unmarshal decodes into the value a pointer
-// already holds), and returns the interned result.
-func (d *jsonIn) churn(prev *Churn) (*Churn, error) {
-	var c Churn
-	if prev != nil {
-		c = *prev
-	}
-	err := d.object(0, churnKeys, func(i int) (err error) {
-		switch churnKeys[i] {
-		case "joins":
-			c.Joins, err = d.int()
-		case "leaves":
-			c.Leaves, err = d.int()
-		case "faulty_joins":
-			c.FaultyJoins, err = d.int()
-		case "faulty_leaves":
-			c.FaultyLeaves, err = d.int()
-		case "window":
-			c.Window, err = d.int()
-		}
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return internChurn(c), nil
+	return string(b)
 }
 
 // churnIntern holds one *Churn per distinct spec decoded so far: a

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -65,8 +66,9 @@ func indentedResult(r *Result, depth int) []byte {
 }
 
 // TestCodecMatchesEncodingJSON: every small-grid record encodes to
-// json.Marshal's bytes and decodes to json.Unmarshal's value, and the
-// canonical report is json.MarshalIndent's.
+// json.Marshal's bytes and decodes to json.Unmarshal's value through
+// the scanner, never the fallback, and the canonical report is
+// json.MarshalIndent's.
 func TestCodecMatchesEncodingJSON(t *testing.T) {
 	rep := smallGridReport(t)
 	for i := range rep.Results {
@@ -79,9 +81,9 @@ func TestCodecMatchesEncodingJSON(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%s: AppendResultJSON differs from json.Marshal:\n got %s\nwant %s", r.Scenario.Name, got, want)
 		}
-		dec, err := DecodeResult(got)
-		if err != nil {
-			t.Fatalf("%s: %v", r.Scenario.Name, err)
+		dec, ok := scanResult(got)
+		if !ok {
+			t.Fatalf("%s: the scanner rejects the encoder's record %s", r.Scenario.Name, got)
 		}
 		var ref Result
 		if err := json.Unmarshal(got, &ref); err != nil {
@@ -104,8 +106,8 @@ func TestCodecMatchesEncodingJSON(t *testing.T) {
 // json-tagged field of the report's types a non-zero value, one at a
 // time, and requires the codec to write it as encoding/json does —
 // compact and canonical — and, for Result and the types inside it, to
-// decode it back. A field added without codec support fails here, by
-// name.
+// decode it back, and the scanner to read its compact form. A field
+// added without codec support fails here, by name.
 func TestCodecCoversEveryField(t *testing.T) {
 	forEachField(t, reflect.TypeOf(Result{}), "Result", nil, func(path string, set func(reflect.Value)) {
 		var r Result
@@ -128,6 +130,12 @@ func TestCodecCoversEveryField(t *testing.T) {
 			t.Errorf("%s: the canonical codec writes %s\nencoding/json writes %s", path, got, wantInd)
 		} else if back, err := DecodeResult(got); err != nil || !reflect.DeepEqual(back, c) {
 			t.Errorf("%s: the canonical form does not decode back (err %v)", path, err)
+		}
+		// Escaped strings are outside the scanned form: the scanner
+		// reads the same record with fill's strings unescaped.
+		cutEscapes(reflect.ValueOf(&r).Elem())
+		if back, ok := scanResult(AppendResultJSON(nil, &r)); !ok || !reflect.DeepEqual(back, r) {
+			t.Errorf("%s: the scanner does not read the compact form back (ok %v):\n got %+v\nwant %+v", path, ok, back, r)
 		}
 	})
 	forEachField(t, reflect.TypeOf(Group{}), "Group", nil, func(path string, set func(reflect.Value)) {
@@ -210,12 +218,16 @@ func fieldAt(v reflect.Value, index []int) reflect.Value {
 	return v
 }
 
+// escapedFill starts every string fill writes: characters encoding/json
+// escapes.
+const escapedFill = `"<&>`
+
 // fill gives v a distinctive non-zero value; strings carry characters
 // encoding/json escapes.
 func fill(t *testing.T, path string, v reflect.Value) {
 	switch v.Kind() {
 	case reflect.String:
-		v.SetString(`"<&>` + path)
+		v.SetString(escapedFill + path)
 	case reflect.Int, reflect.Int64:
 		v.SetInt(-12345)
 	case reflect.Uint64:
@@ -229,15 +241,41 @@ func fill(t *testing.T, path string, v reflect.Value) {
 	}
 }
 
+// cutEscapes cuts escapedFill from every string reachable from v
+// through structs and struct pointers, leaving the path alone.
+func cutEscapes(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.String:
+		v.SetString(strings.TrimPrefix(v.String(), escapedFill))
+	case reflect.Pointer:
+		if !v.IsNil() {
+			cutEscapes(v.Elem())
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if v.Type().Field(i).IsExported() {
+				cutEscapes(v.Field(i))
+			}
+		}
+	}
+}
+
 // bs is a backslash, kept out of the case literals so their escapes
 // read as what the decoder sees.
 const bs = `\`
 
-// decodeCases are documents DecodeResult must agree with json.Unmarshal
-// on: ok ones it accepts, and json.Unmarshal accepts with the same
-// value; the rest it rejects. They include what a record from another
-// writer could carry. A few rejected ones json.Unmarshal accepts: null,
-// and unknown values nested past maxSkipDepth.
+// compactRecord is a record in the form AppendResultJSON writes, which
+// the scanner reads; each of the decodeCases built from it leaves that
+// form in one place.
+const compactRecord = `{"scenario":{"name":"x","protocol":"rotor","adversary":"none","n":7,"f":2,"seed":1,"max_rounds":9,"churn":{"joins":1,"window":3}},` +
+	`"rounds":3,"messages_delivered":10,"messages_dropped":0,"all_decided":true,"decided_round_max":3,"output":"1","decided_nodes":5,"decided_of":5}`
+
+func compactWith(old, new string) string { return strings.Replace(compactRecord, old, new, 1) }
+
+// decodeCases are documents on which DecodeResult must return what
+// json.Unmarshal returns: the same value, and an error exactly when
+// json.Unmarshal returns one — ok says whether it does not. They
+// include what a record from another writer could carry.
 var decodeCases = []struct {
 	name string
 	doc  string
@@ -256,9 +294,18 @@ var decodeCases = []struct {
 	{"extremes", `{"rounds":-0,"messages_delivered":-9223372036854775808,"wall_ns":9223372036854775807,"scenario":{"seed":18446744073709551615}}`, true},
 	{"names", `{"scenario":{"protocol":"consensus","adversary":"split"},"all_decided":true,"decided_na":false}`, true},
 	{"empty object", `{}`, true},
+	{"null document", `null`, true},
+	{"null field", `{"rounds":null}`, true},
+	{"deep unknown value", `{"x":` + strings.Repeat("[", 100) + strings.Repeat("]", 100) + `}`, true},
+	{"compact record", compactRecord, true},
+	{"compact record, extremes", compactWith(`"messages_delivered":10,"messages_dropped":0`, `"messages_delivered":-9223372036854775808,"messages_dropped":9223372036854775807`), true},
+	{"compact record, escaped output", compactWith(`"output":"1"`, `"output":"`+bs+`u0031"`), true},
+	{"compact record, white space", compactWith(`"rounds":3`, `"rounds": 3`), true},
+	{"compact record, keys out of order", compactWith(`"n":7,"f":2`, `"f":2,"n":7`), true},
 
-	{"null document", `null`, false},
-	{"null field", `{"rounds":null}`, false},
+	{"compact record, leading zero", compactWith(`"rounds":3`, `"rounds":03`), false},
+	{"compact record, int overflow", compactWith(`"n":7`, `"n":9223372036854775808`), false},
+	{"compact record, truncated", compactRecord[:len(compactRecord)-1], false},
 	{"fraction", `{"rounds":1.5}`, false},
 	{"exponent", `{"rounds":1e2}`, false},
 	{"int overflow", `{"rounds":9223372036854775808}`, false},
@@ -280,26 +327,29 @@ var decodeCases = []struct {
 	{"unterminated", `{"output":"abc`, false},
 	{"empty", ``, false},
 	{"bad literal", `{"x":tru}`, false},
-	{"deep unknown value", `{"x":` + strings.Repeat("[", 100) + strings.Repeat("]", 100) + `}`, false},
 }
 
 func TestDecodeResultAgreesWithUnmarshal(t *testing.T) {
 	for _, tc := range decodeCases {
-		got, err := DecodeResult([]byte(tc.doc))
-		if (err == nil) != tc.ok {
+		if _, err := DecodeResult([]byte(tc.doc)); (err == nil) != tc.ok {
 			t.Errorf("%s: DecodeResult error %v, want ok=%v", tc.name, err, tc.ok)
-			continue
 		}
-		if err != nil {
-			continue
-		}
-		var want Result
-		if err := json.Unmarshal([]byte(tc.doc), &want); err != nil {
-			t.Errorf("%s: DecodeResult accepts what json.Unmarshal rejects: %v", tc.name, err)
-		} else if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: DecodeResult = %+v\njson.Unmarshal = %+v", tc.name, got, want)
+		if diff := unmarshalDiff([]byte(tc.doc)); diff != "" {
+			t.Errorf("%s: %s", tc.name, diff)
 		}
 	}
+}
+
+// unmarshalDiff describes how DecodeResult and json.Unmarshal differ on
+// doc, in value or in error, or returns "" when they agree.
+func unmarshalDiff(doc []byte) string {
+	got, err := DecodeResult(doc)
+	var want Result
+	wantErr := json.Unmarshal(doc, &want)
+	if fmt.Sprint(err) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+		return fmt.Sprintf("DecodeResult = %+v, %v\njson.Unmarshal = %+v, %v\ninput %q", got, err, want, wantErr, doc)
+	}
+	return ""
 }
 
 // TestCodecAllocs pins the codec's allocations: CanonicalBytes makes
@@ -425,9 +475,10 @@ func (f *fuzzRecipe) result() Result {
 // encoding/json escapes, extreme integers, each Churn shape — whose
 // compact and canonical encodings must equal json.Marshal's and
 // json.MarshalIndent's (at the depth results sit at in a report) and
-// decode back to it. The same bytes are also a document for
-// DecodeResult, which must never panic and may accept only what
-// json.Unmarshal accepts, with the same value.
+// decode back to it; the scanner must read the compact one exactly when
+// no string needs escaping. The same bytes are also a document for
+// DecodeResult, which must never panic and must return what
+// json.Unmarshal returns, value and error.
 func FuzzResultCodec(f *testing.F) {
 	for _, tc := range decodeCases {
 		f.Add([]byte(tc.doc))
@@ -450,12 +501,16 @@ func FuzzResultCodec(f *testing.F) {
 		if err := json.Unmarshal(enc, &orig); err != nil {
 			t.Fatal(err)
 		}
-		valid := true
+		valid, plain := true, true
 		for _, s := range []string{r.Scenario.Name, r.Scenario.Protocol, r.Scenario.Adversary, r.Output, r.Err} {
 			valid = valid && utf8.ValidString(s)
+			plain = plain && scannable(s)
 		}
 		if valid && !reflect.DeepEqual(orig, r) {
 			t.Fatalf("json.Unmarshal does not invert json.Marshal: %+v", orig)
+		}
+		if got, ok := scanResult(enc); ok != plain || ok && !reflect.DeepEqual(got, r) {
+			t.Fatalf("the scanner reads %q to %+v (ok %v), want ok=%v", enc, got, ok, plain)
 		}
 		if got, err := DecodeResult(enc); err != nil || !reflect.DeepEqual(got, orig) {
 			t.Fatalf("compact form decodes to %+v (err %v), want %+v", got, err, orig)
@@ -464,18 +519,22 @@ func FuzzResultCodec(f *testing.F) {
 			t.Fatalf("canonical form decodes to %+v (err %v)", got, err)
 		}
 
-		got, err := DecodeResult(data)
-		if err != nil {
-			return
-		}
-		var want Result
-		if err := json.Unmarshal(data, &want); err != nil {
-			t.Fatalf("DecodeResult accepts what json.Unmarshal rejects (%v): %q", err, data)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("DecodeResult = %+v\njson.Unmarshal = %+v\ninput %q", got, want, data)
+		if diff := unmarshalDiff(data); diff != "" {
+			t.Fatal(diff)
 		}
 	})
+}
+
+// scannable reports whether the encoder writes s as its own bytes, in
+// the form the scanner reads: printable ASCII that encoding/json does
+// not escape.
+func scannable(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || strings.IndexByte(`"\<>&`, c) >= 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // The micro-benchmarks run over the small grid's 288 results: one op

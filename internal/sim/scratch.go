@@ -1,14 +1,21 @@
 // Scratch-retention bounds: what a flood round may pin, and for how
 // long.
 //
-// The runner's per-round scratch — the double-buffered sort-key arenas
-// and the duplicate filter's index — grows to the largest round it
-// ever served and used to stay that size for the rest of the process.
-// For a short-lived `idonly sweep` run that is fine; for a resident
-// `idonly serve` process a single 100k-node sweep would leave megabytes
-// pinned under every later 7-node run. The gauge below tracks a
-// decaying high-water mark of actual per-round usage, and the round
-// flip releases any scratch whose capacity is far above it.
+// The runner's per-round scratch — the double-buffered sort-key arenas,
+// the duplicate filter's index and its pooled recipient bitmaps — grows
+// to the largest round it has served. Scratch never outlives its run:
+// each Scenario.run builds its own runner. The reason to trim lies
+// inside one run. Without it, a flood round's filter index would stay
+// at peak size and be cleared at that size on every later round. The
+// gauge below tracks a decaying high-water mark of actual per-round
+// usage, and the round flip releases any scratch whose capacity is far
+// above it.
+//
+// Counted with a probe on each trim: the filter trim fires 20 times
+// over the large grid, twice over the scale grid, 8 times in
+// `idonly exp -seed 42`, and never over the small or medium grid. The
+// arena trim fires only in scratch_test.go's flood test, and the bitmap
+// trim in no run and no test.
 //
 // What is deliberately NOT trimmed: the delivery buffers — the
 // broadcast log, the lane bucket with the array it scatters into, and

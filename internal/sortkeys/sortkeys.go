@@ -9,7 +9,6 @@ package sortkeys
 import (
 	"math"
 
-	"idonly/internal/async"
 	"idonly/internal/baseline"
 	"idonly/internal/core/approx"
 	"idonly/internal/core/consensus"
@@ -60,7 +59,6 @@ func Samples() []sim.SortKeyer {
 				baseline.STInitial{M: s, S: id}, baseline.STEcho{M: s, S: id})
 		}
 		out = append(out, dynamic.EventMsg{M: s, R: -3}, dynamic.EventMsg{M: s, R: 41})
-		out = append(out, async.GossipMsg{Fingerprint: s, Val: 1})
 	}
 
 	vals := []parallel.Val{parallel.Bot, parallel.V(""), parallel.V("a b"), parallel.V("{x}"), {S: "s", Bot: true}}
@@ -78,8 +76,7 @@ func Samples() []sim.SortKeyer {
 	}
 
 	out = append(out, dynamic.Present{}, dynamic.Absent{},
-		dynamic.Ack{R: 0}, dynamic.Ack{R: -1}, dynamic.Ack{R: 99},
-		async.Hello{Val: 0}, async.Hello{Val: -5})
+		dynamic.Ack{R: 0}, dynamic.Ack{R: -1}, dynamic.Ack{R: 99})
 
 	// SessMsg compositions: every session-capable inner type, plus the
 	// fallback shapes (unregistered inner, nil inner, nested wrapper).

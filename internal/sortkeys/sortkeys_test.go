@@ -7,7 +7,6 @@ import (
 	"math"
 	"testing"
 
-	"idonly/internal/async"
 	"idonly/internal/baseline"
 	"idonly/internal/core/approx"
 	"idonly/internal/core/consensus"
@@ -113,7 +112,7 @@ func (r *fuzzReader) val() parallel.Val {
 // build constructs one payload of the type selected by kind from the
 // reader's bytes.
 func build(kind byte, r *fuzzReader) sim.SortKeyer {
-	switch kind % 22 {
+	switch kind % 21 {
 	case 0:
 		return rotor.Init{}
 	case 1:
@@ -156,8 +155,6 @@ func build(kind byte, r *fuzzReader) sim.SortKeyer {
 		return baseline.STEcho{M: r.str(), S: r.id()}
 	case 20:
 		return baseline.KInput{X: r.f64()}
-	case 21:
-		return async.GossipMsg{Fingerprint: r.str(), Val: r.i()}
 	}
 	panic("unreachable")
 }
