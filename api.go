@@ -184,9 +184,7 @@ func PartitionDelay(groupA map[NodeID]bool, inner, cross float64) async.DelayFn 
 // are resolved from the seed alone — results are merged in
 // scenario-index order and aggregates in sorted key order, so the
 // report's canonical bytes — the report with the wall-clock timing
-// fields zeroed — are byte-identical for any worker count, including per-round
-// sharding via Scenario.SimWorkers (which maps to Config.Workers inside
-// the synchronous simulator).
+// fields zeroed — are byte-identical for any worker count.
 type (
 	Scenario      = engine.Scenario
 	Grid          = engine.Grid

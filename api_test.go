@@ -118,11 +118,6 @@ func TestPublicAPIEngine(t *testing.T) {
 	if _, err := idonly.PresetGrid("small"); err != nil {
 		t.Fatal(err)
 	}
-
-	// The sharded simulator fast path is part of the public Config.
-	if (idonly.Config{Workers: 4}).Workers != 4 {
-		t.Fatal("Config.Workers not exposed")
-	}
 }
 
 // TestPublicAPIResultStore drives the caching plane exactly as an

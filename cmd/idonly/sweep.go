@@ -78,7 +78,6 @@ func runExp(args []string, stdout, stderr io.Writer) int {
 //	idonly sweep -grid small                  # text report
 //	idonly sweep -grid small -workers 4       # + a sequential baseline, an equality check, the speedup
 //	idonly sweep -grid small -canonical       # the byte-stable report (-json: the full one)
-//	idonly sweep -grid small -sim-workers 4   # also shard rounds inside each run
 //	idonly sweep -grid small -churn j2,l1,fj1,fl1        # replace the churn axis ('none' = static only)
 //	idonly sweep -grid small -store ./results            # hits from the store, misses run then persisted
 //	idonly sweep -grid small -trace-out trace.ndjson     # one span per scenario, for `idonly trace -summarize`
@@ -92,7 +91,6 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "worker-pool width")
 	jsonOut := fs.Bool("json", false, "emit the full report as JSON")
 	canonical := fs.Bool("canonical", false, "emit the canonical (timing-free, byte-stable) report JSON")
-	simWorkers := fs.Int("sim-workers", 1, "shard each round's Step calls inside every run across this many goroutines")
 	churn := fs.String("churn", "", "replace the churn axis with one spec (e.g. j2,l1,fj1,fl1; 'none' = static only)")
 	storeDir := fs.String("store", "", "serve cached results from (and persist fresh results to) this store directory")
 	traceOut := fs.String("trace-out", "", "write one NDJSON span record per scenario to this file ('-' = stderr)")
@@ -146,7 +144,6 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 		g.Churns = []engine.Churn{spec}
 	}
 	if err == nil {
-		g.SimWorkers = *simWorkers
 		err = sweep(g, *storeDir, *workers, format, compare, hooks, stdout, stderr)
 	}
 	if err != nil {

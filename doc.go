@@ -23,13 +23,11 @@
 //
 // internal/engine fans many independent (protocol × adversary × size ×
 // seed) simulation runs across a worker pool (Scenario, Grid and RunAll
-// are re-exported from this package), and internal/sim can
-// additionally shard one run's per-round Step calls across goroutines
-// via Config.Workers. Both layers obey one determinism contract: each
-// scenario seeds its own ids.Rand, the simulator merges outboxes in
-// increasing-id order, and reports merge results in scenario order and
-// aggregates in sorted key order — so the report's canonical bytes are
-// identical for every worker count.
+// are re-exported from this package); each run is one goroutine. One
+// determinism contract holds: each scenario seeds its own ids.Rand, the
+// simulator steps and delivers in increasing-id order, and reports
+// merge results in scenario order and aggregates in sorted key order —
+// so the report's canonical bytes are identical for every worker count.
 //
 // # Result store and sweep service
 //

@@ -10,8 +10,10 @@
 // (Theorem 4) — so iterating the step converges exponentially, exactly
 // as in the classical Dolev et al. algorithm that assumed f was known.
 //
-// Two process types are provided: Node runs the single one-round step;
-// Iterated re-broadcasts its updated value every round, which is the
+// Iterated is the one process type: it broadcasts on its first Step and
+// then, for each of its iterations, reduces what arrived and
+// re-broadcasts the updated value. One iteration is the one-shot
+// algorithm (broadcast in round 1, decide in round 2); many are the
 // convergence workload of experiment E6 and the sensor-fusion example.
 package approx
 
@@ -54,44 +56,6 @@ func reduceInPlace(values []float64) float64 {
 	return kept[0]/2 + kept[len(kept)-1]/2
 }
 
-// Node runs the one-shot Algorithm 4: broadcast in round 1, decide in
-// round 2.
-type Node struct {
-	id      ids.ID
-	input   float64
-	output  float64
-	decided bool
-}
-
-// New returns a one-shot approximate agreement node with input x.
-func New(id ids.ID, x float64) *Node {
-	return &Node{id: id, input: x}
-}
-
-// ID implements sim.Process.
-func (n *Node) ID() ids.ID { return n.id }
-
-// Decided implements sim.Process.
-func (n *Node) Decided() bool { return n.decided }
-
-// Output implements sim.Process.
-func (n *Node) Output() any { return n.output }
-
-// Value returns the decided output (valid once Decided).
-func (n *Node) Value() float64 { return n.output }
-
-// Step implements sim.Process.
-func (n *Node) Step(round int, inbox []sim.Message) []sim.Send {
-	switch round {
-	case 1:
-		return []sim.Send{sim.BroadcastPayload(Value{X: n.input})}
-	default:
-		n.output = Reduce(collect(inbox))
-		n.decided = true
-		return nil
-	}
-}
-
 // Iterated runs Algorithm 4 repeatedly for a fixed number of
 // iterations: each round it reduces the values received and broadcasts
 // the updated value. History records the value after every iteration
@@ -105,7 +69,8 @@ type Iterated struct {
 	decided    bool
 	History    []float64
 
-	// Per-round scratch for collect/reduce, reused across iterations.
+	// Per-round scratch for collectInto/reduceInPlace, reused across
+	// iterations.
 	seenScratch map[ids.ID]bool
 	valScratch  []float64
 	sends       []sim.Send // backs Step's return value, reused
@@ -157,17 +122,12 @@ func (n *Iterated) Step(round int, inbox []sim.Message) []sim.Send {
 	return n.sends
 }
 
-// collect extracts one value per sender from the inbox (the first in
-// the deterministic inbox order; a Byzantine node that sends several
+// collectInto extracts one value per sender from the inbox (the first
+// in the deterministic inbox order; a Byzantine node that sends several
 // distinct values in one round still contributes only one to Rv, since
 // the model delivers at most one value per sender per round to the
-// algorithm's multiset Rv).
-func collect(inbox []sim.Message) []float64 {
-	return collectInto(inbox, make(map[ids.ID]bool), nil)
-}
-
-// collectInto is collect over caller-owned scratch: seen must be empty,
-// values is appended to and returned.
+// algorithm's multiset Rv). seen must be empty; values is appended to
+// and returned.
 func collectInto(inbox []sim.Message, seen map[ids.ID]bool, values []float64) []float64 {
 	for _, msg := range inbox {
 		v, ok := msg.Payload.(Value)

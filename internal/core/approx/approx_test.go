@@ -49,13 +49,13 @@ func TestOneShotWithinCorrectRange(t *testing.T) {
 		all := ids.Sparse(rng, n)
 		correct := all[:n-f]
 		faulty := all[n-f:]
-		var nodes []*approx.Node
+		var nodes []*approx.Iterated
 		var procs []sim.Process
 		var inputs []float64
 		for i, id := range correct {
 			x := float64(i * 10)
 			inputs = append(inputs, x)
-			nd := approx.New(id, x)
+			nd := approx.NewIterated(id, x, 1)
 			nodes = append(nodes, nd)
 			procs = append(procs, nd)
 		}
@@ -82,13 +82,13 @@ func TestOneShotRangeHalves(t *testing.T) {
 		all := ids.Sparse(rng, n)
 		correct := all[:n-f]
 		faulty := all[n-f:]
-		var nodes []*approx.Node
+		var nodes []*approx.Iterated
 		var procs []sim.Process
 		var inputs []float64
 		for i, id := range correct {
 			x := rng.Float64()*100 + float64(i)
 			inputs = append(inputs, x)
-			nd := approx.New(id, x)
+			nd := approx.NewIterated(id, x, 1)
 			nodes = append(nodes, nd)
 			procs = append(procs, nd)
 		}

@@ -26,7 +26,6 @@ var contentPins = map[string]map[string]contentPin{
 	"idonly/scenario/v1": {
 		"default":             {"c8aa256cf4d3e1a1997617cff70ba659f1b828da781df8ecc9e429ff13a7e82a", 4872, 6121025},
 		"no-fast-path":        {"c8aa256cf4d3e1a1997617cff70ba659f1b828da781df8ecc9e429ff13a7e82a", 4872, 6121025},
-		"sim-workers-4":       {"c8aa256cf4d3e1a1997617cff70ba659f1b828da781df8ecc9e429ff13a7e82a", 4872, 6121025},
 		"churn-j2,l1,fj1,fl1": {"e6af7b1e5c6806d0a082e03a17139a73c012bd7c398c0a65011c83dd34e33c3f", 2436, 3470685},
 		"chaos":               {"8d237156a791a690e70254418c3f3c62d7f3bad86bc8cfa8ef61a2e044c5c7aa", 2438, 2877793},
 		"ring-chaos":          {"292a4b20ac7fb229e5674126a1396a36d588e6d9bf11453286b9781692552504", 180, 47830},
@@ -40,10 +39,10 @@ type contentStrategy struct {
 }
 
 // contentStrategies are the small grid as preset, on the boxed
-// instantiation, with rounds sharded across four goroutines, and with
-// its churn axis replaced by one loaded spec — plus the small grid's
-// shape under the chaos adversary, whose junk payloads lie outside every
-// wire union, and the ring under the same junk.
+// instantiation, and with its churn axis replaced by one loaded spec —
+// plus the small grid's shape under the chaos adversary, whose junk
+// payloads lie outside every wire union, and the ring under the same
+// junk.
 func contentStrategies(t *testing.T) []contentStrategy {
 	t.Helper()
 	small := func() Grid {
@@ -57,8 +56,6 @@ func contentStrategies(t *testing.T) []contentStrategy {
 	for i := range boxed {
 		boxed[i].NoFastPath = true
 	}
-	sharded := small()
-	sharded.SimWorkers = 4
 	churned := small()
 	spec, err := ParseChurn("j2,l1,fj1,fl1")
 	if err != nil {
@@ -73,7 +70,6 @@ func contentStrategies(t *testing.T) []contentStrategy {
 	return []contentStrategy{
 		{"default", small().Scenarios()},
 		{"no-fast-path", boxed},
-		{"sim-workers-4", sharded.Scenarios()},
 		{"churn-j2,l1,fj1,fl1", churned.Scenarios()},
 		{"chaos", chaos.Scenarios()},
 		{"ring-chaos", ringChaos.Scenarios()},

@@ -24,10 +24,9 @@ const scenarioDigestVersion = "idonly/scenario/v1"
 // Because a scenario derives all of its randomness from Seed, its
 // Result is a pure function of this digest; a content-addressed store
 // keyed by it can serve a previously computed Result byte-for-byte.
-// SimWorkers and NoFastPath are deliberately excluded: the sharded
-// round and the boxed instantiation are each proven bit-identical to
-// the default path, so they change how fast the result is computed,
-// never what it is. TestDigestCoversEveryField fails on any other
+// NoFastPath is deliberately excluded: the boxed instantiation is
+// proven bit-identical to the default path, so it changes how fast the
+// result is computed, never what it is. TestDigestCoversEveryField fails on any other
 // field that does not move the digest.
 func (s Scenario) Digest() string {
 	s = s.withDefaults()

@@ -53,8 +53,8 @@ func TestDigestDefaultResolution(t *testing.T) {
 
 // digestNeutral names the Scenario fields that select an execution
 // strategy, never a result: each is proven bit-identical to the default
-// path, so neither may move the cache key.
-var digestNeutral = []string{"SimWorkers", "NoFastPath"}
+// path, so none may move the cache key.
+var digestNeutral = []string{"NoFastPath"}
 
 // TestDigestCoversEveryField sets each Scenario field in turn, json:"-"
 // ones included, and, under a churned base, each Churn field: every one

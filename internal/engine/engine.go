@@ -8,9 +8,8 @@
 // the scenario itself, never shared between scenarios), results are
 // stored by scenario index, and aggregation merges groups in sorted key
 // order. Consequently the canonical report bytes (Report.Canonical) are
-// identical for any worker count, including the per-round sharding of
-// sim.Config.Workers. Wall-clock timings are the only non-deterministic
-// outputs and are excluded from the canonical form.
+// identical for any worker count. Wall-clock timings are the only
+// non-deterministic outputs and are excluded from the canonical form.
 package engine
 
 import (
@@ -18,8 +17,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"idonly/internal/obs"
 )
 
 // Map runs fn(i) for every i in [0, n) across at most workers
@@ -90,23 +87,6 @@ type Options struct {
 	// per-scenario trace sink. The zero value is fully disabled and
 	// adds no measurable overhead (see Hooks).
 	Hooks Hooks
-
-	// Runs, when set and Hooks.Run is not, makes the sweep register
-	// itself: RunAll (and store.CachedRunAll) mint a live run record,
-	// feed it per-scenario progress, and finish it when the pool
-	// drains. Callers that need the run ID up front (the HTTP service
-	// does, to return it in a response header) set Hooks.Run directly
-	// and own the Finish instead.
-	Runs *obs.RunRegistry
-}
-
-// BeginRun resolves the sweep's run record: the caller's, or a fresh
-// self-registered one (finish reports whether this call owns Finish).
-func (o *Options) BeginRun(total, workers int) (rec *obs.RunRecord, finish bool) {
-	if o.Hooks.Run != nil || o.Runs == nil {
-		return o.Hooks.Run, false
-	}
-	return o.Runs.NewRun("sweep", o.Grid, total, workers), true
 }
 
 // RunAll executes every scenario across the worker pool and returns the
@@ -116,11 +96,6 @@ func RunAll(specs []Scenario, opts Options) *Report {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	run, finish := opts.BeginRun(len(specs), workers)
-	opts.Hooks.Run = run
-	if finish {
-		defer run.Finish()
 	}
 	start := time.Now() //lint:wallclock report wall-time only; results never read it
 	results := MapWorker(workers, len(specs), func(w, i int) Result {

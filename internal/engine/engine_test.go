@@ -99,7 +99,7 @@ func TestEveryProtocolAdversaryCell(t *testing.T) {
 
 // TestGridDeterminismAcrossWorkerCounts is the engine's core contract:
 // a ≥100-scenario grid produces byte-identical canonical reports at
-// workers=1 and workers=NumCPU, and with per-round sharding enabled.
+// workers=1 and workers=NumCPU.
 func TestGridDeterminismAcrossWorkerCounts(t *testing.T) {
 	grid, err := PresetGrid("small")
 	if err != nil {
@@ -114,15 +114,6 @@ func TestGridDeterminismAcrossWorkerCounts(t *testing.T) {
 	par := RunAll(specs, Options{Workers: runtime.NumCPU(), Grid: "small"})
 	if !bytes.Equal(mustCanonical(t, seq), mustCanonical(t, par)) {
 		t.Fatalf("canonical reports differ between workers=1 and workers=%d", runtime.NumCPU())
-	}
-
-	// Per-round sharding inside each runner must not change results
-	// either (sim merges outboxes in increasing-id order).
-	sharded := grid
-	sharded.SimWorkers = 4
-	shr := RunAll(sharded.Scenarios(), Options{Workers: runtime.NumCPU(), Grid: "small"})
-	if !bytes.Equal(mustCanonical(t, seq), mustCanonical(t, shr)) {
-		t.Fatal("canonical report differs when sim.Config.Workers = 4")
 	}
 
 	if errs := seq.Errors(); len(errs) != 0 {
@@ -159,8 +150,7 @@ func TestProtocolsIncludeDynamic(t *testing.T) {
 
 // TestChurnScenarioDeterminism is the churn half of the engine's
 // determinism contract: a grid of churned dynamic scenarios produces
-// byte-identical canonical reports at workers=1 and workers=4, and with
-// per-round sharding (SimWorkers=4) enabled inside every run.
+// byte-identical canonical reports at workers=1 and workers=4.
 func TestChurnScenarioDeterminism(t *testing.T) {
 	grid := Grid{
 		Name:        "churn-test",
@@ -177,12 +167,6 @@ func TestChurnScenarioDeterminism(t *testing.T) {
 	par := RunAll(grid.Scenarios(), Options{Workers: 4, Grid: grid.Name})
 	if !bytes.Equal(mustCanonical(t, seq), mustCanonical(t, par)) {
 		t.Fatal("churn grid canonical reports differ between workers=1 and workers=4")
-	}
-	sharded := grid
-	sharded.SimWorkers = 4
-	shr := RunAll(sharded.Scenarios(), Options{Workers: 4, Grid: grid.Name})
-	if !bytes.Equal(mustCanonical(t, seq), mustCanonical(t, shr)) {
-		t.Fatal("churn grid canonical report differs when sim.Config.Workers = 4")
 	}
 	if errs := seq.Errors(); len(errs) != 0 {
 		t.Fatalf("churn grid produced %d errors, first: %s: %s", len(errs), errs[0].Scenario.Name, errs[0].Err)
@@ -235,6 +219,8 @@ func TestChurnValidate(t *testing.T) {
 		{Protocol: ProtoDynamic, Adversary: AdvSilent, N: 7, F: 2, Seed: 1, Churn: &Churn{FaultyJoins: 2, FaultyLeaves: 1}},
 		// negative field
 		{Protocol: ProtoDynamic, Adversary: AdvSilent, N: 7, F: 0, Seed: 1, Churn: &Churn{Joins: -1}},
+		// a run too short for any churn round to fire
+		{Protocol: ProtoConsensus, Adversary: AdvSilent, N: 7, F: 2, Seed: 1, MaxRounds: 2, Churn: &Churn{FaultyJoins: 1, FaultyLeaves: 1}},
 	}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {

@@ -19,8 +19,8 @@ package engine
 // rbroadcast and dynamic) the faulty slots keep no inbox, so nothing is
 // boxed for them either. Selection never changes a result: the
 // golden-trace tests (internal/sim) and TestFastPathMatchesReference pin
-// the two instantiations byte-equal, which is why NoFastPath and
-// SimWorkers share the same canonical-report exclusion.
+// the two instantiations byte-equal, which is why NoFastPath is
+// excluded from the canonical report.
 
 // fastPath reports whether the (defaults-resolved) scenario may run on
 // its protocol's wire union. buildProtocol must also have provided a

@@ -101,7 +101,7 @@ func eligibleSpecs() []Scenario {
 // for every eligible cell, churned ones included, the canonical report
 // bytes — results, digests, metrics, aggregates — are identical whether
 // the scenario ran on the wire-union instantiation of the simulator
-// core, the boxed one (NoFastPath), or the sharded variant.
+// core or the boxed one (NoFastPath).
 func TestFastPathMatchesReference(t *testing.T) {
 	specs := eligibleSpecs()
 	for _, s := range specs {
@@ -138,56 +138,18 @@ func TestFastPathMatchesReference(t *testing.T) {
 	if !bytes.Equal(mustCanonical(t, fast), mustCanonical(t, slow)) {
 		t.Fatal("canonical reports differ between the fast path and the reference runner")
 	}
-
-	sharded := make([]Scenario, len(specs))
-	copy(sharded, specs)
-	for i := range sharded {
-		sharded[i].SimWorkers = 4
-	}
-	shr := RunAll(sharded, Options{Workers: 4, Grid: "fastpath"})
-	if !bytes.Equal(mustCanonical(t, fast), mustCanonical(t, shr)) {
-		t.Fatal("canonical reports differ between sequential and sharded fast path")
-	}
-}
-
-// TestShardedSessionsMatchSequential is the same byte equality for the
-// two protocols that keep per-session machines: Algorithm 6 recycles
-// them through a per-node free list and Algorithm 5 absorbs and advances
-// one. Sharding runs the nodes' Steps on four goroutines, so under -race
-// this is also the proof that no recycled state is shared between nodes.
-func TestShardedSessionsMatchSequential(t *testing.T) {
-	grid := Grid{
-		Name:        "sessions",
-		Protocols:   []string{ProtoDynamic, ProtoParallel},
-		Adversaries: []string{AdvSilent, AdvSplit, AdvChaos},
-		Sizes:       []int{7, 14},
-		Seeds:       seedRange(2),
-		Churns:      []Churn{{}, {Joins: 2, Leaves: 1, FaultyJoins: 1, FaultyLeaves: 1}},
-	}
-	seq := RunAll(grid.Scenarios(), Options{Workers: 1, Grid: grid.Name})
-	if errs := seq.Errors(); len(errs) != 0 {
-		t.Fatalf("%d errors, first: %s: %s", len(errs), errs[0].Scenario.Name, errs[0].Err)
-	}
-	grid.SimWorkers = 4
-	shr := RunAll(grid.Scenarios(), Options{Workers: 2, Grid: grid.Name})
-	if !bytes.Equal(mustCanonical(t, seq), mustCanonical(t, shr)) {
-		t.Fatal("canonical reports differ between SimWorkers 1 and 4")
-	}
 }
 
 // TestScaleSmokeFastVsReference is the large-n smoke test CI runs: the
-// ring workload at n = 10k, fast path against reference, sequential
-// against sharded, all four canonical-byte identical.
+// ring workload at n = 10k, fast path against reference, canonical-byte
+// identical.
 func TestScaleSmokeFastVsReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large-n smoke test")
 	}
-	base := Scenario{Protocol: ProtoRing, Adversary: AdvNone, N: 10000, Seed: 1}
 	variants := []Scenario{
-		base,
+		{Protocol: ProtoRing, Adversary: AdvNone, N: 10000, Seed: 1},
 		{Protocol: ProtoRing, Adversary: AdvNone, N: 10000, Seed: 1, NoFastPath: true},
-		{Protocol: ProtoRing, Adversary: AdvNone, N: 10000, Seed: 1, SimWorkers: 4},
-		{Protocol: ProtoRing, Adversary: AdvNone, N: 10000, Seed: 1, NoFastPath: true, SimWorkers: 4},
 	}
 	var want []byte
 	for i, s := range variants {
@@ -205,8 +167,7 @@ func TestScaleSmokeFastVsReference(t *testing.T) {
 			continue
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("variant %d (noFastPath=%v simWorkers=%d) diverged from the fast path",
-				i, s.NoFastPath, s.SimWorkers)
+			t.Fatalf("variant %d (noFastPath=%v) diverged from the fast path", i, s.NoFastPath)
 		}
 	}
 }

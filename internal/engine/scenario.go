@@ -83,6 +83,11 @@ type Churn struct {
 	Window       int `json:"window,omitempty"`        // churn rounds drawn from [3, 3+Window); 0 = MaxRounds/2
 }
 
+// firstChurnRound is the earliest round a churn event fires: a run
+// shorter than this cannot apply any, so Validate rejects a churned
+// scenario whose MaxRounds is below it.
+const firstChurnRound = 3
+
 // IsZero reports whether the spec declares no churn at all.
 func (c Churn) IsZero() bool {
 	return c.Joins == 0 && c.Leaves == 0 && c.FaultyJoins == 0 && c.FaultyLeaves == 0
@@ -161,9 +166,10 @@ func (s Scenario) churnPlan() churnPlan {
 	}
 	// Keep every churn round inside the run: an event scheduled past
 	// MaxRounds would silently never fire and the result would
-	// undercount the spec.
-	if w > s.MaxRounds-3 {
-		w = s.MaxRounds - 3
+	// undercount the spec. Validate rejects a run too short to hold
+	// even the first churn round.
+	if w > s.MaxRounds-firstChurnRound {
+		w = s.MaxRounds - firstChurnRound
 	}
 	if w < 1 {
 		w = 1
@@ -175,7 +181,7 @@ func (s Scenario) churnPlan() churnPlan {
 		}
 		out := make([]int, k)
 		for i := range out {
-			out[i] = 3 + rng.Intn(w)
+			out[i] = firstChurnRound + rng.Intn(w)
 		}
 		sort.Ints(out)
 		return out
@@ -208,18 +214,12 @@ type Scenario struct {
 	// scenarios is safe and the scenario stays a pure value.
 	Churn *Churn `json:"churn,omitempty"`
 
-	// SimWorkers is passed to sim.Config.Workers: > 1 shards each
-	// round's Step calls inside the single run. It never changes
-	// results (the sim merges outboxes in increasing-id order), so it is
-	// excluded from the canonical report.
-	SimWorkers int `json:"-"`
-
 	// NoFastPath runs the scenario on the boxed instantiation of the
 	// simulator core even when it is eligible for the protocol's wire
 	// union (fastpath.go) — the comparison target for the typed one.
-	// Like SimWorkers it selects an execution strategy, never a result —
-	// the two are proven bit-identical — so it is excluded from the
-	// canonical report and the scenario digest.
+	// It selects an execution strategy, never a result — the two are
+	// proven bit-identical — so it is excluded from the canonical report
+	// and the scenario digest.
 	NoFastPath bool `json:"-"`
 }
 
@@ -306,6 +306,10 @@ func (s Scenario) Validate() error {
 			return fmt.Errorf("engine: scenario %q over-allocates faulty churn (fj=%d + fl=%d > f=%d)",
 				s.Name, c.FaultyJoins, c.FaultyLeaves, s.F)
 		}
+		if !c.IsZero() && s.MaxRounds < firstChurnRound {
+			return fmt.Errorf("engine: scenario %q churns in a run of %d rounds (churn starts at round %d)",
+				s.Name, s.MaxRounds, firstChurnRound)
+		}
 	}
 	return nil
 }
@@ -360,7 +364,6 @@ func (s Scenario) run(ph *phases) (res Result) {
 	cfg := sim.Config{
 		MaxRounds:          s.MaxRounds,
 		StopWhenAllDecided: pr.stopDecided,
-		Workers:            s.SimWorkers,
 	}
 
 	// One core, two instantiations (sim/generic.go): the protocol's wire
@@ -786,7 +789,6 @@ type Grid struct {
 	Sizes       []int    `json:"sizes"`
 	Seeds       []uint64 `json:"seeds"`
 	MaxRounds   int      `json:"max_rounds,omitempty"` // 0 = per-protocol default
-	SimWorkers  int      `json:"-"`
 
 	// Churns is the churn axis; empty means one static (zero-churn)
 	// column. Each spec is sanitized per cell (Churn.clampFor): correct
@@ -818,14 +820,13 @@ func (g Grid) Scenarios() []Scenario {
 					}
 					for _, seed := range g.Seeds {
 						specs = append(specs, Scenario{
-							Protocol:   proto,
-							Adversary:  adv,
-							N:          n,
-							F:          f,
-							Seed:       seed,
-							MaxRounds:  g.MaxRounds,
-							Churn:      spec,
-							SimWorkers: g.SimWorkers,
+							Protocol:  proto,
+							Adversary: adv,
+							N:         n,
+							F:         f,
+							Seed:      seed,
+							MaxRounds: g.MaxRounds,
+							Churn:     spec,
 						})
 					}
 				}

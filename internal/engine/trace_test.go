@@ -86,12 +86,14 @@ func TestHooksDoNotChangeResults(t *testing.T) {
 	}
 }
 
-// TestRunAllSelfRegisters: with Options.Runs and no caller run record,
-// RunAll mints a "sweep" run in the registry, feeds it and finishes it.
-func TestRunAllSelfRegisters(t *testing.T) {
+// TestRunAllFeedsRunRecord: RunAll reports every scenario's progress
+// to the caller's run record in Hooks.Run, and the caller finishes it.
+func TestRunAllFeedsRunRecord(t *testing.T) {
 	runs := obs.NewRunRegistry(0)
 	specs := testSpecs()
-	RunAll(specs, Options{Workers: 2, Grid: "trace-test", Runs: runs})
+	run := runs.NewRun("sweep", "trace-test", len(specs), 2)
+	RunAll(specs, Options{Workers: 2, Grid: "trace-test", Hooks: Hooks{Run: run}})
+	run.Finish()
 	active, completed := runs.Snapshots()
 	if len(active) != 0 || len(completed) != 1 {
 		t.Fatalf("%d active, %d completed runs, want 0 and 1", len(active), len(completed))

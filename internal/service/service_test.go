@@ -283,6 +283,12 @@ func TestSweepRejectsBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("oversized max_rounds: status %d (%s)", resp.StatusCode, b)
 	}
+	// A churn axis on a run too short for its first churn round would
+	// apply no churn and report none.
+	resp, b = postSweep(t, ts, "", `{"grid":{"protocols":["consensus"],"adversaries":["silent"],"sizes":[7],"seeds":[1],"max_rounds":2},"churn":"fj1,fl1"}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("churn with max_rounds 2: status %d (%s)", resp.StatusCode, b)
+	}
 
 	// An invalid scenario inside the grid is a 400, not a sweep error.
 	resp, _ = postSweep(t, ts, "", `{"grid":{"protocols":["nope"],"adversaries":["silent"],"sizes":[7],"seeds":[1]}}`)

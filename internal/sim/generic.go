@@ -5,9 +5,8 @@
 // wire type M, and everything a round does — buffer flip, inbox
 // assembly, adversary and process steps, observer, delivery through
 // the duplicate filter into the broadcast log and the exception lanes
-// (plane.go), decided bookkeeping, membership churn, the sharded Step
-// fan-out (shard.go) — exists here and nowhere else. Two kinds of
-// instantiation share it:
+// (plane.go), decided bookkeeping, membership churn — exists here and
+// nowhere else. Two kinds of instantiation share it:
 //
 //   - NewTypedRunner, over a protocol's closed wire union (a small
 //     value struct) and its concrete node type: the compiler stencils
@@ -27,7 +26,7 @@
 // the recipient count, so an inbox may be the round's shared log; the
 // rest is one append to the round's bucket. Node bookkeeping lives in
 // struct-of-arrays (ids, processes, faulty and decided flags, lanes,
-// in parallel slices a sharded round streams through), sorted by id
+// in parallel slices a round streams through), sorted by id
 // and indexed through a quorum.Index that numbers the ids in slot
 // order; joins and leaves shift every column in step.
 //
@@ -37,10 +36,9 @@
 // is value equality, and distinct types are distinct values — so both
 // instantiations name the same sources; NaN and negative zero, where
 // rendering and equality disagree, stay outside the contract. The
-// schedule is therefore the same for every instantiation, sequential
-// or sharded: golden_test.go pins the trace digests on both, and
-// naive_test.go checks the core against a map-based model of the
-// paper's §IV.
+// schedule is therefore the same for every instantiation:
+// golden_test.go pins the trace digests on both, and naive_test.go
+// checks the core against a map-based model of the paper's §IV.
 package sim
 
 import (
@@ -177,9 +175,9 @@ type TypedRunner[P ProcessT[M], M comparable] struct {
 	keyOf func(dst []byte, m M) []byte // appends m's sort key
 
 	// Struct-of-arrays node table, sorted by id: parallel slices
-	// indexed by slot, so a sharded round walks contiguous memory
-	// instead of chasing per-node structs. procs and leaver are zero
-	// on faulty slots (the adversary drives those).
+	// indexed by slot, so a round walks contiguous memory instead of
+	// chasing per-node structs. procs and leaver are zero on faulty
+	// slots (the adversary drives those).
 	idvec  []ids.ID
 	procs  []P
 	faulty []bool
@@ -207,10 +205,9 @@ type TypedRunner[P ProcessT[M], M comparable] struct {
 	cur     []laneBuf[M]
 	bcur    []inboxBuf
 
-	// Merge scratch for inboxes whose lane is not empty: merged[0] on
-	// the sequential path, merged[w] for shard worker w, bmerged for the
-	// faulty slots (always assembled sequentially).
-	merged  []laneBuf[M]
+	// Merge scratch for inboxes whose lane is not empty: merged for the
+	// correct slots, bmerged for the faulty slots.
+	merged  laneBuf[M]
 	bmerged inboxBuf
 
 	undecided int // correct processes not yet observed Decided
@@ -232,10 +229,6 @@ type TypedRunner[P ProcessT[M], M comparable] struct {
 	filter srcFilter[srcKey[M]] // within-round duplicate filter (plane.go)
 
 	obsSends []Send // observer unbox scratch, reused
-
-	// Pooled shard buffers (Workers > 1); see shard.go.
-	pre    []stepOut[M]
-	panics []any
 }
 
 // NewTypedRunner creates a runner over a protocol's wire union: the
@@ -274,7 +267,6 @@ func newRunner[P ProcessT[M], M comparable](cfg Config, procs []P, faulty []ids.
 		leaver:   make([]Leaver, nn),
 		cur:      make([]laneBuf[M], nn),
 		bcur:     make([]inboxBuf, nn),
-		merged:   make([]laneBuf[M], 1),
 		spawns:   make(map[int][]spawn[P]),
 		curArena: make([]byte, 0, 1024),
 		nxtArena: make([]byte, 0, 1024),
@@ -446,14 +438,6 @@ func (r *TypedRunner[P, M]) StepRound() {
 	// above, leavers removed below, so the slots delivery tags its
 	// bucket entries with are the slots the scatter hands lanes to.
 	nn := len(r.idvec)
-	// With Workers > 1 the Step calls of correct processes are computed
-	// concurrently up front (shard.go); the loop below then replays the
-	// exact sequential schedule — adversary steps, deliveries, observer
-	// callbacks and metrics all happen in increasing-id order either way.
-	var pre []stepOut[M]
-	if r.cfg.Workers > 1 {
-		pre = r.shardSteps(round)
-	}
 	for i := 0; i < nn; i++ {
 		id := r.idvec[i]
 		if r.faulty[i] {
@@ -473,22 +457,13 @@ func (r *TypedRunner[P, M]) StepRound() {
 			continue
 		}
 		p := r.procs[i]
-		var sends []SendT[M]
-		if pre != nil {
-			if pre[i].decidedBefore {
-				r.markDecided(i, round-1)
-				continue
-			}
-			sends = pre[i].sends
-		} else {
-			// done[i] caches Decided: the protocols are monotone, so
-			// re-asking a decided node every round would be a no-op.
-			if r.done[i] || p.Decided() {
-				r.markDecided(i, round-1)
-				continue
-			}
-			sends = p.StepTyped(round, r.inbox(i, 0))
+		// done[i] caches Decided: the protocols are monotone, so
+		// re-asking a decided node every round would be a no-op.
+		if r.done[i] || p.Decided() {
+			r.markDecided(i, round-1)
+			continue
 		}
+		sends := p.StepTyped(round, r.inbox(i))
 		if r.cfg.Observer != nil {
 			r.observe(round, id, sends)
 		}
@@ -518,9 +493,9 @@ func (r *TypedRunner[P, M]) StepRound() {
 }
 
 // inbox assembles correct slot i's inbox for this round (plane.go), in
-// merge scratch w when its lane is not empty.
-func (r *TypedRunner[P, M]) inbox(i, w int) []MsgT[M] {
-	return assemble(&r.cur[i], &r.log, &r.merged[w], r.curArena)
+// the merge scratch when its lane is not empty.
+func (r *TypedRunner[P, M]) inbox(i int) []MsgT[M] {
+	return assemble(&r.cur[i], &r.log, &r.merged, r.curArena)
 }
 
 // faultyLog is the broadcast log the faulty slots read: the boxed

@@ -5,15 +5,17 @@ package sim_test
 // were generated with the pre-refactor runner (PR 1); every refactor
 // of the delivery path must keep them byte-identical, for every
 // protocol, on every instantiation of the core the protocol has (boxed
-// payloads always, its wire union where one exists), sequential and
-// sharded. The digest covers the full observer trace (every send of
-// every node in every round), the final node outputs and the
-// deterministic metrics fields.
+// payloads always, its wire union where one exists), alone and with
+// copies of itself running at once. The digest covers the full
+// observer trace (every send of every node in every round), the final
+// node outputs and the deterministic metrics fields.
 
 import (
 	"fmt"
 	"hash/fnv"
+	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"idonly/internal/adversary"
@@ -29,10 +31,10 @@ import (
 // with the other). Metrics.InboxGrows-style allocation diagnostics
 // must not be included: the digest pins the schedule, not the
 // allocator.
-func digestRun(w workload, workers int, play playFn) string {
+func digestRun(w workload, play playFn) string {
 	h := fnv.New64a()
 	s := w.sys()
-	m := play(w.config(workers, func(round int, from ids.ID, sends []sim.Send) {
+	m := play(w.config(func(round int, from ids.ID, sends []sim.Send) {
 		fmt.Fprintf(h, "r%d %d %v\n", round, from, sends)
 	}), s)
 	for _, p := range s.all() {
@@ -56,6 +58,35 @@ func digestRun(w workload, workers int, play playFn) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
+// workerCounts is the digest tests' workers column: how many copies
+// of the same simulation run at once, each on its own goroutine, as a
+// sweep's worker pool runs scenarios. Every copy must reproduce the
+// pinned digest, so two runs share no mutable state; under -race the
+// column also reports any unsynchronised access between them.
+var workerCounts = []int{1, 4}
+
+// concurrently calls run(0) … run(workers-1) on goroutines of their
+// own and waits for all of them.
+func concurrently(workers int, run func(i int)) {
+	var wg sync.WaitGroup
+	for i := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(i)
+		}()
+	}
+	wg.Wait()
+}
+
+// digestRuns plays workers copies of w at once and returns each
+// copy's digest.
+func digestRuns(w workload, workers int, play playFn) []string {
+	got := make([]string, workers)
+	concurrently(workers, func(i int) { got[i] = digestRun(w, play) })
+	return got
+}
+
 // golden pins a workload's digest; the schedule is frozen.
 type golden struct {
 	workload
@@ -73,13 +104,33 @@ var goldenTraces = []golden{
 	{ring1024Workload, "a10b0d0d4631b28e"},
 }
 
+// TestInstantiationsShareMetrics holds the typed instantiation of every
+// golden system to the boxed one's Metrics field for field, InboxGrows
+// included: the digests pin trace and outputs, and there is one
+// presize policy, so the two must also grow their buffers alike.
+func TestInstantiationsShareMetrics(t *testing.T) {
+	for _, tc := range append(goldenTraces, goldenChurn...) {
+		if tc.typed == nil {
+			continue
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.config(nil)
+			if typed, ref := tc.typed(cfg, tc.sys()), boxed(cfg, tc.sys()); !reflect.DeepEqual(typed, ref) {
+				t.Fatalf("metrics differ:\ntyped %+v\nboxed %+v", typed, ref)
+			}
+		})
+	}
+}
+
 func TestGoldenTraces(t *testing.T) {
 	for _, tc := range goldenTraces {
 		for name, play := range tc.instantiations() {
-			for _, workers := range []int{1, 4} {
+			for _, workers := range workerCounts {
 				t.Run(fmt.Sprintf("%s/%s/workers=%d", tc.name, name, workers), func(t *testing.T) {
-					if got := digestRun(tc.workload, workers, play); got != tc.want {
-						t.Fatalf("schedule changed: digest %s, golden %s", got, tc.want)
+					for i, got := range digestRuns(tc.workload, workers, play) {
+						if got != tc.want {
+							t.Fatalf("schedule changed in copy %d: digest %s, golden %s", i, got, tc.want)
+						}
 					}
 				})
 			}
@@ -138,10 +189,11 @@ func churnConsensusSystem() system {
 }
 
 // The churn schedules are pinned: joins, leaves and faulty removals
-// must replay bit-identically on every instantiation, sequential and
-// sharded. The dynamic digest was generated when churn landed (PR 3);
-// the consensus one on the boxed Runner of the last commit that still
-// had a second delivery plane, whose wire-union runner had no churn.
+// must replay bit-identically on every instantiation, alone and
+// alongside copies of the same run. The dynamic
+// digest was generated when churn landed; the consensus one on the
+// boxed Runner of the last commit that still had a second delivery
+// plane, whose wire-union runner had no churn.
 var goldenChurn = []golden{
 	{workload{"churn-dynamic", 60, false, churnHeavySystem, dynamicWorkload.typed, true}, "94493272edd150e2"},
 	{workload{"churn-consensus", 200, true, churnConsensusSystem, consensusWorkload.typed, true}, "82e6cdb6213a32f9"},
@@ -150,10 +202,12 @@ var goldenChurn = []golden{
 func TestGoldenChurnSchedule(t *testing.T) {
 	for _, tc := range goldenChurn {
 		for name, play := range tc.instantiations() {
-			for _, workers := range []int{1, 4} {
+			for _, workers := range workerCounts {
 				t.Run(fmt.Sprintf("%s/%s/workers=%d", tc.name, name, workers), func(t *testing.T) {
-					if got := digestRun(tc.workload, workers, play); got != tc.want {
-						t.Fatalf("churn schedule changed: digest %s, golden %s", got, tc.want)
+					for i, got := range digestRuns(tc.workload, workers, play) {
+						if got != tc.want {
+							t.Fatalf("churn schedule changed in copy %d: digest %s, golden %s", i, got, tc.want)
+						}
 					}
 				})
 			}

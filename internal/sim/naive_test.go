@@ -134,10 +134,10 @@ func naiveModel(cfg sim.Config, s system) sim.Metrics {
 func TestCoreMatchesNaiveModel(t *testing.T) {
 	for _, tc := range append(goldenTraces, goldenChurn...) {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := digestRun(tc.workload, 1, naiveModel); got != tc.want {
+			if got := digestRun(tc.workload, naiveModel); got != tc.want {
 				t.Fatalf("the model's schedule differs from the pinned one: digest %s, golden %s", got, tc.want)
 			}
-			cfg := tc.config(1, func(int, ids.ID, []sim.Send) {})
+			cfg := tc.config(func(int, ids.ID, []sim.Send) {})
 			model, core := naiveModel(cfg, tc.sys()), boxed(cfg, tc.sys())
 			if core.InboxGrows = 0; !reflect.DeepEqual(model, core) {
 				t.Fatalf("metrics differ:\nmodel %+v\ncore  %+v", model, core)

@@ -239,11 +239,9 @@ const insertionShiftsPerEntry = 2
 // Only each sender's run is sorted, by key bytes alone: StepRound
 // delivers the sends of one slot after another over the id-sorted node
 // table, so every lane and the log are filled in non-decreasing sender
-// order. That holds with Workers > 1 (Steps are computed concurrently,
-// deliveries are replayed sequentially) and under churn (joins enter
-// the sorted table before the round's first delivery, leavers go after
-// its last). A sender id that decreases is therefore a runner bug, and
-// panics.
+// order. That holds under churn too (joins enter the sorted table
+// before the round's first delivery, leavers go after its last). A
+// sender id that decreases is therefore a runner bug, and panics.
 func (b *laneBuf[M]) sort(arena []byte) {
 	for lo := 0; lo < len(b.msgs); {
 		hi := runEnd(b.msgs, lo)

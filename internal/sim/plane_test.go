@@ -603,7 +603,7 @@ func (*asmBlindAdv) Blind() {}
 // instantiation, under the inbox-recording adversary or the blind one,
 // and returns what every node was handed — the faulty nodes only under
 // the recording one — and the counters.
-func runAssembly(t *testing.T, sc asmScript, typed, blind bool, workers int) (map[ids.ID]map[int][]Message, Metrics) {
+func runAssembly(t *testing.T, sc asmScript, typed, blind bool) (map[ids.ID]map[int][]Message, Metrics) {
 	procs := make(map[ids.ID]*scriptProc)
 	for _, id := range []ids.ID{10, 30, 35, 40, 60} {
 		p := &scriptProc{id: id, script: map[int][]Send{1: sc[1][id], 2: sc[2][id]}, inboxes: make(map[int][]Message)}
@@ -619,7 +619,7 @@ func runAssembly(t *testing.T, sc asmScript, typed, blind bool, workers int) (ma
 	if blind {
 		adv = blindAdv
 	}
-	cfg := Config{MaxRounds: 3, Workers: workers}
+	cfg := Config{MaxRounds: 3}
 	var m Metrics
 	if typed {
 		r := NewTypedRunner(cfg, founders, []ids.ID{20, 50}, adv, asmCodec)
@@ -650,7 +650,7 @@ func runAssembly(t *testing.T, sc asmScript, typed, blind bool, workers int) (ma
 // every inbox assembled from the broadcast log and the exception lanes
 // — entry for entry, in order — and the delivered, dropped and
 // per-round counts to the per-recipient plane of asmModel, on both
-// instantiations, sequential and sharded. Under a blind adversary the
+// instantiations. Under a blind adversary the
 // faulty nodes keep no inbox at all, and the counts and the correct
 // nodes' inboxes must still be the model's.
 func FuzzInboxAssembly(f *testing.F) {
@@ -672,21 +672,19 @@ func FuzzInboxAssembly(f *testing.F) {
 		sc := decodeAssembly(data)
 		want, wantM := asmModel(sc)
 		for _, col := range []struct{ typed, blind bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
-			for _, workers := range []int{1, 4} {
-				got, m := runAssembly(t, sc, col.typed, col.blind, workers)
-				tag := fmt.Sprintf("typed=%v blind=%v workers=%d", col.typed, col.blind, workers)
-				if m.MessagesDelivered != wantM.MessagesDelivered || m.MessagesDropped != wantM.MessagesDropped || !slices.Equal(m.ByRound, wantM.ByRound) {
-					t.Fatalf("%s: delivered/dropped/byround = %d/%d/%v, model %d/%d/%v", tag,
-						m.MessagesDelivered, m.MessagesDropped, m.ByRound, wantM.MessagesDelivered, wantM.MessagesDropped, wantM.ByRound)
+			got, m := runAssembly(t, sc, col.typed, col.blind)
+			tag := fmt.Sprintf("typed=%v blind=%v", col.typed, col.blind)
+			if m.MessagesDelivered != wantM.MessagesDelivered || m.MessagesDropped != wantM.MessagesDropped || !slices.Equal(m.ByRound, wantM.ByRound) {
+				t.Fatalf("%s: delivered/dropped/byround = %d/%d/%v, model %d/%d/%v", tag,
+					m.MessagesDelivered, m.MessagesDropped, m.ByRound, wantM.MessagesDelivered, wantM.MessagesDropped, wantM.ByRound)
+			}
+			for id, rounds := range want {
+				if col.blind && asmFaulty(id) {
+					continue
 				}
-				for id, rounds := range want {
-					if col.blind && asmFaulty(id) {
-						continue
-					}
-					for round, in := range rounds {
-						if !slices.Equal(got[id][round], in) {
-							t.Fatalf("%s: node %d (faulty=%v) round %d inbox\n got  %v\n want %v", tag, id, asmFaulty(id), round, got[id][round], in)
-						}
+				for round, in := range rounds {
+					if !slices.Equal(got[id][round], in) {
+						t.Fatalf("%s: node %d (faulty=%v) round %d inbox\n got  %v\n want %v", tag, id, asmFaulty(id), round, got[id][round], in)
 					}
 				}
 			}

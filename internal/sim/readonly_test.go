@@ -10,7 +10,6 @@ package sim_test
 import (
 	"fmt"
 	"hash/fnv"
-	"sync"
 	"testing"
 
 	"idonly/internal/core/consensus"
@@ -23,9 +22,8 @@ import (
 )
 
 // inboxGuard collects the calls that changed the inbox they were
-// handed. Sharded Steps report concurrently.
+// handed.
 type inboxGuard struct {
-	mu         sync.Mutex
 	calls      int
 	violations []string
 }
@@ -43,11 +41,8 @@ func hashInbox[M any](inbox []sim.MsgT[M]) uint64 {
 func check[M, R any](g *inboxGuard, what string, id ids.ID, round int, inbox []sim.MsgT[M], step func() R) R {
 	before := hashInbox(inbox)
 	out := step()
-	changed := hashInbox(inbox) != before
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	g.calls++
-	if changed {
+	if hashInbox(inbox) != before {
 		g.violations = append(g.violations, fmt.Sprintf("%s of node %d modified its round-%d inbox", what, id, round))
 	}
 	return out
@@ -148,9 +143,10 @@ var guardedTyped = map[string]func(*inboxGuard) playFn{
 }
 
 // TestInboxIsReadOnly replays every golden system, on both
-// instantiations, sequential and sharded, with every inbox guarded: no
-// protocol or adversary may write to what it was handed, and the
-// decorated runs must still reproduce the pinned digests.
+// instantiations, alone and beside copies of itself, with every inbox
+// guarded (one guard per copy): no protocol or adversary may write to
+// what it was handed, and the decorated runs must still reproduce the
+// pinned digests.
 func TestInboxIsReadOnly(t *testing.T) {
 	for _, tc := range append(goldenTraces, goldenChurn...) {
 		plays := map[string]func(*inboxGuard) playFn{"boxed": (*inboxGuard).boxedPlay}
@@ -162,17 +158,21 @@ func TestInboxIsReadOnly(t *testing.T) {
 			plays["typed"] = mk
 		}
 		for name, mk := range plays {
-			for _, workers := range []int{1, 4} {
+			for _, workers := range workerCounts {
 				t.Run(fmt.Sprintf("%s/%s/workers=%d", tc.name, name, workers), func(t *testing.T) {
-					g := &inboxGuard{}
-					if got := digestRun(tc.workload, workers, mk(g)); got != tc.want {
-						t.Fatalf("schedule changed under the guard: digest %s, golden %s", got, tc.want)
-					}
-					if g.calls == 0 {
-						t.Fatal("the guard saw no Step")
-					}
-					if len(g.violations) > 0 {
-						t.Fatalf("%d inbox writes, first: %s", len(g.violations), g.violations[0])
+					guards := make([]inboxGuard, workers)
+					digests := make([]string, workers)
+					concurrently(workers, func(i int) { digests[i] = digestRun(tc.workload, mk(&guards[i])) })
+					for i, g := range guards {
+						if digests[i] != tc.want {
+							t.Fatalf("schedule changed under the guard in copy %d: digest %s, golden %s", i, digests[i], tc.want)
+						}
+						if g.calls == 0 {
+							t.Fatalf("the guard of copy %d saw no Step", i)
+						}
+						if len(g.violations) > 0 {
+							t.Fatalf("copy %d: %d inbox writes, first: %s", i, len(g.violations), g.violations[0])
+						}
 					}
 				})
 			}
@@ -215,9 +215,7 @@ func (vandalAdv) Step(_ ids.ID, _ int, inbox []sim.Message) []sim.Send {
 
 // TestInboxGuardCatchesWrites plants a process and an adversary that
 // write to their inboxes among well-behaved peers and requires the
-// guard to name exactly those two. Sequential only: a sharded vandal
-// would race its peers' reads of the shared log, which is the bug
-// itself.
+// guard to name exactly those two.
 func TestInboxGuardCatchesWrites(t *testing.T) {
 	w := workload{maxRounds: 2, sys: func() system {
 		return system{procs: []sim.Process{&vandalProc{1, true}, &vandalProc{2, false}, &vandalProc{3, false}}, faulty: []ids.ID{4}, adv: vandalAdv{}}
@@ -226,7 +224,7 @@ func TestInboxGuardCatchesWrites(t *testing.T) {
 	for name, mk := range plays {
 		t.Run(name, func(t *testing.T) {
 			g := &inboxGuard{}
-			mk(g)(w.config(1, nil), w.sys())
+			mk(g)(w.config(nil), w.sys())
 			want := map[string]bool{"Adversary.Step of node 4 modified its round-2 inbox": false}
 			step := "Step"
 			if name == "typed" {

@@ -14,8 +14,8 @@
 // Counted with a probe on each trim: the filter trim fires 20 times
 // over the large grid, twice over the scale grid, 8 times in
 // `idonly exp -seed 42`, and never over the small or medium grid. The
-// arena trim fires only in scratch_test.go's flood test, and the bitmap
-// trim in no run and no test.
+// arena and bitmap trims fire in no run, only in scratch_test.go's
+// flood tests.
 //
 // What is deliberately NOT trimmed: the delivery buffers — the
 // broadcast log, the lane bucket with the array it scatters into, and

@@ -67,13 +67,16 @@ var bigKeyCodec = Codec[bigKeyPayload]{
 }
 
 // floodProc broadcasts perRound distinct payloads for the first
-// floodRounds rounds, then goes quiet. It steps on either
-// instantiation.
+// floodRounds rounds, then goes quiet. With selfFirst it unicasts each
+// payload to itself before the broadcast, so the broadcast finds its
+// source already holding a slot and upgrades its recipient set to a
+// bitmap. It steps on either instantiation.
 type floodProc struct {
 	id          ids.ID
 	floodRounds int
 	perRound    int
 	pad         int
+	selfFirst   bool
 }
 
 func (p *floodProc) ID() ids.ID    { return p.id }
@@ -83,29 +86,32 @@ func (p *floodProc) StepTyped(round int, _ []MsgT[bigKeyPayload]) []SendT[bigKey
 	if round > p.floodRounds {
 		return nil
 	}
-	out := make([]SendT[bigKeyPayload], 0, p.perRound)
+	out := make([]SendT[bigKeyPayload], 0, 2*p.perRound)
 	for i := 0; i < p.perRound; i++ {
-		seq := int(p.id)*1_000_000 + round*10_000 + i
-		out = append(out, BroadcastT(bigKeyPayload{seq: seq, pad: p.pad}))
+		m := bigKeyPayload{seq: int(p.id)*1_000_000 + round*10_000 + i, pad: p.pad}
+		if p.selfFirst {
+			out = append(out, UnicastT(p.id, m))
+		}
+		out = append(out, BroadcastT(m))
 	}
 	return out
 }
 func (p *floodProc) Step(round int, _ []Message) []Send {
 	var out []Send
 	for _, s := range p.StepTyped(round, nil) {
-		out = append(out, BroadcastPayload(s.Payload))
+		out = append(out, Send{To: s.To, Payload: s.Payload})
 	}
 	return out
 }
 
 // floodRunners builds the same flood system on the boxed and on the
 // typed instantiation.
-func floodRunners(nProcs, floodRounds, perRound, pad int) (*TypedRunner[boxedProc, any], *TypedRunner[*floodProc, bigKeyPayload]) {
+func floodRunners(nProcs, floodRounds, perRound, pad int, selfFirst bool) (*TypedRunner[boxedProc, any], *TypedRunner[*floodProc, bigKeyPayload]) {
 	var boxed []Process
 	var typed []*floodProc
 	for i := 0; i < nProcs; i++ {
-		boxed = append(boxed, &floodProc{id: ids.ID(i + 1), floodRounds: floodRounds, perRound: perRound, pad: pad})
-		typed = append(typed, &floodProc{id: ids.ID(i + 1), floodRounds: floodRounds, perRound: perRound, pad: pad})
+		boxed = append(boxed, &floodProc{id: ids.ID(i + 1), floodRounds: floodRounds, perRound: perRound, pad: pad, selfFirst: selfFirst})
+		typed = append(typed, &floodProc{id: ids.ID(i + 1), floodRounds: floodRounds, perRound: perRound, pad: pad, selfFirst: selfFirst})
 	}
 	cfg := Config{MaxRounds: 1 << 20}
 	return NewRunner(cfg, boxed, nil, nil).TypedRunner, NewTypedRunner(cfg, typed, nil, nil, bigKeyCodec)
@@ -131,7 +137,7 @@ func arenaShrinksAfterFlood[P ProcessT[M], M comparable](t *testing.T, r *TypedR
 
 func TestRunnerArenaShrinksAfterFlood(t *testing.T) {
 	// 4 procs x 4 sends x 16KiB keys = ~256KiB of arena per flood round.
-	boxed, typed := floodRunners(4, 3, 4, 16<<10)
+	boxed, typed := floodRunners(4, 3, 4, 16<<10, false)
 	t.Run("boxed", func(t *testing.T) { arenaShrinksAfterFlood(t, boxed) })
 	t.Run("typed", func(t *testing.T) { arenaShrinksAfterFlood(t, typed) })
 }
@@ -162,7 +168,32 @@ func TestRunnerDedupShrinksAfterFlood(t *testing.T) {
 	// The filter counts sources, not deliveries: 4 procs x 1200 distinct
 	// broadcasts = 4800 filter entries per round (19200 deliveries),
 	// above filterRetainFloor.
-	boxed, typed := floodRunners(4, 30, 1200, 4)
+	boxed, typed := floodRunners(4, 30, 1200, 4, false)
 	t.Run("boxed", func(t *testing.T) { dedupShrinksAfterFlood(t, boxed) })
 	t.Run("typed", func(t *testing.T) { dedupShrinksAfterFlood(t, typed) })
+}
+
+func masksShrinkAfterFlood[P ProcessT[M], M comparable](t *testing.T, r *TypedRunner[P, M]) {
+	for i := 0; i < 3; i++ {
+		r.StepRound()
+	}
+	r.StepRound() // the flip returns the last flood round's bitmaps
+	peak := len(r.filter.maskFree)
+	if peak < 200 {
+		t.Fatalf("flood freed %d pooled bitmaps, want one per source (200)", peak)
+	}
+	for i := 0; i < 60; i++ { // quiet rounds: the bitmap gauge decays
+		r.StepRound()
+	}
+	if got, want := len(r.filter.maskFree), r.filter.maskGauge.retainTarget(4); got != want || got >= peak {
+		t.Fatalf("%d pooled bitmaps retained after 60 quiet rounds, want the retain target %d (flood freed %d)", got, want, peak)
+	}
+}
+
+func TestRunnerMasksShrinkAfterFlood(t *testing.T) {
+	// 100 slots need two-word bitmaps: each of the 100 procs' 2 sources
+	// per flood round is upgraded to a pooled mask, 200 in all.
+	boxed, typed := floodRunners(100, 3, 2, 4, true)
+	t.Run("boxed", func(t *testing.T) { masksShrinkAfterFlood(t, boxed) })
+	t.Run("typed", func(t *testing.T) { masksShrinkAfterFlood(t, typed) })
 }

@@ -163,15 +163,6 @@ type Config struct {
 	MaxRounds          int      // hard stop; 0 means DefaultMaxRounds
 	StopWhenAllDecided bool     // stop as soon as every correct node decided
 	Observer           Observer // optional traffic observer
-
-	// Workers > 1 enables the sharded round fast path: the per-round
-	// Step calls of correct processes are fanned across this many
-	// goroutines and their outboxes are merged in increasing-id order,
-	// so the run is bit-identical to the sequential schedule. Requires
-	// that processes do not share mutable state (every protocol in this
-	// repository satisfies this); the adversary is always stepped
-	// sequentially, so it may keep shared per-round state. See shard.go.
-	Workers int
 }
 
 // DefaultMaxRounds bounds runaway protocols in tests and experiments.

@@ -2,8 +2,8 @@ package sim_test
 
 // Bit-identity of the two instantiations beyond the pinned goldens
 // (golden_test.go replays those on both): the scale-frontier ring
-// workload held equal across boxed and typed, sequential and sharded,
-// and the duplicate filter keyed on a wire value.
+// workload held equal across boxed and typed, and the duplicate filter
+// keyed on a wire value.
 
 import (
 	"testing"
@@ -27,18 +27,12 @@ func ringWorkload(n int) workload {
 }
 
 // TestTypedRingMatchesReference holds the scale-frontier workload
-// byte-equal across the two instantiations at n=1000, sequential and
-// sharded — the sim-level half of the engine's large-n smoke test.
+// byte-equal across the two instantiations at n=1000 — the sim-level
+// half of the engine's large-n smoke test.
 func TestTypedRingMatchesReference(t *testing.T) {
 	w := ringWorkload(1000)
-	want := digestRun(w, 1, boxed)
-	for _, workers := range []int{1, 4} {
-		if got := digestRun(w, workers, w.typed); got != want {
-			t.Fatalf("ring schedule diverged at workers=%d: typed %s, boxed %s", workers, got, want)
-		}
-	}
-	if par := digestRun(w, 4, boxed); par != want {
-		t.Fatalf("ring boxed schedule diverged between workers=1 (%s) and workers=4 (%s)", want, par)
+	if got, want := digestRun(w, w.typed), digestRun(w, boxed); got != want {
+		t.Fatalf("ring schedule diverged: typed %s, boxed %s", got, want)
 	}
 }
 
@@ -73,7 +67,7 @@ func TestTypedRunnerDeduplicates(t *testing.T) {
 		return system{procs: []sim.Process{&dupProc{id: 1, peer: 2}, &dupProc{id: 2, peer: 1}}}
 	}}
 	for name, play := range w.instantiations() {
-		m := play(w.config(1, nil), w.sys())
+		m := play(w.config(nil), w.sys())
 		if m.MessagesDelivered != 4 {
 			t.Fatalf("%s: MessagesDelivered = %d, want 4", name, m.MessagesDelivered)
 		}

@@ -1,15 +1,16 @@
 package sim_test
 
-// Determinism of the sharded round fast path: for every core protocol,
-// on every instantiation of the runner core it has, a run with
-// Config.Workers = 8 must be bit-identical to the sequential run —
-// same metrics, same per-round observer trace, same final node outputs.
+// The schedule tests' workloads: one system per core protocol (and the
+// ring overlay at n = 1024), the runners they play on — the boxed
+// instantiation always, the protocol's wire union where it has one —
+// and the plumbing that puts a system on a runner. golden_test.go pins
+// the schedule each produces, naive_test.go replays them on a
+// map-based model of the paper's §IV, and readonly_test.go runs them
+// with every inbox guarded.
 
 import (
 	"fmt"
-	"reflect"
 	"slices"
-	"testing"
 
 	"idonly/internal/adversary"
 	"idonly/internal/core/approx"
@@ -129,23 +130,8 @@ func (w workload) instantiations() map[string]playFn {
 	return m
 }
 
-func (w workload) config(workers int, obs sim.Observer) sim.Config {
-	return sim.Config{MaxRounds: w.maxRounds, StopWhenAllDecided: w.stopDecided, Workers: workers, Observer: obs}
-}
-
-// runTraced runs one workload and returns its observer trace, final
-// outputs (in construction order) and metrics.
-func runTraced(w workload, workers int, play playFn) (string, string, sim.Metrics) {
-	var tr []string
-	s := w.sys()
-	m := play(w.config(workers, func(round int, from ids.ID, sends []sim.Send) {
-		tr = append(tr, fmt.Sprintf("r%d %d %v", round, from, sends))
-	}), s)
-	var outs []string
-	for _, p := range s.all() {
-		outs = append(outs, fmt.Sprintf("%d=%v", p.ID(), p.Output()))
-	}
-	return fmt.Sprint(tr), fmt.Sprint(outs), m
+func (w workload) config(obs sim.Observer) sim.Config {
+	return sim.Config{MaxRounds: w.maxRounds, StopWhenAllDecided: w.stopDecided, Observer: obs}
 }
 
 func split(rng *ids.Rand, n, f int) (all, correct, faulty []ids.ID) {
@@ -267,81 +253,3 @@ var (
 	dynamicWorkload    = workload{"dynamic", 40, false, dynamicSystem, typedOver[*dynamic.Node](dynamic.WireCodec()), false}
 	ring1024Workload   = workload{"ring1024", 13, true, ringSystem, typedOver[*ring.Node](ring.WireCodec()), false}
 )
-
-// checkShardMatchesSequential holds every instantiation of a workload,
-// sequential and at workers = 8, to the boxed sequential run: same
-// trace, same outputs, same metrics (InboxGrows included — there is
-// one presize policy).
-func checkShardMatchesSequential(t *testing.T, w workload) {
-	seqTrace, seqOut, seqM := runTraced(w, 1, boxed)
-	for name, play := range w.instantiations() {
-		for _, workers := range []int{1, 8} {
-			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
-				parTrace, parOut, parM := runTraced(w, workers, play)
-				if seqTrace != parTrace {
-					t.Fatalf("observer trace diverged from boxed/workers=1:\nseq: %.400s\npar: %.400s", seqTrace, parTrace)
-				}
-				if seqOut != parOut {
-					t.Fatalf("final outputs diverged:\nseq: %s\npar: %s", seqOut, parOut)
-				}
-				if !reflect.DeepEqual(seqM, parM) {
-					t.Fatalf("metrics diverged:\nseq: %+v\npar: %+v", seqM, parM)
-				}
-			})
-		}
-	}
-}
-
-func TestShardedReliableBroadcast(t *testing.T) { checkShardMatchesSequential(t, rbroadcastWorkload) }
-func TestShardedConsensus(t *testing.T)         { checkShardMatchesSequential(t, consensusWorkload) }
-func TestShardedApprox(t *testing.T)            { checkShardMatchesSequential(t, approxWorkload) }
-func TestShardedRotor(t *testing.T)             { checkShardMatchesSequential(t, rotorWorkload) }
-func TestShardedParallelConsensus(t *testing.T) { checkShardMatchesSequential(t, parallelWorkload) }
-func TestShardedDynamicChurn(t *testing.T)      { checkShardMatchesSequential(t, dynamicWorkload) }
-
-// panicProc panics in its step at a given round; used to prove a
-// protocol panic inside a shard goroutine re-raises on the caller's
-// goroutine (where it is recoverable) instead of aborting the process.
-type panicProc struct {
-	id      ids.ID
-	atRound int
-}
-
-func (p *panicProc) ID() ids.ID    { return p.id }
-func (p *panicProc) Decided() bool { return false }
-func (p *panicProc) Output() any   { return nil }
-func (p *panicProc) Step(round int, _ []sim.Message) []sim.Send {
-	if round == p.atRound {
-		panic(fmt.Sprintf("proc %d: invariant violated", p.id))
-	}
-	return nil
-}
-func (p *panicProc) StepTyped(round int, _ []sim.MsgT[ring.Probe]) []sim.SendT[ring.Probe] {
-	p.Step(round, nil)
-	return nil
-}
-
-func TestShardedStepPanicIsRecoverable(t *testing.T) {
-	w := workload{maxRounds: 5, typed: typedOver[*panicProc](ring.WireCodec()), sys: func() system {
-		return system{procs: []sim.Process{
-			&panicProc{id: 1, atRound: 2},
-			&panicProc{id: 2, atRound: 2},
-			&panicProc{id: 3, atRound: 99},
-		}}
-	}}
-	for name, play := range w.instantiations() {
-		t.Run(name, func(t *testing.T) {
-			defer func() {
-				p := recover()
-				if p == nil {
-					t.Fatal("sharded Step panic did not propagate to the caller")
-				}
-				// The lowest-id panic wins, matching the sequential schedule.
-				if got := fmt.Sprint(p); got != "proc 1: invariant violated" {
-					t.Fatalf("wrong panic propagated: %q", got)
-				}
-			}()
-			play(w.config(8, nil), w.sys())
-		})
-	}
-}

@@ -49,10 +49,6 @@ func CachedRunAll(st *Store, specs []engine.Scenario, opts engine.Options) (*eng
 		workers = runtime.GOMAXPROCS(0)
 	}
 	start := time.Now()
-	if run, finish := opts.BeginRun(len(specs), workers); finish {
-		opts.Hooks.Run = run
-		defer run.Finish()
-	}
 	hooks := opts.Hooks
 	hooked := hooks.Enabled()
 
