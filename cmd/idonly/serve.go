@@ -41,7 +41,7 @@ func runServe(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&cfg.Workers, "workers", runtime.GOMAXPROCS(0), "worker-pool width per sweep")
 	fs.IntVar(&cfg.MaxInFlight, "max-inflight", 2, "concurrent sweeps; excess requests get 429")
 	fs.IntVar(&cfg.MaxScenarios, "max-scenarios", 20000, "largest grid one request may expand to")
-	fs.IntVar(&cfg.MaxN, "max-n", 256, "largest per-scenario system size a request may name")
+	fs.IntVar(&cfg.MaxN, "max-n", 256, "largest per-scenario system size a request may name, joiners included")
 	drain := fs.Duration("drain", 30*time.Second, "graceful-shutdown drain timeout")
 	fs.BoolVar(&cfg.EnablePprof, "pprof", false, "mount net/http/pprof under /debug/pprof")
 	fs.DurationVar(&cfg.ScenarioDeadline, "scenario-deadline", 30*time.Second, "watchdog: flag any scenario busy on one worker this long (0 disables)")

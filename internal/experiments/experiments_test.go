@@ -2,6 +2,8 @@ package experiments_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"strconv"
 	"strings"
 	"testing"
@@ -9,10 +11,28 @@ import (
 	"idonly/internal/experiments"
 )
 
+// tableSHA256 pins each experiment's rendered tables at seed 1: the
+// SHA-256 of every table's Fprint output, in order. The experiments
+// build their own runners and scenarios, so this is the one pin on what
+// they simulate; a change that moves any of these bytes moves a result.
+var tableSHA256 = map[string]string{
+	"E1":  "11d01e462ec4d9db1b2be3f266c6bcf6e6de96d51bec62e79f8d1135b79f5f14",
+	"E2":  "21d8db6a0e52c858410c1f260ae6edf1db70b4dd4d8e0de53e2d67f90aa25df7",
+	"E3":  "11946c3aec97c6f0d57f3c0a051af54835d087d6b9b2a06012094f74cd99394f",
+	"E4":  "e27930eb48d11c74ceab7decf3a96b0dd227f3db93efd7f4dfc858640b628e1b",
+	"E5":  "65b932f71d6fa1cb5230ffd6141715e20dae03e5ec4f21b9f9157286d7789a65",
+	"E6":  "8509ff0da93245f6b5edbd93b778a83ebf9f98dc68fc674f0aeddec66703c0f9",
+	"E7":  "60673d3f873f82193635efcf20e3cd2f2e2c85dcf1adb54a20e9d4911ba0489b",
+	"E8":  "8ce9956428a8cd86a382daa30641509d03a7e348cb87409aa9fc57b069825cd3",
+	"E9":  "ae81b161bf8d09bf19d752265cee46f088bb73a329b8c80d6241b003f0ad9aaf",
+	"E10": "37cc7a97856e9cf43aeea4c66d9cbf37f471791862f4346c95462d64dc7a006e",
+}
+
 // TestAllExperimentsRun executes every experiment end to end (small,
-// seeded) and checks structural sanity: tables render, every row has
-// the full column count, and nothing panics. Individual experiments'
-// semantic assertions follow below.
+// seeded) and checks structural sanity — tables render, every row has
+// the full column count, and nothing panics — and the rendered bytes
+// against tableSHA256. Individual experiments' semantic assertions
+// follow below.
 func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow; skipped with -short")
@@ -24,6 +44,7 @@ func TestAllExperimentsRun(t *testing.T) {
 			if len(tables) == 0 {
 				t.Fatalf("%s produced no tables", exp.ID)
 			}
+			h := sha256.New()
 			for _, tb := range tables {
 				if len(tb.Rows) == 0 {
 					t.Fatalf("%s table %q has no rows", exp.ID, tb.Title)
@@ -38,6 +59,10 @@ func TestAllExperimentsRun(t *testing.T) {
 				if !strings.Contains(buf.String(), tb.ID) {
 					t.Fatalf("%s: rendering lost the id", exp.ID)
 				}
+				h.Write(buf.Bytes())
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != tableSHA256[exp.ID] {
+				t.Errorf("%s tables at seed 1: sha256 %s, pinned %s", exp.ID, got, tableSHA256[exp.ID])
 			}
 		})
 	}

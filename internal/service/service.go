@@ -75,7 +75,8 @@ type Config struct {
 	MaxScenarios int // per-request expansion cap; <= 0 means 20000
 
 	// MaxN and MaxRounds bound a single scenario's compute (<= 0 means
-	// 256 nodes / 100000 rounds). The scenario-count cap alone is not
+	// 256 nodes / 100000 rounds); MaxN counts a cell's size plus its
+	// churn spec's joins. The scenario-count cap alone is not
 	// enough: one scenario with a six-figure N would hold an in-flight
 	// slot for hours, and sweeps are not cancellable mid-run.
 	MaxN      int
@@ -456,6 +457,11 @@ func (s *Service) resolveGrid(req *SweepRequest) ([]engine.Scenario, string, err
 		return nil, "", fmt.Errorf("grid expands to zero scenarios")
 	}
 	for _, spec := range specs {
+		// Joiners are nodes too: a cell's churn spec adds them on top of
+		// its size (N ≤ MaxN above, so the subtraction cannot wrap).
+		if spec.Churn != nil && spec.Churn.Joins > s.cfg.MaxN-spec.N {
+			return nil, "", fmt.Errorf("size %d with %d joins exceeds the per-scenario limit of %d nodes", spec.N, spec.Churn.Joins, s.cfg.MaxN)
+		}
 		if err := spec.Validate(); err != nil {
 			return nil, "", err
 		}

@@ -290,6 +290,22 @@ func TestSweepRejectsBadRequests(t *testing.T) {
 		t.Fatalf("churn with max_rounds 2: status %d (%s)", resp.StatusCode, b)
 	}
 
+	// Joiners count against MaxN: a cell of n nodes and j joins runs
+	// n + j, through the churn string or the grid's churn axis alike.
+	_, small := newTestService(t, Config{Workers: 1, MaxN: 10})
+	const dyn7 = `"protocols":["dynamic"],"adversaries":["silent"],"sizes":[7],"seeds":[1]`
+	for body, wantCode := range map[string]int{
+		`{"grid":{` + dyn7 + `},"churn":"j4"}`:              http.StatusBadRequest,
+		`{"grid":{` + dyn7 + `,"churns":[{},{"joins":4}]}}`: http.StatusBadRequest,
+		`{"grid":{` + dyn7 + `},"churn":"j3"}`:              http.StatusOK, // exactly MaxN
+		`{"grid":{` + dyn7 + `,"churns":[{"joins":3}]}}`:    http.StatusOK,
+	} {
+		resp, b := postSweep(t, small, "", body)
+		if resp.StatusCode != wantCode {
+			t.Fatalf("MaxN 10, body %s: status %d (%s), want %d", body, resp.StatusCode, b, wantCode)
+		}
+	}
+
 	// An invalid scenario inside the grid is a 400, not a sweep error.
 	resp, _ = postSweep(t, ts, "", `{"grid":{"protocols":["nope"],"adversaries":["silent"],"sizes":[7],"seeds":[1]}}`)
 	if resp.StatusCode != http.StatusBadRequest {

@@ -219,12 +219,9 @@ type TypedRunner[P ProcessT[M], M comparable] struct {
 
 	// Double-buffered sort-key arenas: deliveries append key bytes to
 	// nxtArena; at the round flip it becomes curArena, which the inbox
-	// sorts (and their keyRef views) read. arenaGauge (scratch.go) is
-	// the decaying high-water mark of per-round usage, so a flood
-	// round's arena is released once traffic quiets down.
-	curArena   []byte
-	nxtArena   []byte
-	arenaGauge scratchGauge
+	// sorts (and their keyRef views) read.
+	curArena []byte
+	nxtArena []byte
 
 	filter srcFilter[srcKey[M]] // within-round duplicate filter (plane.go)
 
@@ -415,17 +412,10 @@ func (r *TypedRunner[P, M]) StepRound() {
 	// emptied, backing arrays intact, to receive this round's traffic.
 	// The duplicate filter is emptied in place for the same reason, and
 	// the key arenas flip in lockstep so every keyRef in a lane or the
-	// log points into curArena. The retention
-	// gauge (scratch.go) releases an arena far above the decayed usage
-	// mark — only ever the buffer about to be refilled (nxtArena), never
-	// curArena, whose bytes the live keyRefs still view.
-	r.arenaGauge.observe(len(r.nxtArena))
-	r.curArena, r.nxtArena = r.nxtArena, r.curArena
-	r.nxtArena = r.nxtArena[:0]
-	if r.arenaGauge.oversized(cap(r.nxtArena), arenaRetainFloor) {
-		r.nxtArena = make([]byte, 0, r.arenaGauge.retainTarget(arenaRetainFloor))
-	}
-	r.filter.flip(len(r.idvec))
+	// log points into curArena. All of it keeps the capacity the run
+	// grew it to and is freed with the runner.
+	r.curArena, r.nxtArena = r.nxtArena, r.curArena[:0]
+	r.filter.flip()
 	r.log.flip(r.curArena)
 	if r.blog != nil {
 		r.blog.flip(r.curArena)
@@ -572,7 +562,7 @@ func (r *TypedRunner[P, M]) deliver(from, to ids.ID, m M, c sendCtx) {
 		s.logged = true
 		r.logOne(from, m, &c)
 	case to == Broadcast:
-		r.filter.upgrade(s)
+		s.upgrade()
 		for i := range r.idvec {
 			r.deliverOne(i, from, m, &c)
 		}
@@ -610,7 +600,7 @@ func (r *TypedRunner[P, M]) logOne(from ids.ID, m M, c *sendCtx) {
 // i's exception lane, unless the slot already holds the source. A
 // blind adversary's slot keeps no lane: the delivery is counted only.
 func (r *TypedRunner[P, M]) deliverOne(i int, from ids.ID, m M, c *sendCtx) {
-	if r.filter.add(c.set, i) {
+	if c.set.add(i) {
 		r.metrics.MessagesDropped++
 		return
 	}

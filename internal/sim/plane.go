@@ -26,6 +26,7 @@ import (
 	"slices"
 
 	"idonly/internal/ids"
+	"idonly/internal/quorum"
 )
 
 // MsgT is one inbox entry carrying payload type M. Message is MsgT[any].
@@ -305,8 +306,8 @@ func gapSort[M any](msgs []MsgT[M], keys []keyRef, arena []byte, gap, budget int
 }
 
 // smallSetMax is the recipient count at which a recipSet trades its
-// linear vec for a slot bitmap. Sparse-overlay fan-outs (a ring node
-// talks to ⌈log₂ n⌉ successors) stay in the vec, where a scan of a
+// linear vec for a bitset over slots. Sparse-overlay fan-outs (a ring
+// node talks to ⌈log₂ n⌉ successors) stay in the vec, where a scan of a
 // few int32s beats any hashing; broadcast fan-outs upgrade on entry.
 const smallSetMax = 32
 
@@ -314,15 +315,13 @@ const smallSetMax = 32
 // this round, and where the source's key bytes sit in the arena. A
 // logged source went to every slot through the broadcast log, so every
 // slot is a member. Otherwise membership lives in the unsorted tos vec
-// until it would exceed smallSetMax, then in a bitmap over all slots —
-// the inline word when the whole runner fits in 64 slots (no
-// allocation ever), an allocated mask otherwise. Sets are pooled
-// across rounds: tos chunks come from a shared slab and keep their
-// capacity, masks return zeroed to the filter's free list.
+// until it would exceed smallSetMax, then in bits, a quorum.Set over
+// slot numbers — its first 64 slots inline, the rest in overflow words.
+// Sets are pooled across rounds and keep their memory: tos chunks come
+// from a shared slab, and an upgraded set keeps its overflow words.
 type recipSet struct {
-	tos      []int32  // linear membership while !upgraded
-	word     uint64   // inline bitmap once upgraded, ≤64-slot runners
-	mask     []uint64 // allocated bitmap once upgraded, larger runners
+	tos      []int32    // linear membership while !upgraded
+	bits     quorum.Set // membership once upgraded
 	upgraded bool
 	logged   bool   // in this round's broadcast log: every slot holds it
 	keyed    bool   // key is rendered (a key may be empty, so n cannot say)
@@ -331,6 +330,36 @@ type recipSet struct {
 
 // empty reports whether the source has reached no slot yet.
 func (s *recipSet) empty() bool { return !s.logged && !s.upgraded && len(s.tos) == 0 }
+
+// upgrade moves a recipient set from its vec to its bitset. A broadcast
+// that fans out lane by lane upgrades first instead of scanning and
+// growing the vec recipient by recipient.
+func (s *recipSet) upgrade() {
+	if s.upgraded {
+		return
+	}
+	s.upgraded = true
+	for _, t := range s.tos {
+		s.bits.Add(t)
+	}
+	s.tos = s.tos[:0]
+}
+
+// add puts slot i into s and reports whether it was already there —
+// i.e. whether this delivery is a within-round duplicate.
+func (s *recipSet) add(i int) (dup bool) {
+	if !s.upgraded {
+		if slices.Contains(s.tos, int32(i)) {
+			return true
+		}
+		if len(s.tos) < smallSetMax {
+			s.tos = append(s.tos, int32(i))
+			return false
+		}
+		s.upgrade()
+	}
+	return !s.bits.Add(int32(i))
+}
 
 // filterPresizeMax caps the duplicate-filter presize hint.
 const filterPresizeMax = 1 << 20
@@ -354,36 +383,31 @@ const filterPresizeMax = 1 << 20
 // so the per-runner random hash seed cannot reach the schedule.
 //
 // Slots are stable for the filter's whole lifetime between two flips:
-// membership is frozen while a round executes.
+// membership is frozen while a round executes. Everything here is
+// scratch that keeps the size the run grew it to: each run builds its
+// own runner, so a flood round's index and sets are freed with the run.
 type srcFilter[K comparable] struct {
 	table  []int32  // open-addressing index: set index + 1, or 0; a power of two long
 	keys   []K      // each set's source, by set index
 	hashes []uint64 // each set's source hash, by set index
 	seed   maphash.Seed
-	alloc  int // sources the table was sized for
-	slots  int // recipient slots this round
 
-	// sets, maskFree and tosSlab are round-scoped scratch recycled across
-	// rounds; last caches the previous Send's resolution (a sparse sender
-	// unicasts the same payload to every successor, so consecutive sends
-	// usually hit).
+	// sets and tosSlab are round-scoped scratch recycled across rounds;
+	// last caches the previous Send's resolution (a sparse sender
+	// unicasts the same payload to every successor, so consecutive
+	// sends usually hit).
 	sets      []recipSet
-	maskFree  [][]uint64 // zeroed bitmaps of (slots+63)/64 words
-	tosSlab   []int32    // backing store handed to fresh sets in smallSetMax chunks
+	tosSlab   []int32 // backing store handed to fresh sets in smallSetMax chunks
 	lastKey   K
 	lastIdx   int32
 	lastValid bool
-
-	gauge     scratchGauge // sources per round
-	maskGauge scratchGauge // bitmaps upgraded per round
 }
 
 // init seeds the index for the steady-state shape: a couple of
 // distinct sends per node per round.
 func (f *srcFilter[K]) init(nodes int) {
 	f.seed = maphash.MakeSeed()
-	f.alloc = min(max(2*nodes, 16), filterPresizeMax)
-	f.table = make([]int32, tableLen(f.alloc))
+	f.table = make([]int32, tableLen(min(max(2*nodes, 16), filterPresizeMax)))
 }
 
 // tableLen is the index length that holds n sources at a load of at
@@ -392,55 +416,25 @@ func tableLen(n int) int {
 	return 1 << bits.Len(uint(4*n/3))
 }
 
-// flip empties the filter at the round boundary, for a round over the
-// given number of slots. Vecs keep their capacity in place, upgraded
-// bitmaps are zeroed and returned to the free list; the gauges
-// (scratch.go) bound what a flood round may pin — the index, the pooled
-// sets and the free list are released once they sit far above the
-// decayed per-round usage.
-func (f *srcFilter[K]) flip(slots int) {
+// flip empties the filter in place at the round boundary. Vecs keep
+// their capacity, and an upgraded set's bitset is reset, keeping its
+// overflow words.
+func (f *srcFilter[K]) flip() {
 	f.lastValid = false
-	used := len(f.keys)
+	if len(f.keys) > 0 {
+		clear(f.table)
+	}
 	clear(f.keys) // drop the payloads' references
 	f.keys, f.hashes = f.keys[:0], f.hashes[:0]
-	released := 0
 	for i := range f.sets {
 		s := &f.sets[i]
-		s.tos = s.tos[:0]
-		s.word = 0
-		s.upgraded, s.logged, s.keyed = false, false, false
-		if s.mask != nil {
-			clear(s.mask)
-			f.maskFree = append(f.maskFree, s.mask)
-			s.mask = nil
-			released++
+		if s.upgraded {
+			s.bits.Reset()
 		}
+		s.tos = s.tos[:0]
+		s.upgraded, s.logged, s.keyed = false, false, false
 	}
 	f.sets = f.sets[:0]
-	if (slots+63)/64 != (f.slots+63)/64 {
-		f.maskFree = nil // churn moved the table across a word boundary
-	}
-	f.slots = slots
-	if released > 0 || len(f.maskFree) > 0 {
-		f.maskGauge.observe(released)
-		if target := f.maskGauge.retainTarget(4); len(f.maskFree) > target {
-			clear(f.maskFree[target:])
-			f.maskFree = f.maskFree[:target]
-		}
-	}
-	if used > 0 || f.alloc > filterRetainFloor {
-		f.gauge.observe(used)
-		if f.gauge.oversized(f.alloc, filterRetainFloor) {
-			f.alloc = f.gauge.retainTarget(filterRetainFloor)
-			f.table = make([]int32, tableLen(f.alloc))
-			f.sets = nil // drop the matching flood of pooled vecs too
-			f.tosSlab = nil
-			f.keys, f.hashes = nil, nil
-		} else if used > 0 {
-			f.alloc = max(f.alloc, used)
-			clear(f.table)
-		}
-	}
 }
 
 // resolve returns this round's recipient set for a source, creating it
@@ -502,60 +496,4 @@ func (f *srcFilter[K]) grow() {
 		}
 		f.table[i] = int32(k + 1)
 	}
-}
-
-// upgrade moves a recipient set from its vec to a bitmap over all
-// slots: the inline word for ≤64-slot runners (free), otherwise a
-// zeroed mask from the free list when one is there. A broadcast that
-// fans out lane by lane upgrades first instead of scanning and growing
-// the vec recipient by recipient.
-func (f *srcFilter[K]) upgrade(s *recipSet) {
-	if s.upgraded {
-		return
-	}
-	s.upgraded = true
-	if f.slots <= 64 {
-		for _, t := range s.tos {
-			s.word |= 1 << uint(t)
-		}
-		s.tos = s.tos[:0]
-		return
-	}
-	if k := len(f.maskFree); k > 0 {
-		s.mask = f.maskFree[k-1]
-		f.maskFree = f.maskFree[:k-1]
-	} else {
-		s.mask = make([]uint64, (f.slots+63)/64)
-	}
-	for _, t := range s.tos {
-		s.mask[t>>6] |= 1 << uint(t&63)
-	}
-	s.tos = s.tos[:0]
-}
-
-// add puts slot i into s and reports whether it was already there —
-// i.e. whether this delivery is a within-round duplicate.
-func (f *srcFilter[K]) add(s *recipSet, i int) (dup bool) {
-	if !s.upgraded {
-		for _, t := range s.tos {
-			if int(t) == i {
-				return true
-			}
-		}
-		if len(s.tos) < smallSetMax {
-			s.tos = append(s.tos, int32(i))
-			return false
-		}
-		f.upgrade(s)
-	}
-	if s.mask != nil {
-		w, bit := i>>6, uint64(1)<<uint(i&63)
-		dup = s.mask[w]&bit != 0
-		s.mask[w] |= bit
-		return dup
-	}
-	bit := uint64(1) << uint(i)
-	dup = s.word&bit != 0
-	s.word |= bit
-	return dup
 }

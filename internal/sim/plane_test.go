@@ -76,16 +76,16 @@ type naiveDelivery struct {
 
 // TestFilterIndexMatchesMap holds the filter's open-addressing index to
 // a map: over rounds of a few to thousands of sources — from a table of
-// 32 slots, so every round past the first grows it, and back, so the
-// gauge shrinks it — resolving a source returns the set it got on first
-// sight that round, and distinct sources get distinct sets numbered in
-// first-sight order.
+// 32 slots, so the large rounds grow it, and back, so small rounds run
+// in a table sized for a flood — resolving a source returns the set it
+// got on first sight that round, and distinct sources get distinct sets
+// numbered in first-sight order.
 func TestFilterIndexMatchesMap(t *testing.T) {
 	var f srcFilter[srcKey[any]]
 	f.init(1)
 	rng := ids.NewRand(3)
 	for round, sources := range []int{5, 3000, 40, 9000, 2, 0, 700, 1} {
-		f.flip(8)
+		f.flip()
 		model := make(map[srcKey[any]]int32)
 		for k := 0; k < 3*sources; k++ {
 			// Mixed types and a small value range: repeats within the round,
@@ -121,10 +121,10 @@ func TestFilterIndexMatchesMap(t *testing.T) {
 // no wire union holds it) and through the model the paper states — a message
 // is dropped exactly when the same (to, from, payload) was already
 // delivered this round — and compares the counters and every inbox.
-// The sizes cross the filter's regimes: all-vec (5), inline word with
-// vec→bitmap upgrades (40), and 64 or 128 founders plus a joiner, which
-// moves the table from the inline word to allocated bitmaps, or across
-// a bitmap word boundary, mid-run.
+// The sizes cross the filter's regimes: all-vec (5), vec→bitset
+// upgrades within a quorum.Set's inline word (40), and 64 or 128
+// founders plus a joiner, which moves the table past the inline word
+// into overflow words, or across an overflow word boundary, mid-run.
 func TestFilterMatchesNaiveModel(t *testing.T) {
 	const rounds = 8
 	for _, n := range []int{5, 40, 64, 128} {

@@ -220,7 +220,7 @@ func dynamicSystem() system {
 // ringSystem is the scale-frontier overlay at n = 1024: each correct
 // node unicasts its running minimum to ⌈log₂ n⌉ successors, so almost
 // every delivery is a unicast into a recipient's lane, over far more
-// slots than one bitmap word. Its faulty nodes sit on the ring and
+// slots than one bitset word. Its faulty nodes sit on the ring and
 // bounce what they receive, so the faulty slots keep boxed lanes too.
 func ringSystem() system {
 	all, correct, faulty := split(ids.NewRand(17), 1024, 8)
