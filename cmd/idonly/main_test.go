@@ -195,6 +195,18 @@ func TestServeDefaults(t *testing.T) {
 	}
 }
 
+// TestServeUsageErrors: a -rate-rps that is not a finite number >= 0
+// exits 2 before the store opens; NaN and +Inf would otherwise start a
+// server whose token buckets refuse every sweep.
+func TestServeUsageErrors(t *testing.T) {
+	for _, rps := range []string{"NaN", "+Inf", "-1"} {
+		code, _, stderr := run(t, "serve", "-addr", "127.0.0.1:0", "-store", t.TempDir(), "-rate-rps", rps, "-log-level", "error")
+		if code != 2 || !strings.Contains(stderr, "-rate-rps") {
+			t.Errorf("serve -rate-rps %s: exit %d, want 2\n%s", rps, code, stderr)
+		}
+	}
+}
+
 // TestTraceUsageErrors: the round dump rejects sizes it cannot slice,
 // and -summarize rejects a non-positive -top.
 func TestTraceUsageErrors(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"os/signal"
 	"runtime"
@@ -27,12 +28,14 @@ import (
 //	idonly serve -store ./results                 # listen on :8080
 //	idonly serve -addr :9000 -store ./results -workers 8 -max-inflight 4
 //	idonly serve -store ./results -pprof          # also mount /debug/pprof
-//	idonly serve -store ./results -store-max-bytes 67108864 -hot-results 256
 //	idonly serve -store ./results -rate-rps 50 -rate-burst 100
 //
-// The -faults flag arms the failpoint plane the chaos CI job drives;
-// never set it in production. SIGINT/SIGTERM drain in-flight sweeps (up
-// to -drain) and close the store after the listener.
+// The store keeps every result it is handed; to reclaim its disk, stop
+// the server and delete the -store directory, and every result is
+// recomputed on demand. The -faults flag arms the failpoint plane the
+// chaos CI job drives; never set it in production. SIGINT/SIGTERM drain
+// in-flight sweeps (up to -drain) and close the store after the
+// listener.
 func runServe(args []string, stdout, stderr io.Writer) int {
 	var cfg service.Config
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
@@ -47,13 +50,16 @@ func runServe(args []string, stdout, stderr io.Writer) int {
 	fs.DurationVar(&cfg.ScenarioDeadline, "scenario-deadline", 30*time.Second, "watchdog: flag any scenario busy on one worker this long (0 disables)")
 	fs.IntVar(&cfg.RunHistory, "run-history", 64, "completed runs kept for GET /v1/runs")
 	fs.IntVar(&cfg.EventBuffer, "event-buffer", 1024, "flight-recorder ring size (rounded up to a power of two)")
-	maxBytes := fs.Int64("store-max-bytes", 0, "store log watermark in bytes; exceeding it compacts away the least-recently-read results (0 = unbounded)")
-	hot := fs.Int("hot-results", 0, "in-memory LRU of recently read results served without disk reads (0 = off)")
 	fs.Float64Var(&cfg.RateRPS, "rate-rps", 0, "per-client sweep token refill rate; excess requests get 429 with an honest Retry-After (0 = unlimited)")
 	fs.IntVar(&cfg.RateBurst, "rate-burst", 0, "per-client token-bucket depth (0 = ceil of -rate-rps)")
-	faultSpec := fs.String("faults", "", "failpoint spec, e.g. compact_pre_rename=sleep:10s (chaos testing only)")
+	faultSpec := fs.String("faults", "", "failpoint spec, e.g. store_sync_gate=sleep:10s (chaos testing only)")
 	if code, ok := parse(fs, args, stderr); !ok {
 		return code
+	}
+	// NaN or +Inf would poison every token bucket and refuse each sweep.
+	if math.IsNaN(cfg.RateRPS) || math.IsInf(cfg.RateRPS, 0) || cfg.RateRPS < 0 {
+		fmt.Fprintf(stderr, "idonly serve: -rate-rps %v is not a finite rate >= 0\n", cfg.RateRPS)
+		return 2
 	}
 
 	fset, err := faults.Parse(*faultSpec)
@@ -65,12 +71,6 @@ func runServe(args []string, stdout, stderr io.Writer) int {
 	if fset != nil {
 		slog.Warn("failpoints armed", "points", fset.Points())
 		opts = append(opts, store.WithFaults(fset))
-	}
-	if *maxBytes > 0 {
-		opts = append(opts, store.WithMaxBytes(*maxBytes))
-	}
-	if *hot > 0 {
-		opts = append(opts, store.WithHotCache(*hot))
 	}
 	if err := serve(cfg, *addr, *dir, *drain, opts); err != nil {
 		slog.Error("serve failed", "err", err)

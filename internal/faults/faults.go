@@ -218,7 +218,7 @@ func (s *Set) Points() []string {
 // Parse builds a Set from a CLI spec: comma-separated rules of the form
 //
 //	point=action           point[@skip]=err|crash|torn
-//	point=sleep:duration   e.g. compact_pre_dirsync=sleep:10s
+//	point=sleep:duration   e.g. store_sync_gate=sleep:10s
 //
 // An empty spec returns nil (no injection at all).
 func Parse(spec string) (*Set, error) {

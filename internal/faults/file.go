@@ -5,7 +5,7 @@ import "os"
 // File is the errfs wrapper: an *os.File whose operations pass through
 // named failpoints first. A wrapped file named "log" checks log_read,
 // log_write, log_sync, log_truncate and log_close; the store wraps its
-// segment files so chaos tests can fail, delay, tear or crash any disk
+// log file so chaos tests can fail, delay, tear or crash any disk
 // operation without touching the production code path (which, with a
 // nil Set, pays one nil check per op).
 type File struct {

@@ -33,7 +33,6 @@ var eventTaxonomy = map[string][]string{
 	"http_panic":             {"endpoint"},
 	"store_append":           {"bytes", "records"},
 	"store_recover":          {"truncated_bytes"},
-	"store_compact":          {"bytes_after", "bytes_before", "err", "evicted", "kept"},
 	"watchdog_slow_scenario": {"busy_ns", "digest", "run", "scenario", "worker"},
 }
 
@@ -46,8 +45,8 @@ var (
 )
 
 // TestEmittedNamesFollowGrammar drives every event in the taxonomy — a
-// cold and a warm sweep, a 400, an in-flight 429, a rate-limit 429, a
-// compaction and a watchdog fire on one service; a recovered store, a
+// cold and a warm sweep, a 400, an in-flight 429, a rate-limit 429 and
+// a watchdog fire on one service; a recovered store, a
 // failed sweep and a panicking one on a second service sharing its
 // recorder and run registry — then checks what was emitted rather than
 // what the source says: every /debug/events name is snake_case and in
@@ -82,7 +81,6 @@ func TestEmittedNamesFollowGrammar(t *testing.T) {
 	svc.sem <- struct{}{}
 	expect(svc, "POST", "/v1/sweep", testGridBody, "10.0.0.4", http.StatusTooManyRequests) // in-flight bound
 	<-svc.sem
-	expect(svc, "POST", "/v1/compact", "", "10.0.0.5", http.StatusOK)
 
 	run := svc.Runs().NewRun("sweep", "wd-test", 1, 1)
 	run.ShardStart(0, 0, "slow-cell", strings.Repeat("ab", 32))
@@ -99,8 +97,7 @@ func TestEmittedNamesFollowGrammar(t *testing.T) {
 	run.Finish()
 
 	// The failure paths: a store whose log has a torn tail to recover,
-	// whose first sweep errors, whose second panics and whose third
-	// passes the size watermark into a failing compaction.
+	// whose first sweep errors and whose second panics.
 	dir := t.TempDir()
 	st, err := store.Open(dir)
 	if err != nil {
@@ -115,9 +112,8 @@ func TestEmittedNamesFollowGrammar(t *testing.T) {
 	f.Close()
 	fs := faults.New().
 		Add(faults.Rule{Point: "cached_claim", Action: faults.ActError, Times: 1}).
-		Add(faults.Rule{Point: "cached_claim", Action: faults.ActCrash, After: 1, Times: 1}).
-		Add(faults.Rule{Point: "compact_pre_rename", Action: faults.ActError})
-	if st, err = store.Open(dir, store.WithFaults(fs), store.WithMaxBytes(1)); err != nil {
+		Add(faults.Rule{Point: "cached_claim", Action: faults.ActCrash, After: 1, Times: 1})
+	if st, err = store.Open(dir, store.WithFaults(fs)); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
@@ -136,9 +132,6 @@ func TestEmittedNamesFollowGrammar(t *testing.T) {
 			t.Fatalf("bad event line %q: %v", sc.Text(), err)
 		}
 		seen[ev.Name] = true
-		if ev.Name == "store_compact" && ev.Fields["err"] != "" {
-			seen["store_compact (failed)"] = true
-		}
 		keys, ok := eventTaxonomy[ev.Name]
 		if !eventNameRE.MatchString(ev.Name) || !ok {
 			t.Errorf("event %q: want a snake_case name from the taxonomy %v", ev.Name, slices.Sorted(maps.Keys(eventTaxonomy)))
@@ -149,7 +142,7 @@ func TestEmittedNamesFollowGrammar(t *testing.T) {
 			}
 		}
 	}
-	for _, name := range append(slices.Collect(maps.Keys(eventTaxonomy)), "store_compact (failed)") {
+	for name := range eventTaxonomy {
 		if !seen[name] {
 			t.Errorf("the driven traffic recorded no %s event", name)
 		}

@@ -108,15 +108,9 @@ var metricFamilies = map[string]string{
 	"idonly_store_puts_total":                     "",
 	"idonly_store_dup_puts_total":                 "",
 	"idonly_store_recovery_truncated_bytes_total": "",
-	"idonly_store_hot_hits_total":                 "",
-	"idonly_store_hot_entries":                    "",
 	"idonly_store_coalesced_total":                "",
-	"idonly_store_compact_total":                  "",
-	"idonly_store_compact_evicted_total":          "",
-	"idonly_store_compact_reclaimed_bytes_total":  "",
 	"idonly_store_get_seconds":                    "",
 	"idonly_store_append_seconds":                 "",
-	"idonly_store_compact_seconds":                "",
 }
 
 var labelKeyRE = regexp.MustCompile(`([a-z_][a-z0-9_]*)="`)

@@ -22,9 +22,6 @@
 //	                        emitted as the done-count advances, until
 //	                        the run completes (?interval_ms tunes the
 //	                        poll cadence, default 100)
-//	POST /v1/compact        rewrite the result log (?target=<bytes> also
-//	                        evicts least-recently-read records down to
-//	                        the target); responds with store.CompactStats
 //	GET  /metrics           Prometheus text exposition of the registry
 //	GET  /debug/events      flight-recorder dump, NDJSON in seq order
 //	/debug/pprof/*          runtime profiles, when Config.EnablePprof
@@ -210,7 +207,7 @@ type Service struct {
 
 // endpointLabels is the full bounded label set endpointLabel can emit.
 var endpointLabels = []string{
-	"sweep", "result", "healthz", "stats", "runs", "metrics", "events", "compact", "pprof", "other",
+	"sweep", "result", "healthz", "stats", "runs", "metrics", "events", "pprof", "other",
 }
 
 const (
@@ -290,7 +287,6 @@ func New(cfg Config) *Service {
 	s.mux.HandleFunc("GET /v1/runs", s.handleRuns)
 	s.mux.HandleFunc("GET /v1/runs/{id}", s.handleRun)
 	s.mux.HandleFunc("GET /v1/runs/{id}/watch", s.handleRunWatch)
-	s.mux.HandleFunc("POST /v1/compact", s.handleCompact)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /debug/events", s.handleEvents)
 	if cfg.EnablePprof {
@@ -332,8 +328,6 @@ func endpointLabel(path string) string {
 		return "metrics"
 	case path == "/debug/events":
 		return "events"
-	case path == "/v1/compact":
-		return "compact"
 	case strings.HasPrefix(path, "/debug/pprof"):
 		return "pprof"
 	default:
@@ -660,33 +654,6 @@ func (s *Service) renderSweep(w http.ResponseWriter, format string, out sweepOut
 		w.Header().Set("Content-Type", "application/json")
 		out.rep.WriteJSON(w)
 	}
-}
-
-// handleCompact triggers a store compaction: a pure rewrite by
-// default, or down to ?target=<bytes> with least-recently-read
-// eviction. Operational surface — the same codepath the watermark
-// triggers automatically — so an operator can reclaim space or force
-// the swap protocol under a fault schedule without waiting for the
-// bound to trip.
-func (s *Service) handleCompact(w http.ResponseWriter, r *http.Request) {
-	var target int64
-	if v := r.URL.Query().Get("target"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || n < 0 {
-			httpError(w, http.StatusBadRequest, "bad target %q (want a byte count)", v)
-			return
-		}
-		target = n
-	}
-	cs, err := s.cfg.Store.Compact(target)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "compact failed: %v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(&cs)
 }
 
 // spanLine wraps a Span for the NDJSON stream, so trace lines are

@@ -608,45 +608,3 @@ func TestSweepRetryAfterDerived(t *testing.T) {
 		t.Fatalf("Retry-After %d escaped the [1, 30] clamp", got)
 	}
 }
-
-// TestCompactEndpoint drives the operator-facing compaction: a pure
-// rewrite keeps every record and the warm sweep afterwards is
-// byte-identical.
-func TestCompactEndpoint(t *testing.T) {
-	_, ts := newTestService(t, Config{Workers: 2})
-	want := wantCanonical(t)
-	resp, body := postSweep(t, ts, "?format=canonical", testGridBody)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("cold sweep: %d %s", resp.StatusCode, body)
-	}
-
-	cresp, err := http.Post(ts.URL+"/v1/compact", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cs store.CompactStats
-	if err := json.NewDecoder(cresp.Body).Decode(&cs); err != nil {
-		t.Fatal(err)
-	}
-	cresp.Body.Close()
-	if cresp.StatusCode != http.StatusOK {
-		t.Fatalf("compact status %d", cresp.StatusCode)
-	}
-	if cs.Kept != 8 || cs.Evicted != 0 {
-		t.Fatalf("compact stats %+v, want kept=8 evicted=0", cs)
-	}
-
-	resp2, warm := postSweep(t, ts, "?format=canonical", testGridBody)
-	if resp2.StatusCode != http.StatusOK || !bytes.Equal(warm, want) {
-		t.Fatalf("warm sweep after compact: status %d", resp2.StatusCode)
-	}
-
-	bresp, err := http.Post(ts.URL+"/v1/compact?target=junk", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bresp.Body.Close()
-	if bresp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad target: status %d, want 400", bresp.StatusCode)
-	}
-}

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -13,9 +15,9 @@ import (
 // openF opens a store with a failpoint set attached. No Close cleanup
 // is registered: chaos tests abandon crashed stores by hand, and a
 // surviving store is closed explicitly where the test needs it.
-func openF(t *testing.T, dir string, fs *faults.Set, opts ...Option) *Store {
+func openF(t *testing.T, dir string, fs *faults.Set) *Store {
 	t.Helper()
-	st, err := Open(dir, append([]Option{WithFaults(fs)}, opts...)...)
+	st, err := Open(dir, WithFaults(fs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,9 +44,8 @@ func wantCrash(t *testing.T, st *Store, point string, fn func()) {
 	t.Fatalf("no crash fired at %s", point)
 }
 
-// reopenAndVerify recovers the directory and asserts every result in
-// want round-trips byte-identically — the post-crash contract for each
-// swap-protocol failpoint.
+// reopenAndVerify recovers the directory and asserts it holds exactly
+// the results in want, each round-tripping byte-identically.
 func reopenAndVerify(t *testing.T, dir string, want []engine.Result) *Store {
 	t.Helper()
 	st := openT(t, dir)
@@ -59,58 +60,6 @@ func reopenAndVerify(t *testing.T, dir string, want []engine.Result) *Store {
 		canonEq(t, res, got)
 	}
 	return st
-}
-
-func TestCompactCrashPreRename(t *testing.T) {
-	dir := t.TempDir()
-	results := testResults(t)
-	fs := faults.New().CrashAt("compact_pre_rename")
-	st := openF(t, dir, fs)
-	if err := st.PutBatch(results); err != nil {
-		t.Fatal(err)
-	}
-	wantCrash(t, st, "compact_pre_rename", func() { st.Compact(0) })
-	// The rename never happened: the old log is authoritative and the
-	// dead temp file must be swept at open.
-	if _, err := os.Stat(filepath.Join(dir, tmpName)); err != nil {
-		t.Fatalf("crash before rename should leave the temp on disk: %v", err)
-	}
-	reopenAndVerify(t, dir, results)
-	if _, err := os.Stat(filepath.Join(dir, tmpName)); !os.IsNotExist(err) {
-		t.Fatalf("stale temp survived recovery (err=%v)", err)
-	}
-}
-
-func TestCompactCrashPostRename(t *testing.T) {
-	dir := t.TempDir()
-	results := testResults(t)
-	fs := faults.New().CrashAt("compact_post_rename")
-	st := openF(t, dir, fs)
-	if err := st.PutBatch(results); err != nil {
-		t.Fatal(err)
-	}
-	wantCrash(t, st, "compact_post_rename", func() { st.Compact(0) })
-	// Past the rename the rewritten file IS the log; recovery must index
-	// exactly the carried-over records even though the directory entry
-	// was never fsynced by the crashed process.
-	st2 := reopenAndVerify(t, dir, results)
-	if st2.Stats().Truncated != 0 {
-		t.Fatalf("post-rename recovery truncated %d bytes", st2.Stats().Truncated)
-	}
-}
-
-func TestCompactTornTempWrite(t *testing.T) {
-	dir := t.TempDir()
-	results := testResults(t)
-	// The 256 KiB bufio flush lands as one wrapped Write; tearing it
-	// leaves a half-built temp and an untouched old log.
-	fs := faults.New().Add(faults.Rule{Point: "compact_write", Action: faults.ActTorn})
-	st := openF(t, dir, fs)
-	if err := st.PutBatch(results); err != nil {
-		t.Fatal(err)
-	}
-	wantCrash(t, st, "compact_write", func() { st.Compact(0) })
-	reopenAndVerify(t, dir, results)
 }
 
 func TestAppendTornWrite(t *testing.T) {
@@ -150,34 +99,6 @@ func TestAppendTornWrite(t *testing.T) {
 	}
 }
 
-func TestCompactSyncErrorLeavesOldLog(t *testing.T) {
-	dir := t.TempDir()
-	results := testResults(t)
-	fs := faults.New().Fail("compact_sync")
-	st := openF(t, dir, fs)
-	if err := st.PutBatch(results); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Compact(0); err == nil {
-		t.Fatal("Compact succeeded through an injected temp-file fsync failure")
-	}
-	// The error path cleaned up: no temp, old log intact, store usable.
-	if _, err := os.Stat(filepath.Join(dir, tmpName)); !os.IsNotExist(err) {
-		t.Fatalf("failed compaction left its temp behind (err=%v)", err)
-	}
-	for _, res := range results {
-		if _, ok, err := st.Get(res.Scenario.Digest()); err != nil || !ok {
-			t.Fatalf("Get after failed compact: ok=%v err=%v", ok, err)
-		}
-	}
-	if st.Stats().Compactions != 0 {
-		t.Fatal("a failed compaction counted as completed")
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestGroupCommitSkipsCoveredBarrier(t *testing.T) {
 	results := testResults(t)
 	// Hold the first fsync open at the gate; a second put whose bytes
@@ -191,13 +112,13 @@ func TestGroupCommitSkipsCoveredBarrier(t *testing.T) {
 	baseline := fs.Hits("log_sync") // open-time magic fsync
 
 	done := make(chan error, 1)
-	go func() { done <- st.Put(results[0]) }()
+	go func() { done <- st.PutBatch(results[:1]) }()
 	// The gate hit count flips the moment the first put wins syncMu and
 	// enters its injected sleep.
 	for fs.Hits("store_sync_gate") == 0 {
 		time.Sleep(time.Millisecond)
 	}
-	if err := st.Put(results[1]); err != nil {
+	if err := st.PutBatch(results[1:2]); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-done; err != nil {
@@ -213,45 +134,76 @@ func TestGroupCommitSkipsCoveredBarrier(t *testing.T) {
 	}
 }
 
-func TestHotCacheServesWithoutDiskReads(t *testing.T) {
+func TestAppendCrashBeforeBarrier(t *testing.T) {
 	results := testResults(t)
-	fs := faults.New() // no rules: pure hit counting
-	st := openF(t, t.TempDir(), fs, WithHotCache(4))
-	defer st.Close()
-	if err := st.PutBatch(results[:8]); err != nil {
-		t.Fatal(err)
-	}
-	// Fresh puts enter the LRU; with capacity 4 the last four puts are
-	// resident and must serve without touching the log.
-	readsBefore := fs.Hits("log_read")
-	hot := results[7]
-	got, ok, err := st.Get(hot.Scenario.Digest())
-	if err != nil || !ok {
-		t.Fatalf("hot Get: ok=%v err=%v", ok, err)
-	}
-	canonEq(t, hot, got)
-	if fs.Hits("log_read") != readsBefore {
-		t.Fatal("a hot-cache hit read the log")
-	}
-	// An evicted-from-hot record pays one disk read, then is hot again.
-	cold := results[0]
-	if _, ok, err := st.Get(cold.Scenario.Digest()); err != nil || !ok {
-		t.Fatalf("cold Get: ok=%v err=%v", ok, err)
-	}
-	if fs.Hits("log_read") != readsBefore+1 {
-		t.Fatalf("cold Get paid %d reads, want 1", fs.Hits("log_read")-readsBefore)
-	}
-	if _, ok, err := st.Get(cold.Scenario.Digest()); err != nil || !ok {
-		t.Fatalf("re-Get: ok=%v err=%v", ok, err)
-	}
-	if fs.Hits("log_read") != readsBefore+1 {
-		t.Fatal("a just-read record was not promoted to the hot cache")
-	}
-	stats := st.Stats()
-	if stats.HotHits < 2 {
-		t.Fatalf("HotHits = %d, want >= 2", stats.HotHits)
-	}
-	if stats.HotEntries > 4 {
-		t.Fatalf("HotEntries = %d exceeds the capacity of 4", stats.HotEntries)
+	earlier, crashed := results[:5], results[5:]
+	// The crash lands after the batch's WriteAt and before its fsync.
+	// A process death leaves the written bytes in the page cache; a
+	// power loss can drop any suffix of them, modelled by cutting the
+	// unsynced tail in half.
+	for _, powerLoss := range []bool{false, true} {
+		dir := t.TempDir()
+		st := openT(t, dir)
+		if err := st.PutBatch(earlier); err != nil {
+			t.Fatal(err)
+		}
+		durable := st.Stats().LogBytes
+		st.Close()
+
+		st = openF(t, dir, faults.New().CrashAt("store_sync_gate"))
+		wantCrash(t, st, "store_sync_gate", func() { st.PutBatch(crashed) })
+		if powerLoss {
+			fi, err := os.Stat(filepath.Join(dir, logName))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(filepath.Join(dir, logName), durable+(fi.Size()-durable)/2); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		st2 := openT(t, dir)
+		for _, res := range earlier {
+			got, ok, err := st2.Get(res.Scenario.Digest())
+			if err != nil || !ok {
+				t.Fatalf("powerLoss=%v: earlier Get: ok=%v err=%v", powerLoss, ok, err)
+			}
+			canonEq(t, res, got)
+		}
+		// Each crashed record is either indexed whole or gone; a
+		// process death loses none of them, a power loss some.
+		kept := 0
+		for _, res := range crashed {
+			got, ok, err := st2.Get(res.Scenario.Digest())
+			if err != nil {
+				t.Fatalf("powerLoss=%v: crashed-batch Get: %v", powerLoss, err)
+			}
+			if ok {
+				canonEq(t, res, got)
+				kept++
+			}
+		}
+		if want := len(crashed); !powerLoss && kept != want {
+			t.Fatalf("process death kept %d of %d written records", kept, want)
+		}
+		if powerLoss && (kept == len(crashed) || st2.Stats().Truncated == 0) {
+			t.Fatalf("power loss kept %d of %d records, truncated %d bytes", kept, len(crashed), st2.Stats().Truncated)
+		}
+		// No record the recovered index points at fails its CRC.
+		for key, ent := range st2.index {
+			body := make([]byte, keySize+ent.n+4)
+			if _, err := st2.f.ReadAt(body, ent.off-keySize); err != nil {
+				t.Fatal(err)
+			}
+			if crc32.Checksum(body[:keySize+ent.n], crcTable) != binary.BigEndian.Uint32(body[keySize+ent.n:]) {
+				t.Fatalf("powerLoss=%v: indexed record %016x fails its CRC", powerLoss, key)
+			}
+		}
+		// Re-putting the crashed batch heals the store, durably.
+		if err := st2.PutBatch(crashed); err != nil {
+			t.Fatal(err)
+		}
+		st2.Close()
+		reopenAndVerify(t, dir, results)
 	}
 }

@@ -152,7 +152,7 @@ func TestIndexKeySharedByTwoDigests(t *testing.T) {
 	if got, ok, err := st.Get(db); err != nil || !ok || got.Scenario.Name != b.Scenario.Name {
 		t.Fatalf("Get of the indexed digest = %s, ok=%v, err=%v", got.Scenario.Name, ok, err)
 	}
-	if err := st.Put(a); err != nil {
+	if err := st.PutBatch([]engine.Result{a}); err != nil {
 		t.Fatal(err)
 	}
 	if got, ok, err := st.Get(da); err != nil || !ok || !reflect.DeepEqual(got, a) {

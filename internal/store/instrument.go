@@ -10,9 +10,8 @@ import (
 // gauges are callback series over the atomics the store already keeps,
 // so only the two histograms add new state.
 type instruments struct {
-	getLat     *obs.Histogram
-	appendLat  *obs.Histogram
-	compactLat *obs.Histogram
+	getLat    *obs.Histogram
+	appendLat *obs.Histogram
 }
 
 // Instrument registers the store's metric families on reg and starts
@@ -43,38 +42,15 @@ func (s *Store) Instrument(reg *obs.Registry) {
 	reg.CounterFunc("idonly_store_recovery_truncated_bytes_total",
 		"Bytes cut from a corrupt log tail during open-time recovery.",
 		func() float64 { return float64(s.truncated) })
-	reg.CounterFunc("idonly_store_hot_hits_total",
-		"Gets served from the in-memory hot-result LRU (no disk read).",
-		func() float64 { return float64(s.hotHits.Load()) })
-	reg.GaugeFunc("idonly_store_hot_entries",
-		"Results currently held by the in-memory hot-result LRU.",
-		func() float64 {
-			if s.hot == nil {
-				return 0
-			}
-			return float64(s.hot.len())
-		})
 	reg.CounterFunc("idonly_store_coalesced_total",
 		"Scenario misses served by another caller's in-flight computation.",
 		func() float64 { return float64(s.coalesced.Load()) })
-	reg.CounterFunc("idonly_store_compact_total",
-		"Compactions that swapped a rewritten log in.",
-		func() float64 { return float64(s.compactions.Load()) })
-	reg.CounterFunc("idonly_store_compact_evicted_total",
-		"Records evicted by compaction to meet the size bound.",
-		func() float64 { return float64(s.evicted.Load()) })
-	reg.CounterFunc("idonly_store_compact_reclaimed_bytes_total",
-		"Log bytes reclaimed by compaction.",
-		func() float64 { return float64(s.reclaimed.Load()) })
 	s.inst.Store(&instruments{
 		getLat: reg.Histogram("idonly_store_get_seconds",
 			"Get latency: index lookup through JSON decode.",
 			obs.LatencyBuckets),
 		appendLat: reg.Histogram("idonly_store_append_seconds",
 			"PutBatch latency: encode, append, fsync, index publish.",
-			obs.LatencyBuckets),
-		compactLat: reg.Histogram("idonly_store_compact_seconds",
-			"Compact latency: snapshot, rewrite, fsync, rename, swap.",
 			obs.LatencyBuckets),
 	})
 }

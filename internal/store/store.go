@@ -24,18 +24,17 @@
 // whose CRC verifies, so a crash mid-batch loses at most the unflushed
 // batches, never the records before them.
 //
-// The log never reclaims space on its own; Compact rewrites the live
-// records into a fresh log via temp-file + fsync + atomic rename, and
-// a store opened WithMaxBytes evicts the least-recently-Get records
-// whenever an append pushes the log past the bound (every index entry
-// carries a logical access clock bumped on Get). A store opened
-// WithHotCache additionally serves repeat Gets of the hottest results
-// from memory without touching the log at all.
+// The log is the only copy and it never shrinks: no record is ever
+// rewritten or evicted, so the file Open recovers is the file every
+// later read and append uses. Because every stored result can be
+// recomputed from its scenario, reclaiming disk needs no mechanism:
+// stop the process, delete the store directory, and the next sweeps
+// recompute and re-store whatever they ask for.
 //
 // Every disk operation passes through the faults failpoint plane when
 // the store is opened WithFaults, so chaos tests can error, delay,
-// tear, or crash any read, append, fsync, or compaction step; with no
-// fault set attached the log handle is a bare *os.File.
+// tear, or crash any read, append, or fsync; with no fault set attached
+// the log handle is a bare *os.File.
 package store
 
 import (
@@ -58,7 +57,6 @@ import (
 
 const (
 	logName   = "results.log"
-	tmpName   = logName + ".tmp"
 	magic     = "IDONLYS1"
 	keySize   = 32
 	headerLen = 4 + keySize // length prefix + key
@@ -125,46 +123,44 @@ func unhex(c byte) byte {
 	return 0xff
 }
 
-// recordEnt locates one record's payload inside the log and carries
-// its logical access time — the store-wide clock value of the last Get
-// that touched it, which Compact uses to pick eviction victims.
+// recordEnt locates one record's payload inside the log.
 type recordEnt struct {
 	off int64 // payload start
 	n   int   // payload length
-	use atomic.Int64
 }
 
 // Stats is a point-in-time snapshot of the store's counters.
+// HotHits, Compactions and Evicted are always 0: the store has no
+// in-memory result cache and never rewrites or evicts a record. They
+// stay only because existing readers of the stats JSON decode them.
 type Stats struct {
-	Records        int   `json:"records"`         // distinct digests indexed
-	LogBytes       int64 `json:"log_bytes"`       // current log size
-	Gets           int64 `json:"gets"`            // Get calls since open
-	Hits           int64 `json:"hits"`            // Gets that found a record
-	HotHits        int64 `json:"hot_hits"`        // hits served from the in-memory LRU (no disk read)
-	Puts           int64 `json:"puts"`            // records appended since open
-	DupPuts        int64 `json:"dup_puts"`        // Puts dropped as already present
-	Truncated      int64 `json:"truncated"`       // bytes cut from a corrupt tail at open
-	Coalesced      int64 `json:"coalesced"`       // misses served by another in-flight computation
-	Compactions    int64 `json:"compactions"`     // Compact calls that swapped a new log in
-	Evicted        int64 `json:"evicted"`         // records dropped by compaction to meet the size bound
-	ReclaimedBytes int64 `json:"reclaimed_bytes"` // log bytes reclaimed by compaction
-	HotEntries     int   `json:"hot_entries"`     // results currently held by the in-memory LRU
+	Records     int   `json:"records"`     // distinct digests indexed
+	LogBytes    int64 `json:"log_bytes"`   // current log size
+	Gets        int64 `json:"gets"`        // Get calls since open
+	Hits        int64 `json:"hits"`        // Gets that found a record
+	HotHits     int64 `json:"hot_hits"`    // always 0
+	Puts        int64 `json:"puts"`        // records appended since open
+	DupPuts     int64 `json:"dup_puts"`    // Puts dropped as already present
+	Truncated   int64 `json:"truncated"`   // bytes cut from a corrupt tail at open
+	Coalesced   int64 `json:"coalesced"`   // misses served by another in-flight computation
+	Compactions int64 `json:"compactions"` // always 0
+	Evicted     int64 `json:"evicted"`     // always 0
 }
 
 // Store is an open result store. All methods are safe for concurrent
 // use: appends serialize on an internal mutex, fsyncs group-commit on
-// a second, and reads share an RWMutex'd index whose read side is held
-// across the log ReadAt so compaction can swap the file underneath
-// without stranding an in-flight read.
+// a second, and reads share an RWMutex'd index. The log handle is set
+// once by Open and never replaced, so a read holds the index lock only
+// for its lookup, not across the ReadAt.
 type Store struct {
-	mu   sync.Mutex   // serializes appends, compaction, and Close
-	f    logFile      // active log handle (swap under mu + imu)
+	mu   sync.Mutex   // serializes appends and Close
+	f    logFile      // log handle, fixed at Open
 	raw  *os.File     // unwrapped handle of f, for flock and abandon
 	size atomic.Int64 // current log length (next append offset); stored under mu
 
 	// pending counts batches whose bytes are written but whose index
-	// entries are not yet published; Compact and Close wait it out so
-	// they never rewrite or drop a batch mid-commit.
+	// entries are not yet published; Close waits it out so it never
+	// closes the log under a batch mid-commit.
 	pending sync.WaitGroup
 
 	// syncMu serializes fsyncs; durable is the log offset the last
@@ -174,32 +170,13 @@ type Store struct {
 	durable int64
 
 	path string
-	dir  string
 
 	imu   sync.RWMutex
-	index map[uint64]*recordEnt // by indexKey
-
-	// clock is the logical access clock: bumped on every Get that
-	// finds a record, stored into that record's index entry.
-	clock atomic.Int64
-
-	// hot is the optional in-memory result LRU (WithHotCache). Nil
-	// when disabled.
-	hot *hotCache
+	index map[uint64]recordEnt // by indexKey
 
 	// faults is the optional failpoint set (WithFaults). Nil in
 	// production; the wrapped log handle nil-checks it per op.
 	faults *faults.Set
-
-	// maxBytes is the log size watermark (WithMaxBytes): an append
-	// that pushes the log past it triggers a compaction down to 3/4 of
-	// the bound. Zero means unbounded.
-	maxBytes   int64
-	compacting atomic.Bool
-
-	// tmpf is the compaction temp file while one is in flight; tracked
-	// only so abandon can close it after an injected crash.
-	tmpf *os.File
 
 	// flights are the in-flight per-digest computations (singleflight);
 	// see flight.go.
@@ -215,11 +192,9 @@ type Store struct {
 	// process.
 	readBufs sync.Pool
 
-	gets, hits, puts, dups          atomic.Int64
-	hotHits, coalesced              atomic.Int64
-	compactions, evicted, reclaimed atomic.Int64
-	truncated                       int64
-	closed                          bool
+	gets, hits, puts, dups, coalesced atomic.Int64
+	truncated                         int64
+	closed                            bool
 
 	// inst is the optional metric set installed by Instrument. Nil
 	// until then, so the uninstrumented hot path pays one atomic load
@@ -227,8 +202,8 @@ type Store struct {
 	inst atomic.Pointer[instruments]
 
 	// events is the optional flight recorder attached by RecordEvents;
-	// appends, recoveries, and compactions land there as structured
-	// events. Same nil-check contract as inst.
+	// appends and recoveries land there as structured events. Same
+	// nil-check contract as inst.
 	events atomic.Pointer[obs.Recorder]
 }
 
@@ -236,56 +211,26 @@ type Store struct {
 type Option func(*Store)
 
 // WithFaults routes every disk operation of the store through the
-// failpoint set: log ops check log_read/log_write/log_sync/...,
-// compaction additionally checks compact_write/compact_sync plus the
-// protocol points compact_pre_rename and compact_post_rename. A nil
-// set is valid and equivalent to omitting the option.
+// failpoint set: log ops check log_read/log_write/log_sync/..., and the
+// group-commit barrier checks store_sync_gate. A nil set is valid and
+// equivalent to omitting the option.
 func WithFaults(set *faults.Set) Option { return func(s *Store) { s.faults = set } }
-
-// WithMaxBytes bounds the log: an append that pushes it past n bytes
-// triggers a compaction that evicts least-recently-Get records until
-// the log fits in 3n/4 (the hysteresis keeps back-to-back appends from
-// compacting every time). n <= 0 means unbounded.
-func WithMaxBytes(n int64) Option { return func(s *Store) { s.maxBytes = n } }
-
-// WithHotCache keeps the n most-recently-Get results in memory, so
-// repeat reads of a hot working set skip the log's ReadAt + JSON
-// decode entirely. n <= 0 disables the cache.
-func WithHotCache(n int) Option { return func(s *Store) { s.hot = newHotCache(n) } }
-
-// wrapLog wraps f behind the failpoint plane when one is attached;
-// without faults the interface holds the bare *os.File.
-func (s *Store) wrapLog(f *os.File, name string) logFile {
-	if s.faults == nil {
-		return f
-	}
-	return faults.WrapFile(f, s.faults, name)
-}
 
 // Open opens (creating if needed) the store rooted at dir. A torn or
 // corrupt log tail — the signature of a crash mid-batch — is detected
 // by CRC and truncated back to the last intact record; Stats.Truncated
-// reports how many bytes were cut. A stale compaction temp file (a
-// crash before the atomic rename) is removed: the old log is still the
-// authoritative one.
+// reports how many bytes were cut.
 func Open(dir string, opts ...Option) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	s := &Store{
 		path:    filepath.Join(dir, logName),
-		dir:     dir,
-		index:   make(map[uint64]*recordEnt),
+		index:   make(map[uint64]recordEnt),
 		flights: make(map[string]*flight),
 	}
 	for _, opt := range opts {
 		opt(s)
-	}
-	// A crash between writing results.log.tmp and renaming it leaves
-	// the tmp behind; the rename never happened, so the old log wins
-	// and the half-built replacement is dead weight.
-	if err := os.Remove(filepath.Join(dir, tmpName)); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("store: removing stale compaction temp: %w", err)
 	}
 	f, err := os.OpenFile(s.path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -296,7 +241,10 @@ func Open(dir string, opts ...Option) (*Store, error) {
 		return nil, err
 	}
 	s.raw = f
-	s.f = s.wrapLog(f, "log")
+	s.f = f
+	if s.faults != nil {
+		s.f = faults.WrapFile(f, s.faults, "log")
+	}
 	if err := s.recover(); err != nil {
 		f.Close()
 		return nil, err
@@ -312,9 +260,7 @@ func Open(dir string, opts ...Option) (*Store, error) {
 }
 
 // recover scans the log, building the index and truncating anything
-// after the last record that verifies. Entries get ascending access
-// clocks in log order, so records never Get since open evict
-// oldest-first.
+// after the last record that verifies.
 func (s *Store) recover() error {
 	fi, err := s.f.Stat()
 	if err != nil {
@@ -364,9 +310,7 @@ func (s *Store) recover() error {
 		if crc32.Checksum(body[:keySize+n], crcTable) != want {
 			return s.truncateTo(off, size, false)
 		}
-		ent := &recordEnt{off: off + int64(headerLen), n: n}
-		ent.use.Store(s.clock.Add(1))
-		s.index[indexKey(body)] = ent
+		s.index[indexKey(body)] = recordEnt{off: off + int64(headerLen), n: n}
 		off += int64(headerLen + n + 4)
 	}
 	s.setSize(off)
@@ -374,7 +318,7 @@ func (s *Store) recover() error {
 }
 
 // setSize records the log length and marks it durable — only valid
-// where the caller just fsynced (recovery and compaction).
+// where the caller just fsynced (recovery).
 func (s *Store) setSize(n int64) {
 	s.size.Store(n)
 	s.syncMu.Lock()
@@ -415,8 +359,8 @@ func (s *Store) Has(digest string) bool {
 // has checks an index hit against the digest stored in the log.
 func (s *Store) has(raw [keySize]byte) bool {
 	s.imu.RLock()
-	defer s.imu.RUnlock()
 	ent, ok := s.index[indexKey(raw[:])]
+	s.imu.RUnlock()
 	if !ok {
 		return false
 	}
@@ -432,31 +376,20 @@ func (s *Store) Len() int {
 	return len(s.index)
 }
 
-// Get returns the stored result for the digest, if any. The hot LRU is
-// consulted first; a disk read holds the index's read lock across the
-// ReadAt so a concurrent compaction cannot close the log handle out
-// from under it. Every hit bumps the record's access clock.
+// Get returns the stored result for the digest, if any.
 func (s *Store) Get(digest string) (engine.Result, bool, error) {
 	if in := s.inst.Load(); in != nil {
 		defer in.getLat.ObserveSince(time.Now())
 	}
 	s.gets.Add(1)
-	if s.hot != nil {
-		if res, ok := s.hot.get(digest); ok {
-			s.touch(digest)
-			s.hits.Add(1)
-			s.hotHits.Add(1)
-			return res, true, nil
-		}
-	}
 	raw, ok := parseDigest(digest)
 	if !ok {
 		return engine.Result{}, false, nil
 	}
 	s.imu.RLock()
 	ent, ok := s.index[indexKey(raw[:])]
+	s.imu.RUnlock()
 	if !ok {
-		s.imu.RUnlock()
 		return engine.Result{}, false, nil
 	}
 	// One read covers the stored digest and the payload after it.
@@ -468,11 +401,6 @@ func (s *Store) Get(digest string) (engine.Result, bool, error) {
 		rec = make([]byte, n)
 	}
 	_, err := s.f.ReadAt(rec, ent.off-keySize)
-	match := err == nil && string(rec[:keySize]) == string(raw[:])
-	if match {
-		ent.use.Store(s.clock.Add(1))
-	}
-	s.imu.RUnlock()
 	defer func() {
 		if cap(rec) <= maxPooledReadBuf {
 			s.readBufs.Put(&rec)
@@ -481,7 +409,7 @@ func (s *Store) Get(digest string) (engine.Result, bool, error) {
 	if err != nil {
 		return engine.Result{}, false, fmt.Errorf("store: reading %s: %w", digest[:12], err)
 	}
-	if !match {
+	if string(rec[:keySize]) != string(raw[:]) {
 		return engine.Result{}, false, nil // another digest with the same index key
 	}
 	res, err := engine.DecodeResult(rec[keySize:])
@@ -489,30 +417,7 @@ func (s *Store) Get(digest string) (engine.Result, bool, error) {
 		return engine.Result{}, false, fmt.Errorf("store: decoding %s: %w", digest[:12], err)
 	}
 	s.hits.Add(1)
-	if s.hot != nil {
-		s.hot.add(digest, res)
-	}
 	return res, true, nil
-}
-
-// touch bumps the access clock on the digest's index entry (the hot
-// cache served the bytes, but eviction ranking lives on the index). It
-// does not check the stored digest: at worst it ranks the record that
-// shares the index key.
-func (s *Store) touch(digest string) {
-	raw, _ := parseDigest(digest) // the hot cache holds valid digests only
-	s.imu.RLock()
-	if ent, ok := s.index[indexKey(raw[:])]; ok {
-		ent.use.Store(s.clock.Add(1))
-	}
-	s.imu.RUnlock()
-}
-
-// Put stores one result (a single-record batch).
-// A result whose digest is already present is dropped — content
-// addressing makes the second copy redundant by construction.
-func (s *Store) Put(res engine.Result) error {
-	return s.PutBatch([]engine.Result{res})
 }
 
 // PutBatch appends every not-yet-present result and makes the batch
@@ -520,17 +425,9 @@ func (s *Store) Put(res engine.Result) error {
 // a batch whose bytes another batch's barrier already covered pays no
 // fsync at all. The index is published only after the covering fsync
 // succeeds: a reader can never be handed a record the disk might still
-// lose. An append that pushes the log past the WithMaxBytes watermark
-// triggers a compaction before returning.
+// lose. A result whose digest is already present is dropped — content
+// addressing makes the second copy redundant by construction.
 func (s *Store) PutBatch(results []engine.Result) error {
-	if err := s.putBatch(results); err != nil {
-		return err
-	}
-	s.maybeCompact()
-	return nil
-}
-
-func (s *Store) putBatch(results []engine.Result) error {
 	if len(results) == 0 {
 		return nil
 	}
@@ -551,13 +448,6 @@ func (s *Store) putBatch(results []engine.Result) error {
 		s.index[st.key] = st.ent
 	}
 	s.imu.Unlock()
-	if s.hot != nil {
-		// Fresh results are the hottest there are: the warm re-sweep
-		// that follows a cold compute should hit memory, not disk.
-		for _, st := range stage {
-			s.hot.add(st.digest, st.res)
-		}
-	}
 	s.puts.Add(int64(len(stage)))
 	s.pending.Done()
 	if rec := s.events.Load(); rec != nil {
@@ -569,10 +459,8 @@ func (s *Store) putBatch(results []engine.Result) error {
 }
 
 type stagedPut struct {
-	key    uint64 // indexKey
-	digest string // hex, for the hot cache
-	ent    *recordEnt
-	res    engine.Result
+	key uint64 // indexKey
+	ent recordEnt
 }
 
 // appendRecords encodes and writes the batch under the append mutex,
@@ -614,9 +502,7 @@ func (s *Store) appendRecords(results []engine.Result) (target int64, stage []st
 		}
 		binary.BigEndian.PutUint32(buf[rec:], uint32(n))
 		buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf[rec+4:], crcTable))
-		ent := &recordEnt{off: off + int64(rec+headerLen), n: n}
-		ent.use.Store(s.clock.Add(1))
-		stage = append(stage, stagedPut{key: indexKey(raw[:]), digest: digest, ent: ent, res: res})
+		stage = append(stage, stagedPut{key: indexKey(raw[:]), ent: recordEnt{off: off + int64(rec+headerLen), n: n}})
 	}
 	if len(stage) == 0 {
 		return 0, nil, 0, nil
@@ -659,47 +545,20 @@ func (s *Store) syncTo(target int64) error {
 	return nil
 }
 
-// maybeCompact runs the watermark check after an append: past the
-// bound, compact down to 3/4 of it (the hysteresis gap keeps a hot
-// appender from compacting on every batch).
-func (s *Store) maybeCompact() {
-	if s.maxBytes <= 0 || s.size.Load() <= s.maxBytes {
-		return
-	}
-	if !s.compacting.CompareAndSwap(false, true) {
-		return
-	}
-	defer s.compacting.Store(false)
-	if _, err := s.Compact(s.maxBytes - s.maxBytes/4); err != nil {
-		if rec := s.events.Load(); rec != nil {
-			rec.Record("store_compact", obs.F("err", err.Error()))
-		}
-	}
-}
-
 // Stats returns a snapshot of the store's counters.
 func (s *Store) Stats() Stats {
 	s.imu.RLock()
 	records := len(s.index)
 	s.imu.RUnlock()
-	hotEntries := 0
-	if s.hot != nil {
-		hotEntries = s.hot.len()
-	}
 	return Stats{
-		Records:        records,
-		LogBytes:       s.size.Load(),
-		Gets:           s.gets.Load(),
-		Hits:           s.hits.Load(),
-		HotHits:        s.hotHits.Load(),
-		Puts:           s.puts.Load(),
-		DupPuts:        s.dups.Load(),
-		Truncated:      s.truncated,
-		Coalesced:      s.coalesced.Load(),
-		Compactions:    s.compactions.Load(),
-		Evicted:        s.evicted.Load(),
-		ReclaimedBytes: s.reclaimed.Load(),
-		HotEntries:     hotEntries,
+		Records:   records,
+		LogBytes:  s.size.Load(),
+		Gets:      s.gets.Load(),
+		Hits:      s.hits.Load(),
+		Puts:      s.puts.Load(),
+		DupPuts:   s.dups.Load(),
+		Truncated: s.truncated,
+		Coalesced: s.coalesced.Load(),
 	}
 }
 
@@ -725,9 +584,4 @@ func (s *Store) Close() error {
 // an injected crash. flock conflicts between two handles held by one
 // process, so a chaos test must abandon the crashed store before
 // reopening the directory. The Store value must not be used again.
-func (s *Store) abandon() {
-	if s.tmpf != nil {
-		s.tmpf.Close()
-	}
-	s.raw.Close()
-}
+func (s *Store) abandon() { s.raw.Close() }

@@ -42,6 +42,24 @@ func openT(t *testing.T, dir string) *Store {
 	return st
 }
 
+// canonEq asserts two results reproduce the same canonical bytes.
+func canonEq(t *testing.T, want, got engine.Result) {
+	t.Helper()
+	a := engine.Report{Scenarios: 1, Results: []engine.Result{want}}
+	b := engine.Report{Scenarios: 1, Results: []engine.Result{got}}
+	ab, err := a.CanonicalBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bb, err := b.CanonicalBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ab, bb) {
+		t.Fatalf("result %s did not survive:\n%s\nvs\n%s", want.Scenario.Digest()[:12], ab, bb)
+	}
+}
+
 func TestPutGetRoundTrip(t *testing.T) {
 	st := openT(t, t.TempDir())
 	results := testResults(t)
@@ -84,11 +102,11 @@ func TestPutGetRoundTrip(t *testing.T) {
 func TestPutDeduplicates(t *testing.T) {
 	st := openT(t, t.TempDir())
 	res := testResults(t)[0]
-	if err := st.Put(res); err != nil {
+	if err := st.PutBatch([]engine.Result{res}); err != nil {
 		t.Fatal(err)
 	}
 	sizeAfterFirst := st.Stats().LogBytes
-	if err := st.Put(res); err != nil {
+	if err := st.PutBatch([]engine.Result{res}); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.PutBatch([]engine.Result{res, res}); err != nil {
@@ -170,7 +188,7 @@ func TestReopenAfterKillTruncatedTail(t *testing.T) {
 		}
 	}
 	// The store must keep working past the recovered tail.
-	if err := st2.Put(last); err != nil {
+	if err := st2.PutBatch([]engine.Result{last}); err != nil {
 		t.Fatal(err)
 	}
 	st2.Close()
@@ -188,7 +206,7 @@ func TestReopenAfterMidLogCorruption(t *testing.T) {
 	results := testResults(t)
 	st := openT(t, dir)
 	for _, r := range results {
-		if err := st.Put(r); err != nil {
+		if err := st.PutBatch([]engine.Result{r}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -234,7 +252,7 @@ func TestConcurrentPutGet(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := range results {
-				if err := st.Put(results[(i+w)%len(results)]); err != nil {
+				if err := st.PutBatch([]engine.Result{results[(i+w)%len(results)]}); err != nil {
 					t.Error(err)
 					return
 				}
