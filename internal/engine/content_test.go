@@ -29,6 +29,7 @@ var contentPins = map[string]map[string]contentPin{
 		"churn-j2,l1,fj1,fl1": {"e6af7b1e5c6806d0a082e03a17139a73c012bd7c398c0a65011c83dd34e33c3f", 2436, 3470685},
 		"chaos":               {"8d237156a791a690e70254418c3f3c62d7f3bad86bc8cfa8ef61a2e044c5c7aa", 2438, 2877793},
 		"ring-chaos":          {"292a4b20ac7fb229e5674126a1396a36d588e6d9bf11453286b9781692552504", 180, 47830},
+		"replay":              {"931e6de57f5d21c50033b89f1d9af4e90f208f4e7ec6fd118bac5bc9b7f5e33e", 2436, 19882687},
 	},
 }
 
@@ -41,8 +42,9 @@ type contentStrategy struct {
 // contentStrategies are the small grid as preset, on the boxed
 // instantiation, and with its churn axis replaced by one loaded spec —
 // plus the small grid's shape under the chaos adversary, whose junk
-// payloads lie outside every wire union, and the ring under the same
-// junk.
+// payloads lie outside every wire union, the ring under the same junk,
+// and the small grid's shape under replay, the one reading adversary
+// every wire-union plane carries.
 func contentStrategies(t *testing.T) []contentStrategy {
 	t.Helper()
 	small := func() Grid {
@@ -67,12 +69,15 @@ func contentStrategies(t *testing.T) []contentStrategy {
 	ringChaos := chaos
 	ringChaos.Protocols = []string{ProtoRing}
 	ringChaos.Sizes = []int{7, 14, 32}
+	replay := small()
+	replay.Adversaries = []string{AdvReplay}
 	return []contentStrategy{
 		{"default", small().Scenarios()},
 		{"no-fast-path", boxed},
 		{"churn-j2,l1,fj1,fl1", churned.Scenarios()},
 		{"chaos", chaos.Scenarios()},
 		{"ring-chaos", ringChaos.Scenarios()},
+		{"replay", replay.Scenarios()},
 	}
 }
 
