@@ -215,6 +215,8 @@ func TestTraceUsageErrors(t *testing.T) {
 		{"-n", "2", "-f", "3"},
 		{"-n", "0", "-f", "0"},
 		{"-n", "4", "-f", "-1"},
+		{"-rounds", "0"},
+		{"-rounds", "-1"},
 		{"-summarize", path, "-top", "0"},
 		{"-summarize", path, "-top", "-1"},
 	} {
@@ -249,6 +251,18 @@ func TestTraceRoundDump(t *testing.T) {
 		t.Fatalf("trace: exit %d\n%s", code, stderr)
 	}
 	if !strings.HasPrefix(stdout, "--- round 1 (init 1) ---\n") || strings.Count(stdout, " decided ") != 3 {
+		t.Errorf("round dump:\n%s", stdout)
+	}
+}
+
+// TestTraceRoundDumpUndecided: a run cut before the nodes decide says
+// so, instead of reporting a decision in round 0.
+func TestTraceRoundDumpUndecided(t *testing.T) {
+	code, stdout, stderr := run(t, "trace", "-n", "4", "-f", "1", "-rounds", "5")
+	if code != 0 {
+		t.Fatalf("trace: exit %d\n%s", code, stderr)
+	}
+	if strings.Contains(stdout, " decided ") || strings.Count(stdout, " undecided after 5 rounds\n") != 3 {
 		t.Errorf("round dump:\n%s", stdout)
 	}
 }

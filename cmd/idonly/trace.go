@@ -54,6 +54,10 @@ func runTrace(args []string, stdout, stderr io.Writer) int {
 		slog.Error("need n ≥ 1 and 0 ≤ f < n", "n", *n, "f", *f)
 		return 2
 	}
+	if *rounds < 1 {
+		slog.Error("-rounds must be at least 1", "rounds", *rounds)
+		return 2
+	}
 
 	all := ids.Sparse(ids.NewRand(*seed), *n)
 	correct, faulty := all[:*n-*f], all[*n-*f:]
@@ -91,10 +95,14 @@ func runTrace(args []string, stdout, stderr io.Writer) int {
 			}
 		},
 	}
-	sim.NewRunner(cfg, procs, faulty, adv).Run(nil)
+	m := sim.NewRunner(cfg, procs, faulty, adv).Run(nil)
 
 	fmt.Fprintln(stdout, "\noutcome:")
 	for _, nd := range nodes {
+		if !nd.Decided() {
+			fmt.Fprintf(stdout, "  %s (id %d) undecided after %d rounds\n", short[nd.ID()], nd.ID(), m.Rounds)
+			continue
+		}
 		fmt.Fprintf(stdout, "  %s (id %d) decided %v in round %d\n",
 			short[nd.ID()], nd.ID(), nd.Value(), nd.DecidedRound())
 	}

@@ -120,7 +120,7 @@ func (c *Chaos) randomPayload(rng *ids.Rand, node ids.ID, round int, inbox []sim
 	case 16:
 		return dynamic.EventMsg{M: fmt.Sprintf("chaos%d", rng.Intn(3)), R: round - 1 + rng.Intn(3)}
 	case 17:
-		return dynamic.SessMsg{Sess: maxIntc(1, round-rng.Intn(4)), Inner: rotor.Init{}}
+		return dynamic.SessMsg{Sess: max(1, round-rng.Intn(4)), Inner: rotor.Init{}}
 	case 18:
 		if len(inbox) > 0 { // replay something real
 			return inbox[rng.Intn(len(inbox))].Payload
@@ -129,11 +129,4 @@ func (c *Chaos) randomPayload(rng *ids.Rand, node ids.ID, round int, inbox []sim
 	default:
 		return baseline.AValue{X: randVal()}
 	}
-}
-
-func maxIntc(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

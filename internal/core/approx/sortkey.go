@@ -2,11 +2,11 @@ package approx
 
 import "idonly/internal/sim"
 
-// Typed sort key (sim.SortKeyer): byte-identical to fmt.Sprint of the
-// payload.
+// Sort key (sim.SortKeyer): a tag from approx's range 0x30–0x3f, then
+// the field.
+const tagValue byte = 0x30
 
 // AppendSortKey implements sim.SortKeyer.
 func (m Value) AppendSortKey(dst []byte) []byte {
-	dst = sim.AppendFloat(append(dst, '{'), m.X)
-	return append(dst, '}')
+	return sim.AppendFloat(append(dst, tagValue), m.X)
 }

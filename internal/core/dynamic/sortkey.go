@@ -1,49 +1,48 @@
 package dynamic
 
-import (
-	"fmt"
+import "idonly/internal/sim"
 
-	"idonly/internal/sim"
+// Sort keys (sim.SortKeyer): a tag from dynamic's range 0x60–0x6f,
+// then the fields. SessMsg is the one wrapper in the repository: tag,
+// session, then its inner payload's whole key, and nothing for a nil
+// one. Absent sorts before Present: Step applies one sender's Present
+// and Absent of one round in inbox order, so a sender that sends both
+// (a replaying faulty node relaying a leaver and a joiner) is removed,
+// then re-added and acked.
+const (
+	tagAbsent byte = 0x60 + iota
+	tagPresent
+	tagAck
+	tagEvent
+	tagSess
 )
 
-// Typed sort keys (sim.SortKeyer): byte-identical to fmt.Sprint of each
-// payload. SessMsg is the one wrapper type in the repository: it renders
-// its inner payload's key in place, and fmt's %v form for an inner
-// payload without one. Two session messages whose inner types render
-// the same bytes — e.g. parallel.NoPref and parallel.NoStrongPref for
-// the same pair — stay distinct to the duplicate filter, which keys on
-// values, not bytes.
-
 // AppendSortKey implements sim.SortKeyer.
-func (Present) AppendSortKey(dst []byte) []byte { return append(dst, "{}"...) }
+func (Present) AppendSortKey(dst []byte) []byte { return append(dst, tagPresent) }
 
 // AppendSortKey implements sim.SortKeyer.
 func (m Ack) AppendSortKey(dst []byte) []byte {
-	dst = sim.AppendInt(append(dst, '{'), int64(m.R))
-	return append(dst, '}')
+	return sim.AppendInt(append(dst, tagAck), int64(m.R))
 }
 
 // AppendSortKey implements sim.SortKeyer.
-func (Absent) AppendSortKey(dst []byte) []byte { return append(dst, "{}"...) }
+func (Absent) AppendSortKey(dst []byte) []byte { return append(dst, tagAbsent) }
 
 // AppendSortKey implements sim.SortKeyer.
 func (m EventMsg) AppendSortKey(dst []byte) []byte {
-	dst = append(append(dst, '{'), m.M...)
-	dst = sim.AppendInt(append(dst, ' '), int64(m.R))
-	return append(dst, '}')
+	return sim.AppendInt(sim.AppendString(append(dst, tagEvent), m.M), int64(m.R))
 }
 
 // AppendSortKey implements sim.SortKeyer.
 func (m SessMsg) AppendSortKey(dst []byte) []byte {
-	dst = sim.AppendInt(append(dst, '{'), int64(m.Sess))
-	dst = append(dst, ' ')
-	switch inner := m.Inner.(type) {
-	case sim.SortKeyer:
-		dst = inner.AppendSortKey(dst)
-	case nil:
-		dst = append(dst, "<nil>"...)
-	default:
-		dst = fmt.Append(dst, inner)
+	dst = appendSess(dst, m.Sess)
+	if m.Inner == nil {
+		return dst
 	}
-	return append(dst, '}')
+	return sim.AppendKey(dst, m.Inner)
+}
+
+// appendSess is a session message's key up to its inner payload.
+func appendSess(dst []byte, sess int) []byte {
+	return sim.AppendInt(append(dst, tagSess), int64(sess))
 }

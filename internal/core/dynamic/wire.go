@@ -11,8 +11,8 @@ import (
 // runner. The Kind discriminates, and the zero Kind is no message
 // (BoxedStep delivers payloads outside the union as it). wrap is
 // canonical (unused fields are zero for a kind), so Wire equality is
-// payload equality: Present and Absent render the same key bytes and
-// stay two values, as do a session's NoPref and NoStrongPref.
+// payload equality, and its key is the key of the payload it stands
+// for.
 //
 // A session message carries its parallel.Wire flattened — InKind, ID,
 // S and Bot are that Wire's fields, R is the tag — and an event's text
@@ -68,11 +68,9 @@ func (w Wire) AppendSortKey(dst []byte) []byte {
 	case wEvent:
 		return EventMsg{M: w.S, R: w.R}.AppendSortKey(dst)
 	case wSess:
-		dst = sim.AppendInt(append(dst, '{'), int64(w.R))
-		dst = w.in().AppendSortKey(append(dst, ' '))
-		return append(dst, '}')
+		return w.in().AppendSortKey(appendSess(dst, w.R))
 	case wNoise:
-		return SessMsg{Sess: w.R}.AppendSortKey(dst)
+		return appendSess(dst, w.R)
 	}
 	return dst
 }

@@ -14,8 +14,7 @@ import (
 // Absorb's admission (its sender is counted, as a payload outside the
 // alphabet always was) and is classified as nothing. wrap is canonical
 // (unused fields are zero for a kind), so Wire equality is payload
-// equality: NoPref and NoStrongPref of one pair render the same key
-// bytes and stay two values, as their boxed types do.
+// equality, and its key is the key of the payload it stands for.
 //
 // The opinion is flattened into S and Bot, and an echo's relay target
 // rides in ID, so a Wire is 32 bytes; the two flag bytes go last, so
@@ -57,10 +56,12 @@ func (w Wire) AppendSortKey(dst []byte) []byte {
 	switch w.Kind {
 	case wInit:
 		return rotor.Init{}.AppendSortKey(dst)
-	case wEcho, wNoPref, wNoStrong:
-		return appendPair(dst, w.ID)
+	case wEcho:
+		return rotor.Echo{P: ids.ID(w.ID)}.AppendSortKey(dst)
+	case wNoPref, wNoStrong:
+		return appendPair(dst, w.Kind, w.ID)
 	case wInput, wPrefer, wStrong, wOpinion:
-		return appendPairVal(dst, w.ID, w.x())
+		return appendPairVal(dst, w.Kind, w.ID, w.x())
 	}
 	return dst
 }

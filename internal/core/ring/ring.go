@@ -40,10 +40,12 @@ type Probe struct {
 	Min ids.ID
 }
 
-// AppendSortKey implements sim.SortKeyer.
+// tagProbe is Probe's sort-key tag, from ring's range 0x70–0x7f.
+const tagProbe byte = 0x70
+
+// AppendSortKey implements sim.SortKeyer: the tag, then the minimum.
 func (p Probe) AppendSortKey(dst []byte) []byte {
-	dst = sim.AppendUint(append(dst, '{'), uint64(p.Min))
-	return append(dst, '}')
+	return sim.AppendUint(append(dst, tagProbe), uint64(p.Min))
 }
 
 // codec is the identity codec for the probe alphabet.

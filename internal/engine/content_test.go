@@ -31,6 +31,18 @@ var contentPins = map[string]map[string]contentPin{
 		"ring-chaos":          {"292a4b20ac7fb229e5674126a1396a36d588e6d9bf11453286b9781692552504", 180, 47830},
 		"replay":              {"931e6de57f5d21c50033b89f1d9af4e90f208f4e7ec6fd118bac5bc9b7f5e33e", 2436, 19882687},
 	},
+	// v2: type-tagged binary sort keys replace the %v text. A sender's
+	// run is ordered by tag and then by number, so only an adversary
+	// whose sends depend on inbox position moves: chaos replays
+	// inbox[rng.Intn(len)].
+	"idonly/scenario/v2": {
+		"default":             {"c8aa256cf4d3e1a1997617cff70ba659f1b828da781df8ecc9e429ff13a7e82a", 4872, 6121025},
+		"no-fast-path":        {"c8aa256cf4d3e1a1997617cff70ba659f1b828da781df8ecc9e429ff13a7e82a", 4872, 6121025},
+		"churn-j2,l1,fj1,fl1": {"e6af7b1e5c6806d0a082e03a17139a73c012bd7c398c0a65011c83dd34e33c3f", 2436, 3470685},
+		"chaos":               {"23c74d78cd78cdd34fe58238341cfb39d2495db24a20cf0a30dd0f921416d2ba", 2438, 2877850},
+		"ring-chaos":          {"d2eb5ba567ce1415b60a4232f98da58874cfb6a69bf475601011f0582b52ebb5", 180, 47804},
+		"replay":              {"931e6de57f5d21c50033b89f1d9af4e90f208f4e7ec6fd118bac5bc9b7f5e33e", 2436, 19882687},
+	},
 }
 
 // contentStrategy is one sweep TestContentPins runs.

@@ -14,7 +14,7 @@ import (
 // changes, so stale cache entries can never be served for new
 // semantics. The golden digests in digest_test.go pin the current
 // scheme.
-const scenarioDigestVersion = "idonly/scenario/v1"
+const scenarioDigestVersion = "idonly/scenario/v2"
 
 // Digest returns the scenario's content address: the SHA-256 (hex) of a
 // canonical encoding of every field that influences the run's result
@@ -51,8 +51,7 @@ func (s Scenario) Digest() string {
 	field("pairs", strconv.Itoa(s.Pairs))
 	if c := s.Churn; c != nil {
 		// The full spec, Window included: the window shifts every churn
-		// round drawn by churnPlan, so it is result-relevant even though
-		// Churn.Label omits it.
+		// round drawn by churnPlan, so it is result-relevant.
 		field("churn", fmt.Sprintf("j%d,l%d,fj%d,fl%d,w%d",
 			c.Joins, c.Leaves, c.FaultyJoins, c.FaultyLeaves, c.Window))
 	}

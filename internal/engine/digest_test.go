@@ -13,12 +13,12 @@ import (
 // encoding must bump scenarioDigestVersion and re-pin these constants.
 func TestGoldenScenarioDigests(t *testing.T) {
 	golden := map[string]string{
-		ProtoRBroadcast: "74764f0319d21375dc24c0696b54d3ec5adc0a6789ce004912e17ae2cbd32f50",
-		ProtoRotor:      "3a5a0fc94ad162508376edc896a594e49ccd0623a705726c8ac5cd7f193fbf31",
-		ProtoConsensus:  "1ff36b7c6e4c938398ed5db395efc2612df216d8cec4f167b3f36d30a30cd42b",
-		ProtoApprox:     "382d44a78116891fa37e4c7a8a8bec601eb6098189891b961efe015db24c4ed4",
-		ProtoParallel:   "ad495f88fb0f31a05767d23be7eabf03459f2327162f9bcf99d32d56a35529e7",
-		ProtoDynamic:    "c24eb3be453b47f29081721194d5bf5ef3891aed59fac2ce2bf16b6c3e799e58",
+		ProtoRBroadcast: "a608d31b530bdd78fb7f3c0fe8f33c20cf335966d3c921df0daabda88008d4c1",
+		ProtoRotor:      "57597bb426490fd7de300b274e6a366db126b9affec674c8e79d0d3d31211acb",
+		ProtoConsensus:  "55d50b66f821e9db47d1082bd9a515e7f9d631180104923935313b1b4b9aae17",
+		ProtoApprox:     "f877009be3aca0bae56adb5e50248f8e74397a697c7ec1b93e271eb020a0e7d1",
+		ProtoParallel:   "e85e0cada19297d05ed9f0bd7ccb63ade2c97a92c66a01dcbfa9e312d9c60b69",
+		ProtoDynamic:    "982690f06164b5c254c797ace9486bd77c94807c97655aee3228957da9c7caa5",
 	}
 	for _, proto := range Protocols() {
 		s := Scenario{Protocol: proto, Adversary: AdvSplit, N: 7, F: 2, Seed: 1}
@@ -29,7 +29,7 @@ func TestGoldenScenarioDigests(t *testing.T) {
 	}
 	churned := Scenario{Protocol: ProtoDynamic, Adversary: AdvSplit, N: 10, F: 2, Seed: 5,
 		Churn: &Churn{Joins: 2, Leaves: 1, FaultyJoins: 1, FaultyLeaves: 1}}
-	if got, want := churned.Digest(), "ad03e971108a08f501be9e651834dc3d7d2beea7a0163ea6f284a2bd31317ff0"; got != want {
+	if got, want := churned.Digest(), "9dee1c7038934f3d241d58481a93306c8a17d9c412565e26622071f960c25ebc"; got != want {
 		t.Errorf("churned digest drifted:\n  got  %s\n  want %s", got, want)
 	}
 }
@@ -166,6 +166,43 @@ func TestParseChurn(t *testing.T) {
 	for _, bad := range []string{"x1", "j", "j-1", "jj1", "", "j2,j1", "w1,l1,w1"} {
 		if _, err := ParseChurn(bad); err == nil {
 			t.Errorf("ParseChurn(%q) accepted", bad)
+		}
+	}
+}
+
+// TestChurnLabelRoundTrip: a churn label names every field of its
+// spec, so ParseChurn reads it back, and two specs that differ only in
+// the window are two cells with two names, aggregated apart.
+func TestChurnLabelRoundTrip(t *testing.T) {
+	for _, c := range []Churn{
+		{Joins: 1},
+		{Joins: 1, Window: 5},
+		{Leaves: 2, FaultyLeaves: 1, Window: 20},
+		{Joins: 2, Leaves: 1, FaultyJoins: 1, FaultyLeaves: 1, Window: 6},
+	} {
+		if got, err := ParseChurn(c.Label()); err != nil || got != c {
+			t.Errorf("ParseChurn(%q) = %+v, %v; want %+v", c.Label(), got, err, c)
+		}
+	}
+
+	grid := Grid{
+		Protocols:   []string{ProtoDynamic},
+		Adversaries: []string{AdvSilent},
+		Sizes:       []int{7},
+		Seeds:       seedRange(1),
+		Churns:      []Churn{{Joins: 1, Window: 5}, {Joins: 1, Window: 20}},
+	}
+	specs := grid.Scenarios()
+	if len(specs) != 2 || specs[0].withDefaults().Name == specs[1].withDefaults().Name {
+		t.Fatalf("the two windows expand to %d scenarios named alike", len(specs))
+	}
+	rep := RunAll(specs, Options{Workers: 1})
+	if len(rep.Groups) != 2 || rep.Groups[0].Key.Churn == rep.Groups[1].Key.Churn {
+		t.Fatalf("the two windows aggregate into %d groups: %+v", len(rep.Groups), rep.Groups)
+	}
+	for _, g := range rep.Groups {
+		if g.Count != 1 {
+			t.Errorf("group %q holds %d cells, want 1", g.Key.Churn, g.Count)
 		}
 	}
 }

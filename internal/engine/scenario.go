@@ -93,8 +93,10 @@ func (c Churn) IsZero() bool {
 	return c.Joins == 0 && c.Leaves == 0 && c.FaultyJoins == 0 && c.FaultyLeaves == 0
 }
 
-// Label renders the spec as a compact cell label ("j1,l1,fj1,fl1");
-// empty for the zero spec. Group keys and scenario names use it.
+// Label renders the spec as a compact cell label ("j1,l1,fj1,fl1,w5"),
+// every non-zero field a term, so ParseChurn reads it back as c; empty
+// for a spec without churn, whose window means nothing. Group keys and
+// scenario names use it.
 func (c Churn) Label() string {
 	if c.IsZero() {
 		return ""
@@ -111,6 +113,9 @@ func (c Churn) Label() string {
 	}
 	if c.FaultyLeaves > 0 {
 		parts = append(parts, fmt.Sprintf("fl%d", c.FaultyLeaves))
+	}
+	if c.Window > 0 {
+		parts = append(parts, fmt.Sprintf("w%d", c.Window))
 	}
 	return strings.Join(parts, ",")
 }
@@ -361,10 +366,10 @@ func (s Scenario) run(ph *phases) (res Result) {
 	if len(faulty) > 0 {
 		adv = buildAdversary(s, founders, correct, rng)
 	}
-	cfg := sim.Config{
-		MaxRounds:          s.MaxRounds,
-		StopWhenAllDecided: pr.stopDecided,
-	}
+	// Every run stops once each correct node has decided. rbroadcast and
+	// dynamic nodes never decide, and Validate keeps a correct founder,
+	// so theirs run to MaxRounds.
+	cfg := sim.Config{MaxRounds: s.MaxRounds, StopWhenAllDecided: true}
 
 	// One core, two instantiations (sim/generic.go): the protocol's wire
 	// union when it has one and the scenario is eligible (fastPath), the
@@ -459,12 +464,11 @@ func (s Scenario) run(ph *phases) (res Result) {
 // an optional finisher that fills protocol-specific Result fields
 // (finality lag).
 type protocolRun struct {
-	procs       []sim.Process
-	stopDecided bool
-	digest      func() string
-	decided     func() (done, total int, na bool)
-	finish      func(res *Result)
-	join        func(id ids.ID) sim.Process
+	procs   []sim.Process
+	digest  func() string
+	decided func() (done, total int, na bool)
+	finish  func(res *Result)
+	join    func(id ids.ID) sim.Process
 
 	// typed builds the runner over the protocol's wire union
 	// (sim.NewTypedRunner) for the same processes, correct joiners
@@ -607,7 +611,7 @@ func buildProtocol(s Scenario, correct, founders, joiners []ids.ID, plan churnPl
 			nodes = append(nodes, nd)
 			procs = append(procs, nd)
 		}
-		return protocolRun{procs: procs, stopDecided: true, digest: func() string {
+		return protocolRun{procs: procs, digest: func() string {
 			term := 0
 			for _, nd := range nodes {
 				if nd.DoneRound() > term {
@@ -625,7 +629,7 @@ func buildProtocol(s Scenario, correct, founders, joiners []ids.ID, plan churnPl
 			nodes = append(nodes, nd)
 			procs = append(procs, nd)
 		}
-		return protocolRun{procs: procs, stopDecided: true, typed: func(cfg sim.Config, faulty []ids.ID, adv sim.Adversary) runner {
+		return protocolRun{procs: procs, typed: func(cfg sim.Config, faulty []ids.ID, adv sim.Adversary) runner {
 			return sim.NewTypedRunner(cfg, nodes, faulty, adv, consensus.WireCodec())
 		}, digest: func() string {
 			phases, decidedRound := 0, 0
@@ -656,7 +660,7 @@ func buildProtocol(s Scenario, correct, founders, joiners []ids.ID, plan churnPl
 			nodes = append(nodes, nd)
 			procs = append(procs, nd)
 		}
-		return protocolRun{procs: procs, stopDecided: true, digest: func() string {
+		return protocolRun{procs: procs, digest: func() string {
 			lo, hi := nodes[0].Value(), nodes[0].Value()
 			for _, nd := range nodes {
 				if nd.Value() < lo {
@@ -681,7 +685,7 @@ func buildProtocol(s Scenario, correct, founders, joiners []ids.ID, plan churnPl
 			nodes = append(nodes, nd)
 			procs = append(procs, nd)
 		}
-		return protocolRun{procs: procs, stopDecided: true, typed: func(cfg sim.Config, faulty []ids.ID, adv sim.Adversary) runner {
+		return protocolRun{procs: procs, typed: func(cfg sim.Config, faulty []ids.ID, adv sim.Adversary) runner {
 			return sim.NewTypedRunner(cfg, nodes, faulty, adv, parallel.WireCodec())
 		}, digest: func() string {
 			out := nodes[0].Outputs()
@@ -723,7 +727,7 @@ func buildProtocol(s Scenario, correct, founders, joiners []ids.ID, plan churnPl
 			procs = append(procs, nd)
 		}
 		want := correct[0]
-		return protocolRun{procs: procs, stopDecided: true, typed: func(cfg sim.Config, faulty []ids.ID, adv sim.Adversary) runner {
+		return protocolRun{procs: procs, typed: func(cfg sim.Config, faulty []ids.ID, adv sim.Adversary) runner {
 			return sim.NewTypedRunner(cfg, nodes, faulty, adv, ring.WireCodec())
 		}, digest: func() string {
 			converged := 0

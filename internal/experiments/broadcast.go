@@ -47,7 +47,7 @@ func E1(seed uint64) []Table {
 		ioRound := -1
 		for _, nd := range ioNodes {
 			if r, ok := nd.Accepted("m", correct[0]); ok {
-				ioRound = maxInt(ioRound, r)
+				ioRound = max(ioRound, r)
 			} else {
 				ioRound = -2
 			}
@@ -66,7 +66,7 @@ func E1(seed uint64) []Table {
 		stRound := -1
 		for _, nd := range stNodes {
 			if r, ok := nd.Accepted("m", correct[0]); ok {
-				stRound = maxInt(stRound, r)
+				stRound = max(stRound, r)
 			} else {
 				stRound = -2
 			}
@@ -74,7 +74,7 @@ func E1(seed uint64) []Table {
 
 		ioMsgs := ioRun.Metrics().MessagesDelivered
 		stMsgs := stRun.Metrics().MessagesDelivered
-		ratio := float64(ioMsgs) / float64(maxInt(int(stMsgs), 1))
+		ratio := float64(ioMsgs) / float64(max(int(stMsgs), 1))
 		return []any{n, f, ioRound, stRound, ioMsgs, stMsgs, ratio}
 	})
 	for _, r := range rows {

@@ -69,8 +69,8 @@ func consensusRun(seed uint64, n, f int, input func(i int) float64,
 		if nd.Value() != nodes[0].Value() {
 			panic("experiments: consensus agreement violated")
 		}
-		maxRound = maxInt(maxRound, nd.DecidedRound())
-		maxPhases = maxInt(maxPhases, nd.Phases())
+		maxRound = max(maxRound, nd.DecidedRound())
+		maxPhases = max(maxPhases, nd.Phases())
 	}
 	return maxRound, maxPhases, m.MessagesDelivered
 }
@@ -95,7 +95,7 @@ func E5(seed uint64) []Table {
 			func(all []ids.ID) sim.Adversary { return adversary.ConsSplit{X1: 0, X2: 1, All: all} })
 		kRounds, kMsgs := kingRun(seed, tc.n, tc.f)
 		return []any{tc.n, tc.f, ioRounds, kRounds, ioMsgs, kMsgs,
-			float64(ioMsgs) / float64(maxInt(int(kMsgs), 1))}
+			float64(ioMsgs) / float64(max(int(kMsgs), 1))}
 	})
 	for _, r := range rows {
 		t.Row(r...)
@@ -139,7 +139,7 @@ func kingRun(seed uint64, n, f int) (int, int64) {
 		if nd.Value() != nodes[0].Value() {
 			panic("experiments: phase king agreement violated")
 		}
-		maxRound = maxInt(maxRound, nd.DecidedRound())
+		maxRound = max(maxRound, nd.DecidedRound())
 	}
 	return maxRound, m.MessagesDelivered
 }

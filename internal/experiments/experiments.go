@@ -109,11 +109,3 @@ var Parallelism = runtime.GOMAXPROCS(0)
 func pmap[T any](n int, fn func(i int) T) []T {
 	return engine.Map(Parallelism, n, fn)
 }
-
-// maxInt is a tiny helper (no generics needed for two ints).
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

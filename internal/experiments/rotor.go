@@ -33,7 +33,7 @@ func E3(seed uint64) []Table {
 		})
 		maxTerm, good := 0, 0
 		for _, r := range runs {
-			maxTerm = maxInt(maxTerm, r.term)
+			maxTerm = max(maxTerm, r.term)
 			if r.good {
 				good++
 			}
@@ -71,7 +71,7 @@ func rotorRun(seed uint64, n, f int) (int, bool) {
 
 	maxTerm := 0
 	for _, nd := range nodes {
-		maxTerm = maxInt(maxTerm, nd.DoneRound())
+		maxTerm = max(maxTerm, nd.DoneRound())
 	}
 	return maxTerm, hasGoodRound(nodes, correct)
 }

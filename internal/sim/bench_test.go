@@ -5,8 +5,7 @@ package sim
 // these isolate the delivery path itself — broadcast fan-out, inbox
 // sorting, a full steady-state round, the sparse unicast overlay — as
 // one table per operation over the instantiations of the core: boxed
-// (registered payloads, and the fmt fallback where the key renderer
-// matters) and typed. After warm-up — arena, log, lanes and merge
+// and typed. After warm-up — arena, log, lanes and merge
 // scratch at their steady sizes — the typed per-round path performs
 // zero allocations, and the boxed one only the boxes its processes'
 // Steps make (TestSteadyRoundAllocs).
@@ -27,16 +26,7 @@ type benchPayload struct {
 }
 
 func (p benchPayload) AppendSortKey(dst []byte) []byte {
-	dst = AppendInt(append(dst, '{'), int64(p.Kind))
-	dst = AppendFloat(append(dst, ' '), p.Value)
-	return append(dst, '}')
-}
-
-// benchFallbackPayload is the same shape without SortKeyer: it rides
-// the fmt.Append key path.
-type benchFallbackPayload struct {
-	Kind  int
-	Value float64
+	return AppendFloat(AppendInt(append(dst, 0xf0), int64(p.Kind)), p.Value)
 }
 
 // benchCodec is the identity codec for benchPayload.
@@ -133,19 +123,16 @@ func BenchmarkDeliverBroadcast(b *testing.B) {
 	// Box the payloads outside the timed loop: a protocol's sends are
 	// boxed by its own Step, so the fan-out itself is what this
 	// benchmark isolates.
-	registered, fallback := make([]any, batch), make([]any, batch)
+	registered := make([]any, batch)
 	wire := make([]benchPayload, batch)
 	for i := range wire {
 		wire[i] = benchPayload{Kind: i, Value: 1}
 		registered[i] = wire[i]
-		fallback[i] = benchFallbackPayload{Kind: i, Value: 1}
 	}
 	for _, n := range []int{8, 32, 128} {
 		boxed, typed := benchRunners(n, oneBroadcast)
 		b.Run(fmt.Sprintf("boxed/n=%d", n), func(b *testing.B) { benchDeliver(b, boxed, registered) })
 		b.Run(fmt.Sprintf("typed/n=%d", n), func(b *testing.B) { benchDeliver(b, typed, wire) })
-		boxed, _ = benchRunners(n, oneBroadcast)
-		b.Run(fmt.Sprintf("fallback/n=%d", n), func(b *testing.B) { benchDeliver(b, boxed, fallback) })
 	}
 }
 
@@ -298,8 +285,8 @@ func TestSteadyRoundAllocs(t *testing.T) {
 		}
 		boxed, typed = splitRunners(n, n/3, false)
 		check("split/reading", n, boxed, typed, n)
-		if len(typed.log.sent.msgs) != n || len(typed.blog.sent.msgs) != n {
-			t.Fatalf("split/reading n=%d: log %d and mirror %d entries, want %d each", n, len(typed.log.sent.msgs), len(typed.blog.sent.msgs), n)
+		if len(typed.log.sorted.msgs) != n || len(typed.blog.sorted.msgs) != n {
+			t.Fatalf("split/reading n=%d: log %d and mirror %d entries, want %d each", n, len(typed.log.sorted.msgs), len(typed.blog.sorted.msgs), n)
 		}
 	}
 }

@@ -25,8 +25,7 @@ type hopMsg struct {
 }
 
 func (m hopMsg) AppendSortKey(dst []byte) []byte {
-	dst = AppendUint(append(dst, '{'), uint64(m.ID))
-	return append(AppendInt(append(dst, ' '), int64(m.Round)), '}')
+	return AppendInt(AppendUint(append(dst, 0xf0), uint64(m.ID)), int64(m.Round))
 }
 
 var hopCodec = Codec[hopMsg]{

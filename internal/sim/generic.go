@@ -13,8 +13,8 @@
 //     the delivery plane, messages travel as []MsgT[M] with no `any`
 //     box, and the filter hashes the wire value itself.
 //   - NewRunner (sim.go), over boxed payloads (M = any) and an adapter
-//     that presents a Process as a ProcessT[any]: any payload type,
-//     registered or not, with an identity codec.
+//     that presents a Process as a ProcessT[any]: any payload type
+//     with a sort key, with an identity codec.
 //
 // What an instantiation supplies besides its types is a Codec — how a
 // wire value crosses to and from the boxed form the Adversary and
@@ -30,15 +30,14 @@
 // and indexed through a quorum.Index that numbers the ids in slot
 // order; joins and leaves shift every column in step.
 //
-// The duplicate filter keys on (sender, wire value). For a payload
-// type under the SortKeyer contract (sortkey.go) value equality and
-// (type, key bytes) equality coincide — within a type, byte equality
-// is value equality, and distinct types are distinct values — so both
-// instantiations name the same sources; NaN and negative zero, where
-// rendering and equality disagree, stay outside the contract. The
-// schedule is therefore the same for every instantiation:
-// golden_test.go pins the trace digests on both, and naive_test.go
-// checks the core against a map-based model of the paper's §IV.
+// The duplicate filter keys on (sender, wire value). Under the one key
+// contract (sortkey.go) value equality and key equality coincide,
+// across types too, so both instantiations name the same sources and
+// order every inbox alike; NaN, which never equals itself, stays
+// outside the contract. The schedule is therefore the same for every
+// instantiation: golden_test.go pins the trace digests on both, and
+// naive_test.go checks the core against a map-based model of the
+// paper's §IV.
 package sim
 
 import (
@@ -52,9 +51,9 @@ import (
 
 // WireMsg is the constraint on a protocol's concrete wire type: a
 // comparable value (the duplicate filter keys on it directly) that
-// renders its own deterministic sort key under the SortKeyer contract
-// (sortkey.go). A union's zero value must be no message: BoxedStep
-// delivers payloads outside the union as it.
+// renders the sort key of the payload it stands for (sortkey.go). A
+// union's zero value must be no message: BoxedStep delivers payloads
+// outside the union as it.
 type WireMsg interface {
 	comparable
 	SortKeyer
@@ -604,14 +603,12 @@ func (r *TypedRunner[P, M]) deliverOne(i int, from ids.ID, m M, c *sendCtx) {
 		r.metrics.MessagesDropped++
 		return
 	}
-	k := c.set.key
-	k.at = uint32(len(r.log.next.msgs))
 	switch {
 	case r.faulty[i] && r.blind: // counted, not stored
 	case r.faulty[i]:
-		r.bbucket.push(i, from, r.box(m, c), k)
+		r.bbucket.push(i, from, r.box(m, c), c.set.key)
 	default:
-		r.bucket.push(i, from, m, k)
+		r.bucket.push(i, from, m, c.set.key)
 	}
 	c.accepted = true
 	r.metrics.MessagesDelivered++

@@ -33,7 +33,7 @@ import (
 // allocator.
 func digestRun(w workload, play playFn) string {
 	h := fnv.New64a()
-	s := w.sys()
+	s := w.sys(same)
 	m := play(w.config(func(round int, from ids.ID, sends []sim.Send) {
 		fmt.Fprintf(h, "r%d %d %v\n", round, from, sends)
 	}), s)
@@ -115,7 +115,7 @@ func TestInstantiationsShareMetrics(t *testing.T) {
 		}
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.config(nil)
-			if typed, ref := tc.typed(cfg, tc.sys()), boxed(cfg, tc.sys()); !reflect.DeepEqual(typed, ref) {
+			if typed, ref := tc.typed(cfg, tc.sys(same)), boxed(cfg, tc.sys(same)); !reflect.DeepEqual(typed, ref) {
 				t.Fatalf("metrics differ:\ntyped %+v\nboxed %+v", typed, ref)
 			}
 		})
@@ -142,9 +142,9 @@ func TestGoldenTraces(t *testing.T) {
 // staggered correct joiners, two graceful leavers, a late faulty join
 // and two mid-run faulty removals, under an event-equivocating
 // adversary.
-func churnHeavySystem() system {
+func churnHeavySystem(g relabel) system {
 	rng := ids.NewRand(77)
-	all := ids.Sparse(rng, 12)
+	all := sparse(g, rng, 12)
 	correct := all[:7]
 	faulty := all[7:9] // present from round 1
 	lateFaulty := all[9]
@@ -179,8 +179,8 @@ func churnHeavySystem() system {
 // membership churned: one of the four faulty nodes is held back and
 // joins at round 3, a founding faulty node is removed after round 4
 // and the late one after round 7 (the run takes 12 rounds).
-func churnConsensusSystem() system {
-	s := consensusSystem()
+func churnConsensusSystem(g relabel) system {
+	s := consensusSystem(g)
 	early, late := s.faulty[:3], s.faulty[3]
 	s.faulty = early
 	s.fjoins = map[int]ids.ID{3: late}

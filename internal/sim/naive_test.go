@@ -7,11 +7,11 @@ package sim_test
 // one recipient within a round is discarded; membership changes between
 // rounds — joins before a round, leavers after it. Inboxes are a map,
 // the duplicate set has one entry per delivery, every inbox is sorted
-// whole by (sender, fmt.Sprint(payload)). It shares no code with the
-// core (plane.go included) and is written from the model, not from it.
+// whole by (sender, the payload's sort key). It shares no code with
+// the core (plane.go included) and is written from the model, not from
+// it.
 
 import (
-	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -19,6 +19,10 @@ import (
 	"idonly/internal/ids"
 	"idonly/internal/sim"
 )
+
+// key renders a payload's sort key. Keys are unique within a sender's
+// run, so any sort of an inbox by (sender, key) yields the one order.
+func key(p any) []byte { return p.(sim.SortKeyer).AppendSortKey(nil) }
 
 // naiveModel is a playFn, like the core's instantiations.
 func naiveModel(cfg sim.Config, s system) sim.Metrics {
@@ -68,9 +72,9 @@ func naiveModel(cfg sim.Config, s system) sim.Metrics {
 		m.ByRound = append(m.ByRound, 0)
 		for _, id := range present {
 			in, p := inbox[id], member[id]
-			sort.SliceStable(in, func(a, b int) bool {
+			sort.Slice(in, func(a, b int) bool {
 				return in[a].From < in[b].From ||
-					in[a].From == in[b].From && fmt.Sprint(in[a].Payload) < fmt.Sprint(in[b].Payload)
+					in[a].From == in[b].From && string(key(in[a].Payload)) < string(key(in[b].Payload))
 			})
 			var sends []sim.Send
 			switch {
@@ -138,7 +142,7 @@ func TestCoreMatchesNaiveModel(t *testing.T) {
 				t.Fatalf("the model's schedule differs from the pinned one: digest %s, golden %s", got, tc.want)
 			}
 			cfg := tc.config(func(int, ids.ID, []sim.Send) {})
-			model, core := naiveModel(cfg, tc.sys()), boxed(cfg, tc.sys())
+			model, core := naiveModel(cfg, tc.sys(same)), boxed(cfg, tc.sys(same))
 			if core.InboxGrows = 0; !reflect.DeepEqual(model, core) {
 				t.Fatalf("metrics differ:\nmodel %+v\ncore  %+v", model, core)
 			}

@@ -13,10 +13,10 @@
 // unicasts, and the broadcasts of a source that already reached some
 // slot. They are appended to one round-wide bucket and sorted into
 // lanes by recipient once, when the round ends. A recipient with a
-// non-empty lane gets log and lane merged into runner scratch, each
-// sender's run rebuilt in the exact order the per-recipient plane used
-// to deliver it, so the inbox is byte-identical to sorting that
-// plane's lane.
+// non-empty lane gets its sorted lane and the log merged into runner
+// scratch, by sender and then by key. Keys never tie within a sender's
+// run (sortkey.go), so the merge is exactly the order sorting the
+// recipient's whole inbox gives.
 package sim
 
 import (
@@ -36,22 +36,18 @@ type MsgT[M any] struct {
 }
 
 // keyRef is one entry's sort key: an offset/length view into the
-// runner's key arena for the round the message was delivered in. A
-// lane entry also records at, the broadcast log's length when it was
-// appended — where it sat among the log's entries in send order. It
-// rides in the key table, not a table of its own, so a lane append
-// writes two arrays, not three.
+// runner's key arena for the round the message was delivered in.
 type keyRef struct {
 	off uint32
 	n   uint32
-	at  uint32
 }
+
+// in returns the key's bytes in arena.
+func (k keyRef) in(arena []byte) []byte { return arena[k.off : k.off+k.n] }
 
 // laneBuf is a pooled message buffer and, in tandem, the sort-key views
 // computed at delivery time: one recipient's exception lane, one
-// generation of the broadcast log, or merge scratch. It keeps the
-// single global insertion order (not per-type sublanes): cross-type
-// key-byte ties exist, and how a tie is broken depends on that order.
+// generation of the broadcast log, or merge scratch.
 type laneBuf[M any] struct {
 	msgs []MsgT[M]
 	keys []keyRef
@@ -75,9 +71,9 @@ func (b *laneBuf[M]) push(from ids.ID, p M, k keyRef) (grew bool) {
 // bucket is one round's lane traffic: every delivery that is not a log
 // append, in delivery order, tagged with its recipient slot. When the
 // round ends, one stable counting sort scatters it into an array that
-// holds each slot's entries together, in arrival order — exactly, at
-// marks included, what appending to a buffer of the slot's own would
-// hold — and every slot gets its run as its lane, a capacity-limited
+// holds each slot's entries together, in arrival order — exactly what
+// appending to a buffer of the slot's own would hold — and every slot
+// gets its run as its lane, a capacity-limited
 // view. A delivery costs one sequential append, not a write into one
 // of n buffers.
 type bucket[M any] struct {
@@ -138,89 +134,66 @@ func (b *bucket[M]) scatter(lanes []laneBuf[M]) (grew bool) {
 }
 
 // bcastLog is one round's broadcast log: the fresh broadcasts — those
-// whose source had reached no slot yet — in send order, each delivered
-// to every slot of the round by one append. It is double-buffered like
-// the arenas: next fills during the round; at the flip it becomes sent,
-// and sorted is its run-sorted copy, the inbox every recipient with an
-// empty lane shares. sent keeps the send order, which a recipient whose
-// lane holds the same sender rebuilds that sender's run from.
+// whose source had reached no slot yet — each delivered to every slot
+// of the round by one append. It is double-buffered like the arenas:
+// next fills during the round, in send order; at the flip it is sorted
+// in place and becomes sorted, the inbox every recipient with an empty
+// lane shares.
 type bcastLog[M any] struct {
-	next, sent, sorted laneBuf[M]
+	next, sorted laneBuf[M]
 }
 
 // newLog returns an empty log with room for c entries per generation.
 func newLog[M any](c int) bcastLog[M] {
 	lane := func() laneBuf[M] { return laneBuf[M]{msgs: make([]MsgT[M], 0, c), keys: make([]keyRef, 0, c)} }
-	return bcastLog[M]{lane(), lane(), lane()}
+	return bcastLog[M]{lane(), lane()}
 }
 
 // flip turns the round's appends into the next round's inbox, sorted
 // against the arena its keys point into, and empties next.
 func (l *bcastLog[M]) flip(arena []byte) {
-	l.sent, l.next = l.next, l.sent
+	l.sorted, l.next = l.next, l.sorted
 	l.next.msgs, l.next.keys = l.next.msgs[:0], l.next.keys[:0]
-	l.sorted.msgs = append(l.sorted.msgs[:0], l.sent.msgs...)
-	l.sorted.keys = append(l.sorted.keys[:0], l.sent.keys...)
 	l.sorted.sort(arena)
 }
 
 // assemble returns a recipient's inbox for the round: its lane sorted
 // in place when the log has nothing for it (a joiner's first round, or
 // a unicast-only round), the shared sorted log when its lane is empty,
-// and otherwise the two merged into scratch. The result is valid until
-// the scratch or the lane is reused.
+// and otherwise the sorted lane and the log merged into scratch. The
+// result is valid until the scratch or the lane is reused.
 func assemble[M any](lane *laneBuf[M], log *bcastLog[M], scratch *laneBuf[M], arena []byte) []MsgT[M] {
 	switch {
-	case lane.noLog || len(log.sent.msgs) == 0:
+	case lane.noLog || len(log.sorted.msgs) == 0:
 		lane.sort(arena)
 		return lane.msgs
 	case len(lane.msgs) == 0:
 		return log.sorted.msgs
 	}
-	scratch.merge(lane, log, arena)
+	lane.sort(arena)
+	scratch.merge(lane, &log.sorted, arena)
 	return scratch.msgs
 }
 
-// merge fills b with the sender-ordered merge of a lane and the log,
-// each sender's run exactly as sorting the per-recipient lane of old
-// leaves it: a run only the log holds is copied already sorted, a run
-// only the lane holds is copied and sorted, and a mixed run is rebuilt
-// in send order — a lane entry goes after the log entries before its
-// at mark — and then sorted. Rebuilding first is not optional: with
-// cross-type key ties and the unstable Shell fallback, merging two
-// sorted runs could order them differently.
-func (b *laneBuf[M]) merge(lane *laneBuf[M], log *bcastLog[M], arena []byte) {
-	sent, sorted := &log.sent, &log.sorted
-	need := len(lane.msgs) + len(sent.msgs)
+// merge fills b with two sorted inboxes, x and y, merged by sender and
+// then by key bytes. A source is in the log or in lanes, never both,
+// so the two never hold the same (sender, key).
+func (b *laneBuf[M]) merge(x, y *laneBuf[M], arena []byte) {
+	need := len(x.msgs) + len(y.msgs)
 	b.msgs, b.keys = slices.Grow(b.msgs[:0], need), slices.Grow(b.keys[:0], need)
-	for g, l := 0, 0; g < len(sent.msgs) || l < len(lane.msgs); {
-		inLog, inLane := g < len(sent.msgs), l < len(lane.msgs)
-		if !inLane || inLog && sent.msgs[g].From < lane.msgs[l].From {
-			ge := runEnd(sent.msgs, g)
-			b.msgs = append(b.msgs, sorted.msgs[g:ge]...)
-			b.keys = append(b.keys, sorted.keys[g:ge]...)
-			g = ge
-			continue
-		}
-		start, le := len(b.msgs), runEnd(lane.msgs, l)
-		if inLog && sent.msgs[g].From == lane.msgs[l].From {
-			ge := runEnd(sent.msgs, g)
-			for ; l < le; l++ {
-				at := int(lane.keys[l].at)
-				b.msgs = append(append(b.msgs, sent.msgs[g:at]...), lane.msgs[l])
-				b.keys = append(append(b.keys, sent.keys[g:at]...), lane.keys[l])
-				g = at
-			}
-			b.msgs = append(b.msgs, sent.msgs[g:ge]...)
-			b.keys = append(b.keys, sent.keys[g:ge]...)
-			g = ge
+	i, j := 0, 0
+	for i < len(x.msgs) && j < len(y.msgs) {
+		xf, yf := x.msgs[i].From, y.msgs[j].From
+		if xf < yf || xf == yf && string(x.keys[i].in(arena)) < string(y.keys[j].in(arena)) {
+			b.msgs, b.keys = append(b.msgs, x.msgs[i]), append(b.keys, x.keys[i])
+			i++
 		} else {
-			b.msgs = append(b.msgs, lane.msgs[l:le]...)
-			b.keys = append(b.keys, lane.keys[l:le]...)
-			l = le
+			b.msgs, b.keys = append(b.msgs, y.msgs[j]), append(b.keys, y.keys[j])
+			j++
 		}
-		sortRun(b.msgs[start:], b.keys[start:], arena)
 	}
+	b.msgs = append(append(b.msgs, x.msgs[i:]...), y.msgs[j:]...)
+	b.keys = append(append(b.keys, x.keys[i:]...), y.keys[j:]...)
 }
 
 // insertionShiftsPerEntry bounds the straight insertion sort of one
@@ -235,7 +208,8 @@ const insertionShiftsPerEntry = 2
 // sort orders the inbox by (sender id, key bytes) against the arena its
 // keys point into. Protocol logic must not depend on inbox order; the
 // sort exists so traces and any order-dependent tie-breaks are
-// reproducible run to run.
+// reproducible run to run. Keys never tie within a run, so the order
+// does not depend on the algorithm.
 //
 // Only each sender's run is sorted, by key bytes alone: StepRound
 // delivers the sends of one slot after another over the id-sorted node
@@ -287,11 +261,11 @@ func sortRun[M any](msgs []MsgT[M], keys []keyRef, arena []byte) {
 func gapSort[M any](msgs []MsgT[M], keys []keyRef, arena []byte, gap, budget int) bool {
 	for i := gap; i < len(msgs); i++ {
 		m, k := msgs[i], keys[i]
-		kb := arena[k.off : k.off+k.n]
+		kb := k.in(arena)
 		j := i
 		for ; j >= gap; j -= gap {
 			p := keys[j-gap]
-			if string(kb) >= string(arena[p.off:p.off+p.n]) {
+			if string(kb) >= string(p.in(arena)) {
 				break
 			}
 			msgs[j], keys[j] = msgs[j-gap], p

@@ -5,10 +5,11 @@ package sim
 // source-keyed duplicate filter against a map keyed by (to, from,
 // payload), the run sort against sort.Sort over the whole inbox, and
 // inbox assembly from the broadcast log and the exception lanes against
-// the per-recipient plane it replaced.
+// per-recipient inboxes sorted whole by (sender, key bytes).
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -17,23 +18,22 @@ import (
 	"idonly/internal/ids"
 )
 
-// regPayload is a registered payload: it renders its own key.
-type regPayload struct{ V int }
+// regPayload, twinPayload and thirdPayload are payloads of one shape
+// under three types, so one value under two of them is two messages
+// whose keys differ in the tag alone.
+type (
+	regPayload   struct{ V int }
+	twinPayload  struct{ V int }
+	thirdPayload struct{ V int }
+)
 
-func (p regPayload) AppendSortKey(dst []byte) []byte {
-	return append(AppendInt(append(dst, '{'), int64(p.V)), '}')
-}
-
-// twinPayload renders exactly regPayload's keys under another type: a
-// cross-type key tie the value-keyed filter must keep apart.
-type twinPayload struct{ V int }
-
+func (p regPayload) AppendSortKey(dst []byte) []byte { return AppendInt(append(dst, 0xf0), int64(p.V)) }
 func (p twinPayload) AppendSortKey(dst []byte) []byte {
-	return append(AppendInt(append(dst, '{'), int64(p.V)), '}')
+	return AppendInt(append(dst, 0xf1), int64(p.V))
 }
-
-// plainPayload is unregistered: fmt key, interface-identity filter.
-type plainPayload struct{ V int }
+func (p thirdPayload) AppendSortKey(dst []byte) []byte {
+	return AppendInt(append(dst, 0xf2), int64(p.V))
+}
 
 // scriptProc plays a fixed schedule of sends, keeps a copy of every
 // inbox it was handed, and leaves after round leaveAt (0 = never). It
@@ -117,8 +117,8 @@ func TestFilterIndexMatchesMap(t *testing.T) {
 }
 
 // TestFilterMatchesNaiveModel runs seeded schedules through the boxed
-// Runner (the pool mixes registered and unregistered payload types, so
-// no wire union holds it) and through the model the paper states — a message
+// Runner (the pool mixes payload types no wire union holds) and
+// through the model the paper states — a message
 // is dropped exactly when the same (to, from, payload) was already
 // delivered this round — and compares the counters and every inbox.
 // The sizes cross the filter's regimes: all-vec (5), vec→bitset
@@ -138,7 +138,7 @@ func TestFilterMatchesNaiveModel(t *testing.T) {
 			pool := []any{
 				regPayload{1}, regPayload{2}, regPayload{3},
 				twinPayload{1}, twinPayload{2},
-				plainPayload{1}, plainPayload{2},
+				thirdPayload{1}, thirdPayload{2},
 			}
 			pick := func() any { return pool[rng.Intn(len(pool))] }
 			target := func() ids.ID { // present, joining, leaving or never there
@@ -296,24 +296,17 @@ func (b *wholeInboxSort) Swap(i, j int) {
 	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
 }
 
-// tieA and tieB render the same key bytes for the same ID, the way
-// parallel.NoPref and parallel.NoStrongPref do under one SessMsg: a
-// cross-type tie the comparator cannot break.
-type (
-	tieA struct{ ID int }
-	tieB struct{ ID int }
-)
-
 // genInbox builds a sender-ordered inbox as delivery leaves it: a run
 // per sender, keys in scrambled order. Run lengths straddle the
 // insertion budget (short runs, long nearly-sorted runs, long reversed
-// runs that need the wider Shell passes). With ties, every key occurs
-// under both tie types.
-func genInbox(rng *ids.Rand, ties bool) (msgs []Message, keys []keyRef, arena []byte) {
-	add := func(from ids.ID, p any, key string) {
+// runs that need the wider Shell passes). With twins, every value also
+// occurs under a second type.
+func genInbox(rng *ids.Rand, twins bool) (msgs []Message, keys []keyRef, arena []byte) {
+	add := func(from ids.ID, p any) {
+		off := len(arena)
+		arena = AppendKey(arena, p)
 		msgs = append(msgs, Message{From: from, Payload: p})
-		keys = append(keys, keyRef{off: uint32(len(arena)), n: uint32(len(key))})
-		arena = append(arena, key...)
+		keys = append(keys, keyRef{off: uint32(off), n: uint32(len(arena) - off)})
 	}
 	for _, from := range ids.SortIDs(ids.Sparse(rng, 1+rng.Intn(12))) {
 		var vals []int
@@ -336,59 +329,32 @@ func genInbox(rng *ids.Rand, ties bool) (msgs []Message, keys []keyRef, arena []
 			vals = rng.Perm(100)
 		}
 		for _, v := range vals {
-			key := fmt.Sprintf("{%04d}", v)
-			if ties {
-				add(from, tieA{v}, key)
-				add(from, tieB{v}, key)
-			} else {
-				add(from, regPayload{v}, key)
+			add(from, regPayload{v - 50})
+			if twins {
+				add(from, twinPayload{v - 50})
 			}
 		}
 	}
 	return msgs, keys, arena
 }
 
+// TestRunSortMatchesWholeInboxSort: keys are unique within a sender's
+// run, so there is one sorted order, and the run sort must produce the
+// whole-inbox sort's, with and without a second payload type in the
+// runs.
 func TestRunSortMatchesWholeInboxSort(t *testing.T) {
 	for seed := uint64(1); seed <= 50; seed++ {
-		// Unique (From, key): there is one sorted order, and both sorts
-		// must produce it.
-		msgs, keys, arena := genInbox(ids.NewRand(seed), false)
-		model := wholeInboxSort{append([]Message(nil), msgs...), append([]keyRef(nil), keys...), arena}
-		sort.Sort(&model)
-		lane := inboxBuf{msgs: msgs, keys: keys}
-		lane.sort(arena)
-		for i := range msgs {
-			if lane.msgs[i] != model.msgs[i] || lane.keys[i] != model.keys[i] {
-				t.Fatalf("seed %d: entry %d is %v, whole-inbox sort has %v", seed, i, lane.msgs[i], model.msgs[i])
+		for _, twins := range []bool{false, true} {
+			msgs, keys, arena := genInbox(ids.NewRand(seed), twins)
+			model := wholeInboxSort{append([]Message(nil), msgs...), append([]keyRef(nil), keys...), arena}
+			sort.Sort(&model)
+			lane := inboxBuf{msgs: msgs, keys: keys}
+			lane.sort(arena)
+			for i := range msgs {
+				if lane.msgs[i] != model.msgs[i] || lane.keys[i] != model.keys[i] {
+					t.Fatalf("seed %d twins=%v: entry %d is %v, whole-inbox sort has %v", seed, twins, i, lane.msgs[i], model.msgs[i])
+				}
 			}
-		}
-
-		// Cross-type key ties: any order of the tied entries is a valid
-		// sort, so compare what is defined — the order is non-decreasing
-		// in (From, key), every key still sits on its own payload, and
-		// nothing was lost or duplicated.
-		msgs, keys, arena = genInbox(ids.NewRand(seed), true)
-		before := append([]Message(nil), msgs...)
-		lane = inboxBuf{msgs: msgs, keys: keys}
-		lane.sort(arena)
-		check := wholeInboxSort{lane.msgs, lane.keys, arena}
-		for i := range msgs {
-			if i > 0 && check.Less(i, i-1) {
-				t.Fatalf("seed %d: entries %d and %d out of (From, key) order", seed, i-1, i)
-			}
-			var id int
-			switch p := msgs[i].Payload.(type) {
-			case tieA:
-				id = p.ID
-			case tieB:
-				id = p.ID
-			}
-			if want := fmt.Sprintf("{%04d}", id); string(check.key(i)) != want {
-				t.Fatalf("seed %d: entry %d carries key %q, its payload renders %q", seed, i, check.key(i), want)
-			}
-		}
-		if !sameMultiset(lane.msgs, before) {
-			t.Fatalf("seed %d: the sort changed the inbox's contents", seed)
 		}
 	}
 }
@@ -409,24 +375,24 @@ func TestRunSortPanicsOnUnorderedSenders(t *testing.T) {
 }
 
 // asmWire is FuzzInboxAssembly's wire union over the payload pool: K
-// picks regPayload, tieA or tieB. All three render "{V}", so one value
-// under two kinds is a cross-type key tie.
+// picks regPayload, twinPayload or thirdPayload, so one value under two
+// kinds is two messages.
 type asmWire struct {
 	K uint8
 	V int
 }
 
-func (w asmWire) AppendSortKey(dst []byte) []byte { return appendBoxedKey(dst, asmCodec.Unwrap(w)) }
+func (w asmWire) AppendSortKey(dst []byte) []byte { return AppendKey(dst, asmCodec.Unwrap(w)) }
 
 var asmCodec = Codec[asmWire]{
 	Wrap: func(p any) (asmWire, bool) {
 		switch v := p.(type) {
 		case regPayload:
 			return asmWire{0, v.V}, true
-		case tieA:
-			return asmWire{1, v.ID}, true
-		case tieB:
-			return asmWire{2, v.ID}, true
+		case twinPayload:
+			return asmWire{1, v.V}, true
+		case thirdPayload:
+			return asmWire{2, v.V}, true
 		}
 		return asmWire{}, false
 	},
@@ -436,9 +402,9 @@ var asmCodec = Codec[asmWire]{
 func asmPayload(kind, v int) any {
 	switch kind % 3 {
 	case 1:
-		return tieA{v}
+		return twinPayload{v}
 	case 2:
-		return tieB{v}
+		return thirdPayload{v}
 	}
 	return regPayload{v}
 }
@@ -474,7 +440,7 @@ func asmChunk(round, sender int, op byte, target int, c byte) []byte {
 // unicast, 4 every send twice, 5 and 6 a burst of 6–12 distinct
 // payloads in descending key order (a run past the insertion budget,
 // sorted by the Shell passes) as broadcasts or as unicasts, 7 a
-// unicast and then a broadcast tied with it on key bytes.
+// unicast and then a broadcast of the same value under another type.
 func decodeAssembly(data []byte) asmScript {
 	sc := asmScript{1: {}, 2: {}}
 	for ; len(data) >= 3; data = data[3:] {
@@ -513,25 +479,21 @@ func decodeAssembly(data []byte) asmScript {
 	return sc
 }
 
-// asmModel is the per-recipient plane the broadcast log replaced, kept
-// as the model: every send renders its own key, every delivery is
-// appended to its recipient's own lane unless (to, from, payload) was
-// already delivered this round, and each lane is run-sorted by
-// laneBuf.sort. It returns id -> round -> inbox, and the counters.
+// asmModel is the model of the delivery plane: every delivery is
+// appended to its recipient's own inbox unless (to, from, payload) was
+// already delivered this round, and each inbox is sorted whole by
+// (sender, key bytes). It returns id -> round -> inbox, and the
+// counters.
 func asmModel(sc asmScript) (map[ids.ID]map[int][]Message, Metrics) {
 	inboxes := make(map[ids.ID]map[int][]Message)
 	var m Metrics
 	for round := 1; round <= 2; round++ {
 		present := asmPresent(round)
-		lanes := make(map[ids.ID]*inboxBuf)
+		next := make(map[ids.ID][]Message)
 		seen := make(map[naiveDelivery]bool)
-		var arena []byte
 		m.ByRound = append(m.ByRound, 0)
 		for _, from := range present {
 			for _, s := range sc[round][from] {
-				off := len(arena)
-				arena = appendBoxedKey(arena, s.Payload)
-				k := keyRef{off: uint32(off), n: uint32(len(arena) - off)}
 				for _, to := range present {
 					if s.To != Broadcast && s.To != to {
 						continue
@@ -542,21 +504,20 @@ func asmModel(sc asmScript) (map[ids.ID]map[int][]Message, Metrics) {
 					} else {
 						seen[d] = true
 					}
-					if lanes[to] == nil {
-						lanes[to] = &inboxBuf{}
-					}
-					lanes[to].push(from, s.Payload, k)
+					next[to] = append(next[to], Message{From: from, Payload: s.Payload})
 					m.MessagesDelivered++
 					m.ByRound[round-1]++
 				}
 			}
 		}
 		for _, to := range asmPresent(round + 1) {
-			in := []Message{}
-			if l := lanes[to]; l != nil {
-				l.sort(arena)
-				in = l.msgs
-			}
+			in := append([]Message{}, next[to]...)
+			slices.SortFunc(in, func(a, b Message) int {
+				if c := cmp.Compare(a.From, b.From); c != 0 {
+					return c
+				}
+				return bytes.Compare(AppendKey(nil, a.Payload), AppendKey(nil, b.Payload))
+			})
 			if inboxes[to] == nil {
 				inboxes[to] = make(map[int][]Message)
 			}

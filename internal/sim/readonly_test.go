@@ -217,14 +217,14 @@ func (vandalAdv) Step(_ ids.ID, _ int, inbox []sim.Message) []sim.Send {
 // write to their inboxes among well-behaved peers and requires the
 // guard to name exactly those two.
 func TestInboxGuardCatchesWrites(t *testing.T) {
-	w := workload{maxRounds: 2, sys: func() system {
+	w := workload{maxRounds: 2, sys: func(relabel) system {
 		return system{procs: []sim.Process{&vandalProc{1, true}, &vandalProc{2, false}, &vandalProc{3, false}}, faulty: []ids.ID{4}, adv: vandalAdv{}}
 	}}
 	plays := map[string]func(*inboxGuard) playFn{"boxed": (*inboxGuard).boxedPlay, "typed": guardedOver[*vandalProc](ring.WireCodec())}
 	for name, mk := range plays {
 		t.Run(name, func(t *testing.T) {
 			g := &inboxGuard{}
-			mk(g)(w.config(nil), w.sys())
+			mk(g)(w.config(nil), w.sys(same))
 			want := map[string]bool{"Adversary.Step of node 4 modified its round-2 inbox": false}
 			step := "Step"
 			if name == "typed" {

@@ -35,15 +35,18 @@
 // There is one round loop, the generic core in generic.go. This file
 // holds the model's vocabulary — messages, processes, the adversary,
 // metrics — and Runner, the core instantiated over boxed payloads: any
-// comparable payload type travels, keyed by its own AppendSortKey when
-// it implements SortKeyer (sortkey.go) and by fmt's %v form otherwise
-// (fallback.go). NewTypedRunner instantiates the same core over a
-// protocol's concrete wire type. The schedule — traces, metrics,
-// decided rounds — is bit-identical either way; golden_test.go pins it
-// per protocol and fallback_test.go pins the unregistered path.
+// comparable payload type that renders its own sort key under the one
+// key contract (sortkey.go) travels. NewTypedRunner instantiates the
+// same core over a protocol's concrete wire type. The schedule —
+// traces, metrics, decided rounds — is bit-identical either way;
+// golden_test.go pins it per protocol.
 package sim
 
-import "idonly/internal/ids"
+import (
+	"fmt"
+
+	"idonly/internal/ids"
+)
 
 // Broadcast is the destination address meaning "all participants".
 const Broadcast ids.ID = 0
@@ -51,7 +54,8 @@ const Broadcast ids.ID = 0
 // Message is a message as received: the network has stamped the true
 // sender identifier. Payload values must be comparable Go values
 // (structs without slices/maps), because the per-round duplicate filter
-// and the protocols' witness sets use them as map keys.
+// and the protocols' witness sets use them as map keys, and must render
+// a sort key (SortKeyer), which orders them in an inbox.
 type Message = MsgT[any]
 
 // Send is a message as submitted by a process: a destination and a
@@ -188,14 +192,15 @@ var boxedCodec = Codec[any]{
 	Unwrap: func(m any) any { return m },
 }
 
-// appendBoxedKey renders a boxed payload's deterministic sort key: the
-// payload's own appender when it has one, fmt's %v form otherwise —
-// the same bytes either way, by the SortKeyer contract.
-func appendBoxedKey(dst []byte, payload any) []byte {
-	if sk, ok := payload.(SortKeyer); ok {
-		return sk.AppendSortKey(dst)
+// AppendKey appends a boxed payload's sort key (sortkey.go). A payload
+// without one is outside the contract and panics, naming its type, as
+// a typed runner does for a payload outside its union.
+func AppendKey(dst []byte, payload any) []byte {
+	sk, ok := payload.(SortKeyer)
+	if !ok {
+		panic(fmt.Sprintf("sim: payload %T has no sort key", payload))
 	}
-	return appendFallbackKey(dst, payload)
+	return sk.AppendSortKey(dst)
 }
 
 // Runner executes a synchronous round-based system over boxed
@@ -213,7 +218,7 @@ func NewRunner(cfg Config, procs []Process, faulty []ids.ID, adv Adversary) *Run
 	for i, p := range procs {
 		boxed[i] = boxedProc{p}
 	}
-	return &Runner{newRunner(cfg, boxed, faulty, adv, boxedCodec, appendBoxedKey)}
+	return &Runner{newRunner(cfg, boxed, faulty, adv, boxedCodec, AppendKey)}
 }
 
 // ScheduleJoin arranges for a correct process to join the system at the

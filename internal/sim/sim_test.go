@@ -1,6 +1,10 @@
 package sim_test
 
 import (
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"idonly/internal/ids"
@@ -22,6 +26,8 @@ func (p *echoProc) Decided() bool { return p.decided }
 func (p *echoProc) Output() any   { return len(p.received) }
 
 type greet struct{ N int }
+
+func (g greet) AppendSortKey(dst []byte) []byte { return sim.AppendInt(append(dst, 0xf0), int64(g.N)) }
 
 func (p *echoProc) Step(round int, inbox []sim.Message) []sim.Send {
 	p.rounds = append(p.rounds, round)
@@ -335,6 +341,32 @@ func TestInboxGrowsCountsBufferGrowth(t *testing.T) {
 	for name, adv := range map[string]func([]ids.ID) sim.Adversary{"broadcast flood": broadcasts, "unicast flood": unicasts} {
 		if few, many := run(2, 4, adv), run(6, 4, adv); few.InboxGrows != many.InboxGrows {
 			t.Fatalf("%s: %d grows with 2 correct recipients, %d with 6", name, few.InboxGrows, many.InboxGrows)
+		}
+	}
+}
+
+// TestNoReflectImport keeps the simulator reflection-free. The hot
+// path's runtime gate is TestSteadyRoundAllocs, which fails on an fmt
+// call or an any box that allocates, but a reflect call need not
+// allocate — reflect.TypeOf(m).Name() on the per-send path costs none —
+// so no non-test file here may import reflect.
+func TestNoReflectImport(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"reflect"` {
+				t.Errorf("%s imports reflect; the simulator is reflection-free", name)
+			}
 		}
 	}
 }

@@ -1,74 +1,104 @@
-// Typed sort keys: the reflection-free contract of the delivery path.
+// Sort keys: the one encoding behind inbox order.
 //
-// Every message delivered by the runner needs a deterministic sort key
-// (the inbox order tie-break) and a duplicate-filter identity. The
-// original path derived both from the boxed payload: fmt.Sprint for the
-// key, interface equality for the filter. Payload types that implement
-// SortKeyer instead render their own key bytes into a pooled arena, so
-// the hot loop formats nothing; the filter identity is the payload
-// value itself, on every instantiation of the runner (generic.go).
+// Every message the runner delivers carries a sort key, the bytes that
+// order one sender's run in an inbox. A payload type renders its own
+// key by implementing SortKeyer, into a pooled arena, once per (sender,
+// payload) per round; the runner formats nothing itself, and a payload
+// without a key panics on both planes, naming its type (AppendKey).
 //
-// The contract is strict because the schedule is golden-pinned:
+// The contract is one encoding for every payload type in the
+// repository:
 //
-//   - AppendSortKey must produce bytes identical to what
-//     fmt.Sprint(payload) renders (the %v form), so the inbox order —
-//     and with it every trace digest and canonical report — is
-//     unchanged. internal/sortkeys enforces this differentially and
-//     under fuzzing for every registered type.
-//   - Within one type, the %v rendering must agree with Go equality in
-//     both directions: distinct values render distinct bytes (the
-//     repository's message structs — ints, ids, bools, strings in
-//     last-position-unambiguous layouts — have this), and equal values
-//     render equal bytes. It is what lets the filter key on values:
-//     two payloads of the same type are the same message exactly when
-//     their bytes match. Values where rendering and equality disagree
-//     must not be carried by registered types: NaN (renders equal,
-//     compares unequal) and negative zero (compares equal to +0,
-//     renders "-0") — no protocol or adversary here produces either.
+//   - One tag byte naming the payload type. A tag belongs to exactly
+//     one type repository-wide; each package draws its tags from its
+//     own range:
 //
-// Registering a payload type means implementing AppendSortKey and adding
-// sample values to internal/sortkeys, whose tests hold the type to both
-// rules. Two types whose renderings collide stay distinct messages,
-// because their values differ in type.
+//     0x10–0x1f rotor        0x50–0x5f parallel
+//     0x20–0x2f consensus    0x60–0x6f dynamic
+//     0x30–0x3f approx       0x70–0x7f ring
+//     0x40–0x4f rbroadcast   0x80–0x8f baseline
 //
-// Unregistered payloads keep working: the boxed runner falls back to
-// fmt.Append for their sort key, exactly the original semantics.
+//     Test-only payload types take 0xf0–0xff.
+//
+//   - Then the fields, in declaration order, each in its kind's form
+//     (the Append helpers below): ids and unsigned ints as 8 bytes
+//     big-endian; signed ints as 8 bytes big-endian with the sign bit
+//     flipped; float64 as 8 order-preserving bytes, −0 written as +0;
+//     bool as one byte; strings as a uvarint length, then the bytes. A
+//     wrapper (dynamic.SessMsg) writes the wrapped payload's whole key
+//     as its last field, and nothing for a nil one.
+//
+// Two consequences carry the delivery plane:
+//
+//   - The key is injective across types: two payloads render the same
+//     bytes exactly when they are equal Go values. Distinct types differ
+//     in the tag, and every field form is fixed-width or
+//     length-prefixed. −0 and +0 compare equal and render alike; NaN,
+//     which never equals itself, is the one value outside the contract,
+//     and no protocol or adversary here produces it. The duplicate
+//     filter keeps one copy of a (sender, payload) per recipient per
+//     round, so no two entries of one sender's run ever tie: any
+//     correct sort yields the one order, and two sorted runs merge
+//     exactly (plane.go).
+//   - Byte order agrees with numeric order field by field: ids, ints
+//     and floats sort as numbers, id 9 before id 10.
+//
+// Registering a payload type means implementing AppendSortKey with a
+// fresh tag from its package's range and adding sample values to
+// internal/sortkeys, whose tests hold every registered type to the
+// contract. A wire union renders the key of the payload it stands for,
+// so both planes order an inbox alike.
 package sim
 
-import "strconv"
+import (
+	"encoding/binary"
+	"math"
+)
 
-// SortKeyer is implemented by payload types on the fast delivery path.
+// SortKeyer is implemented by every payload type the runner carries.
 type SortKeyer interface {
-	// AppendSortKey appends the payload's deterministic sort key to dst
-	// and returns the extended slice. The bytes must equal
-	// fmt.Sprint(payload) exactly.
+	// AppendSortKey appends the payload's sort key — its tag, then its
+	// fields — to dst and returns the extended slice.
 	AppendSortKey(dst []byte) []byte
 }
 
-// The Append helpers below centralize how fmt's %v renders the field
-// kinds that appear in message payloads, so the per-type AppendSortKey
-// implementations cannot drift from the fmt.Sprint contract one kind at
-// a time. Strings append verbatim (no quoting in %v); structs are
-// rendered by the caller as '{' + space-joined fields + '}'.
-
-// AppendUint renders an unsigned integer (ids.ID, parallel.PairID, …)
-// the way %v does.
+// AppendUint appends an id or unsigned int: 8 bytes, big-endian.
 func AppendUint(dst []byte, v uint64) []byte {
-	return strconv.AppendUint(dst, v, 10)
+	return binary.BigEndian.AppendUint64(dst, v)
 }
 
-// AppendInt renders a signed integer the way %v does.
+// AppendInt appends a signed int: 8 bytes, big-endian, sign bit
+// flipped, so negative numbers sort first.
 func AppendInt(dst []byte, v int64) []byte {
-	return strconv.AppendInt(dst, v, 10)
+	return binary.BigEndian.AppendUint64(dst, uint64(v)^1<<63)
 }
 
-// AppendFloat renders a float64 the way %v does: shortest
-// round-tripping %g form.
+// AppendFloat appends a float64 as 8 bytes whose byte order is the
+// numbers' order: a negative number has every bit flipped, any other
+// only its sign bit. −0 is written as +0, the value it equals.
 func AppendFloat(dst []byte, v float64) []byte {
-	return strconv.AppendFloat(dst, v, 'g', -1, 64)
+	if v == 0 {
+		v = 0
+	}
+	b := math.Float64bits(v)
+	if b>>63 == 1 {
+		b = ^b
+	} else {
+		b |= 1 << 63
+	}
+	return binary.BigEndian.AppendUint64(dst, b)
 }
 
-// AppendBool renders a bool the way %v does.
+// AppendBool appends a bool: one byte, 0 or 1.
 func AppendBool(dst []byte, v bool) []byte {
-	return strconv.AppendBool(dst, v)
+	if v {
+		return append(dst, 1)
+	}
+	return append(dst, 0)
+}
+
+// AppendString appends a string: its length as a uvarint, then its
+// bytes.
+func AppendString(dst []byte, s string) []byte {
+	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
 }

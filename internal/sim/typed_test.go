@@ -17,7 +17,7 @@ import (
 func ringWorkload(n int) workload {
 	all := ids.Sparse(ids.NewRand(21), n)
 	horizon := ring.Horizon(n)
-	return workload{"ring", horizon + 2, true, func() system {
+	return workload{"ring", horizon + 2, true, func(relabel) system {
 		var procs []sim.Process
 		for i, id := range all {
 			procs = append(procs, ring.New(id, ring.Successors(all, i), horizon))
@@ -63,11 +63,11 @@ func (p *dupProc) Step(round int, inbox []sim.Message) []sim.Send {
 }
 
 func TestTypedRunnerDeduplicates(t *testing.T) {
-	w := workload{maxRounds: 1, typed: typedOver[*dupProc](ring.WireCodec()), sys: func() system {
+	w := workload{maxRounds: 1, typed: typedOver[*dupProc](ring.WireCodec()), sys: func(relabel) system {
 		return system{procs: []sim.Process{&dupProc{id: 1, peer: 2}, &dupProc{id: 2, peer: 1}}}
 	}}
 	for name, play := range w.instantiations() {
-		m := play(w.config(nil), w.sys())
+		m := play(w.config(nil), w.sys(same))
 		if m.MessagesDelivered != 4 {
 			t.Fatalf("%s: MessagesDelivered = %d, want 4", name, m.MessagesDelivered)
 		}

@@ -110,12 +110,13 @@ func typedOver[P sim.ProcessT[M], M sim.WireMsg](codec sim.Codec[M]) playFn {
 }
 
 // workload is a named system with its run limits and, where the
-// protocol has a wire union, the typed instantiation to put it on.
+// protocol has a wire union, the typed instantiation to put it on. sys
+// builds the system with every id it draws passed through g.
 type workload struct {
 	name        string
 	maxRounds   int
 	stopDecided bool
-	sys         func() system
+	sys         func(g relabel) system
 	typed       playFn // nil: no wire union
 	gauges      bool   // digests cover the churn gauges instead of the decided rounds
 }
@@ -134,16 +135,30 @@ func (w workload) config(obs sim.Observer) sim.Config {
 	return sim.Config{MaxRounds: w.maxRounds, StopWhenAllDecided: w.stopDecided, Observer: obs}
 }
 
-func split(rng *ids.Rand, n, f int) (all, correct, faulty []ids.ID) {
-	all = ids.Sparse(rng, n)
+// relabel maps the ids a system draws; same keeps them as drawn.
+type relabel func(ids.ID) ids.ID
+
+func same(id ids.ID) ids.ID { return id }
+
+// sparse draws n sorted ids through g.
+func sparse(g relabel, rng *ids.Rand, n int) []ids.ID {
+	out := ids.Sparse(rng, n)
+	for i, id := range out {
+		out[i] = g(id)
+	}
+	return out
+}
+
+func split(g relabel, rng *ids.Rand, n, f int) (all, correct, faulty []ids.ID) {
+	all = sparse(g, rng, n)
 	return all, all[:n-f], all[n-f:]
 }
 
 // The workloads below are shared with the golden-trace tests
 // (golden_test.go), which pin the exact schedule they produce.
 
-func rbroadcastSystem() system {
-	_, correct, faulty := split(ids.NewRand(11), 13, 4)
+func rbroadcastSystem(g relabel) system {
+	_, correct, faulty := split(g, ids.NewRand(11), 13, 4)
 	var procs []sim.Process
 	for i, id := range correct {
 		procs = append(procs, rbroadcast.New(id, i == 0, "m"))
@@ -151,8 +166,8 @@ func rbroadcastSystem() system {
 	return system{procs: procs, faulty: faulty, adv: adversary.Replay{}}
 }
 
-func consensusSystem() system {
-	all, correct, faulty := split(ids.NewRand(12), 13, 4)
+func consensusSystem(g relabel) system {
+	all, correct, faulty := split(g, ids.NewRand(12), 13, 4)
 	var procs []sim.Process
 	for i, id := range correct {
 		procs = append(procs, consensus.New(id, float64(i%2)))
@@ -160,8 +175,8 @@ func consensusSystem() system {
 	return system{procs: procs, faulty: faulty, adv: adversary.ConsSplit{X1: 0, X2: 1, All: all}}
 }
 
-func approxSystem() system {
-	all, correct, faulty := split(ids.NewRand(13), 10, 3)
+func approxSystem(g relabel) system {
+	all, correct, faulty := split(g, ids.NewRand(13), 10, 3)
 	var procs []sim.Process
 	for i, id := range correct {
 		procs = append(procs, approx.NewIterated(id, float64(i*10), 8))
@@ -169,8 +184,8 @@ func approxSystem() system {
 	return system{procs: procs, faulty: faulty, adv: adversary.ApproxOutlier{Low: -1e6, High: 1e6, All: all}}
 }
 
-func rotorSystem() system {
-	all, correct, faulty := split(ids.NewRand(14), 13, 4)
+func rotorSystem(g relabel) system {
+	all, correct, faulty := split(g, ids.NewRand(14), 13, 4)
 	var procs []sim.Process
 	for i, id := range correct {
 		procs = append(procs, rotor.New(id, float64(i)))
@@ -182,8 +197,8 @@ func rotorSystem() system {
 	return system{procs: procs, faulty: faulty, adv: adversary.Compose{PerNode: per}}
 }
 
-func parallelSystem() system {
-	all, correct, faulty := split(ids.NewRand(15), 7, 2)
+func parallelSystem(g relabel) system {
+	all, correct, faulty := split(g, ids.NewRand(15), 7, 2)
 	var procs []sim.Process
 	for _, id := range correct {
 		inputs := map[parallel.PairID]parallel.Val{
@@ -196,8 +211,8 @@ func parallelSystem() system {
 
 // dynamicSystem covers joins and Leaver removal: a joiner at round 10,
 // a leaver at round 12, and an event-equivocating adversary.
-func dynamicSystem() system {
-	all, correct, faulty := split(ids.NewRand(16), 7, 2)
+func dynamicSystem(g relabel) system {
+	all, correct, faulty := split(g, ids.NewRand(16), 7, 2)
 	var procs []sim.Process
 	for i, id := range correct {
 		witness := make(map[int][]string)
@@ -212,7 +227,7 @@ func dynamicSystem() system {
 		}
 		procs = append(procs, dynamic.New(dynamic.Config{ID: id, Founders: all, Witness: witness, LeaveAt: leaveAt}))
 	}
-	joiner := dynamic.New(dynamic.Config{ID: ids.Sparse(ids.NewRand(999), 1)[0]})
+	joiner := dynamic.New(dynamic.Config{ID: sparse(g, ids.NewRand(999), 1)[0]})
 	return system{procs: procs, faulty: faulty, adv: adversary.DynEquivEvent{All: all, Every: 2},
 		joins: []join{{10, joiner}}}
 }
@@ -222,8 +237,8 @@ func dynamicSystem() system {
 // every delivery is a unicast into a recipient's lane, over far more
 // slots than one bitset word. Its faulty nodes sit on the ring and
 // bounce what they receive, so the faulty slots keep boxed lanes too.
-func ringSystem() system {
-	all, correct, faulty := split(ids.NewRand(17), 1024, 8)
+func ringSystem(g relabel) system {
+	all, correct, faulty := split(g, ids.NewRand(17), 1024, 8)
 	var procs []sim.Process
 	for _, id := range correct {
 		i, _ := slices.BinarySearch(all, id)

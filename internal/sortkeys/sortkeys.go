@@ -1,9 +1,10 @@
 // Package sortkeys is the registry of every payload type implementing
-// sim.SortKeyer, as sample values. It exists for the differential tests
-// that enforce the sort-key contract (AppendSortKey == fmt.Sprint,
-// per-type injectivity) and check every wire union's members, across
-// all protocol packages at once — the packages themselves cannot host
-// those tests without importing each other.
+// sim.SortKeyer, as sample values. It exists for the tests that hold
+// every type to the sort-key contract (internal/sim's sortkey.go:
+// injective across types, one tag per type, numeric order) and check
+// every wire union's members, across all protocol packages at once —
+// the packages themselves cannot host those tests without importing
+// each other.
 package sortkeys
 
 import (
@@ -22,15 +23,16 @@ import (
 )
 
 // floats are the float64 edge values every float-carrying payload is
-// sampled with. NaN is deliberately absent: the sort-key contract
-// excludes it (its rendering collides while its Go equality never
-// does).
+// sampled with, −0 beside +0 (equal values, so equal keys). NaN is
+// deliberately absent: the sort-key contract excludes it (no two NaNs
+// are equal, yet they can share a key).
 var floats = []float64{0, 1, -1, 0.5, -2.75, 1e21, 1e-7, 123456.789,
 	math.MaxFloat64, math.SmallestNonzeroFloat64, math.Inf(1), math.Inf(-1), math.Copysign(0, -1)}
 
 // strs stress the string fields: empties, spaces, braces, digits in
-// ambiguous positions, non-ASCII and non-UTF-8 bytes.
-var strs = []string{"", "m", "a b", "x 7", "{", "}", "{1 2}", "12 34", "évènement", "\xff\xfe"}
+// ambiguous positions, bytes that look like a length prefix, non-ASCII
+// and non-UTF-8 bytes.
+var strs = []string{"", "m", "a b", "x 7", "{", "}", "{1 2}", "12 34", "\x01m", "\x00", "évènement", "\xff\xfe"}
 
 // someIDs cover the id extremes.
 var someIDs = []ids.ID{0, 1, 7, 1 << 40, math.MaxUint64}
@@ -78,15 +80,14 @@ func Samples() []sim.SortKeyer {
 	out = append(out, dynamic.Present{}, dynamic.Absent{},
 		dynamic.Ack{R: 0}, dynamic.Ack{R: -1}, dynamic.Ack{R: 99})
 
-	// SessMsg compositions: every session-capable inner type, plus the
-	// fallback shapes (unregistered inner, nil inner, nested wrapper).
+	// SessMsg compositions: every session-capable inner type, plus a nil
+	// inner, an inner outside parallel's union and a nested wrapper.
 	inners := []any{
 		rotor.Init{}, rotor.Echo{P: 9}, rotor.Opinion{X: 2.5},
 		parallel.Input{ID: 4, X: parallel.V("v")}, parallel.Prefer{ID: 4, X: parallel.Bot},
 		parallel.NoPref{ID: 4}, parallel.StrongPrefer{ID: 4, X: parallel.V("w")},
 		parallel.NoStrongPref{ID: 4}, parallel.Opinion{ID: 4, X: parallel.V("")},
-		nil, struct{ A int }{A: 4}, "plain string", 17,
-		dynamic.SessMsg{Sess: 2, Inner: rotor.Init{}},
+		nil, dynamic.SessMsg{Sess: 2, Inner: rotor.Init{}},
 	}
 	for _, in := range inners {
 		out = append(out, dynamic.SessMsg{Sess: 3, Inner: in}, dynamic.SessMsg{Sess: -2, Inner: in})

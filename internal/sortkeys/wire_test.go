@@ -6,10 +6,9 @@ package sortkeys
 // trip. The unions are enumerated from the wire side — every wire value
 // that survives Unwrap then Wrap is a member, and its payload's type a
 // member type — so a kind added to a union without samples here, or
-// with a key that diverges from fmt.Sprint, fails this test.
+// with a key that diverges from its payload's, fails this test.
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -24,7 +23,7 @@ import (
 
 // checkWireUnion finds the member types of codec's union among
 // candidates, then checks every sample of a member type for a lossless
-// round trip and a wire key equal to fmt.Sprint of the payload, and
+// round trip and a wire key equal to the payload's own key, and
 // that every other payload — samples of other types, and junk — is
 // rejected. noise, when not nil, names the samples of a member type
 // that are nonetheless outside the union (a wrapper around an unknown
@@ -68,8 +67,8 @@ func checkWireUnion[M sim.WireMsg](t *testing.T, name string, codec sim.Codec[M]
 			t.Errorf("%s: Wrap(%#v) rejected a union member", name, p)
 			continue
 		}
-		if got, want := string(w.AppendSortKey(nil)), fmt.Sprint(codec.Unwrap(w)); got != want {
-			t.Errorf("%s: wire key %q != fmt.Sprint %q for %#v", name, got, want, p)
+		if got, want := string(w.AppendSortKey(nil)), string(sim.AppendKey(nil, p)); got != want {
+			t.Errorf("%s: wire key %q != payload key %q for %#v", name, got, want, p)
 		}
 		if back := codec.Unwrap(w); back != p {
 			t.Errorf("%s: round trip %#v -> %#v", name, p, back)
@@ -132,27 +131,28 @@ func TestWireUnionsDelegate(t *testing.T) {
 		t.Error("dynamic: no sample is session noise")
 	}
 
-	checkTie(t, pc, parallel.NoPref{ID: 4}, parallel.NoStrongPref{ID: 4})
-	checkTie(t, pc, parallel.NoPref{ID: 9}, rotor.Echo{P: 9})
-	checkTie(t, dc, dynamic.Present{}, dynamic.Absent{})
+	// The pairs whose %v renderings used to tie.
+	checkApart(t, pc, parallel.NoPref{ID: 4}, parallel.NoStrongPref{ID: 4})
+	checkApart(t, pc, parallel.NoPref{ID: 9}, rotor.Echo{P: 9})
+	checkApart(t, dc, dynamic.Present{}, dynamic.Absent{})
 	for _, sess := range []int{3, -2} {
-		checkTie(t, dc, dynamic.SessMsg{Sess: sess, Inner: parallel.NoPref{ID: 4}},
+		checkApart(t, dc, dynamic.SessMsg{Sess: sess, Inner: parallel.NoPref{ID: 4}},
 			dynamic.SessMsg{Sess: sess, Inner: parallel.NoStrongPref{ID: 4}})
 	}
 }
 
-// checkTie requires two payloads of one union to render the same key
-// bytes, as their boxed forms do, and to be distinct wire values, so
-// the duplicate filter — which keys on values — keeps both.
-func checkTie[M sim.WireMsg](t *testing.T, codec sim.Codec[M], a, b any) {
+// checkApart requires two payloads of one union that agree field for
+// field but differ in type to be distinct wire values with distinct
+// keys.
+func checkApart[M sim.WireMsg](t *testing.T, codec sim.Codec[M], a, b any) {
 	t.Helper()
 	wa, okA := codec.Wrap(a)
 	wb, okB := codec.Wrap(b)
 	if !okA || !okB {
 		t.Fatalf("%#v or %#v is outside the union", a, b)
 	}
-	if ka, kb := wa.AppendSortKey(nil), wb.AppendSortKey(nil); string(ka) != string(kb) {
-		t.Errorf("%#v and %#v: keys %q and %q no longer tie", a, b, ka, kb)
+	if ka, kb := wa.AppendSortKey(nil), wb.AppendSortKey(nil); string(ka) == string(kb) {
+		t.Errorf("%#v and %#v: both render key %q", a, b, ka)
 	}
 	if wa == wb {
 		t.Errorf("%#v and %#v: one wire value for two payloads", a, b)
