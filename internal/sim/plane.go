@@ -73,9 +73,8 @@ func (b *laneBuf[M]) push(from ids.ID, p M, k keyRef) (grew bool) {
 // round ends, one stable counting sort scatters it into an array that
 // holds each slot's entries together, in arrival order — exactly what
 // appending to a buffer of the slot's own would hold — and every slot
-// gets its run as its lane, a capacity-limited
-// view. A delivery costs one sequential append, not a write into one
-// of n buffers.
+// gets its run as its lane, a capacity-limited view. A delivery costs
+// one sequential append, not a write into one of n buffers.
 type bucket[M any] struct {
 	ents []bucketEnt[M] // this round's deliveries, in delivery order
 	ends []int32        // scatter scratch: per slot, its lane's end in out
