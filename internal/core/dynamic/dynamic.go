@@ -50,6 +50,14 @@
 // Leaving: the node broadcasts "absent", stops witnessing events and
 // starting sessions, keeps participating in its outstanding sessions
 // until they terminate, and then disappears (sim.Leaver).
+//
+// The order of one sender's messages within a round carries no
+// information: a round's membership changes apply once the whole inbox
+// is read, so a sender that says both "present" and "absent" in one
+// round is treated as present (and acked), and of one sender's events
+// tagged r−1 the session's input is the one with the smallest sort
+// key. Any order of a sender's run gives the same members, acks,
+// inputs and chain.
 package dynamic
 
 import (
@@ -286,8 +294,8 @@ func (n *Node) StepTyped(round int, inbox []sim.MsgT[Wire]) []sim.SendT[Wire] {
 	n.r++
 
 	out := n.sends[:0]
-	var ackTo []ids.ID
-	clear(n.inputs) // I_r: first event per sender tagged r-1
+	var ackTo, gone []ids.ID
+	clear(n.inputs) // I_r: one event per sender tagged r-1
 
 	// Session traffic is almost all of an inbox: it takes the first
 	// branch, and its session is found by offset from the oldest live
@@ -313,22 +321,30 @@ func (n *Node) StepTyped(round int, inbox []sim.MsgT[Wire]) []sim.SendT[Wire] {
 		switch p.Kind {
 		case wPresent:
 			if n.state == stActive {
-				n.addMember(msg.From)
 				ackTo = append(ackTo, msg.From)
 			}
 		case wAbsent:
-			if i, found := slices.BinarySearch(n.members, msg.From); found {
-				n.members = slices.Delete(n.members, i, i+1)
-			}
+			gone = append(gone, msg.From)
 		case wEvent:
 			if n.state == stActive && p.R == n.r-1 {
-				if _, dup := n.inputs[parallel.PairID(msg.From)]; !dup {
+				if v, dup := n.inputs[parallel.PairID(msg.From)]; !dup || eventTextLess(p.S, v.S) {
 					n.inputs[parallel.PairID(msg.From)] = parallel.V(p.S)
 				}
 			}
 		case wAck:
 			// stray ack (e.g. duplicate join traffic): ignore
 		}
+	}
+
+	// Membership changes once the whole inbox is read, leaves first: a
+	// sender that says both Present and Absent in one round is present.
+	for _, u := range gone {
+		if i, found := slices.BinarySearch(n.members, u); found {
+			n.members = slices.Delete(n.members, i, i+1)
+		}
+	}
+	for _, u := range ackTo {
+		n.addMember(u)
 	}
 
 	// Leave announcement.

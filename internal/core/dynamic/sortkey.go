@@ -1,14 +1,17 @@
 package dynamic
 
-import "idonly/internal/sim"
+import (
+	"bytes"
+	"encoding/binary"
+
+	"idonly/internal/sim"
+)
 
 // Sort keys (sim.SortKeyer): a tag from dynamic's range 0x60–0x6f,
 // then the fields. SessMsg is the one wrapper in the repository: tag,
 // session, then its inner payload's whole key, and nothing for a nil
-// one. Absent sorts before Present: Step applies one sender's Present
-// and Absent of one round in inbox order, so a sender that sends both
-// (a replaying faulty node relaying a leaver and a joiner) is removed,
-// then re-added and acked.
+// one. A node decides nothing by where a tag sorts: StepTyped reads
+// one sender's run in any order alike (see the package comment).
 const (
 	tagAbsent byte = 0x60 + iota
 	tagPresent
@@ -45,4 +48,16 @@ func (m SessMsg) AppendSortKey(dst []byte) []byte {
 // appendSess is a session message's key up to its inner payload.
 func appendSess(dst []byte, sess int) []byte {
 	return sim.AppendInt(append(dst, tagSess), int64(sess))
+}
+
+// eventTextLess reports whether an event with text a sorts before one
+// of the same round with text b. Their keys differ only in the text
+// field, a uvarint length and then the bytes; a uvarint is prefix-free,
+// so the lengths' encodings decide unless they are equal.
+func eventTextLess(a, b string) bool {
+	var la, lb [binary.MaxVarintLen64]byte
+	if c := bytes.Compare(binary.AppendUvarint(la[:0], uint64(len(a))), binary.AppendUvarint(lb[:0], uint64(len(b)))); c != 0 {
+		return c < 0
+	}
+	return a < b
 }

@@ -576,3 +576,28 @@ func BenchmarkCanonicalBytes(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkScenarioDigest digests the small grid's 288 scenarios as
+// Grid.Scenarios names them.
+func BenchmarkScenarioDigest(b *testing.B) {
+	g, err := PresetGrid("small")
+	if err != nil {
+		b.Fatal(err)
+	}
+	specs := g.Scenarios()
+	b.ReportAllocs()
+	for b.Loop() {
+		for i := range specs {
+			specs[i].Digest()
+		}
+	}
+}
+
+// BenchmarkAggregate aggregates the small grid's 288 results.
+func BenchmarkAggregate(b *testing.B) {
+	rep := smallGridReport(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		Aggregate(rep.Results)
+	}
+}

@@ -30,33 +30,31 @@ const scenarioDigestVersion = "idonly/scenario/v2"
 // field that does not move the digest.
 func (s Scenario) Digest() string {
 	s = s.withDefaults()
-	h := sha256.New()
-	var b strings.Builder
-	b.Grow(256)
-	b.WriteString(scenarioDigestVersion)
-	b.WriteByte('\n')
-	field := func(k, v string) {
-		b.WriteString(k)
-		b.WriteByte('=')
-		b.WriteString(v)
-		b.WriteByte('\n')
-	}
-	field("name", s.Name)
-	field("protocol", s.Protocol)
-	field("adversary", s.Adversary)
-	field("n", strconv.Itoa(s.N))
-	field("f", strconv.Itoa(s.F))
-	field("seed", strconv.FormatUint(s.Seed, 10))
-	field("max_rounds", strconv.Itoa(s.MaxRounds))
-	field("pairs", strconv.Itoa(s.Pairs))
+	// One "key=value" line per field after the version line, hashed
+	// from a stack buffer.
+	var buf [256]byte
+	b := append(buf[:0], scenarioDigestVersion+"\nname="...)
+	b = append(b, s.Name...)
+	b = append(append(b, "\nprotocol="...), s.Protocol...)
+	b = append(append(b, "\nadversary="...), s.Adversary...)
+	b = strconv.AppendInt(append(b, "\nn="...), int64(s.N), 10)
+	b = strconv.AppendInt(append(b, "\nf="...), int64(s.F), 10)
+	b = strconv.AppendUint(append(b, "\nseed="...), s.Seed, 10)
+	b = strconv.AppendInt(append(b, "\nmax_rounds="...), int64(s.MaxRounds), 10)
+	b = strconv.AppendInt(append(b, "\npairs="...), int64(s.Pairs), 10)
 	if c := s.Churn; c != nil {
 		// The full spec, Window included: the window shifts every churn
 		// round drawn by churnPlan, so it is result-relevant.
-		field("churn", fmt.Sprintf("j%d,l%d,fj%d,fl%d,w%d",
-			c.Joins, c.Leaves, c.FaultyJoins, c.FaultyLeaves, c.Window))
+		b = strconv.AppendInt(append(b, "\nchurn=j"...), int64(c.Joins), 10)
+		b = strconv.AppendInt(append(b, ",l"...), int64(c.Leaves), 10)
+		b = strconv.AppendInt(append(b, ",fj"...), int64(c.FaultyJoins), 10)
+		b = strconv.AppendInt(append(b, ",fl"...), int64(c.FaultyLeaves), 10)
+		b = strconv.AppendInt(append(b, ",w"...), int64(c.Window), 10)
 	}
-	h.Write([]byte(b.String()))
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(append(b, '\n'))
+	var hx [2 * sha256.Size]byte
+	hex.Encode(hx[:], sum[:])
+	return string(hx[:])
 }
 
 // ContentDigest returns the SHA-256 (hex) of the report's canonical

@@ -267,7 +267,7 @@ func TestAggregateDeterministicOrder(t *testing.T) {
 	specs := grid.Scenarios()[:40]
 	rep := RunAll(specs, Options{Workers: 4})
 	for i := 1; i < len(rep.Groups); i++ {
-		if !rep.Groups[i-1].Key.less(rep.Groups[i].Key) {
+		if rep.Groups[i-1].Key.compare(&rep.Groups[i].Key) >= 0 {
 			t.Fatalf("groups not in sorted key order at %d: %+v >= %+v",
 				i, rep.Groups[i-1].Key, rep.Groups[i].Key)
 		}

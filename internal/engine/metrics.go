@@ -1,6 +1,10 @@
 package engine
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"strings"
+)
 
 // Result is the outcome of one scenario run. WallNS is
 // non-deterministic and InboxGrows describes the allocator rather than
@@ -53,20 +57,18 @@ type GroupKey struct {
 	Churn     string `json:"churn,omitempty"` // Churn.Label of the cell's spec
 }
 
-func (k GroupKey) less(o GroupKey) bool {
-	if k.Protocol != o.Protocol {
-		return k.Protocol < o.Protocol
+func (k *GroupKey) compare(o *GroupKey) int {
+	switch {
+	case k.Protocol != o.Protocol:
+		return strings.Compare(k.Protocol, o.Protocol)
+	case k.Adversary != o.Adversary:
+		return strings.Compare(k.Adversary, o.Adversary)
+	case k.N != o.N:
+		return cmp.Compare(k.N, o.N)
+	case k.F != o.F:
+		return cmp.Compare(k.F, o.F)
 	}
-	if k.Adversary != o.Adversary {
-		return k.Adversary < o.Adversary
-	}
-	if k.N != o.N {
-		return k.N < o.N
-	}
-	if k.F != o.F {
-		return k.F < o.F
-	}
-	return k.Churn < o.Churn
+	return strings.Compare(k.Churn, o.Churn)
 }
 
 // Group is the aggregate over every seed of one grid cell: round and
@@ -99,52 +101,69 @@ type Group struct {
 // the output is independent of the order results were produced in — and
 // therefore of the worker count.
 func Aggregate(results []Result) []Group {
-	buckets := make(map[GroupKey][]Result)
-	for _, r := range results {
-		k := GroupKey{Protocol: r.Scenario.Protocol, Adversary: r.Scenario.Adversary, N: r.Scenario.N, F: r.Scenario.F}
-		if r.Scenario.Churn != nil {
-			k.Churn = r.Scenario.Churn.Label()
+	// A grid cell's results arrive together, so the results are keyed
+	// as runs of equal keys and the runs are sorted; no result is copied,
+	// and each distinct churn spec is labelled once.
+	type run struct {
+		key    GroupKey
+		lo, hi int
+	}
+	var runs []run
+	labels := make(map[Churn]string)
+	for i := range results {
+		s := &results[i].Scenario
+		k := GroupKey{Protocol: s.Protocol, Adversary: s.Adversary, N: s.N, F: s.F}
+		if c := s.Churn; c != nil {
+			l, ok := labels[*c]
+			if !ok {
+				l = c.Label()
+				labels[*c] = l
+			}
+			k.Churn = l
 		}
-		buckets[k] = append(buckets[k], r)
+		if n := len(runs); n > 0 && runs[n-1].key == k {
+			runs[n-1].hi = i + 1
+		} else {
+			runs = append(runs, run{key: k, lo: i, hi: i + 1})
+		}
 	}
-	keys := make([]GroupKey, 0, len(buckets))
-	for k := range buckets {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
+	slices.SortFunc(runs, func(a, b run) int { return a.key.compare(&b.key) })
 
-	groups := make([]Group, 0, len(keys))
+	groups := make([]Group, 0, len(runs))
 	// Percentile scratch, reused across buckets: the samples are
 	// consumed before the next bucket fills them again.
 	var rounds, lags []int
 	var msgs []int64
-	for _, k := range keys {
-		rs := buckets[k]
-		g := Group{Key: k, Count: len(rs), DecidedNA: true}
+	for lo, hi := 0, 0; lo < len(runs); lo = hi {
+		g := Group{Key: runs[lo].key, DecidedNA: true}
 		rounds, lags, msgs = rounds[:0], lags[:0], msgs[:0]
-		for _, r := range rs {
-			if r.Err != "" {
-				g.Errors++
-				continue
+		for hi = lo; hi < len(runs) && runs[hi].key == g.Key; hi++ {
+			for i := runs[hi].lo; i < runs[hi].hi; i++ {
+				r := &results[i]
+				g.Count++
+				if r.Err != "" {
+					g.Errors++
+					continue
+				}
+				if r.AllDecided {
+					g.DecidedAll++
+				}
+				if !r.DecidedNA {
+					g.DecidedNA = false
+				}
+				g.Joins += r.Joins
+				g.Leaves += r.Leaves
+				rounds = append(rounds, r.Rounds)
+				lags = append(lags, r.FinalityLag)
+				msgs = append(msgs, r.MessagesDelivered)
 			}
-			if r.AllDecided {
-				g.DecidedAll++
-			}
-			if !r.DecidedNA {
-				g.DecidedNA = false
-			}
-			g.Joins += r.Joins
-			g.Leaves += r.Leaves
-			rounds = append(rounds, r.Rounds)
-			lags = append(lags, r.FinalityLag)
-			msgs = append(msgs, r.MessagesDelivered)
 		}
 		if len(rounds) == 0 {
 			g.DecidedNA = false // all-error bucket: nothing to render n/a
 		}
-		sort.Ints(rounds)
-		sort.Ints(lags)
-		sort.Slice(msgs, func(i, j int) bool { return msgs[i] < msgs[j] })
+		slices.Sort(rounds)
+		slices.Sort(lags)
+		slices.Sort(msgs)
 		if len(rounds) > 0 {
 			g.RoundsP50 = rounds[rank(50, len(rounds))]
 			g.RoundsP90 = rounds[rank(90, len(rounds))]

@@ -97,27 +97,26 @@ func (c Churn) IsZero() bool {
 // every non-zero field a term, so ParseChurn reads it back as c; empty
 // for a spec without churn, whose window means nothing. Group keys and
 // scenario names use it.
-func (c Churn) Label() string {
+func (c Churn) Label() string { return string(c.appendLabel(nil)) }
+
+// appendLabel appends Label's text to dst.
+func (c Churn) appendLabel(dst []byte) []byte {
 	if c.IsZero() {
-		return ""
+		return dst
 	}
-	var parts []string
-	if c.Joins > 0 {
-		parts = append(parts, fmt.Sprintf("j%d", c.Joins))
+	start := len(dst)
+	for _, t := range [...]struct {
+		term string
+		v    int
+	}{{"j", c.Joins}, {"l", c.Leaves}, {"fj", c.FaultyJoins}, {"fl", c.FaultyLeaves}, {"w", c.Window}} {
+		if t.v > 0 {
+			if len(dst) > start {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendInt(append(dst, t.term...), int64(t.v), 10)
+		}
 	}
-	if c.Leaves > 0 {
-		parts = append(parts, fmt.Sprintf("l%d", c.Leaves))
-	}
-	if c.FaultyJoins > 0 {
-		parts = append(parts, fmt.Sprintf("fj%d", c.FaultyJoins))
-	}
-	if c.FaultyLeaves > 0 {
-		parts = append(parts, fmt.Sprintf("fl%d", c.FaultyLeaves))
-	}
-	if c.Window > 0 {
-		parts = append(parts, fmt.Sprintf("w%d", c.Window))
-	}
-	return strings.Join(parts, ",")
+	return dst
 }
 
 // clampFor sanitizes the spec for one grid cell: correct-node churn is
@@ -228,8 +227,17 @@ type Scenario struct {
 	NoFastPath bool `json:"-"`
 }
 
-// withDefaults resolves zero fields to their protocol defaults.
+// withDefaults resolves zero fields to their protocol defaults and an
+// empty Name to the default name.
 func (s Scenario) withDefaults() Scenario {
+	if s = s.resolved(); s.Name == "" {
+		s.Name = s.title()
+	}
+	return s
+}
+
+// resolved is withDefaults without the name.
+func (s Scenario) resolved() Scenario {
 	if s.Adversary == AdvNone {
 		s.F = 0
 	}
@@ -260,18 +268,35 @@ func (s Scenario) withDefaults() Scenario {
 			s.MaxRounds = 60 * (s.F + 2)
 		}
 	}
-	if s.Name == "" {
-		s.Name = fmt.Sprintf("%s/%s/n=%d/f=%d/seed=%d", s.Protocol, s.Adversary, s.N, s.F, s.Seed)
-		if s.Churn != nil {
-			s.Name += "/churn=" + s.Churn.Label()
-		}
-	}
 	return s
 }
 
-// Validate reports whether the scenario is well formed.
+// appendName appends the default name of a resolved scenario,
+// "protocol/adversary/n=N/f=F/seed=S", plus "/churn=" and the churn
+// label when it churns.
+func (s *Scenario) appendName(dst []byte) []byte {
+	dst = append(append(append(dst, s.Protocol...), '/'), s.Adversary...)
+	dst = strconv.AppendInt(append(dst, "/n="...), int64(s.N), 10)
+	dst = strconv.AppendInt(append(dst, "/f="...), int64(s.F), 10)
+	dst = strconv.AppendUint(append(dst, "/seed="...), s.Seed, 10)
+	if s.Churn != nil {
+		dst = s.Churn.appendLabel(append(dst, "/churn="...))
+	}
+	return dst
+}
+
+// title is a resolved scenario's Name, or else its default name.
+func (s Scenario) title() string {
+	if s.Name != "" {
+		return s.Name
+	}
+	return string(s.appendName(nil))
+}
+
+// Validate reports whether the scenario is well formed. It renders no
+// name unless it has an error to report.
 func (s Scenario) Validate() error {
-	s = s.withDefaults()
+	s = s.resolved()
 	switch s.Protocol {
 	case ProtoRBroadcast, ProtoRotor, ProtoConsensus, ProtoApprox, ProtoParallel, ProtoDynamic, ProtoRing:
 	default:
@@ -283,37 +308,37 @@ func (s Scenario) Validate() error {
 		return fmt.Errorf("engine: unknown adversary %q", s.Adversary)
 	}
 	if s.Protocol == ProtoRing && s.Adversary == AdvSplit {
-		return fmt.Errorf("engine: scenario %q: ring has no value-targeting split attack", s.Name)
+		return fmt.Errorf("engine: scenario %q: ring has no value-targeting split attack", s.title())
 	}
 	if s.N < 1 {
-		return fmt.Errorf("engine: scenario %q has n = %d", s.Name, s.N)
+		return fmt.Errorf("engine: scenario %q has n = %d", s.title(), s.N)
 	}
 	if s.F < 0 || s.N <= 3*s.F {
-		return fmt.Errorf("engine: scenario %q violates n > 3f (n=%d, f=%d)", s.Name, s.N, s.F)
+		return fmt.Errorf("engine: scenario %q violates n > 3f (n=%d, f=%d)", s.title(), s.N, s.F)
 	}
 	if c := s.Churn; c != nil {
 		if c.Joins < 0 || c.Leaves < 0 || c.FaultyJoins < 0 || c.FaultyLeaves < 0 || c.Window < 0 {
-			return fmt.Errorf("engine: scenario %q has a negative churn field", s.Name)
+			return fmt.Errorf("engine: scenario %q has a negative churn field", s.title())
 		}
 		if (c.Joins > 0 || c.Leaves > 0) && s.Protocol != ProtoDynamic {
 			return fmt.Errorf("engine: scenario %q declares correct-node churn for %q (only %q has a join/leave discipline)",
-				s.Name, s.Protocol, ProtoDynamic)
+				s.title(), s.Protocol, ProtoDynamic)
 		}
 		if c.Leaves >= s.N-s.F {
 			return fmt.Errorf("engine: scenario %q would lose every correct founder (leaves=%d, correct=%d)",
-				s.Name, c.Leaves, s.N-s.F)
+				s.title(), c.Leaves, s.N-s.F)
 		}
 		if s.N-c.Leaves <= 3*s.F {
 			return fmt.Errorf("engine: scenario %q churns through the resiliency floor (n-leaves=%d, f=%d)",
-				s.Name, s.N-c.Leaves, s.F)
+				s.title(), s.N-c.Leaves, s.F)
 		}
 		if c.FaultyJoins+c.FaultyLeaves > s.F {
 			return fmt.Errorf("engine: scenario %q over-allocates faulty churn (fj=%d + fl=%d > f=%d)",
-				s.Name, c.FaultyJoins, c.FaultyLeaves, s.F)
+				s.title(), c.FaultyJoins, c.FaultyLeaves, s.F)
 		}
 		if !c.IsZero() && s.MaxRounds < firstChurnRound {
 			return fmt.Errorf("engine: scenario %q churns in a run of %d rounds (churn starts at round %d)",
-				s.Name, s.MaxRounds, firstChurnRound)
+				s.title(), s.MaxRounds, firstChurnRound)
 		}
 	}
 	return nil
@@ -802,13 +827,20 @@ type Grid struct {
 }
 
 // Scenarios expands the grid in deterministic order: protocol-major,
-// then adversary, size, churn, seed.
+// then adversary, size, churn, seed. Every scenario comes with its
+// default name, rendered here once: the names share one string, and
+// nothing downstream renders them again.
 func (g Grid) Scenarios() []Scenario {
 	churns := g.Churns
 	if len(churns) == 0 {
 		churns = []Churn{{}}
 	}
-	var specs []Scenario
+	total := len(g.Protocols) * len(g.Adversaries) * len(g.Sizes) * len(churns) * len(g.Seeds)
+	specs := make([]Scenario, 0, total)
+	ends := make([]int, 0, total)
+	var names strings.Builder
+	names.Grow(48 * total)
+	var name [128]byte
 	for _, proto := range g.Protocols {
 		for _, adv := range g.Adversaries {
 			for _, n := range g.Sizes {
@@ -823,7 +855,7 @@ func (g Grid) Scenarios() []Scenario {
 						spec = &c
 					}
 					for _, seed := range g.Seeds {
-						specs = append(specs, Scenario{
+						s := Scenario{
 							Protocol:  proto,
 							Adversary: adv,
 							N:         n,
@@ -831,11 +863,18 @@ func (g Grid) Scenarios() []Scenario {
 							Seed:      seed,
 							MaxRounds: g.MaxRounds,
 							Churn:     spec,
-						})
+						}
+						names.Write(s.appendName(name[:0]))
+						ends = append(ends, names.Len())
+						specs = append(specs, s)
 					}
 				}
 			}
 		}
+	}
+	all, start := names.String(), 0
+	for i, end := range ends {
+		specs[i].Name, start = all[start:end], end
 	}
 	return specs
 }

@@ -16,7 +16,8 @@ type RunStats struct {
 
 // CachedRunAll is engine.RunAll behind the store: it partitions the
 // scenario list into hits (served straight from the store by scenario
-// digest) and misses (fanned through the engine's worker pool exactly
+// digest, in one pass that reads each run of adjacent records with one
+// ReadAt) and misses (fanned through the engine's worker pool exactly
 // as RunAll would, then persisted as one batch), and assembles the same
 // Report — results in input order, groups aggregated in sorted key
 // order. A fully warm run executes zero simulator rounds, and because
@@ -55,25 +56,26 @@ func CachedRunAll(st *Store, specs []engine.Scenario, opts engine.Options) (*eng
 	var stats RunStats
 	results := make([]engine.Result, len(specs))
 	digests := make([]string, len(specs))
+	for i := range specs {
+		digests[i] = specs[i].Digest()
+	}
+	found := make([]bool, len(specs))
+	var lookupNS []int64
+	if hooked {
+		lookupNS = make([]int64, len(specs))
+	}
+	if err := st.getAll(digests, results, found, lookupNS); err != nil {
+		return nil, stats, err
+	}
 	var missIdx []int
-	for i, spec := range specs {
-		digests[i] = spec.Digest()
-		var lookup time.Time
-		if hooked {
-			lookup = time.Now()
-		}
-		res, ok, err := st.Get(digests[i])
-		if err != nil {
-			return nil, stats, err
-		}
-		if ok {
-			results[i] = res
-			stats.Hits++
-			if hooked {
-				hooks.ObserveCached(i, digests[i], &results[i], time.Since(lookup).Nanoseconds())
-			}
-		} else {
+	for i, ok := range found {
+		if !ok {
 			missIdx = append(missIdx, i)
+			continue
+		}
+		stats.Hits++
+		if hooked {
+			hooks.ObserveCached(i, digests[i], &results[i], lookupNS[i])
 		}
 	}
 	if len(missIdx) > 0 {

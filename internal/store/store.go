@@ -46,6 +46,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -63,9 +64,9 @@ const (
 	// maxPayload bounds a single record so a corrupt length prefix can
 	// never drive the open scan into a multi-gigabyte allocation.
 	maxPayload = 64 << 20
-	// maxPooledReadBuf bounds what one Get may leave in the read-buffer
-	// pool; typical results are a few KB, so 1 MiB keeps every normal
-	// buffer recyclable without retaining outliers.
+	// maxPooledReadBuf bounds one read of adjacent records, and so what
+	// the read-buffer pool keeps: the small grid's 288 records are about
+	// 175 KB, and one giant record reads alone and is not pooled.
 	maxPooledReadBuf = 1 << 20
 )
 
@@ -104,8 +105,8 @@ func parseDigest(digest string) (k [keySize]byte, ok bool) {
 		return k, false
 	}
 	for i := range k {
-		hi, lo := unhex(digest[2*i]), unhex(digest[2*i+1])
-		if hi > 0xf || lo > 0xf {
+		hi, lo := unhex[digest[2*i]], unhex[digest[2*i+1]]
+		if hi|lo > 0xf {
 			return k, false
 		}
 		k[i] = hi<<4 | lo
@@ -113,15 +114,14 @@ func parseDigest(digest string) (k [keySize]byte, ok bool) {
 	return k, true
 }
 
-func unhex(c byte) byte {
-	switch {
-	case '0' <= c && c <= '9':
-		return c - '0'
-	case 'a' <= c && c <= 'f':
-		return c - 'a' + 10
+// unhex maps a lowercase hex digit to its value and any other byte to
+// 0xff: a table, because a digest's digits defeat branch prediction.
+var unhex = func() (t [256]byte) {
+	for c := range t {
+		t[c] = byte(strings.IndexByte("0123456789abcdef", byte(c))) // -1 is 0xff
 	}
-	return 0xff
-}
+	return t
+}()
 
 // recordEnt locates one record's payload inside the log.
 type recordEnt struct {
@@ -183,10 +183,9 @@ type Store struct {
 	fmu     sync.Mutex
 	flights map[string]*flight
 
-	// readBufs pools Get's read buffers: engine.DecodeResult never
+	// readBufs pools the reader's buffers: engine.DecodeResult never
 	// retains its input (it copies every string it keeps), so a buffer
-	// is safe to recycle the moment a Get returns — warm CachedRunAll
-	// sweeps stop allocating one fresh buffer per read. Buffers above
+	// is safe to recycle once its records are decoded. Buffers above
 	// maxPooledReadBuf are not returned to the pool: one giant record
 	// must not pin its allocation for the life of a long-running serve
 	// process.
@@ -356,11 +355,17 @@ func (s *Store) Has(digest string) bool {
 	return ok && s.has(raw)
 }
 
+// lookup finds the record the index holds under raw's index key.
+func (s *Store) lookup(raw [keySize]byte) (recordEnt, bool) {
+	s.imu.RLock()
+	defer s.imu.RUnlock()
+	ent, ok := s.index[indexKey(raw[:])]
+	return ent, ok
+}
+
 // has checks an index hit against the digest stored in the log.
 func (s *Store) has(raw [keySize]byte) bool {
-	s.imu.RLock()
-	ent, ok := s.index[indexKey(raw[:])]
-	s.imu.RUnlock()
+	ent, ok := s.lookup(raw)
 	if !ok {
 		return false
 	}
@@ -376,48 +381,114 @@ func (s *Store) Len() int {
 	return len(s.index)
 }
 
-// Get returns the stored result for the digest, if any.
+// Get returns the stored result for the digest, if any: the one-digest
+// case of getAll.
 func (s *Store) Get(digest string) (engine.Result, bool, error) {
-	if in := s.inst.Load(); in != nil {
-		defer in.getLat.ObserveSince(time.Now())
+	var res [1]engine.Result
+	var found [1]bool
+	err := s.getAll([]string{digest}, res[:], found[:], nil)
+	return res[0], found[0], err
+}
+
+// getAll is the store's one read path. For each digest the store holds
+// it decodes the record into out[i] and sets found[i]; any other digest
+// is a miss, and so is one whose index key belongs to another digest.
+// Records that lie next to each other in the log, in the order asked
+// for, are read with one ReadAt per run of at most maxPooledReadBuf
+// bytes (a larger record is a run of its own), and each record's
+// stored digest is checked before it is decoded. The counters, the
+// store_get latency series and wallNS (when not nil) keep one
+// observation per digest: a digest's time runs from the end of the
+// one before, so a run's read is charged to its first record.
+func (s *Store) getAll(digests []string, out []engine.Result, found []bool, wallNS []int64) error {
+	s.gets.Add(int64(len(digests)))
+	in := s.inst.Load()
+	var last time.Time
+	if in != nil || wallNS != nil {
+		last = time.Now()
 	}
-	s.gets.Add(1)
-	raw, ok := parseDigest(digest)
-	if !ok {
-		return engine.Result{}, false, nil
+	done := func(i int) {
+		if last.IsZero() {
+			return
+		}
+		now := time.Now()
+		if in != nil {
+			in.getLat.Observe(now.Sub(last).Seconds())
+		}
+		if wallNS != nil {
+			wallNS[i] = now.Sub(last).Nanoseconds()
+		}
+		last = now
 	}
-	s.imu.RLock()
-	ent, ok := s.index[indexKey(raw[:])]
-	s.imu.RUnlock()
-	if !ok {
-		return engine.Result{}, false, nil
+	var one [1]recordEnt
+	run, first := one[:0], 0 // the records of digests[first:first+len(run)]
+	if len(digests) > 1 {
+		run = make([]recordEnt, 0, len(digests))
 	}
-	// One read covers the stored digest and the payload after it.
-	n := keySize + ent.n
-	var rec []byte
+	for i, digest := range digests {
+		raw, hit := parseDigest(digest)
+		var ent recordEnt
+		if hit {
+			ent, hit = s.lookup(raw)
+		}
+		if k := len(run); k > 0 && !(hit && ent.off == run[k-1].off+int64(run[k-1].n)+4+headerLen &&
+			ent.off+int64(ent.n)-run[0].off <= maxPooledReadBuf-keySize) {
+			if err := s.readRun(run, first, digests, out, found, done); err != nil {
+				return err
+			}
+			run = run[:0]
+		}
+		if !hit {
+			done(i)
+			continue
+		}
+		if len(run) == 0 {
+			first = i
+		}
+		run = append(run, ent)
+	}
+	if len(run) == 0 {
+		return nil
+	}
+	return s.readRun(run, first, digests, out, found, done)
+}
+
+// readRun reads the adjacent records of digests[first:first+len(run)]
+// with one ReadAt and decodes every one whose stored digest is the one
+// asked for.
+func (s *Store) readRun(run []recordEnt, first int, digests []string, out []engine.Result, found []bool, done func(int)) error {
+	lo := run[0].off - keySize
+	n := int(run[len(run)-1].off + int64(run[len(run)-1].n) - lo)
+	var buf []byte
 	if b, _ := s.readBufs.Get().(*[]byte); b != nil && cap(*b) >= n {
-		rec = (*b)[:n]
+		buf = (*b)[:n]
 	} else {
-		rec = make([]byte, n)
+		buf = make([]byte, n)
 	}
-	_, err := s.f.ReadAt(rec, ent.off-keySize)
 	defer func() {
-		if cap(rec) <= maxPooledReadBuf {
-			s.readBufs.Put(&rec)
+		if cap(buf) <= maxPooledReadBuf {
+			s.readBufs.Put(&buf)
 		}
 	}()
-	if err != nil {
-		return engine.Result{}, false, fmt.Errorf("store: reading %s: %w", digest[:12], err)
+	if _, err := s.f.ReadAt(buf, lo); err != nil {
+		return fmt.Errorf("store: reading %s: %w", digests[first][:12], err)
 	}
-	if string(rec[:keySize]) != string(raw[:]) {
-		return engine.Result{}, false, nil // another digest with the same index key
+	hits := 0
+	defer func() { s.hits.Add(int64(hits)) }()
+	for k, ent := range run {
+		i := first + k
+		rec := buf[ent.off-keySize-lo : ent.off-lo+int64(ent.n)]
+		if raw, _ := parseDigest(digests[i]); string(rec[:keySize]) == string(raw[:]) { // else another digest owns the index key
+			res, err := engine.DecodeResult(rec[keySize:])
+			if err != nil {
+				return fmt.Errorf("store: decoding %s: %w", digests[i][:12], err)
+			}
+			out[i], found[i] = res, true
+			hits++
+		}
+		done(i)
 	}
-	res, err := engine.DecodeResult(rec[keySize:])
-	if err != nil {
-		return engine.Result{}, false, fmt.Errorf("store: decoding %s: %w", digest[:12], err)
-	}
-	s.hits.Add(1)
-	return res, true, nil
+	return nil
 }
 
 // PutBatch appends every not-yet-present result and makes the batch
