@@ -828,8 +828,9 @@ type Grid struct {
 
 // Scenarios expands the grid in deterministic order: protocol-major,
 // then adversary, size, churn, seed. Every scenario comes with its
-// default name, rendered here once: the names share one string, and
-// nothing downstream renders them again.
+// default name, rendered here once: nothing downstream renders it
+// again. Each name is its own string, so a value that outlives the
+// sweep (a run record's shard table, say) keeps only its own name.
 func (g Grid) Scenarios() []Scenario {
 	churns := g.Churns
 	if len(churns) == 0 {
@@ -837,9 +838,6 @@ func (g Grid) Scenarios() []Scenario {
 	}
 	total := len(g.Protocols) * len(g.Adversaries) * len(g.Sizes) * len(churns) * len(g.Seeds)
 	specs := make([]Scenario, 0, total)
-	ends := make([]int, 0, total)
-	var names strings.Builder
-	names.Grow(48 * total)
 	var name [128]byte
 	for _, proto := range g.Protocols {
 		for _, adv := range g.Adversaries {
@@ -864,17 +862,12 @@ func (g Grid) Scenarios() []Scenario {
 							MaxRounds: g.MaxRounds,
 							Churn:     spec,
 						}
-						names.Write(s.appendName(name[:0]))
-						ends = append(ends, names.Len())
+						s.Name = string(s.appendName(name[:0]))
 						specs = append(specs, s)
 					}
 				}
 			}
 		}
-	}
-	all, start := names.String(), 0
-	for i, end := range ends {
-		specs[i].Name, start = all[start:end], end
 	}
 	return specs
 }

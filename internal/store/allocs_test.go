@@ -25,11 +25,11 @@ func smallGridStore(tb testing.TB) (*Store, engine.Grid) {
 }
 
 // TestWarmSweepAllocs pins what a warm sweep of the small grid (288
-// scenarios) allocates. Measured: 926 — per scenario its digest, its
-// decoded name and output, and little else; the rest is per sweep (the
-// grid's specs and names, the result slice, one run's read buffer, the
-// aggregate, the canonical buffer). A scenario name rendered with fmt
-// again, or a Result copied per bucket, adds hundreds.
+// scenarios) allocates. Measured: 1212 — per scenario its name (once,
+// in Grid.Scenarios), its digest, its decoded name and output, and
+// little else; the rest is per sweep (the specs, the result slice, one
+// run's read buffer, the aggregate, the canonical buffer). Names
+// rendered with fmt again, or a Result copied per bucket, add hundreds.
 func TestWarmSweepAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the pin only holds uninstrumented")
@@ -44,7 +44,7 @@ func TestWarmSweepAllocs(t *testing.T) {
 		}
 		rep.CanonicalBytes()
 	}
-	const budget = 1050
+	const budget = 1350
 	if got := testing.AllocsPerRun(5, warmSweep); got > budget {
 		t.Errorf("a warm small-grid sweep allocates %.0f times, want <= %d", got, budget)
 	} else {
