@@ -1,6 +1,8 @@
 package consensus
 
 import (
+	"cmp"
+
 	"idonly/internal/core/rotor"
 	"idonly/internal/ids"
 	"idonly/internal/sim"
@@ -46,6 +48,30 @@ func (w Wire) AppendSortKey(dst []byte) []byte {
 	default:
 		return StrongPrefer{X: w.X}.AppendSortKey(dst)
 	}
+}
+
+// rank is the position of w's key tag among the union's: the kinds
+// are declared in tag order (rotor's 0x10–0x12 below consensus's
+// 0x20–0x22), and every other kind renders, as AppendSortKey's
+// default, a strongprefer.
+func (w Wire) rank() uint8 {
+	if w.Kind >= wInit && w.Kind <= wStrong {
+		return w.Kind
+	}
+	return wStrong
+}
+
+// Compare implements sim.WireMsg: the tag, then the one field the
+// kind renders.
+func (w Wire) Compare(o Wire) int {
+	k := w.rank()
+	switch c := cmp.Compare(k, o.rank()); {
+	case c != 0 || k == wInit:
+		return c
+	case k == wEcho:
+		return cmp.Compare(w.P, o.P)
+	}
+	return sim.CompareFloat(w.X, o.X)
 }
 
 // wrap converts a boxed payload into the union; ok is false outside

@@ -327,7 +327,7 @@ func (n *Node) StepTyped(round int, inbox []sim.MsgT[Wire]) []sim.SendT[Wire] {
 			gone = append(gone, msg.From)
 		case wEvent:
 			if n.state == stActive && p.R == n.r-1 {
-				if v, dup := n.inputs[parallel.PairID(msg.From)]; !dup || eventTextLess(p.S, v.S) {
+				if v, dup := n.inputs[parallel.PairID(msg.From)]; !dup || sim.CompareString(p.S, v.S) < 0 {
 					n.inputs[parallel.PairID(msg.From)] = parallel.V(p.S)
 				}
 			}

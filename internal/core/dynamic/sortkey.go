@@ -1,11 +1,6 @@
 package dynamic
 
-import (
-	"bytes"
-	"encoding/binary"
-
-	"idonly/internal/sim"
-)
+import "idonly/internal/sim"
 
 // Sort keys (sim.SortKeyer): a tag from dynamic's range 0x60–0x6f,
 // then the fields. SessMsg is the one wrapper in the repository: tag,
@@ -48,16 +43,4 @@ func (m SessMsg) AppendSortKey(dst []byte) []byte {
 // appendSess is a session message's key up to its inner payload.
 func appendSess(dst []byte, sess int) []byte {
 	return sim.AppendInt(append(dst, tagSess), int64(sess))
-}
-
-// eventTextLess reports whether an event with text a sorts before one
-// of the same round with text b. Their keys differ only in the text
-// field, a uvarint length and then the bytes; a uvarint is prefix-free,
-// so the lengths' encodings decide unless they are equal.
-func eventTextLess(a, b string) bool {
-	var la, lb [binary.MaxVarintLen64]byte
-	if c := bytes.Compare(binary.AppendUvarint(la[:0], uint64(len(a))), binary.AppendUvarint(lb[:0], uint64(len(b)))); c != 0 {
-		return c < 0
-	}
-	return a < b
 }

@@ -1,6 +1,8 @@
 package dynamic
 
 import (
+	"cmp"
+
 	"idonly/internal/core/parallel"
 	"idonly/internal/sim"
 )
@@ -73,6 +75,68 @@ func (w Wire) AppendSortKey(dst []byte) []byte {
 		return appendSess(dst, w.R)
 	}
 	return dst
+}
+
+// Key tag positions, in tag order: any kind outside the union renders
+// no key, which sorts first, then absent (0x60), present, ack and
+// event; session payloads and session noise share the last tag.
+const (
+	rankNone = iota
+	rankAbsent
+	rankPresent
+	rankAck
+	rankEvent
+	rankSess
+)
+
+// rank is the position of w's key tag among the union's.
+func (w Wire) rank() int {
+	switch w.Kind {
+	case wAbsent:
+		return rankAbsent
+	case wPresent:
+		return rankPresent
+	case wAck:
+		return rankAck
+	case wEvent:
+		return rankEvent
+	case wSess, wNoise:
+		return rankSess
+	}
+	return rankNone
+}
+
+// Compare implements sim.WireMsg: the tag, then the fields the kind
+// renders. A session message's inner payload compares by parallel's
+// Compare; session noise renders none, as the zero parallel.Wire does.
+func (w Wire) Compare(o Wire) int {
+	k := w.rank()
+	if c := cmp.Compare(k, o.rank()); c != 0 {
+		return c
+	}
+	switch k {
+	case rankAck:
+		return cmp.Compare(w.R, o.R)
+	case rankEvent:
+		if c := sim.CompareString(w.S, o.S); c != 0 {
+			return c
+		}
+		return cmp.Compare(w.R, o.R)
+	case rankSess:
+		if c := cmp.Compare(w.R, o.R); c != 0 {
+			return c
+		}
+		return w.sessIn().Compare(o.sessIn())
+	}
+	return 0
+}
+
+// sessIn is the inner payload a session kind renders: none for noise.
+func (w Wire) sessIn() parallel.Wire {
+	if w.Kind == wNoise {
+		return parallel.Wire{}
+	}
+	return w.in()
 }
 
 // parallelCodec converts session payloads.

@@ -1,6 +1,8 @@
 package parallel
 
 import (
+	"cmp"
+
 	"idonly/internal/core/rotor"
 	"idonly/internal/ids"
 	"idonly/internal/sim"
@@ -64,6 +66,33 @@ func (w Wire) AppendSortKey(dst []byte) []byte {
 		return appendPairVal(dst, w.Kind, w.ID, w.x())
 	}
 	return dst
+}
+
+// rank is the position of w's key tag among the union's: the kinds
+// are declared in tag order (rotor's init and echo, then tagBase plus
+// the kind), and any other kind renders no key, which sorts first.
+func (w Wire) rank() uint8 {
+	if w.Kind >= wInit && w.Kind <= wOpinion {
+		return w.Kind
+	}
+	return 0
+}
+
+// Compare implements sim.WireMsg: the tag, then the fields the kind
+// renders — none for init, the instance (or echo target), then the
+// opinion's string and ⊥ flag.
+func (w Wire) Compare(o Wire) int {
+	k := w.rank()
+	if c := cmp.Compare(k, o.rank()); c != 0 || k == 0 || k == wInit {
+		return c
+	}
+	if c := cmp.Compare(w.ID, o.ID); c != 0 || k == wEcho || k == wNoPref || k == wNoStrong {
+		return c
+	}
+	if c := sim.CompareString(w.S, o.S); c != 0 {
+		return c
+	}
+	return sim.CompareBool(w.Bot, o.Bot)
 }
 
 // wrap converts a boxed payload into the union; ok is false outside

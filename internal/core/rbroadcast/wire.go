@@ -1,6 +1,8 @@
 package rbroadcast
 
 import (
+	"cmp"
+
 	"idonly/internal/ids"
 	"idonly/internal/sim"
 )
@@ -38,6 +40,29 @@ func (w Wire) AppendSortKey(dst []byte) []byte {
 	default:
 		return Echo{M: w.M, S: w.S}.AppendSortKey(dst)
 	}
+}
+
+// rank is the position of w's key tag: the kinds are declared in tag
+// order, and every other kind renders, as AppendSortKey's default, an
+// echo.
+func (w Wire) rank() uint8 {
+	if w.Kind == wInitial || w.Kind == wPresent {
+		return w.Kind
+	}
+	return wEcho
+}
+
+// Compare implements sim.WireMsg: the tag, then the message and the
+// source, which Present does not render.
+func (w Wire) Compare(o Wire) int {
+	k := w.rank()
+	if c := cmp.Compare(k, o.rank()); c != 0 || k == wPresent {
+		return c
+	}
+	if c := sim.CompareString(w.M, o.M); c != 0 {
+		return c
+	}
+	return cmp.Compare(w.S, o.S)
 }
 
 // wrap converts a boxed payload into the union; ok is false outside

@@ -25,6 +25,7 @@
 package ring
 
 import (
+	"cmp"
 	"math/bits"
 
 	"idonly/internal/ids"
@@ -47,6 +48,9 @@ const tagProbe byte = 0x70
 func (p Probe) AppendSortKey(dst []byte) []byte {
 	return sim.AppendUint(append(dst, tagProbe), uint64(p.Min))
 }
+
+// Compare implements sim.WireMsg: one tag, so the minimum decides.
+func (p Probe) Compare(o Probe) int { return cmp.Compare(p.Min, o.Min) }
 
 // codec is the identity codec for the probe alphabet.
 var codec = sim.Codec[Probe]{
@@ -73,7 +77,7 @@ func Horizon(n int) int {
 // membership ring: the ids at index distances 1, 2, 4, … below n.
 func Successors(all []ids.ID, i int) []ids.ID {
 	n := len(all)
-	var succ []ids.ID
+	succ := make([]ids.ID, 0, bits.Len(uint(max(n-1, 0))))
 	for d := 1; d < n; d *= 2 {
 		succ = append(succ, all[(i+d)%n])
 	}
@@ -94,9 +98,10 @@ type Node struct {
 }
 
 // New returns a node with the given overlay successors and decision
-// horizon (use Successors and Horizon to derive both).
+// horizon (use Successors and Horizon to derive both). Its send
+// scratch is sized for one probe per successor.
 func New(id ids.ID, succ []ids.ID, horizon int) *Node {
-	return &Node{id: id, min: id, succ: succ, horizon: horizon}
+	return &Node{id: id, min: id, succ: succ, horizon: horizon, out: make([]sim.SendT[Probe], 0, len(succ))}
 }
 
 // ID implements sim.Process and sim.ProcessT.

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"encoding/json"
+	"io"
 	"math"
 	"strconv"
 	"sync"
@@ -36,12 +37,27 @@ func AppendResultJSON(dst []byte, r *Result) []byte {
 
 // jsonOut appends one JSON document to b. In canonical mode it writes
 // the indented form and drops the fields the canonical report zeroes:
-// Workers, ElapsedNS, WallNS and InboxGrows.
+// Workers, ElapsedNS, WallNS and InboxGrows. With a sink, a report is
+// streamed: between groups and results, once b holds spillAt bytes,
+// they go to the sink and b is reused, so b stays bounded by spillAt
+// plus one group or result.
 type jsonOut struct {
 	b         []byte
 	canonical bool
 	depth     int
-	empty     bool // the innermost open object or array has no member yet
+	empty     bool      // the innermost open object or array has no member yet
+	sink      io.Writer // takes b's bytes as they pass spillAt; nil keeps all of b
+}
+
+// spillAt is the size at which a streaming jsonOut hands b to its sink.
+const spillAt = 8 << 10
+
+// spill hands b to the sink once it holds spillAt bytes.
+func (w *jsonOut) spill() {
+	if w.sink != nil && len(w.b) >= spillAt {
+		w.sink.Write(w.b)
+		w.b = w.b[:0]
+	}
 }
 
 // indent is a line break followed by the deepest indent the report's
@@ -141,6 +157,7 @@ func (w *jsonOut) report(r *Report) {
 		for i := range r.Groups {
 			w.member()
 			w.group(&r.Groups[i])
+			w.spill()
 		}
 		w.close(']')
 	}
@@ -152,6 +169,7 @@ func (w *jsonOut) report(r *Report) {
 		for i := range r.Results {
 			w.member()
 			w.result(&r.Results[i])
+			w.spill()
 		}
 		w.close(']')
 	}
@@ -301,8 +319,15 @@ func appendJSONString(dst []byte, s string) []byte {
 // the engine's constants and churn specs are interned: results with
 // equal specs share one *Churn, which Scenario.Churn's never-mutated
 // contract allows.
-func DecodeResult(data []byte) (Result, error) {
-	if r, ok := scanResult(data); ok {
+func DecodeResult(data []byte) (Result, error) { return DecodeResultNamed(data, "") }
+
+// DecodeResultNamed is DecodeResult for a record the caller expects to
+// hold the scenario named name — the store's batch read passes the
+// name its matching spec already holds. On the scanned path a stored
+// name equal to it shares name's memory instead of allocating a copy;
+// any other name decodes as DecodeResult decodes it.
+func DecodeResultNamed(data []byte, name string) (Result, error) {
+	if r, ok := scanResult(data, name); ok {
 		return r, nil
 	}
 	var r Result
@@ -327,18 +352,19 @@ type scanner struct {
 }
 
 // scanResult reads data if it is in the compact form AppendResultJSON
-// writes, and reports whether it was. In that form keys come in
+// writes, and reports whether it was; a scenario name equal to name is
+// name itself. In that form keys come in
 // declaration order, with an omitempty key missing or present; there
 // is no white space; integers are written as strconv writes them; and
 // every string is printable ASCII with no quote and no backslash, so
 // its bytes are its value. Whatever it accepts, json.Unmarshal reads to
 // the same value.
-func scanResult(data []byte) (Result, bool) {
+func scanResult(data []byte, name string) (Result, bool) {
 	s := scanner{data: data, ok: true}
 	var r Result
 	s.lit("{")
 	s.open("scenario", required)
-	s.scenario(&r.Scenario)
+	s.scenario(&r.Scenario, name)
 	r.Rounds = s.int("rounds", required)
 	r.MessagesDelivered = s.int64("messages_delivered", required)
 	r.MessagesDropped = s.int64("messages_dropped", required)
@@ -360,8 +386,12 @@ func scanResult(data []byte) (Result, bool) {
 	return r, s.ok && s.pos == len(s.data)
 }
 
-func (s *scanner) scenario(sc *Scenario) {
-	sc.Name = string(s.str("name", required))
+func (s *scanner) scenario(sc *Scenario, name string) {
+	if b := s.str("name", required); string(b) == name {
+		sc.Name = name
+	} else {
+		sc.Name = string(b)
+	}
 	sc.Protocol = s.name("protocol")
 	sc.Adversary = s.name("adversary")
 	sc.N = s.int("n", required)

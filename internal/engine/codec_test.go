@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 	"unicode/utf8"
+	"unsafe"
 )
 
 var (
@@ -81,9 +82,17 @@ func TestCodecMatchesEncodingJSON(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%s: AppendResultJSON differs from json.Marshal:\n got %s\nwant %s", r.Scenario.Name, got, want)
 		}
-		dec, ok := scanResult(got)
+		dec, ok := scanResult(got, r.Scenario.Name)
 		if !ok {
 			t.Fatalf("%s: the scanner rejects the encoder's record %s", r.Scenario.Name, got)
+		}
+		if unsafe.StringData(dec.Scenario.Name) != unsafe.StringData(r.Scenario.Name) {
+			t.Fatalf("%s: the scanner copied a name equal to the one it was handed", r.Scenario.Name)
+		}
+		for _, hint := range []string{r.Scenario.Name + "x", r.Scenario.Name[:len(r.Scenario.Name)-1] + "#"} {
+			if other, _ := scanResult(got, hint); !reflect.DeepEqual(other, dec) {
+				t.Fatalf("%s: the name hint %q changed the decoded result", r.Scenario.Name, hint)
+			}
 		}
 		var ref Result
 		if err := json.Unmarshal(got, &ref); err != nil {
@@ -134,7 +143,7 @@ func TestCodecCoversEveryField(t *testing.T) {
 		// Escaped strings are outside the scanned form: the scanner
 		// reads the same record with fill's strings unescaped.
 		cutEscapes(reflect.ValueOf(&r).Elem())
-		if back, ok := scanResult(AppendResultJSON(nil, &r)); !ok || !reflect.DeepEqual(back, r) {
+		if back, ok := scanResult(AppendResultJSON(nil, &r), ""); !ok || !reflect.DeepEqual(back, r) {
 			t.Errorf("%s: the scanner does not read the compact form back (ok %v):\n got %+v\nwant %+v", path, ok, back, r)
 		}
 	})
@@ -509,7 +518,7 @@ func FuzzResultCodec(f *testing.F) {
 		if valid && !reflect.DeepEqual(orig, r) {
 			t.Fatalf("json.Unmarshal does not invert json.Marshal: %+v", orig)
 		}
-		if got, ok := scanResult(enc); ok != plain || ok && !reflect.DeepEqual(got, r) {
+		if got, ok := scanResult(enc, ""); ok != plain || ok && !reflect.DeepEqual(got, r) {
 			t.Fatalf("the scanner reads %q to %+v (ok %v), want ok=%v", enc, got, ok, plain)
 		}
 		if got, err := DecodeResult(enc); err != nil || !reflect.DeepEqual(got, orig) {

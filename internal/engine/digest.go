@@ -59,14 +59,16 @@ func (s Scenario) Digest() string {
 
 // ContentDigest returns the SHA-256 (hex) of the report's canonical
 // bytes: two sweeps computed the same results if and only if their
-// content digests match, regardless of worker count or timing.
+// content digests match, regardless of worker count or timing. The
+// bytes are streamed into the hash in chunks of about spillAt; the
+// whole rendering is never held. The error is always nil.
 func (r *Report) ContentDigest() (string, error) {
-	b, err := r.CanonicalBytes()
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
+	h := sha256.New()
+	w := jsonOut{b: make([]byte, 0, 2*spillAt), canonical: true, sink: h}
+	w.report(r)
+	h.Write(append(w.b, '\n'))
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(sum[:0])), nil
 }
 
 // ParseChurn parses a churn spec in the same compact form Churn.Label

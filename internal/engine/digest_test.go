@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"reflect"
 	"strings"
 	"testing"
@@ -149,6 +151,26 @@ func TestReportContentDigest(t *testing.T) {
 	}
 	if do == da {
 		t.Fatal("different sweeps collided")
+	}
+}
+
+// TestContentDigestStreamsCanonicalBytes: the streamed digest is the
+// SHA-256 of CanonicalBytes, for reports shorter than one spill chunk,
+// an empty one, and the small grid, which spills many times.
+func TestContentDigestStreamsCanonicalBytes(t *testing.T) {
+	for name, rep := range map[string]*Report{
+		"empty": {},
+		"one":   RunAll([]Scenario{{Protocol: ProtoConsensus, Adversary: AdvSilent, N: 7, F: 2, Seed: 1}}, Options{Workers: 1}),
+		"small": smallGridReport(t),
+	} {
+		got, err := rep.ContentDigest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(rep.Canonical())
+		if want := hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("%s: streamed digest %s, sha256 of the canonical bytes %s", name, got, want)
+		}
 	}
 }
 

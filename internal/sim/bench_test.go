@@ -5,12 +5,13 @@ package sim
 // these isolate the delivery path itself — broadcast fan-out, inbox
 // sorting, a full steady-state round, the sparse unicast overlay — as
 // one table per operation over the instantiations of the core: boxed
-// and typed. After warm-up — arena, log, lanes and merge
+// and typed. After warm-up — log, bucket, lanes and merge
 // scratch at their steady sizes — the typed per-round path performs
 // zero allocations, and the boxed one only the boxes its processes'
 // Steps make (TestSteadyRoundAllocs).
 
 import (
+	"cmp"
 	"fmt"
 	"testing"
 
@@ -27,6 +28,10 @@ type benchPayload struct {
 
 func (p benchPayload) AppendSortKey(dst []byte) []byte {
 	return AppendFloat(AppendInt(append(dst, 0xf0), int64(p.Kind)), p.Value)
+}
+
+func (p benchPayload) Compare(o benchPayload) int {
+	return cmp.Or(cmp.Compare(p.Kind, o.Kind), CompareFloat(p.Value, o.Value))
 }
 
 // benchCodec is the identity codec for benchPayload.
@@ -93,7 +98,7 @@ func benchRunners(n int, mk func(*benchProc, int, []SendT[benchPayload]) []SendT
 }
 
 // benchDeliver measures one broadcast send fanned out to n recipients,
-// dedup and sort-key construction included. The inboxes and duplicate
+// dedup included. The inboxes and duplicate
 // filters are drained every few deliveries with the timer stopped — a
 // round never carries unbounded backlog, and letting it pile up across
 // b.N iterations would measure map growth instead of the steady-state
@@ -114,7 +119,7 @@ func benchDeliver[P ProcessT[M], M comparable](b *testing.B, r *TypedRunner[P, M
 		}
 		// A distinct payload per iteration within a batch so the dedup
 		// filter admits every delivery (the steady-state path).
-		r.deliver(from, Broadcast, payloads[i%len(payloads)], sendCtx{})
+		r.deliver(from, Broadcast, payloads[i%len(payloads)])
 	}
 }
 
@@ -136,34 +141,34 @@ func BenchmarkDeliverBroadcast(b *testing.B) {
 	}
 }
 
-// BenchmarkSortInbox measures sorting a pooled inbox whose sort keys
-// were computed at delivery time into the key arena: m messages from
+// BenchmarkSortInbox measures sorting a pooled inbox: m messages from
 // m/8 senders in sender order (as delivery leaves them), each sender's
-// run of 8 with its keys descending. The input is restored from a
-// template each iteration; the sort formats nothing and compares arena
-// byte views within one sender's run only.
+// run of 8 in descending order, on both planes — typed by the wire
+// value's Compare, boxed by rendering both keys of each comparison
+// into reused scratch. The input is restored from a template each
+// iteration; comparisons happen within one sender's run only.
 func BenchmarkSortInbox(b *testing.B) {
 	for _, m := range []int{16, 64, 256} {
-		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
-			senders := ids.SortIDs(ids.Sparse(ids.NewRand(7), m/8))
-			tmpl := inboxBuf{}
-			var arena []byte
-			for i := 0; i < m; i++ {
-				p := benchPayload{Kind: i % 3, Value: float64(m - i)}
-				tmpl.msgs = append(tmpl.msgs, Message{From: senders[i/8], Payload: p})
-				start := len(arena)
-				arena = fmt.Append(arena, p)
-				tmpl.keys = append(tmpl.keys, keyRef{off: uint32(start), n: uint32(len(arena) - start)})
-			}
-			buf := inboxBuf{msgs: make([]Message, m), keys: make([]keyRef, m)}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				copy(buf.msgs, tmpl.msgs)
-				copy(buf.keys, tmpl.keys)
-				buf.sort(arena)
-			}
-		})
+		senders := ids.SortIDs(ids.Sparse(ids.NewRand(7), m/8))
+		var typed laneBuf[benchPayload]
+		var boxed laneBuf[any]
+		for i := 0; i < m; i++ {
+			p := benchPayload{Kind: i % 3, Value: float64(m - i)}
+			typed.msgs = append(typed.msgs, MsgT[benchPayload]{From: senders[i/8], Payload: p})
+			boxed.msgs = append(boxed.msgs, Message{From: senders[i/8], Payload: p})
+		}
+		b.Run(fmt.Sprintf("boxed/m=%d", m), func(b *testing.B) { benchSort(b, boxed, new(keyOrder).compare) })
+		b.Run(fmt.Sprintf("typed/m=%d", m), func(b *testing.B) { benchSort(b, typed, benchPayload.Compare) })
+	}
+}
+
+func benchSort[M any](b *testing.B, tmpl laneBuf[M], cmp func(a, b M) int) {
+	buf := laneBuf[M]{msgs: make([]MsgT[M], len(tmpl.msgs))}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(buf.msgs, tmpl.msgs)
+		buf.sort(cmp)
 	}
 }
 
@@ -209,8 +214,7 @@ func (a splitAdv) Step(node ids.ID, _ int, _ []Message) []Send { return a[node] 
 func (splitAdv) Blind()                                        {}
 
 // readingSplitAdv plays splitAdv without the Blind declaration: the
-// runner keeps the faulty slots' inboxes, the boxed mirror of the log
-// included.
+// runner hands the faulty slots their inboxes, boxed at the edge.
 type readingSplitAdv struct{ sends splitAdv }
 
 func (a readingSplitAdv) Step(node ids.ID, round int, inbox []Message) []Send {
@@ -252,8 +256,9 @@ func splitRunners(n, f int, blind bool) (*TypedRunner[boxedProc, any], *TypedRun
 // correct broadcasts put every correct inbox on the merge path. The
 // split adversary is blind, so its slots keep no inbox and the typed
 // runner boxes nothing for them; the same adversary without the Blind
-// declaration costs the typed round one box per log entry — the boxed
-// mirror the faulty slots read, through the allocating benchCodec.
+// declaration reads the log's boxed form, made once per round at the
+// edge, where the one payload every correct node broadcasts is boxed
+// once and then remembered, so a typed round still allocates nothing.
 func TestSteadyRoundAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the pin only holds uninstrumented")
@@ -281,12 +286,12 @@ func TestSteadyRoundAllocs(t *testing.T) {
 			}
 		}
 		if typed.blog != nil {
-			t.Fatalf("split/blind n=%d: the runner built a boxed mirror nobody reads", n)
+			t.Fatalf("split/blind n=%d: the runner boxed a log nobody reads", n)
 		}
 		boxed, typed = splitRunners(n, n/3, false)
-		check("split/reading", n, boxed, typed, n)
-		if len(typed.log.sorted.msgs) != n || len(typed.blog.sorted.msgs) != n {
-			t.Fatalf("split/reading n=%d: log %d and mirror %d entries, want %d each", n, len(typed.log.sorted.msgs), len(typed.blog.sorted.msgs), n)
+		check("split/reading", n, boxed, typed, 0)
+		if len(typed.log.sorted.msgs) != n || len(typed.blog) != n {
+			t.Fatalf("split/reading n=%d: log %d and its boxed form %d entries, want %d each", n, len(typed.log.sorted.msgs), len(typed.blog), n)
 		}
 	}
 }
@@ -295,7 +300,7 @@ func TestSteadyRoundAllocs(t *testing.T) {
 // and the source-keyed filter exist for: every node broadcasts 16
 // distinct payloads per round and repeats the first of them — n·16
 // sources, n²·16 deliveries and n² duplicate drops. Each fresh
-// broadcast is one key render, one filter probe and one log append,
+// broadcast is one filter lookup and one log append,
 // and the log is sorted once per round and handed to all n recipients
 // as their shared inbox; a repeat is one probe that counts n drops. A
 // round therefore costs O(n·16), not O(n²·16), and ns/delivery falls

@@ -11,6 +11,7 @@ package sim
 // core.
 
 import (
+	"cmp"
 	"fmt"
 	"testing"
 
@@ -26,6 +27,10 @@ type hopMsg struct {
 
 func (m hopMsg) AppendSortKey(dst []byte) []byte {
 	return AppendInt(AppendUint(append(dst, 0xf0), uint64(m.ID)), int64(m.Round))
+}
+
+func (m hopMsg) Compare(o hopMsg) int {
+	return cmp.Or(cmp.Compare(m.ID, o.ID), cmp.Compare(m.Round, o.Round))
 }
 
 var hopCodec = Codec[hopMsg]{
@@ -69,7 +74,7 @@ func checkSlotInvariants[P ProcessT[M], M comparable](t *testing.T, r *TypedRunn
 	nn := len(r.idvec)
 	for name, l := range map[string]int{
 		"slot": r.slot.Len(), "procs": len(r.procs), "faulty": len(r.faulty), "done": len(r.done), "leaver": len(r.leaver),
-		"cur": len(r.cur), "bcur": len(r.bcur),
+		"cur": len(r.cur),
 	} {
 		if l != nn {
 			t.Fatalf("%s: column %s has %d entries for %d nodes", when, name, l, nn)
@@ -82,24 +87,24 @@ func checkSlotInvariants[P ProcessT[M], M comparable](t *testing.T, r *TypedRunn
 		if j, ok := r.slot.Lookup(id); !ok || int(j) != i {
 			t.Fatalf("%s: slot.Lookup(%d) = %d,%v, want %d", when, id, j, ok, i)
 		}
-		// A correct slot's wire lane holds its own self-unicast and
-		// nothing else; the faulty slots, silent, hold nothing. Each
-		// view is capacity-limited, so an append could not spill into
-		// the next slot's run. A column shifted out of step with the
-		// others shows as a lane on the wrong row.
-		wire, boxed := r.cur[i], r.bcur[i]
+		// A correct slot's lane holds its own self-unicast and nothing
+		// else; the faulty slots, silent, hold nothing. Each view is
+		// capacity-limited, so an append could not spill into the next
+		// slot's run. A column shifted out of step with the others shows
+		// as a lane on the wrong row.
+		wire := r.cur[i]
 		want := 0
 		if stepped && !r.faulty[i] {
 			want = 1
 		}
-		if len(wire.msgs) != want || len(boxed.msgs) != 0 {
-			t.Fatalf("%s: slot %d (faulty=%v) holds %d wire and %d boxed lane entries, want %d and 0",
-				when, i, r.faulty[i], len(wire.msgs), len(boxed.msgs), want)
+		if len(wire.msgs) != want {
+			t.Fatalf("%s: slot %d (faulty=%v) holds %d lane entries, want %d",
+				when, i, r.faulty[i], len(wire.msgs), want)
 		}
 		if want == 1 && wire.msgs[0].From != id {
 			t.Fatalf("%s: slot %d (id %d) holds a lane entry from %d", when, i, id, wire.msgs[0].From)
 		}
-		if cap(wire.msgs) != len(wire.msgs) || cap(wire.keys) != len(wire.keys) {
+		if cap(wire.msgs) != len(wire.msgs) {
 			t.Fatalf("%s: slot %d's lane is not a capacity-limited view", when, i)
 		}
 		if r.faulty[i] {

@@ -18,24 +18,27 @@
 //
 // What an instantiation supplies besides its types is a Codec — how a
 // wire value crosses to and from the boxed form the Adversary and
-// Observer interfaces speak — and a key renderer, how a wire value
-// appends its sort key. A blind adversary (Blind) is handed no inbox,
-// so its faulty slots keep none and nothing is unwrapped for them.
-// Delivery is paid per source: the key is rendered once per (sender,
-// payload) per round, and a fresh broadcast is one log append whatever
-// the recipient count, so an inbox may be the round's shared log; the
-// rest is one append to the round's bucket. Node bookkeeping lives in
+// Observer interfaces speak — and a comparison, the order of its
+// payloads in an inbox: the union's Compare on the typed plane, which
+// renders no key, and rendered sort keys on the boxed one (sortkey.go).
+// A blind adversary (Blind) is handed no inbox, so its faulty slots
+// keep none and nothing is unwrapped for them; a reading one is handed
+// its slot's typed inbox boxed at the edge. Delivery is paid per
+// source: a fresh broadcast is one log append whatever the recipient
+// count, so an inbox may be the round's shared log; the rest is one
+// append to the round's bucket. Node bookkeeping lives in
 // struct-of-arrays (ids, processes, faulty and decided flags, lanes,
 // in parallel slices a round streams through), sorted by id
 // and indexed through a quorum.Index that numbers the ids in slot
 // order; joins and leaves shift every column in step.
 //
-// The duplicate filter keys on (sender, wire value). Under the one key
-// contract (sortkey.go) value equality and key equality coincide,
-// across types too, so both instantiations name the same sources and
-// order every inbox alike; NaN, which never equals itself, stays
-// outside the contract. The schedule is therefore the same for every
-// instantiation: golden_test.go pins the trace digests on both, and
+// The duplicate filter holds one sender at a time and keys on the wire
+// value. Under the one key contract (sortkey.go) value equality and
+// key equality coincide, across types too, and a union's Compare
+// agrees with its keys' byte order, so both instantiations name the
+// same sources and order every inbox alike; NaN, which never equals
+// itself, stays outside the contract. The schedule is therefore the
+// same for every instantiation: golden_test.go pins the trace digests on both, and
 // naive_test.go checks the core against a map-based model of the
 // paper's §IV.
 package sim
@@ -49,14 +52,19 @@ import (
 	"idonly/internal/quorum"
 )
 
-// WireMsg is the constraint on a protocol's concrete wire type: a
+// WireMsg is the constraint on a protocol's concrete wire type M: a
 // comparable value (the duplicate filter keys on it directly) that
-// renders the sort key of the payload it stands for (sortkey.go). A
-// union's zero value must be no message: BoxedStep delivers payloads
-// outside the union as it.
-type WireMsg interface {
+// renders the sort key of the payload it stands for (sortkey.go) and
+// compares as that key does. A union's zero value must be no message:
+// BoxedStep delivers payloads outside the union as it.
+type WireMsg[M any] interface {
 	comparable
 	SortKeyer
+	// Compare orders two wire values as their sort keys order: its
+	// sign is that of bytes.Compare over the two rendered keys, for
+	// every pair of values. The typed plane orders inboxes by it and
+	// renders no key.
+	Compare(M) int
 }
 
 // SendT is a message as submitted by a process: a destination and a
@@ -136,26 +144,6 @@ func (b *BoxedStep[M]) Step(p ProcessT[M], c Codec[M], round int, inbox []Messag
 	return out
 }
 
-// srcKey is the duplicate-filter identity of one message source:
-// sender and wire value.
-type srcKey[M comparable] struct {
-	from    ids.ID
-	payload M
-}
-
-// sendCtx is the per-Send delivery state shared by every recipient of
-// a send. The recipient set, which also holds the source's arena view
-// of its key bytes, is resolved once per Send; the boxed form of the
-// payload — needed only when a faulty node whose adversary reads its
-// inbox is among the recipients — is materialized at most once, and
-// adversary sends reuse the box they arrived in.
-type sendCtx struct {
-	set       *recipSet
-	accepted  bool // at least one recipient took the message
-	boxed     any  // lazy boxed payload for faulty recipients
-	haveBoxed bool
-}
-
 // spawn is a node scheduled to join; proc is the zero P for a faulty one.
 type spawn[P any] struct {
 	proc   P
@@ -171,7 +159,7 @@ type TypedRunner[P ProcessT[M], M comparable] struct {
 	adv   Adversary
 	blind bool // adv never reads an inbox (Blind): faulty slots keep none
 	codec Codec[M]
-	keyOf func(dst []byte, m M) []byte // appends m's sort key
+	cmp   func(a, b M) int // inbox order of two payloads
 
 	// Struct-of-arrays node table, sorted by id: parallel slices
 	// indexed by slot, so a round walks contiguous memory instead of
@@ -185,29 +173,33 @@ type TypedRunner[P ProcessT[M], M comparable] struct {
 	slot   quorum.Index // id -> slot: numbered over idvec in order
 
 	// Delivery (plane.go): the broadcast log carries each fresh
-	// broadcast once for every slot; the exception lanes — wire-typed
-	// for correct slots, boxed for faulty slots (the Adversary interface
-	// consumes []Message) — carry the rest. The faulty slots read blog,
-	// log's boxed mirror, which is filled only in rounds with a faulty
-	// slot present (mirror); for M = any blog is nil and they read log
-	// itself. A blind adversary reads neither: its slots' lanes stay
-	// empty and blog is never built. The log is double-buffered and
-	// flips at the round boundary. Lane traffic goes into one bucket per
-	// plane, in delivery order; after the round's last delivery the
-	// bucket scatters it into cur (bcur), one view per slot, which the
-	// next round consumes. All backing arrays are reused for the run.
-	log     bcastLog[M]
-	blog    *bcastLog[any]
-	mirror  bool
-	bucket  bucket[M]
-	bbucket bucket[any] // the faulty slots' traffic; unused when blind
-	cur     []laneBuf[M]
-	bcur    []inboxBuf
+	// broadcast once for every slot; the exception lanes carry the
+	// rest. The log is double-buffered and flips at the round boundary.
+	// Lane traffic goes into one bucket, in delivery order; after the
+	// round's last delivery the bucket scatters it into cur, one view
+	// per slot, which the next round consumes. A blind adversary's
+	// slots keep no lane. All backing arrays are reused for the run.
+	log    bcastLog[M]
+	bucket bucket[M]
+	cur    []laneBuf[M]
+	runs   bool // this round put two payloads of one sender into lanes
+	sorted bool // !runs of the round that filled cur: no lane needs a sort pass
 
-	// Merge scratch for inboxes whose lane is not empty: merged for the
-	// correct slots, bmerged for the faulty slots.
-	merged  laneBuf[M]
-	bmerged inboxBuf
+	// Merge scratch for inboxes whose lane is not empty.
+	merged laneBuf[M]
+
+	// A reading adversary's inboxes, boxed at the edge when M ≠ any:
+	// blog is the sorted log's boxed form, made once per round when a
+	// faulty slot first reads (blogRound), bmerged any other faulty
+	// inbox, which reuses blog's boxes for its log entries. boxM/boxV
+	// memoize the last box, so an equivocator's one value to half the
+	// system is boxed once, not once per recipient.
+	blog      []Message
+	blogRound int
+	bmerged   []Message
+	boxM      M
+	boxV      any
+	boxOK     bool
 
 	undecided int // correct processes not yet observed Decided
 	metrics   Metrics
@@ -216,13 +208,7 @@ type TypedRunner[P ProcessT[M], M comparable] struct {
 	stepping  bool  // a round is executing; membership is frozen
 	leavers   []int // this round's leaving slots, ascending; reused
 
-	// Double-buffered sort-key arenas: deliveries append key bytes to
-	// nxtArena; at the round flip it becomes curArena, which the inbox
-	// sorts (and their keyRef views) read.
-	curArena []byte
-	nxtArena []byte
-
-	filter srcFilter[srcKey[M]] // within-round duplicate filter (plane.go)
+	filter srcFilter[M] // within-round duplicate filter, one sender at a time (plane.go)
 
 	obsSends []Send // observer unbox scratch, reused
 }
@@ -232,13 +218,14 @@ type TypedRunner[P ProcessT[M], M comparable] struct {
 // codec must round-trip every payload the protocol and the adversary
 // emit (an adversary payload outside the union panics the run:
 // eligibility is the caller's contract); adv may be nil when faulty is
-// empty. When adv is Blind, the faulty slots' traffic is counted and
-// never stored, so it is never boxed either.
-func NewTypedRunner[P ProcessT[M], M WireMsg](cfg Config, procs []P, faulty []ids.ID, adv Adversary, codec Codec[M]) *TypedRunner[P, M] {
-	return newRunner(cfg, procs, faulty, adv, codec, func(dst []byte, m M) []byte { return m.AppendSortKey(dst) })
+// empty. Inboxes are ordered by M's Compare; no sort key is rendered.
+// When adv is Blind, the faulty slots' traffic is counted and never
+// stored, so it is never boxed either.
+func NewTypedRunner[P ProcessT[M], M WireMsg[M]](cfg Config, procs []P, faulty []ids.ID, adv Adversary, codec Codec[M]) *TypedRunner[P, M] {
+	return newRunner(cfg, procs, faulty, adv, codec, M.Compare)
 }
 
-func newRunner[P ProcessT[M], M comparable](cfg Config, procs []P, faulty []ids.ID, adv Adversary, codec Codec[M], keyOf func([]byte, M) []byte) *TypedRunner[P, M] {
+func newRunner[P ProcessT[M], M comparable](cfg Config, procs []P, faulty []ids.ID, adv Adversary, codec Codec[M], cmp func(a, b M) int) *TypedRunner[P, M] {
 	if cfg.MaxRounds <= 0 {
 		cfg.MaxRounds = DefaultMaxRounds
 	}
@@ -251,21 +238,18 @@ func newRunner[P ProcessT[M], M comparable](cfg Config, procs []P, faulty []ids.
 	nn := len(procs) + len(faulty)
 	_, blind := adv.(Blind)
 	r := &TypedRunner[P, M]{
-		cfg:      cfg,
-		adv:      adv,
-		blind:    blind || adv == nil,
-		codec:    codec,
-		keyOf:    keyOf,
-		idvec:    make([]ids.ID, 0, nn),
-		procs:    make([]P, nn),
-		faulty:   make([]bool, nn),
-		done:     make([]bool, nn),
-		leaver:   make([]Leaver, nn),
-		cur:      make([]laneBuf[M], nn),
-		bcur:     make([]inboxBuf, nn),
-		spawns:   make(map[int][]spawn[P]),
-		curArena: make([]byte, 0, 1024),
-		nxtArena: make([]byte, 0, 1024),
+		cfg:    cfg,
+		adv:    adv,
+		blind:  blind || adv == nil,
+		codec:  codec,
+		cmp:    cmp,
+		idvec:  make([]ids.ID, 0, nn),
+		procs:  make([]P, nn),
+		faulty: make([]bool, nn),
+		done:   make([]bool, nn),
+		leaver: make([]Leaver, nn),
+		cur:    make([]laneBuf[M], nn),
+		spawns: make(map[int][]spawn[P]),
 	}
 	r.metrics.DecidedRound = make(map[ids.ID]int)
 	rows := make([]spawn[P], 0, nn)
@@ -303,23 +287,13 @@ func newRunner[P ProcessT[M], M comparable](cfg Config, procs []P, faulty []ids.
 }
 
 // presize seeds the founders' delivery buffers for about one send per
-// peer per round — the broadcast log (and, for M ≠ any under an
-// adversary that reads, its boxed mirror) with clamp(n, 8, 64) entries,
-// each bucket with n — so short runs do not spend their few rounds
-// growing buffers one doubling at a time.
+// peer per round — the broadcast log with clamp(n, 8, 64) entries, the
+// bucket with n — so short runs do not spend their few rounds growing
+// buffers one doubling at a time.
 func (r *TypedRunner[P, M]) presize() {
 	n := len(r.idvec)
-	c := min(max(n, 8), 64)
-	r.log = newLog[M](c)
+	r.log = newLog[M](min(max(n, 8), 64))
 	r.bucket.ents = make([]bucketEnt[M], 0, n)
-	if !r.blind {
-		r.bbucket.ents = make([]bucketEnt[any], 0, n)
-		if _, boxed := any(&r.log).(*bcastLog[any]); !boxed {
-			l := newLog[any](c)
-			r.blog = &l
-		}
-	}
-	r.filter.init(n)
 }
 
 // ScheduleJoin arranges for a correct process to join the system at the
@@ -409,17 +383,9 @@ func (r *TypedRunner[P, M]) StepRound() {
 	// shared inbox, sorted once for everyone, beside the lanes last
 	// round's bucket scattered, and the log consumed last round is
 	// emptied, backing arrays intact, to receive this round's traffic.
-	// The duplicate filter is emptied in place for the same reason, and
-	// the key arenas flip in lockstep so every keyRef in a lane or the
-	// log points into curArena. All of it keeps the capacity the run
-	// grew it to and is freed with the runner.
-	r.curArena, r.nxtArena = r.nxtArena, r.curArena[:0]
-	r.filter.flip()
-	r.log.flip(r.curArena)
-	if r.blog != nil {
-		r.blog.flip(r.curArena)
-	}
-	r.mirror = r.blog != nil && slices.Contains(r.faulty, true)
+	// All of it keeps the capacity the run grew it to and is freed with
+	// the runner.
+	r.log.flip(r.cmp)
 	r.metrics.ByRound = append(r.metrics.ByRound, 0)
 
 	r.leavers = r.leavers[:0]
@@ -429,19 +395,20 @@ func (r *TypedRunner[P, M]) StepRound() {
 	nn := len(r.idvec)
 	for i := 0; i < nn; i++ {
 		id := r.idvec[i]
+		r.filter.reset() // a new sender
 		if r.faulty[i] {
 			var inbox []Message
 			if !r.blind {
-				inbox = assemble(&r.bcur[i], r.faultyLog(), &r.bmerged, r.curArena)
+				inbox = r.faultyInbox(i)
 			}
 			for _, s := range r.adv.Step(id, round, inbox) {
 				// The adversary speaks boxed payloads: wrap into the wire
-				// type and keep the original box for faulty recipients.
+				// type.
 				m, ok := r.codec.Wrap(s.Payload)
 				if !ok {
 					panic(fmt.Sprintf("sim: runner cannot carry adversary payload %T", s.Payload))
 				}
-				r.deliver(id, s.To, m, sendCtx{boxed: s.Payload, haveBoxed: true})
+				r.deliver(id, s.To, m)
 			}
 			continue
 		}
@@ -457,7 +424,7 @@ func (r *TypedRunner[P, M]) StepRound() {
 			r.observe(round, id, sends)
 		}
 		for _, s := range sends {
-			r.deliver(id, s.To, s.Payload, sendCtx{})
+			r.deliver(id, s.To, s.Payload)
 		}
 		if p.Decided() {
 			r.markDecided(i, round)
@@ -466,34 +433,63 @@ func (r *TypedRunner[P, M]) StepRound() {
 			r.leavers = append(r.leavers, i)
 		}
 	}
-	// The round's last delivery is done: scatter the buckets into the
+	// The round's last delivery is done: scatter the bucket into the
 	// lanes next round reads, then drop the leavers, lanes and all,
 	// highest slot first, so no removal shifts a slot still to go.
 	if r.bucket.scatter(r.cur) {
 		r.metrics.InboxGrows++
 	}
-	if !r.blind && r.bbucket.scatter(r.bcur) {
-		r.metrics.InboxGrows++
-	}
+	r.sorted, r.runs = !r.runs, false
 	for k := len(r.leavers) - 1; k >= 0; k-- {
 		r.remove(r.leavers[k])
 	}
 	r.metrics.Rounds = round
 }
 
-// inbox assembles correct slot i's inbox for this round (plane.go), in
-// the merge scratch when its lane is not empty.
+// inbox assembles slot i's inbox for this round (plane.go), in the
+// merge scratch when its lane is not empty.
 func (r *TypedRunner[P, M]) inbox(i int) []MsgT[M] {
-	return assemble(&r.cur[i], &r.log, &r.merged, r.curArena)
+	return assemble(&r.cur[i], &r.log, &r.merged, r.sorted, r.cmp)
 }
 
-// faultyLog is the broadcast log the faulty slots read: the boxed
-// mirror, or for M = any the log itself.
-func (r *TypedRunner[P, M]) faultyLog() *bcastLog[any] {
-	if r.blog != nil {
+// faultyInbox is faulty slot i's inbox for a reading adversary: the
+// slot's inbox itself when M = any, and otherwise that inbox boxed at
+// the edge — the shared log's boxed form, made once per round, when
+// the lane is empty, or else the merged inbox boxed into scratch, its
+// log entries taking their boxes from the log's.
+func (r *TypedRunner[P, M]) faultyInbox(i int) []Message {
+	in := r.inbox(i)
+	if boxed, ok := any(in).([]Message); ok {
+		return boxed
+	}
+	if r.blogRound != r.round {
+		r.blog, r.blogRound = r.boxAll(r.blog[:0], r.log.sorted.msgs, nil), r.round
+	}
+	if lane := &r.cur[i]; len(lane.msgs) == 0 && !lane.noLog {
 		return r.blog
 	}
-	return any(&r.log).(*bcastLog[any])
+	r.bmerged = r.boxAll(r.bmerged[:0], in, r.blog)
+	return r.bmerged
+}
+
+// boxAll appends the boxed form of in to dst. in holds the entries of
+// the sorted log whose boxes are logged in log order, and an entry
+// equal to the next of them takes its box; any other is unwrapped,
+// consecutive equal payloads sharing one box.
+func (r *TypedRunner[P, M]) boxAll(dst []Message, in []MsgT[M], logged []Message) []Message {
+	j := 0
+	for _, e := range in {
+		if j < len(logged) && e == r.log.sorted.msgs[j] {
+			dst = append(dst, logged[j])
+			j++
+			continue
+		}
+		if !r.boxOK || e.Payload != r.boxM {
+			r.boxM, r.boxV, r.boxOK = e.Payload, r.codec.Unwrap(e.Payload), true
+		}
+		dst = append(dst, Message{From: e.From, Payload: r.boxV})
+	}
+	return dst
 }
 
 // markDecided records the first round a correct node reported Decided
@@ -534,63 +530,42 @@ func (r *TypedRunner[P, M]) observe(round int, from ids.ID, sends []SendT[M]) {
 // to every currently active node (including the sender itself — the
 // paper's algorithms count the self-copy, e.g. Alg. 4 "including self")
 // and discarding within-round duplicates per recipient. The filter
-// probe is paid once per send and the sort key once per source; a
-// broadcast whose source reached no slot yet is one log append, any
-// other send fans out into the recipients' lanes. A unicast whose
-// destination is absent (left or never joined) vanishes.
-func (r *TypedRunner[P, M]) deliver(from, to ids.ID, m M, c sendCtx) {
-	s := r.filter.resolve(srcKey[M]{from, m})
-	if s.logged {
+// lookup is paid once per send; a broadcast whose source reached no
+// slot yet is one log append, any other send fans out into the
+// recipients' lanes. A unicast whose destination is absent (left or
+// never joined) vanishes.
+func (r *TypedRunner[P, M]) deliver(from, to ids.ID, m M) {
+	s := r.filter.resolve(m)
+	switch {
+	case s.logged:
 		// Every slot already holds this source through the log.
 		if to == Broadcast {
 			r.metrics.MessagesDropped += int64(len(r.idvec))
 		} else if _, ok := r.slot.Lookup(to); ok {
 			r.metrics.MessagesDropped++
 		}
-		return
-	}
-	rendered := !s.keyed
-	if rendered {
-		start := len(r.nxtArena)
-		r.nxtArena = r.keyOf(r.nxtArena, m)
-		s.key, s.keyed = keyRef{off: uint32(start), n: uint32(len(r.nxtArena) - start)}, true
-	}
-	c.set = s
-	switch {
 	case to == Broadcast && s.empty():
 		s.logged = true
-		r.logOne(from, m, &c)
+		r.logOne(from, m)
 	case to == Broadcast:
 		s.upgrade()
 		for i := range r.idvec {
-			r.deliverOne(i, from, m, &c)
+			r.deliverOne(i, from, s)
 		}
 	default:
 		if j, ok := r.slot.Lookup(to); ok {
-			r.deliverOne(int(j), from, m, &c)
+			r.deliverOne(int(j), from, s)
 		}
-	}
-	if rendered && !c.accepted {
-		// Dropped everywhere (duplicates, or an absent unicast target):
-		// nothing references the key bytes this send rendered, so
-		// release them — a replay flood must not grow the arena.
-		r.nxtArena = r.nxtArena[:s.key.off]
-		s.keyed = false
 	}
 }
 
-// logOne appends a fresh broadcast to the round's log (and its boxed
-// mirror, when a faulty slot whose adversary reads is present): one
-// entry stands for a delivery to every slot.
-func (r *TypedRunner[P, M]) logOne(from ids.ID, m M, c *sendCtx) {
-	if r.log.next.push(from, m, c.set.key) {
+// logOne appends a fresh broadcast to the round's log: one entry
+// stands for a delivery to every slot.
+func (r *TypedRunner[P, M]) logOne(from ids.ID, m M) {
+	if r.log.next.push(from, m) {
 		r.metrics.InboxGrows++
 	}
-	if r.mirror {
-		r.blog.next.push(from, r.box(m, c), c.set.key)
-	}
 	n := int64(len(r.idvec))
-	c.accepted = true
 	r.metrics.MessagesDelivered += n
 	r.metrics.ByRound[len(r.metrics.ByRound)-1] += n
 }
@@ -598,30 +573,23 @@ func (r *TypedRunner[P, M]) logOne(from ids.ID, m M, c *sendCtx) {
 // deliverOne puts one delivery into the round's bucket, bound for slot
 // i's exception lane, unless the slot already holds the source. A
 // blind adversary's slot keeps no lane: the delivery is counted only.
-func (r *TypedRunner[P, M]) deliverOne(i int, from ids.ID, m M, c *sendCtx) {
-	if c.set.add(i) {
+// A sender's second laned payload may share a lane with its first, so
+// it costs next round's lanes their sort pass.
+func (r *TypedRunner[P, M]) deliverOne(i int, from ids.ID, s *source[M]) {
+	if s.add(i) {
 		r.metrics.MessagesDropped++
 		return
 	}
-	switch {
-	case r.faulty[i] && r.blind: // counted, not stored
-	case r.faulty[i]:
-		r.bbucket.push(i, from, r.box(m, c), c.set.key)
-	default:
-		r.bucket.push(i, from, m, c.set.key)
+	if !r.faulty[i] || !r.blind {
+		r.bucket.push(i, from, s.payload)
+		if !s.laned {
+			s.laned = true
+			r.filter.laned++
+			r.runs = r.runs || r.filter.laned > 1
+		}
 	}
-	c.accepted = true
 	r.metrics.MessagesDelivered++
 	r.metrics.ByRound[len(r.metrics.ByRound)-1]++
-}
-
-// box returns the send's boxed payload for a faulty recipient,
-// unwrapping it on first use.
-func (r *TypedRunner[P, M]) box(m M, c *sendCtx) any {
-	if !c.haveBoxed {
-		c.boxed, c.haveBoxed = r.codec.Unwrap(m), true
-	}
-	return c.boxed
 }
 
 // insert places a joining node into the sorted table, shifting every
@@ -652,7 +620,6 @@ func (r *TypedRunner[P, M]) insert(s spawn[P]) {
 	r.done = slices.Insert(r.done, i, false)
 	r.leaver = slices.Insert(r.leaver, i, leaver)
 	r.cur = slices.Insert(r.cur, i, laneBuf[M]{noLog: true})
-	r.bcur = slices.Insert(r.bcur, i, inboxBuf{noLog: true})
 	r.reslot()
 	r.metrics.Joins++
 	r.metrics.PeakNodes = max(r.metrics.PeakNodes, len(r.idvec))
@@ -673,7 +640,6 @@ func (r *TypedRunner[P, M]) remove(i int) {
 	r.done = slices.Delete(r.done, i, i+1)
 	r.leaver = slices.Delete(r.leaver, i, i+1)
 	r.cur = slices.Delete(r.cur, i, i+1)
-	r.bcur = slices.Delete(r.bcur, i, i+1)
 	r.reslot()
 	r.metrics.Leaves++
 	r.metrics.MinNodes = min(r.metrics.MinNodes, len(r.idvec))

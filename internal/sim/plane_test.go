@@ -2,10 +2,11 @@ package sim
 
 // Differential tests of the mechanisms under the runner core
 // (plane.go), each against a model that lives only here: the
-// source-keyed duplicate filter against a map keyed by (to, from,
-// payload), the run sort against sort.Sort over the whole inbox, and
-// inbox assembly from the broadcast log and the exception lanes against
-// per-recipient inboxes sorted whole by (sender, key bytes).
+// sender-scoped duplicate filter against a map keyed by (to, from,
+// payload), the run sort — by Compare and by rendered keys — against
+// sort.Sort over the whole inbox, and inbox assembly from the
+// broadcast log and the exception lanes against per-recipient inboxes
+// sorted whole by (sender, key bytes).
 
 import (
 	"bytes"
@@ -74,44 +75,43 @@ type naiveDelivery struct {
 	payload  any
 }
 
-// TestFilterIndexMatchesMap holds the filter's open-addressing index to
-// a map: over rounds of a few to thousands of sources — from a table of
-// 32 slots, so the large rounds grow it, and back, so small rounds run
-// in a table sized for a flood — resolving a source returns the set it
-// got on first sight that round, and distinct sources get distinct sets
-// numbered in first-sight order.
+// TestFilterIndexMatchesMap holds the filter's lookup — a scan of a
+// few entries, then a map past scanMax — to a map: over senders with a
+// few to thousands of distinct payloads, and back, resolving a payload
+// returns the entry it got on first sight from this sender, distinct
+// payloads get distinct entries numbered in first-sight order, and
+// reset forgets the sender, handing pooled entries back empty.
 func TestFilterIndexMatchesMap(t *testing.T) {
-	var f srcFilter[srcKey[any]]
-	f.init(1)
+	var f srcFilter[any]
 	rng := ids.NewRand(3)
-	for round, sources := range []int{5, 3000, 40, 9000, 2, 0, 700, 1} {
-		f.flip()
-		model := make(map[srcKey[any]]int32)
-		for k := 0; k < 3*sources; k++ {
-			// Mixed types and a small value range: repeats within the round,
-			// and values of two types that compare unequal.
-			v := rng.Intn(sources)
+	for sender, payloads := range []int{5, 3000, 8, 9, 40, 9000, 2, 0, 700, 1} {
+		f.reset()
+		model := make(map[any]int)
+		for k := 0; k < 3*payloads; k++ {
+			// Mixed types and a small value range: repeats within the
+			// sender, and values of two types that compare unequal.
+			v := rng.Intn(payloads)
 			var p any = v
 			if v%3 == 0 {
 				p = regPayload{v}
 			}
-			key := srcKey[any]{from: ids.ID(v % 7), payload: p}
-			got := f.resolve(key)
-			idx := f.lastIdx
-			if got != &f.sets[idx] {
-				t.Fatalf("round %d: source %v: resolve returned another set than its index names", round, key)
-			}
-			want, seen := model[key]
+			got := f.resolve(p)
+			want, seen := model[p]
 			if !seen {
-				want = int32(len(model))
-				model[key] = want
+				want = len(model)
+				model[p] = want
+				if !got.empty() || got.laned {
+					t.Fatalf("sender %d: payload %v got an entry that still holds recipients", sender, p)
+				}
+				got.add(k % 50)
+				got.laned = k%2 == 0
 			}
-			if idx != want {
-				t.Fatalf("round %d: source %v resolved to set %d, want %d", round, key, idx, want)
+			if got != &f.srcs[want] || got.payload != p {
+				t.Fatalf("sender %d: payload %v resolved to another entry than its first sight's (%d)", sender, p, want)
 			}
 		}
-		if len(f.sets) != len(model) || len(f.keys) != len(model) {
-			t.Fatalf("round %d: %d sets and %d keys for %d sources", round, len(f.sets), len(f.keys), len(model))
+		if len(f.srcs) != len(model) {
+			t.Fatalf("sender %d: %d entries for %d payloads", sender, len(f.srcs), len(model))
 		}
 	}
 }
@@ -125,6 +125,9 @@ func TestFilterIndexMatchesMap(t *testing.T) {
 // upgrades within a quorum.Set's inline word (40), and 64 or 128
 // founders plus a joiner, which moves the table past the inline word
 // into overflow words, or across an overflow word boundary, mid-run.
+// Fixed rows pin the filter's sender scope: a sender's repeat is
+// dropped however its sends interleave, and equal payloads of two
+// senders are two messages.
 func TestFilterMatchesNaiveModel(t *testing.T) {
 	const rounds = 8
 	for _, n := range []int{5, 40, 64, 128} {
@@ -133,7 +136,6 @@ func TestFilterMatchesNaiveModel(t *testing.T) {
 			universe := ids.SortIDs(ids.Sparse(rng, n+3))
 			founders, joiner, absent := universe[:n], universe[n], universe[n+1:]
 			leaver := founders[rng.Intn(n)]
-			const joinRound, leaveRound = 3, 5
 
 			pool := []any{
 				regPayload{1}, regPayload{2}, regPayload{3},
@@ -152,7 +154,7 @@ func TestFilterMatchesNaiveModel(t *testing.T) {
 				for r := 1; r <= rounds; r++ {
 					for k := rng.Intn(5); k > 0; k-- {
 						p := pick()
-						switch rng.Intn(6) {
+						switch rng.Intn(7) {
 						case 0:
 							s[r] = append(s[r], BroadcastPayload(p))
 						case 1:
@@ -169,89 +171,127 @@ func TestFilterMatchesNaiveModel(t *testing.T) {
 								s[r] = append(s[r], Unicast(founders[j], p))
 							}
 							s[r] = append(s[r], BroadcastPayload(p))
+						case 6: // unicast, broadcast, the unicast again
+							to := target()
+							s[r] = append(s[r], Unicast(to, p), BroadcastPayload(p), Unicast(to, p))
 						}
 					}
 				}
 				return s
 			}
-
-			procs := make(map[ids.ID]*scriptProc)
-			var founding []Process
+			scripts := make(map[ids.ID]map[int][]Send)
 			for _, id := range universe[:n+1] {
-				p := &scriptProc{id: id, script: script(), inboxes: make(map[int][]Message)}
-				if id == leaver {
-					p.leaveAt = leaveRound
-				}
-				procs[id] = p
-				if id != joiner {
-					founding = append(founding, p)
-				}
+				scripts[id] = script()
 			}
-			r := NewRunner(Config{MaxRounds: rounds}, founding, nil, nil)
-			r.ScheduleJoin(joinRound, procs[joiner])
-			got := r.Run(nil)
-
-			// The model: same schedule, one map entry per delivery.
-			var delivered, dropped int64
-			var byRound []int64
-			want := make(map[ids.ID]map[int][]Message) // id -> round consumed -> inbox
-			for r := 1; r <= rounds; r++ {
-				var active []ids.ID
-				for _, id := range universe[:n+1] {
-					if (id == joiner && r < joinRound) || (id == leaver && r > leaveRound) {
-						continue
-					}
-					active = append(active, id)
-				}
-				seen := make(map[naiveDelivery]bool)
-				var count int64
-				for _, from := range active {
-					for _, s := range procs[from].script[r] {
-						tos := []ids.ID{s.To}
-						if s.To == Broadcast {
-							tos = active
-						}
-						for _, to := range tos {
-							if i := sort.Search(len(active), func(i int) bool { return active[i] >= to }); i == len(active) || active[i] != to {
-								continue // absent: the send vanishes
-							}
-							k := naiveDelivery{to, from, s.Payload}
-							if seen[k] {
-								dropped++
-								continue
-							}
-							seen[k] = true
-							count++
-							if want[to] == nil {
-								want[to] = make(map[int][]Message)
-							}
-							want[to][r+1] = append(want[to][r+1], Message{From: from, Payload: s.Payload})
-						}
-					}
-				}
-				delivered += count
-				byRound = append(byRound, count)
-			}
-
 			tag := fmt.Sprintf("n=%d seed=%d", n, seed)
-			if got.MessagesDelivered != delivered || got.MessagesDropped != dropped {
-				t.Fatalf("%s: delivered/dropped = %d/%d, model %d/%d", tag, got.MessagesDelivered, got.MessagesDropped, delivered, dropped)
-			}
-			if fmt.Sprint(got.ByRound) != fmt.Sprint(byRound) {
-				t.Fatalf("%s: ByRound = %v, model %v", tag, got.ByRound, byRound)
-			}
-			if dropped == 0 {
+			if _, dropped := checkFilterModel(t, tag, universe[:n+1], joiner, leaver, rounds, scripts); dropped == 0 {
 				t.Fatalf("%s: schedule produced no duplicates", tag)
-			}
-			for id, p := range procs {
-				for round, inbox := range p.inboxes {
-					if !sameMultiset(inbox, want[id][round]) {
-						t.Fatalf("%s: node %d round %d inbox\n got  %v\n want %v", tag, id, round, inbox, want[id][round])
-					}
-				}
 			}
 		}
 	}
+
+	a, b, c, d := ids.ID(10), ids.ID(20), ids.ID(30), ids.ID(40)
+	p := regPayload{7}
+	for _, row := range []struct {
+		name               string
+		scripts            map[ids.ID]map[int][]Send
+		delivered, dropped int64
+	}{
+		{"unicast, broadcast, unicast again", map[ids.ID]map[int][]Send{
+			a: {1: {Unicast(b, p), BroadcastPayload(p), Unicast(b, p)}},
+		}, 4, 2},
+		{"two senders, equal payloads", map[ids.ID]map[int][]Send{
+			a: {1: {BroadcastPayload(p), Unicast(c, twinPayload{1}), Unicast(c, twinPayload{1})}},
+			b: {1: {BroadcastPayload(p), Unicast(c, twinPayload{1})}},
+		}, 10, 1},
+	} {
+		delivered, dropped := checkFilterModel(t, row.name, []ids.ID{a, b, c, d}, 0, 0, 2, row.scripts)
+		if delivered != row.delivered || dropped != row.dropped {
+			t.Fatalf("%s: delivered/dropped = %d/%d, want %d/%d", row.name, delivered, dropped, row.delivered, row.dropped)
+		}
+	}
+}
+
+// checkFilterModel plays scripts (id -> round -> sends) over members on
+// the boxed Runner — joiner, if not 0, joins at round 3 and leaver, if
+// not 0, leaves after round 5 — and holds the counters and every inbox
+// to the model. It returns the model's delivered and dropped counts.
+func checkFilterModel(t *testing.T, tag string, members []ids.ID, joiner, leaver ids.ID, rounds int, scripts map[ids.ID]map[int][]Send) (delivered, dropped int64) {
+	t.Helper()
+	const joinRound, leaveRound = 3, 5
+	procs := make(map[ids.ID]*scriptProc)
+	var founding []Process
+	for _, id := range members {
+		p := &scriptProc{id: id, script: scripts[id], inboxes: make(map[int][]Message)}
+		if id == leaver {
+			p.leaveAt = leaveRound
+		}
+		procs[id] = p
+		if id != joiner {
+			founding = append(founding, p)
+		}
+	}
+	r := NewRunner(Config{MaxRounds: rounds}, founding, nil, nil)
+	if joiner != 0 {
+		r.ScheduleJoin(joinRound, procs[joiner])
+	}
+	got := r.Run(nil)
+
+	// The model: same schedule, one map entry per delivery.
+	var byRound []int64
+	want := make(map[ids.ID]map[int][]Message) // id -> round consumed -> inbox
+	for r := 1; r <= rounds; r++ {
+		var active []ids.ID
+		for _, id := range members {
+			if (id == joiner && r < joinRound) || (id == leaver && r > leaveRound) {
+				continue
+			}
+			active = append(active, id)
+		}
+		seen := make(map[naiveDelivery]bool)
+		var count int64
+		for _, from := range active {
+			for _, s := range procs[from].script[r] {
+				tos := []ids.ID{s.To}
+				if s.To == Broadcast {
+					tos = active
+				}
+				for _, to := range tos {
+					if i := sort.Search(len(active), func(i int) bool { return active[i] >= to }); i == len(active) || active[i] != to {
+						continue // absent: the send vanishes
+					}
+					k := naiveDelivery{to, from, s.Payload}
+					if seen[k] {
+						dropped++
+						continue
+					}
+					seen[k] = true
+					count++
+					if want[to] == nil {
+						want[to] = make(map[int][]Message)
+					}
+					want[to][r+1] = append(want[to][r+1], Message{From: from, Payload: s.Payload})
+				}
+			}
+		}
+		delivered += count
+		byRound = append(byRound, count)
+	}
+
+	if got.MessagesDelivered != delivered || got.MessagesDropped != dropped {
+		t.Fatalf("%s: delivered/dropped = %d/%d, model %d/%d", tag, got.MessagesDelivered, got.MessagesDropped, delivered, dropped)
+	}
+	if fmt.Sprint(got.ByRound) != fmt.Sprint(byRound) {
+		t.Fatalf("%s: ByRound = %v, model %v", tag, got.ByRound, byRound)
+	}
+	for id, p := range procs {
+		for round, inbox := range p.inboxes {
+			if !sameMultiset(inbox, want[id][round]) {
+				t.Fatalf("%s: node %d round %d inbox\n got  %v\n want %v", tag, id, round, inbox, want[id][round])
+			}
+		}
+	}
+	return delivered, dropped
 }
 
 func sameMultiset(a, b []Message) bool {
@@ -275,39 +315,23 @@ func sameMultiset(a, b []Message) bool {
 
 // wholeInboxSort is the sort the run sort replaced, kept as the model:
 // sort.Sort over the entire inbox by (From, key bytes).
-type wholeInboxSort struct {
-	msgs  []Message
-	keys  []keyRef
-	arena []byte
-}
+type wholeInboxSort []Message
 
-func (b *wholeInboxSort) key(i int) []byte {
-	return b.arena[b.keys[i].off : b.keys[i].off+b.keys[i].n]
-}
-func (b *wholeInboxSort) Len() int { return len(b.msgs) }
-func (b *wholeInboxSort) Less(i, j int) bool {
-	if b.msgs[i].From != b.msgs[j].From {
-		return b.msgs[i].From < b.msgs[j].From
+func (b wholeInboxSort) Len() int { return len(b) }
+func (b wholeInboxSort) Less(i, j int) bool {
+	if b[i].From != b[j].From {
+		return b[i].From < b[j].From
 	}
-	return bytes.Compare(b.key(i), b.key(j)) < 0
+	return bytes.Compare(AppendKey(nil, b[i].Payload), AppendKey(nil, b[j].Payload)) < 0
 }
-func (b *wholeInboxSort) Swap(i, j int) {
-	b.msgs[i], b.msgs[j] = b.msgs[j], b.msgs[i]
-	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
-}
+func (b wholeInboxSort) Swap(i, j int) { b[i], b[j] = b[j], b[i] }
 
 // genInbox builds a sender-ordered inbox as delivery leaves it: a run
-// per sender, keys in scrambled order. Run lengths straddle the
+// per sender, payloads in scrambled order. Run lengths straddle the
 // insertion budget (short runs, long nearly-sorted runs, long reversed
 // runs that need the wider Shell passes). With twins, every value also
 // occurs under a second type.
-func genInbox(rng *ids.Rand, twins bool) (msgs []Message, keys []keyRef, arena []byte) {
-	add := func(from ids.ID, p any) {
-		off := len(arena)
-		arena = AppendKey(arena, p)
-		msgs = append(msgs, Message{From: from, Payload: p})
-		keys = append(keys, keyRef{off: uint32(off), n: uint32(len(arena) - off)})
-	}
+func genInbox(rng *ids.Rand, twins bool) (msgs []Message) {
 	for _, from := range ids.SortIDs(ids.Sparse(rng, 1+rng.Intn(12))) {
 		var vals []int
 		switch rng.Intn(4) {
@@ -329,30 +353,40 @@ func genInbox(rng *ids.Rand, twins bool) (msgs []Message, keys []keyRef, arena [
 			vals = rng.Perm(100)
 		}
 		for _, v := range vals {
-			add(from, regPayload{v - 50})
+			msgs = append(msgs, Message{From: from, Payload: regPayload{v - 50}})
 			if twins {
-				add(from, twinPayload{v - 50})
+				msgs = append(msgs, Message{From: from, Payload: twinPayload{v - 50}})
 			}
 		}
 	}
-	return msgs, keys, arena
+	return msgs
 }
 
-// TestRunSortMatchesWholeInboxSort: keys are unique within a sender's
-// run, so there is one sorted order, and the run sort must produce the
-// whole-inbox sort's, with and without a second payload type in the
-// runs.
+// TestRunSortMatchesWholeInboxSort: payloads are unique within a
+// sender's run, so there is one sorted order, and the run sort must
+// produce the whole-inbox sort's on both planes — boxed, rendering keys
+// per comparison, and typed over asmWire by Compare — with and without
+// a second payload type in the runs.
 func TestRunSortMatchesWholeInboxSort(t *testing.T) {
 	for seed := uint64(1); seed <= 50; seed++ {
 		for _, twins := range []bool{false, true} {
-			msgs, keys, arena := genInbox(ids.NewRand(seed), twins)
-			model := wholeInboxSort{append([]Message(nil), msgs...), append([]keyRef(nil), keys...), arena}
-			sort.Sort(&model)
-			lane := inboxBuf{msgs: msgs, keys: keys}
-			lane.sort(arena)
+			msgs := genInbox(ids.NewRand(seed), twins)
+			model := slices.Clone(msgs)
+			sort.Sort(wholeInboxSort(model))
+			boxed := laneBuf[any]{msgs: slices.Clone(msgs)}
+			boxed.sort(new(keyOrder).compare)
+			typed := laneBuf[asmWire]{}
+			for _, m := range msgs {
+				w, _ := asmCodec.Wrap(m.Payload)
+				typed.msgs = append(typed.msgs, MsgT[asmWire]{From: m.From, Payload: w})
+			}
+			typed.sort(asmWire.Compare)
 			for i := range msgs {
-				if lane.msgs[i] != model.msgs[i] || lane.keys[i] != model.keys[i] {
-					t.Fatalf("seed %d twins=%v: entry %d is %v, whole-inbox sort has %v", seed, twins, i, lane.msgs[i], model.msgs[i])
+				if boxed.msgs[i] != model[i] {
+					t.Fatalf("seed %d twins=%v: boxed entry %d is %v, whole-inbox sort has %v", seed, twins, i, boxed.msgs[i], model[i])
+				}
+				if got := (Message{From: typed.msgs[i].From, Payload: asmCodec.Unwrap(typed.msgs[i].Payload)}); got != model[i] {
+					t.Fatalf("seed %d twins=%v: typed entry %d is %v, whole-inbox sort has %v", seed, twins, i, got, model[i])
 				}
 			}
 		}
@@ -367,11 +401,8 @@ func TestRunSortPanicsOnUnorderedSenders(t *testing.T) {
 			t.Fatal("sort accepted a lane whose sender ids decrease")
 		}
 	}()
-	lane := inboxBuf{
-		msgs: []Message{{From: 2, Payload: regPayload{1}}, {From: 1, Payload: regPayload{1}}},
-		keys: []keyRef{{off: 0, n: 3}, {off: 0, n: 3}},
-	}
-	lane.sort([]byte("{1}"))
+	lane := laneBuf[any]{msgs: []Message{{From: 2, Payload: regPayload{1}}, {From: 1, Payload: regPayload{1}}}}
+	lane.sort(new(keyOrder).compare)
 }
 
 // asmWire is FuzzInboxAssembly's wire union over the payload pool: K
@@ -383,6 +414,12 @@ type asmWire struct {
 }
 
 func (w asmWire) AppendSortKey(dst []byte) []byte { return AppendKey(dst, asmCodec.Unwrap(w)) }
+
+// Compare orders as the keys do: K%3 picks the tag (0xf0–0xf2), then
+// the value.
+func (w asmWire) Compare(o asmWire) int {
+	return cmp.Or(cmp.Compare(w.K%3, o.K%3), cmp.Compare(w.V, o.V))
+}
 
 var asmCodec = Codec[asmWire]{
 	Wrap: func(p any) (asmWire, bool) {
@@ -629,6 +666,16 @@ func FuzzInboxAssembly(f *testing.F) {
 	// The joiners' first inbox follows a full log; their second holds
 	// what round 2 sent them.
 	f.Add(slices.Concat(asmChunk(1, 5, 0, 0, 1), asmChunk(1, 4, 0, 0, 2), asmChunk(2, 3, 1, 6, 5), asmChunk(2, 0, 3, 3, 8)))
+	// The filter's sender scope: one sender unicasts to 30, broadcasts,
+	// then unicasts to 30 again — one payload; and two senders send one
+	// payload each as a broadcast and to one target, which are two
+	// messages every time.
+	f.Add(slices.Concat(asmChunk(1, 0, 1, 2, 5), asmChunk(1, 0, 0, 0, 5), asmChunk(1, 0, 1, 2, 5)))
+	// Two payloads of one sender in one lane, descending: the one shape
+	// that needs a lane's sort pass with no longer run beside it.
+	f.Add(slices.Concat(asmChunk(1, 0, 1, 2, 9), asmChunk(1, 0, 1, 2, 6), asmChunk(2, 1, 1, 3, 12), asmChunk(2, 1, 1, 3, 3)))
+	f.Add(slices.Concat(asmChunk(1, 0, 0, 0, 4), asmChunk(1, 1, 0, 0, 4), asmChunk(1, 2, 1, 7, 6), asmChunk(1, 3, 1, 7, 6),
+		asmChunk(2, 1, 1, 2, 9), asmChunk(2, 2, 1, 2, 9)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc := decodeAssembly(data)
 		want, wantM := asmModel(sc)

@@ -114,7 +114,7 @@ func (g *inboxGuard) boxedPlay() playFn {
 
 // guardedOver is typedOver with every process and the adversary
 // decorated.
-func guardedOver[P sim.ProcessT[M], M sim.WireMsg](codec sim.Codec[M]) func(*inboxGuard) playFn {
+func guardedOver[P sim.ProcessT[M], M sim.WireMsg[M]](codec sim.Codec[M]) func(*inboxGuard) playFn {
 	return func(g *inboxGuard) playFn {
 		return on(func(cfg sim.Config, s system) runner {
 			procs := make([]guardedT[M], len(s.procs))

@@ -19,18 +19,18 @@
 // Delivery runs on a flat message plane: all per-node runner state
 // lives in one node table sorted by id, indexed through a slot index,
 // so broadcast fan-out, the destination-present check and per-round
-// iteration are O(1) array operations. Delivery buffers, their sort
-// keys and the duplicate filter are pooled and reused across rounds,
-// and a round's cost follows its sources, not its deliveries: each
-// message's sort key is rendered once per source into a pooled,
-// double-buffered arena (key tables are offset/length views into it);
-// a fresh broadcast is one append to the round's broadcast log, sorted
-// once and shared as the inbox of every recipient with nothing else to
-// receive, so an inbox may be that one shared slice (plane.go); the
-// rest goes to recipients' lanes through one round-wide bucket; and
-// "duplicate" is decided per source — the filter is probed once per
-// send on (sender, payload value) and then spends one flag, or one bit
-// per recipient slot.
+// iteration are O(1) array operations. Delivery buffers and the
+// duplicate filter are pooled and reused across rounds, and a round's
+// cost follows its sources, not its deliveries: a fresh broadcast is
+// one append to the round's broadcast log, sorted once and shared as
+// the inbox of every recipient with nothing else to receive, so an
+// inbox may be that one shared slice (plane.go); the rest goes to
+// recipients' lanes through one round-wide bucket; and "duplicate" is
+// decided per source — the filter, which holds one sender's payloads
+// at a time, is probed once per send and then spends one flag, or one
+// bit per recipient slot. Inboxes are ordered by (sender, payload): a
+// wire union compares its fields (WireMsg), and only boxed payloads
+// are ordered by their rendered sort keys.
 //
 // There is one round loop, the generic core in generic.go. This file
 // holds the model's vocabulary — messages, processes, the adversary,
@@ -43,6 +43,7 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
 
 	"idonly/internal/ids"
@@ -203,6 +204,17 @@ func AppendKey(dst []byte, payload any) []byte {
 	return sk.AppendSortKey(dst)
 }
 
+// keyOrder orders boxed payloads by their rendered sort keys, in
+// scratch it reuses: the boxed plane renders two keys per comparison
+// and keeps none. Comparisons are few: only payloads of one sender in
+// one inbox meet.
+type keyOrder struct{ a, b []byte }
+
+func (k *keyOrder) compare(x, y any) int {
+	k.a, k.b = AppendKey(k.a[:0], x), AppendKey(k.b[:0], y)
+	return bytes.Compare(k.a, k.b)
+}
+
 // Runner executes a synchronous round-based system over boxed
 // payloads: the runner core (generic.go) with M = any, so it carries
 // every payload type, wire union or not.
@@ -218,7 +230,7 @@ func NewRunner(cfg Config, procs []Process, faulty []ids.ID, adv Adversary) *Run
 	for i, p := range procs {
 		boxed[i] = boxedProc{p}
 	}
-	return &Runner{newRunner(cfg, boxed, faulty, adv, boxedCodec, AppendKey)}
+	return &Runner{newRunner(cfg, boxed, faulty, adv, boxedCodec, new(keyOrder).compare)}
 }
 
 // ScheduleJoin arranges for a correct process to join the system at the

@@ -1,10 +1,17 @@
 // Sort keys: the one encoding behind inbox order.
 //
-// Every message the runner delivers carries a sort key, the bytes that
+// Every message the runner delivers has a sort key, the bytes that
 // order one sender's run in an inbox. A payload type renders its own
-// key by implementing SortKeyer, into a pooled arena, once per (sender,
-// payload) per round; the runner formats nothing itself, and a payload
-// without a key panics on both planes, naming its type (AppendKey).
+// key by implementing SortKeyer; the runner formats nothing itself.
+// The typed plane compares, the boxed plane renders: a wire union
+// (WireMsg) also implements Compare, whose sign is bytes.Compare's
+// over the two keys, and the typed runner orders by it and renders
+// nothing; the boxed runner renders both keys of each comparison into
+// scratch and keeps none, and a boxed payload without a key panics,
+// naming its type, once it is compared (AppendKey) — payloads of one
+// sender in one inbox are, and no other order needs a key. The
+// Compare helpers below compare one field as its Append form's bytes
+// would.
 //
 // The contract is one encoding for every payload type in the
 // repository:
@@ -47,12 +54,16 @@
 // fresh tag from its package's range and adding sample values to
 // internal/sortkeys, whose tests hold every registered type to the
 // contract. A wire union renders the key of the payload it stands for,
-// so both planes order an inbox alike.
+// and its Compare agrees with those keys (FuzzWireCompare in
+// internal/sortkeys), so both planes order an inbox alike.
 package sim
 
 import (
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"math"
+	"strings"
 )
 
 // SortKeyer is implemented by every payload type the runner carries.
@@ -77,17 +88,24 @@ func AppendInt(dst []byte, v int64) []byte {
 // numbers' order: a negative number has every bit flipped, any other
 // only its sign bit. −0 is written as +0, the value it equals.
 func AppendFloat(dst []byte, v float64) []byte {
+	return binary.BigEndian.AppendUint64(dst, floatKey(v))
+}
+
+// floatKey is the big-endian number AppendFloat writes for v.
+func floatKey(v float64) uint64 {
 	if v == 0 {
 		v = 0
 	}
 	b := math.Float64bits(v)
 	if b>>63 == 1 {
-		b = ^b
-	} else {
-		b |= 1 << 63
+		return ^b
 	}
-	return binary.BigEndian.AppendUint64(dst, b)
+	return b | 1<<63
 }
+
+// CompareFloat compares two float64 fields as their keys do: as
+// numbers, −0 equal to +0.
+func CompareFloat(a, b float64) int { return cmp.Compare(floatKey(a), floatKey(b)) }
 
 // AppendBool appends a bool: one byte, 0 or 1.
 func AppendBool(dst []byte, v bool) []byte {
@@ -97,8 +115,35 @@ func AppendBool(dst []byte, v bool) []byte {
 	return append(dst, 0)
 }
 
+// CompareBool compares two bool fields as their keys do: false first.
+func CompareBool(a, b bool) int {
+	switch {
+	case a == b:
+		return 0
+	case b:
+		return -1
+	}
+	return 1
+}
+
 // AppendString appends a string: its length as a uvarint, then its
 // bytes.
 func AppendString(dst []byte, s string) []byte {
 	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
+}
+
+// CompareString compares two string fields as their keys do: the
+// lengths' uvarints first, then the bytes. A uvarint is prefix-free,
+// so unequal lengths decide. Below 128 a length is its own one byte
+// and compares as a number; above, it need not — 255 renders ff 01,
+// which sorts after 256's 80 02.
+func CompareString(a, b string) int {
+	if len(a) == len(b) {
+		return strings.Compare(a, b)
+	}
+	if len(a) < 0x80 && len(b) < 0x80 {
+		return cmp.Compare(len(a), len(b))
+	}
+	var la, lb [binary.MaxVarintLen64]byte
+	return bytes.Compare(binary.AppendUvarint(la[:0], uint64(len(a))), binary.AppendUvarint(lb[:0], uint64(len(b))))
 }

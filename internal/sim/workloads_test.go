@@ -95,7 +95,7 @@ var boxed = on(func(cfg sim.Config, s system) runner {
 
 // typedOver plays a system whose processes, joiners included, are all
 // P on the core instantiated over P's wire union.
-func typedOver[P sim.ProcessT[M], M sim.WireMsg](codec sim.Codec[M]) playFn {
+func typedOver[P sim.ProcessT[M], M sim.WireMsg[M]](codec sim.Codec[M]) playFn {
 	return on(func(cfg sim.Config, s system) runner {
 		procs := make([]P, len(s.procs))
 		for i, p := range s.procs {

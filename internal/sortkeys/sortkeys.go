@@ -2,7 +2,8 @@
 // sim.SortKeyer, as sample values. It exists for the tests that hold
 // every type to the sort-key contract (internal/sim's sortkey.go:
 // injective across types, one tag per type, numeric order) and check
-// every wire union's members, across all protocol packages at once —
+// every wire union's members and its Compare against the rendered
+// keys, across all protocol packages at once —
 // the packages themselves cannot host those tests without importing
 // each other.
 package sortkeys

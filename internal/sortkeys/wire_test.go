@@ -2,14 +2,19 @@ package sortkeys
 
 // Wire-union delegation: the monomorphized runner's bit-identity proof
 // rests on each protocol's wire type rendering exactly the bytes of the
-// boxed payload it wraps, and on Wrap/Unwrap being a lossless round
-// trip. The unions are enumerated from the wire side — every wire value
+// boxed payload it wraps, on its Compare ordering as those bytes do
+// (the typed runner orders by Compare alone), and on Wrap/Unwrap being
+// a lossless round trip. The unions are enumerated from the wire side — every wire value
 // that survives Unwrap then Wrap is a member, and its payload's type a
 // member type — so a kind added to a union without samples here, or
 // with a key that diverges from its payload's, fails this test.
 
 import (
+	"bytes"
+	"cmp"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"idonly/internal/core/consensus"
@@ -18,6 +23,7 @@ import (
 	"idonly/internal/core/rbroadcast"
 	"idonly/internal/core/ring"
 	"idonly/internal/core/rotor"
+	"idonly/internal/ids"
 	"idonly/internal/sim"
 )
 
@@ -29,7 +35,7 @@ import (
 // that are nonetheless outside the union (a wrapper around an unknown
 // payload) and the wire value Wrap must return for each, with ok
 // false.
-func checkWireUnion[M sim.WireMsg](t *testing.T, name string, codec sim.Codec[M], candidates []M, noise func(p any) (M, bool)) {
+func checkWireUnion[M sim.WireMsg[M]](t *testing.T, name string, codec sim.Codec[M], candidates []M, noise func(p any) (M, bool)) {
 	t.Helper()
 	members := make(map[reflect.Type]int) // member type -> samples seen
 	for _, w := range candidates {
@@ -144,7 +150,7 @@ func TestWireUnionsDelegate(t *testing.T) {
 // checkApart requires two payloads of one union that agree field for
 // field but differ in type to be distinct wire values with distinct
 // keys.
-func checkApart[M sim.WireMsg](t *testing.T, codec sim.Codec[M], a, b any) {
+func checkApart[M sim.WireMsg[M]](t *testing.T, codec sim.Codec[M], a, b any) {
 	t.Helper()
 	wa, okA := codec.Wrap(a)
 	wb, okB := codec.Wrap(b)
@@ -156,5 +162,114 @@ func checkApart[M sim.WireMsg](t *testing.T, codec sim.Codec[M], a, b any) {
 	}
 	if wa == wb {
 		t.Errorf("%#v and %#v: one wire value for two payloads", a, b)
+	}
+}
+
+// checkCompare holds one pair of wire values to the oracle: the sign
+// of a.Compare(b) is that of bytes.Compare over their rendered keys,
+// and b.Compare(a) is its negation.
+func checkCompare[M sim.WireMsg[M]](t *testing.T, a, b M) {
+	t.Helper()
+	want := bytes.Compare(a.AppendSortKey(nil), b.AppendSortKey(nil))
+	if got := cmp.Compare(a.Compare(b), 0); got != want {
+		t.Fatalf("%#v.Compare(%#v) has sign %d, its keys compare %d", a, b, got, want)
+	}
+	if got := cmp.Compare(b.Compare(a), 0); got != -want {
+		t.Fatalf("%#v.Compare(%#v) has sign %d, its keys compare %d", b, a, got, -want)
+	}
+}
+
+// FuzzWireCompare holds every wire union's Compare to its rendered
+// keys, over any kinds — members of the union or not — and any field
+// values: the typed runner orders inboxes by Compare and renders no
+// key, so the two may never disagree. The seeds straddle the one-byte
+// uvarint (string lengths 127, 128 and 300) and cross lengths whose
+// uvarints sort against their numbers (255 after 256, 200 after 300),
+// pair −0 with +0, and pair kinds whose fields agree.
+func FuzzWireCompare(f *testing.F) {
+	s127, s128, s300 := strings.Repeat("m", 127), strings.Repeat("m", 128), strings.Repeat("a", 300)
+	s200, s255, s256 := strings.Repeat("z", 200), strings.Repeat("z", 255), strings.Repeat("a", 256)
+	negZero := math.Copysign(0, -1)
+	const (
+		uRing = iota
+		uConsensus
+		uRBroadcast
+		uParallel
+		uDynamic
+	)
+	for _, u := range []uint8{uRBroadcast, uParallel, uDynamic} {
+		for _, ss := range [][2]string{{s127, s128}, {s128, s300}, {s127, s300}, {s300, "b"}, {s255, s256}, {s200, s300}} {
+			// rbroadcast initial, parallel input and dynamic event (4%8)
+			// all carry the string.
+			f.Add(u, uint8(1), uint8(1), uint64(5), uint64(5), int64(2), int64(2), 0.0, 0.0, ss[0], ss[1], false, false)
+			f.Add(u, uint8(4), uint8(4), uint64(5), uint64(5), int64(2), int64(2), 0.0, 0.0, ss[0], ss[1], true, true)
+		}
+	}
+	f.Add(uint8(uConsensus), uint8(4), uint8(4), uint64(0), uint64(0), int64(0), int64(0), 0.0, negZero, "", "", false, false)
+	f.Add(uint8(uConsensus), uint8(3), uint8(4), uint64(0), uint64(0), int64(0), int64(0), 1.5, 1.5, "", "", false, false)
+	f.Add(uint8(uConsensus), uint8(0), uint8(6), uint64(0), uint64(0), int64(0), int64(0), -2.0, -2.0, "", "", false, false)
+	f.Add(uint8(uRing), uint8(0), uint8(0), uint64(9), uint64(10), int64(0), int64(0), 0.0, 0.0, "", "", false, false)
+	f.Add(uint8(uRBroadcast), uint8(1), uint8(3), uint64(7), uint64(7), int64(0), int64(0), 0.0, 0.0, "m", "m", false, false)
+	f.Add(uint8(uParallel), uint8(2), uint8(5), uint64(9), uint64(9), int64(0), int64(0), 0.0, 0.0, "", "", false, false)
+	f.Add(uint8(uParallel), uint8(5), uint8(7), uint64(4), uint64(4), int64(0), int64(0), 0.0, 0.0, "", "", false, false)
+	f.Add(uint8(uParallel), uint8(3), uint8(3), uint64(4), uint64(4), int64(0), int64(0), 0.0, 0.0, "v", "v", false, true)
+	f.Add(uint8(uDynamic), uint8(3), uint8(1), uint64(0), uint64(0), int64(0), int64(0), 0.0, 0.0, "", "", false, false)
+	f.Add(uint8(uDynamic), uint8(6), uint8(5|1<<3), uint64(0), uint64(0), int64(-2), int64(-2), 0.0, 0.0, "", "", false, false)
+	f.Add(uint8(uDynamic), uint8(5|4<<3), uint8(5|5<<3), uint64(4), uint64(4), int64(3), int64(3), 0.0, 0.0, "", "", false, false)
+	f.Add(uint8(uDynamic), uint8(2), uint8(2), uint64(0), uint64(0), int64(-1), int64(1), 0.0, 0.0, "", "", false, false)
+	f.Fuzz(func(t *testing.T, union, ka, kb uint8, ia, ib uint64, ra, rb int64, xa, xb float64, sa, sb string, ba, bb bool) {
+		switch union % 5 {
+		case uRing:
+			checkCompare(t, ring.Probe{Min: ids.ID(ia)}, ring.Probe{Min: ids.ID(ib)})
+		case uConsensus:
+			checkCompare(t, consensus.Wire{Kind: ka, P: ids.ID(ia), X: xa}, consensus.Wire{Kind: kb, P: ids.ID(ib), X: xb})
+		case uRBroadcast:
+			checkCompare(t, rbroadcast.Wire{Kind: ka, M: sa, S: ids.ID(ia)}, rbroadcast.Wire{Kind: kb, M: sb, S: ids.ID(ib)})
+		case uParallel:
+			checkCompare(t, parallel.Wire{ID: parallel.PairID(ia), S: sa, Kind: ka, Bot: ba},
+				parallel.Wire{ID: parallel.PairID(ib), S: sb, Kind: kb, Bot: bb})
+		case uDynamic:
+			// The low three bits pick the kind, the rest a session's inner
+			// kind.
+			checkCompare(t,
+				dynamic.Wire{ID: parallel.PairID(ia), R: int(ra), S: sa, Kind: ka % 8, InKind: ka / 8, Bot: ba},
+				dynamic.Wire{ID: parallel.PairID(ib), R: int(rb), S: sb, Kind: kb % 8, InKind: kb / 8, Bot: bb})
+		}
+	})
+}
+
+// TestWireCompareOrdersMembers runs every pair of members of each
+// union — the samples the union accepts, and strings whose lengths
+// straddle the one-byte uvarint — through the oracle.
+func TestWireCompareOrdersMembers(t *testing.T) {
+	samples := Samples()
+	for _, n := range []int{127, 128, 200, 255, 256, 300} {
+		s := strings.Repeat("m", n)
+		samples = append(samples, rbroadcast.Echo{M: s, S: 1}, dynamic.EventMsg{M: s, R: 1},
+			parallel.Input{ID: 1, X: parallel.V(s)}, dynamic.SessMsg{Sess: 1, Inner: parallel.Input{ID: 1, X: parallel.V(s)}})
+	}
+	allPairs(t, ring.WireCodec(), samples)
+	allPairs(t, consensus.WireCodec(), samples)
+	allPairs(t, rbroadcast.WireCodec(), samples)
+	allPairs(t, parallel.WireCodec(), samples)
+	allPairs(t, dynamic.WireCodec(), samples)
+}
+
+// allPairs checks every pair of the samples codec wraps.
+func allPairs[M sim.WireMsg[M]](t *testing.T, codec sim.Codec[M], samples []sim.SortKeyer) {
+	t.Helper()
+	var members []M
+	for _, s := range samples {
+		if w, ok := codec.Wrap(s); ok {
+			members = append(members, w)
+		}
+	}
+	if len(members) < 2 {
+		t.Fatalf("%T: %d members among the samples", members, len(members))
+	}
+	for _, a := range members {
+		for _, b := range members {
+			checkCompare(t, a, b)
+		}
 	}
 }

@@ -56,15 +56,16 @@ func CachedRunAll(st *Store, specs []engine.Scenario, opts engine.Options) (*eng
 	var stats RunStats
 	results := make([]engine.Result, len(specs))
 	digests := make([]string, len(specs))
+	names := make([]string, len(specs))
 	for i := range specs {
-		digests[i] = specs[i].Digest()
+		digests[i], names[i] = specs[i].Digest(), specs[i].Name
 	}
 	found := make([]bool, len(specs))
 	var lookupNS []int64
 	if hooked {
 		lookupNS = make([]int64, len(specs))
 	}
-	if err := st.getAll(digests, results, found, lookupNS); err != nil {
+	if err := st.getAll(digests, names, results, found, lookupNS); err != nil {
 		return nil, stats, err
 	}
 	var missIdx []int

@@ -120,7 +120,7 @@ func TestBatchReaderMatchesSingleReads(t *testing.T) {
 		before := st.Stats()
 		out := make([]engine.Result, len(digests))
 		found := make([]bool, len(digests))
-		if err := st.getAll(digests, out, found, nil); err != nil {
+		if err := st.getAll(digests, nil, out, found, nil); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		batch := st.Stats()

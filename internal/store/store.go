@@ -386,13 +386,15 @@ func (s *Store) Len() int {
 func (s *Store) Get(digest string) (engine.Result, bool, error) {
 	var res [1]engine.Result
 	var found [1]bool
-	err := s.getAll([]string{digest}, res[:], found[:], nil)
+	err := s.getAll([]string{digest}, nil, res[:], found[:], nil)
 	return res[0], found[0], err
 }
 
 // getAll is the store's one read path. For each digest the store holds
 // it decodes the record into out[i] and sets found[i]; any other digest
 // is a miss, and so is one whose index key belongs to another digest.
+// names, when not nil, holds the scenario name each digest's spec
+// carries: a decoded name equal to it reuses that string.
 // Records that lie next to each other in the log, in the order asked
 // for, are read with one ReadAt per run of at most maxPooledReadBuf
 // bytes (a larger record is a run of its own), and each record's
@@ -400,7 +402,7 @@ func (s *Store) Get(digest string) (engine.Result, bool, error) {
 // store_get latency series and wallNS (when not nil) keep one
 // observation per digest: a digest's time runs from the end of the
 // one before, so a run's read is charged to its first record.
-func (s *Store) getAll(digests []string, out []engine.Result, found []bool, wallNS []int64) error {
+func (s *Store) getAll(digests, names []string, out []engine.Result, found []bool, wallNS []int64) error {
 	s.gets.Add(int64(len(digests)))
 	in := s.inst.Load()
 	var last time.Time
@@ -433,7 +435,7 @@ func (s *Store) getAll(digests []string, out []engine.Result, found []bool, wall
 		}
 		if k := len(run); k > 0 && !(hit && ent.off == run[k-1].off+int64(run[k-1].n)+4+headerLen &&
 			ent.off+int64(ent.n)-run[0].off <= maxPooledReadBuf-keySize) {
-			if err := s.readRun(run, first, digests, out, found, done); err != nil {
+			if err := s.readRun(run, first, digests, names, out, found, done); err != nil {
 				return err
 			}
 			run = run[:0]
@@ -450,13 +452,13 @@ func (s *Store) getAll(digests []string, out []engine.Result, found []bool, wall
 	if len(run) == 0 {
 		return nil
 	}
-	return s.readRun(run, first, digests, out, found, done)
+	return s.readRun(run, first, digests, names, out, found, done)
 }
 
 // readRun reads the adjacent records of digests[first:first+len(run)]
 // with one ReadAt and decodes every one whose stored digest is the one
 // asked for.
-func (s *Store) readRun(run []recordEnt, first int, digests []string, out []engine.Result, found []bool, done func(int)) error {
+func (s *Store) readRun(run []recordEnt, first int, digests, names []string, out []engine.Result, found []bool, done func(int)) error {
 	lo := run[0].off - keySize
 	n := int(run[len(run)-1].off + int64(run[len(run)-1].n) - lo)
 	var buf []byte
@@ -479,7 +481,11 @@ func (s *Store) readRun(run []recordEnt, first int, digests []string, out []engi
 		i := first + k
 		rec := buf[ent.off-keySize-lo : ent.off-lo+int64(ent.n)]
 		if raw, _ := parseDigest(digests[i]); string(rec[:keySize]) == string(raw[:]) { // else another digest owns the index key
-			res, err := engine.DecodeResult(rec[keySize:])
+			var name string
+			if names != nil {
+				name = names[i]
+			}
+			res, err := engine.DecodeResultNamed(rec[keySize:], name)
 			if err != nil {
 				return fmt.Errorf("store: decoding %s: %w", digests[i][:12], err)
 			}
