@@ -26,13 +26,7 @@ func (a ConsSplit) Step(node ids.ID, round int, inbox []sim.Message) []sim.Send 
 	case 1:
 		return []sim.Send{sim.BroadcastPayload(rotor.Init{})}
 	case 2:
-		var out []sim.Send
-		for _, msg := range inbox {
-			if _, ok := msg.Payload.(rotor.Init); ok {
-				out = append(out, sim.BroadcastPayload(rotor.Echo{P: msg.From}))
-			}
-		}
-		return out
+		return appendEchoInits(nil, inbox)
 	}
 	switch (round - consensus.InitRounds - 1) % consensus.PhaseRounds {
 	case 0: // A: equivocate inputs
@@ -66,13 +60,7 @@ func (ConsInitThenSilent) Step(node ids.ID, round int, inbox []sim.Message) []si
 	case 1:
 		return []sim.Send{sim.BroadcastPayload(rotor.Init{})}
 	case 2:
-		var out []sim.Send
-		for _, msg := range inbox {
-			if _, ok := msg.Payload.(rotor.Init); ok {
-				out = append(out, sim.BroadcastPayload(rotor.Echo{P: msg.From}))
-			}
-		}
-		return out
+		return appendEchoInits(nil, inbox)
 	}
 	return nil
 }
@@ -101,13 +89,7 @@ func (a ConsStaircase) Step(node ids.ID, round int, inbox []sim.Message) []sim.S
 	case 1:
 		return []sim.Send{sim.BroadcastPayload(rotor.Init{})}
 	case 2:
-		var out []sim.Send
-		for _, msg := range inbox {
-			if _, ok := msg.Payload.(rotor.Init); ok {
-				out = append(out, sim.BroadcastPayload(rotor.Echo{P: msg.From}))
-			}
-		}
-		return out
+		return appendEchoInits(nil, inbox)
 	case 3: // phase-1 round A: input votes arrive in B
 		return unicastAll(a.Boost, consensus.Input{X: a.X})
 	case 4: // phase-1 round B: prefer votes arrive in C
@@ -131,13 +113,7 @@ func (a ConsStubborn) Step(node ids.ID, round int, inbox []sim.Message) []sim.Se
 	case 1:
 		return []sim.Send{sim.BroadcastPayload(rotor.Init{})}
 	case 2:
-		var out []sim.Send
-		for _, msg := range inbox {
-			if _, ok := msg.Payload.(rotor.Init); ok {
-				out = append(out, sim.BroadcastPayload(rotor.Echo{P: msg.From}))
-			}
-		}
-		return out
+		return appendEchoInits(nil, inbox)
 	}
 	switch (round - consensus.InitRounds - 1) % consensus.PhaseRounds {
 	case 0:

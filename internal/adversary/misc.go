@@ -3,6 +3,7 @@ package adversary
 import (
 	"idonly/internal/baseline"
 	"idonly/internal/core/approx"
+	"idonly/internal/core/consensus"
 	"idonly/internal/core/parallel"
 	"idonly/internal/core/rotor"
 	"idonly/internal/ids"
@@ -53,13 +54,7 @@ func (a ParaGhost) Step(node ids.ID, round int, inbox []sim.Message) []sim.Send 
 	case 1:
 		return []sim.Send{sim.BroadcastPayload(rotor.Init{})}
 	case 2:
-		var out []sim.Send
-		for _, msg := range inbox {
-			if _, ok := msg.Payload.(rotor.Init); ok {
-				out = append(out, sim.BroadcastPayload(rotor.Echo{P: msg.From}))
-			}
-		}
-		return out
+		return appendEchoInits(nil, inbox)
 	}
 	// Phase-1 rounds: A=3, B=4, C=5, D=6, E=7. Discovery windows are
 	// B (inputs), C (prefers), D (strongprefers, buffered for E).
@@ -89,15 +84,9 @@ func (a ParaSplit) Step(node ids.ID, round int, inbox []sim.Message) []sim.Send 
 	case 1:
 		return []sim.Send{sim.BroadcastPayload(rotor.Init{})}
 	case 2:
-		var out []sim.Send
-		for _, msg := range inbox {
-			if _, ok := msg.Payload.(rotor.Init); ok {
-				out = append(out, sim.BroadcastPayload(rotor.Echo{P: msg.From}))
-			}
-		}
-		return out
+		return appendEchoInits(nil, inbox)
 	}
-	switch (round - 3) % 5 {
+	switch (round - consensus.InitRounds - 1) % consensus.PhaseRounds {
 	case 0:
 		out := unicastAll(lo, parallel.Input{ID: a.Pair, X: a.X1})
 		return append(out, unicastAll(hi, parallel.Input{ID: a.Pair, X: a.X2})...)

@@ -6,6 +6,17 @@ import (
 	"idonly/internal/sim"
 )
 
+// appendEchoInits appends to dst the round-2 echo(p) broadcast for
+// every rotor init in inbox, as a correct node sends it.
+func appendEchoInits(dst []sim.Send, inbox []sim.Message) []sim.Send {
+	for _, msg := range inbox {
+		if _, ok := msg.Payload.(rotor.Init); ok {
+			dst = append(dst, sim.BroadcastPayload(rotor.Echo{P: msg.From}))
+		}
+	}
+	return dst
+}
+
 // RotorHidden announces itself (init) to only a subset of nodes,
 // aiming for a candidate set Cv that differs across correct nodes —
 // exactly the split that Lemma 6 (relay of candidate admission) and
@@ -27,11 +38,7 @@ func (a *RotorHidden) Step(node ids.ID, round int, inbox []sim.Message) []sim.Se
 	case 1:
 		out = unicastAllInto(out, a.Subset, rotor.Init{})
 	case 2:
-		for _, msg := range inbox {
-			if _, ok := msg.Payload.(rotor.Init); ok {
-				out = append(out, sim.BroadcastPayload(rotor.Echo{P: msg.From}))
-			}
-		}
+		out = appendEchoInits(out, inbox)
 	default:
 		// Split opinions every round: a correct node only accepts an
 		// opinion from the coordinator it selected, so this is harmless
@@ -60,11 +67,7 @@ func (a RotorForge) Step(node ids.ID, round int, inbox []sim.Message) []sim.Send
 	}
 	var out []sim.Send
 	if round == 2 {
-		for _, msg := range inbox {
-			if _, ok := msg.Payload.(rotor.Init); ok {
-				out = append(out, sim.BroadcastPayload(rotor.Echo{P: msg.From}))
-			}
-		}
+		out = appendEchoInits(out, inbox)
 	}
 	for _, g := range a.Ghosts {
 		out = append(out, sim.BroadcastPayload(rotor.Echo{P: g}))

@@ -60,7 +60,7 @@ type Node struct {
 	xv   float64 // current opinion
 	opts Options
 
-	// idx numbers every id this node has seen; the sets below hold its
+	// idx numbers the senders this node has heard; the sets below hold its
 	// numbers. senders collects who spoke during initialization and is
 	// then frozen as the membership, whose size is nv.
 	idx     quorum.Index
@@ -111,18 +111,17 @@ func New(id ids.ID, x float64) *Node {
 
 // NewWithOptions returns a consensus node with explicit options.
 func NewWithOptions(id ids.ID, x float64, opts Options) *Node {
-	n := &Node{
+	return &Node{
 		id:          id,
 		xv:          x,
 		opts:        opts,
+		core:        rotor.NewCore(id),
 		strongTally: quorum.NewTally[float64](),
 		inInputs:    quorum.NewTally[float64](),
 		inPrefers:   quorum.NewTally[float64](),
 		inStrongs:   quorum.NewTally[float64](),
 		inOpinions:  make(map[ids.ID]float64),
 	}
-	n.core = rotor.NewCore(id, &n.idx)
-	return n
 }
 
 // ID implements sim.Process.
@@ -279,7 +278,7 @@ func (n *Node) StepTyped(round int, inbox []sim.MsgT[Wire]) []sim.SendT[Wire] {
 func (n *Node) absorbOne(id ids.ID, from int32, w Wire) {
 	switch w.Kind {
 	case wInit:
-		n.core.AbsorbInit(from)
+		n.core.AbsorbInit(id)
 	case wEcho:
 		n.core.AbsorbEcho(from, w.P)
 	case wOpinion:

@@ -14,8 +14,9 @@ import (
 // runner. The Kind discriminates, and the zero Kind is no message
 // (BoxedStep delivers payloads outside the union as the zero Wire);
 // wrap is canonical (unused fields are zero for a kind), so Wire
-// equality is payload equality. Sort keys delegate to the wrapped
-// types, so both planes render identical bytes.
+// equality is payload equality. A Wire renders no sort key: Compare
+// orders as the keys of the payloads it unwraps to, so both planes
+// order an inbox alike.
 type Wire struct {
 	Kind uint8
 	P    ids.ID  // rotor.Echo relay target
@@ -32,28 +33,10 @@ const (
 	wStrong
 )
 
-// AppendSortKey implements sim.SortKeyer by delegation.
-func (w Wire) AppendSortKey(dst []byte) []byte {
-	switch w.Kind {
-	case wInit:
-		return rotor.Init{}.AppendSortKey(dst)
-	case wEcho:
-		return rotor.Echo{P: w.P}.AppendSortKey(dst)
-	case wOpinion:
-		return rotor.Opinion{X: w.X}.AppendSortKey(dst)
-	case wInput:
-		return Input{X: w.X}.AppendSortKey(dst)
-	case wPrefer:
-		return Prefer{X: w.X}.AppendSortKey(dst)
-	default:
-		return StrongPrefer{X: w.X}.AppendSortKey(dst)
-	}
-}
-
 // rank is the position of w's key tag among the union's: the kinds
 // are declared in tag order (rotor's 0x10–0x12 below consensus's
-// 0x20–0x22), and every other kind renders, as AppendSortKey's
-// default, a strongprefer.
+// 0x20–0x22), and every other kind unwraps to, and so compares as, a
+// strongprefer.
 func (w Wire) rank() uint8 {
 	if w.Kind >= wInit && w.Kind <= wStrong {
 		return w.Kind

@@ -15,11 +15,16 @@
 //
 // A session goes start → stop → harvest. It starts on a
 // parallel.Machine taken from the node's free list (Machine.Reset; a
-// new one only when the list is empty). Each round the node demuxes
-// every session message straight into its session's machine (Absorb)
-// and then advances every live machine once. Nodes speak Wire
-// (wire.go), whose session kind carries the machine's parallel.Wire
-// unboxed; Step, the boxed form, is derived through the union's codec.
+// new one only when the list is empty). The node keeps one set of books
+// for its life: a quorum.Index that numbers each id once, when it first
+// enters a snapshot, and a read-only snapshot of S over those numbers,
+// rebuilt only when S changes and shared by every session started under
+// it. Each round the node looks each sender up once per run of its
+// inbox, demuxes every session message with that number straight into
+// its session's machine (Absorb), and then advances every live machine
+// once. Nodes speak Wire (wire.go), whose session kind carries the
+// machine's parallel.Wire unboxed; Step, the boxed form, is derived
+// through the union's codec.
 // A machine stops once it has listened through the first phase and
 // every instance it knows has terminated: a terminated instance's
 // output can never change, and no instance can be discovered after
@@ -66,6 +71,7 @@ import (
 	"idonly/internal/core/consensus"
 	"idonly/internal/core/parallel"
 	"idonly/internal/ids"
+	"idonly/internal/quorum"
 	"idonly/internal/sim"
 )
 
@@ -105,10 +111,10 @@ type Event struct {
 
 // session is one parallel-consensus session that is not yet final.
 type session struct {
-	start    int               // protocol round in which it started
-	snapshot int               // |S| at the start (finality denominator)
-	machine  *parallel.Machine // nil once stopped
-	outputs  []Event           // captured when the machine stopped, in pair order
+	start   int               // protocol round in which it started
+	members *quorum.Set       // S at the start, shared; its size is the finality denominator
+	machine *parallel.Machine // nil once stopped
+	outputs []Event           // captured when the machine stopped, in pair order
 }
 
 // joining states
@@ -130,6 +136,13 @@ type Node struct {
 
 	members []ids.ID // S, sorted
 	peers   []ids.ID // presents buffered while joining
+
+	// idx numbers every id that has ever been in a snapshot, once for the
+	// node's life. snap is S over those numbers: read-only, shared by
+	// every session started under it, and replaced (never changed) when S
+	// changes; nil until the next session start rebuilds it.
+	idx  quorum.Index
+	snap *quorum.Set
 
 	// Witness schedule: protocol round -> events witnessed that round;
 	// Submit adds to the next round. A leaving/left node witnesses
@@ -191,6 +204,7 @@ func New(cfg Config) *Node {
 func (n *Node) addMember(id ids.ID) {
 	if i, found := slices.BinarySearch(n.members, id); !found {
 		n.members = slices.Insert(n.members, i, id)
+		n.snap = nil
 	}
 }
 
@@ -300,20 +314,27 @@ func (n *Node) StepTyped(round int, inbox []sim.MsgT[Wire]) []sim.SendT[Wire] {
 	// Session traffic is almost all of an inbox: it takes the first
 	// branch, and its session is found by offset from the oldest live
 	// one (sessions neither start nor retire while the inbox is read).
+	// Each sender is looked up once per run of its messages, for every
+	// session; one the node never numbered is in no snapshot.
 	first := 0
 	if len(n.sessions) > 0 {
 		first = n.sessions[0].start
 	}
+	var fi int32
+	var known bool
 	for i := range inbox {
 		msg := &inbox[i]
 		p := &msg.Payload
+		if i == 0 || msg.From != inbox[i-1].From {
+			fi, known = n.idx.Lookup(msg.From)
+		}
 		if p.Kind == wSess || p.Kind == wNoise {
 			// Traffic for a session this node never started, has stopped or
 			// has already retired is dropped here. Noise carries the zero
 			// parallel.Wire: the machine admits its sender and nothing else.
-			if k := p.R - first; k >= 0 && k < len(n.sessions) {
+			if k := p.R - first; known && k >= 0 && k < len(n.sessions) {
 				if m := n.sessions[k].machine; m != nil {
-					m.Absorb(msg.From, p.in())
+					m.Absorb(msg.From, fi, p.in())
 				}
 			}
 			continue
@@ -341,6 +362,7 @@ func (n *Node) StepTyped(round int, inbox []sim.MsgT[Wire]) []sim.SendT[Wire] {
 	for _, u := range gone {
 		if i, found := slices.BinarySearch(n.members, u); found {
 			n.members = slices.Delete(n.members, i, i+1)
+			n.snap = nil
 		}
 	}
 	for _, u := range ackTo {
@@ -388,14 +410,20 @@ func (n *Node) StepTyped(round int, inbox []sim.MsgT[Wire]) []sim.SendT[Wire] {
 
 	// Start session r (line 27) with the events received this round.
 	if n.state == stActive {
+		if n.snap == nil {
+			n.snap = new(quorum.Set)
+			for _, id := range n.members {
+				n.snap.Add(n.idx.Of(id))
+			}
+		}
 		var mach *parallel.Machine
 		if k := len(n.free); k > 0 {
 			mach, n.free = n.free[k-1], n.free[:k-1]
-			mach.Reset(n.id, n.inputs, n.members)
+			mach.Reset(n.id, n.inputs, n.snap)
 		} else {
-			mach = parallel.NewMachine(n.id, n.inputs, n.members)
+			mach = parallel.NewMachine(n.id, n.inputs, n.snap)
 		}
-		n.sessions = append(n.sessions, session{start: n.r, snapshot: len(n.members), machine: mach})
+		n.sessions = append(n.sessions, session{start: n.r, members: n.snap, machine: mach})
 		for _, p := range mach.Advance() { // machine round 1: session-tagged rotor init
 			out = append(out, sim.BroadcastT(sess(n.r, p)))
 		}
@@ -435,7 +463,7 @@ func (n *Node) advanceFinality() {
 			return
 		}
 		// Exact integer check of r − r' > 5|S|/2 + 2.
-		if 2*(n.r-next) <= 5*s.snapshot+4 {
+		if 2*(n.r-next) <= 5*s.members.Len()+4 {
 			return
 		}
 		if s.machine != nil { // not stopped yet: a gap if an instance is still undecided

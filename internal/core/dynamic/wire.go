@@ -13,8 +13,8 @@ import (
 // runner. The Kind discriminates, and the zero Kind is no message
 // (BoxedStep delivers payloads outside the union as it). wrap is
 // canonical (unused fields are zero for a kind), so Wire equality is
-// payload equality, and its key is the key of the payload it stands
-// for.
+// payload equality, and it compares as the key of the payload it
+// stands for.
 //
 // A session message carries its parallel.Wire flattened — InKind, ID,
 // S and Bot are that Wire's fields, R is the tag — and an event's text
@@ -54,27 +54,6 @@ func sess(tag int, in parallel.Wire) Wire {
 // it is the zero parallel.Wire.
 func (w Wire) in() parallel.Wire {
 	return parallel.Wire{ID: w.ID, S: w.S, Kind: w.InKind, Bot: w.Bot}
-}
-
-// AppendSortKey implements sim.SortKeyer: the bytes of the boxed
-// payload the wire value stands for (for session noise, of the SessMsg
-// unwrap restores).
-func (w Wire) AppendSortKey(dst []byte) []byte {
-	switch w.Kind {
-	case wPresent:
-		return Present{}.AppendSortKey(dst)
-	case wAck:
-		return Ack{R: w.R}.AppendSortKey(dst)
-	case wAbsent:
-		return Absent{}.AppendSortKey(dst)
-	case wEvent:
-		return EventMsg{M: w.S, R: w.R}.AppendSortKey(dst)
-	case wSess:
-		return w.in().AppendSortKey(appendSess(dst, w.R))
-	case wNoise:
-		return appendSess(dst, w.R)
-	}
-	return dst
 }
 
 // Key tag positions, in tag order: any kind outside the union renders

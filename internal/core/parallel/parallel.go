@@ -28,11 +28,15 @@
 // protocol (Algorithm 6) can run many machines side by side, one per
 // round-tagged session. A round is Absorb for each message addressed to
 // the machine, then one Advance; a finished machine is given its next
-// execution by Reset, which keeps everything it has allocated. Machines
-// speak Wire (wire.go), the closed union of the alphabet, so no message
-// is boxed between a session and its transport. Node adapts a Machine
-// to sim.ProcessT[Wire] for standalone use, and to sim.Process through
-// the union's codec.
+// execution by Reset, which keeps everything it has allocated. A
+// machine keeps no sender books: its owner numbers senders in a
+// quorum.Index of its own, hands Absorb each sender's number, and gives
+// the admission set as a read-only quorum.Set over those numbers, so
+// sessions started under one membership share one set. Machines speak
+// Wire (wire.go), the closed union of the alphabet, so no message is
+// boxed between a session and its transport. Node adapts a Machine to
+// sim.ProcessT[Wire] for standalone use, and to sim.Process through the
+// union's codec.
 package parallel
 
 import (
@@ -138,14 +142,9 @@ type instance struct {
 // round, Absorb the messages addressed to this machine and then Advance
 // (Step does both).
 type Machine struct {
-	self ids.ID
-	// idx numbers the ids this execution has seen; every sender set below
-	// holds its numbers. Reset starts it afresh, so it grows only with
-	// one execution's ids, forged echo candidates included.
-	idx      quorum.Index
-	filtered bool       // an admission set was given ("with respect to S")
-	filter   quorum.Set // that set; unused when !filtered
-	core     *rotor.Core
+	self    ids.ID
+	members *quorum.Set // the admission set ("with respect to S"); nil admits all
+	core    *rotor.Core
 
 	// senders collects who spoke during the two init rounds; it is then
 	// frozen as the membership, and nv is its size.
@@ -160,23 +159,17 @@ type Machine struct {
 	out       []Wire      // backs Advance's return value, reused across rounds
 	prevCoord ids.ID
 	round     int
-
-	// Absorb's verdict on the sender of the previous message: an inbox is
-	// sender-sorted by the runner, so one check and one index lookup serve
-	// a sender's whole run.
-	lastFrom  ids.ID
-	lastRound int // round lastFrom was checked for (0 = never)
-	lastOK    bool
-	lastIdx   int32 // lastFrom's number, when lastOK
 }
 
-// NewMachine returns a machine with the given input pairs. members, if
-// non-nil, restricts the execution to the given identifier set (the
-// dynamic protocol's "with respect to S": messages from other nodes are
-// discarded and nv is counted within the set).
-func NewMachine(self ids.ID, inputs map[PairID]Val, members []ids.ID) *Machine {
-	m := &Machine{insts: make(map[PairID]*instance)}
-	m.core = rotor.NewCore(self, &m.idx)
+// NewMachine returns a machine with the given input pairs. Its senders
+// are numbered by its owner, who passes each message's sender number to
+// Absorb. members, if non-nil, is the owner's numbering of the set the
+// execution is restricted to (the dynamic protocol's "with respect to
+// S": messages from other nodes are discarded and nv is counted within
+// the set); the machine reads it for its whole execution, so the owner
+// must not change it.
+func NewMachine(self ids.ID, inputs map[PairID]Val, members *quorum.Set) *Machine {
+	m := &Machine{insts: make(map[PairID]*instance), core: rotor.NewCore(self)}
 	m.Reset(self, inputs, members)
 	return m
 }
@@ -184,15 +177,10 @@ func NewMachine(self ids.ID, inputs map[PairID]Val, members []ids.ID) *Machine {
 // Reset starts a new execution on m, which is afterwards
 // indistinguishable from NewMachine(self, inputs, members): nothing of
 // the previous execution can be observed, only its memory is reused.
-// inputs and members are read, not retained.
-func (m *Machine) Reset(self ids.ID, inputs map[PairID]Val, members []ids.ID) {
-	m.self, m.filtered = self, members != nil
-	m.idx.Reset()
+// inputs is read, not retained.
+func (m *Machine) Reset(self ids.ID, inputs map[PairID]Val, members *quorum.Set) {
+	m.self, m.members = self, members
 	m.core.Reset(self)
-	m.filter.Reset()
-	for _, id := range members {
-		m.filter.Add(m.idx.Of(id))
-	}
 	m.senders.Reset()
 	m.frozen, m.nv = false, 0
 	for _, id := range m.order {
@@ -200,7 +188,7 @@ func (m *Machine) Reset(self ids.ID, inputs map[PairID]Val, members []ids.ID) {
 	}
 	clear(m.insts)
 	m.order, m.undecided = m.order[:0], 0
-	m.prevCoord, m.round, m.lastRound = 0, 0, 0
+	m.prevCoord, m.round = 0, 0
 	for id, x := range inputs { //lint:ordered independent per-pair writes, order-free
 		if x.Bot {
 			continue // the rules only broadcast non-⊥ inputs
@@ -315,47 +303,39 @@ func (inst *instance) arrivals(round int) *arrivals {
 	return a
 }
 
-// Step is one whole round over an inbox: Absorb each message, then
-// Advance.
-func (m *Machine) Step(inbox []sim.MsgT[Wire]) []Wire {
-	for _, msg := range inbox {
-		m.Absorb(msg.From, msg.Payload)
+// Step is one whole round over an inbox: Absorb each message, its
+// sender numbered in idx, then Advance. idx must be the index members
+// was numbered in.
+func (m *Machine) Step(idx *quorum.Index, inbox []sim.MsgT[Wire]) []Wire {
+	// Inboxes are sender-sorted, so a sender is numbered once per run.
+	var fi int32
+	for i, msg := range inbox {
+		if i == 0 || msg.From != inbox[i-1].From {
+			fi = idx.Of(msg.From)
+		}
+		m.Absorb(msg.From, fi, msg.Payload)
 	}
 	return m.Advance()
 }
 
-// Absorb classifies one message of the coming round into the
-// per-instance arrival state. Messages of one sender should arrive
-// together (the runner sorts inboxes by sender): the admission checks
-// then run once per sender, not once per message. The zero Wire is
-// admitted and classified as nothing: its sender counts, as the sender
-// of any payload outside the alphabet does.
-func (m *Machine) Absorb(from ids.ID, w Wire) {
+// Absorb classifies one message of the coming round, from the sender
+// from whom the owner numbers fi, into the per-instance arrival state.
+// The zero Wire is admitted and classified as nothing: its sender
+// counts, as the sender of any payload outside the alphabet does.
+func (m *Machine) Absorb(from ids.ID, fi int32, w Wire) {
+	switch {
+	case m.senders.Has(fi): // counted toward nv, so in S
+	case m.frozen:
+		return // did not count toward nv: discarded (Alg. 3 rule)
+	case m.members != nil && !m.members.Has(fi):
+		return // outside the recorded S: discarded (Alg. 6 rule)
+	default:
+		m.senders.Add(fi)
+	}
 	round := m.round + 1
-	if from != m.lastFrom || round != m.lastRound {
-		m.lastFrom, m.lastRound = from, round
-		i, seen := m.idx.Lookup(from)
-		switch {
-		case m.filtered && !(seen && m.filter.Has(i)):
-			m.lastOK = false // outside the recorded S: discarded (Alg. 6 rule)
-		case !m.frozen:
-			if !seen {
-				i = m.idx.Of(from)
-			}
-			m.senders.Add(i)
-			m.lastOK = true
-		default:
-			m.lastOK = seen && m.senders.Has(i) // else did not count toward nv: discarded (Alg. 3 rule)
-		}
-		m.lastIdx = i
-	}
-	if !m.lastOK {
-		return
-	}
-	fi := m.lastIdx
 	switch w.Kind {
 	case wInit:
-		m.core.AbsorbInit(fi)
+		m.core.AbsorbInit(from)
 	case wEcho:
 		m.core.AbsorbEcho(fi, ids.ID(w.ID))
 	case wInput:
@@ -608,6 +588,7 @@ func bestVal(t *quorum.Tally[Val]) (x Val, count int, ok bool) {
 // and to sim.Process through the union's codec.
 type Node struct {
 	machine *Machine
+	idx     quorum.Index      // numbers every sender this node has heard
 	sends   []sim.SendT[Wire] // backs StepTyped's return value, reused across rounds
 	boxed   sim.BoxedStep[Wire]
 	decided bool
@@ -639,7 +620,7 @@ func (n *Node) Machine() *Machine { return n.machine }
 // StepTyped implements sim.ProcessT: the machine absorbs the inbox and
 // advances one round, and its payloads go out as broadcasts.
 func (n *Node) StepTyped(round int, inbox []sim.MsgT[Wire]) []sim.SendT[Wire] {
-	payloads := n.machine.Step(inbox)
+	payloads := n.machine.Step(&n.idx, inbox)
 	if n.machine.round >= consensus.InitRounds+consensus.PhaseRounds && n.machine.Done() {
 		n.decided = true
 	}

@@ -8,6 +8,7 @@ import (
 	"idonly/internal/core/parallel"
 	"idonly/internal/core/rotor"
 	"idonly/internal/ids"
+	"idonly/internal/quorum"
 	"idonly/internal/sim"
 )
 
@@ -18,6 +19,35 @@ type execution struct {
 	inputs  map[parallel.PairID]parallel.Val
 	members []ids.ID                    // nil: unfiltered
 	inboxes [][]sim.MsgT[parallel.Wire] // sender-sorted, as the runner delivers them
+}
+
+// pool is the twelve ids every execution draws its nodes from.
+func pool() []ids.ID { return ids.Sparse(ids.NewRand(1), 12) }
+
+// membersIn numbers members in idx, as an owner does for its machines;
+// nil stays nil (unfiltered).
+func membersIn(idx *quorum.Index, members []ids.ID) *quorum.Set {
+	if members == nil {
+		return nil
+	}
+	set := new(quorum.Set)
+	for _, id := range members {
+		set.Add(idx.Of(id))
+	}
+	return set
+}
+
+// usedIndex returns an owner index that has already numbered the whole
+// pool, in descending id order: a first-sight order no fresh owner of
+// one execution produces, which numbers its members or its senders in
+// ascending order.
+func usedIndex() *quorum.Index {
+	idx := new(quorum.Index)
+	p := pool()
+	for i := len(p) - 1; i >= 0; i-- {
+		idx.Of(p[i])
+	}
+	return idx
 }
 
 // wire converts a boxed payload as the runner's codec does: a payload
@@ -44,7 +74,7 @@ func wire(p any) parallel.Wire {
 func record(seed uint64, rounds int, wide bool) execution {
 	rng := ids.NewRand(seed)
 	n := 4 + rng.Intn(4)
-	all := ids.Sample(rng, ids.Sparse(ids.NewRand(1), 12), n+4)
+	all := ids.Sample(rng, pool(), n+4)
 	roles := slices.Clone(all)
 	rng.Shuffle(len(roles), func(i, j int) { roles[i], roles[j] = roles[j], roles[i] })
 	correct, byz, stranger := ids.SortIDs(roles[:n]), roles[n:n+2], roles[n+3] // roles[n+2] is the outsider
@@ -55,6 +85,7 @@ func record(seed uint64, rounds int, wide bool) execution {
 	pairs := 1 + rng.Intn(3)
 	vals := []parallel.Val{parallel.V("a"), parallel.V("b"), parallel.Bot}
 	machines := make([]*parallel.Machine, n)
+	idxs := make([]quorum.Index, n)
 	var exec execution
 	for i, id := range correct {
 		inputs := make(map[parallel.PairID]parallel.Val)
@@ -63,7 +94,7 @@ func record(seed uint64, rounds int, wide bool) execution {
 				inputs[parallel.PairID(p)] = v
 			}
 		}
-		machines[i] = parallel.NewMachine(id, inputs, members)
+		machines[i] = parallel.NewMachine(id, inputs, membersIn(&idxs[i], members))
 		if i == 0 {
 			exec = execution{self: id, inputs: inputs, members: members}
 		}
@@ -99,7 +130,7 @@ func record(seed uint64, rounds int, wide bool) execution {
 	for round := 1; round <= rounds; round++ {
 		sends := make([][]parallel.Wire, n)
 		for i, m := range machines {
-			sends[i] = slices.Clone(m.Step(inboxes[i]))
+			sends[i] = slices.Clone(m.Step(&idxs[i], inboxes[i]))
 		}
 		exec.inboxes = append(exec.inboxes, inboxes[0])
 		for to := range machines {
@@ -129,10 +160,10 @@ func record(seed uint64, rounds int, wide bool) execution {
 }
 
 // interleave returns the inbox with its senders' runs shuffled into one
-// another: every sender's own messages keep their order, the senders do
-// not stay together — the worst an unsorted caller can do to Absorb's
-// per-sender cache. (The outcome may differ from the sorted inbox's: a
-// no-preference marker counts only if its instance is already known.)
+// another: every sender's own messages keep their order, but the
+// senders do not stay together as the runner keeps them. (The outcome
+// may differ from the sorted inbox's: a no-preference marker counts
+// only if its instance is already known.)
 func interleave[M any](rng *ids.Rand, inbox []sim.MsgT[M]) []sim.MsgT[M] {
 	var runs [][]sim.MsgT[M]
 	for _, msg := range inbox {
@@ -153,21 +184,25 @@ func interleave[M any](rng *ids.Rand, inbox []sim.MsgT[M]) []sim.MsgT[M] {
 	return out
 }
 
-// checkRecycled drives m — whatever it ran before — and a fresh machine
-// through exec and requires them to be indistinguishable after every
-// round. Odd rounds' inboxes are interleaved; the fresh machine takes
-// them through Step, m through Absorb and Advance.
-func checkRecycled(t *testing.T, m *parallel.Machine, exec execution, rng *ids.Rand) {
+// checkRecycled drives m — whatever it ran before, on the owner index
+// idx that earlier executions filled — and a fresh machine on a fresh
+// index through exec, and requires them to be indistinguishable after
+// every round. The two indexes must number some id differently, so the
+// comparison covers the numbering too. Odd rounds' inboxes are
+// interleaved; the fresh machine takes them through Step, m through
+// Absorb and Advance.
+func checkRecycled(t *testing.T, m *parallel.Machine, idx *quorum.Index, exec execution, rng *ids.Rand) {
 	t.Helper()
-	m.Reset(exec.self, exec.inputs, exec.members)
-	fresh := parallel.NewMachine(exec.self, exec.inputs, exec.members)
+	m.Reset(exec.self, exec.inputs, membersIn(idx, exec.members))
+	var freshIdx quorum.Index
+	fresh := parallel.NewMachine(exec.self, exec.inputs, membersIn(&freshIdx, exec.members))
 	for r, inbox := range exec.inboxes {
 		if r%2 == 1 {
 			inbox = interleave(rng, inbox)
 		}
-		want := fresh.Step(inbox)
+		want := fresh.Step(&freshIdx, inbox)
 		for _, msg := range inbox {
-			m.Absorb(msg.From, msg.Payload)
+			m.Absorb(msg.From, idx.Of(msg.From), msg.Payload)
 		}
 		got := m.Advance()
 		if !slices.Equal(got, want) {
@@ -183,6 +218,14 @@ func checkRecycled(t *testing.T, m *parallel.Machine, exec execution, rng *ids.R
 			t.Fatalf("round %d: recycled (nv %d, done %v, round %d), fresh (nv %d, done %v, round %d)",
 				r+1, m.NV(), m.Done(), m.Round(), fresh.NV(), fresh.Done(), fresh.Round())
 		}
+	}
+	same := true
+	for i := range int32(freshIdx.Len()) {
+		j, ok := idx.Lookup(freshIdx.ID(i))
+		same = same && ok && j == i
+	}
+	if same {
+		t.Fatalf("the used index numbers the execution's %d ids as a fresh one does", freshIdx.Len())
 	}
 }
 
@@ -202,13 +245,17 @@ func forgedCandidates(exec execution) int {
 
 // TestMachineResetEqualsFresh recycles one machine through sixty
 // executions, each cut off at a different round, and compares it with a
-// fresh machine throughout. Every tenth execution is wide, so the small
-// one after it runs on sets and an index that have been past 64 ids. It
-// also checks that the executions are the dirty ones the comparison is
-// meant for: some are abandoned with an instance undecided, some decide
-// a value, some decide ⊥ only.
+// fresh machine throughout. The recycled machine's owner keeps one index
+// for all sixty, as a dynamic node does, numbered in an order of its
+// own. Every tenth execution is wide, so the small one after it runs on
+// a core whose sets and candidate index have been past 64 ids. Forged
+// candidates never reach the owner's index, which holds only the pool.
+// It also checks that the executions are the dirty ones the comparison
+// is meant for: some are abandoned with an instance undecided, some
+// decide a value, some decide ⊥ only.
 func TestMachineResetEqualsFresh(t *testing.T) {
 	rng := ids.NewRand(99)
+	idx := usedIndex()
 	m := parallel.NewMachine(1, nil, nil)
 	var unfinished, withOutput, withoutOutput int
 	for seed := uint64(1); seed <= 60; seed++ {
@@ -216,7 +263,10 @@ func TestMachineResetEqualsFresh(t *testing.T) {
 		if seed%10 == 0 && forgedCandidates(exec) <= 64 {
 			t.Fatalf("wide execution %d forged only %d candidates", seed, forgedCandidates(exec))
 		}
-		checkRecycled(t, m, exec, rng)
+		checkRecycled(t, m, idx, exec, rng)
+		if idx.Len() != len(pool()) {
+			t.Fatalf("execution %d: the owner's index holds %d ids, the pool %d", seed, idx.Len(), len(pool()))
+		}
 		switch {
 		case !m.Done():
 			unfinished++
@@ -232,8 +282,8 @@ func TestMachineResetEqualsFresh(t *testing.T) {
 }
 
 // FuzzMachineReset is the same comparison over fuzzed seeds: a machine
-// runs the first cut rounds of one execution, wide or not, is Reset, and
-// must then match a fresh machine on another.
+// runs the first cut rounds of one execution, wide or not, on a used
+// owner index, is Reset, and must then match a fresh machine on another.
 func FuzzMachineReset(f *testing.F) {
 	f.Add(uint64(1), uint64(2), uint8(0), false)
 	f.Add(uint64(3), uint64(4), uint8(4), false) // cut inside phase 1
@@ -243,26 +293,27 @@ func FuzzMachineReset(f *testing.F) {
 	f.Add(uint64(6), uint64(8), uint8(12), true) // past 64 ids, then a small execution
 	f.Fuzz(func(t *testing.T, dirtySeed, cleanSeed uint64, cut uint8, wide bool) {
 		dirty := record(dirtySeed, int(cut%31), wide)
-		m := parallel.NewMachine(dirty.self, dirty.inputs, dirty.members)
+		idx := usedIndex()
+		m := parallel.NewMachine(dirty.self, dirty.inputs, membersIn(idx, dirty.members))
 		for _, inbox := range dirty.inboxes {
-			m.Step(inbox)
+			m.Step(idx, inbox)
 		}
-		checkRecycled(t, m, record(cleanSeed, 22, false), ids.NewRand(dirtySeed^cleanSeed))
+		checkRecycled(t, m, idx, record(cleanSeed, 22, false), ids.NewRand(dirtySeed^cleanSeed))
 	})
 }
 
-// TestAbsorbChecksEverySender pins what Absorb's one-entry verdict cache
-// must not do: carry a sender's verdict over to another sender when the
-// inbox is not sender-sorted, or over a Reset.
+// TestAbsorbChecksEverySender: Absorb admits by the sender's number
+// alone. An outsider of S is dropped, so is a member first heard after
+// the freeze, and so is a member that a Reset's smaller S leaves out.
 func TestAbsorbChecksEverySender(t *testing.T) {
 	all := ids.Sparse(ids.NewRand(4), 5)
 	self, member, stranger, outsider := all[0], all[1], all[2], all[3]
-	m := parallel.NewMachine(self, nil, []ids.ID{self, member, stranger})
+	var idx quorum.Index
+	absorb := func(m *parallel.Machine, from ids.ID, p any) { m.Absorb(from, idx.Of(from), wire(p)) }
+	m := parallel.NewMachine(self, nil, membersIn(&idx, []ids.ID{self, member, stranger}))
 	m.Advance()
-	for i := 0; i < 3; i++ { // member and outsider alternate
-		m.Absorb(member, wire(rotor.Init{}))
-		m.Absorb(outsider, wire(rotor.Init{}))
-	}
+	absorb(m, member, rotor.Init{})
+	absorb(m, outsider, rotor.Init{})
 	if got := m.Advance(); !slices.Equal(got, []parallel.Wire{wire(rotor.Echo{P: member})}) {
 		t.Fatalf("round 2 echoes %v, want only the member's init", got)
 	}
@@ -272,21 +323,14 @@ func TestAbsorbChecksEverySender(t *testing.T) {
 	}
 	// Round 4 is phase 1's round B, where an input may still open an
 	// instance — but not the input of a member first heard after the freeze.
-	m.Absorb(member, wire("junk"))
-	m.Absorb(stranger, wire(parallel.Input{ID: 9, X: parallel.V("x")}))
-	m.Absorb(member, wire("junk"))
+	absorb(m, stranger, parallel.Input{ID: 9, X: parallel.V("x")})
 	if got := m.Advance(); len(got) != 0 || !m.Done() {
 		t.Fatalf("a post-freeze stranger opened an instance: sends %v, done %v", got, m.Done())
 	}
 
-	// The same sender, the same round, a different S: the verdict of the
-	// previous execution must not survive Reset.
-	m = parallel.NewMachine(self, nil, []ids.ID{self, member})
+	m.Reset(self, nil, membersIn(&idx, []ids.ID{self}))
 	m.Advance()
-	m.Absorb(member, wire(rotor.Init{}))
-	m.Reset(self, nil, []ids.ID{self})
-	m.Advance()
-	m.Absorb(member, wire(rotor.Init{}))
+	absorb(m, member, rotor.Init{})
 	if got := m.Advance(); len(got) != 0 {
 		t.Fatalf("round 2 echoes %v after Reset dropped the sender from S", got)
 	}

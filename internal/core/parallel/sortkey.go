@@ -4,8 +4,8 @@ import "idonly/internal/sim"
 
 // Sort keys (sim.SortKeyer): a tag from parallel's range 0x50–0x5f,
 // then the fields. A payload's tag is tagBase plus its Wire kind, so a
-// Wire renders its own kinds without a table. Val is not a payload on
-// its own: a carrier writes its two fields in place.
+// Wire compares its kinds in tag order without a table. Val is not a
+// payload on its own: a carrier writes its two fields in place.
 const tagBase byte = 0x50
 
 // appendPairVal is the shared form of the value-carrying payloads:

@@ -8,6 +8,7 @@ import (
 	"idonly/internal/core/parallel"
 	"idonly/internal/core/rotor"
 	"idonly/internal/ids"
+	"idonly/internal/quorum"
 	"idonly/internal/sim"
 )
 
@@ -94,15 +95,16 @@ func TestMachineMembershipFilter(t *testing.T) {
 	members := all[:4]
 	outsider := all[4]
 
-	m := parallel.NewMachine(members[0], map[parallel.PairID]parallel.Val{1: parallel.V("x")}, members)
-	m.Step(nil) // round 1
+	var idx quorum.Index
+	m := parallel.NewMachine(members[0], map[parallel.PairID]parallel.Val{1: parallel.V("x")}, membersIn(&idx, members))
+	m.Step(&idx, nil) // round 1
 	// round 2 inbox: inits from members and the outsider
 	var inbox []sim.MsgT[parallel.Wire]
 	for _, id := range all {
 		inbox = append(inbox, sim.MsgT[parallel.Wire]{From: id, Payload: wire(rotor.Init{})})
 	}
-	m.Step(inbox)
-	m.Step(nil) // round 3: freeze
+	m.Step(&idx, inbox)
+	m.Step(&idx, nil) // round 3: freeze
 	if m.NV() != 4 {
 		t.Fatalf("nv = %d, want 4 (outsider %d filtered)", m.NV(), outsider)
 	}

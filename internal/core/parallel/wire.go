@@ -16,7 +16,7 @@ import (
 // Absorb's admission (its sender is counted, as a payload outside the
 // alphabet always was) and is classified as nothing. wrap is canonical
 // (unused fields are zero for a kind), so Wire equality is payload
-// equality, and its key is the key of the payload it stands for.
+// equality, and it compares as the key of the payload it stands for.
 //
 // The opinion is flattened into S and Bot, and an echo's relay target
 // rides in ID, so a Wire is 32 bytes; the two flag bytes go last, so
@@ -50,22 +50,6 @@ func echo(p ids.ID) Wire { return Wire{Kind: wEcho, ID: PairID(p)} }
 // pairVal is a value-carrying kind for one instance.
 func pairVal(kind uint8, id PairID, x Val) Wire {
 	return Wire{Kind: kind, Bot: x.Bot, ID: id, S: x.S}
-}
-
-// AppendSortKey implements sim.SortKeyer: the bytes of the boxed
-// payload the wire value stands for.
-func (w Wire) AppendSortKey(dst []byte) []byte {
-	switch w.Kind {
-	case wInit:
-		return rotor.Init{}.AppendSortKey(dst)
-	case wEcho:
-		return rotor.Echo{P: ids.ID(w.ID)}.AppendSortKey(dst)
-	case wNoPref, wNoStrong:
-		return appendPair(dst, w.Kind, w.ID)
-	case wInput, wPrefer, wStrong, wOpinion:
-		return appendPairVal(dst, w.Kind, w.ID, w.x())
-	}
-	return dst
 }
 
 // rank is the position of w's key tag among the union's: the kinds

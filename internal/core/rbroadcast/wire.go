@@ -14,9 +14,9 @@ import (
 // zero Wire); unused fields are always zero for a kind (wrap is
 // canonical), so Wire equality is payload equality.
 //
-// Wire delegates its sort key to the wrapped payload type, so the
-// rendered bytes — and with them inbox order, trace digests and
-// canonical reports — are identical on both planes.
+// Wire renders no sort key: Compare orders as the keys of the payloads
+// it unwraps to, so inbox order — and with it trace digests and
+// canonical reports — is identical on both planes.
 type Wire struct {
 	Kind uint8
 	M    string
@@ -30,20 +30,8 @@ const (
 	wEcho
 )
 
-// AppendSortKey implements sim.SortKeyer by delegation.
-func (w Wire) AppendSortKey(dst []byte) []byte {
-	switch w.Kind {
-	case wInitial:
-		return Initial{M: w.M, S: w.S}.AppendSortKey(dst)
-	case wPresent:
-		return Present{}.AppendSortKey(dst)
-	default:
-		return Echo{M: w.M, S: w.S}.AppendSortKey(dst)
-	}
-}
-
 // rank is the position of w's key tag: the kinds are declared in tag
-// order, and every other kind renders, as AppendSortKey's default, an
+// order, and every other kind unwraps to, and so compares as, an
 // echo.
 func (w Wire) rank() uint8 {
 	if w.Kind == wInitial || w.Kind == wPresent {

@@ -12,18 +12,17 @@ import (
 
 // Lemma-level tests against the Core state machine directly.
 
-// testCore is a Core with its own index, absorbing by id.
+// testCore is a Core with its owner's sender index, absorbing by id.
 type testCore struct {
 	*rotor.Core
 	idx *quorum.Index
 }
 
 func newCore(self ids.ID) testCore {
-	idx := new(quorum.Index)
-	return testCore{rotor.NewCore(self, idx), idx}
+	return testCore{rotor.NewCore(self), new(quorum.Index)}
 }
 
-func (c testCore) init(from ids.ID)    { c.AbsorbInit(c.idx.Of(from)) }
+func (c testCore) init(from ids.ID)    { c.AbsorbInit(from) }
 func (c testCore) echo(from, p ids.ID) { c.AbsorbEcho(c.idx.Of(from), p) }
 
 func TestCoreLemma6CandidateRelay(t *testing.T) {
@@ -191,11 +190,11 @@ func TestCoreResetEqualsFresh(t *testing.T) {
 	}
 }
 
-// TestCoreResetAcrossInlineBoundary: a life that numbers more than 64
-// ids — 120 senders and 70 candidates, most of them forged, past a
-// sender set's inline word — leaves nothing behind in Reset. The
+// TestCoreResetAcrossInlineBoundary: a life with more than 64 senders
+// — 120 senders and 70 candidates, most of them forged, past a sender
+// set's inline word — leaves nothing behind in Reset. The owner's
 // numbering is not observable either: the next life matches a new core
-// whether or not the owner resets the index with the core.
+// whether or not the owner resets its sender index with the core.
 func TestCoreResetAcrossInlineBoundary(t *testing.T) {
 	for _, resetIndex := range []bool{true, false} {
 		recycled := newCore(1)

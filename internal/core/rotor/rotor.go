@@ -16,7 +16,10 @@
 //   - Core: the Cv/Sv state machine (echo absorption, candidate
 //     admission, per-round selection). Consensus (Algorithm 3) and
 //     parallel consensus (Algorithm 5) embed a Core and drive one rotor
-//     round per phase.
+//     round per phase. A Core numbers its candidates in an index of its
+//     own, emptied by Reset, so what a forger names lives only as long as
+//     one execution; its owner numbers the senders and passes each
+//     echo's sender by number.
 //   - Node: the standalone Algorithm 2 process, which additionally
 //     broadcasts and accepts coordinator opinions and terminates on
 //     re-selection.
@@ -46,35 +49,35 @@ type Opinion struct {
 }
 
 // Core is the candidate/selection state machine shared by every
-// protocol that embeds a rotor-coordinator. Senders and candidates are
-// dense indices of the owner's quorum.Index; every loop that hands ids
+// protocol that embeds a rotor-coordinator. Candidates — init senders
+// and echo targets — are dense indices of the core's own index, which
+// Reset empties, so forged candidates are bounded per execution. Echo
+// senders are numbers of the owner's index. Every loop that hands ids
 // out orders them by id, never by index.
 type Core struct {
 	self      ids.ID
-	idx       *quorum.Index // the owner's; numbers senders and candidates
-	inits     quorum.Set    // init senders (round 1)
-	echoes    []quorum.Set  // echoes[p]: distinct senders of echo(p), by p's index
-	witnessed []int32       // candidates with at least one echo, in id order
-	cv        []int32       // candidate coordinators, in id order
-	inCv      quorum.Set    // cv as a set
-	sv        quorum.Set    // selected coordinators
-	selected  []ids.ID      // selection sequence (one per Advance)
-	r         int           // next selection round index (starts at 0)
+	idx       quorum.Index // numbers this execution's candidates
+	inits     quorum.Set   // init senders (round 1), as candidates
+	echoes    []quorum.Set // echoes[p]: distinct senders of echo(p), by p's index
+	witnessed []int32      // candidates with at least one echo, in id order
+	cv        []int32      // candidate coordinators, in id order
+	inCv      quorum.Set   // cv as a set
+	sv        quorum.Set   // selected coordinators
+	selected  []ids.ID     // selection sequence (one per Advance)
+	r         int          // next selection round index (starts at 0)
 
 	initScratch  []ids.ID // backs EchoInits' return, valid until the next EchoInits
 	relayScratch []ids.ID // backs Advance's relays return; valid until the next Advance
 }
 
-// NewCore returns an empty rotor core for the given node, numbering ids
-// in idx, which its owner resets with the core.
-func NewCore(self ids.ID, idx *quorum.Index) *Core {
-	return &Core{self: self, idx: idx}
-}
+// NewCore returns an empty rotor core for the given node.
+func NewCore(self ids.ID) *Core { return &Core{self: self} }
 
-// Reset returns the core to the state NewCore(self, idx) builds, keeping
-// the sets' words and the slices' capacity. The owner resets idx.
+// Reset returns the core to the state NewCore(self) builds, keeping the
+// index's table, the sets' words and the slices' capacity.
 func (c *Core) Reset(self ids.ID) {
 	c.self, c.r = self, 0
+	c.idx.Reset()
 	c.inits.Reset()
 	for _, p := range c.witnessed {
 		c.echoes[p].Reset()
@@ -85,15 +88,16 @@ func (c *Core) Reset(self ids.ID) {
 	c.cv, c.selected = c.cv[:0], c.selected[:0]
 }
 
-// AbsorbInit records an init broadcast from the sender numbered from.
-func (c *Core) AbsorbInit(from int32) { c.inits.Add(from) }
+// AbsorbInit records an init broadcast from p.
+func (c *Core) AbsorbInit(p ids.ID) { c.inits.Add(c.idx.Of(p)) }
 
-// AbsorbEcho records an echo(p) vouched by the sender numbered from.
+// AbsorbEcho records an echo(p) vouched by the sender the owner numbers
+// from.
 func (c *Core) AbsorbEcho(from int32, p ids.ID) {
 	pi := c.idx.Of(p)
 	if n := int(pi) + 1; n > len(c.echoes) {
-		// Room for every id numbered so far, in one step; sets past len
-		// were reset before the slice was cut back.
+		// Room for every candidate numbered so far, in one step; sets past
+		// len were reset before the slice was cut back.
 		c.echoes = slices.Grow(c.echoes, c.idx.Len()-len(c.echoes))[:n]
 	}
 	set := &c.echoes[pi]
@@ -214,7 +218,7 @@ type Node struct {
 	id        ids.ID
 	opinion   float64
 	core      *Core
-	idx       quorum.Index // numbers every id this node has seen
+	idx       quorum.Index // numbers every sender this node has heard
 	senders   quorum.Set   // nv bookkeeping
 	prevCoord ids.ID       // coordinator selected in the previous round (0 = none)
 	accepted  []AcceptedOpinion
@@ -226,9 +230,7 @@ type Node struct {
 
 // New returns a rotor-coordinator node whose own opinion is x.
 func New(id ids.ID, x float64) *Node {
-	n := &Node{id: id, opinion: x, opScratch: make(map[ids.ID]float64)}
-	n.core = NewCore(id, &n.idx)
-	return n
+	return &Node{id: id, opinion: x, core: NewCore(id), opScratch: make(map[ids.ID]float64)}
 }
 
 // ID implements sim.Process.
@@ -272,7 +274,7 @@ func (n *Node) Step(round int, inbox []sim.Message) []sim.Send {
 		}
 		switch p := msg.Payload.(type) {
 		case Init:
-			n.core.AbsorbInit(from)
+			n.core.AbsorbInit(msg.From)
 		case Echo:
 			n.core.AbsorbEcho(from, p.P)
 		case Opinion:

@@ -54,16 +54,15 @@ import (
 
 // WireMsg is the constraint on a protocol's concrete wire type M: a
 // comparable value (the duplicate filter keys on it directly) that
-// renders the sort key of the payload it stands for (sortkey.go) and
-// compares as that key does. A union's zero value must be no message:
-// BoxedStep delivers payloads outside the union as it.
+// compares as the sort key of the payload it stands for (sortkey.go).
+// A union's zero value must be no message: BoxedStep delivers payloads
+// outside the union as it.
 type WireMsg[M any] interface {
 	comparable
-	SortKeyer
-	// Compare orders two wire values as their sort keys order: its
-	// sign is that of bytes.Compare over the two rendered keys, for
-	// every pair of values. The typed plane orders inboxes by it and
-	// renders no key.
+	// Compare orders two wire values as the keys of the payloads they
+	// unwrap to order: its sign is that of bytes.Compare over the two
+	// keys, for every pair of values. The typed plane orders inboxes by
+	// it and renders no key.
 	Compare(M) int
 }
 

@@ -22,7 +22,7 @@ import (
 
 // key renders a payload's sort key. Keys are unique within a sender's
 // run, so any sort of an inbox by (sender, key) yields the one order.
-func key(p any) []byte { return p.(sim.SortKeyer).AppendSortKey(nil) }
+func key(p any) []byte { return sim.AppendKey(nil, p) }
 
 // naiveModel is a playFn, like the core's instantiations.
 func naiveModel(cfg sim.Config, s system) sim.Metrics {

@@ -413,8 +413,6 @@ type asmWire struct {
 	V int
 }
 
-func (w asmWire) AppendSortKey(dst []byte) []byte { return AppendKey(dst, asmCodec.Unwrap(w)) }
-
 // Compare orders as the keys do: K%3 picks the tag (0xf0–0xf2), then
 // the value.
 func (w asmWire) Compare(o asmWire) int {

@@ -193,10 +193,15 @@ var boxedCodec = Codec[any]{
 	Unwrap: func(m any) any { return m },
 }
 
-// AppendKey appends a boxed payload's sort key (sortkey.go). A payload
-// without one is outside the contract and panics, naming its type, as
-// a typed runner does for a payload outside its union.
+// AppendKey appends a boxed payload's sort key (sortkey.go). A nil
+// payload — what a union's zero kind unwraps to — renders no key, so it
+// sorts first, as the zero kind compares. Any other payload without a
+// key is outside the contract and panics, naming its type, as a typed
+// runner does for a payload outside its union.
 func AppendKey(dst []byte, payload any) []byte {
+	if payload == nil {
+		return dst
+	}
 	sk, ok := payload.(SortKeyer)
 	if !ok {
 		panic(fmt.Sprintf("sim: payload %T has no sort key", payload))

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"fmt"
 	"go/parser"
 	"go/token"
 	"path/filepath"
@@ -269,6 +270,21 @@ func TestFaultyWithoutAdversaryPanics(t *testing.T) {
 	}()
 	p := &echoProc{id: 1, stopAt: 1}
 	sim.NewRunner(sim.Config{}, []sim.Process{p}, []ids.ID{2}, nil)
+}
+
+// TestAppendKeyNilAndKeyless: a nil payload, which a union's zero kind
+// unwraps to, renders no key, so it sorts first; a payload of a type
+// without a key panics, naming the type.
+func TestAppendKeyNilAndKeyless(t *testing.T) {
+	if got := sim.AppendKey([]byte{7}, nil); string(got) != "\x07" {
+		t.Fatalf("AppendKey(dst, nil) = %q, want dst unchanged", got)
+	}
+	defer func() {
+		if got := fmt.Sprint(recover()); !strings.Contains(got, "struct { A int }") {
+			t.Fatalf("a keyless payload panicked with %q, want its type named", got)
+		}
+	}()
+	sim.AppendKey(nil, struct{ A int }{})
 }
 
 func TestMaxRoundsCap(t *testing.T) {

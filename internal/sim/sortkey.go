@@ -53,8 +53,8 @@
 // Registering a payload type means implementing AppendSortKey with a
 // fresh tag from its package's range and adding sample values to
 // internal/sortkeys, whose tests hold every registered type to the
-// contract. A wire union renders the key of the payload it stands for,
-// and its Compare agrees with those keys (FuzzWireCompare in
+// contract. A wire union renders no key: its Compare agrees with the
+// key of the payload each value unwraps to (FuzzWireCompare in
 // internal/sortkeys), so both planes order an inbox alike.
 package sim
 

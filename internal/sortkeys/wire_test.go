@@ -1,13 +1,12 @@
 package sortkeys
 
-// Wire-union delegation: the monomorphized runner's bit-identity proof
-// rests on each protocol's wire type rendering exactly the bytes of the
-// boxed payload it wraps, on its Compare ordering as those bytes do
-// (the typed runner orders by Compare alone), and on Wrap/Unwrap being
-// a lossless round trip. The unions are enumerated from the wire side — every wire value
-// that survives Unwrap then Wrap is a member, and its payload's type a
-// member type — so a kind added to a union without samples here, or
-// with a key that diverges from its payload's, fails this test.
+// Wire unions: the monomorphized runner's bit-identity proof rests on
+// each protocol's wire type comparing as the keys of the boxed payloads
+// it unwraps to (the typed runner orders by Compare alone, and renders
+// no key), and on Wrap/Unwrap being a lossless round trip. The unions
+// are enumerated from the wire side — every wire value that survives
+// Unwrap then Wrap is a member, and its payload's type a member type —
+// so a kind added to a union without samples here fails this test.
 
 import (
 	"bytes"
@@ -29,12 +28,11 @@ import (
 
 // checkWireUnion finds the member types of codec's union among
 // candidates, then checks every sample of a member type for a lossless
-// round trip and a wire key equal to the payload's own key, and
-// that every other payload — samples of other types, and junk — is
-// rejected. noise, when not nil, names the samples of a member type
-// that are nonetheless outside the union (a wrapper around an unknown
-// payload) and the wire value Wrap must return for each, with ok
-// false.
+// round trip, and that every other payload — samples of other types,
+// and junk — is rejected. noise, when not nil, names the samples of a
+// member type that are nonetheless outside the union (a wrapper around
+// an unknown payload) and the wire value Wrap must return for each,
+// with ok false.
 func checkWireUnion[M sim.WireMsg[M]](t *testing.T, name string, codec sim.Codec[M], candidates []M, noise func(p any) (M, bool)) {
 	t.Helper()
 	members := make(map[reflect.Type]int) // member type -> samples seen
@@ -72,9 +70,6 @@ func checkWireUnion[M sim.WireMsg[M]](t *testing.T, name string, codec sim.Codec
 		if !ok {
 			t.Errorf("%s: Wrap(%#v) rejected a union member", name, p)
 			continue
-		}
-		if got, want := string(w.AppendSortKey(nil)), string(sim.AppendKey(nil, p)); got != want {
-			t.Errorf("%s: wire key %q != payload key %q for %#v", name, got, want, p)
 		}
 		if back := codec.Unwrap(w); back != p {
 			t.Errorf("%s: round trip %#v -> %#v", name, p, back)
@@ -137,7 +132,7 @@ func TestWireUnionsDelegate(t *testing.T) {
 		t.Error("dynamic: no sample is session noise")
 	}
 
-	// The pairs whose %v renderings used to tie.
+	// The pairs whose %v renderings used to tie compare apart.
 	checkApart(t, pc, parallel.NoPref{ID: 4}, parallel.NoStrongPref{ID: 4})
 	checkApart(t, pc, parallel.NoPref{ID: 9}, rotor.Echo{P: 9})
 	checkApart(t, dc, dynamic.Present{}, dynamic.Absent{})
@@ -148,8 +143,8 @@ func TestWireUnionsDelegate(t *testing.T) {
 }
 
 // checkApart requires two payloads of one union that agree field for
-// field but differ in type to be distinct wire values with distinct
-// keys.
+// field but differ in type to be distinct wire values that do not
+// compare equal.
 func checkApart[M sim.WireMsg[M]](t *testing.T, codec sim.Codec[M], a, b any) {
 	t.Helper()
 	wa, okA := codec.Wrap(a)
@@ -157,20 +152,24 @@ func checkApart[M sim.WireMsg[M]](t *testing.T, codec sim.Codec[M], a, b any) {
 	if !okA || !okB {
 		t.Fatalf("%#v or %#v is outside the union", a, b)
 	}
-	if ka, kb := wa.AppendSortKey(nil), wb.AppendSortKey(nil); string(ka) == string(kb) {
-		t.Errorf("%#v and %#v: both render key %q", a, b, ka)
+	if wa.Compare(wb) == 0 {
+		t.Errorf("%#v and %#v: Compare ties them", a, b)
 	}
 	if wa == wb {
 		t.Errorf("%#v and %#v: one wire value for two payloads", a, b)
 	}
 }
 
+// wireKey is the reference key of a wire value: the key of the payload
+// it unwraps to, empty for a kind outside the union (nil).
+func wireKey[M any](codec sim.Codec[M], w M) []byte { return sim.AppendKey(nil, codec.Unwrap(w)) }
+
 // checkCompare holds one pair of wire values to the oracle: the sign
-// of a.Compare(b) is that of bytes.Compare over their rendered keys,
+// of a.Compare(b) is that of bytes.Compare over their reference keys,
 // and b.Compare(a) is its negation.
-func checkCompare[M sim.WireMsg[M]](t *testing.T, a, b M) {
+func checkCompare[M sim.WireMsg[M]](t *testing.T, codec sim.Codec[M], a, b M) {
 	t.Helper()
-	want := bytes.Compare(a.AppendSortKey(nil), b.AppendSortKey(nil))
+	want := bytes.Compare(wireKey(codec, a), wireKey(codec, b))
 	if got := cmp.Compare(a.Compare(b), 0); got != want {
 		t.Fatalf("%#v.Compare(%#v) has sign %d, its keys compare %d", a, b, got, want)
 	}
@@ -179,7 +178,7 @@ func checkCompare[M sim.WireMsg[M]](t *testing.T, a, b M) {
 	}
 }
 
-// FuzzWireCompare holds every wire union's Compare to its rendered
+// FuzzWireCompare holds every wire union's Compare to its reference
 // keys, over any kinds — members of the union or not — and any field
 // values: the typed runner orders inboxes by Compare and renders no
 // key, so the two may never disagree. The seeds straddle the one-byte
@@ -220,18 +219,18 @@ func FuzzWireCompare(f *testing.F) {
 	f.Fuzz(func(t *testing.T, union, ka, kb uint8, ia, ib uint64, ra, rb int64, xa, xb float64, sa, sb string, ba, bb bool) {
 		switch union % 5 {
 		case uRing:
-			checkCompare(t, ring.Probe{Min: ids.ID(ia)}, ring.Probe{Min: ids.ID(ib)})
+			checkCompare(t, ring.WireCodec(), ring.Probe{Min: ids.ID(ia)}, ring.Probe{Min: ids.ID(ib)})
 		case uConsensus:
-			checkCompare(t, consensus.Wire{Kind: ka, P: ids.ID(ia), X: xa}, consensus.Wire{Kind: kb, P: ids.ID(ib), X: xb})
+			checkCompare(t, consensus.WireCodec(), consensus.Wire{Kind: ka, P: ids.ID(ia), X: xa}, consensus.Wire{Kind: kb, P: ids.ID(ib), X: xb})
 		case uRBroadcast:
-			checkCompare(t, rbroadcast.Wire{Kind: ka, M: sa, S: ids.ID(ia)}, rbroadcast.Wire{Kind: kb, M: sb, S: ids.ID(ib)})
+			checkCompare(t, rbroadcast.WireCodec(), rbroadcast.Wire{Kind: ka, M: sa, S: ids.ID(ia)}, rbroadcast.Wire{Kind: kb, M: sb, S: ids.ID(ib)})
 		case uParallel:
-			checkCompare(t, parallel.Wire{ID: parallel.PairID(ia), S: sa, Kind: ka, Bot: ba},
+			checkCompare(t, parallel.WireCodec(), parallel.Wire{ID: parallel.PairID(ia), S: sa, Kind: ka, Bot: ba},
 				parallel.Wire{ID: parallel.PairID(ib), S: sb, Kind: kb, Bot: bb})
 		case uDynamic:
 			// The low three bits pick the kind, the rest a session's inner
 			// kind.
-			checkCompare(t,
+			checkCompare(t, dynamic.WireCodec(),
 				dynamic.Wire{ID: parallel.PairID(ia), R: int(ra), S: sa, Kind: ka % 8, InKind: ka / 8, Bot: ba},
 				dynamic.Wire{ID: parallel.PairID(ib), R: int(rb), S: sb, Kind: kb % 8, InKind: kb / 8, Bot: bb})
 		}
@@ -269,7 +268,7 @@ func allPairs[M sim.WireMsg[M]](t *testing.T, codec sim.Codec[M], samples []sim.
 	}
 	for _, a := range members {
 		for _, b := range members {
-			checkCompare(t, a, b)
+			checkCompare(t, codec, a, b)
 		}
 	}
 }
