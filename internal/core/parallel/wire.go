@@ -20,8 +20,8 @@ import (
 //
 // The opinion is flattened into S and Bot, and an echo's relay target
 // rides in ID, so a Wire is 32 bytes; the two flag bytes go last, so
-// hashing a Wire (the duplicate filter keys on it) covers one word, one
-// string and one two-byte run.
+// comparing two Wires for equality (how the runner finds a sender's
+// duplicates) covers one word, one string and one two-byte run.
 type Wire struct {
 	ID   PairID // the instance; for an echo, the relay target
 	S    string // the opinion's string

@@ -17,8 +17,8 @@ import (
 //     protocol livelocks (runs into the round cap undecided).
 //   - E10b: the duplicate-discarding of the model. The Replay adversary
 //     floods re-sent payloads; the table shows how many deliveries the
-//     per-round duplicate filter absorbs while the protocol result is
-//     unchanged.
+//     runner drops as within-round duplicates — where each sender's
+//     sorted sends meet — while the protocol result is unchanged.
 //   - E10c: the failure mode at n = 3f differs between the id-only
 //     thresholds (nv/3 relay cascades a forgery) and the known-f
 //     Srikanth–Toueg thresholds (f+1 relay resists the same forgery) —

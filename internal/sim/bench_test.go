@@ -97,41 +97,39 @@ func benchRunners(n int, mk func(*benchProc, int, []SendT[benchPayload]) []SendT
 	return NewRunner(cfg, boxed, nil, nil).TypedRunner, NewTypedRunner(cfg, typed, nil, nil, benchCodec)
 }
 
-// benchDeliver measures one broadcast send fanned out to n recipients,
-// dedup included. The inboxes and duplicate
-// filters are drained every few deliveries with the timer stopped — a
-// round never carries unbounded backlog, and letting it pile up across
-// b.N iterations would measure map growth instead of the steady-state
-// fan-out.
+// benchDeliver measures one sender's Step as the runner delivers it:
+// len(payloads) distinct broadcasts, each fanned out to n recipients by
+// one log append, then the close that sorts them and drops repeats.
+// Each iteration empties the sender's part of the log again, so the
+// log stays at its steady size.
 func benchDeliver[P ProcessT[M], M comparable](b *testing.B, r *TypedRunner[P, M], payloads []M) {
 	r.StepRound() // warm the pooled buffers
 	// The highest id: its sends land after the warm-up round's own
-	// traffic, keeping the lanes in sender order.
+	// traffic, keeping the log in sender order.
 	from := r.idvec[len(r.idvec)-1]
+	lo, ulo := len(r.log.next.msgs), len(r.bucket.ents)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if i%len(payloads) == 0 && i > 0 {
-			b.StopTimer()
-			r.StepRound() // flip + clear both buffer generations
-			r.StepRound()
-			b.StartTimer()
+		for _, p := range payloads {
+			r.deliver(from, Broadcast, p)
 		}
-		// A distinct payload per iteration within a batch so the dedup
-		// filter admits every delivery (the steady-state path).
-		r.deliver(from, Broadcast, payloads[i%len(payloads)])
+		r.closeSender(lo, ulo)
+		r.log.next.msgs = r.log.next.msgs[:lo]
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(payloads)), "ns/send")
 }
 
 func BenchmarkDeliverBroadcast(b *testing.B) {
 	const batch = 16 // distinct broadcasts per sender per round; generous vs any protocol here
+	// Listed in descending order, so the close's sort has work to do.
 	// Box the payloads outside the timed loop: a protocol's sends are
 	// boxed by its own Step, so the fan-out itself is what this
 	// benchmark isolates.
 	registered := make([]any, batch)
 	wire := make([]benchPayload, batch)
 	for i := range wire {
-		wire[i] = benchPayload{Kind: i, Value: 1}
+		wire[i] = benchPayload{Kind: batch - i, Value: 1}
 		registered[i] = wire[i]
 	}
 	for _, n := range []int{8, 32, 128} {
@@ -141,34 +139,36 @@ func BenchmarkDeliverBroadcast(b *testing.B) {
 	}
 }
 
-// BenchmarkSortInbox measures sorting a pooled inbox: m messages from
-// m/8 senders in sender order (as delivery leaves them), each sender's
-// run of 8 in descending order, on both planes — typed by the wire
-// value's Compare, boxed by rendering both keys of each comparison
-// into reused scratch. The input is restored from a template each
-// iteration; comparisons happen within one sender's run only.
+// BenchmarkSortInbox measures the sort a sender's close does: m
+// broadcasts from m/8 senders, each sender's run of 8 in descending
+// order, each run sorted by payload as its sender's close sorts it, on
+// both planes — typed by the wire value's Compare, boxed by rendering
+// both keys of each comparison into reused scratch. The input is
+// restored from a template each iteration.
 func BenchmarkSortInbox(b *testing.B) {
 	for _, m := range []int{16, 64, 256} {
 		senders := ids.SortIDs(ids.Sparse(ids.NewRand(7), m/8))
-		var typed laneBuf[benchPayload]
-		var boxed laneBuf[any]
+		var typed []MsgT[benchPayload]
+		var boxed []Message
 		for i := 0; i < m; i++ {
 			p := benchPayload{Kind: i % 3, Value: float64(m - i)}
-			typed.msgs = append(typed.msgs, MsgT[benchPayload]{From: senders[i/8], Payload: p})
-			boxed.msgs = append(boxed.msgs, Message{From: senders[i/8], Payload: p})
+			typed = append(typed, MsgT[benchPayload]{From: senders[i/8], Payload: p})
+			boxed = append(boxed, Message{From: senders[i/8], Payload: p})
 		}
 		b.Run(fmt.Sprintf("boxed/m=%d", m), func(b *testing.B) { benchSort(b, boxed, new(keyOrder).compare) })
 		b.Run(fmt.Sprintf("typed/m=%d", m), func(b *testing.B) { benchSort(b, typed, benchPayload.Compare) })
 	}
 }
 
-func benchSort[M any](b *testing.B, tmpl laneBuf[M], cmp func(a, b M) int) {
-	buf := laneBuf[M]{msgs: make([]MsgT[M], len(tmpl.msgs))}
+func benchSort[M any](b *testing.B, tmpl []MsgT[M], cmp func(a, b M) int) {
+	buf := make([]MsgT[M], len(tmpl))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		copy(buf.msgs, tmpl.msgs)
-		buf.sort(cmp)
+		copy(buf, tmpl)
+		for lo := 0; lo < len(buf); lo += 8 {
+			sortRun(buf[lo:lo+8], cmp)
+		}
 	}
 }
 
@@ -297,13 +297,12 @@ func TestSteadyRoundAllocs(t *testing.T) {
 }
 
 // BenchmarkRunnerBroadcastFanout watches the property the broadcast log
-// and the source-keyed filter exist for: every node broadcasts 16
-// distinct payloads per round and repeats the first of them — n·16
-// sources, n²·16 deliveries and n² duplicate drops. Each fresh
-// broadcast is one filter lookup and one log append,
-// and the log is sorted once per round and handed to all n recipients
-// as their shared inbox; a repeat is one probe that counts n drops. A
-// round therefore costs O(n·16), not O(n²·16), and ns/delivery falls
+// exists for: every node broadcasts 16 distinct payloads per round and
+// repeats the first of them — n·17 log appends, n²·16 deliveries and n²
+// duplicate drops. Each broadcast is one log append; the sender's close
+// sorts its 17 entries, drops the repeat, counting n drops, and leaves
+// the log sorted, handed to all n recipients as their shared inbox. A
+// round therefore costs O(n·17), not O(n²·16), and ns/delivery falls
 // roughly as 1/n. At n=1024 a round is 16 384 log entries (≈0.5 MB)
 // where a plane that appended per recipient made 16.7M appends over
 // 1024 lanes (≈800 MB) and was bound by cache misses (EXPERIMENTS.md

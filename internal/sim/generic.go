@@ -3,15 +3,16 @@
 //
 // TypedRunner is instantiated with a process type P and a comparable
 // wire type M, and everything a round does — buffer flip, inbox
-// assembly, adversary and process steps, observer, delivery through
-// the duplicate filter into the broadcast log and the exception lanes
-// (plane.go), decided bookkeeping, membership churn — exists here and
-// nowhere else. Two kinds of instantiation share it:
+// assembly, adversary and process steps, observer, delivery into the
+// broadcast log and the exception lanes, the close of each sender's
+// sends that drops its duplicates (plane.go), decided bookkeeping,
+// membership churn — exists here and nowhere else. Two kinds of
+// instantiation share it:
 //
 //   - NewTypedRunner, over a protocol's closed wire union (a small
 //     value struct) and its concrete node type: the compiler stencils
-//     the delivery plane, messages travel as []MsgT[M] with no `any`
-//     box, and the filter hashes the wire value itself.
+//     the delivery plane and messages travel as []MsgT[M] with no
+//     `any` box.
 //   - NewRunner (sim.go), over boxed payloads (M = any) and an adapter
 //     that presents a Process as a ProcessT[any]: any payload type
 //     with a sort key, with an identity codec.
@@ -23,22 +24,22 @@
 // renders no key, and rendered sort keys on the boxed one (sortkey.go).
 // A blind adversary (Blind) is handed no inbox, so its faulty slots
 // keep none and nothing is unwrapped for them; a reading one is handed
-// its slot's typed inbox boxed at the edge. Delivery is paid per
-// source: a fresh broadcast is one log append whatever the recipient
-// count, so an inbox may be the round's shared log; the rest is one
+// its slot's typed inbox boxed at the edge. Delivery is routed by
+// destination: a broadcast is one log append whatever the recipient
+// count, so an inbox may be the round's shared log; a unicast is one
 // append to the round's bucket. Node bookkeeping lives in
 // struct-of-arrays (ids, processes, faulty and decided flags, lanes,
-// in parallel slices a round streams through), sorted by id
-// and indexed through a quorum.Index that numbers the ids in slot
-// order; joins and leaves shift every column in step.
+// in parallel slices a round streams through), sorted by id and
+// indexed through a quorum.Index that numbers the ids in slot order;
+// joins and leaves shift every column in step.
 //
-// The duplicate filter holds one sender at a time and keys on the wire
-// value. Under the one key contract (sortkey.go) value equality and
-// key equality coincide, across types too, and a union's Compare
-// agrees with its keys' byte order, so both instantiations name the
-// same sources and order every inbox alike; NaN, which never equals
-// itself, stays outside the contract. The schedule is therefore the
-// same for every instantiation: golden_test.go pins the trace digests on both, and
+// Under the one key contract (sortkey.go) value equality and key
+// equality coincide, across types too, and a union's Compare agrees
+// with its keys' byte order, so both instantiations sort a sender's
+// sends alike, find the same duplicates next to each other and order
+// every inbox alike; NaN, which never equals itself, stays outside the
+// contract. The schedule is therefore the same for every
+// instantiation: golden_test.go pins the trace digests on both, and
 // naive_test.go checks the core against a map-based model of the
 // paper's §IV.
 package sim
@@ -53,8 +54,9 @@ import (
 )
 
 // WireMsg is the constraint on a protocol's concrete wire type M: a
-// comparable value (the duplicate filter keys on it directly) that
-// compares as the sort key of the payload it stands for (sortkey.go).
+// comparable value (a sender's duplicates are found by value equality
+// once its sends are sorted) that compares as the sort key of the
+// payload it stands for (sortkey.go).
 // A union's zero value must be no message: BoxedStep delivers payloads
 // outside the union as it.
 type WireMsg[M any] interface {
@@ -171,20 +173,15 @@ type TypedRunner[P ProcessT[M], M comparable] struct {
 	leaver []Leaver     // non-nil when the process has a leave discipline
 	slot   quorum.Index // id -> slot: numbered over idvec in order
 
-	// Delivery (plane.go): the broadcast log carries each fresh
-	// broadcast once for every slot; the exception lanes carry the
-	// rest. The log is double-buffered and flips at the round boundary.
-	// Lane traffic goes into one bucket, in delivery order; after the
-	// round's last delivery the bucket scatters it into cur, one view
-	// per slot, which the next round consumes. A blind adversary's
-	// slots keep no lane. All backing arrays are reused for the run.
+	// Delivery (plane.go): the broadcast log carries each broadcast
+	// once for every slot, and flips at the round boundary. Unicasts go
+	// into one bucket, sender after sender; after the round's last
+	// delivery it scatters them into cur, one lane per slot, which the
+	// next round reads, merged with the log into merged when not empty.
+	// All backing arrays are reused for the run.
 	log    bcastLog[M]
 	bucket bucket[M]
 	cur    []laneBuf[M]
-	runs   bool // this round put two payloads of one sender into lanes
-	sorted bool // !runs of the round that filled cur: no lane needs a sort pass
-
-	// Merge scratch for inboxes whose lane is not empty.
 	merged laneBuf[M]
 
 	// A reading adversary's inboxes, boxed at the edge when M ≠ any:
@@ -206,8 +203,6 @@ type TypedRunner[P ProcessT[M], M comparable] struct {
 	round     int
 	stepping  bool  // a round is executing; membership is frozen
 	leavers   []int // this round's leaving slots, ascending; reused
-
-	filter srcFilter[M] // within-round duplicate filter, one sender at a time (plane.go)
 
 	obsSends []Send // observer unbox scratch, reused
 }
@@ -379,12 +374,13 @@ func (r *TypedRunner[P, M]) StepRound() {
 	delete(r.spawns, round)
 
 	// Flip the delivery buffers: last round's log becomes this round's
-	// shared inbox, sorted once for everyone, beside the lanes last
-	// round's bucket scattered, and the log consumed last round is
-	// emptied, backing arrays intact, to receive this round's traffic.
+	// shared inbox, sorted sender by sender as each closed, beside the
+	// lanes last round's bucket scattered, and the log consumed last
+	// round is emptied, backing arrays intact, to receive this round's
+	// traffic.
 	// All of it keeps the capacity the run grew it to and is freed with
 	// the runner.
-	r.log.flip(r.cmp)
+	r.log.flip()
 	r.metrics.ByRound = append(r.metrics.ByRound, 0)
 
 	r.leavers = r.leavers[:0]
@@ -394,7 +390,7 @@ func (r *TypedRunner[P, M]) StepRound() {
 	nn := len(r.idvec)
 	for i := 0; i < nn; i++ {
 		id := r.idvec[i]
-		r.filter.reset() // a new sender
+		lo, ulo := len(r.log.next.msgs), len(r.bucket.ents)
 		if r.faulty[i] {
 			var inbox []Message
 			if !r.blind {
@@ -409,28 +405,29 @@ func (r *TypedRunner[P, M]) StepRound() {
 				}
 				r.deliver(id, s.To, m)
 			}
-			continue
+		} else {
+			p := r.procs[i]
+			// done[i] caches Decided: the protocols are monotone, so
+			// re-asking a decided node every round would be a no-op.
+			if r.done[i] || p.Decided() {
+				r.markDecided(i, round-1)
+				continue
+			}
+			sends := p.StepTyped(round, r.inbox(i))
+			if r.cfg.Observer != nil {
+				r.observe(round, id, sends)
+			}
+			for _, s := range sends {
+				r.deliver(id, s.To, s.Payload)
+			}
+			if p.Decided() {
+				r.markDecided(i, round)
+			}
+			if l := r.leaver[i]; l != nil && l.Left() {
+				r.leavers = append(r.leavers, i)
+			}
 		}
-		p := r.procs[i]
-		// done[i] caches Decided: the protocols are monotone, so
-		// re-asking a decided node every round would be a no-op.
-		if r.done[i] || p.Decided() {
-			r.markDecided(i, round-1)
-			continue
-		}
-		sends := p.StepTyped(round, r.inbox(i))
-		if r.cfg.Observer != nil {
-			r.observe(round, id, sends)
-		}
-		for _, s := range sends {
-			r.deliver(id, s.To, s.Payload)
-		}
-		if p.Decided() {
-			r.markDecided(i, round)
-		}
-		if l := r.leaver[i]; l != nil && l.Left() {
-			r.leavers = append(r.leavers, i)
-		}
+		r.closeSender(lo, ulo)
 	}
 	// The round's last delivery is done: scatter the bucket into the
 	// lanes next round reads, then drop the leavers, lanes and all,
@@ -438,7 +435,6 @@ func (r *TypedRunner[P, M]) StepRound() {
 	if r.bucket.scatter(r.cur) {
 		r.metrics.InboxGrows++
 	}
-	r.sorted, r.runs = !r.runs, false
 	for k := len(r.leavers) - 1; k >= 0; k-- {
 		r.remove(r.leavers[k])
 	}
@@ -448,7 +444,7 @@ func (r *TypedRunner[P, M]) StepRound() {
 // inbox assembles slot i's inbox for this round (plane.go), in the
 // merge scratch when its lane is not empty.
 func (r *TypedRunner[P, M]) inbox(i int) []MsgT[M] {
-	return assemble(&r.cur[i], &r.log, &r.merged, r.sorted, r.cmp)
+	return assemble(&r.cur[i], &r.log, &r.merged, r.cmp)
 }
 
 // faultyInbox is faulty slot i's inbox for a reading adversary: the
@@ -525,70 +521,46 @@ func (r *TypedRunner[P, M]) observe(round int, from ids.ID, sends []SendT[M]) {
 	r.cfg.Observer(round, from, out)
 }
 
-// deliver routes one send from the given sender, expanding broadcasts
-// to every currently active node (including the sender itself — the
-// paper's algorithms count the self-copy, e.g. Alg. 4 "including self")
-// and discarding within-round duplicates per recipient. The filter
-// lookup is paid once per send; a broadcast whose source reached no
-// slot yet is one log append, any other send fans out into the
-// recipients' lanes. A unicast whose destination is absent (left or
-// never joined) vanishes.
+// deliver routes one send from the given sender by its destination:
+// a broadcast — to every currently active node, the sender itself
+// included (the paper's algorithms count the self-copy, e.g. Alg. 4
+// "including self") — is one log append, and a unicast is one bucket
+// push. A unicast whose destination is absent (left or never joined)
+// vanishes. Duplicates are dropped, and deliveries counted, when the
+// sender's Step is closed (closeSender).
 func (r *TypedRunner[P, M]) deliver(from, to ids.ID, m M) {
-	s := r.filter.resolve(m)
-	switch {
-	case s.logged:
-		// Every slot already holds this source through the log.
-		if to == Broadcast {
-			r.metrics.MessagesDropped += int64(len(r.idvec))
-		} else if _, ok := r.slot.Lookup(to); ok {
-			r.metrics.MessagesDropped++
+	if to == Broadcast {
+		if r.log.next.push(from, m) {
+			r.metrics.InboxGrows++
 		}
-	case to == Broadcast && s.empty():
-		s.logged = true
-		r.logOne(from, m)
-	case to == Broadcast:
-		s.upgrade()
-		for i := range r.idvec {
-			r.deliverOne(i, from, s)
-		}
-	default:
-		if j, ok := r.slot.Lookup(to); ok {
-			r.deliverOne(int(j), from, s)
-		}
+	} else if j, ok := r.slot.Lookup(to); ok {
+		r.bucket.push(int(j), from, m)
 	}
 }
 
-// logOne appends a fresh broadcast to the round's log: one entry
-// stands for a delivery to every slot.
-func (r *TypedRunner[P, M]) logOne(from ids.ID, m M) {
-	if r.log.next.push(from, m) {
-		r.metrics.InboxGrows++
-	}
+// closeSender applies the model's rule — no duplicate from the same
+// node within one round — to the sends of the slot that just stepped:
+// its broadcasts, log entries from lo on, and its unicasts, bucket
+// entries from ulo on (plane.go). A kept broadcast counts a delivery
+// to every slot and a repeated one as many drops; a unicast counts one
+// either way, and so does one of a payload the sender also broadcast,
+// which the log already carries. A blind adversary's slot keeps no
+// lane: a delivery to it is counted only.
+func (r *TypedRunner[P, M]) closeSender(lo, ulo int) {
 	n := int64(len(r.idvec))
-	r.metrics.MessagesDelivered += n
-	r.metrics.ByRound[len(r.metrics.ByRound)-1] += n
-}
-
-// deliverOne puts one delivery into the round's bucket, bound for slot
-// i's exception lane, unless the slot already holds the source. A
-// blind adversary's slot keeps no lane: the delivery is counted only.
-// A sender's second laned payload may share a lane with its first, so
-// it costs next round's lanes their sort pass.
-func (r *TypedRunner[P, M]) deliverOne(i int, from ids.ID, s *source[M]) {
-	if s.add(i) {
-		r.metrics.MessagesDropped++
-		return
+	logged := r.log.next.msgs[lo:]
+	kept := dedupRun(logged, r.cmp)
+	r.log.next.msgs = r.log.next.msgs[:lo+len(kept)]
+	var blind []bool
+	if r.blind {
+		blind = r.faulty
 	}
-	if !r.faulty[i] || !r.blind {
-		r.bucket.push(i, from, s.payload)
-		if !s.laned {
-			s.laned = true
-			r.filter.laned++
-			r.runs = r.runs || r.filter.laned > 1
-		}
-	}
-	r.metrics.MessagesDelivered++
-	r.metrics.ByRound[len(r.metrics.ByRound)-1]++
+	delivered, dropped := r.bucket.close(ulo, kept, blind, r.cmp)
+	delivered += n * int64(len(kept))
+	dropped += n * int64(len(logged)-len(kept))
+	r.metrics.MessagesDelivered += delivered
+	r.metrics.MessagesDropped += dropped
+	r.metrics.ByRound[len(r.metrics.ByRound)-1] += delivered
 }
 
 // insert places a joining node into the sorted table, shifting every

@@ -1,32 +1,34 @@
 // The delivery plane under the runner core (generic.go): the round's
 // broadcast log, the lane bucket that sorts the rest of the traffic
-// into per-recipient exception lanes, the run sort and the merge that
-// assemble an inbox from log and lane, and the sender-scoped duplicate
-// filter, each generic over the payload type the core is instantiated
-// with. Order is the instantiation's comparison: a wire union's
-// Compare on the typed plane, rendered sort keys on the boxed one
-// (sortkey.go). Nothing here stores a key.
+// into per-recipient exception lanes, the close that sorts one
+// sender's sends and drops its duplicates, and the merge that
+// assembles an inbox from log and lane, each generic over the payload
+// type the core is instantiated with. Order is the instantiation's
+// comparison: a wire union's Compare on the typed plane, rendered sort
+// keys on the boxed one (sortkey.go). Nothing here stores a key.
 //
-// A round's traffic is paid per source, not per recipient. A broadcast
-// whose source has reached no slot yet — almost every broadcast — is
-// one append to the broadcast log, sorted once at the round flip and
-// handed whole, as a shared read-only slice, to every recipient whose
-// lane is empty. Lanes keep only what is not the same for everyone:
-// unicasts, and the broadcasts of a source that already reached some
-// slot. They are appended to one round-wide bucket and sorted into
-// lanes by recipient once, when the round ends. A recipient with a
-// non-empty lane gets its sorted lane and the log merged into runner
-// scratch, by sender and then by payload. Payloads never tie within a
-// sender's run (sortkey.go), so the merge is exactly the order sorting
-// the recipient's whole inbox gives.
+// A round's traffic is routed by destination alone. A broadcast is one
+// append to the broadcast log, handed whole, as a shared read-only
+// slice, to every recipient whose lane is empty; a unicast is one
+// append to the round's bucket, tagged with its recipient slot. When a
+// sender's Step has been delivered, its part of the log is sorted by
+// payload and its part of the bucket by (recipient, payload), and the
+// model's rule — no duplicate from the same node within one round — is
+// applied where the sort leaves a duplicate: next to what it repeats,
+// or, for a unicast of a payload the sender also broadcast, in the
+// sender's part of the log. Senders step in id order, so the log is
+// sorted by (sender, payload) when the round ends, and the bucket's
+// stable scatter gives every lane that order too. A recipient with a
+// non-empty lane gets its lane and the log merged into runner scratch;
+// a (sender, payload) is in the log or in the recipient's lane, never
+// both, so the merge is exactly the order sorting the recipient's
+// whole inbox gives.
 package sim
 
 import (
-	"math"
 	"slices"
 
 	"idonly/internal/ids"
-	"idonly/internal/quorum"
 )
 
 // MsgT is one inbox entry carrying payload type M. Message is MsgT[any].
@@ -51,15 +53,23 @@ func (b *laneBuf[M]) push(from ids.ID, p M) (grew bool) {
 	return grew
 }
 
-// bucket is one round's lane traffic: every delivery that is not a log
-// append, in delivery order, tagged with its recipient slot. When the
-// round ends, one stable counting sort scatters it into an array that
-// holds each slot's entries together, in arrival order — exactly what
-// appending to a buffer of the slot's own would hold — and every slot
-// gets its run as its lane, a capacity-limited view. A delivery costs
-// one sequential append, not a write into one of n buffers.
-type bucket[M any] struct {
-	ents []bucketEnt[M] // this round's deliveries, in delivery order
+// dedupRun sorts one sender's broadcasts by payload and returns them
+// with every entry equal to its predecessor dropped.
+func dedupRun[M comparable](run []MsgT[M], cmp func(a, b M) int) []MsgT[M] {
+	sortRun(run, cmp)
+	return slices.Compact(run)
+}
+
+// bucket is one round's lane traffic: every unicast that survived its
+// sender's close, tagged with its recipient slot. When the round ends,
+// one stable counting sort scatters it into an array that holds each
+// slot's entries together, in sender order — exactly what appending to
+// a buffer of the slot's own would hold — and every slot gets its run
+// as its lane, a capacity-limited view. A delivery costs one
+// sequential append, not a write into one of n buffers.
+type bucket[M comparable] struct {
+	ents []bucketEnt[M] // this round's deliveries, sender after sender
+	tmp  []bucketEnt[M] // close scratch: a sender's unicasts, merged
 	ends []int32        // scatter scratch: per slot, its lane's end in out
 	out  []MsgT[M]      // the scattered lanes, slot after slot
 }
@@ -78,6 +88,96 @@ func (b *bucket[M]) push(i int, from ids.ID, p M) {
 		b.ents = slices.Grow(b.ents, len(b.ents))
 	}
 	b.ents = append(b.ents, bucketEnt[M]{to: int32(i), msg: MsgT[M]{From: from, Payload: p}})
+}
+
+// close applies the duplicate rule to the entries from lo on — one
+// sender's unicasts — and returns how many it delivered and dropped.
+// It orders them by (recipient, payload), then drops each entry equal
+// to its predecessor and each whose payload is in logged, the sender's
+// broadcasts of the round, sorted. A delivery to a slot marked in blind
+// is counted and not kept.
+func (b *bucket[M]) close(lo int, logged []MsgT[M], blind []bool, cmp func(a, b M) int) (delivered, dropped int64) {
+	src := b.byRecipient(lo, cmp)
+	w := lo
+	for k, e := range src {
+		if k > 0 && e == src[k-1] || len(logged) > 0 && inRun(logged, e.msg.Payload, cmp) {
+			dropped++
+			continue
+		}
+		delivered++
+		if blind != nil && blind[e.to] {
+			continue
+		}
+		b.ents[w] = e
+		w++
+	}
+	b.ents = b.ents[:w]
+	return delivered, dropped
+}
+
+// byRecipient returns the entries from lo on ordered by (recipient,
+// payload), in place or in tmp: a natural merge sort over the ascending
+// runs send order leaves, which is one run for a sender that walks its
+// targets in slot order and two for a successor list that wraps or an
+// equivocator that addresses the system twice. Payloads are compared
+// only between entries bound for one slot.
+func (b *bucket[M]) byRecipient(lo int, cmp func(a, b M) int) []bucketEnt[M] {
+	src := b.ents[lo:]
+	mid := ascendingEnd(src, 0, cmp)
+	if mid == len(src) {
+		return src
+	}
+	b.tmp = slices.Grow(b.tmp[:0], len(src))[:len(src)]
+	dst := b.tmp
+	for i := 0; ; {
+		hi := ascendingEnd(src, mid, cmp)
+		mergeEnts(dst[i:hi], src[i:mid], src[mid:hi], cmp)
+		switch {
+		case i == 0 && hi == len(src):
+			return dst
+		case hi == len(src): // a pass is done: merge what it merged
+			src, dst, i = dst, src, 0
+		default:
+			i = hi
+		}
+		mid = ascendingEnd(src, i, cmp)
+	}
+}
+
+// entLess orders bucket entries by recipient slot, then by payload.
+func entLess[M any](x, y *bucketEnt[M], cmp func(a, b M) int) bool {
+	return x.to < y.to || x.to == y.to && cmp(x.msg.Payload, y.msg.Payload) < 0
+}
+
+// ascendingEnd returns the end of the non-decreasing run of ents that
+// starts at lo.
+func ascendingEnd[M any](ents []bucketEnt[M], lo int, cmp func(a, b M) int) int {
+	hi := min(lo+1, len(ents))
+	for hi < len(ents) && !entLess(&ents[hi], &ents[hi-1], cmp) {
+		hi++
+	}
+	return hi
+}
+
+// mergeEnts fills dst with the sorted runs x and y merged, x first
+// among equals.
+func mergeEnts[M any](dst, x, y []bucketEnt[M], cmp func(a, b M) int) {
+	k := 0
+	for len(x) > 0 && len(y) > 0 {
+		if entLess(&y[0], &x[0], cmp) {
+			dst[k], y = y[0], y[1:]
+		} else {
+			dst[k], x = x[0], x[1:]
+		}
+		k++
+	}
+	copy(dst[k+copy(dst[k:], x):], y)
+}
+
+// inRun reports whether the payload-sorted run holds p.
+func inRun[M any](run []MsgT[M], p M, cmp func(a, b M) int) bool {
+	_, ok := slices.BinarySearchFunc(run, p, func(m MsgT[M], p M) int { return cmp(m.Payload, p) })
+	return ok
 }
 
 // scatter sorts the round's deliveries into lanes, one per slot, valid
@@ -112,11 +212,12 @@ func (b *bucket[M]) scatter(lanes []laneBuf[M]) (grew bool) {
 	return grew
 }
 
-// bcastLog is one round's broadcast log: the fresh broadcasts — those
-// whose source had reached no slot yet — each delivered to every slot
-// of the round by one append. It is double-buffered: next fills during
-// the round, in send order; at the flip it is sorted in place and
-// becomes sorted, the inbox every recipient with an empty lane shares.
+// bcastLog is one round's broadcast log: every broadcast that survived
+// its sender's close, each delivered to every slot of the round by one
+// append. It is double-buffered: next fills during the round, sender
+// after sender, each sender's entries sorted by payload at its close;
+// at the flip it becomes sorted, the inbox every recipient with an
+// empty lane shares.
 type bcastLog[M any] struct {
 	next, sorted laneBuf[M]
 }
@@ -126,25 +227,19 @@ func newLog[M any](c int) bcastLog[M] {
 	return bcastLog[M]{laneBuf[M]{msgs: make([]MsgT[M], 0, c)}, laneBuf[M]{msgs: make([]MsgT[M], 0, c)}}
 }
 
-// flip turns the round's appends into the next round's inbox, sorted,
-// and empties next.
-func (l *bcastLog[M]) flip(cmp func(a, b M) int) {
+// flip turns the round's appends into the next round's inbox and
+// empties next.
+func (l *bcastLog[M]) flip() {
 	l.sorted, l.next = l.next, l.sorted
 	l.next.msgs = l.next.msgs[:0]
-	l.sorted.sort(cmp)
 }
 
 // assemble returns a recipient's inbox for the round: its lane when
 // the log has nothing for it (a joiner's first round, or a
 // unicast-only round), the shared sorted log when its lane is empty,
-// and otherwise the lane and the log merged into scratch. The lane is
-// sorted in place first unless sorted says every lane already is —
-// no sender reached one slot's lane with two payloads. The result is
-// valid until the scratch or the lane is reused.
-func assemble[M any](lane *laneBuf[M], log *bcastLog[M], scratch *laneBuf[M], sorted bool, cmp func(a, b M) int) []MsgT[M] {
-	if !sorted {
-		lane.sort(cmp)
-	}
+// and otherwise the lane and the log merged into scratch. The result
+// is valid until the scratch or the lane is reused.
+func assemble[M any](lane *laneBuf[M], log *bcastLog[M], scratch *laneBuf[M], cmp func(a, b M) int) []MsgT[M] {
 	switch {
 	case lane.noLog || len(log.sorted.msgs) == 0:
 		return lane.msgs
@@ -156,8 +251,8 @@ func assemble[M any](lane *laneBuf[M], log *bcastLog[M], scratch *laneBuf[M], so
 }
 
 // merge fills b with two sorted inboxes, x and y, merged by sender and
-// then by payload. A source is in the log or in lanes, never both, so
-// the two never hold the same (sender, payload).
+// then by payload. A (sender, payload) is in the log or in a
+// recipient's lane, never both, so the two never tie.
 func (b *laneBuf[M]) merge(x, y *laneBuf[M], cmp func(a, b M) int) {
 	out := slices.Grow(b.msgs[:0], len(x.msgs)+len(y.msgs))
 	i, j := 0, 0
@@ -174,244 +269,32 @@ func (b *laneBuf[M]) merge(x, y *laneBuf[M], cmp func(a, b M) int) {
 }
 
 // insertionShiftsPerEntry bounds the straight insertion sort of one
-// sender's run: a run that needs more than this many shifts per entry
-// gets the wider-gap passes of a Shell sort first, having cost about one
-// extra pass. Runs of up to 5 entries never exceed it; longer ones stay
-// under it when they arrive nearly sorted, which is how a protocol that
-// emits per session or per instance in a fixed order leaves them. An
+// sender's broadcasts: a run that needs more than this many shifts per
+// entry is handed to slices.SortFunc, having cost about one extra pass.
+// Runs of up to 5 entries never exceed it; longer ones stay under it
+// when they arrive nearly sorted, which is how a protocol that emits
+// per session or per instance in a fixed order leaves them. An
 // adversary's scrambled flood does not, and gives up early.
 const insertionShiftsPerEntry = 2
 
-// sort orders the inbox by (sender id, payload). Protocol logic must
-// not depend on inbox order; the sort exists so traces and any
-// order-dependent tie-breaks are reproducible run to run. Payloads
-// never tie within a run, so the order does not depend on the
-// algorithm.
-//
-// Only each sender's run is sorted, by payload alone: StepRound
-// delivers the sends of one slot after another over the id-sorted node
-// table, so every lane and the log are filled in non-decreasing sender
-// order. That holds under churn too (joins enter the sorted table
-// before the round's first delivery, leavers go after its last). A
-// sender id that decreases is therefore a runner bug, and panics.
-func (b *laneBuf[M]) sort(cmp func(a, b M) int) {
-	for lo := 0; lo < len(b.msgs); {
-		hi := runEnd(b.msgs, lo)
-		if hi-lo > 1 {
-			sortRun(b.msgs[lo:hi], cmp)
-		}
-		lo = hi
-	}
-}
-
-// runEnd returns the end of the sender run that starts at lo, panicking
-// if the next run's sender id is smaller.
-func runEnd[M any](msgs []MsgT[M], lo int) int {
-	from := msgs[lo].From
-	hi := lo + 1
-	for hi < len(msgs) && msgs[hi].From == from {
-		hi++
-	}
-	if hi < len(msgs) && msgs[hi].From < from {
-		panic("sim: inbox is not in sender order")
-	}
-	return hi
-}
-
-// sortRun orders one sender's run by payload: straight insertion
-// within the shift budget, the wider Shell passes first beyond it.
+// sortRun orders one sender's broadcasts by payload. Protocol logic
+// must not depend on inbox order; the sort exists so traces and any
+// order-dependent tie-breaks are reproducible run to run. Equal
+// payloads end up next to each other, which is where dedupRun drops
+// them.
 func sortRun[M any](msgs []MsgT[M], cmp func(a, b M) int) {
-	if gapSort(msgs, cmp, 1, insertionShiftsPerEntry*len(msgs)) {
-		return
-	}
-	gap := 1
-	for gap < len(msgs)/3 {
-		gap = 3*gap + 1
-	}
-	for ; gap >= 1; gap /= 3 {
-		gapSort(msgs, cmp, gap, math.MaxInt)
-	}
-}
-
-// gapSort is one Shell-sort pass over a run — insertion sort of every
-// gap-th entry, straight insertion at gap 1. It gives up, leaving a
-// permutation of the run, and reports false once it has shifted more
-// than budget entries.
-func gapSort[M any](msgs []MsgT[M], cmp func(a, b M) int, gap, budget int) bool {
-	for i := gap; i < len(msgs); i++ {
+	budget := insertionShiftsPerEntry * len(msgs)
+	for i := 1; i < len(msgs); i++ {
 		m := msgs[i]
 		j := i
-		for ; j >= gap && cmp(m.Payload, msgs[j-gap].Payload) < 0; j -= gap {
-			msgs[j] = msgs[j-gap]
+		for ; j > 0 && cmp(m.Payload, msgs[j-1].Payload) < 0; j-- {
+			msgs[j] = msgs[j-1]
 			budget--
 		}
 		msgs[j] = m
 		if budget < 0 {
-			return false
+			slices.SortFunc(msgs, func(a, b MsgT[M]) int { return cmp(a.Payload, b.Payload) })
+			return
 		}
 	}
-	return true
-}
-
-// smallSetMax is the recipient count at which a recipSet trades its
-// linear vec for a bitset over slots. Sparse-overlay fan-outs (a ring
-// node talks to ⌈log₂ n⌉ successors) stay in the vec, where a scan of a
-// few int32s beats any hashing; broadcast fan-outs upgrade on entry.
-const smallSetMax = 32
-
-// recipSet records the slots that already received one source's message
-// this round. A logged source went to every slot through the broadcast
-// log, so every slot is a member. Otherwise membership lives in the
-// unsorted tos vec until it would exceed smallSetMax, then in bits, a
-// quorum.Set over slot numbers — its first 64 slots inline, the rest in
-// overflow words. Sets are pooled and keep their memory: tos chunks
-// come from a shared slab, and an upgraded set keeps its overflow
-// words.
-type recipSet struct {
-	tos      []int32    // linear membership while !upgraded
-	bits     quorum.Set // membership once upgraded
-	upgraded bool
-	logged   bool // in this round's broadcast log: every slot holds it
-}
-
-// empty reports whether the source has reached no slot yet.
-func (s *recipSet) empty() bool { return !s.logged && !s.upgraded && len(s.tos) == 0 }
-
-// upgrade moves a recipient set from its vec to its bitset. A broadcast
-// that fans out lane by lane upgrades first instead of scanning and
-// growing the vec recipient by recipient.
-func (s *recipSet) upgrade() {
-	if s.upgraded {
-		return
-	}
-	s.upgraded = true
-	for _, t := range s.tos {
-		s.bits.Add(t)
-	}
-	s.tos = s.tos[:0]
-}
-
-// add puts slot i into s and reports whether it was already there —
-// i.e. whether this delivery is a within-round duplicate.
-func (s *recipSet) add(i int) (dup bool) {
-	if !s.upgraded {
-		if slices.Contains(s.tos, int32(i)) {
-			return true
-		}
-		if len(s.tos) < smallSetMax {
-			s.tos = append(s.tos, int32(i))
-			return false
-		}
-		s.upgrade()
-	}
-	return !s.bits.Add(int32(i))
-}
-
-// scanMax is how many distinct payloads of one sender the filter scans
-// linearly; a sender with more (a replay flood) is indexed by a map.
-const scanMax = 8
-
-// source is one distinct payload of the current sender and the slots
-// it reached.
-type source[M comparable] struct {
-	payload M
-	laned   bool // some slot took it through its lane
-	recipSet
-}
-
-// srcFilter is the within-round duplicate filter. The model discards
-// duplicates "from the same node within one round", and a sender's
-// round is one Step, whose sends are delivered one after another, so
-// the filter holds one sender at a time: it keys on the payload alone
-// and is emptied (reset) before each slot's sends. Which recipients
-// already hold a payload is one flag or one bit per slot in its
-// recipSet: a fresh broadcast to n nodes costs one lookup and marks the
-// set logged, and "slot i is in the set of payload p" is exactly the
-// model's predicate "(to_i, sender, p) was delivered this round".
-//
-// A sender sends a few distinct payloads, so the lookup is a scan of a
-// few entries, starting at the last hit (a sparse sender unicasts one
-// payload to every successor); past scanMax entries a map takes over.
-// The entries and their vec chunks are pooled for the run.
-type srcFilter[M comparable] struct {
-	srcs    []source[M] // the sender's distinct payloads, in first-sight order
-	index   map[M]int32 // srcs by payload, once there are more than scanMax
-	last    int         // the last hit
-	laned   int         // srcs with a lane delivery
-	tosSlab []int32     // backing store handed to fresh sets in smallSetMax chunks
-}
-
-// reset empties the filter for the next sender. Vecs keep their
-// capacity, and an upgraded set's bitset is reset, keeping its
-// overflow words.
-func (f *srcFilter[M]) reset() {
-	var zero M
-	for i := range f.srcs {
-		s := &f.srcs[i]
-		if s.upgraded {
-			s.bits.Reset()
-		}
-		s.tos = s.tos[:0]
-		s.payload, s.upgraded, s.logged, s.laned = zero, false, false, false
-	}
-	f.srcs = f.srcs[:0]
-	if len(f.index) > 0 {
-		clear(f.index)
-	}
-	f.last, f.laned = 0, 0
-}
-
-// resolve returns the current sender's entry for payload m, creating
-// it on first sight.
-func (f *srcFilter[M]) resolve(m M) *source[M] {
-	if f.last < len(f.srcs) && f.srcs[f.last].payload == m {
-		return &f.srcs[f.last]
-	}
-	if len(f.srcs) > scanMax {
-		if k, ok := f.index[m]; ok {
-			f.last = int(k)
-			return &f.srcs[k]
-		}
-	} else {
-		for k := range f.srcs {
-			if f.srcs[k].payload == m {
-				f.last = k
-				return &f.srcs[k]
-			}
-		}
-	}
-	k := len(f.srcs)
-	if k < cap(f.srcs) {
-		f.srcs = f.srcs[:k+1] // usually a pooled entry with its vec chunk
-	} else {
-		f.srcs = append(f.srcs, source[M]{})
-	}
-	s := &f.srcs[k]
-	// A pooled entry keeps its chunk (reset leaves tos non-nil at len
-	// 0); a genuinely fresh one — first use, or a zero entry off an
-	// append-growth tail — gets its vec carved from the shared slab, so
-	// a storm of distinct payloads costs one allocation per 64 sets, not
-	// one per set.
-	if s.tos == nil {
-		if cap(f.tosSlab)-len(f.tosSlab) < smallSetMax {
-			f.tosSlab = make([]int32, 0, 64*smallSetMax)
-		}
-		o := len(f.tosSlab)
-		f.tosSlab = f.tosSlab[:o+smallSetMax]
-		s.tos = f.tosSlab[o : o : o+smallSetMax]
-	}
-	s.payload = m
-	switch {
-	case k == scanMax:
-		if f.index == nil {
-			f.index = make(map[M]int32)
-		}
-		for i := range f.srcs {
-			f.index[f.srcs[i].payload] = int32(i)
-		}
-	case k > scanMax:
-		f.index[m] = int32(k)
-	}
-	f.last = k
-	return s
 }

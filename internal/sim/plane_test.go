@@ -1,12 +1,12 @@
 package sim
 
 // Differential tests of the mechanisms under the runner core
-// (plane.go), each against a model that lives only here: the
-// sender-scoped duplicate filter against a map keyed by (to, from,
-// payload), the run sort — by Compare and by rendered keys — against
-// sort.Sort over the whole inbox, and inbox assembly from the
-// broadcast log and the exception lanes against per-recipient inboxes
-// sorted whole by (sender, key bytes).
+// (plane.go), each against a model that lives only here: duplicate
+// dropping against a map keyed by (to, from, payload), the close of a
+// sender's sends — by Compare and by rendered keys — against sort.Sort
+// over the whole inbox, and inbox assembly from the broadcast log and
+// the exception lanes against per-recipient inboxes sorted whole by
+// (sender, key bytes).
 
 import (
 	"bytes"
@@ -75,59 +75,15 @@ type naiveDelivery struct {
 	payload  any
 }
 
-// TestFilterIndexMatchesMap holds the filter's lookup — a scan of a
-// few entries, then a map past scanMax — to a map: over senders with a
-// few to thousands of distinct payloads, and back, resolving a payload
-// returns the entry it got on first sight from this sender, distinct
-// payloads get distinct entries numbered in first-sight order, and
-// reset forgets the sender, handing pooled entries back empty.
-func TestFilterIndexMatchesMap(t *testing.T) {
-	var f srcFilter[any]
-	rng := ids.NewRand(3)
-	for sender, payloads := range []int{5, 3000, 8, 9, 40, 9000, 2, 0, 700, 1} {
-		f.reset()
-		model := make(map[any]int)
-		for k := 0; k < 3*payloads; k++ {
-			// Mixed types and a small value range: repeats within the
-			// sender, and values of two types that compare unequal.
-			v := rng.Intn(payloads)
-			var p any = v
-			if v%3 == 0 {
-				p = regPayload{v}
-			}
-			got := f.resolve(p)
-			want, seen := model[p]
-			if !seen {
-				want = len(model)
-				model[p] = want
-				if !got.empty() || got.laned {
-					t.Fatalf("sender %d: payload %v got an entry that still holds recipients", sender, p)
-				}
-				got.add(k % 50)
-				got.laned = k%2 == 0
-			}
-			if got != &f.srcs[want] || got.payload != p {
-				t.Fatalf("sender %d: payload %v resolved to another entry than its first sight's (%d)", sender, p, want)
-			}
-		}
-		if len(f.srcs) != len(model) {
-			t.Fatalf("sender %d: %d entries for %d payloads", sender, len(f.srcs), len(model))
-		}
-	}
-}
-
 // TestFilterMatchesNaiveModel runs seeded schedules through the boxed
 // Runner (the pool mixes payload types no wire union holds) and
 // through the model the paper states — a message
 // is dropped exactly when the same (to, from, payload) was already
 // delivered this round — and compares the counters and every inbox.
-// The sizes cross the filter's regimes: all-vec (5), vec→bitset
-// upgrades within a quorum.Set's inline word (40), and 64 or 128
-// founders plus a joiner, which moves the table past the inline word
-// into overflow words, or across an overflow word boundary, mid-run.
-// Fixed rows pin the filter's sender scope: a sender's repeat is
-// dropped however its sends interleave, and equal payloads of two
-// senders are two messages.
+// The sizes run from 5 to 128 founders plus a joiner, so the slot
+// numbers delivery tags its unicasts with shift mid-run. Fixed rows pin
+// the rule's sender scope: a sender's repeat is dropped however its
+// sends interleave, and equal payloads of two senders are two messages.
 func TestFilterMatchesNaiveModel(t *testing.T) {
 	const rounds = 8
 	for _, n := range []int{5, 40, 64, 128} {
@@ -329,12 +285,12 @@ func (b wholeInboxSort) Swap(i, j int) { b[i], b[j] = b[j], b[i] }
 // genInbox builds a sender-ordered inbox as delivery leaves it: a run
 // per sender, payloads in scrambled order. Run lengths straddle the
 // insertion budget (short runs, long nearly-sorted runs, long reversed
-// runs that need the wider Shell passes). With twins, every value also
-// occurs under a second type.
+// runs that fall back to slices.SortFunc), and some runs repeat payloads.
+// With twins, every value also occurs under a second type.
 func genInbox(rng *ids.Rand, twins bool) (msgs []Message) {
 	for _, from := range ids.SortIDs(ids.Sparse(rng, 1+rng.Intn(12))) {
 		var vals []int
-		switch rng.Intn(4) {
+		switch rng.Intn(5) {
 		case 0: // short, scrambled
 			vals = rng.Perm(1 + rng.Intn(17))
 		case 1: // long, nearly sorted
@@ -351,6 +307,10 @@ func genInbox(rng *ids.Rand, twins bool) (msgs []Message) {
 			}
 		case 3: // long, scrambled
 			vals = rng.Perm(100)
+		case 4: // scrambled, with repeats
+			for i := rng.Intn(60); i >= 0; i-- {
+				vals = append(vals, rng.Intn(12))
+			}
 		}
 		for _, v := range vals {
 			msgs = append(msgs, Message{From: from, Payload: regPayload{v - 50}})
@@ -362,47 +322,81 @@ func genInbox(rng *ids.Rand, twins bool) (msgs []Message) {
 	return msgs
 }
 
-// TestRunSortMatchesWholeInboxSort: payloads are unique within a
-// sender's run, so there is one sorted order, and the run sort must
-// produce the whole-inbox sort's on both planes — boxed, rendering keys
-// per comparison, and typed over asmWire by Compare — with and without
-// a second payload type in the runs.
+// TestRunSortMatchesWholeInboxSort: the close of each sender's sends is
+// the only sort the plane does. Played as every sender's broadcasts, it
+// must leave the log as the whole-inbox sort with repeats removed; played
+// as unicasts spread over three recipients, it must leave each lane as
+// that recipient's share of it. Both planes are held to it — boxed,
+// rendering keys per comparison, and typed over asmWire by Compare —
+// with and without a second payload type in the runs.
 func TestRunSortMatchesWholeInboxSort(t *testing.T) {
 	for seed := uint64(1); seed <= 50; seed++ {
 		for _, twins := range []bool{false, true} {
 			msgs := genInbox(ids.NewRand(seed), twins)
 			model := slices.Clone(msgs)
 			sort.Sort(wholeInboxSort(model))
-			boxed := laneBuf[any]{msgs: slices.Clone(msgs)}
-			boxed.sort(new(keyOrder).compare)
-			typed := laneBuf[asmWire]{}
+			model = slices.Compact(model)
+			var typed []MsgT[asmWire]
 			for _, m := range msgs {
 				w, _ := asmCodec.Wrap(m.Payload)
-				typed.msgs = append(typed.msgs, MsgT[asmWire]{From: m.From, Payload: w})
+				typed = append(typed, MsgT[asmWire]{From: m.From, Payload: w})
 			}
-			typed.sort(asmWire.Compare)
-			for i := range msgs {
-				if boxed.msgs[i] != model[i] {
-					t.Fatalf("seed %d twins=%v: boxed entry %d is %v, whole-inbox sort has %v", seed, twins, i, boxed.msgs[i], model[i])
-				}
-				if got := (Message{From: typed.msgs[i].From, Payload: asmCodec.Unwrap(typed.msgs[i].Payload)}); got != model[i] {
-					t.Fatalf("seed %d twins=%v: typed entry %d is %v, whole-inbox sort has %v", seed, twins, i, got, model[i])
-				}
-			}
+			tag := fmt.Sprintf("seed %d twins=%v", seed, twins)
+			checkClose(t, tag+" boxed", msgs, new(keyOrder).compare, model, func(m Message) Message { return m })
+			checkClose(t, tag+" typed", typed, asmWire.Compare, model, func(m MsgT[asmWire]) Message {
+				return Message{From: m.From, Payload: asmCodec.Unwrap(m.Payload)}
+			})
 		}
 	}
 }
 
-// A lane out of sender order can only come from a runner bug; the sort
-// refuses it instead of papering over it with a slower path.
-func TestRunSortPanicsOnUnorderedSenders(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("sort accepted a lane whose sender ids decrease")
+// checkClose plays msgs sender run by sender run through the close, as
+// broadcasts and as unicasts to slot v mod 3 of each payload's value,
+// and holds the log and the scattered lanes to model.
+func checkClose[M comparable](t *testing.T, tag string, msgs []MsgT[M], cmp func(a, b M) int, model []Message, box func(MsgT[M]) Message) {
+	t.Helper()
+	to := func(m Message) int32 {
+		w, _ := asmCodec.Wrap(m.Payload)
+		return int32(w.V+60) % 3
+	}
+	var log laneBuf[M]
+	var b bucket[M]
+	for lo := 0; lo < len(msgs); {
+		hi := lo + 1
+		for hi < len(msgs) && msgs[hi].From == msgs[lo].From {
+			hi++
 		}
-	}()
-	lane := laneBuf[any]{msgs: []Message{{From: 2, Payload: regPayload{1}}, {From: 1, Payload: regPayload{1}}}}
-	lane.sort(new(keyOrder).compare)
+		start := len(log.msgs)
+		log.msgs = append(log.msgs, msgs[lo:hi]...)
+		log.msgs = append(log.msgs[:start], dedupRun(log.msgs[start:], cmp)...)
+		ulo := len(b.ents)
+		for _, m := range msgs[lo:hi] {
+			b.push(int(to(box(m))), m.From, m.Payload)
+		}
+		b.close(ulo, nil, nil, cmp)
+		lo = hi
+	}
+	lanes := make([]laneBuf[M], 3)
+	b.scatter(lanes)
+	if len(log.msgs) != len(model) {
+		t.Fatalf("%s: log has %d entries, whole-inbox sort %d", tag, len(log.msgs), len(model))
+	}
+	next := make([]int, 3)
+	for i, want := range model {
+		if got := box(log.msgs[i]); got != want {
+			t.Fatalf("%s: log entry %d is %v, whole-inbox sort has %v", tag, i, got, want)
+		}
+		k := to(want)
+		if lane := lanes[k].msgs; next[k] >= len(lane) || box(lane[next[k]]) != want {
+			t.Fatalf("%s: lane %d entry %d is not %v", tag, k, next[k], want)
+		}
+		next[k]++
+	}
+	for k, lane := range lanes {
+		if len(lane.msgs) != next[k] {
+			t.Fatalf("%s: lane %d has %d entries, want %d", tag, k, len(lane.msgs), next[k])
+		}
+	}
 }
 
 // asmWire is FuzzInboxAssembly's wire union over the payload pool: K
@@ -474,7 +468,7 @@ func asmChunk(round, sender int, op byte, target int, c byte) []byte {
 // unicast, 2 unicast then broadcast of one source, 3 broadcast then
 // unicast, 4 every send twice, 5 and 6 a burst of 6–12 distinct
 // payloads in descending key order (a run past the insertion budget,
-// sorted by the Shell passes) as broadcasts or as unicasts, 7 a
+// sorted by the fallback sort) as broadcasts or as unicasts, 7 a
 // unicast and then a broadcast of the same value under another type.
 func decodeAssembly(data []byte) asmScript {
 	sc := asmScript{1: {}, 2: {}}
@@ -642,6 +636,28 @@ func runAssembly(t *testing.T, sc asmScript, typed, blind bool) (map[ids.ID]map[
 	return got, m
 }
 
+// TestBlindSlotsKeepNoLane: a delivery to a blind adversary's slot is
+// counted and never stored, so the slot's lane stays empty however much
+// is addressed to it, while a reading adversary's slot keeps its lane.
+func TestBlindSlotsKeepNoLane(t *testing.T) {
+	for _, blind := range []bool{false, true} {
+		p := &scriptProc{id: 10, inboxes: make(map[int][]Message), script: map[int][]Send{
+			1: {Unicast(20, regPayload{2}), Unicast(20, regPayload{1}), Unicast(10, regPayload{1})},
+		}}
+		var adv Adversary = &asmAdv{inboxes: make(map[ids.ID]map[int][]Message)}
+		if blind {
+			adv = &asmBlindAdv{}
+		}
+		r := NewRunner(Config{MaxRounds: 1}, []Process{p}, []ids.ID{20}, adv)
+		if m := r.Run(nil); m.MessagesDelivered != 3 || m.MessagesDropped != 0 {
+			t.Fatalf("blind=%v: delivered/dropped = %d/%d, want 3/0", blind, m.MessagesDelivered, m.MessagesDropped)
+		}
+		if got, want := len(r.cur[1].msgs), map[bool]int{false: 2, true: 0}[blind]; got != want {
+			t.Fatalf("blind=%v: the faulty slot's lane holds %d entries, want %d", blind, got, want)
+		}
+	}
+}
+
 // FuzzInboxAssembly decodes bytes into two rounds of sends and holds
 // every inbox assembled from the broadcast log and the exception lanes
 // — entry for entry, in order — and the delivered, dropped and
@@ -664,13 +680,13 @@ func FuzzInboxAssembly(f *testing.F) {
 	// The joiners' first inbox follows a full log; their second holds
 	// what round 2 sent them.
 	f.Add(slices.Concat(asmChunk(1, 5, 0, 0, 1), asmChunk(1, 4, 0, 0, 2), asmChunk(2, 3, 1, 6, 5), asmChunk(2, 0, 3, 3, 8)))
-	// The filter's sender scope: one sender unicasts to 30, broadcasts,
+	// The rule's sender scope: one sender unicasts to 30, broadcasts,
 	// then unicasts to 30 again — one payload; and two senders send one
 	// payload each as a broadcast and to one target, which are two
 	// messages every time.
 	f.Add(slices.Concat(asmChunk(1, 0, 1, 2, 5), asmChunk(1, 0, 0, 0, 5), asmChunk(1, 0, 1, 2, 5)))
-	// Two payloads of one sender in one lane, descending: the one shape
-	// that needs a lane's sort pass with no longer run beside it.
+	// Two payloads of one sender in one lane, descending: the close
+	// orders them with no longer run beside them.
 	f.Add(slices.Concat(asmChunk(1, 0, 1, 2, 9), asmChunk(1, 0, 1, 2, 6), asmChunk(2, 1, 1, 3, 12), asmChunk(2, 1, 1, 3, 3)))
 	f.Add(slices.Concat(asmChunk(1, 0, 0, 0, 4), asmChunk(1, 1, 0, 0, 4), asmChunk(1, 2, 1, 7, 6), asmChunk(1, 3, 1, 7, 6),
 		asmChunk(2, 1, 1, 2, 9), asmChunk(2, 2, 1, 2, 9)))

@@ -55,32 +55,95 @@ func relabelOutput(v reflect.Value, g relabel) reflect.Value {
 func TestOrderPreservingRelabelling(t *testing.T) {
 	for _, tc := range append(goldenTraces, goldenChurn...) {
 		for name, play := range tc.instantiations() {
-			t.Run(tc.name+"/"+name, func(t *testing.T) {
-				base, moved := tc.sys(same), tc.sys(stretch)
-				mb, mm := play(tc.config(nil), base), play(tc.config(nil), moved)
-				if mb.Rounds != mm.Rounds || mb.MessagesDelivered != mm.MessagesDelivered ||
-					mb.MessagesDropped != mm.MessagesDropped || !slices.Equal(mb.ByRound, mm.ByRound) {
-					t.Fatalf("relabelled run differs: rounds/delivered/dropped %d/%d/%d, want %d/%d/%d",
-						mm.Rounds, mm.MessagesDelivered, mm.MessagesDropped, mb.Rounds, mb.MessagesDelivered, mb.MessagesDropped)
-				}
-				if len(mm.DecidedRound) != len(mb.DecidedRound) {
-					t.Fatalf("%d nodes decided, want %d", len(mm.DecidedRound), len(mb.DecidedRound))
-				}
-				for id, r := range mb.DecidedRound {
-					if got, ok := mm.DecidedRound[stretch(id)]; !ok || got != r {
-						t.Fatalf("node %d decided in round %d (%v), want %d", stretch(id), got, ok, r)
-					}
-				}
-				for i, p := range moved.all() {
-					want := base.all()[i].Output()
-					if want != nil {
-						want = relabelOutput(reflect.ValueOf(want), stretch).Interface()
-					}
-					if got := p.Output(); !reflect.DeepEqual(got, want) {
-						t.Fatalf("node %d output %v, want %v", p.ID(), got, want)
-					}
-				}
-			})
+			t.Run(tc.name+"/"+name, func(t *testing.T) { checkRelabel(t, tc.workload, play, stretch) })
 		}
 	}
+}
+
+// checkRelabel plays w as drawn and with every id passed through g, and
+// holds the relabelled run to the first: the same rounds, deliveries,
+// drops and per-round counts, the same decided rounds under the mapped
+// ids, and every output mapped through g.
+func checkRelabel(t *testing.T, w workload, play playFn, g relabel) {
+	t.Helper()
+	base, moved := w.sys(same), w.sys(g)
+	mb, mm := play(w.config(nil), base), play(w.config(nil), moved)
+	if mb.Rounds != mm.Rounds || mb.MessagesDelivered != mm.MessagesDelivered ||
+		mb.MessagesDropped != mm.MessagesDropped || !slices.Equal(mb.ByRound, mm.ByRound) {
+		t.Fatalf("relabelled run differs: rounds/delivered/dropped %d/%d/%d, want %d/%d/%d",
+			mm.Rounds, mm.MessagesDelivered, mm.MessagesDropped, mb.Rounds, mb.MessagesDelivered, mb.MessagesDropped)
+	}
+	if len(mm.DecidedRound) != len(mb.DecidedRound) {
+		t.Fatalf("%d nodes decided, want %d", len(mm.DecidedRound), len(mb.DecidedRound))
+	}
+	for id, r := range mb.DecidedRound {
+		if got, ok := mm.DecidedRound[g(id)]; !ok || got != r {
+			t.Fatalf("node %d decided in round %d (%v), want %d", g(id), got, ok, r)
+		}
+	}
+	for i, p := range moved.all() {
+		want := base.all()[i].Output()
+		if want != nil {
+			want = relabelOutput(reflect.ValueOf(want), g).Interface()
+		}
+		if got := p.Output(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("node %d output %v, want %v", p.ID(), got, want)
+		}
+	}
+}
+
+// decodeRelabel reads a workload and a strictly increasing id map from
+// fuzz bytes. Byte 0 picks the workload and byte 1 the instantiation;
+// byte 2 sets the slope a (1–4) and byte 3 the offset b (1–256); then
+// every 4 bytes name a breakpoint (3 bytes, scaled to 2^40) and a gap
+// (1–256) that every id above the breakpoint moves up by, at most 8 of
+// them. So g(id) = a·id + b + the gaps of the breakpoints below id:
+// positive gaps keep g strictly increasing, b keeps it clear of 0, the
+// broadcast address, and ids drawn below 2^40 stay far from overflow.
+func decodeRelabel(data []byte) (workload, playFn, relabel) {
+	data = append(slices.Clip(data), make([]byte, max(0, 4-len(data)))...)
+	all := append(goldenTraces, goldenChurn...)
+	w := all[int(data[0])%len(all)].workload
+	plays := []playFn{boxed}
+	if w.typed != nil {
+		plays = append(plays, w.typed)
+	}
+	play := plays[int(data[1])%len(plays)]
+	a, b := ids.ID(1+data[2]%4), ids.ID(1+int(data[3]))
+	type step struct{ at, gap ids.ID }
+	var steps []step
+	for rest := data[4:]; len(rest) >= 4 && len(steps) < 8; rest = rest[4:] {
+		at := ids.ID(rest[0])<<32 | ids.ID(rest[1])<<24 | ids.ID(rest[2])<<16
+		steps = append(steps, step{at, ids.ID(1 + int(rest[3]))})
+	}
+	return w, play, func(id ids.ID) ids.ID {
+		out := a*id + b
+		for _, s := range steps {
+			if s.at < id {
+				out += s.gap
+			}
+		}
+		return out
+	}
+}
+
+// FuzzOrderPreservingRelabel is TestOrderPreservingRelabelling over
+// fuzzed maps: the bytes pick a golden workload, an instantiation and
+// a strictly increasing id map (decodeRelabel), and the relabelled run
+// must be the same run.
+func FuzzOrderPreservingRelabel(f *testing.F) {
+	for k := range len(goldenTraces) + len(goldenChurn) {
+		// The identity shifted by one, on each instantiation.
+		f.Add([]byte{byte(k), 0, 0, 0})
+		f.Add([]byte{byte(k), 1, 0, 0})
+	}
+	// Steeper slopes, large offsets and breakpoints among the drawn ids.
+	f.Add([]byte{2, 0, 3, 255, 0, 0, 1, 9, 0, 1, 0, 200, 0, 40, 0, 17})
+	f.Add([]byte{1, 1, 1, 7, 0, 0, 0, 1, 0, 0, 0, 2, 255, 255, 255, 255})
+	f.Add([]byte{5, 1, 2, 0, 0, 128, 0, 3, 0, 0, 64, 255})
+	f.Add([]byte{7, 0, 0, 9, 0, 16, 0, 5, 0, 32, 0, 5, 0, 48, 0, 5})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		w, play, g := decodeRelabel(data)
+		checkRelabel(t, w, play, g)
+	})
 }

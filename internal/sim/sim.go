@@ -19,18 +19,17 @@
 // Delivery runs on a flat message plane: all per-node runner state
 // lives in one node table sorted by id, indexed through a slot index,
 // so broadcast fan-out, the destination-present check and per-round
-// iteration are O(1) array operations. Delivery buffers and the
-// duplicate filter are pooled and reused across rounds, and a round's
-// cost follows its sources, not its deliveries: a fresh broadcast is
-// one append to the round's broadcast log, sorted once and shared as
-// the inbox of every recipient with nothing else to receive, so an
-// inbox may be that one shared slice (plane.go); the rest goes to
-// recipients' lanes through one round-wide bucket; and "duplicate" is
-// decided per source — the filter, which holds one sender's payloads
-// at a time, is probed once per send and then spends one flag, or one
-// bit per recipient slot. Inboxes are ordered by (sender, payload): a
-// wire union compares its fields (WireMsg), and only boxed payloads
-// are ordered by their rendered sort keys.
+// iteration are O(1) array operations. Delivery buffers are pooled and
+// reused across rounds, and a round's cost follows its sends, not its
+// deliveries: a broadcast is one append to the round's broadcast log,
+// shared as the inbox of every recipient with nothing else to receive,
+// so an inbox may be that one shared slice (plane.go); a unicast goes
+// to its recipient's lane through one round-wide bucket. Duplicates are
+// dropped where the sort puts them: once a sender has stepped, its
+// sends are sorted, and a repeat lies next to what it repeats. Inboxes
+// are ordered by (sender, payload): a wire union compares its fields
+// (WireMsg), and only boxed payloads are ordered by their rendered
+// sort keys.
 //
 // There is one round loop, the generic core in generic.go. This file
 // holds the model's vocabulary — messages, processes, the adversary,
@@ -54,8 +53,9 @@ const Broadcast ids.ID = 0
 
 // Message is a message as received: the network has stamped the true
 // sender identifier. Payload values must be comparable Go values
-// (structs without slices/maps), because the per-round duplicate filter
-// and the protocols' witness sets use them as map keys, and must render
+// (structs without slices/maps), because the runner drops a sender's
+// duplicates by value equality and the protocols' witness sets use them
+// as map keys, and must render
 // a sort key (SortKeyer), which orders them in an inbox.
 type Message = MsgT[any]
 

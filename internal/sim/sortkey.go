@@ -42,11 +42,12 @@
 //     in the tag, and every field form is fixed-width or
 //     length-prefixed. −0 and +0 compare equal and render alike; NaN,
 //     which never equals itself, is the one value outside the contract,
-//     and no protocol or adversary here produces it. The duplicate
-//     filter keeps one copy of a (sender, payload) per recipient per
-//     round, so no two entries of one sender's run ever tie: any
-//     correct sort yields the one order, and two sorted runs merge
-//     exactly (plane.go).
+//     and no protocol or adversary here produces it. So a sender's
+//     repeats tie only with each other and sort next to each other,
+//     where the close of its sends drops them, keeping one copy of a
+//     (sender, payload) per recipient per round: no two entries of one
+//     sender's run ever tie, any correct sort yields the one order,
+//     and two sorted runs merge exactly (plane.go).
 //   - Byte order agrees with numeric order field by field: ids, ints
 //     and floats sort as numbers, id 9 before id 10.
 //

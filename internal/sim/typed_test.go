@@ -2,9 +2,9 @@ package sim_test
 
 // Bit-identity of the two instantiations beyond the pinned goldens
 // (golden_test.go replays those on both): the scale-frontier ring
-// workload held equal across boxed and typed, the duplicate filter
-// keyed on a wire value, and the typed plane ordering by Compare
-// without ever rendering a sort key.
+// workload held equal across boxed and typed, duplicates found by
+// wire-value equality, and the typed plane ordering by Compare without
+// ever rendering a sort key.
 
 import (
 	"cmp"
@@ -39,9 +39,8 @@ func TestTypedRingMatchesReference(t *testing.T) {
 	}
 }
 
-// dupProc sends the same probe twice per round; the duplicate filter
-// must drop the second copy whether it hashes the wire value or its
-// box.
+// dupProc sends the same probe twice per round; the runner must drop
+// the second copy whether it compares the wire value or its box.
 type dupProc struct {
 	id   ids.ID
 	peer ids.ID
