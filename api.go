@@ -48,7 +48,10 @@ type (
 
 // NewRunner builds a synchronous system over correct processes, faulty
 // ids, and the adversary controlling them (nil when there are none).
-func NewRunner(cfg Config, procs []Process, faulty []NodeID, adv sim.Adversary) *sim.Runner {
+// procs may be a slice of any Process type, so a protocol's node slice
+// goes in as it is: a []*ConsensusNode, say, as well as a []Process
+// that mixes types.
+func NewRunner[P Process](cfg Config, procs []P, faulty []NodeID, adv sim.Adversary) *sim.Runner {
 	return sim.NewRunner(cfg, procs, faulty, adv)
 }
 

@@ -15,13 +15,10 @@ func TestPublicAPIConsensus(t *testing.T) {
 	correct, faulty := all[:5], all[5:]
 
 	var nodes []*idonly.ConsensusNode
-	var procs []idonly.Process
 	for i, id := range correct {
-		nd := idonly.NewConsensus(id, float64(i%2))
-		nodes = append(nodes, nd)
-		procs = append(procs, nd)
+		nodes = append(nodes, idonly.NewConsensus(id, float64(i%2)))
 	}
-	r := idonly.NewRunner(idonly.Config{StopWhenAllDecided: true}, procs, faulty,
+	r := idonly.NewRunner(idonly.Config{StopWhenAllDecided: true}, nodes, faulty,
 		idonly.SplitBrainAdversary(0, 1, all))
 	m := r.Run(nil)
 
@@ -39,13 +36,10 @@ func TestPublicAPIReliableBroadcast(t *testing.T) {
 	rng := idonly.NewRand(2)
 	all := idonly.SparseIDs(rng, 4)
 	var nodes []*idonly.ReliableBroadcastNode
-	var procs []idonly.Process
 	for i, id := range all {
-		nd := idonly.NewReliableBroadcast(id, i == 0, "hello")
-		nodes = append(nodes, nd)
-		procs = append(procs, nd)
+		nodes = append(nodes, idonly.NewReliableBroadcast(id, i == 0, "hello"))
 	}
-	r := idonly.NewRunner(idonly.Config{MaxRounds: 5}, procs, nil, nil)
+	r := idonly.NewRunner(idonly.Config{MaxRounds: 5}, nodes, nil, nil)
 	r.Run(nil)
 	for _, nd := range nodes {
 		if _, ok := nd.Accepted("hello", all[0]); !ok {
@@ -57,19 +51,14 @@ func TestPublicAPIReliableBroadcast(t *testing.T) {
 func TestPublicAPIParallel(t *testing.T) {
 	rng := idonly.NewRand(3)
 	all := idonly.SparseIDs(rng, 4)
-	var procs []idonly.Process
-	var nodes []*struct{}
-	_ = nodes
 	var pnodes []interface {
+		idonly.Process
 		Outputs() map[idonly.PairID]idonly.Val
-		Decided() bool
 	}
 	for _, id := range all {
-		nd := idonly.NewParallelConsensus(id, map[idonly.PairID]idonly.Val{1: idonly.V("x")})
-		pnodes = append(pnodes, nd)
-		procs = append(procs, nd)
+		pnodes = append(pnodes, idonly.NewParallelConsensus(id, map[idonly.PairID]idonly.Val{1: idonly.V("x")}))
 	}
-	r := idonly.NewRunner(idonly.Config{StopWhenAllDecided: true}, procs, nil, nil)
+	r := idonly.NewRunner(idonly.Config{StopWhenAllDecided: true}, pnodes, nil, nil)
 	r.Run(nil)
 	for _, nd := range pnodes {
 		out := nd.Outputs()
@@ -181,16 +170,13 @@ func TestPublicAPIDynamicAndAsync(t *testing.T) {
 	// dynamic
 	rng := idonly.NewRand(4)
 	all := idonly.SparseIDs(rng, 4)
-	var dnodes []interface{ Chain() []idonly.OrderedEvent }
-	var procs []idonly.Process
+	var dnodes []*idonly.DynamicNode
 	for _, id := range all {
-		nd := idonly.NewDynamicOrder(idonly.DynamicConfig{
+		dnodes = append(dnodes, idonly.NewDynamicOrder(idonly.DynamicConfig{
 			ID: id, Founders: all, Witness: map[int][]string{2: {"e"}},
-		})
-		dnodes = append(dnodes, nd)
-		procs = append(procs, nd)
+		}))
 	}
-	r := idonly.NewRunner(idonly.Config{MaxRounds: 30}, procs, nil, nil)
+	r := idonly.NewRunner(idonly.Config{MaxRounds: 30}, dnodes, nil, nil)
 	r.Run(nil)
 	if len(dnodes[0].Chain()) == 0 {
 		t.Fatal("dynamic chain empty via public API")

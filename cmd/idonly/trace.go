@@ -66,11 +66,8 @@ func runTrace(args []string, stdout, stderr io.Writer) int {
 		short[id] = fmt.Sprintf("N%d", i)
 	}
 	var nodes []*consensus.Node
-	var procs []sim.Process
 	for i, id := range correct {
-		nd := consensus.New(id, float64(i%2))
-		nodes = append(nodes, nd)
-		procs = append(procs, nd)
+		nodes = append(nodes, consensus.New(id, float64(i%2)))
 	}
 	var adv sim.Adversary
 	if *f > 0 {
@@ -95,7 +92,7 @@ func runTrace(args []string, stdout, stderr io.Writer) int {
 			}
 		},
 	}
-	m := sim.NewRunner(cfg, procs, faulty, adv).Run(nil)
+	m := sim.NewRunner(cfg, nodes, faulty, adv).Run(nil)
 
 	fmt.Fprintln(stdout, "\noutcome:")
 	for _, nd := range nodes {

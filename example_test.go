@@ -20,13 +20,10 @@ func Example_quickstart() {
 
 	// Correct nodes start with a split opinion: 0 or 1.
 	var nodes []*idonly.ConsensusNode
-	var procs []idonly.Process
 	for i, id := range correct {
-		nd := idonly.NewConsensus(id, float64(i%2))
-		nodes = append(nodes, nd)
-		procs = append(procs, nd)
+		nodes = append(nodes, idonly.NewConsensus(id, float64(i%2)))
 	}
-	runner := idonly.NewRunner(idonly.Config{StopWhenAllDecided: true}, procs, faulty,
+	runner := idonly.NewRunner(idonly.Config{StopWhenAllDecided: true}, nodes, faulty,
 		idonly.SplitBrainAdversary(0, 1, all))
 	metrics := runner.Run(nil)
 
@@ -63,7 +60,6 @@ func Example_ledger() {
 	// Each correct founder submits a transaction every few rounds; the
 	// last one retires at round 20.
 	var nodes []*idonly.DynamicNode
-	var procs []idonly.Process
 	for i, id := range correct {
 		witness := make(map[int][]string)
 		for r := 2; r <= rounds; r += len(correct) {
@@ -73,13 +69,11 @@ func Example_ledger() {
 		if i == len(correct)-1 {
 			leaveAt = 20
 		}
-		nd := idonly.NewDynamicOrder(idonly.DynamicConfig{ID: id, Founders: all, Witness: witness, LeaveAt: leaveAt})
-		nodes = append(nodes, nd)
-		procs = append(procs, nd)
+		nodes = append(nodes, idonly.NewDynamicOrder(idonly.DynamicConfig{ID: id, Founders: all, Witness: witness, LeaveAt: leaveAt}))
 	}
 	// The Byzantine founder reports conflicting transactions to the two
 	// halves of the system every third round.
-	runner := idonly.NewRunner(idonly.Config{MaxRounds: rounds}, procs, faulty,
+	runner := idonly.NewRunner(idonly.Config{MaxRounds: rounds}, nodes, faulty,
 		idonly.EquivocatingEventAdversary(all, 3))
 
 	// A new participant joins the open system at round 25 and submits
@@ -136,16 +130,13 @@ func Example_sensornet() {
 
 	// True temperature ~21.5°C; each correct sensor reads with noise.
 	var sensors []*idonly.IteratedApproxNode
-	var procs []idonly.Process
 	for i, id := range correct {
 		reading := 21.5 + 3.0*(rng.Float64()-0.5) + float64(i%3)
-		s := idonly.NewIteratedApprox(id, reading, iterations)
-		sensors = append(sensors, s)
-		procs = append(procs, s)
+		sensors = append(sensors, idonly.NewIteratedApprox(id, reading, iterations))
 	}
 	// Faulty sensors report -40°C to half the network and +85°C to the
 	// other half.
-	runner := idonly.NewRunner(idonly.Config{StopWhenAllDecided: true}, procs, faulty,
+	runner := idonly.NewRunner(idonly.Config{StopWhenAllDecided: true}, sensors, faulty,
 		idonly.OutlierAdversary(-40, 85, all))
 	runner.Run(nil)
 
@@ -261,7 +252,6 @@ func Example_churn() {
 
 	all := idonly.SparseIDs(idonly.NewRand(42), 4)
 	var founders []*idonly.DynamicNode
-	var procs []idonly.Process
 	for i, id := range all {
 		witness := map[int][]string{}
 		for r := 1; r <= 50; r++ {
@@ -269,11 +259,9 @@ func Example_churn() {
 				witness[r] = []string{fmt.Sprintf("ev-%d-%d", i, r)}
 			}
 		}
-		nd := idonly.NewDynamicOrder(idonly.DynamicConfig{ID: id, Founders: all, Witness: witness})
-		founders = append(founders, nd)
-		procs = append(procs, nd)
+		founders = append(founders, idonly.NewDynamicOrder(idonly.DynamicConfig{ID: id, Founders: all, Witness: witness}))
 	}
-	runner := idonly.NewRunner(idonly.Config{MaxRounds: 50}, procs, nil, nil)
+	runner := idonly.NewRunner(idonly.Config{MaxRounds: 50}, founders, nil, nil)
 	// No Founders: the joiner must discover the system via present/ack.
 	joiner := idonly.NewDynamicOrder(idonly.DynamicConfig{ID: idonly.SparseIDs(idonly.NewRand(99), 1)[0]})
 	runner.ScheduleJoin(10, joiner)

@@ -95,14 +95,11 @@ func TestChaosAgainstConsensus(t *testing.T) {
 		correct := all[:5]
 		faulty := all[5:]
 		var nodes []*consensus.Node
-		var procs []sim.Process
 		for i, id := range correct {
-			nd := consensus.New(id, float64(i%2))
-			nodes = append(nodes, nd)
-			procs = append(procs, nd)
+			nodes = append(nodes, consensus.New(id, float64(i%2)))
 		}
 		r := sim.NewRunner(sim.Config{MaxRounds: 300, StopWhenAllDecided: true},
-			procs, faulty, adversary.NewChaos(seed, all))
+			nodes, faulty, adversary.NewChaos(seed, all))
 		r.Run(nil)
 		for _, nd := range nodes {
 			if !nd.Decided() {
@@ -126,13 +123,10 @@ func TestChaosAgainstReliableBroadcast(t *testing.T) {
 		correct := all[:5]
 		faulty := all[5:]
 		var nodes []*rbroadcast.Node
-		var procs []sim.Process
 		for i, id := range correct {
-			nd := rbroadcast.New(id, i == 0, "real")
-			nodes = append(nodes, nd)
-			procs = append(procs, nd)
+			nodes = append(nodes, rbroadcast.New(id, i == 0, "real"))
 		}
-		r := sim.NewRunner(sim.Config{MaxRounds: 30}, procs, faulty, adversary.NewChaos(seed, all))
+		r := sim.NewRunner(sim.Config{MaxRounds: 30}, nodes, faulty, adversary.NewChaos(seed, all))
 		r.Run(nil)
 		// correctness: the real broadcast is accepted by everyone
 		for _, nd := range nodes {
@@ -163,14 +157,11 @@ func TestChaosAgainstRotor(t *testing.T) {
 		correct := all[:5]
 		faulty := all[5:]
 		var nodes []*rotor.Node
-		var procs []sim.Process
 		for i, id := range correct {
-			nd := rotor.New(id, float64(i))
-			nodes = append(nodes, nd)
-			procs = append(procs, nd)
+			nodes = append(nodes, rotor.New(id, float64(i)))
 		}
 		r := sim.NewRunner(sim.Config{MaxRounds: 100, StopWhenAllDecided: true},
-			procs, faulty, adversary.NewChaos(seed, all))
+			nodes, faulty, adversary.NewChaos(seed, all))
 		r.Run(nil)
 		for _, nd := range nodes {
 			if !nd.Decided() {
@@ -187,14 +178,11 @@ func TestChaosAgainstParallel(t *testing.T) {
 		correct := all[:5]
 		faulty := all[5:]
 		var nodes []*parallel.Node
-		var procs []sim.Process
 		for _, id := range correct {
-			nd := parallel.NewNode(id, map[parallel.PairID]parallel.Val{100: parallel.V("real")})
-			nodes = append(nodes, nd)
-			procs = append(procs, nd)
+			nodes = append(nodes, parallel.NewNode(id, map[parallel.PairID]parallel.Val{100: parallel.V("real")}))
 		}
 		r := sim.NewRunner(sim.Config{MaxRounds: 400, StopWhenAllDecided: true},
-			procs, faulty, adversary.NewChaos(seed, all))
+			nodes, faulty, adversary.NewChaos(seed, all))
 		r.Run(nil)
 		base := nodes[0].Outputs()
 		for _, nd := range nodes {

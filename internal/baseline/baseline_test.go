@@ -21,13 +21,10 @@ func TestSTCorrectSourceAccepts(t *testing.T) {
 		correct := all[:tc.n-tc.f]
 		faulty := all[tc.n-tc.f:]
 		var nodes []*baseline.STNode
-		var procs []sim.Process
 		for i, id := range correct {
-			nd := baseline.NewSTNode(id, tc.f, i == 0, "m")
-			nodes = append(nodes, nd)
-			procs = append(procs, nd)
+			nodes = append(nodes, baseline.NewSTNode(id, tc.f, i == 0, "m"))
 		}
-		r := sim.NewRunner(sim.Config{MaxRounds: 8}, procs, faulty, adversary.Silent{})
+		r := sim.NewRunner(sim.Config{MaxRounds: 8}, nodes, faulty, adversary.Silent{})
 		r.Run(nil)
 		for _, nd := range nodes {
 			round, ok := nd.Accepted("m", correct[0])
@@ -48,14 +45,11 @@ func TestSTForgeryResistedAboveAndAtBoundary(t *testing.T) {
 		correct := all[:n-f]
 		faulty := all[n-f:]
 		var nodes []*baseline.STNode
-		var procs []sim.Process
 		for _, id := range correct {
-			nd := baseline.NewSTNode(id, f, false, "")
-			nodes = append(nodes, nd)
-			procs = append(procs, nd)
+			nodes = append(nodes, baseline.NewSTNode(id, f, false, ""))
 		}
 		adv := adversary.STForge{FakeM: "forged", FakeS: correct[0]}
-		r := sim.NewRunner(sim.Config{MaxRounds: 20}, procs, faulty, adv)
+		r := sim.NewRunner(sim.Config{MaxRounds: 20}, nodes, faulty, adv)
 		r.Run(nil)
 		for _, nd := range nodes {
 			if _, ok := nd.Accepted("forged", correct[0]); ok {
@@ -79,7 +73,6 @@ func runKing(t *testing.T, seed uint64, n, f int, inputs func(i int) float64, ad
 		faultySet[all[idx]] = true
 	}
 	var nodes []*baseline.KingNode
-	var procs []sim.Process
 	var faulty []ids.ID
 	i := 0
 	for _, id := range all {
@@ -89,10 +82,9 @@ func runKing(t *testing.T, seed uint64, n, f int, inputs func(i int) float64, ad
 		}
 		nd := baseline.NewKing(id, n, f, inputs(i))
 		nodes = append(nodes, nd)
-		procs = append(procs, nd)
 		i++
 	}
-	r := sim.NewRunner(sim.Config{MaxRounds: 40 * (f + 2), StopWhenAllDecided: true}, procs, faulty, adv)
+	r := sim.NewRunner(sim.Config{MaxRounds: 40 * (f + 2), StopWhenAllDecided: true}, nodes, faulty, adv)
 	r.Run(nil)
 	return nodes
 }
@@ -182,17 +174,14 @@ func TestKnownFApproxHalvesRange(t *testing.T) {
 	correct := all[:n-f]
 	faulty := all[n-f:]
 	var nodes []*baseline.ApproxNode
-	var procs []sim.Process
 	var inputs []float64
 	for i, id := range correct {
 		x := float64(i) * 64
 		inputs = append(inputs, x)
-		nd := baseline.NewApprox(id, f, x, iters)
-		nodes = append(nodes, nd)
-		procs = append(procs, nd)
+		nodes = append(nodes, baseline.NewApprox(id, f, x, iters))
 	}
 	adv := adversary.ApproxOutlier{Low: -1e5, High: 1e5, All: all}
-	r := sim.NewRunner(sim.Config{MaxRounds: iters + 2, StopWhenAllDecided: true}, procs, faulty, adv)
+	r := sim.NewRunner(sim.Config{MaxRounds: iters + 2, StopWhenAllDecided: true}, nodes, faulty, adv)
 	r.Run(nil)
 	prev := spread(inputs)
 	for k := 0; k < iters; k++ {

@@ -50,17 +50,14 @@ func TestOneShotWithinCorrectRange(t *testing.T) {
 		correct := all[:n-f]
 		faulty := all[n-f:]
 		var nodes []*approx.Iterated
-		var procs []sim.Process
 		var inputs []float64
 		for i, id := range correct {
 			x := float64(i * 10)
 			inputs = append(inputs, x)
-			nd := approx.NewIterated(id, x, 1)
-			nodes = append(nodes, nd)
-			procs = append(procs, nd)
+			nodes = append(nodes, approx.NewIterated(id, x, 1))
 		}
 		adv := adversary.ApproxOutlier{Low: -1e9, High: 1e9, All: all}
-		r := sim.NewRunner(sim.Config{MaxRounds: 3, StopWhenAllDecided: true}, procs, faulty, adv)
+		r := sim.NewRunner(sim.Config{MaxRounds: 3, StopWhenAllDecided: true}, nodes, faulty, adv)
 		r.Run(nil)
 		lo, hi := rangeOf(inputs)
 		for _, nd := range nodes {
@@ -83,17 +80,14 @@ func TestOneShotRangeHalves(t *testing.T) {
 		correct := all[:n-f]
 		faulty := all[n-f:]
 		var nodes []*approx.Iterated
-		var procs []sim.Process
 		var inputs []float64
 		for i, id := range correct {
 			x := rng.Float64()*100 + float64(i)
 			inputs = append(inputs, x)
-			nd := approx.NewIterated(id, x, 1)
-			nodes = append(nodes, nd)
-			procs = append(procs, nd)
+			nodes = append(nodes, approx.NewIterated(id, x, 1))
 		}
 		adv := adversary.ApproxOutlier{Low: -500, High: 500, All: all}
-		r := sim.NewRunner(sim.Config{MaxRounds: 3, StopWhenAllDecided: true}, procs, faulty, adv)
+		r := sim.NewRunner(sim.Config{MaxRounds: 3, StopWhenAllDecided: true}, nodes, faulty, adv)
 		r.Run(nil)
 		var outputs []float64
 		for _, nd := range nodes {
@@ -114,17 +108,14 @@ func TestIteratedConvergesExponentially(t *testing.T) {
 	correct := all[:n-f]
 	faulty := all[n-f:]
 	var nodes []*approx.Iterated
-	var procs []sim.Process
 	var inputs []float64
 	for i, id := range correct {
 		x := float64(i) * 128
 		inputs = append(inputs, x)
-		nd := approx.NewIterated(id, x, iters)
-		nodes = append(nodes, nd)
-		procs = append(procs, nd)
+		nodes = append(nodes, approx.NewIterated(id, x, iters))
 	}
 	adv := adversary.ApproxOutlier{Low: -1e6, High: 1e6, All: all}
-	r := sim.NewRunner(sim.Config{MaxRounds: iters + 2, StopWhenAllDecided: true}, procs, faulty, adv)
+	r := sim.NewRunner(sim.Config{MaxRounds: iters + 2, StopWhenAllDecided: true}, nodes, faulty, adv)
 	r.Run(nil)
 	ilo, ihi := rangeOf(inputs)
 	prev := ihi - ilo

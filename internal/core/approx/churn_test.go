@@ -42,13 +42,10 @@ func TestChurnJoinerPullsTowardCluster(t *testing.T) {
 	all := ids.Sparse(rng, 8)
 	iters := 14
 	var cluster []*approx.Iterated
-	var procs []sim.Process
 	for i, id := range all[:7] {
-		nd := approx.NewIterated(id, 50+float64(i), iters)
-		cluster = append(cluster, nd)
-		procs = append(procs, nd)
+		cluster = append(cluster, approx.NewIterated(id, 50+float64(i), iters))
 	}
-	r := sim.NewRunner(sim.Config{MaxRounds: iters, StopWhenAllDecided: true}, procs, nil, nil)
+	r := sim.NewRunner(sim.Config{MaxRounds: iters, StopWhenAllDecided: true}, cluster, nil, nil)
 	joiner := approx.NewIterated(all[7], 1000, iters-4)
 	r.ScheduleJoin(5, joiner)
 	r.Run(nil)
@@ -112,13 +109,10 @@ func TestChurnContinuousJoinsStayInUnion(t *testing.T) {
 	all := ids.Sparse(rng, 12)
 	iters := 16
 	var nodes []*approx.Iterated
-	var procs []sim.Process
 	for i, id := range all[:6] {
-		nd := approx.NewIterated(id, float64(i)*10, iters)
-		nodes = append(nodes, nd)
-		procs = append(procs, nd)
+		nodes = append(nodes, approx.NewIterated(id, float64(i)*10, iters))
 	}
-	r := sim.NewRunner(sim.Config{MaxRounds: iters, StopWhenAllDecided: true}, procs, nil, nil)
+	r := sim.NewRunner(sim.Config{MaxRounds: iters, StopWhenAllDecided: true}, nodes, nil, nil)
 	lo, hi := 0.0, 50.0
 	for j, id := range all[6:10] {
 		x := float64(100 + 50*j)

@@ -22,17 +22,14 @@ func buildConsensus(seed uint64, n, f int, inputs func(i int) float64, adv func(
 	correct := all[:n-f]
 	faulty := all[n-f:]
 	var nodes []*consensus.Node
-	var procs []sim.Process
 	for i, id := range correct {
-		nd := consensus.New(id, inputs(i))
-		nodes = append(nodes, nd)
-		procs = append(procs, nd)
+		nodes = append(nodes, consensus.New(id, inputs(i)))
 	}
 	var a sim.Adversary
 	if adv != nil {
 		a = adv(all)
 	}
-	r := sim.NewRunner(sim.Config{MaxRounds: 40 * (f + 2), StopWhenAllDecided: true}, procs, faulty, a)
+	r := sim.NewRunner(sim.Config{MaxRounds: 40 * (f + 2), StopWhenAllDecided: true}, nodes, faulty, a)
 	return setup{runner: r, nodes: nodes, correct: correct, faulty: faulty}
 }
 

@@ -47,14 +47,11 @@ func TestRealValuedInputsDistinct(t *testing.T) {
 		all := ids.Sparse(rng, 7)
 		inputs := make([]float64, 7)
 		var nodes []*consensus.Node
-		var procs []sim.Process
 		for i, id := range all {
 			inputs[i] = 100*rng.Float64() + float64(i)
-			nd := consensus.New(id, inputs[i])
-			nodes = append(nodes, nd)
-			procs = append(procs, nd)
+			nodes = append(nodes, consensus.New(id, inputs[i]))
 		}
-		r := sim.NewRunner(sim.Config{StopWhenAllDecided: true}, procs, nil, nil)
+		r := sim.NewRunner(sim.Config{StopWhenAllDecided: true}, nodes, nil, nil)
 		r.Run(nil)
 		v := nodes[0].Value()
 		valid := false
@@ -82,13 +79,10 @@ func TestDistinctRealsNeverAverage(t *testing.T) {
 	all := ids.Sparse(rng, 3)
 	inputs := []float64{1, 2, 4}
 	var nodes []*consensus.Node
-	var procs []sim.Process
 	for i, id := range all {
-		nd := consensus.New(id, inputs[i])
-		nodes = append(nodes, nd)
-		procs = append(procs, nd)
+		nodes = append(nodes, consensus.New(id, inputs[i]))
 	}
-	r := sim.NewRunner(sim.Config{StopWhenAllDecided: true}, procs, nil, nil)
+	r := sim.NewRunner(sim.Config{StopWhenAllDecided: true}, nodes, nil, nil)
 	r.Run(nil)
 	v := nodes[0].Value()
 	if v != 1 && v != 2 && v != 4 {
@@ -107,13 +101,10 @@ func TestCoordinatorAdoptionCounter(t *testing.T) {
 	rng := ids.NewRand(8)
 	all := ids.Sparse(rng, 4)
 	var nodes []*consensus.Node
-	var procs []sim.Process
 	for _, id := range all {
-		nd := consensus.New(id, 9)
-		nodes = append(nodes, nd)
-		procs = append(procs, nd)
+		nodes = append(nodes, consensus.New(id, 9))
 	}
-	r := sim.NewRunner(sim.Config{StopWhenAllDecided: true}, procs, nil, nil)
+	r := sim.NewRunner(sim.Config{StopWhenAllDecided: true}, nodes, nil, nil)
 	r.Run(nil)
 	for _, nd := range nodes {
 		if nd.CoordinatorAdoptions() != 0 {

@@ -21,7 +21,6 @@ func TestChaosAgainstDynamicOrder(t *testing.T) {
 		correct := all[:5]
 		faulty := all[5:]
 		var nodes []*dynamic.Node
-		var procs []sim.Process
 		for i, id := range correct {
 			witness := make(map[int][]string)
 			for r := 1; r <= 40; r++ {
@@ -29,11 +28,9 @@ func TestChaosAgainstDynamicOrder(t *testing.T) {
 					witness[r] = []string{fmt.Sprintf("e%d-%d", i, r)}
 				}
 			}
-			nd := dynamic.New(dynamic.Config{ID: id, Founders: all, Witness: witness})
-			nodes = append(nodes, nd)
-			procs = append(procs, nd)
+			nodes = append(nodes, dynamic.New(dynamic.Config{ID: id, Founders: all, Witness: witness}))
 		}
-		r := sim.NewRunner(sim.Config{MaxRounds: 60}, procs, faulty, adversary.NewChaos(seed, all))
+		r := sim.NewRunner(sim.Config{MaxRounds: 60}, nodes, faulty, adversary.NewChaos(seed, all))
 		r.Run(nil)
 		for i := range nodes {
 			if nodes[i].HarvestGap() {
@@ -73,13 +70,10 @@ func TestChaosJoinerStillSynchronizes(t *testing.T) {
 		correct := all[:5]
 		faulty := all[5:]
 		var nodes []*dynamic.Node
-		var procs []sim.Process
 		for _, id := range correct {
-			nd := dynamic.New(dynamic.Config{ID: id, Founders: all})
-			nodes = append(nodes, nd)
-			procs = append(procs, nd)
+			nodes = append(nodes, dynamic.New(dynamic.Config{ID: id, Founders: all}))
 		}
-		r := sim.NewRunner(sim.Config{MaxRounds: 40}, procs, faulty, adversary.NewChaos(seed, all))
+		r := sim.NewRunner(sim.Config{MaxRounds: 40}, nodes, faulty, adversary.NewChaos(seed, all))
 		joiner := dynamic.New(dynamic.Config{ID: ids.Sparse(ids.NewRand(seed+500), 1)[0]})
 		r.ScheduleJoin(8, joiner)
 		r.Run(nil)

@@ -144,11 +144,9 @@ type Node struct {
 	idx  quorum.Index
 	snap *quorum.Set
 
-	// Witness schedule: protocol round -> events witnessed that round;
-	// Submit adds to the next round. A leaving/left node witnesses
-	// nothing.
+	// Witness schedule: protocol round -> events witnessed that round.
+	// A leaving/left node witnesses nothing.
 	schedule map[int][]string
-	pending  []string
 
 	leaveAt int // protocol round at which to announce absent (0 = never)
 
@@ -245,9 +243,6 @@ func (n *Node) Members() []ids.ID { return slices.Clone(n.members) }
 // machine terminated — a violation of Theorem 6's finality bound, which
 // must never occur while n > 3f holds in every round.
 func (n *Node) HarvestGap() bool { return n.harvestGap }
-
-// Submit queues an event to be witnessed in the node's next round.
-func (n *Node) Submit(m string) { n.pending = append(n.pending, m) }
 
 // Step implements sim.Process through the union's codec.
 func (n *Node) Step(round int, inbox []sim.Message) []sim.Send {
@@ -380,15 +375,11 @@ func (n *Node) StepTyped(round int, inbox []sim.MsgT[Wire]) []sim.SendT[Wire] {
 		out = append(out, sim.UnicastT(u, Wire{Kind: wAck, R: n.r}))
 	}
 
-	// Witness events (line 21-23): schedule plus queued submissions.
+	// Witness events (line 21-23), from the schedule.
 	if n.state == stActive {
 		for _, m := range n.schedule[n.r] {
 			out = append(out, sim.BroadcastT(Wire{Kind: wEvent, R: n.r, S: m}))
 		}
-		for _, m := range n.pending {
-			out = append(out, sim.BroadcastT(Wire{Kind: wEvent, R: n.r, S: m}))
-		}
-		n.pending = nil
 	}
 
 	// Advance all live session machines over the traffic they absorbed.

@@ -32,13 +32,10 @@ func buildDynamic(seed uint64, n, f int, witness func(i int) map[int][]string,
 	correct := all[:n-f]
 	faulty := all[n-f:]
 	var nodes []*dynamic.Node
-	var procs []sim.Process
 	for i, id := range correct {
-		nd := dynamic.New(dynamic.Config{ID: id, Founders: all, Witness: witness(i)})
-		nodes = append(nodes, nd)
-		procs = append(procs, nd)
+		nodes = append(nodes, dynamic.New(dynamic.Config{ID: id, Founders: all, Witness: witness(i)}))
 	}
-	r := sim.NewRunner(sim.Config{MaxRounds: rounds}, procs, faulty, adv)
+	r := sim.NewRunner(sim.Config{MaxRounds: rounds}, nodes, faulty, adv)
 	return nodes, r
 }
 
@@ -204,13 +201,10 @@ func TestBadAcksCannotDesyncJoiner(t *testing.T) {
 	correct := all[:5]
 	faulty := all[5:]
 	var nodes []*dynamic.Node
-	var procs []sim.Process
 	for _, id := range correct {
-		nd := dynamic.New(dynamic.Config{ID: id, Founders: all, Witness: witness(0)})
-		nodes = append(nodes, nd)
-		procs = append(procs, nd)
+		nodes = append(nodes, dynamic.New(dynamic.Config{ID: id, Founders: all, Witness: witness(0)}))
 	}
-	r := sim.NewRunner(sim.Config{MaxRounds: 0}, procs, faulty, adversary.DynBadAck{Offset: 1000})
+	r := sim.NewRunner(sim.Config{MaxRounds: 0}, nodes, faulty, adversary.DynBadAck{Offset: 1000})
 	joinID := ids.Sparse(ids.NewRand(88), 1)[0]
 	joiner := dynamic.New(dynamic.Config{ID: joinID})
 	r.ScheduleJoin(5, joiner)
@@ -231,17 +225,14 @@ func TestLeaverDepartsCleanly(t *testing.T) {
 	rng := ids.NewRand(9)
 	all := ids.Sparse(rng, 4)
 	var nodes []*dynamic.Node
-	var procs []sim.Process
 	for i, id := range all {
 		leaveAt := 0
 		if i == 3 {
 			leaveAt = 12
 		}
-		nd := dynamic.New(dynamic.Config{ID: id, Founders: all, Witness: witness(i), LeaveAt: leaveAt})
-		nodes = append(nodes, nd)
-		procs = append(procs, nd)
+		nodes = append(nodes, dynamic.New(dynamic.Config{ID: id, Founders: all, Witness: witness(i), LeaveAt: leaveAt}))
 	}
-	r := sim.NewRunner(sim.Config{MaxRounds: 80}, procs, nil, nil)
+	r := sim.NewRunner(sim.Config{MaxRounds: 80}, nodes, nil, nil)
 	r.Run(nil)
 	if !nodes[3].Left() {
 		t.Fatal("leaver never left")

@@ -35,7 +35,6 @@ func TestSessionRetirementBound(t *testing.T) {
 	)
 	all := ids.Sparse(ids.NewRand(12), n)
 	var nodes []*Node
-	var procs []sim.Process
 	for i, id := range all {
 		witness := make(map[int][]string)
 		for r := 1 + i%5; r <= rounds; r += 5 {
@@ -45,13 +44,11 @@ func TestSessionRetirementBound(t *testing.T) {
 		if i == 3 {
 			cfg.LeaveAt = 60
 		}
-		nd := New(cfg)
-		nodes = append(nodes, nd)
-		procs = append(procs, nd)
+		nodes = append(nodes, New(cfg))
 	}
+	r := sim.NewRunner(sim.Config{MaxRounds: rounds}, nodes, nil, nil)
 	joiner := New(Config{ID: ids.Sparse(ids.NewRand(1212), 1)[0], Witness: map[int][]string{90: {"joined"}}})
 	nodes = append(nodes, joiner)
-	r := sim.NewRunner(sim.Config{MaxRounds: rounds}, procs, nil, nil)
 	r.ScheduleJoin(40, joiner)
 
 	r.Run(func(round int) bool {

@@ -51,20 +51,17 @@ type stepper interface {
 func steadySystem(n, f, rounds int, typed bool, adv sim.Adversary) (stepper, []*Node) {
 	all := ids.Sparse(ids.NewRand(14), n)
 	var nodes []*Node
-	var procs []sim.Process
 	for i, id := range all[:n-f] {
 		witness := make(map[int][]string)
 		for r := 1 + i%5; r <= rounds; r += 5 {
 			witness[r] = []string{fmt.Sprintf("e%d-%d", i, r)}
 		}
-		nd := New(Config{ID: id, Founders: all, Witness: witness})
-		nodes = append(nodes, nd)
-		procs = append(procs, nd)
+		nodes = append(nodes, New(Config{ID: id, Founders: all, Witness: witness}))
 	}
 	if typed {
 		return sim.NewTypedRunner(sim.Config{}, nodes, all[n-f:], adv, WireCodec()), nodes
 	}
-	return sim.NewRunner(sim.Config{}, procs, all[n-f:], adv), nodes
+	return sim.NewRunner(sim.Config{}, nodes, all[n-f:], adv), nodes
 }
 
 // machinesAllocated is how many machines nd has ever built: none is

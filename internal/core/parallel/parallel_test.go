@@ -18,17 +18,14 @@ func buildParallel(seed uint64, n, f int, inputs func(i int) map[parallel.PairID
 	correct := all[:n-f]
 	faulty := all[n-f:]
 	var nodes []*parallel.Node
-	var procs []sim.Process
 	for i, id := range correct {
-		nd := parallel.NewNode(id, inputs(i))
-		nodes = append(nodes, nd)
-		procs = append(procs, nd)
+		nodes = append(nodes, parallel.NewNode(id, inputs(i)))
 	}
 	var a sim.Adversary
 	if adv != nil {
 		a = adv(all)
 	}
-	r := sim.NewRunner(sim.Config{MaxRounds: 60 * (f + 2), StopWhenAllDecided: true}, procs, faulty, a)
+	r := sim.NewRunner(sim.Config{MaxRounds: 60 * (f + 2), StopWhenAllDecided: true}, nodes, faulty, a)
 	return r, nodes, correct, faulty
 }
 

@@ -18,13 +18,10 @@ func TestAllNodesBroadcastConcurrently(t *testing.T) {
 		correct := all[:tc.n-tc.f]
 		faulty := all[tc.n-tc.f:]
 		var nodes []*rbroadcast.Node
-		var procs []sim.Process
 		for i, id := range correct {
-			nd := rbroadcast.New(id, true, fmt.Sprintf("msg-%d", i))
-			nodes = append(nodes, nd)
-			procs = append(procs, nd)
+			nodes = append(nodes, rbroadcast.New(id, true, fmt.Sprintf("msg-%d", i)))
 		}
-		r := sim.NewRunner(sim.Config{MaxRounds: 8}, procs, faulty, silentAdv{})
+		r := sim.NewRunner(sim.Config{MaxRounds: 8}, nodes, faulty, silentAdv{})
 		r.Run(nil)
 		for _, nd := range nodes {
 			for i, src := range correct {
@@ -54,13 +51,10 @@ func TestConcurrentSourcesDistinctPayloadsSameBody(t *testing.T) {
 	rng := ids.NewRand(5)
 	all := ids.Sparse(rng, 4)
 	var nodes []*rbroadcast.Node
-	var procs []sim.Process
 	for i, id := range all {
-		nd := rbroadcast.New(id, i < 2, "same-body")
-		nodes = append(nodes, nd)
-		procs = append(procs, nd)
+		nodes = append(nodes, rbroadcast.New(id, i < 2, "same-body"))
 	}
-	r := sim.NewRunner(sim.Config{MaxRounds: 6}, procs, nil, nil)
+	r := sim.NewRunner(sim.Config{MaxRounds: 6}, nodes, nil, nil)
 	r.Run(nil)
 	for _, nd := range nodes {
 		if len(nd.AcceptedKeys()) != 2 {
@@ -78,13 +72,10 @@ func TestNVGrowsMonotonically(t *testing.T) {
 	rng := ids.NewRand(6)
 	all := ids.Sparse(rng, 5)
 	var nodes []*rbroadcast.Node
-	var procs []sim.Process
 	for i, id := range all {
-		nd := rbroadcast.New(id, i == 0, "m")
-		nodes = append(nodes, nd)
-		procs = append(procs, nd)
+		nodes = append(nodes, rbroadcast.New(id, i == 0, "m"))
 	}
-	r := sim.NewRunner(sim.Config{MaxRounds: 6}, procs, nil, nil)
+	r := sim.NewRunner(sim.Config{MaxRounds: 6}, nodes, nil, nil)
 	prev := 0
 	r.Run(func(round int) bool {
 		nv := nodes[0].NV()

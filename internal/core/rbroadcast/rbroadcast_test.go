@@ -18,13 +18,10 @@ func build(t *testing.T, seed uint64, n, f int, sourceCorrect bool, adv sim.Adve
 	correct := all[:n-f]
 	faulty := all[n-f:]
 	nodes := make([]*rbroadcast.Node, 0, len(correct))
-	procs := make([]sim.Process, 0, len(correct))
 	for i, id := range correct {
-		nd := rbroadcast.New(id, sourceCorrect && i == 0, "m")
-		nodes = append(nodes, nd)
-		procs = append(procs, nd)
+		nodes = append(nodes, rbroadcast.New(id, sourceCorrect && i == 0, "m"))
 	}
-	r := sim.NewRunner(sim.Config{MaxRounds: 30}, procs, faulty, adv)
+	r := sim.NewRunner(sim.Config{MaxRounds: 30}, nodes, faulty, adv)
 	return r, nodes, correct, faulty
 }
 
@@ -60,12 +57,9 @@ func TestEquivocatingSourceNeverSplitsAcceptance(t *testing.T) {
 		all := ids.Sparse(rng, 7)
 		correct := all[:5]
 		faulty := all[5:]
-		var procs []sim.Process
 		var nodes []*rbroadcast.Node
 		for _, id := range correct {
-			nd := rbroadcast.New(id, false, "")
-			nodes = append(nodes, nd)
-			procs = append(procs, nd)
+			nodes = append(nodes, rbroadcast.New(id, false, ""))
 		}
 		src := faulty[0]
 		adv := adversary.Compose{
@@ -76,7 +70,7 @@ func TestEquivocatingSourceNeverSplitsAcceptance(t *testing.T) {
 				}},
 			},
 		}
-		runner := sim.NewRunner(sim.Config{MaxRounds: 30}, procs, faulty, adv)
+		runner := sim.NewRunner(sim.Config{MaxRounds: 30}, nodes, faulty, adv)
 		runner.Run(nil)
 
 		// Relay/agreement: if any correct node accepted (m, src), all
@@ -109,15 +103,12 @@ func TestUnforgeabilityGhostSourceNeverAccepted(t *testing.T) {
 	correct := all[:7]
 	faulty := all[7:]
 	ghost := ids.ID(999999999999)
-	var procs []sim.Process
 	var nodes []*rbroadcast.Node
 	for _, id := range correct {
-		nd := rbroadcast.New(id, false, "")
-		nodes = append(nodes, nd)
-		procs = append(procs, nd)
+		nodes = append(nodes, rbroadcast.New(id, false, ""))
 	}
 	adv := adversary.RBForgeSource{FakeM: "forged", FakeS: ghost}
-	r := sim.NewRunner(sim.Config{MaxRounds: 40}, procs, faulty, adv)
+	r := sim.NewRunner(sim.Config{MaxRounds: 40}, nodes, faulty, adv)
 	r.Run(nil)
 	for _, nd := range nodes {
 		if _, ok := nd.Accepted("forged", ghost); ok {
@@ -135,12 +126,9 @@ func TestSelectiveSourceRelayHolds(t *testing.T) {
 		all := ids.Sparse(rng, 10)
 		correct := all[:7]
 		faulty := all[7:]
-		var procs []sim.Process
 		var nodes []*rbroadcast.Node
 		for _, id := range correct {
-			nd := rbroadcast.New(id, false, "")
-			nodes = append(nodes, nd)
-			procs = append(procs, nd)
+			nodes = append(nodes, rbroadcast.New(id, false, ""))
 		}
 		src := faulty[0]
 		adv := adversary.Compose{
@@ -149,7 +137,7 @@ func TestSelectiveSourceRelayHolds(t *testing.T) {
 			},
 			Default: adversary.Silent{},
 		}
-		r := sim.NewRunner(sim.Config{MaxRounds: 40}, procs, faulty, adv)
+		r := sim.NewRunner(sim.Config{MaxRounds: 40}, nodes, faulty, adv)
 		r.Run(nil)
 		var rounds []int
 		for _, nd := range nodes {

@@ -41,13 +41,10 @@ func buildRing(t *testing.T, n int) {
 	all := ids.Sparse(ids.NewRand(uint64(n)), n)
 	horizon := ring.Horizon(n)
 	var nodes []*ring.Node
-	var procs []sim.Process
 	for i, id := range all {
-		nd := ring.New(id, ring.Successors(all, i), horizon)
-		nodes = append(nodes, nd)
-		procs = append(procs, nd)
+		nodes = append(nodes, ring.New(id, ring.Successors(all, i), horizon))
 	}
-	run := sim.NewRunner(sim.Config{MaxRounds: horizon + 2, StopWhenAllDecided: true}, procs, nil, nil)
+	run := sim.NewRunner(sim.Config{MaxRounds: horizon + 2, StopWhenAllDecided: true}, nodes, nil, nil)
 	m := run.Run(nil)
 	for _, nd := range nodes {
 		if !nd.Decided() {

@@ -15,13 +15,11 @@ func buildRotor(seed uint64, n, f int, adv sim.Adversary) (*sim.Runner, []*rotor
 	correct := all[:n-f]
 	faulty := all[n-f:]
 	var nodes []*rotor.Node
-	var procs []sim.Process
 	for i, id := range correct {
-		nd := rotor.New(id, float64(i)) // distinct opinions, so good rounds are observable
-		nodes = append(nodes, nd)
-		procs = append(procs, nd)
+		// Distinct opinions, so good rounds are observable.
+		nodes = append(nodes, rotor.New(id, float64(i)))
 	}
-	r := sim.NewRunner(sim.Config{MaxRounds: 5 * n, StopWhenAllDecided: true}, procs, faulty, adv)
+	r := sim.NewRunner(sim.Config{MaxRounds: 5 * n, StopWhenAllDecided: true}, nodes, faulty, adv)
 	return r, nodes, correct, faulty
 }
 
@@ -98,11 +96,8 @@ func TestByzantineHiddenInitGoodRoundStillHappens(t *testing.T) {
 		correct := all[:n-f]
 		faulty := all[n-f:]
 		var nodes []*rotor.Node
-		var procs []sim.Process
 		for i, id := range correct {
-			nd := rotor.New(id, float64(i))
-			nodes = append(nodes, nd)
-			procs = append(procs, nd)
+			nodes = append(nodes, rotor.New(id, float64(i)))
 		}
 		per := make(map[ids.ID]sim.Adversary)
 		for i, id := range faulty {
@@ -113,7 +108,7 @@ func TestByzantineHiddenInitGoodRoundStillHappens(t *testing.T) {
 			}
 		}
 		r := sim.NewRunner(sim.Config{MaxRounds: 10 * n, StopWhenAllDecided: true},
-			procs, faulty, adversary.Compose{PerNode: per})
+			nodes, faulty, adversary.Compose{PerNode: per})
 		r.Run(nil)
 		for _, nd := range nodes {
 			if !nd.Decided() {
@@ -134,14 +129,11 @@ func TestForgedGhostsCannotEnterCandidates(t *testing.T) {
 	faulty := all[n-f:]
 	ghosts := []ids.ID{888888888888, 888888888889}
 	var nodes []*rotor.Node
-	var procs []sim.Process
 	for i, id := range correct {
-		nd := rotor.New(id, float64(i))
-		nodes = append(nodes, nd)
-		procs = append(procs, nd)
+		nodes = append(nodes, rotor.New(id, float64(i)))
 	}
 	r := sim.NewRunner(sim.Config{MaxRounds: 10 * n, StopWhenAllDecided: true},
-		procs, faulty, adversary.RotorForge{Ghosts: ghosts})
+		nodes, faulty, adversary.RotorForge{Ghosts: ghosts})
 	r.Run(nil)
 	ghostSet := map[ids.ID]bool{ghosts[0]: true, ghosts[1]: true}
 	for _, nd := range nodes {

@@ -7,14 +7,15 @@ package engine
 // Both are the same round loop (sim/generic.go); the wire-union
 // instantiation carries one concrete message type per protocol, with no
 // box per payload and a stenciled delivery plane, so it panics on an
-// adversary payload outside that union. Five protocols have a union —
-// rbroadcast, consensus, ring, parallel and dynamic, whose session tag
-// carries parallel's payload unboxed — and rotor and approx run boxed.
-// The predicate below admits exactly the combinations whose adversaries
-// stay inside the union, and everything else — chaos fuzzing, the two
-// protocols without one — runs boxed. Membership churn is the core's
-// own, and the typed constructor schedules the dynamic protocol's
-// correct joiners, so churned cells are eligible like static ones. Under
+// adversary payload outside that union. The predicate below admits
+// exactly the adversaries that stay inside every union; the chaos
+// fuzzer does not, and its scenarios run boxed. Whether a protocol has
+// a union at all is its builder's own property (buildProtocol:
+// unionRun for rbroadcast, consensus, ring, parallel and dynamic, whose
+// session tag carries parallel's payload unboxed; boxedRun for rotor
+// and approx, which run boxed whatever this says). Membership churn is
+// the core's own, and the builder schedules the correct joiners on
+// either plane, so churned cells are eligible like static ones. Under
 // a blind adversary (sim.Blind: silent, and the split attacks of
 // rbroadcast and dynamic) the faulty slots keep no inbox, so nothing is
 // boxed for them either. Selection never changes a result: the
@@ -23,8 +24,7 @@ package engine
 // excluded from the canonical report.
 
 // fastPath reports whether the (defaults-resolved) scenario may run on
-// its protocol's wire union. buildProtocol must also have provided a
-// typed constructor; run() checks both.
+// its protocol's wire union, if the protocol has one.
 func (s Scenario) fastPath() bool {
 	if s.NoFastPath {
 		return false
@@ -36,11 +36,6 @@ func (s Scenario) fastPath() bool {
 		// ConsSplit, ParaSplit, DynEquivEvent) — all inside the wire
 		// unions. Chaos fuzzes with arbitrary junk types a wire union
 		// cannot carry.
-	default:
-		return false
-	}
-	switch s.Protocol {
-	case ProtoRBroadcast, ProtoConsensus, ProtoRing, ProtoParallel, ProtoDynamic:
 		return true
 	}
 	return false

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"idonly/internal/ids"
+	"idonly/internal/sim"
 )
 
 func TestFastPathEligibility(t *testing.T) {
@@ -36,7 +37,7 @@ func TestFastPathEligibility(t *testing.T) {
 			Churn: &Churn{FaultyLeaves: 1}}, true},
 		{"ring/churned", Scenario{Protocol: ProtoRing, Adversary: AdvReplay, N: 14, F: 4,
 			Churn: &Churn{FaultyJoins: 1, FaultyLeaves: 1}}, true},
-		// Correct joiners and leavers too: the typed constructor schedules them.
+		// Correct joiners and leavers too: the builder schedules them on either plane.
 		{"dynamic/churned", Scenario{Protocol: ProtoDynamic, Adversary: AdvSplit, N: 8, F: 2,
 			Churn: &Churn{Joins: 1, Leaves: 1, FaultyJoins: 1, FaultyLeaves: 1}}, true},
 		// Chaos still disqualifies, churned or not.
@@ -48,16 +49,15 @@ func TestFastPathEligibility(t *testing.T) {
 		{"zero-churn", Scenario{Protocol: ProtoRBroadcast, Adversary: AdvNone, N: 7, Churn: &Churn{}}, true},
 	}
 	for _, tc := range cases {
+		// The plane is decided once: the adversary by fastPath, the
+		// protocol by its builder, which for rotor and approx is boxed
+		// whatever it is asked for.
 		s := tc.s.withDefaults()
-		if got := s.fastPath(); got != tc.want {
-			t.Errorf("%s: fastPath() = %v, want %v", tc.name, got, tc.want)
-		}
-		// run() takes the typed instantiation exactly when the scenario is
-		// eligible and its protocol built a typed constructor: an eligible
-		// cell without one would run boxed without anyone noticing.
 		all := ids.Sparse(ids.NewRand(s.Seed), s.N)
-		if pr := buildProtocol(s, all[:s.N-s.F], all, nil, s.churnPlan()); tc.want && pr.typed == nil {
-			t.Errorf("%s: eligible, but %s builds no typed runner", tc.name, s.Protocol)
+		pr := buildProtocol(s, all[:s.N-s.F], all, nil, s.churnPlan())
+		_, boxed := pr.build(sim.Config{}, nil, nil, s.fastPath()).(*sim.Runner)
+		if typed := !boxed; typed != tc.want {
+			t.Errorf("%s: runs typed = %v, want %v", tc.name, typed, tc.want)
 		}
 	}
 }

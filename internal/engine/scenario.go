@@ -396,51 +396,29 @@ func (s Scenario) run(ph *phases) (res Result) {
 	// so theirs run to MaxRounds.
 	cfg := sim.Config{MaxRounds: s.MaxRounds, StopWhenAllDecided: true}
 
-	// One core, two instantiations (sim/generic.go): the protocol's wire
-	// union when it has one and the scenario is eligible (fastPath), the
-	// boxed payloads otherwise. Bit-identical by the golden-trace tests;
-	// TestFastPathMatchesReference pins the canonical report bytes. The
-	// typed constructor schedules the correct joiners itself (its
-	// processes are concrete); the boxed ones are scheduled here.
-	var run runner
-	if pr.typed != nil && s.fastPath() {
-		run = pr.typed(cfg, early, adv)
-	} else {
-		boxed := sim.NewRunner(cfg, pr.procs, early, adv)
-		for i, round := range plan.joinRounds {
-			boxed.ScheduleJoin(round, pr.join(joiners[i]))
-		}
-		run = boxed
-	}
+	// One core, two instantiations (sim/generic.go): the builder puts
+	// the protocol on its wire union when it has one and the scenario
+	// is eligible (fastPath), on boxed payloads otherwise, and schedules
+	// the correct joiners either way. Bit-identical by the golden-trace
+	// tests; TestFastPathMatchesReference pins the canonical report
+	// bytes.
+	run := pr.build(cfg, early, adv, s.fastPath())
 
-	// Compile the rest of the churn plan onto the runner's membership
-	// hooks. Leaves were already compiled into the leavers' own
-	// configuration (the dynamic protocol's graceful-departure
-	// discipline, sim.Leaver); faulty removals fire between rounds
-	// through the stop callback (membership must not change mid-round).
+	// Schedule the faulty churn. Correct leaves were already compiled
+	// into the leavers' own configuration (the dynamic protocol's
+	// graceful-departure discipline, sim.Leaver).
 	for i, round := range plan.faultyJoins {
 		run.ScheduleFaultyJoin(round, late[i])
 	}
-	var stop func(int) bool
-	if len(plan.faultyLeaves) > 0 {
-		removals := make(map[int][]ids.ID, len(plan.faultyLeaves))
-		for i, round := range plan.faultyLeaves {
-			removals[round] = append(removals[round], early[i])
-		}
-		stop = func(round int) bool {
-			for _, id := range removals[round] {
-				run.RemoveFaulty(id)
-			}
-			delete(removals, round)
-			return false
-		}
+	for i, round := range plan.faultyLeaves {
+		run.ScheduleFaultyLeave(round, early[i])
 	}
 	var roundsStart time.Time
 	if ph != nil {
 		roundsStart = time.Now() //lint:wallclock span phase timing; observability only
 		ph.buildNS = roundsStart.Sub(start).Nanoseconds()
 	}
-	m := run.Run(stop)
+	m := run.Run(nil)
 	if ph != nil {
 		ph.roundsNS = time.Since(roundsStart).Nanoseconds() //lint:wallclock span phase timing; observability only
 	}
@@ -453,22 +431,7 @@ func (s Scenario) run(ph *phases) (res Result) {
 	res.Leaves = m.Leaves
 	res.PeakMembers = m.PeakNodes
 	res.MinMembers = m.MinNodes
-	if pr.decided != nil {
-		res.DecidedNodes, res.DecidedOf, res.DecidedNA = pr.decided()
-	} else {
-		// Default terminal predicate: every correct process decided.
-		// Churn-aware: a process that legitimately left the system does
-		// not count as undecided.
-		for _, p := range pr.procs {
-			if l, ok := p.(sim.Leaver); ok && l.Left() {
-				continue
-			}
-			res.DecidedOf++
-			if p.Decided() {
-				res.DecidedNodes++
-			}
-		}
-	}
+	res.DecidedNodes, res.DecidedOf, res.DecidedNA = pr.decided()
 	res.AllDecided = !res.DecidedNA && res.DecidedNodes == res.DecidedOf
 	for _, r := range m.DecidedRound { //lint:ordered max reduction, order-free
 		if r > res.DecidedRoundMax {
@@ -482,55 +445,97 @@ func (s Scenario) run(ph *phases) (res Result) {
 	return res
 }
 
-// protocolRun couples a scenario's constructed processes with its
-// protocol-specific hooks: the outcome digest, the terminal predicate
-// backing the decided column (nil = derive from Process.Decided), the
-// joiner factory the boxed runner schedules correct joiners with, and
-// an optional finisher that fills protocol-specific Result fields
-// (finality lag).
+// protocolRun is a scenario's protocol, constructed: the builder that
+// puts its nodes on a runner, the outcome digest, the terminal
+// predicate backing the decided column, and an optional finisher that
+// fills protocol-specific Result fields (finality lag).
 type protocolRun struct {
-	procs   []sim.Process
+	build   builder
 	digest  func() string
 	decided func() (done, total int, na bool)
 	finish  func(res *Result)
-	join    func(id ids.ID) sim.Process
-
-	// typed builds the runner over the protocol's wire union
-	// (sim.NewTypedRunner) for the same processes, correct joiners
-	// scheduled; nil when the protocol has none. Only consulted when the
-	// scenario is eligible (Scenario.fastPath).
-	typed func(cfg sim.Config, faulty []ids.ID, adv sim.Adversary) runner
 }
 
+// builder puts a protocol's constructed nodes on a runner over the
+// given faulty ids and adversary, correct joiners scheduled: on the
+// protocol's wire union when typed is set and it has one (unionRun),
+// on boxed payloads otherwise.
+type builder func(cfg sim.Config, faulty []ids.ID, adv sim.Adversary, typed bool) runner
+
 // runner is what Scenario.run needs of either instantiation of the
-// simulator core: the faulty-membership hooks and Run.
+// simulator core: the faulty-membership schedule and Run.
 type runner interface {
 	ScheduleFaultyJoin(round int, id ids.ID)
-	RemoveFaulty(id ids.ID)
+	ScheduleFaultyLeave(round int, id ids.ID)
 	Run(stop func(round int) bool) sim.Metrics
 }
 
-// buildProtocol constructs the correct processes for the scenario. The
-// digest is a deterministic one-line summary of the protocol outcome,
-// evaluated after the run; protocols whose agreement property is
-// checkable panic inside it (the runs double as checkers). joiners are
-// the ids of the correct nodes the churn plan adds, one per
-// plan.joinRounds entry; only the dynamic protocol has a join
-// discipline, so only it reads them.
+// unionRun builds runs of a protocol with a wire union: typed over the
+// union, or boxed. Each of joiners joins at its entry of joinRounds.
+func unionRun[P interface {
+	sim.ProcessT[M]
+	sim.Process
+}, M sim.WireMsg[M]](codec sim.Codec[M], nodes, joiners []P, joinRounds []int) builder {
+	return func(cfg sim.Config, faulty []ids.ID, adv sim.Adversary, typed bool) runner {
+		var run runner
+		var join func(round int, p P)
+		if typed {
+			r := sim.NewTypedRunner(cfg, nodes, faulty, adv, codec)
+			run, join = r, r.ScheduleJoin
+		} else {
+			r := sim.NewRunner(cfg, nodes, faulty, adv)
+			run, join = r, func(round int, p P) { r.ScheduleJoin(round, p) }
+		}
+		for i, p := range joiners {
+			join(joinRounds[i], p)
+		}
+		return run
+	}
+}
+
+// boxedRun builds runs of a protocol without a wire union: boxed
+// always.
+func boxedRun[P sim.Process](nodes []P) builder {
+	return func(cfg sim.Config, faulty []ids.ID, adv sim.Adversary, _ bool) runner {
+		return sim.NewRunner(cfg, nodes, faulty, adv)
+	}
+}
+
+// allDecided is the default terminal predicate: every correct node
+// decided. A node that legitimately left the system does not count as
+// undecided.
+func allDecided[P sim.Process](nodes []P) func() (done, total int, na bool) {
+	return func() (done, total int, na bool) {
+		for _, p := range nodes {
+			if l, ok := any(p).(sim.Leaver); ok && l.Left() {
+				continue
+			}
+			total++
+			if p.Decided() {
+				done++
+			}
+		}
+		return done, total, false
+	}
+}
+
+// buildProtocol constructs the correct nodes for the scenario, joiners
+// included, and the run's builder and hooks. The digest is a
+// deterministic one-line summary of the protocol outcome, evaluated
+// after the run; protocols whose agreement property is checkable panic
+// inside it (the runs double as checkers). joiners are the ids of the
+// correct nodes the churn plan adds, one per plan.joinRounds entry;
+// only the dynamic protocol has a join discipline, so only it reads
+// them.
 func buildProtocol(s Scenario, correct, founders, joiners []ids.ID, plan churnPlan) protocolRun {
 	switch s.Protocol {
 	case ProtoRBroadcast:
 		var nodes []*rbroadcast.Node
-		var procs []sim.Process
 		for i, id := range correct {
-			nd := rbroadcast.New(id, i == 0, "m")
-			nodes = append(nodes, nd)
-			procs = append(procs, nd)
+			nodes = append(nodes, rbroadcast.New(id, i == 0, "m"))
 		}
 		src := correct[0]
-		return protocolRun{procs: procs, typed: func(cfg sim.Config, faulty []ids.ID, adv sim.Adversary) runner {
-			return sim.NewTypedRunner(cfg, nodes, faulty, adv, rbroadcast.WireCodec())
-		}, digest: func() string {
+		return protocolRun{build: unionRun(rbroadcast.WireCodec(), nodes, nil, nil), digest: func() string {
 			accepted, maxRound, forged := 0, 0, 0
 			for _, nd := range nodes {
 				if r, ok := nd.Accepted("m", src); ok {
@@ -560,7 +565,6 @@ func buildProtocol(s Scenario, correct, founders, joiners []ids.ID, plan churnPl
 
 	case ProtoDynamic:
 		var nodes []*dynamic.Node
-		var procs []sim.Process
 		// The last len(leaveRounds) founders are the leavers; the
 		// departure round is part of each node's own configuration (the
 		// protocol's graceful-leave discipline).
@@ -577,22 +581,13 @@ func buildProtocol(s Scenario, correct, founders, joiners []ids.ID, plan churnPl
 					witness[r] = []string{fmt.Sprintf("ev-%d-%d", i, r)}
 				}
 			}
-			nd := dynamic.New(dynamic.Config{ID: id, Founders: founders, Witness: witness, LeaveAt: leaveAt[i]})
-			nodes = append(nodes, nd)
-			procs = append(procs, nd)
+			nodes = append(nodes, dynamic.New(dynamic.Config{ID: id, Founders: founders, Witness: witness, LeaveAt: leaveAt[i]}))
 		}
-		join := func(id ids.ID) *dynamic.Node {
-			nd := dynamic.New(dynamic.Config{ID: id}) // joins via the present/ack protocol
-			nodes = append(nodes, nd)
-			return nd
+		for _, id := range joiners {
+			nodes = append(nodes, dynamic.New(dynamic.Config{ID: id})) // joins via the present/ack protocol
 		}
-		return protocolRun{procs: procs, typed: func(cfg sim.Config, faulty []ids.ID, adv sim.Adversary) runner {
-			r := sim.NewTypedRunner(cfg, nodes, faulty, adv, dynamic.WireCodec())
-			for i, round := range plan.joinRounds {
-				r.ScheduleJoin(round, join(joiners[i]))
-			}
-			return r
-		}, digest: func() string {
+		build := unionRun(dynamic.WireCodec(), nodes[:len(correct)], nodes[len(correct):], plan.joinRounds)
+		return protocolRun{build: build, digest: func() string {
 			if v := dynamic.PrefixViolations(nodes); v > 0 {
 				panic(fmt.Sprintf("engine: dynamic chain-prefix violated (%d node pairs)", v))
 			}
@@ -626,17 +621,14 @@ func buildProtocol(s Scenario, correct, founders, joiners []ids.ID, plan churnPl
 					res.FinalityLag = lag
 				}
 			}
-		}, join: func(id ids.ID) sim.Process { return join(id) }}
+		}}
 
 	case ProtoRotor:
 		var nodes []*rotor.Node
-		var procs []sim.Process
 		for i, id := range correct {
-			nd := rotor.New(id, float64(i))
-			nodes = append(nodes, nd)
-			procs = append(procs, nd)
+			nodes = append(nodes, rotor.New(id, float64(i)))
 		}
-		return protocolRun{procs: procs, digest: func() string {
+		return protocolRun{build: boxedRun(nodes), decided: allDecided(nodes), digest: func() string {
 			term := 0
 			for _, nd := range nodes {
 				if nd.DoneRound() > term {
@@ -648,15 +640,10 @@ func buildProtocol(s Scenario, correct, founders, joiners []ids.ID, plan churnPl
 
 	case ProtoConsensus:
 		var nodes []*consensus.Node
-		var procs []sim.Process
 		for i, id := range correct {
-			nd := consensus.New(id, float64(i%2))
-			nodes = append(nodes, nd)
-			procs = append(procs, nd)
+			nodes = append(nodes, consensus.New(id, float64(i%2)))
 		}
-		return protocolRun{procs: procs, typed: func(cfg sim.Config, faulty []ids.ID, adv sim.Adversary) runner {
-			return sim.NewTypedRunner(cfg, nodes, faulty, adv, consensus.WireCodec())
-		}, digest: func() string {
+		return protocolRun{build: unionRun(consensus.WireCodec(), nodes, nil, nil), decided: allDecided(nodes), digest: func() string {
 			phases, decidedRound := 0, 0
 			for _, nd := range nodes {
 				if !nd.Decided() {
@@ -679,13 +666,10 @@ func buildProtocol(s Scenario, correct, founders, joiners []ids.ID, plan churnPl
 	case ProtoApprox:
 		const iterations = 8
 		var nodes []*approx.Iterated
-		var procs []sim.Process
 		for i, id := range correct {
-			nd := approx.NewIterated(id, float64(i)*100/float64(max(len(correct)-1, 1)), iterations)
-			nodes = append(nodes, nd)
-			procs = append(procs, nd)
+			nodes = append(nodes, approx.NewIterated(id, float64(i)*100/float64(max(len(correct)-1, 1)), iterations))
 		}
-		return protocolRun{procs: procs, digest: func() string {
+		return protocolRun{build: boxedRun(nodes), decided: allDecided(nodes), digest: func() string {
 			lo, hi := nodes[0].Value(), nodes[0].Value()
 			for _, nd := range nodes {
 				if nd.Value() < lo {
@@ -700,19 +684,14 @@ func buildProtocol(s Scenario, correct, founders, joiners []ids.ID, plan churnPl
 
 	case ProtoParallel:
 		var nodes []*parallel.Node
-		var procs []sim.Process
 		for _, id := range correct {
 			inputs := make(map[parallel.PairID]parallel.Val, s.Pairs)
 			for p := 0; p < s.Pairs; p++ {
 				inputs[parallel.PairID(p+1)] = parallel.V(fmt.Sprintf("v%d", p))
 			}
-			nd := parallel.NewNode(id, inputs)
-			nodes = append(nodes, nd)
-			procs = append(procs, nd)
+			nodes = append(nodes, parallel.NewNode(id, inputs))
 		}
-		return protocolRun{procs: procs, typed: func(cfg sim.Config, faulty []ids.ID, adv sim.Adversary) runner {
-			return sim.NewTypedRunner(cfg, nodes, faulty, adv, parallel.WireCodec())
-		}, digest: func() string {
+		return protocolRun{build: unionRun(parallel.WireCodec(), nodes, nil, nil), decided: allDecided(nodes), digest: func() string {
 			out := nodes[0].Outputs()
 			for _, nd := range nodes[1:] {
 				other := nd.Outputs()
@@ -744,17 +723,12 @@ func buildProtocol(s Scenario, correct, founders, joiners []ids.ID, plan churnPl
 		// log-round convergence bound intact under every adversary that
 		// does not forge probes.
 		var nodes []*ring.Node
-		var procs []sim.Process
 		horizon := ring.Horizon(len(correct))
 		for i, id := range correct {
-			nd := ring.New(id, ring.Successors(correct, i), horizon)
-			nodes = append(nodes, nd)
-			procs = append(procs, nd)
+			nodes = append(nodes, ring.New(id, ring.Successors(correct, i), horizon))
 		}
 		want := correct[0]
-		return protocolRun{procs: procs, typed: func(cfg sim.Config, faulty []ids.ID, adv sim.Adversary) runner {
-			return sim.NewTypedRunner(cfg, nodes, faulty, adv, ring.WireCodec())
-		}, digest: func() string {
+		return protocolRun{build: unionRun(ring.WireCodec(), nodes, nil, nil), decided: allDecided(nodes), digest: func() string {
 			converged := 0
 			for _, nd := range nodes {
 				if nd.Min() == want {

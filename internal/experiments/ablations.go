@@ -90,20 +90,17 @@ func substitutionRun(seed uint64, noSub bool) (decided, g, rounds, cap int) {
 	faulty := all[n-f:]
 	g = len(correct)
 	var nodes []*consensus.Node
-	var procs []sim.Process
 	for i, id := range correct {
 		x := 1.0
 		if i == len(correct)-1 {
 			x = 0
 		}
-		nd := consensus.NewWithOptions(id, x, consensus.Options{NoSubstitution: noSub})
-		nodes = append(nodes, nd)
-		procs = append(procs, nd)
+		nodes = append(nodes, consensus.NewWithOptions(id, x, consensus.Options{NoSubstitution: noSub}))
 	}
 	cap = 200
 	adv := adversary.ConsStaircase{X: 1, Boost: correct[:3], Lonely: correct[0]}
 	run := sim.NewRunner(sim.Config{MaxRounds: cap, StopWhenAllDecided: true},
-		procs, faulty, adv)
+		nodes, faulty, adv)
 	m := run.Run(nil)
 	for _, nd := range nodes {
 		if nd.Decided() {
@@ -119,17 +116,14 @@ func replayRun(seed uint64, n, f int, replay bool) (delivered, dropped int64, al
 	correct := all[:n-f]
 	faulty := all[n-f:]
 	var nodes []*rbroadcast.Node
-	var procs []sim.Process
 	for i, id := range correct {
-		nd := rbroadcast.New(id, i == 0, "m")
-		nodes = append(nodes, nd)
-		procs = append(procs, nd)
+		nodes = append(nodes, rbroadcast.New(id, i == 0, "m"))
 	}
 	var adv sim.Adversary = adversary.Silent{}
 	if replay {
 		adv = adversary.Replay{}
 	}
-	run := sim.NewRunner(sim.Config{MaxRounds: 12}, procs, faulty, adv)
+	run := sim.NewRunner(sim.Config{MaxRounds: 12}, nodes, faulty, adv)
 	m := run.Run(nil)
 	allAccepted = true
 	for _, nd := range nodes {
@@ -149,14 +143,11 @@ func stForgeViolations(seed uint64, n, f, seeds int) int {
 		faulty := all[n-f:]
 		victim := correct[0]
 		var nodes []*baseline.STNode
-		var procs []sim.Process
 		for _, id := range correct {
-			nd := baseline.NewSTNode(id, f, false, "")
-			nodes = append(nodes, nd)
-			procs = append(procs, nd)
+			nodes = append(nodes, baseline.NewSTNode(id, f, false, ""))
 		}
 		adv := adversary.STForge{FakeM: "forged", FakeS: victim}
-		run := sim.NewRunner(sim.Config{MaxRounds: 30}, procs, faulty, adv)
+		run := sim.NewRunner(sim.Config{MaxRounds: 30}, nodes, faulty, adv)
 		run.Run(nil)
 		for _, nd := range nodes {
 			if _, ok := nd.Accepted("forged", victim); ok {

@@ -36,13 +36,10 @@ func E1(seed uint64) []Table {
 
 		// id-only run
 		var ioNodes []*rbroadcast.Node
-		var ioProcs []sim.Process
 		for i, id := range correct {
-			nd := rbroadcast.New(id, i == 0, "m")
-			ioNodes = append(ioNodes, nd)
-			ioProcs = append(ioProcs, nd)
+			ioNodes = append(ioNodes, rbroadcast.New(id, i == 0, "m"))
 		}
-		ioRun := sim.NewRunner(sim.Config{MaxRounds: 10}, ioProcs, faulty, adversary.Silent{})
+		ioRun := sim.NewRunner(sim.Config{MaxRounds: 10}, ioNodes, faulty, adversary.Silent{})
 		ioRun.Run(func(r int) bool { return r >= 5 })
 		ioRound := -1
 		for _, nd := range ioNodes {
@@ -55,13 +52,10 @@ func E1(seed uint64) []Table {
 
 		// Srikanth–Toueg run
 		var stNodes []*baseline.STNode
-		var stProcs []sim.Process
 		for i, id := range correct {
-			nd := baseline.NewSTNode(id, f, i == 0, "m")
-			stNodes = append(stNodes, nd)
-			stProcs = append(stProcs, nd)
+			stNodes = append(stNodes, baseline.NewSTNode(id, f, i == 0, "m"))
 		}
-		stRun := sim.NewRunner(sim.Config{MaxRounds: 10}, stProcs, faulty, adversary.Silent{})
+		stRun := sim.NewRunner(sim.Config{MaxRounds: 10}, stNodes, faulty, adversary.Silent{})
 		stRun.Run(func(r int) bool { return r >= 5 })
 		stRound := -1
 		for _, nd := range stNodes {
@@ -121,14 +115,11 @@ func forgeViolations(seed uint64, n, f, seeds int) int {
 		faulty := all[n-f:]
 		victim := correct[0] // forge a message "from" this correct node
 		var nodes []*rbroadcast.Node
-		var procs []sim.Process
 		for _, id := range correct {
-			nd := rbroadcast.New(id, false, "")
-			nodes = append(nodes, nd)
-			procs = append(procs, nd)
+			nodes = append(nodes, rbroadcast.New(id, false, ""))
 		}
 		adv := adversary.RBForgeSource{FakeM: "forged", FakeS: victim}
-		run := sim.NewRunner(sim.Config{MaxRounds: 30}, procs, faulty, adv)
+		run := sim.NewRunner(sim.Config{MaxRounds: 30}, nodes, faulty, adv)
 		run.Run(nil)
 		for _, nd := range nodes {
 			if _, ok := nd.Accepted("forged", victim); ok {

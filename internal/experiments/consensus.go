@@ -47,18 +47,15 @@ func consensusRun(seed uint64, n, f int, input func(i int) float64,
 	correct := all[:n-f]
 	faulty := all[n-f:]
 	var nodes []*consensus.Node
-	var procs []sim.Process
 	for i, id := range correct {
-		nd := consensus.New(id, input(i))
-		nodes = append(nodes, nd)
-		procs = append(procs, nd)
+		nodes = append(nodes, consensus.New(id, input(i)))
 	}
 	var adv sim.Adversary
 	if len(faulty) > 0 {
 		adv = advf(all)
 	}
 	run := sim.NewRunner(sim.Config{MaxRounds: 60 * (f + 2), StopWhenAllDecided: true},
-		procs, faulty, adv)
+		nodes, faulty, adv)
 	m := run.Run(nil)
 
 	maxRound, maxPhases := 0, 0
@@ -116,7 +113,6 @@ func kingRun(seed uint64, n, f int) (int, int64) {
 		faultySet[all[idx]] = true
 	}
 	var nodes []*baseline.KingNode
-	var procs []sim.Process
 	var faulty []ids.ID
 	i := 0
 	for _, id := range all {
@@ -125,11 +121,10 @@ func kingRun(seed uint64, n, f int) (int, int64) {
 			continue
 		}
 		nodes = append(nodes, baseline.NewKing(id, n, f, float64(i%2)))
-		procs = append(procs, nodes[len(nodes)-1])
 		i++
 	}
 	run := sim.NewRunner(sim.Config{MaxRounds: 60 * (f + 2), StopWhenAllDecided: true},
-		procs, faulty, adversary.KingSplit{X1: 0, X2: 1, All: all})
+		nodes, faulty, adversary.KingSplit{X1: 0, X2: 1, All: all})
 	m := run.Run(nil)
 	maxRound := 0
 	for _, nd := range nodes {

@@ -69,19 +69,16 @@ func parallelRun(seed uint64, n, f, k int) (int, int64, int) {
 	correct := all[:n-f]
 	faulty := all[n-f:]
 	var nodes []*parallel.Node
-	var procs []sim.Process
 	for _, id := range correct {
 		inputs := make(map[parallel.PairID]parallel.Val, k)
 		for p := 0; p < k; p++ {
 			inputs[parallel.PairID(p+1)] = parallel.V(fmt.Sprintf("v%d", p))
 		}
-		nd := parallel.NewNode(id, inputs)
-		nodes = append(nodes, nd)
-		procs = append(procs, nd)
+		nodes = append(nodes, parallel.NewNode(id, inputs))
 	}
 	adv := adversary.ParaSplit{Pair: 1, X1: parallel.V("a"), X2: parallel.V("b"), All: all}
 	run := sim.NewRunner(sim.Config{MaxRounds: 80 * (f + 2), StopWhenAllDecided: true},
-		procs, faulty, adv)
+		nodes, faulty, adv)
 	m := run.Run(nil)
 	out := nodes[0].Outputs()
 	for _, nd := range nodes[1:] {
@@ -98,14 +95,11 @@ func ghostRun(seed uint64, kind int) (realIntact, ghostOutput bool) {
 	correct := all[:5]
 	faulty := all[5:]
 	var nodes []*parallel.Node
-	var procs []sim.Process
 	for _, id := range correct {
-		nd := parallel.NewNode(id, map[parallel.PairID]parallel.Val{1: parallel.V("real")})
-		nodes = append(nodes, nd)
-		procs = append(procs, nd)
+		nodes = append(nodes, parallel.NewNode(id, map[parallel.PairID]parallel.Val{1: parallel.V("real")}))
 	}
 	adv := adversary.ParaGhost{Ghost: 666, X: parallel.V("fake"), StartKind: kind}
-	run := sim.NewRunner(sim.Config{MaxRounds: 200, StopWhenAllDecided: true}, procs, faulty, adv)
+	run := sim.NewRunner(sim.Config{MaxRounds: 200, StopWhenAllDecided: true}, nodes, faulty, adv)
 	run.Run(nil)
 	out := nodes[0].Outputs()
 	_, ghostOutput = out[666]

@@ -54,11 +54,8 @@ func rotorRun(seed uint64, n, f int) (int, bool) {
 	correct := all[:n-f]
 	faulty := all[n-f:]
 	var nodes []*rotor.Node
-	var procs []sim.Process
 	for i, id := range correct {
-		nd := rotor.New(id, float64(i))
-		nodes = append(nodes, nd)
-		procs = append(procs, nd)
+		nodes = append(nodes, rotor.New(id, float64(i)))
 	}
 	per := make(map[ids.ID]sim.Adversary)
 	for i, id := range faulty {
@@ -66,7 +63,7 @@ func rotorRun(seed uint64, n, f int) (int, bool) {
 		per[id] = &adversary.RotorHidden{Subset: subset, All: all, X1: -1, X2: -2}
 	}
 	run := sim.NewRunner(sim.Config{MaxRounds: 10 * n, StopWhenAllDecided: true},
-		procs, faulty, adversary.Compose{PerNode: per})
+		nodes, faulty, adversary.Compose{PerNode: per})
 	run.Run(nil)
 
 	maxTerm := 0

@@ -83,7 +83,7 @@ func oneBroadcast(p *benchProc, round int, out []SendT[benchPayload]) []SendT[be
 // index distances.
 func benchRunners(n int, mk func(*benchProc, int, []SendT[benchPayload]) []SendT[benchPayload]) (*TypedRunner[boxedProc, any], *TypedRunner[*benchProc, benchPayload]) {
 	all := ids.Sparse(ids.NewRand(99), n)
-	boxed := make([]Process, n)
+	boxed := make([]*benchProc, n)
 	typed := make([]*benchProc, n)
 	for i, id := range all {
 		var succ []ids.ID
@@ -237,7 +237,7 @@ func splitRunners(n, f int, blind bool) (*TypedRunner[boxedProc, any], *TypedRun
 	if blind {
 		adv = sends
 	}
-	boxed := make([]Process, n)
+	boxed := make([]*benchProc, n)
 	typed := make([]*benchProc, n)
 	for i, id := range correct {
 		boxed[i] = &benchProc{id: id, mk: splitBroadcast}

@@ -118,7 +118,7 @@ func checkSlotInvariants[P ProcessT[M], M comparable](t *testing.T, r *TypedRunn
 }
 
 // slotMapUnderChurn interleaves correct joins, graceful leaves, faulty
-// joins and faulty removals across one run and checks the table/slot
+// joins and faulty leaves across one run and checks the table/slot
 // invariants after every round. mk builds the runner over the founders;
 // lift presents a hopProc as the instantiation's process type.
 func slotMapUnderChurn[P ProcessT[M], M comparable](t *testing.T, mk func(cfg Config, founders []*hopProc, faulty []ids.ID) *TypedRunner[P, M], lift func(*hopProc) P) {
@@ -148,18 +148,17 @@ func slotMapUnderChurn[P ProcessT[M], M comparable](t *testing.T, mk func(cfg Co
 	// A faulty late joiner.
 	r.ScheduleFaultyJoin(6, all[15])
 
-	removals := map[int]ids.ID{10: faulty[0], 12: all[15], 20: faulty[1]}
+	// Three faulty leaves, the late joiner's among them.
+	r.ScheduleFaultyLeave(10, faulty[0])
+	r.ScheduleFaultyLeave(12, all[15])
+	r.ScheduleFaultyLeave(20, faulty[1])
 	for round := 1; round <= 40; round++ {
 		r.StepRound()
 		checkSlotInvariants(t, r, true, fmt.Sprintf("after round %d", round))
-		if id, ok := removals[round]; ok {
-			r.RemoveFaulty(id)
-			checkSlotInvariants(t, r, true, fmt.Sprintf("after removal in round %d", round))
-		}
 	}
 
 	// Final membership: 8 founders - 3 leavers + 4 joiners - 2 joiner
-	// leavers + 3 faulty + 1 late faulty - 3 removals = 8.
+	// leavers + 3 faulty + 1 late faulty - 3 faulty leaves = 8.
 	if got := len(r.Active()); got != 8 {
 		t.Fatalf("final membership %d, want 8 (active: %v)", got, r.Active())
 	}
@@ -168,14 +167,14 @@ func slotMapUnderChurn[P ProcessT[M], M comparable](t *testing.T, mk func(cfg Co
 		t.Fatalf("Joins = %d, want 5 (4 correct + 1 faulty)", m.Joins)
 	}
 	if m.Leaves != 8 {
-		t.Fatalf("Leaves = %d, want 8 (5 graceful + 3 removals)", m.Leaves)
+		t.Fatalf("Leaves = %d, want 8 (5 graceful + 3 faulty)", m.Leaves)
 	}
 	if m.PeakNodes <= 11 || m.MinNodes < 8 || m.MinNodes > m.PeakNodes {
 		t.Fatalf("membership extremes peak=%d min=%d inconsistent", m.PeakNodes, m.MinNodes)
 	}
 	// Removed and departed ids must not resolve; present ones must.
 	if _, ok := r.slot.Lookup(faulty[0]); ok {
-		t.Fatal("removed faulty id still resolves")
+		t.Fatal("departed faulty id still resolves")
 	}
 	if _, ok := r.slot.Lookup(procs[5].id); ok {
 		t.Fatal("departed leaver still resolves")
@@ -185,11 +184,7 @@ func slotMapUnderChurn[P ProcessT[M], M comparable](t *testing.T, mk func(cfg Co
 func TestSlotMapConsistencyUnderChurn(t *testing.T) {
 	t.Run("boxed", func(t *testing.T) {
 		slotMapUnderChurn(t, func(cfg Config, founders []*hopProc, faulty []ids.ID) *TypedRunner[boxedProc, any] {
-			procs := make([]Process, len(founders))
-			for i, p := range founders {
-				procs[i] = p
-			}
-			return NewRunner(cfg, procs, faulty, silentAdv{}).TypedRunner
+			return NewRunner(cfg, founders, faulty, silentAdv{}).TypedRunner
 		}, func(p *hopProc) boxedProc { return boxedProc{p} })
 	})
 	t.Run("typed", func(t *testing.T) {

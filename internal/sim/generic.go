@@ -200,8 +200,8 @@ type TypedRunner[P ProcessT[M], M comparable] struct {
 	undecided int // correct processes not yet observed Decided
 	metrics   Metrics
 	spawns    map[int][]spawn[P] // round -> nodes joining at the start of that round
+	exits     map[int][]ids.ID   // round -> faulty nodes leaving at its end
 	round     int
-	stepping  bool  // a round is executing; membership is frozen
 	leavers   []int // this round's leaving slots, ascending; reused
 
 	obsSends []Send // observer unbox scratch, reused
@@ -244,6 +244,7 @@ func newRunner[P ProcessT[M], M comparable](cfg Config, procs []P, faulty []ids.
 		leaver: make([]Leaver, nn),
 		cur:    make([]laneBuf[M], nn),
 		spawns: make(map[int][]spawn[P]),
+		exits:  make(map[int][]ids.ID),
 	}
 	r.metrics.DecidedRound = make(map[ids.ID]int)
 	rows := make([]spawn[P], 0, nn)
@@ -309,34 +310,21 @@ func (r *TypedRunner[P, M]) schedule(round int, s spawn[P]) {
 	r.spawns[round] = append(r.spawns[round], s)
 }
 
-// RemoveFaulty removes a faulty node from the system immediately (the
-// adversary decides when faulty nodes leave, per the dynamic model).
-// It must not be called while a round is executing (e.g. from an
-// Observer): StepRound iterates the node table by slot and relies on
-// membership being frozen for the duration of the round.
-func (r *TypedRunner[P, M]) RemoveFaulty(id ids.ID) {
-	if r.stepping {
-		panic("sim: RemoveFaulty called mid-round")
+// ScheduleFaultyLeave arranges for a faulty node to leave the system
+// at the end of the given round (the adversary decides when faulty
+// nodes leave, per the dynamic model): its sends of that round are
+// delivered, and it is gone from the next. A run that stops in that
+// round because every correct node decided ends with the node still
+// present. The id must be faulty and present when the round ends.
+func (r *TypedRunner[P, M]) ScheduleFaultyLeave(round int, id ids.ID) {
+	if round <= r.round {
+		panic("sim: leave scheduled in the past")
 	}
-	j, ok := r.slot.Lookup(id)
-	if !ok || !r.faulty[j] {
-		panic(fmt.Sprintf("sim: RemoveFaulty on non-faulty id %d", id))
-	}
-	r.remove(int(j))
+	r.exits[round] = append(r.exits[round], id)
 }
 
 // Active returns a copy of the sorted ids of all present nodes.
 func (r *TypedRunner[P, M]) Active() []ids.ID { return slices.Clone(r.idvec) }
-
-// Process returns the correct process with the given id, or the zero P
-// when the id is absent or faulty.
-func (r *TypedRunner[P, M]) Process(id ids.ID) P {
-	if j, ok := r.slot.Lookup(id); ok {
-		return r.procs[j]
-	}
-	var zero P
-	return zero
-}
 
 // Metrics returns the metrics accumulated so far.
 func (r *TypedRunner[P, M]) Metrics() Metrics { return r.metrics }
@@ -362,10 +350,9 @@ func (r *TypedRunner[P, M]) Run(stop func(round int) bool) Metrics {
 
 // StepRound executes exactly one round: joins scheduled for this round
 // take effect, every active node consumes its inbox and produces sends,
-// and the sends become next round's inboxes.
+// the sends become next round's inboxes, and the round's leavers and
+// scheduled faulty leaves go.
 func (r *TypedRunner[P, M]) StepRound() {
-	r.stepping = true
-	defer func() { r.stepping = false }()
 	r.round++
 	round := r.round
 	for _, s := range r.spawns[round] {
@@ -437,6 +424,18 @@ func (r *TypedRunner[P, M]) StepRound() {
 	}
 	for k := len(r.leavers) - 1; k >= 0; k-- {
 		r.remove(r.leavers[k])
+	}
+	// Scheduled faulty leaves follow, unless the run ends here because
+	// every correct node decided.
+	if exits, ok := r.exits[round]; ok && !(r.cfg.StopWhenAllDecided && r.undecided == 0) {
+		for _, id := range exits {
+			j, ok := r.slot.Lookup(id)
+			if !ok || !r.faulty[j] {
+				panic(fmt.Sprintf("sim: leave of non-faulty id %d", id))
+			}
+			r.remove(int(j))
+		}
+		delete(r.exits, round)
 	}
 	r.metrics.Rounds = round
 }

@@ -140,7 +140,7 @@ func TestGoldenTraces(t *testing.T) {
 
 // churnHeavySystem is a churn-saturated dynamic-ordering system — three
 // staggered correct joiners, two graceful leavers, a late faulty join
-// and two mid-run faulty removals, under an event-equivocating
+// and two mid-run faulty leaves, under an event-equivocating
 // adversary.
 func churnHeavySystem(g relabel) system {
 	rng := ids.NewRand(77)
@@ -151,8 +151,8 @@ func churnHeavySystem(g relabel) system {
 	joinerIDs := all[10:]
 
 	s := system{faulty: faulty, adv: adversary.DynEquivEvent{All: all[:9], Every: 2},
-		fjoins:   map[int]ids.ID{8: lateFaulty},
-		removals: map[int]ids.ID{25: faulty[0], 35: lateFaulty}}
+		fjoins:  map[int]ids.ID{8: lateFaulty},
+		fleaves: map[int]ids.ID{25: faulty[0], 35: lateFaulty}}
 	for i, id := range correct {
 		witness := make(map[int][]string)
 		for r := 1; r <= 60; r++ {
@@ -177,19 +177,19 @@ func churnHeavySystem(g relabel) system {
 
 // churnConsensusSystem is the golden consensus system with its faulty
 // membership churned: one of the four faulty nodes is held back and
-// joins at round 3, a founding faulty node is removed after round 4
-// and the late one after round 7 (the run takes 12 rounds).
+// joins at round 3, a founding faulty node leaves after round 4 and
+// the late one after round 7 (the run takes 12 rounds).
 func churnConsensusSystem(g relabel) system {
 	s := consensusSystem(g)
 	early, late := s.faulty[:3], s.faulty[3]
 	s.faulty = early
 	s.fjoins = map[int]ids.ID{3: late}
-	s.removals = map[int]ids.ID{4: early[0], 7: late}
+	s.fleaves = map[int]ids.ID{4: early[0], 7: late}
 	return s
 }
 
-// The churn schedules are pinned: joins, leaves and faulty removals
-// must replay bit-identically on every instantiation, alone and
+// The churn schedules are pinned: joins and leaves, correct and
+// faulty, must replay bit-identically on every instantiation, alone and
 // alongside copies of the same run. The dynamic
 // digest was generated when churn landed; the consensus one on the
 // boxed Runner of the last commit that still had a second delivery

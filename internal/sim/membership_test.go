@@ -1,9 +1,8 @@
 package sim_test
 
 // Membership guards of the runner core, pinned on both instantiations:
-// the panics and their messages are the boxed Runner's from before the
-// merge, when the typed runner had no churn and no mid-round guard at
-// all, and a typed Leaver was a construction panic.
+// the panics of a bad founding table, a join or a faulty leave, and
+// when a scheduled membership change takes effect.
 
 import (
 	"fmt"
@@ -14,17 +13,19 @@ import (
 	"idonly/internal/sim"
 )
 
-// guardProc broadcasts one probe per round on either instantiation and
-// leaves after leaveAt rounds (0 = never).
+// guardProc broadcasts one probe per round on either instantiation,
+// decides after decideAt rounds and leaves after leaveAt rounds (0 =
+// never).
 type guardProc struct {
-	id      ids.ID
-	leaveAt int
-	rounds  int
-	heard   map[ids.ID]int // sender -> last round one of its probes arrived
+	id       ids.ID
+	leaveAt  int
+	decideAt int
+	rounds   int
+	heard    map[ids.ID]int // sender -> last round one of its probes arrived
 }
 
 func (p *guardProc) ID() ids.ID    { return p.id }
-func (p *guardProc) Decided() bool { return false }
+func (p *guardProc) Decided() bool { return p.decideAt != 0 && p.rounds >= p.decideAt }
 func (p *guardProc) Output() any   { return p.rounds }
 func (p *guardProc) Left() bool    { return p.leaveAt != 0 && p.rounds >= p.leaveAt }
 func (p *guardProc) StepTyped(round int, inbox []sim.MsgT[ring.Probe]) []sim.SendT[ring.Probe] {
@@ -66,11 +67,7 @@ type member interface {
 
 var memberships = map[string]func(cfg sim.Config, procs []*guardProc, faulty []ids.ID) membership{
 	"boxed": func(cfg sim.Config, procs []*guardProc, faulty []ids.ID) membership {
-		boxed := make([]sim.Process, len(procs))
-		for i, p := range procs {
-			boxed[i] = p
-		}
-		r := sim.NewRunner(cfg, boxed, faulty, quietAdv{})
+		r := sim.NewRunner(cfg, procs, faulty, quietAdv{})
 		return membership{r, func(round int, p *guardProc) { r.ScheduleJoin(round, p) }}
 	},
 	"typed": func(cfg sim.Config, procs []*guardProc, faulty []ids.ID) membership {
@@ -127,15 +124,26 @@ func TestMembershipGuards(t *testing.T) {
 			m.join(2, &guardProc{id: 9})
 			m.Run(nil)
 		}},
-		{"remove a correct node", "sim: RemoveFaulty on non-faulty id 1", func(mk func(sim.Config, []*guardProc, []ids.ID) membership) {
-			mk(sim.Config{}, procs(1, 2), []ids.ID{9}).RemoveFaulty(1)
+		{"remove a correct node", "sim: leave of non-faulty id 1", func(mk func(sim.Config, []*guardProc, []ids.ID) membership) {
+			m := mk(sim.Config{}, procs(1, 2), []ids.ID{9})
+			m.ScheduleFaultyLeave(1, 1)
+			m.StepRound()
 		}},
-		{"remove an absent node", "sim: RemoveFaulty on non-faulty id 7", func(mk func(sim.Config, []*guardProc, []ids.ID) membership) {
-			mk(sim.Config{}, procs(1, 2), []ids.ID{9}).RemoveFaulty(7)
+		{"remove an absent node", "sim: leave of non-faulty id 7", func(mk func(sim.Config, []*guardProc, []ids.ID) membership) {
+			m := mk(sim.Config{}, procs(1, 2), []ids.ID{9})
+			m.ScheduleFaultyLeave(1, 7)
+			m.StepRound()
 		}},
-		{"remove mid-round", "sim: RemoveFaulty called mid-round", func(mk func(sim.Config, []*guardProc, []ids.ID) membership) {
+		{"leave in the past", "sim: leave scheduled in the past", func(mk func(sim.Config, []*guardProc, []ids.ID) membership) {
+			m := mk(sim.Config{}, procs(1, 2), []ids.ID{9})
+			m.StepRound()
+			m.ScheduleFaultyLeave(1, 9)
+		}},
+		// A leave for the running round, asked for mid-round, is in the
+		// past too: membership cannot change while a round executes.
+		{"remove mid-round", "sim: leave scheduled in the past", func(mk func(sim.Config, []*guardProc, []ids.ID) membership) {
 			var m membership
-			m = mk(sim.Config{Observer: func(int, ids.ID, []sim.Send) { m.RemoveFaulty(9) }}, procs(1, 2), []ids.ID{9})
+			m = mk(sim.Config{Observer: func(int, ids.ID, []sim.Send) { m.ScheduleFaultyLeave(1, 9) }}, procs(1, 2), []ids.ID{9})
 			m.StepRound()
 		}},
 	}
@@ -173,6 +181,32 @@ func TestLeaverOnBothInstantiations(t *testing.T) {
 			}
 			if mt := m.Metrics(); mt.Leaves != 1 || mt.MinNodes != 1 || mt.Rounds != 6 {
 				t.Fatalf("metrics after the departure: %+v", mt)
+			}
+		})
+	}
+}
+
+// TestFaultyLeaveInTheLastRound: a faulty leave takes effect at the end
+// of its round. One due in the round a MaxRounds stop ends counts; one
+// due in the round every correct node decided does not, for the run is
+// over with the node still present.
+func TestFaultyLeaveInTheLastRound(t *testing.T) {
+	for name, mk := range memberships {
+		t.Run(name, func(t *testing.T) {
+			m := mk(sim.Config{MaxRounds: 3}, []*guardProc{{id: 1}, {id: 2}}, []ids.ID{9})
+			m.ScheduleFaultyLeave(3, 9)
+			if mt := m.Run(nil); mt.Rounds != 3 || mt.Leaves != 1 || mt.MinNodes != 2 {
+				t.Fatalf("leave in the MaxRounds round: rounds=%d leaves=%d min=%d, want 3, 1, 2", mt.Rounds, mt.Leaves, mt.MinNodes)
+			}
+			m = mk(sim.Config{MaxRounds: 10, StopWhenAllDecided: true},
+				[]*guardProc{{id: 1, decideAt: 3}, {id: 2, decideAt: 3}}, []ids.ID{8, 9})
+			m.ScheduleFaultyLeave(2, 8)
+			m.ScheduleFaultyLeave(3, 9)
+			if mt := m.Run(nil); mt.Rounds != 3 || mt.Leaves != 1 || mt.MinNodes != 3 {
+				t.Fatalf("leave in the all-decided round: rounds=%d leaves=%d min=%d, want 3, 1, 3", mt.Rounds, mt.Leaves, mt.MinNodes)
+			}
+			if got := m.Active(); len(got) != 3 || got[2] != 9 {
+				t.Fatalf("active after the all-decided round: %v, want 9 still present", got)
 			}
 		})
 	}

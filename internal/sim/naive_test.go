@@ -123,7 +123,7 @@ func naiveModel(cfg sim.Config, s system) sim.Metrics {
 		if cfg.StopWhenAllDecided && allDecided {
 			break
 		}
-		if id, ok := s.removals[round]; ok {
+		if id, ok := s.fleaves[round]; ok {
 			leave(id)
 		}
 	}

@@ -176,7 +176,7 @@ func checkFilterModel(t *testing.T, tag string, members []ids.ID, joiner, leaver
 	t.Helper()
 	const joinRound, leaveRound = 3, 5
 	procs := make(map[ids.ID]*scriptProc)
-	var founding []Process
+	var founding []*scriptProc
 	for _, id := range members {
 		p := &scriptProc{id: id, script: scripts[id], inboxes: make(map[int][]Message)}
 		if id == leaver {
@@ -617,11 +617,7 @@ func runAssembly(t *testing.T, sc asmScript, typed, blind bool) (map[ids.ID]map[
 		r.ScheduleFaultyJoin(2, 55)
 		m = r.Run(nil)
 	} else {
-		boxed := make([]Process, len(founders))
-		for i, p := range founders {
-			boxed[i] = p
-		}
-		r := NewRunner(cfg, boxed, []ids.ID{20, 50}, adv)
+		r := NewRunner(cfg, founders, []ids.ID{20, 50}, adv)
 		r.ScheduleJoin(2, procs[35])
 		r.ScheduleFaultyJoin(2, 55)
 		m = r.Run(nil)

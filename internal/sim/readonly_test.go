@@ -116,7 +116,7 @@ func (g *inboxGuard) boxedPlay() playFn {
 // decorated.
 func guardedOver[P sim.ProcessT[M], M sim.WireMsg[M]](codec sim.Codec[M]) func(*inboxGuard) playFn {
 	return func(g *inboxGuard) playFn {
-		return on(func(cfg sim.Config, s system) runner {
+		return func(cfg sim.Config, s system) sim.Metrics {
 			procs := make([]guardedT[M], len(s.procs))
 			for i, p := range s.procs {
 				procs[i] = guardedT[M]{p.(P), g}
@@ -125,8 +125,8 @@ func guardedOver[P sim.ProcessT[M], M sim.WireMsg[M]](codec sim.Codec[M]) func(*
 			for _, j := range s.joins {
 				run.ScheduleJoin(j.round, guardedT[M]{j.proc.(P), g})
 			}
-			return run
-		})
+			return s.play(run)
+		}
 	}
 }
 

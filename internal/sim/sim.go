@@ -149,7 +149,7 @@ type Metrics struct {
 
 	// Churn gauges. Joins counts nodes (correct or faulty) that entered
 	// the system after round 0; Leaves counts nodes removed mid-run
-	// (graceful Leaver departures and RemoveFaulty). PeakNodes and
+	// (graceful Leaver departures and ScheduleFaultyLeave). PeakNodes and
 	// MinNodes track the membership extremes observed at round
 	// boundaries, including the initial membership. All four are
 	// deterministic: membership changes are part of the schedule.
@@ -229,8 +229,9 @@ type Runner struct {
 
 // NewRunner creates a runner over the given correct processes, faulty
 // node ids and the adversary controlling them. adv may be nil when
-// faulty is empty.
-func NewRunner(cfg Config, procs []Process, faulty []ids.ID, adv Adversary) *Runner {
+// faulty is empty. procs may be a slice of any Process type — a
+// protocol's []*Node goes in as it is — since each is boxed here.
+func NewRunner[P Process](cfg Config, procs []P, faulty []ids.ID, adv Adversary) *Runner {
 	boxed := make([]boxedProc, len(procs))
 	for i, p := range procs {
 		boxed[i] = boxedProc{p}
@@ -243,6 +244,3 @@ func NewRunner(cfg Config, procs []Process, faulty []ids.ID, adv Adversary) *Run
 func (r *Runner) ScheduleJoin(round int, p Process) {
 	r.TypedRunner.ScheduleJoin(round, boxedProc{p})
 }
-
-// Process returns the correct process with the given id, or nil.
-func (r *Runner) Process(id ids.ID) Process { return r.TypedRunner.Process(id).Process }

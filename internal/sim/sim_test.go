@@ -44,14 +44,11 @@ func newSystem(t *testing.T, n, stopAt int) (*sim.Runner, []*echoProc) {
 	t.Helper()
 	rng := ids.NewRand(1)
 	all := ids.Sparse(rng, n)
-	var procs []sim.Process
 	var eps []*echoProc
 	for _, id := range all {
-		p := &echoProc{id: id, stopAt: stopAt}
-		eps = append(eps, p)
-		procs = append(procs, p)
+		eps = append(eps, &echoProc{id: id, stopAt: stopAt})
 	}
-	return sim.NewRunner(sim.Config{StopWhenAllDecided: true}, procs, nil, nil), eps
+	return sim.NewRunner(sim.Config{StopWhenAllDecided: true}, eps, nil, nil), eps
 }
 
 func TestBroadcastReachesEveryoneIncludingSelf(t *testing.T) {
@@ -85,15 +82,12 @@ func TestDuplicateDiscard(t *testing.T) {
 	// one copy is delivered; a different payload still goes through.
 	rng := ids.NewRand(2)
 	all := ids.Sparse(rng, 3)
-	var procs []sim.Process
 	var eps []*echoProc
 	for _, id := range all[:2] {
-		p := &echoProc{id: id, stopAt: 3}
-		eps = append(eps, p)
-		procs = append(procs, p)
+		eps = append(eps, &echoProc{id: id, stopAt: 3})
 	}
 	adv := dupAdversary{}
-	r := sim.NewRunner(sim.Config{StopWhenAllDecided: true}, procs, all[2:], adv)
+	r := sim.NewRunner(sim.Config{StopWhenAllDecided: true}, eps, all[2:], adv)
 	m := r.Run(nil)
 	if m.MessagesDropped == 0 {
 		t.Fatal("duplicates were not dropped")
@@ -126,15 +120,12 @@ func (dupAdversary) Step(node ids.ID, round int, _ []sim.Message) []sim.Send {
 func TestUnicastOnlyReachesTarget(t *testing.T) {
 	rng := ids.NewRand(3)
 	all := ids.Sparse(rng, 3)
-	var procs []sim.Process
 	var eps []*echoProc
 	for _, id := range all[:2] {
-		p := &echoProc{id: id, stopAt: 3}
-		eps = append(eps, p)
-		procs = append(procs, p)
+		eps = append(eps, &echoProc{id: id, stopAt: 3})
 	}
 	adv := targetAdversary{target: all[0]}
-	r := sim.NewRunner(sim.Config{StopWhenAllDecided: true}, procs, all[2:], adv)
+	r := sim.NewRunner(sim.Config{StopWhenAllDecided: true}, eps, all[2:], adv)
 	r.Run(nil)
 	for _, p := range eps {
 		got := 0
@@ -332,7 +323,7 @@ func TestInboxGrowsCountsBufferGrowth(t *testing.T) {
 	// the first rounds and be absorbed by the grown buffers afterwards.
 	run := func(n, rounds int, adv func(correct []ids.ID) sim.Adversary) sim.Metrics {
 		all := ids.Sparse(ids.NewRand(5), n+1)
-		var procs []sim.Process
+		var procs []*echoProc
 		for _, id := range all[:n] {
 			procs = append(procs, &echoProc{id: id, stopAt: 1 << 30})
 		}

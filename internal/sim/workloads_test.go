@@ -29,7 +29,7 @@ import (
 type runner interface {
 	Run(stop func(round int) bool) sim.Metrics
 	ScheduleFaultyJoin(round int, id ids.ID)
-	RemoveFaulty(id ids.ID)
+	ScheduleFaultyLeave(round int, id ids.ID)
 }
 
 // system is one workload before it is put on a runner: the founding
@@ -38,12 +38,12 @@ type runner interface {
 // golden tests put it on the core's instantiations; naive_test.go
 // interprets it directly.
 type system struct {
-	procs    []sim.Process
-	faulty   []ids.ID // present from round 1
-	adv      sim.Adversary
-	joins    []join         // correct joiners, in construction order
-	fjoins   map[int]ids.ID // faulty joiners by round
-	removals map[int]ids.ID // faulty node removed after the given round
+	procs   []sim.Process
+	faulty  []ids.ID // present from round 1
+	adv     sim.Adversary
+	joins   []join         // correct joiners, in construction order
+	fjoins  map[int]ids.ID // faulty joiners by round
+	fleaves map[int]ids.ID // faulty node leaving at the end of the given round
 }
 
 type join struct {
@@ -66,37 +66,31 @@ func (s system) all() []sim.Process {
 // (naive_test.go) are each one.
 type playFn func(cfg sim.Config, s system) sim.Metrics
 
-// on plays a system on the runner mk builds for it: faulty joins are
-// scheduled up front, removals fire through Run's stop callback
-// (membership must not change mid-round).
-func on(mk func(sim.Config, system) runner) playFn {
-	return func(cfg sim.Config, s system) sim.Metrics {
-		run := mk(cfg, s)
-		for round, id := range s.fjoins {
-			run.ScheduleFaultyJoin(round, id)
-		}
-		return run.Run(func(round int) bool {
-			if id, ok := s.removals[round]; ok {
-				run.RemoveFaulty(id)
-			}
-			return false
-		})
+// play schedules the system's faulty joins and leaves on a runner that
+// already holds its correct processes, and runs it.
+func (s system) play(run runner) sim.Metrics {
+	for round, id := range s.fjoins {
+		run.ScheduleFaultyJoin(round, id)
 	}
+	for round, id := range s.fleaves {
+		run.ScheduleFaultyLeave(round, id)
+	}
+	return run.Run(nil)
 }
 
 // boxed plays a system on the boxed instantiation.
-var boxed = on(func(cfg sim.Config, s system) runner {
+func boxed(cfg sim.Config, s system) sim.Metrics {
 	run := sim.NewRunner(cfg, s.procs, s.faulty, s.adv)
 	for _, j := range s.joins {
 		run.ScheduleJoin(j.round, j.proc)
 	}
-	return run
-})
+	return s.play(run)
+}
 
 // typedOver plays a system whose processes, joiners included, are all
 // P on the core instantiated over P's wire union.
 func typedOver[P sim.ProcessT[M], M sim.WireMsg[M]](codec sim.Codec[M]) playFn {
-	return on(func(cfg sim.Config, s system) runner {
+	return func(cfg sim.Config, s system) sim.Metrics {
 		procs := make([]P, len(s.procs))
 		for i, p := range s.procs {
 			procs[i] = p.(P)
@@ -105,8 +99,8 @@ func typedOver[P sim.ProcessT[M], M sim.WireMsg[M]](codec sim.Codec[M]) playFn {
 		for _, j := range s.joins {
 			run.ScheduleJoin(j.round, j.proc.(P))
 		}
-		return run
-	})
+		return s.play(run)
+	}
 }
 
 // workload is a named system with its run limits and, where the
