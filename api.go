@@ -100,6 +100,10 @@ func NewParallelConsensus(id NodeID, inputs map[PairID]Val) *parallel.Node {
 	return parallel.NewNode(id, inputs)
 }
 
+// ParallelNode is the Algorithm 5 process type; its Outputs holds the
+// pairs decided on.
+type ParallelNode = parallel.Node
+
 // DynamicConfig configures an Algorithm 6 total-ordering participant;
 // DynamicNode is the participant type and OrderedEvent one entry of
 // its chain.

@@ -51,10 +51,7 @@ func TestPublicAPIReliableBroadcast(t *testing.T) {
 func TestPublicAPIParallel(t *testing.T) {
 	rng := idonly.NewRand(3)
 	all := idonly.SparseIDs(rng, 4)
-	var pnodes []interface {
-		idonly.Process
-		Outputs() map[idonly.PairID]idonly.Val
-	}
+	var pnodes []*idonly.ParallelNode
 	for _, id := range all {
 		pnodes = append(pnodes, idonly.NewParallelConsensus(id, map[idonly.PairID]idonly.Val{1: idonly.V("x")}))
 	}

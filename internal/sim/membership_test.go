@@ -59,7 +59,9 @@ type membership struct {
 }
 
 type member interface {
-	runner
+	Run(stop func(round int) bool) sim.Metrics
+	ScheduleFaultyJoin(round int, id ids.ID)
+	ScheduleFaultyLeave(round int, id ids.ID)
 	StepRound()
 	Active() []ids.ID
 	Metrics() sim.Metrics

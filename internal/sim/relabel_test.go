@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"idonly/internal/ids"
+	"idonly/internal/simtest"
 )
 
 // stretch is strictly increasing and keeps every id the workloads draw
@@ -22,7 +23,7 @@ func stretch(id ids.ID) ids.ID { return 3*id + 7 }
 
 // relabelOutput passes every ids.ID inside v through g: struct fields,
 // slice elements, map keys and values.
-func relabelOutput(v reflect.Value, g relabel) reflect.Value {
+func relabelOutput(v reflect.Value, g simtest.Relabel) reflect.Value {
 	if v.Type() == reflect.TypeFor[ids.ID]() {
 		return reflect.ValueOf(g(ids.ID(v.Uint())))
 	}
@@ -53,9 +54,9 @@ func relabelOutput(v reflect.Value, g relabel) reflect.Value {
 }
 
 func TestOrderPreservingRelabelling(t *testing.T) {
-	for _, tc := range append(goldenTraces, goldenChurn...) {
-		for name, play := range tc.instantiations() {
-			t.Run(tc.name+"/"+name, func(t *testing.T) { checkRelabel(t, tc.workload, play, stretch) })
+	for _, tc := range slices.Concat(goldenTraces, goldenChurn) {
+		for st, play := range simtest.Plays(tc.Typed) {
+			t.Run(tc.Name+"/"+st.Name, func(t *testing.T) { checkRelabel(t, tc.Workload, play, stretch) })
 		}
 	}
 }
@@ -64,10 +65,10 @@ func TestOrderPreservingRelabelling(t *testing.T) {
 // holds the relabelled run to the first: the same rounds, deliveries,
 // drops and per-round counts, the same decided rounds under the mapped
 // ids, and every output mapped through g.
-func checkRelabel(t *testing.T, w workload, play playFn, g relabel) {
+func checkRelabel(t *testing.T, w simtest.Workload, play simtest.Play, g simtest.Relabel) {
 	t.Helper()
-	base, moved := w.sys(same), w.sys(g)
-	mb, mm := play(w.config(nil), base), play(w.config(nil), moved)
+	base, moved := w.Sys(simtest.Same), w.Sys(g)
+	mb, mm := play(w.Config(nil), base), play(w.Config(nil), moved)
 	if mb.Rounds != mm.Rounds || mb.MessagesDelivered != mm.MessagesDelivered ||
 		mb.MessagesDropped != mm.MessagesDropped || !slices.Equal(mb.ByRound, mm.ByRound) {
 		t.Fatalf("relabelled run differs: rounds/delivered/dropped %d/%d/%d, want %d/%d/%d",
@@ -81,8 +82,8 @@ func checkRelabel(t *testing.T, w workload, play playFn, g relabel) {
 			t.Fatalf("node %d decided in round %d (%v), want %d", g(id), got, ok, r)
 		}
 	}
-	for i, p := range moved.all() {
-		want := base.all()[i].Output()
+	for i, p := range moved.All() {
+		want := base.All()[i].Output()
 		if want != nil {
 			want = relabelOutput(reflect.ValueOf(want), g).Interface()
 		}
@@ -93,20 +94,20 @@ func checkRelabel(t *testing.T, w workload, play playFn, g relabel) {
 }
 
 // decodeRelabel reads a workload and a strictly increasing id map from
-// fuzz bytes. Byte 0 picks the workload and byte 1 the instantiation;
+// fuzz bytes. Byte 0 picks the workload and byte 1 the strategy;
 // byte 2 sets the slope a (1–4) and byte 3 the offset b (1–256); then
 // every 4 bytes name a breakpoint (3 bytes, scaled to 2^40) and a gap
 // (1–256) that every id above the breakpoint moves up by, at most 8 of
 // them. So g(id) = a·id + b + the gaps of the breakpoints below id:
 // positive gaps keep g strictly increasing, b keeps it clear of 0, the
 // broadcast address, and ids drawn below 2^40 stay far from overflow.
-func decodeRelabel(data []byte) (workload, playFn, relabel) {
+func decodeRelabel(data []byte) (simtest.Workload, simtest.Play, simtest.Relabel) {
 	data = append(slices.Clip(data), make([]byte, max(0, 4-len(data)))...)
-	all := append(goldenTraces, goldenChurn...)
-	w := all[int(data[0])%len(all)].workload
-	plays := []playFn{boxed}
-	if w.typed != nil {
-		plays = append(plays, w.typed)
+	all := slices.Concat(goldenTraces, goldenChurn)
+	w := all[int(data[0])%len(all)].Workload
+	var plays []simtest.Play
+	for _, play := range simtest.Plays(w.Typed) {
+		plays = append(plays, play)
 	}
 	play := plays[int(data[1])%len(plays)]
 	a, b := ids.ID(1+data[2]%4), ids.ID(1+int(data[3]))
@@ -128,14 +129,14 @@ func decodeRelabel(data []byte) (workload, playFn, relabel) {
 }
 
 // FuzzOrderPreservingRelabel is TestOrderPreservingRelabelling over
-// fuzzed maps: the bytes pick a golden workload, an instantiation and
+// fuzzed maps: the bytes pick a golden workload, a strategy and
 // a strictly increasing id map (decodeRelabel), and the relabelled run
 // must be the same run.
 func FuzzOrderPreservingRelabel(f *testing.F) {
 	for k := range len(goldenTraces) + len(goldenChurn) {
-		// The identity shifted by one, on each instantiation.
-		f.Add([]byte{byte(k), 0, 0, 0})
-		f.Add([]byte{byte(k), 1, 0, 0})
+		for c := range len(simtest.Strategies) {
+			f.Add([]byte{byte(k), byte(c), 0, 0}) // the identity shifted by one
+		}
 	}
 	// Steeper slopes, large offsets and breakpoints among the drawn ids.
 	f.Add([]byte{2, 0, 3, 255, 0, 0, 1, 9, 0, 1, 0, 200, 0, 40, 0, 17})

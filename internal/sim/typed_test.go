@@ -1,10 +1,8 @@
 package sim_test
 
-// Bit-identity of the two instantiations beyond the pinned goldens
-// (golden_test.go replays those on both): the scale-frontier ring
-// workload held equal across boxed and typed, duplicates found by
-// wire-value equality, and the typed plane ordering by Compare without
-// ever rendering a sort key.
+// The typed plane's own contract: duplicates found by wire-value
+// equality, and inboxes ordered by Compare without ever rendering a
+// sort key.
 
 import (
 	"cmp"
@@ -14,30 +12,8 @@ import (
 	"idonly/internal/core/ring"
 	"idonly/internal/ids"
 	"idonly/internal/sim"
+	"idonly/internal/simtest"
 )
-
-// ringWorkload is the n-node ring flood, on both instantiations.
-func ringWorkload(n int) workload {
-	all := ids.Sparse(ids.NewRand(21), n)
-	horizon := ring.Horizon(n)
-	return workload{"ring", horizon + 2, true, func(relabel) system {
-		var procs []sim.Process
-		for i, id := range all {
-			procs = append(procs, ring.New(id, ring.Successors(all, i), horizon))
-		}
-		return system{procs: procs}
-	}, typedOver[*ring.Node](ring.WireCodec()), false}
-}
-
-// TestTypedRingMatchesReference holds the scale-frontier workload
-// byte-equal across the two instantiations at n=1000 — the sim-level
-// half of the engine's large-n smoke test.
-func TestTypedRingMatchesReference(t *testing.T) {
-	w := ringWorkload(1000)
-	if got, want := digestRun(w, w.typed), digestRun(w, boxed); got != want {
-		t.Fatalf("ring schedule diverged: typed %s, boxed %s", got, want)
-	}
-}
 
 // dupProc sends the same probe twice per round; the runner must drop
 // the second copy whether it compares the wire value or its box.
@@ -65,16 +41,13 @@ func (p *dupProc) Step(round int, inbox []sim.Message) []sim.Send {
 }
 
 func TestTypedRunnerDeduplicates(t *testing.T) {
-	w := workload{maxRounds: 1, typed: typedOver[*dupProc](ring.WireCodec()), sys: func(relabel) system {
-		return system{procs: []sim.Process{&dupProc{id: 1, peer: 2}, &dupProc{id: 2, peer: 1}}}
-	}}
-	for name, play := range w.instantiations() {
-		m := play(w.config(nil), w.sys(same))
+	for st, play := range simtest.Plays(simtest.Typed[*dupProc](ring.WireCodec())) {
+		m := play(sim.Config{MaxRounds: 1}, simtest.System{Procs: []sim.Process{&dupProc{id: 1, peer: 2}, &dupProc{id: 2, peer: 1}}})
 		if m.MessagesDelivered != 4 {
-			t.Fatalf("%s: MessagesDelivered = %d, want 4", name, m.MessagesDelivered)
+			t.Fatalf("%s: MessagesDelivered = %d, want 4", st.Name, m.MessagesDelivered)
 		}
 		if m.MessagesDropped != 2 {
-			t.Fatalf("%s: MessagesDropped = %d, want 2 (one duplicate per sender)", name, m.MessagesDropped)
+			t.Fatalf("%s: MessagesDropped = %d, want 2 (one duplicate per sender)", st.Name, m.MessagesDropped)
 		}
 	}
 }

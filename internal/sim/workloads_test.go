@@ -1,12 +1,9 @@
 package sim_test
 
 // The schedule tests' workloads: one system per core protocol (and the
-// ring overlay at n = 1024), the runners they play on — the boxed
-// instantiation always, the protocol's wire union where it has one —
-// and the plumbing that puts a system on a runner. golden_test.go pins
-// the schedule each produces, naive_test.go replays them on a
-// map-based model of the paper's §IV, and readonly_test.go runs them
-// with every inbox guarded.
+// ring overlay at n = 1024), each with the typed play of its wire union
+// where it has one. golden_test.go pins the schedule each produces on
+// every strategy of simtest.Strategies, the §IV model included.
 
 import (
 	"fmt"
@@ -22,120 +19,11 @@ import (
 	"idonly/internal/core/rotor"
 	"idonly/internal/ids"
 	"idonly/internal/sim"
+	"idonly/internal/simtest"
 )
 
-// runner is what the schedule tests need of either instantiation of the
-// core: *sim.Runner and every *sim.TypedRunner[P, M] satisfy it.
-type runner interface {
-	Run(stop func(round int) bool) sim.Metrics
-	ScheduleFaultyJoin(round int, id ids.ID)
-	ScheduleFaultyLeave(round int, id ids.ID)
-}
-
-// system is one workload before it is put on a runner: the founding
-// processes (freshly constructed — a system runs once), the faulty ids
-// and their adversary, and the membership changes of the run. The
-// golden tests put it on the core's instantiations; naive_test.go
-// interprets it directly.
-type system struct {
-	procs   []sim.Process
-	faulty  []ids.ID // present from round 1
-	adv     sim.Adversary
-	joins   []join         // correct joiners, in construction order
-	fjoins  map[int]ids.ID // faulty joiners by round
-	fleaves map[int]ids.ID // faulty node leaving at the end of the given round
-}
-
-type join struct {
-	round int
-	proc  sim.Process
-}
-
-// all lists every correct process of the run in construction order:
-// founders, then joiners.
-func (s system) all() []sim.Process {
-	out := append([]sim.Process(nil), s.procs...)
-	for _, j := range s.joins {
-		out = append(out, j.proc)
-	}
-	return out
-}
-
-// playFn runs a system to completion under a config and returns the
-// run's metrics: the core's instantiations (on) and the naive model
-// (naive_test.go) are each one.
-type playFn func(cfg sim.Config, s system) sim.Metrics
-
-// play schedules the system's faulty joins and leaves on a runner that
-// already holds its correct processes, and runs it.
-func (s system) play(run runner) sim.Metrics {
-	for round, id := range s.fjoins {
-		run.ScheduleFaultyJoin(round, id)
-	}
-	for round, id := range s.fleaves {
-		run.ScheduleFaultyLeave(round, id)
-	}
-	return run.Run(nil)
-}
-
-// boxed plays a system on the boxed instantiation.
-func boxed(cfg sim.Config, s system) sim.Metrics {
-	run := sim.NewRunner(cfg, s.procs, s.faulty, s.adv)
-	for _, j := range s.joins {
-		run.ScheduleJoin(j.round, j.proc)
-	}
-	return s.play(run)
-}
-
-// typedOver plays a system whose processes, joiners included, are all
-// P on the core instantiated over P's wire union.
-func typedOver[P sim.ProcessT[M], M sim.WireMsg[M]](codec sim.Codec[M]) playFn {
-	return func(cfg sim.Config, s system) sim.Metrics {
-		procs := make([]P, len(s.procs))
-		for i, p := range s.procs {
-			procs[i] = p.(P)
-		}
-		run := sim.NewTypedRunner(cfg, procs, s.faulty, s.adv, codec)
-		for _, j := range s.joins {
-			run.ScheduleJoin(j.round, j.proc.(P))
-		}
-		return s.play(run)
-	}
-}
-
-// workload is a named system with its run limits and, where the
-// protocol has a wire union, the typed instantiation to put it on. sys
-// builds the system with every id it draws passed through g.
-type workload struct {
-	name        string
-	maxRounds   int
-	stopDecided bool
-	sys         func(g relabel) system
-	typed       playFn // nil: no wire union
-	gauges      bool   // digests cover the churn gauges instead of the decided rounds
-}
-
-// instantiations lists the runners a workload plays on: boxed always,
-// typed where it has one.
-func (w workload) instantiations() map[string]playFn {
-	m := map[string]playFn{"boxed": boxed}
-	if w.typed != nil {
-		m["typed"] = w.typed
-	}
-	return m
-}
-
-func (w workload) config(obs sim.Observer) sim.Config {
-	return sim.Config{MaxRounds: w.maxRounds, StopWhenAllDecided: w.stopDecided, Observer: obs}
-}
-
-// relabel maps the ids a system draws; same keeps them as drawn.
-type relabel func(ids.ID) ids.ID
-
-func same(id ids.ID) ids.ID { return id }
-
 // sparse draws n sorted ids through g.
-func sparse(g relabel, rng *ids.Rand, n int) []ids.ID {
+func sparse(g simtest.Relabel, rng *ids.Rand, n int) []ids.ID {
 	out := ids.Sparse(rng, n)
 	for i, id := range out {
 		out[i] = g(id)
@@ -143,7 +31,7 @@ func sparse(g relabel, rng *ids.Rand, n int) []ids.ID {
 	return out
 }
 
-func split(g relabel, rng *ids.Rand, n, f int) (all, correct, faulty []ids.ID) {
+func split(g simtest.Relabel, rng *ids.Rand, n, f int) (all, correct, faulty []ids.ID) {
 	all = sparse(g, rng, n)
 	return all, all[:n-f], all[n-f:]
 }
@@ -151,34 +39,34 @@ func split(g relabel, rng *ids.Rand, n, f int) (all, correct, faulty []ids.ID) {
 // The workloads below are shared with the golden-trace tests
 // (golden_test.go), which pin the exact schedule they produce.
 
-func rbroadcastSystem(g relabel) system {
+func rbroadcastSystem(g simtest.Relabel) simtest.System {
 	_, correct, faulty := split(g, ids.NewRand(11), 13, 4)
 	var procs []sim.Process
 	for i, id := range correct {
 		procs = append(procs, rbroadcast.New(id, i == 0, "m"))
 	}
-	return system{procs: procs, faulty: faulty, adv: adversary.Replay{}}
+	return simtest.System{Procs: procs, Faulty: faulty, Adv: adversary.Replay{}}
 }
 
-func consensusSystem(g relabel) system {
+func consensusSystem(g simtest.Relabel) simtest.System {
 	all, correct, faulty := split(g, ids.NewRand(12), 13, 4)
 	var procs []sim.Process
 	for i, id := range correct {
 		procs = append(procs, consensus.New(id, float64(i%2)))
 	}
-	return system{procs: procs, faulty: faulty, adv: adversary.ConsSplit{X1: 0, X2: 1, All: all}}
+	return simtest.System{Procs: procs, Faulty: faulty, Adv: adversary.ConsSplit{X1: 0, X2: 1, All: all}}
 }
 
-func approxSystem(g relabel) system {
+func approxSystem(g simtest.Relabel) simtest.System {
 	all, correct, faulty := split(g, ids.NewRand(13), 10, 3)
 	var procs []sim.Process
 	for i, id := range correct {
 		procs = append(procs, approx.NewIterated(id, float64(i*10), 8))
 	}
-	return system{procs: procs, faulty: faulty, adv: adversary.ApproxOutlier{Low: -1e6, High: 1e6, All: all}}
+	return simtest.System{Procs: procs, Faulty: faulty, Adv: adversary.ApproxOutlier{Low: -1e6, High: 1e6, All: all}}
 }
 
-func rotorSystem(g relabel) system {
+func rotorSystem(g simtest.Relabel) simtest.System {
 	all, correct, faulty := split(g, ids.NewRand(14), 13, 4)
 	var procs []sim.Process
 	for i, id := range correct {
@@ -188,10 +76,10 @@ func rotorSystem(g relabel) system {
 	for i, id := range faulty {
 		per[id] = &adversary.RotorHidden{Subset: correct[:1+i%len(correct)], All: all, X1: -1, X2: -2}
 	}
-	return system{procs: procs, faulty: faulty, adv: adversary.Compose{PerNode: per}}
+	return simtest.System{Procs: procs, Faulty: faulty, Adv: adversary.Compose{PerNode: per}}
 }
 
-func parallelSystem(g relabel) system {
+func parallelSystem(g simtest.Relabel) simtest.System {
 	all, correct, faulty := split(g, ids.NewRand(15), 7, 2)
 	var procs []sim.Process
 	for _, id := range correct {
@@ -200,12 +88,12 @@ func parallelSystem(g relabel) system {
 		}
 		procs = append(procs, parallel.NewNode(id, inputs))
 	}
-	return system{procs: procs, faulty: faulty, adv: adversary.ParaSplit{Pair: 1, X1: parallel.V("a"), X2: parallel.V("b"), All: all}}
+	return simtest.System{Procs: procs, Faulty: faulty, Adv: adversary.ParaSplit{Pair: 1, X1: parallel.V("a"), X2: parallel.V("b"), All: all}}
 }
 
 // dynamicSystem covers joins and Leaver removal: a joiner at round 10,
 // a leaver at round 12, and an event-equivocating adversary.
-func dynamicSystem(g relabel) system {
+func dynamicSystem(g simtest.Relabel) simtest.System {
 	all, correct, faulty := split(g, ids.NewRand(16), 7, 2)
 	var procs []sim.Process
 	for i, id := range correct {
@@ -222,8 +110,8 @@ func dynamicSystem(g relabel) system {
 		procs = append(procs, dynamic.New(dynamic.Config{ID: id, Founders: all, Witness: witness, LeaveAt: leaveAt}))
 	}
 	joiner := dynamic.New(dynamic.Config{ID: sparse(g, ids.NewRand(999), 1)[0]})
-	return system{procs: procs, faulty: faulty, adv: adversary.DynEquivEvent{All: all, Every: 2},
-		joins: []join{{10, joiner}}}
+	return simtest.System{Procs: procs, Faulty: faulty, Adv: adversary.DynEquivEvent{All: all, Every: 2},
+		Joins: []simtest.Join{{Round: 10, Proc: joiner}}}
 }
 
 // ringSystem is the scale-frontier overlay at n = 1024: each correct
@@ -231,14 +119,14 @@ func dynamicSystem(g relabel) system {
 // every delivery is a unicast into a recipient's lane, over far more
 // slots than one bitset word. Its faulty nodes sit on the ring and
 // bounce what they receive, so the faulty slots keep boxed lanes too.
-func ringSystem(g relabel) system {
+func ringSystem(g simtest.Relabel) simtest.System {
 	all, correct, faulty := split(g, ids.NewRand(17), 1024, 8)
 	var procs []sim.Process
 	for _, id := range correct {
 		i, _ := slices.BinarySearch(all, id)
 		procs = append(procs, ring.New(id, ring.Successors(all, i), ring.Horizon(len(all))))
 	}
-	return system{procs: procs, faulty: faulty, adv: bounce{}}
+	return simtest.System{Procs: procs, Faulty: faulty, Adv: bounce{}}
 }
 
 // bounce is an adversary that reads its inbox: every message a faulty
@@ -254,11 +142,11 @@ func (bounce) Step(_ ids.ID, _ int, inbox []sim.Message) []sim.Send {
 }
 
 var (
-	rbroadcastWorkload = workload{"rbroadcast", 12, false, rbroadcastSystem, typedOver[*rbroadcast.Node](rbroadcast.WireCodec()), false}
-	consensusWorkload  = workload{"consensus", 200, true, consensusSystem, typedOver[*consensus.Node](consensus.WireCodec()), false}
-	approxWorkload     = workload{"approx", 14, true, approxSystem, nil, false}
-	rotorWorkload      = workload{"rotor", 130, true, rotorSystem, nil, false}
-	parallelWorkload   = workload{"parallel", 400, true, parallelSystem, typedOver[*parallel.Node](parallel.WireCodec()), false}
-	dynamicWorkload    = workload{"dynamic", 40, false, dynamicSystem, typedOver[*dynamic.Node](dynamic.WireCodec()), false}
-	ring1024Workload   = workload{"ring1024", 13, true, ringSystem, typedOver[*ring.Node](ring.WireCodec()), false}
+	rbroadcastWorkload = simtest.Workload{Name: "rbroadcast", MaxRounds: 12, Sys: rbroadcastSystem, Typed: simtest.Typed[*rbroadcast.Node](rbroadcast.WireCodec())}
+	consensusWorkload  = simtest.Workload{Name: "consensus", MaxRounds: 200, StopDecided: true, Sys: consensusSystem, Typed: simtest.Typed[*consensus.Node](consensus.WireCodec())}
+	approxWorkload     = simtest.Workload{Name: "approx", MaxRounds: 14, StopDecided: true, Sys: approxSystem}
+	rotorWorkload      = simtest.Workload{Name: "rotor", MaxRounds: 130, StopDecided: true, Sys: rotorSystem}
+	parallelWorkload   = simtest.Workload{Name: "parallel", MaxRounds: 400, StopDecided: true, Sys: parallelSystem, Typed: simtest.Typed[*parallel.Node](parallel.WireCodec())}
+	dynamicWorkload    = simtest.Workload{Name: "dynamic", MaxRounds: 40, Sys: dynamicSystem, Typed: simtest.Typed[*dynamic.Node](dynamic.WireCodec())}
+	ring1024Workload   = simtest.Workload{Name: "ring1024", MaxRounds: 13, StopDecided: true, Sys: ringSystem, Typed: simtest.Typed[*ring.Node](ring.WireCodec())}
 )
