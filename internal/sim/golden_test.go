@@ -12,6 +12,7 @@ package sim_test
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"idonly/internal/adversary"
@@ -47,6 +48,27 @@ var ring1000 = simtest.Row{Workload: simtest.Workload{Name: "ring1000", MaxRound
 	}}}
 
 func TestGoldenTraces(t *testing.T) { simtest.Matrix(t, append(goldenTraces, ring1000), false) }
+
+// TestInstantiationsShareMetrics holds the typed instantiation of every
+// golden system to the boxed one's Metrics field for field, InboxGrows
+// included: there is one presize policy, so the two must grow their
+// buffers alike. The matrix checks the same through whichever core
+// strategy of a row runs first; this test pairs the two directly, so
+// the check holds under any -run filter.
+func TestInstantiationsShareMetrics(t *testing.T) {
+	for _, row := range append(goldenTraces, goldenChurn...) {
+		if row.Typed == nil {
+			continue
+		}
+		t.Run(row.Name, func(t *testing.T) {
+			cfg := row.Config(nil)
+			typed, boxed := row.Typed(cfg, row.Sys(simtest.Same)), simtest.Boxed(cfg, row.Sys(simtest.Same))
+			if !reflect.DeepEqual(typed, boxed) {
+				t.Fatalf("metrics differ:\ntyped %+v\nboxed %+v", typed, boxed)
+			}
+		})
+	}
+}
 
 // churnHeavySystem is a churn-saturated dynamic-ordering system — three
 // staggered correct joiners, two graceful leavers, a late faulty join
