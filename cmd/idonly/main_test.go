@@ -145,8 +145,7 @@ func TestFlagsBelongToOneMode(t *testing.T) {
 }
 
 // TestSweepAndExp: sweep writes the engine's canonical bytes for the
-// grid and, with an explicit -workers, checks them against a
-// sequential baseline; exp prints the selected table.
+// grid; exp prints the selected table.
 func TestSweepAndExp(t *testing.T) {
 	code, stdout, stderr := run(t, "sweep", "-grid", "small", "-churn", "none", "-workers", "2", "-canonical")
 	if code != 0 {
@@ -163,9 +162,6 @@ func TestSweepAndExp(t *testing.T) {
 	}
 	if stdout != string(want) {
 		t.Error("sweep -canonical differs from the engine's canonical bytes")
-	}
-	if !strings.Contains(stderr, "(reports byte-identical)") {
-		t.Errorf("sweep -workers 2: no determinism line on stderr:\n%s", stderr)
 	}
 
 	code, stdout, stderr = run(t, "exp", "-run", "e1", "-log-level", "error")

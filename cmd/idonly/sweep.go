@@ -1,7 +1,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -76,7 +75,7 @@ func runExp(args []string, stdout, stderr io.Writer) int {
 // runSweep expands a preset grid and sweeps it across the worker pool.
 //
 //	idonly sweep -grid small                  # text report
-//	idonly sweep -grid small -workers 4       # + a sequential baseline, an equality check, the speedup
+//	idonly sweep -grid small -workers 4       # a worker pool 4 wide
 //	idonly sweep -grid small -canonical       # the byte-stable report (-json: the full one)
 //	idonly sweep -grid small -churn j2,l1,fj1,fl1        # replace the churn axis ('none' = static only)
 //	idonly sweep -grid small -store ./results            # hits from the store, misses run then persisted
@@ -126,11 +125,6 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 		hooks.Span = func(sp engine.Span) { tw.Write(sp) }
 	}
 
-	// Only an explicitly chosen -workers triggers the sequential
-	// baseline: it doubles the work, so the default sweeps once.
-	compare := false
-	fs.Visit(func(f *flag.Flag) { compare = compare || f.Name == "workers" })
-
 	format := "text"
 	if *canonical {
 		format = "canonical"
@@ -144,7 +138,7 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 		g.Churns = []engine.Churn{spec}
 	}
 	if err == nil {
-		err = sweep(g, *storeDir, *workers, format, compare, hooks, stdout, stderr)
+		err = sweep(g, *storeDir, *workers, format, hooks, stdout)
 	}
 	if err != nil {
 		slog.Error("grid sweep failed", "err", err)
@@ -155,17 +149,9 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 
 // sweep runs g's scenarios, through the store at storeDir when set
 // (logging the hit/miss split), and writes the report to stdout in
-// format: text, json or canonical. With compare and more than one
-// worker it first runs a sequential baseline, checks that the canonical
-// reports are byte-identical — the engine's determinism contract — and
-// prints the measured speedup, to stderr unless the format is text.
-func sweep(g engine.Grid, storeDir string, workers int, format string, compare bool, hooks engine.Hooks, stdout, stderr io.Writer) error {
+// format: text, json or canonical.
+func sweep(g engine.Grid, storeDir string, workers int, format string, hooks engine.Hooks, stdout io.Writer) error {
 	specs := g.Scenarios()
-	var baseline *engine.Report
-	if compare && workers > 1 {
-		baseline = engine.RunAll(specs, engine.Options{Workers: 1, Grid: g.Name})
-	}
-
 	opts := engine.Options{Workers: workers, Grid: g.Name, Hooks: hooks}
 	var rep *engine.Report
 	if storeDir != "" {
@@ -202,23 +188,6 @@ func sweep(g engine.Grid, storeDir string, workers int, format string, compare b
 		rep.WriteText(stdout)
 	}
 
-	if baseline != nil {
-		want, err1 := baseline.ContentDigest()
-		got, err2 := rep.ContentDigest()
-		if err := errors.Join(err1, err2); err != nil {
-			return err
-		}
-		if got != want {
-			return fmt.Errorf("determinism violated: canonical reports differ between workers=1 and workers=%d", workers)
-		}
-		out := stdout
-		if format != "text" {
-			out = stderr
-		}
-		seq, par := time.Duration(baseline.ElapsedNS), time.Duration(rep.ElapsedNS)
-		fmt.Fprintf(out, "sequential baseline %v, %d workers %v: %.2fx speedup (reports byte-identical)\n",
-			seq.Round(time.Millisecond), workers, par.Round(time.Millisecond), float64(seq)/float64(par))
-	}
 	if errs := rep.Errors(); len(errs) > 0 {
 		return fmt.Errorf("%d scenarios failed; first: %s: %s", len(errs), errs[0].Scenario.Name, errs[0].Err)
 	}

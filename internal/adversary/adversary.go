@@ -28,21 +28,6 @@ func (Silent) Step(ids.ID, int, []sim.Message) []sim.Send { return nil }
 // Blind implements sim.Blind: Step never reads its inbox.
 func (Silent) Blind() {}
 
-// Crash wraps another adversary and cuts it off after a given round,
-// modelling fail-stop behaviour on top of any strategy.
-type Crash struct {
-	AfterRound int           // last round in which the inner adversary acts
-	Inner      sim.Adversary // nil means behave silently even before the crash
-}
-
-// Step implements sim.Adversary.
-func (c Crash) Step(node ids.ID, round int, inbox []sim.Message) []sim.Send {
-	if round > c.AfterRound || c.Inner == nil {
-		return nil
-	}
-	return c.Inner.Step(node, round, inbox)
-}
-
 // Replay re-broadcasts every payload the faulty node received in the
 // previous round — a cheap chaos strategy that stresses the duplicate
 // discarding and distinct-sender counting of the protocols.

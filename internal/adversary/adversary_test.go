@@ -18,24 +18,6 @@ func TestSilentSendsNothing(t *testing.T) {
 	}
 }
 
-func TestCrashCutsOff(t *testing.T) {
-	inner := adversary.ConsStubborn{X: 1}
-	c := adversary.Crash{AfterRound: 3, Inner: inner}
-	if out := c.Step(1, 3, nil); len(out) == 0 {
-		t.Fatal("Crash silenced before the deadline")
-	}
-	if out := c.Step(1, 4, nil); len(out) != 0 {
-		t.Fatal("Crash kept talking after the deadline")
-	}
-}
-
-func TestCrashNilInner(t *testing.T) {
-	c := adversary.Crash{AfterRound: 3}
-	if out := c.Step(1, 1, nil); len(out) != 0 {
-		t.Fatal("nil inner must be silent")
-	}
-}
-
 func TestComposeRouting(t *testing.T) {
 	c := adversary.Compose{
 		PerNode: map[ids.ID]sim.Adversary{7: adversary.ConsStubborn{X: 2}},

@@ -24,7 +24,6 @@ func TestBlindIgnoresInbox(t *testing.T) {
 	blind := map[string]sim.Blind{
 		"Silent":        adversary.Silent{},
 		"DynEquivEvent": adversary.DynEquivEvent{All: all, Every: 2},
-		"DynGhostPair":  adversary.DynGhostPair{Ghost: 1 << 40},
 		"RBEquivocate":  adversary.RBEquivocate{M1: "a", M2: "b", Targets: all},
 		"RBColluder":    adversary.RBColluder{Keys: []rbroadcast.Key{{M: "m", S: all[0]}}},
 		"RBForgeSource": adversary.RBForgeSource{FakeM: "forged", FakeS: all[0]},
@@ -67,7 +66,6 @@ func clone(s []sim.Send) []sim.Send { return append([]sim.Send{}, s...) }
 func TestInboxReadersAreNotBlind(t *testing.T) {
 	readers := map[string]sim.Adversary{
 		"Replay":             adversary.Replay{},
-		"Crash":              adversary.Crash{},
 		"Compose":            adversary.Compose{},
 		"Chaos":              adversary.NewChaos(1, nil),
 		"ConsSplit":          adversary.ConsSplit{},

@@ -54,26 +54,3 @@ func (a DynBadAck) Step(node ids.ID, round int, inbox []sim.Message) []sim.Send 
 	}
 	return out
 }
-
-// DynGhostPair injects session traffic claiming an event pair from a
-// non-existent witness into every session, at the input discovery
-// round. No correct chain may ever contain the ghost pair with a value
-// only the adversary vouched for... unless enough correct nodes
-// actually received a matching event broadcast, which never happens
-// here because the ghost witness never broadcast one.
-type DynGhostPair struct {
-	Ghost ids.ID
-}
-
-// Step implements sim.Adversary.
-func (a DynGhostPair) Step(node ids.ID, round int, _ []sim.Message) []sim.Send {
-	// Fabricate an event from the ghost witness every round; correct
-	// nodes only admit events arriving with tag r-1 directly from their
-	// claimed witness (the pair id is the *sender* id), so this forgery
-	// must be ignored outright — the pair id recorded would be the
-	// faulty node's own id, not the ghost's.
-	return []sim.Send{sim.BroadcastPayload(dynamic.EventMsg{M: "ghost-event", R: round})}
-}
-
-// Blind implements sim.Blind: Step never reads its inbox.
-func (DynGhostPair) Blind() {}

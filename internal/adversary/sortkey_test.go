@@ -21,7 +21,6 @@ func TestAdversaryPayloadsAreRegistered(t *testing.T) {
 	all := ids.Consecutive(6)
 	strategies := map[string]sim.Adversary{
 		"Silent":             Silent{},
-		"Crash":              Crash{AfterRound: 4, Inner: Replay{}},
 		"Replay":             Replay{},
 		"Compose":            Compose{PerNode: map[ids.ID]sim.Adversary{all[0]: Replay{}}, Default: Silent{}},
 		"Chaos":              NewChaos(7, all),
@@ -43,7 +42,6 @@ func TestAdversaryPayloadsAreRegistered(t *testing.T) {
 		"ParaSplit":          ParaSplit{Pair: 1, X1: parallel.V("a"), X2: parallel.V("b"), All: all},
 		"DynEquivEvent":      DynEquivEvent{All: all},
 		"DynBadAck":          DynBadAck{Offset: 50},
-		"DynGhostPair":       DynGhostPair{Ghost: all[3]},
 	}
 	// An inbox that triggers the echo/ack/replay branches.
 	inbox := []sim.Message{

@@ -148,17 +148,31 @@ func TestForgedGhostsCannotEnterCandidates(t *testing.T) {
 func TestTerminationBoundLinear(t *testing.T) {
 	// Theorem 2: termination within O(n) rounds; with the f faulty
 	// nodes fully participating the candidate set has at most n members,
-	// so re-selection happens by round |Cv|+3.
-	for _, tc := range []struct{ n, f int }{{4, 1}, {10, 3}, {22, 7}, {31, 10}} {
-		r, nodes, _, faulty := buildRotor(9, tc.n, tc.f, adversary.RotorForge{Ghosts: nil})
-		_ = faulty
-		r.Run(nil)
-		for _, nd := range nodes {
-			if !nd.Decided() {
-				t.Fatalf("n=%d f=%d: node %d did not terminate", tc.n, tc.f, nd.ID())
+	// so re-selection happens by round |Cv|+3, and Lemma 7 puts a good
+	// round before it. The late-init faulty nodes stay silent through
+	// the init rounds, then announce and vouch for themselves every
+	// round: neither bound may move.
+	advs := []struct {
+		name string
+		adv  sim.Adversary
+	}{
+		{"forge", adversary.RotorForge{Ghosts: nil}},
+		{"late-init", adversary.RotorLateInit{WakeRound: 4}},
+	}
+	for _, a := range advs {
+		for _, tc := range []struct{ n, f int }{{4, 1}, {10, 3}, {22, 7}, {31, 10}} {
+			r, nodes, correct, _ := buildRotor(9, tc.n, tc.f, a.adv)
+			r.Run(nil)
+			for _, nd := range nodes {
+				if !nd.Decided() {
+					t.Fatalf("%s n=%d f=%d: node %d did not terminate", a.name, tc.n, tc.f, nd.ID())
+				}
+				if nd.DoneRound() > tc.n+3 {
+					t.Errorf("%s n=%d f=%d: node %d terminated at round %d > n+3", a.name, tc.n, tc.f, nd.ID(), nd.DoneRound())
+				}
 			}
-			if nd.DoneRound() > tc.n+3 {
-				t.Errorf("n=%d f=%d: node %d terminated at round %d > n+3", tc.n, tc.f, nd.ID(), nd.DoneRound())
+			if _, ok := goodRound(nodes, correct); !ok {
+				t.Errorf("%s n=%d f=%d: no good round before termination", a.name, tc.n, tc.f)
 			}
 		}
 	}

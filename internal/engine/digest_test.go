@@ -127,22 +127,14 @@ func perturb(t *testing.T, name string, v reflect.Value) {
 	}
 }
 
-// TestReportContentDigest: identical sweeps share a content digest;
-// different sweeps do not.
+// TestReportContentDigest: different sweeps do not share a content
+// digest (that identical ones do, on every execution strategy, is the
+// sweep matrix, TestSweepStrategies).
 func TestReportContentDigest(t *testing.T) {
-	specs := []Scenario{{Protocol: ProtoConsensus, Adversary: AdvSilent, N: 7, F: 2, Seed: 1}}
-	a := RunAll(specs, Options{Workers: 1})
-	b := RunAll(specs, Options{Workers: 2})
+	a := RunAll([]Scenario{{Protocol: ProtoConsensus, Adversary: AdvSilent, N: 7, F: 2, Seed: 1}}, Options{Workers: 1})
 	da, err := a.ContentDigest()
 	if err != nil {
 		t.Fatal(err)
-	}
-	db, err := b.ContentDigest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if da != db {
-		t.Fatal("content digests differ across worker counts")
 	}
 	other := RunAll([]Scenario{{Protocol: ProtoConsensus, Adversary: AdvSilent, N: 7, F: 2, Seed: 2}}, Options{Workers: 1})
 	do, err := other.ContentDigest()

@@ -2,23 +2,10 @@ package engine
 
 import (
 	"bytes"
-	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 )
-
-// mustCanonical is the test-side shim over the error-returning
-// CanonicalBytes (the panic-wrapping Canonical stays for callers that
-// want it; tests prefer a t.Fatal).
-func mustCanonical(t *testing.T, r *Report) []byte {
-	t.Helper()
-	b, err := r.CanonicalBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
 
 func TestMapPreservesOrder(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 64} {
@@ -97,30 +84,6 @@ func TestEveryProtocolAdversaryCell(t *testing.T) {
 	}
 }
 
-// TestGridDeterminismAcrossWorkerCounts is the engine's core contract:
-// a ≥100-scenario grid produces byte-identical canonical reports at
-// workers=1 and workers=NumCPU.
-func TestGridDeterminismAcrossWorkerCounts(t *testing.T) {
-	grid, err := PresetGrid("small")
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := grid.Scenarios()
-	if len(specs) < 100 {
-		t.Fatalf("small grid has %d scenarios, want >= 100", len(specs))
-	}
-
-	seq := RunAll(specs, Options{Workers: 1, Grid: "small"})
-	par := RunAll(specs, Options{Workers: runtime.NumCPU(), Grid: "small"})
-	if !bytes.Equal(mustCanonical(t, seq), mustCanonical(t, par)) {
-		t.Fatalf("canonical reports differ between workers=1 and workers=%d", runtime.NumCPU())
-	}
-
-	if errs := seq.Errors(); len(errs) != 0 {
-		t.Fatalf("small grid produced %d errors, first: %s: %s", len(errs), errs[0].Scenario.Name, errs[0].Err)
-	}
-}
-
 func TestPresetGridSizes(t *testing.T) {
 	for name, want := range map[string]int{"small": 288, "medium": 864, "large": 1920} {
 		g, err := PresetGrid(name)
@@ -145,31 +108,6 @@ func TestProtocolsIncludeDynamic(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("Protocols() does not include the dynamic ordering protocol")
-	}
-}
-
-// TestChurnScenarioDeterminism is the churn half of the engine's
-// determinism contract: a grid of churned dynamic scenarios produces
-// byte-identical canonical reports at workers=1 and workers=4.
-func TestChurnScenarioDeterminism(t *testing.T) {
-	grid := Grid{
-		Name:        "churn-test",
-		Protocols:   []string{ProtoDynamic, ProtoRBroadcast, ProtoConsensus},
-		Adversaries: []string{AdvSilent, AdvSplit},
-		// n = 11 → f = 3 leaves headroom for one graceful leave
-		// (n - 3f - 1 = 1), so the leave path is under the determinism
-		// check too.
-		Sizes:  []int{11},
-		Seeds:  seedRange(3),
-		Churns: []Churn{{Joins: 2, Leaves: 1, FaultyJoins: 1, FaultyLeaves: 1}},
-	}
-	seq := RunAll(grid.Scenarios(), Options{Workers: 1, Grid: grid.Name})
-	par := RunAll(grid.Scenarios(), Options{Workers: 4, Grid: grid.Name})
-	if !bytes.Equal(mustCanonical(t, seq), mustCanonical(t, par)) {
-		t.Fatal("churn grid canonical reports differ between workers=1 and workers=4")
-	}
-	if errs := seq.Errors(); len(errs) != 0 {
-		t.Fatalf("churn grid produced %d errors, first: %s: %s", len(errs), errs[0].Scenario.Name, errs[0].Err)
 	}
 }
 

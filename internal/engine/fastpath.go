@@ -19,9 +19,9 @@ package engine
 // a blind adversary (sim.Blind: silent, and the split attacks of
 // rbroadcast and dynamic) the faulty slots keep no inbox, so nothing is
 // boxed for them either. Selection never changes a result: the
-// golden-trace tests (internal/sim) and TestFastPathMatchesReference pin
-// the two instantiations byte-equal, which is why NoFastPath is
-// excluded from the canonical report.
+// golden-trace tests (internal/sim) and the sweep matrix's no-fast-path
+// column (TestSweepStrategies) pin the two instantiations byte-equal,
+// which is why NoFastPath is excluded from the canonical report.
 
 // fastPath reports whether the (defaults-resolved) scenario may run on
 // its protocol's wire union, if the protocol has one.

@@ -400,8 +400,8 @@ func (s Scenario) run(ph *phases) (res Result) {
 	// the protocol on its wire union when it has one and the scenario
 	// is eligible (fastPath), on boxed payloads otherwise, and schedules
 	// the correct joiners either way. Bit-identical by the golden-trace
-	// tests; TestFastPathMatchesReference pins the canonical report
-	// bytes.
+	// tests; the sweep matrix's no-fast-path column
+	// (TestSweepStrategies) pins the canonical report bytes.
 	run := pr.build(cfg, early, adv, s.fastPath())
 
 	// Schedule the faulty churn. Correct leaves were already compiled

@@ -1,8 +1,6 @@
 package service
 
 import (
-	"bufio"
-	"encoding/json"
 	"io"
 	"maps"
 	"net/http"
@@ -16,7 +14,6 @@ import (
 	"time"
 
 	"idonly/internal/faults"
-	"idonly/internal/obs"
 	"idonly/internal/store"
 )
 
@@ -117,7 +114,7 @@ func TestEmittedNamesFollowGrammar(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { st.Close() })
-	failing := New(Config{Store: st, Workers: 1, Events: svc.Events(), Runs: svc.Runs()})
+	failing := New(Config{Store: st, Workers: 1})
 	expect(failing, "POST", "/v1/sweep", testGridBody, "10.0.0.7", http.StatusInternalServerError)
 	if _, panicked := serve(failing, "POST", "/v1/sweep", testGridBody, "10.0.0.7"); !panicked {
 		t.Fatal("the crash failpoint did not panic the sweep")
@@ -125,20 +122,17 @@ func TestEmittedNamesFollowGrammar(t *testing.T) {
 	expect(failing, "POST", "/v1/sweep", testGridBody, "10.0.0.7", http.StatusOK)
 
 	seen := map[string]bool{}
-	sc := bufio.NewScanner(expect(svc, "GET", "/debug/events", "", "10.0.0.6", http.StatusOK).Body)
-	for sc.Scan() {
-		var ev obs.Event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("bad event line %q: %v", sc.Text(), err)
-		}
-		seen[ev.Name] = true
-		keys, ok := eventTaxonomy[ev.Name]
-		if !eventNameRE.MatchString(ev.Name) || !ok {
-			t.Errorf("event %q: want a snake_case name from the taxonomy %v", ev.Name, slices.Sorted(maps.Keys(eventTaxonomy)))
-		}
-		for k := range ev.Fields {
-			if !fieldKeyRE.MatchString(k) || !slices.Contains(keys, k) {
-				t.Errorf("event %q field %q: want a snake_case key from %v", ev.Name, k, keys)
+	for _, s := range []*Service{svc, failing} {
+		for _, ev := range s.Events().Events() {
+			seen[ev.Name] = true
+			keys, ok := eventTaxonomy[ev.Name]
+			if !eventNameRE.MatchString(ev.Name) || !ok {
+				t.Errorf("event %q: want a snake_case name from the taxonomy %v", ev.Name, slices.Sorted(maps.Keys(eventTaxonomy)))
+			}
+			for k := range ev.Fields {
+				if !fieldKeyRE.MatchString(k) || !slices.Contains(keys, k) {
+					t.Errorf("event %q field %q: want a snake_case key from %v", ev.Name, k, keys)
+				}
 			}
 		}
 	}
@@ -148,16 +142,15 @@ func TestEmittedNamesFollowGrammar(t *testing.T) {
 		}
 	}
 
-	var list RunList
-	if err := json.Unmarshal(expect(svc, "GET", "/v1/runs", "", "10.0.0.6", http.StatusOK).Body.Bytes(), &list); err != nil {
-		t.Fatal(err)
-	}
-	if len(list.Completed) == 0 {
-		t.Fatal("no completed runs to check")
-	}
-	for _, r := range append(list.Active, list.Completed...) {
-		if !eventNameRE.MatchString(r.Kind) || !slices.Contains(runKinds, r.Kind) {
-			t.Errorf("run %s kind %q: want a snake_case kind from %v", r.ID, r.Kind, runKinds)
+	for _, s := range []*Service{svc, failing} {
+		active, completed := s.Runs().Snapshots()
+		if len(completed) == 0 {
+			t.Fatal("no completed runs to check")
+		}
+		for _, r := range append(active, completed...) {
+			if !eventNameRE.MatchString(r.Kind) || !slices.Contains(runKinds, r.Kind) {
+				t.Errorf("run %s kind %q: want a snake_case kind from %v", r.ID, r.Kind, runKinds)
+			}
 		}
 	}
 

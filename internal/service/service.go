@@ -71,28 +71,19 @@ type Config struct {
 	MaxInFlight  int // concurrent sweeps; <= 0 means 2
 	MaxScenarios int // per-request expansion cap; <= 0 means 20000
 
-	// MaxN and MaxRounds bound a single scenario's compute (<= 0 means
-	// 256 nodes / 100000 rounds); MaxN counts a cell's size plus its
-	// churn spec's joins. The scenario-count cap alone is not
-	// enough: one scenario with a six-figure N would hold an in-flight
-	// slot for hours, and sweeps are not cancellable mid-run.
-	MaxN      int
-	MaxRounds int
+	// MaxN bounds a single scenario's size (<= 0 means 256 nodes),
+	// counting a cell's size plus its churn spec's joins, as maxRounds
+	// bounds its rounds. The scenario-count cap alone is not enough:
+	// one scenario with a six-figure N would hold an in-flight slot for
+	// hours, and sweeps are not cancellable mid-run.
+	MaxN int
 
-	// Registry receives every metric family (service, engine, store)
-	// and backs GET /metrics; nil means a fresh private registry.
-	Registry *obs.Registry
-
-	// Runs tracks every sweep as a live run record behind GET /v1/runs;
-	// nil means a fresh private registry. RunHistory bounds the ring of
-	// completed runs it retains (<= 0 means 64).
-	Runs       *obs.RunRegistry
+	// RunHistory bounds the ring of completed runs GET /v1/runs
+	// retains (<= 0 means 64).
 	RunHistory int
 
-	// Events is the flight recorder behind GET /debug/events; nil means
-	// a fresh private recorder keeping the last EventBuffer events
-	// (<= 0 means 1024).
-	Events      *obs.Recorder
+	// EventBuffer is how many events the flight recorder behind
+	// GET /debug/events keeps (<= 0 means 1024).
 	EventBuffer int
 
 	// ScenarioDeadline arms the slow-scenario watchdog: while a sweep
@@ -216,7 +207,7 @@ const (
 )
 
 // New builds the service over an open store, registering the service,
-// engine, and store metric families on the configured registry.
+// engine, and store metric families on a registry of its own.
 func New(cfg Config) *Service {
 	if cfg.MaxInFlight <= 0 {
 		cfg.MaxInFlight = 2
@@ -227,29 +218,16 @@ func New(cfg Config) *Service {
 	if cfg.MaxN <= 0 {
 		cfg.MaxN = 256
 	}
-	if cfg.MaxRounds <= 0 {
-		cfg.MaxRounds = 100000
-	}
 	if cfg.EventBuffer <= 0 {
 		cfg.EventBuffer = 1024
 	}
 	if cfg.WatchdogDump == nil {
 		cfg.WatchdogDump = os.Stderr
 	}
-	reg := cfg.Registry
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	runs := cfg.Runs
-	if runs == nil {
-		runs = obs.NewRunRegistry(cfg.RunHistory)
-	}
-	events := cfg.Events
-	if events == nil {
-		events = obs.NewRecorder(cfg.EventBuffer)
-	}
+	reg := obs.NewRegistry()
+	events := obs.NewRecorder(cfg.EventBuffer)
 	s := &Service{cfg: cfg, sem: make(chan struct{}, cfg.MaxInFlight), reg: reg,
-		runs: runs, events: events,
+		runs: obs.NewRunRegistry(cfg.RunHistory), events: events,
 		limiter: newRateLimiter(cfg.RateRPS, cfg.RateBurst)}
 	s.eo = engine.NewObs(reg)
 	cfg.Store.Instrument(reg)
@@ -443,8 +421,8 @@ func (s *Service) resolveGrid(req *SweepRequest) ([]engine.Scenario, string, err
 			return nil, "", fmt.Errorf("size %d exceeds the per-scenario limit of %d nodes", n, s.cfg.MaxN)
 		}
 	}
-	if g.MaxRounds > s.cfg.MaxRounds {
-		return nil, "", fmt.Errorf("max_rounds %d exceeds the limit of %d", g.MaxRounds, s.cfg.MaxRounds)
+	if g.MaxRounds > maxRounds {
+		return nil, "", fmt.Errorf("max_rounds %d exceeds the limit of %d", g.MaxRounds, maxRounds)
 	}
 	specs := g.Scenarios()
 	if len(specs) == 0 {
@@ -471,6 +449,10 @@ type errTooLarge struct {
 func (e errTooLarge) Error() string {
 	return fmt.Sprintf("grid expands to at least %d scenarios (limit %d)", e.n, e.max)
 }
+
+// maxRounds bounds a single scenario's rounds, as Config.MaxN bounds
+// its size.
+const maxRounds = 100000
 
 // maxSweepBody bounds the request body; the largest legitimate grid
 // spec is a few KB of names and numbers.

@@ -145,41 +145,10 @@ func TestSweepNDJSONStream(t *testing.T) {
 		t.Fatalf("trailer missing digest/groups: %+v", trailer)
 	}
 
-	// Warm repeat: all hits, same report digest.
-	_, body2 := postSweep(t, ts, "", testGridBody)
-	lines := bytes.Split(bytes.TrimSpace(body2), []byte("\n"))
-	var warm SweepTrailer
-	if err := json.Unmarshal(lines[len(lines)-1], &warm); err != nil {
-		t.Fatal(err)
-	}
-	if warm.Cache.Hits != 8 || warm.Cache.Misses != 0 {
-		t.Fatalf("warm trailer cache %+v, want 8 hits", warm.Cache)
-	}
-	if warm.ReportDigest != trailer.ReportDigest {
-		t.Fatal("warm report digest differs from cold")
-	}
-	if snap := svc.Snapshot(); snap.Sweeps != 2 || snap.CacheHits != 8 || snap.CacheMisses != 8 {
+	// A warm stream reproducing the pinned digest is the sweep matrix's
+	// served-ndjson column (engine's TestSweepStrategies).
+	if snap := svc.Snapshot(); snap.Sweeps != 1 || snap.CacheHits != 0 || snap.CacheMisses != 8 {
 		t.Fatalf("counters %+v", snap)
-	}
-}
-
-// TestSweepCanonicalMatchesEngine is the HTTP half of the acceptance
-// criterion: the served canonical report is byte-identical to the one
-// the engine computes directly.
-func TestSweepCanonicalMatchesEngine(t *testing.T) {
-	_, ts := newTestService(t, Config{Workers: 2})
-	resp, body := postSweep(t, ts, "?format=canonical", testGridBody)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	want := wantCanonical(t)
-	if !bytes.Equal(body, want) {
-		t.Fatal("served canonical report differs from a direct engine run")
-	}
-	// And again from the warm cache.
-	_, warm := postSweep(t, ts, "?format=canonical", testGridBody)
-	if !bytes.Equal(warm, want) {
-		t.Fatal("warm served canonical report differs")
 	}
 }
 

@@ -4,15 +4,16 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 
 	"idonly/internal/engine"
 	"idonly/internal/faults"
 	"idonly/internal/obs"
+	"idonly/internal/simtest"
 )
 
 // logAppends scans a store directory's log and returns how many records
@@ -107,8 +108,10 @@ func TestCachedRunAllLateClaimAfterLeaderFinished(t *testing.T) {
 
 // TestCachedRunAllCoalescesConcurrentMisses races many identical cold
 // sweeps against one shared store and asserts the singleflight contract:
-// every scenario is computed by exactly one caller, every caller gets
-// the same canonical report, and the store persists each record once.
+// every scenario is computed by exactly one caller, the misses balance
+// against the coalesced, and the store persists each record once. That
+// every caller gets the same report is the sweep matrix's four-callers
+// column (engine's TestSweepStrategies).
 func TestCachedRunAllCoalescesConcurrentMisses(t *testing.T) {
 	var specs []engine.Scenario
 	for seed := uint64(1); seed <= 8; seed++ {
@@ -121,50 +124,16 @@ func TestCachedRunAllCoalescesConcurrentMisses(t *testing.T) {
 	eobs := engine.NewObs(obs.NewRegistry())
 
 	const callers = 8
-	var (
-		start   = make(chan struct{})
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		canons  [][]byte
-		statsBy []RunStats
-	)
-	wg.Add(callers)
-	for c := 0; c < callers; c++ {
-		go func() {
-			defer wg.Done()
-			<-start
-			rep, stats, err := CachedRunAll(st, specs, engine.Options{
-				Workers: 2,
-				Hooks:   engine.Hooks{Obs: eobs},
-			})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			canon, err := rep.CanonicalBytes()
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			mu.Lock()
-			canons = append(canons, canon)
-			statsBy = append(statsBy, stats)
-			mu.Unlock()
-		}()
-	}
-	close(start)
-	wg.Wait()
-	if t.Failed() {
-		return
+	statsBy, errs := make([]RunStats, callers), make([]error, callers)
+	simtest.Concurrently(callers, func(c int) {
+		_, statsBy[c], errs[c] = CachedRunAll(st, specs, engine.Options{Workers: 2, Hooks: engine.Hooks{Obs: eobs}})
+	})
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
 	}
 	if got := eobs.Computed.Value(); got != int64(len(specs)) {
 		t.Fatalf("%d concurrent identical sweeps computed %d scenarios, want exactly %d",
 			callers, got, len(specs))
-	}
-	for i := 1; i < len(canons); i++ {
-		if !bytes.Equal(canons[i], canons[0]) {
-			t.Fatalf("caller %d's canonical report diverged:\n%s\nvs\n%s", i, canons[i], canons[0])
-		}
 	}
 	// Every miss is either led (computed once) or coalesced onto a
 	// flight; with no failures the ledger balances exactly.

@@ -80,19 +80,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 		}
 		// The round-tripped result must reproduce the original's
 		// canonical bytes — that is the whole cache contract.
-		a := engine.Report{Scenarios: 1, Results: []engine.Result{want}}
-		b := engine.Report{Scenarios: 1, Results: []engine.Result{got}}
-		ab, err := a.CanonicalBytes()
-		if err != nil {
-			t.Fatal(err)
-		}
-		bb, err := b.CanonicalBytes()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(ab, bb) {
-			t.Fatalf("result %s did not survive the store round-trip:\n%s\nvs\n%s", d[:12], ab, bb)
-		}
+		canonEq(t, want, got)
 	}
 	if _, ok, err := st.Get("0000000000000000000000000000000000000000000000000000000000000000"); ok || err != nil {
 		t.Fatalf("Get(missing): ok=%v err=%v", ok, err)
@@ -280,86 +268,5 @@ func TestConcurrentPutGet(t *testing.T) {
 		if _, ok, err := st.Get(want.Scenario.Digest()); !ok || err != nil {
 			t.Fatalf("record lost under concurrency: ok=%v err=%v", ok, err)
 		}
-	}
-}
-
-// TestCachedRunAllColdWarm is the acceptance contract: a cold run
-// through CachedRunAll misses everything, a warm re-run hits everything
-// (zero simulator rounds), and the two canonical reports are
-// byte-identical — and identical to plain RunAll.
-func TestCachedRunAllColdWarm(t *testing.T) {
-	grid, err := engine.PresetGrid("small")
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := grid.Scenarios()[:48]
-	st := openT(t, t.TempDir())
-
-	plain := engine.RunAll(specs, engine.Options{Workers: 2, Grid: "small"})
-	cold, coldStats, err := CachedRunAll(st, specs, engine.Options{Workers: 2, Grid: "small"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if coldStats.Hits != 0 || coldStats.Misses != len(specs) {
-		t.Fatalf("cold stats %+v, want 0/%d", coldStats, len(specs))
-	}
-	warm, warmStats, err := CachedRunAll(st, specs, engine.Options{Workers: 2, Grid: "small"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warmStats.Hits != len(specs) || warmStats.Misses != 0 {
-		t.Fatalf("warm stats %+v, want %d/0", warmStats, len(specs))
-	}
-
-	pb, err := plain.CanonicalBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cb, err := cold.CanonicalBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wb, err := warm.CanonicalBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(pb, cb) {
-		t.Fatal("cold CachedRunAll differs from plain RunAll")
-	}
-	if !bytes.Equal(cb, wb) {
-		t.Fatal("warm canonical report differs from cold")
-	}
-}
-
-// TestCachedRunAllPartialWarm: adding scenarios to an already-warm grid
-// serves the old ones from the store and runs only the new ones.
-func TestCachedRunAllPartialWarm(t *testing.T) {
-	grid, err := engine.PresetGrid("small")
-	if err != nil {
-		t.Fatal(err)
-	}
-	specs := grid.Scenarios()[:24]
-	st := openT(t, t.TempDir())
-	if _, _, err := CachedRunAll(st, specs[:16], engine.Options{Workers: 2}); err != nil {
-		t.Fatal(err)
-	}
-	rep, stats, err := CachedRunAll(st, specs, engine.Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Hits != 16 || stats.Misses != 8 {
-		t.Fatalf("partial warm stats %+v, want 16 hits / 8 misses", stats)
-	}
-	want := engine.RunAll(specs, engine.Options{Workers: 2})
-	rb, err := rep.CanonicalBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wbs, err := want.CanonicalBytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(rb, wbs) {
-		t.Fatal("partially warm report differs from a full fresh run")
 	}
 }
